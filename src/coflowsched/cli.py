@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -50,6 +51,7 @@ class ExperimentConfig:
     seed: int = 0
     weight_mode: str = "unit"
     workers: int = 1
+    dump_dir: str | None = None  # per-rep instance and lp-ov-ls schedule JSON
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -140,6 +142,12 @@ def _run_one_rep(config: ExperimentConfig, rep: int) -> list:
     for row in rows:
         if base:
             row.ratio_to_lpovls = row.total_weighted_completion / base
+    if config.dump_dir:
+        schedule = schedules.get("lp-ov-ls") or schedulers.lp_ov_ls(instance, ordering_result)
+        os.makedirs(config.dump_dir, exist_ok=True)
+        save_instance(instance, f"{config.dump_dir}/rep{rep:03d}_instance.json")
+        with open(f"{config.dump_dir}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
+            json.dump(schedule.to_dict(), fh)
     return rows
 
 
@@ -302,19 +310,9 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         weight_mode="unit" if args.weights == "unit" else "uniform-random",
         workers=args.workers,
+        dump_dir=args.dump_schedules,
     )
     rows = run_experiment(config)
-    if args.dump_schedules:
-        import os
-
-        os.makedirs(args.dump_schedules, exist_ok=True)
-        for rep in range(config.repetitions):
-            instance = _instance_for_rep(config, rep)
-            save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
-            ordering_result = solve_ordering_lp(instance)
-            schedule = schedulers.lp_ov_ls(instance, ordering_result)
-            with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
-                json.dump(schedule.to_dict(), fh)
     text = report_emit(rows, args.format, args.out)
     if not args.out:
         print(text, end="")

@@ -107,6 +107,24 @@ def _schedule_from_run(run: FluidRun) -> Schedule:
     )
 
 
+def _flow_keys(instance: CoflowInstance) -> list:
+    """Per coflow id, its (source, dest) pairs mapped to their FlowKeys."""
+    return [
+        {pair: FlowKey(*pair, k) for pair in cf.demands} for k, cf in enumerate(instance.coflows)
+    ]
+
+
+def _port_loads(pairs: dict, n: int) -> tuple:
+    """Source-side and destination-side totals of a {(source, dest): amount}
+    map, each port summed in the map's iteration order."""
+    src = [0.0] * n
+    dst = [0.0] * n
+    for (i, j), d in pairs.items():
+        src[i] += d
+        dst[j] += d
+    return src, dst
+
+
 def _ordering_of(instance: CoflowInstance, ordering_result) -> list:
     if ordering_result is None:
         ordering_result = solve_ordering_lp(instance)
@@ -127,23 +145,45 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     """
     ordering = _ordering_of(instance, ordering_result)
     pos = {k: p for p, k in enumerate(ordering)}
+    queue = sorted(
+        (key for key, _ in instance.flows()), key=lambda f: (pos[f.coflow], f.source, f.dest)
+    )
+    return _schedule_from_run(run_fluid(instance, lambda run: _list_schedule_rates(run, queue)))
+
+
+def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
+    """Full-rate greedy matching over ``queue``, flows in priority order.
+
+    Finished flows are dropped from ``queue`` in place and unreleased ones
+    are skipped.  The scan stops once every source or every destination
+    port is taken, because no later flow can fit then.
+    """
+    instance = run.instance
     cap = instance.capacity
-
-    def policy(run: FluidRun) -> dict:
-        return _list_schedule_rates(run, cap, lambda f: (0, pos[f.coflow], f.source, f.dest))
-
-    return _schedule_from_run(run_fluid(instance, policy))
-
-
-def _list_schedule_rates(run: FluidRun, cap: float, sort_key) -> dict:
+    n = instance.n_ports
+    horizon = run.time + EVENT_EPS
+    finished = run.flow_completions
     used_src: set[int] = set()
     used_dst: set[int] = set()
     rates = {}
-    for f in sorted(run.active_flows(), key=sort_key):
-        if f.source not in used_src and f.dest not in used_dst:
-            rates[f] = cap
-            used_src.add(f.source)
-            used_dst.add(f.dest)
+    kept = []
+    for idx, f in enumerate(queue):
+        if f in finished:
+            continue
+        kept.append(f)
+        if (
+            f.source in used_src
+            or f.dest in used_dst
+            or instance.coflows[f.coflow].release > horizon
+        ):
+            continue
+        rates[f] = cap
+        used_src.add(f.source)
+        used_dst.add(f.dest)
+        if len(used_src) == n or len(used_dst) == n:
+            kept.extend(queue[idx + 1:])
+            break
+    queue[:] = kept
     return rates
 
 
@@ -161,11 +201,20 @@ def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Sc
         period = float(resolve_period)
         if not period > 0:
             raise ValueError("resolve_period must be positive or 'on-arrival'")
-    cap = instance.capacity
     run = FluidRun(instance)
     pos: dict[int, int] = {}
     seen: set[int] = set()
     next_resolve = 0.0
+
+    def sort_key(f: FlowKey):
+        if f.coflow in pos:
+            return (0, pos[f.coflow], 0.0, f.coflow, f.source, f.dest)
+        release = instance.coflows[f.coflow].release
+        return (1, 0, release, f.coflow, f.source, f.dest)
+
+    # the keys only change when pos does, so the queue is re-sorted at
+    # re-solves alone; unordered coflows wait behind in release order
+    queue = sorted((key for key, _ in instance.flows()), key=sort_key)
 
     def resolve(now: float) -> None:
         active = {
@@ -179,12 +228,7 @@ def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Sc
         result = solve_ordering_lp(residual)
         pos.clear()
         pos.update({ids[k]: p for p, k in enumerate(result.ordering)})
-
-    def sort_key(f: FlowKey):
-        if f.coflow in pos:
-            return (0, pos[f.coflow], 0.0, f.coflow, f.source, f.dest)
-        release = instance.coflows[f.coflow].release
-        return (1, 0, release, f.coflow, f.source, f.dest)
+        queue.sort(key=sort_key)
 
     while not run.done():
         if on_arrival:
@@ -197,7 +241,7 @@ def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Sc
                 resolve(run.time)
                 while next_resolve <= run.time + EVENT_EPS:
                     next_resolve += period
-        run.set_rates(_list_schedule_rates(run, cap, sort_key))
+        run.set_rates(_list_schedule_rates(run, queue))
         limit = None if on_arrival else max(next_resolve - run.time, EVENT_EPS)
         run.step(max_dt=limit)
     return _schedule_from_run(run)
@@ -206,15 +250,6 @@ def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Sc
 # ---------------------------------------------------------------------------
 # Varys (smallest effective bottleneck first)
 # ---------------------------------------------------------------------------
-
-def _remaining_peak(run: FluidRun, k: int) -> float:
-    src: dict[int, float] = {}
-    dst: dict[int, float] = {}
-    for (i, j), d in run.remaining_of(k).items():
-        src[i] = src.get(i, 0.0) + d
-        dst[j] = dst.get(j, 0.0) + d
-    return max(max(src.values()), max(dst.values()))
-
 
 def varys(instance: CoflowInstance) -> Schedule:
     """Smallest remaining bottleneck first, all flows of a coflow paced to
@@ -225,60 +260,55 @@ def varys(instance: CoflowInstance) -> Schedule:
     """
     cap = instance.capacity
     n = instance.n_ports
+    keys = _flow_keys(instance)
 
     def policy(run: FluidRun) -> dict:
-        order = sorted(run.active_coflows(), key=lambda k: (_remaining_peak(run, k), k))
-        rem_src = np.full(n, cap)
-        rem_dst = np.full(n, cap)
+        # one snapshot of each active coflow's remaining demand and port
+        # loads serves the bottleneck sort, the pacing and the leftover pass
+        pairs_of = {k: run.remaining_of(k) for k in run.active_coflows()}
+        loads_of = {k: _port_loads(pairs, n) for k, pairs in pairs_of.items()}
+        order = sorted(pairs_of, key=lambda k: (max(map(max, loads_of[k])), k))
+        rem_src = [cap] * n
+        rem_dst = [cap] * n
         rates: dict[FlowKey, float] = {}
-        paced: set[int] = set()
+        skipped: list[int] = []
         for k in order:
-            pairs = run.remaining_of(k)
-            src_load: dict[int, float] = {}
-            dst_load: dict[int, float] = {}
-            for (i, j), d in pairs.items():
-                src_load[i] = src_load.get(i, 0.0) + d
-                dst_load[j] = dst_load.get(j, 0.0) + d
-            gamma = 0.0
-            blocked = False
-            for i, load in src_load.items():
-                if rem_src[i] <= _EPS:
-                    blocked = True
-                    break
-                gamma = max(gamma, load / rem_src[i])
-            if not blocked:
-                for j, load in dst_load.items():
-                    if rem_dst[j] <= _EPS:
-                        blocked = True
-                        break
-                    gamma = max(gamma, load / rem_dst[j])
-            if blocked:
+            src_load, dst_load = loads_of[k]
+            needed = [
+                (load, rem)
+                for load, rem in zip(src_load + dst_load, rem_src + rem_dst)
+                if load > 0.0
+            ]
+            if any(rem <= _EPS for _, rem in needed):
+                skipped.append(k)
                 continue
-            paced.add(k)
-            for (i, j) in sorted(pairs):
-                r = pairs[(i, j)] / gamma
-                rates[FlowKey(i, j, k)] = r
-                rem_src[i] = max(rem_src[i] - r, 0.0)
-                rem_dst[j] = max(rem_dst[j] - r, 0.0)
-        # leftover pass: source ports ascending, flows in list order; coflows
-        # already paced to finish together keep their rates (extra speed on a
-        # non-bottleneck flow would not move their completion anyway)
-        for i in range(n):
-            if rem_src[i] <= _EPS:
-                continue
-            for k in order:
-                if k in paced:
+            gamma = max(load / rem for load, rem in needed)
+            pairs = pairs_of[k]
+            for pair in sorted(pairs):
+                r = pairs[pair] / gamma
+                rates[keys[k][pair]] = r
+                rem_src[pair[0]] = max(rem_src[pair[0]] - r, 0.0)
+                rem_dst[pair[1]] = max(rem_dst[pair[1]] - r, 0.0)
+        # leftover pass over the skipped coflows: source ports ascending, then
+        # flows in list order; coflows already paced to finish together keep
+        # their rates (extra speed on a non-bottleneck flow would not move
+        # their completion anyway).  Spare capacity only shrinks from here
+        # on, so a flow with an exhausted port can never be served.
+        spare: list[list] = [[] for _ in range(n)]
+        for rank, k in enumerate(skipped):
+            for (i, j) in pairs_of[k]:
+                if rem_src[i] > _EPS and rem_dst[j] > _EPS:
+                    spare[i].append((rank, j, k))
+        for i, candidates in enumerate(spare):
+            for _, j, k in sorted(candidates):
+                extra = min(rem_src[i], rem_dst[j])
+                if extra <= _EPS:
                     continue
-                for (ii, jj) in sorted(run.remaining_of(k)):
-                    if ii != i:
-                        continue
-                    extra = min(rem_src[i], rem_dst[jj])
-                    if extra <= _EPS:
-                        continue
-                    key = FlowKey(ii, jj, k)
-                    rates[key] = rates.get(key, 0.0) + extra
-                    rem_src[i] -= extra
-                    rem_dst[jj] -= extra
+                rates[keys[k][(i, j)]] = extra
+                rem_src[i] -= extra
+                rem_dst[j] -= extra
+                if rem_src[i] <= _EPS:
+                    break
         return rates
 
     return _schedule_from_run(run_fluid(instance, policy))
@@ -334,6 +364,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     pos = {k: p for p, k in enumerate(ordering)}
     cap = instance.capacity
     n = instance.n_ports
+    keys = _flow_keys(instance)
 
     def policy(run: FluidRun) -> dict:
         gi = next(
@@ -347,38 +378,39 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             for pair, d in run.remaining_of(k).items():
                 demand[pair] = demand.get(pair, 0.0) + d
                 server.setdefault(pair, k)
-        rem_src = np.full(n, cap)
-        rem_dst = np.full(n, cap)
+        rem_src = [cap] * n
+        rem_dst = [cap] * n
         rates: dict[FlowKey, float] = {}
 
         def grant(pair: tuple[int, int], k: int, amount: float) -> None:
-            key = FlowKey(pair[0], pair[1], k)
+            key = keys[k][pair]
             rates[key] = rates.get(key, 0.0) + amount
             rem_src[pair[0]] = max(rem_src[pair[0]] - amount, 0.0)
             rem_dst[pair[1]] = max(rem_dst[pair[1]] - amount, 0.0)
 
         if demand:
-            src_tot = np.zeros(n)
-            dst_tot = np.zeros(n)
-            for (i, j), d in demand.items():
-                src_tot[i] += d
-                dst_tot[j] += d
-            finish = max(src_tot.max(), dst_tot.max()) / cap
-            for pair in sorted(demand):
+            finish = max(map(max, _port_loads(demand, n))) / cap
+            pairs = sorted(demand)
+            for pair in pairs:
                 grant(pair, server[pair], demand[pair] / finish)
             # raise the group's own pair rates until a port saturates
-            for pair in sorted(demand):
+            for pair in pairs:
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
                 if extra > _EPS:
                     grant(pair, server[pair], extra)
-        # backfill idle pairs from later-ordered released coflows
+        # backfill idle pairs from later-ordered released coflows; spare
+        # capacity only shrinks, so pairs on an exhausted port are dropped
+        # before the sort
         last_pos = max(pos[k] for k in groups[gi])
-        for k in ordering:
-            if pos[k] <= last_pos or run.is_complete(k) or not run.released(k):
+        for k in ordering[last_pos + 1:]:
+            if run.is_complete(k) or not run.released(k):
                 continue
-            for pair in sorted(run.remaining_of(k)):
-                if pair in demand:
-                    continue
+            idle = [
+                pair
+                for pair in run.remaining_of(k)
+                if pair not in demand and rem_src[pair[0]] > _EPS and rem_dst[pair[1]] > _EPS
+            ]
+            for pair in sorted(idle):
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
                 if extra > _EPS:
                     grant(pair, k, extra)

@@ -101,7 +101,10 @@ class FluidRun:
         return out
 
     def remaining_of(self, k: int) -> dict:
-        """Remaining demand of coflow k keyed by (source, dest)."""
+        """Remaining demand of coflow k keyed by (source, dest).
+
+        Callers must not mutate the returned mapping.
+        """
         return {
             (f.source, f.dest): self.remaining[f]
             for f in self._incomplete.get(k, ())
@@ -186,11 +189,6 @@ def run_fluid(instance: CoflowInstance, policy) -> FluidRun:
     return run
 
 
-def next_event(run: FluidRun) -> float | None:
-    """Module-level alias of FluidRun.next_event."""
-    return run.next_event()
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -244,7 +242,9 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
             span = max(effective_end - seg.start, 0.0)
             transmitted[key] = transmitted.get(key, 0.0) + rate * span
 
+    flows_of: list[list[FlowKey]] = [[] for _ in range(instance.num_coflows)]
     for key, size in instance.flows():
+        flows_of[key.coflow].append(key)
         got = transmitted.get(key, 0.0)
         if key not in schedule.flow_completions:
             violations.append(Violation("demand", f"flow {tuple(key)} never completed", size))
@@ -252,8 +252,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
         if abs(got - size) > DEMAND_TOL:
             violations.append(Violation("demand", f"flow {tuple(key)}", abs(got - size)))
 
-    for k in range(instance.num_coflows):
-        flows = [key for key, _ in instance.flows() if key.coflow == k]
+    for k, flows in enumerate(flows_of):
         recorded = schedule.completions[k]
         finished = [schedule.flow_completions[f] for f in flows if f in schedule.flow_completions]
         if len(finished) < len(flows):

@@ -137,6 +137,24 @@ def test_validate_verb_accepts_and_rejects(tmp_path):
     assert cli.main(["validate", "--instance", str(inst), "--schedule", str(broken)]) == 1
 
 
+def test_dump_schedules_same_with_workers_and_without_lp_ov_ls(tmp_path):
+    common = ["run", "--workload", "dense", "--ports", "3", "--coflows", "4",
+              "--reps", "2", "--seed", "3"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert cli.main(common + ["--schedulers", "lp-ov-ls", "--out", str(tmp_path / "a.csv"),
+                              "--dump-schedules", str(serial)]) == 0
+    # lp-ov-ls is not among the schedulers run here, so the dump schedules it itself
+    assert cli.main(common + ["--schedulers", "varys", "--workers", "2",
+                              "--out", str(tmp_path / "b.csv"),
+                              "--dump-schedules", str(pooled)]) == 0
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == ["rep000_instance.json", "rep000_lp_ov_ls.json",
+                     "rep001_instance.json", "rep001_lp_ov_ls.json"]
+    assert sorted(p.name for p in pooled.iterdir()) == names
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
 def test_trace_run(tmp_path):
     out = tmp_path / "trace.csv"
     rc = cli.main(["run", "--trace", str(DATA / "mini_trace.csv"), "--reps", "1",

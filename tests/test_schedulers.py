@@ -168,6 +168,16 @@ def test_grouped_fluid_equal_bottleneck_total():
     assert validate(sched, inst).ok
 
 
+def test_integer_capacity_schedules_like_float_capacity():
+    # an int capacity must not truncate the per-port residuals to integers
+    base = generate(
+        SyntheticConfig(n_ports=4, n_coflows=5, kind="dense", interarrival_range=None, seed=3)
+    )
+    as_int = CoflowInstance(4, base.coflows, capacity=1)
+    for scheduler in (varys, lp_ov_gb):
+        assert scheduler(as_int).to_dict() == scheduler(base).to_dict()
+
+
 # -- lp_ii_gb ---------------------------------------------------------------
 
 def test_slotted_single_flow_runs_consecutively():
