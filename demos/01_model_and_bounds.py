@@ -7,10 +7,10 @@ bottleneck-size heuristic picks a strictly worse order.
 """
 
 from coflowsched import (
-    aggregate_loads,
     effective_size,
     lp_lower_bound,
     oracle_opt,
+    port_loads,
     total_weighted_completion,
     varys,
 )
@@ -19,10 +19,10 @@ from coflowsched.verify import blocking_pair_fixture, equal_bottleneck_fixture
 inst = equal_bottleneck_fixture()
 print("three coflows on a 2x2 switch, all with bottleneck load 1:")
 for k, cf in enumerate(inst.coflows):
-    loads = aggregate_loads(cf, inst.n_ports)
+    src, dst = port_loads(cf.demands, inst.n_ports)
     print(f"  coflow {k}: demands={dict(cf.demands)}")
-    print(f"    source loads={loads.source_loads.tolist()}"
-          f" dest loads={loads.dest_loads.tolist()}"
+    print(f"    source loads={src}"
+          f" dest loads={dst}"
           f" effective size={effective_size(cf, inst.n_ports)}")
 
 sched = varys(inst)

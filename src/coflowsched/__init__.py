@@ -7,14 +7,13 @@ from .model import (
     Coflow,
     CoflowInstance,
     FlowKey,
-    LoadVector,
-    aggregate_loads,
-    cumulative_load,
     effective_size,
     horizon,
     instance_from_dict,
     instance_to_dict,
     load_instance,
+    port_loads,
+    prefix_bottlenecks,
     save_instance,
 )
 from .lpcore import LpProblem, LpSolution, check_feasible, solve
@@ -31,7 +30,6 @@ from .schedulers import (
     GroupPartition,
     Schedule,
     Segment,
-    bvn_decompose,
     group_coflows,
     lp_ii_gb,
     lp_ov_gb,

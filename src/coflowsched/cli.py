@@ -23,7 +23,7 @@ from .model import CoflowInstance, load_instance, save_instance
 from .relaxations import solve_ordering_lp
 from .sim import total_weighted_completion, validate
 
-SCHEDULER_NAMES = ["lp-ov-ls", "lp-ov-ls-online", "varys", "lp-ii-gb", "lp-ov-gb"]
+SCHEDULER_NAMES = list(schedulers.SCHEDULERS)
 DEFAULT_SCHEDULERS = ["lp-ov-ls", "varys", "lp-ii-gb", "lp-ov-gb"]
 REPORT_COLUMNS = [
     "instance_id",
@@ -111,16 +111,7 @@ def _run_one_rep(config: ExperimentConfig, rep: int) -> list:
     schedules = {}
     for name in config.schedulers:
         t0 = time.perf_counter()
-        if name == "lp-ov-ls":
-            schedule = schedulers.lp_ov_ls(instance, ordering_result)
-        elif name == "lp-ov-ls-online":
-            schedule = schedulers.lp_ov_ls_online(instance)
-        elif name == "varys":
-            schedule = schedulers.varys(instance)
-        elif name == "lp-ov-gb":
-            schedule = schedulers.lp_ov_gb(instance, ordering_result)
-        else:
-            schedule = schedulers.lp_ii_gb(instance)
+        schedule = schedulers.SCHEDULERS[name](instance, ordering_result)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         report = validate(schedule, instance)
         total = total_weighted_completion(schedule, instance)

@@ -97,35 +97,15 @@ class CoflowInstance:
         return sum(cf.total_demand for cf in self.coflows)
 
 
-@dataclass
-class LoadVector:
-    """Per-port data loads, source side and destination side."""
-
-    source_loads: np.ndarray
-    dest_loads: np.ndarray
-
-    def __post_init__(self):
-        self.source_loads = np.asarray(self.source_loads, dtype=float)
-        self.dest_loads = np.asarray(self.dest_loads, dtype=float)
-        if (self.source_loads < 0).any() or (self.dest_loads < 0).any():
-            raise ValueError("loads must be nonnegative")
-
-    @property
-    def peak(self) -> float:
-        """Largest per-port load across both sides."""
-        return float(max(self.source_loads.max(initial=0.0), self.dest_loads.max(initial=0.0)))
-
-
-def aggregate_loads(coflow: Coflow, n_ports: int) -> LoadVector:
-    """Per-port totals of one coflow: row sums (send side) and column sums."""
-    if coflow.max_port >= n_ports:
-        raise ValueError("coflow uses a port outside the switch")
-    src = np.zeros(n_ports)
-    dst = np.zeros(n_ports)
-    for (i, j), size in coflow.demands.items():
-        src[i] += size
-        dst[j] += size
-    return LoadVector(src, dst)
+def port_loads(pairs: Mapping[tuple[int, int], float], n_ports: int) -> tuple[list, list]:
+    """Source-side and destination-side totals of a {(source, dest): amount}
+    map, each port summed in the map's iteration order."""
+    src = [0.0] * n_ports
+    dst = [0.0] * n_ports
+    for (i, j), d in pairs.items():
+        src[i] += d
+        dst[j] += d
+    return src, dst
 
 
 def effective_size(coflow: Coflow, n_ports: int) -> float:
@@ -134,30 +114,7 @@ def effective_size(coflow: Coflow, n_ports: int) -> float:
     This is a lower bound on its standalone processing time at unit
     capacity: no port can move data faster than one unit per time unit.
     """
-    return aggregate_loads(coflow, n_ports).peak
-
-
-def cumulative_load(
-    instance: CoflowInstance, ordering: Sequence[int], k: int
-) -> tuple[LoadVector, float]:
-    """Per-port load of the first ``k`` coflows of ``ordering``, and its peak.
-
-    Returns ``(loads, peak)`` where ``loads`` sums the demand the prefix
-    places on every source and destination port.
-    """
-    kk = instance.num_coflows
-    if not 1 <= k <= kk:
-        raise ValueError(f"prefix length {k} out of range 1..{kk}")
-    if sorted(ordering) != list(range(kk)):
-        raise ValueError("ordering must be a permutation of all coflow ids")
-    src = np.zeros(instance.n_ports)
-    dst = np.zeros(instance.n_ports)
-    for cid in ordering[:k]:
-        for (i, j), size in instance.coflows[cid].demands.items():
-            src[i] += size
-            dst[j] += size
-    loads = LoadVector(src, dst)
-    return loads, loads.peak
+    return max(map(max, port_loads(coflow.demands, n_ports)))
 
 
 def horizon(instance: CoflowInstance) -> float:
@@ -175,10 +132,20 @@ def node_load_matrix(instance: CoflowInstance) -> np.ndarray:
     n, kk = instance.n_ports, instance.num_coflows
     loads = np.zeros((2 * n, kk))
     for k, cf in enumerate(instance.coflows):
-        for (i, j), size in cf.demands.items():
-            loads[i, k] += size
-            loads[n + j, k] += size
+        loads[:n, k], loads[n:, k] = port_loads(cf.demands, n)
     return loads
+
+
+def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.ndarray:
+    """Bottleneck load W(1..p+1) of every prefix of ``ordering``.
+
+    Entry p is the peak per-port data load of the first p + 1 coflows of
+    ``ordering``, which must be a permutation of all coflow ids.
+    """
+    ordering = list(ordering)
+    if sorted(ordering) != list(range(instance.num_coflows)):
+        raise ValueError("ordering must be a permutation of all coflow ids")
+    return np.cumsum(node_load_matrix(instance)[:, ordering], axis=1).max(axis=0)
 
 
 def residual_instance(

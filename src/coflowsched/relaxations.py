@@ -84,8 +84,7 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
             prob.add_constraint(coeffs, ">=", loads[s, k])
     # release rows
     for k, cf in enumerate(instance.coflows):
-        w_k = effective_size(cf, n) / instance.capacity
-        prob.add_constraint({k: 1.0}, ">=", w_k + cf.release)
+        prob.add_constraint({k: 1.0}, ">=", loads[:, k].max() + cf.release)
     # complementary pair rows
     for a in range(kk):
         for b in range(a + 1, kk):
@@ -143,8 +142,7 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
                     coeffs[_pair_index(kk, k, kp)] = -loads[s, kp]
             prob.add_constraint(coeffs, ">=", rhs)
     for k, cf in enumerate(instance.coflows):
-        w_k = effective_size(cf, n) / instance.capacity
-        prob.add_constraint({k: 1.0}, ">=", w_k + cf.release)
+        prob.add_constraint({k: 1.0}, ">=", loads[:, k].max() + cf.release)
     return prob
 
 
@@ -256,7 +254,7 @@ def build_interval_lp(
 
     prob = lpcore.LpProblem(kk * nl)
     for k, cf in enumerate(instance.coflows):
-        earliest = cf.release + effective_size(cf, n) / instance.capacity
+        earliest = cf.release + loads[:, k].max()
         for l in range(nl):
             prob.objective[var(k, l)] = cf.weight * grid[l]
             prob.set_bounds(var(k, l), 0.0, 1.0)

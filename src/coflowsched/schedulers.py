@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoflowInstance, FlowKey, residual_instance
+from .model import CoflowInstance, FlowKey, port_loads, prefix_bottlenecks, residual_instance
 from .relaxations import solve_interval_lp, solve_ordering_lp
 from .sim import EVENT_EPS, FluidRun, run_fluid
 
@@ -112,17 +112,6 @@ def _flow_keys(instance: CoflowInstance) -> list:
     return [
         {pair: FlowKey(*pair, k) for pair in cf.demands} for k, cf in enumerate(instance.coflows)
     ]
-
-
-def _port_loads(pairs: dict, n: int) -> tuple:
-    """Source-side and destination-side totals of a {(source, dest): amount}
-    map, each port summed in the map's iteration order."""
-    src = [0.0] * n
-    dst = [0.0] * n
-    for (i, j), d in pairs.items():
-        src[i] += d
-        dst[j] += d
-    return src, dst
 
 
 def _ordering_of(instance: CoflowInstance, ordering_result) -> list:
@@ -266,7 +255,7 @@ def varys(instance: CoflowInstance) -> Schedule:
         # one snapshot of each active coflow's remaining demand and port
         # loads serves the bottleneck sort, the pacing and the leftover pass
         pairs_of = {k: run.remaining_of(k) for k in run.active_coflows()}
-        loads_of = {k: _port_loads(pairs, n) for k, pairs in pairs_of.items()}
+        loads_of = {k: port_loads(pairs, n) for k, pairs in pairs_of.items()}
         order = sorted(pairs_of, key=lambda k: (max(map(max, loads_of[k])), k))
         rem_src = [cap] * n
         rem_dst = [cap] * n
@@ -323,17 +312,10 @@ def group_coflows(ordering_result, instance: CoflowInstance) -> GroupPartition:
     (2^(m-1), 2^m] that contains the cumulative bottleneck load of the
     order prefix; consecutive coflows in the same interval share a group."""
     ordering = _ordering_of(instance, ordering_result)
-    n = instance.n_ports
-    src = np.zeros(n)
-    dst = np.zeros(n)
     groups: list[list[int]] = []
     boundaries: list[float] = []
     prev_m: int | None = None
-    for k in ordering:
-        for (i, j), d in instance.coflows[k].demands.items():
-            src[i] += d
-            dst[j] += d
-        peak = max(src.max(), dst.max())
+    for k, peak in zip(ordering, prefix_bottlenecks(instance, ordering)):
         m = math.ceil(math.log2(peak) - 1e-12)
         if m == prev_m:
             groups[-1].append(k)
@@ -389,7 +371,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             rem_dst[pair[1]] = max(rem_dst[pair[1]] - amount, 0.0)
 
         if demand:
-            finish = max(map(max, _port_loads(demand, n))) / cap
+            finish = max(map(max, port_loads(demand, n))) / cap
             pairs = sorted(demand)
             for pair in pairs:
                 grant(pair, server[pair], demand[pair] / finish)
@@ -451,11 +433,12 @@ def _perfect_matching(support: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _pad_to_equal_line_sums(matrix: np.ndarray):
-    """Add nonnegative fill so every row and column sums to the max line sum."""
-    n = matrix.shape[0]
-    target = max(matrix.sum(axis=1).max(), matrix.sum(axis=0).max())
-    padded = matrix.copy()
+def _pad_to_equal_line_sums(matrix: np.ndarray) -> np.ndarray:
+    """Integer copy of ``matrix`` with nonnegative fill added so every row
+    and column sums to the max line sum."""
+    padded = matrix.astype(np.int64)
+    n = padded.shape[0]
+    target = max(padded.sum(axis=1).max(), padded.sum(axis=0).max())
     row_deficit = target - padded.sum(axis=1)
     col_deficit = target - padded.sum(axis=0)
     for i in range(n):
@@ -465,41 +448,15 @@ def _pad_to_equal_line_sums(matrix: np.ndarray):
                 padded[i, j] += add
                 row_deficit[i] -= add
                 col_deficit[j] -= add
-    return padded, target
-
-
-def bvn_decompose(matrix) -> list:
-    """Decompose a nonnegative square matrix into weighted permutations.
-
-    The matrix is padded to equal row/column sums and normalized by that
-    sum, then permutations are peeled off the support with weight equal to
-    the smallest entry along each matching.  Weights sum to one and
-    reconstruct the normalized padded matrix.  Returns [(weight, perm)]
-    with perm[i] = assigned column of row i.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if (m < 0).any():
-        raise ValueError("matrix must be nonnegative")
-    padded, target = _pad_to_equal_line_sums(m)
-    if target <= 0:
-        raise ValueError("matrix has no positive entries")
-    tol = 1e-9 * max(1.0, target)
-    out = []
-    while padded.max() > tol:
-        perm = _perfect_matching(padded > tol)
-        weight = float(min(padded[i, perm[i]] for i in range(len(perm))))
-        out.append((weight / target, perm))
-        for i in range(len(perm)):
-            padded[i, perm[i]] = max(padded[i, perm[i]] - weight, 0.0)
-    return out
+    return padded
 
 
 def _integer_bvn(matrix: np.ndarray) -> list:
-    """Integer variant used by the slotted scheduler: returns
-    [(slot_count, perm)] whose counts sum to the max line sum."""
-    padded, _ = _pad_to_equal_line_sums(matrix.astype(np.int64))
+    """Birkhoff-von Neumann decomposition of a nonnegative integer matrix,
+    used by the slotted scheduler: returns [(slot_count, perm)], perm[i] the
+    column of row i, whose counts sum to the max line sum and whose
+    permutations rebuild the padded matrix."""
+    padded = _pad_to_equal_line_sums(matrix)
     out = []
     while padded.any():
         perm = _perfect_matching(padded > 0)
@@ -647,3 +604,14 @@ def lp_ii_gb(
     for f, t in flow_completions.items():
         completions[f.coflow] = max(completions[f.coflow], t)
     return Schedule(segments=segments, completions=completions, flow_completions=flow_completions)
+
+
+# CLI name -> (instance, ordering LP result) -> Schedule.  The lambdas look
+# the policies up when called, so a wrapped module attribute sees every call.
+SCHEDULERS = {
+    "lp-ov-ls": lambda instance, lp: lp_ov_ls(instance, lp),
+    "lp-ov-ls-online": lambda instance, lp: lp_ov_ls_online(instance),
+    "varys": lambda instance, lp: varys(instance),
+    "lp-ii-gb": lambda instance, lp: lp_ii_gb(instance),
+    "lp-ov-gb": lambda instance, lp: lp_ov_gb(instance, lp),
+}

@@ -93,13 +93,6 @@ class FluidRun:
         """Released, incomplete coflow ids, ascending."""
         return sorted(k for k in self._incomplete if self.released(k))
 
-    def active_flows(self) -> list:
-        """Flows of released, incomplete coflows, in (coflow, src, dst) order."""
-        out = []
-        for k in self.active_coflows():
-            out.extend(sorted(self._incomplete[k], key=lambda f: (f.source, f.dest)))
-        return out
-
     def remaining_of(self, k: int) -> dict:
         """Remaining demand of coflow k keyed by (source, dest).
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Coflow, CoflowInstance, FlowKey
+from .model import Coflow, CoflowInstance, FlowKey, prefix_bottlenecks
 from .relaxations import OrderingLpResult, lp_lower_bound
 from .schedulers import Schedule, Segment
 from .sim import total_weighted_completion
@@ -82,6 +82,49 @@ def _maximal_matchings(flows: list) -> list:
     return sorted(set(out))
 
 
+class _SlotSearch:
+    """Unit-slot schedules of a small integer instance, as a search space.
+
+    A state is the tuple of remaining units per flow, in ``instance.flows()``
+    order.  From slot start ``t`` a state either idles until the next
+    release, when none of its remaining flows is released yet, or serves
+    one maximal matching of its released flows for the slot (t, t + 1].
+    """
+
+    def __init__(self, instance: CoflowInstance, max_ports: int, max_total_demand: float):
+        _require_small_integer_instance(instance, max_ports, max_total_demand)
+        flows = list(instance.flows())
+        self.keys = [key for key, _ in flows]
+        self.initial = tuple(int(round(size)) for _, size in flows)
+        self.releases = [int(round(cf.release)) for cf in instance.coflows]
+        self.flows_of = [
+            [fi for fi, key in enumerate(self.keys) if key.coflow == k]
+            for k in range(instance.num_coflows)
+        ]
+
+    def left(self, state: tuple, k: int) -> int:
+        """Remaining units of coflow ``k``."""
+        return sum(state[fi] for fi in self.flows_of[k])
+
+    def successors(self, state: tuple, t: int):
+        """Yields (matching, next state, next slot start); a matching of None
+        idles until the next release."""
+        pending = [fi for fi, units in enumerate(state) if units > 0]
+        ready = [
+            (self.keys[fi].source, self.keys[fi].dest, fi)
+            for fi in pending
+            if self.releases[self.keys[fi].coflow] <= t
+        ]
+        if not ready:
+            yield None, state, min(self.releases[self.keys[fi].coflow] for fi in pending)
+            return
+        for matching in _maximal_matchings(ready):
+            nxt = list(state)
+            for fi in matching:
+                nxt[fi] -= 1
+            yield matching, tuple(nxt), t + 1
+
+
 def oracle_opt(
     instance: CoflowInstance,
     max_ports: int = DEFAULT_MAX_PORTS,
@@ -93,20 +136,16 @@ def oracle_opt(
     Exhaustive depth-first search over maximal matchings per slot,
     memoized on (remaining demands, time).
     """
-    _require_small_integer_instance(instance, max_ports, max_total_demand)
-    flows = [(key, int(round(size))) for key, size in instance.flows()]
-    releases = [int(round(cf.release)) for cf in instance.coflows]
+    search = _SlotSearch(instance, max_ports, max_total_demand)
+    keys = search.keys
     weights = [cf.weight for cf in instance.coflows]
-    flow_coflow = [key.coflow for key, _ in flows]
-    flow_ports = [(key.source, key.dest) for key, _ in flows]
-    initial = tuple(size for _, size in flows)
     memo: dict[tuple, tuple] = {}
 
     def solve(state: tuple, t: int) -> tuple:
-        """Returns (cost-to-finish from t, matching, when).
+        """Returns (cost-to-finish from t, matching, next slot start).
 
-        ``matching`` of None means idle until ``when``; otherwise the
-        matching occupies the slot (when, when + 1].
+        ``matching`` of None means idle until the next slot start;
+        otherwise the matching occupies the slot (t, t + 1].
         """
         if not any(state):
             return 0.0, None, t
@@ -116,64 +155,38 @@ def oracle_opt(
             return hit
         if len(memo) > _STATE_LIMIT:
             raise OracleLimitError("oracle state limit exceeded")
-        ready = [
-            (flow_ports[fi][0], flow_ports[fi][1], fi)
-            for fi in range(len(flows))
-            if state[fi] > 0 and releases[flow_coflow[fi]] <= t
-        ]
-        if not ready:
-            t_next = min(
-                releases[flow_coflow[fi]] for fi in range(len(flows)) if state[fi] > 0
-            )
-            value, _, _ = solve(state, t_next)
-            result = (value, None, t_next)
-            memo[key] = result
-            return result
         best = (math.inf, None, t)
-        for matching in _maximal_matchings(ready):
-            nxt = list(state)
-            for fi in matching:
-                nxt[fi] -= 1
-            nxt = tuple(nxt)
+        for matching, nxt, t_next in search.successors(state, t):
             finished = {
-                flow_coflow[fi]
-                for fi in matching
-                if not any(
-                    nxt[other]
-                    for other in range(len(flows))
-                    if flow_coflow[other] == flow_coflow[fi]
-                )
+                keys[fi].coflow for fi in matching or () if not search.left(nxt, keys[fi].coflow)
             }
-            slot_cost = sum(weights[k] * (t + 1) for k in finished)
-            future, _, _ = solve(nxt, t + 1)
-            cost = slot_cost + future
+            cost = sum(weights[k] * t_next for k in finished) + solve(nxt, t_next)[0]
             if cost < best[0] - 1e-12:
-                best = (cost, matching, t)
+                best = (cost, matching, t_next)
         memo[key] = best
         return best
 
-    value, _, _ = solve(initial, 0)
+    value, _, _ = solve(search.initial, 0)
 
     # rebuild the optimal schedule by replaying the memoized decisions
     segments: list[Segment] = []
     flow_completions: dict[FlowKey, float] = {}
-    state, t = initial, 0
+    state, t = search.initial, 0
     while any(state):
-        _, matching, when = solve(state, t)
-        if matching is None:  # idle until the next release
-            t = when
-            continue
-        rates = {flows[fi][0]: 1.0 for fi in matching}
-        if segments and segments[-1].end == when and segments[-1].rates == rates:
-            segments[-1] = Segment(segments[-1].start, when + 1, rates)
-        else:
-            segments.append(Segment(float(when), float(when + 1), rates))
-        nxt = list(state)
-        for fi in matching:
-            nxt[fi] -= 1
-            if nxt[fi] == 0:
-                flow_completions[flows[fi][0]] = float(when + 1)
-        state, t = tuple(nxt), when + 1
+        _, matching, t_next = solve(state, t)
+        if matching is not None:
+            rates = {keys[fi]: 1.0 for fi in matching}
+            if segments and segments[-1].end == t and segments[-1].rates == rates:
+                segments[-1] = Segment(segments[-1].start, t_next, rates)
+            else:
+                segments.append(Segment(float(t), float(t_next), rates))
+            nxt = list(state)
+            for fi in matching:
+                nxt[fi] -= 1
+                if nxt[fi] == 0:
+                    flow_completions[keys[fi]] = float(t_next)
+            state = tuple(nxt)
+        t = t_next
 
     completions = np.zeros(instance.num_coflows)
     for key, done_at in flow_completions.items():
@@ -201,48 +214,23 @@ def min_completion_under_deadline(
 
     Returns +inf when no schedule meets the deadline.
     """
-    _require_small_integer_instance(instance, max_ports, max_total_demand)
-    flows = [(key, int(round(size))) for key, size in instance.flows()]
-    releases = [int(round(cf.release)) for cf in instance.coflows]
-    flow_coflow = [key.coflow for key, _ in flows]
-    flow_ports = [(key.source, key.dest) for key, _ in flows]
+    search = _SlotSearch(instance, max_ports, max_total_demand)
     memo: dict[tuple, float] = {}
 
-    def rem_of(state: tuple, k: int) -> int:
-        return sum(state[fi] for fi in range(len(flows)) if flow_coflow[fi] == k)
-
     def solve(state: tuple, t: int) -> float:
-        if rem_of(state, constrained) > 0 and t >= deadline - 1e-9:
+        if search.left(state, constrained) > 0 and t >= deadline - 1e-9:
             return math.inf
-        if rem_of(state, target) == 0:
+        if search.left(state, target) == 0:
             return float(t)
         key = (state, t)
-        if key in memo:
-            return memo[key]
-        ready = [
-            (flow_ports[fi][0], flow_ports[fi][1], fi)
-            for fi in range(len(flows))
-            if state[fi] > 0 and releases[flow_coflow[fi]] <= t
-        ]
-        if not ready:
-            t_next = min(
-                releases[flow_coflow[fi]] for fi in range(len(flows)) if state[fi] > 0
+        if key not in memo:
+            # completion of target happens at the end of a served slot
+            memo[key] = min(
+                solve(nxt, t_next) for _, nxt, t_next in search.successors(state, t)
             )
-            result = solve(state, t_next)
-            memo[key] = result
-            return result
-        best = math.inf
-        for matching in _maximal_matchings(ready):
-            nxt = list(state)
-            for fi in matching:
-                nxt[fi] -= 1
-            # completion of target happens at the end of this slot
-            done = solve(tuple(nxt), t + 1)
-            best = min(best, done)
-        memo[key] = best
-        return best
+        return memo[key]
 
-    return solve(tuple(size for _, size in flows), 0)
+    return solve(search.initial, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +265,8 @@ def check_approximation_bounds(
     worst = math.inf
     if ordering is not None:
         ordering = list(getattr(ordering, "ordering", ordering))
-        n = instance.n_ports
-        src = np.zeros(n)
-        dst = np.zeros(n)
-        for prefix, k in enumerate(ordering, start=1):
-            for (i, j), d in instance.coflows[k].demands.items():
-                src[i] += d
-                dst[j] += d
-            w_prefix = max(src.max(), dst.max()) / instance.capacity
+        peaks = prefix_bottlenecks(instance, ordering) / instance.capacity
+        for k, w_prefix in zip(ordering, peaks):
             bound_k = instance.coflows[k].release + 2.0 * w_prefix
             margin = bound_k - schedule.completions[k]
             worst = min(worst, margin)
@@ -310,15 +292,10 @@ class PrefixBoundReport:
 def check_prefix_halving(ordering_result: OrderingLpResult, instance: CoflowInstance) -> PrefixBoundReport:
     """Relaxed completions dominate half the cumulative bottleneck load:
     sorted by relaxed completion, f_k >= W(1..k)/2 - 1e-6 for every prefix."""
-    n = instance.n_ports
-    src = np.zeros(n)
-    dst = np.zeros(n)
+    ordering = ordering_result.ordering
+    peaks = prefix_bottlenecks(instance, ordering) / instance.capacity
     worst = math.inf
-    for k in ordering_result.ordering:
-        for (i, j), d in instance.coflows[k].demands.items():
-            src[i] += d
-            dst[j] += d
-        w_prefix = max(src.max(), dst.max()) / instance.capacity
+    for k, w_prefix in zip(ordering, peaks):
         margin = ordering_result.f_tilde[k] - w_prefix / 2.0
         worst = min(worst, margin)
     return PrefixBoundReport(ok=worst >= -1e-6, worst_margin=worst)

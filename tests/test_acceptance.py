@@ -14,7 +14,7 @@ import pytest
 from conftest import tiny_instances
 
 from coflowsched import cli
-from coflowsched.model import Coflow, CoflowInstance, cumulative_load, effective_size
+from coflowsched.model import Coflow, CoflowInstance, effective_size, prefix_bottlenecks
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import lp_ii_gb, lp_ov_gb, lp_ov_ls, varys
 from coflowsched.sim import total_weighted_completion, validate
@@ -95,7 +95,7 @@ def test_criterion_2_ordering_counterexample():
     with criterion(2, "ordering counterexample"):
         t0 = time.monotonic()
         inst = counterexample_fixture()
-        _, prefix_peak = cumulative_load(inst, [0, 1], 2)
+        prefix_peak = prefix_bottlenecks(inst, [0, 1])[1]
         assert prefix_peak == 3.0
         schedule = lp_ov_gb(inst)
         assert schedule.completions[0] == 2.0

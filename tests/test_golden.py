@@ -1,4 +1,4 @@
-"""Pinned schedules: the fluid schedulers must reproduce these exact outputs.
+"""Pinned schedules: every scheduler must reproduce these exact outputs.
 
 Each digest is the sha256 of ``json.dumps(schedule.to_dict(), sort_keys=True)``
 for a fixed-seed instance, so any change to a segment boundary, a rate, a
@@ -24,16 +24,16 @@ INSTANCES = {
     "combined-zero": ("combined", 8, 12, None, 14, "uniform-random"),
 }
 
+# the CLI registry (lp-ii-gb solves its own interval LP) plus a periodic
+# re-solve variant of the online scheduler
 SCHEDULERS = {
-    "lp-ov-ls": lambda inst, lp: schedulers.lp_ov_ls(inst, lp),
-    "lp-ov-ls-online": lambda inst, lp: schedulers.lp_ov_ls_online(inst),
+    **schedulers.SCHEDULERS,
     "lp-ov-ls-online-25": lambda inst, lp: schedulers.lp_ov_ls_online(inst, 25.0),
-    "varys": lambda inst, lp: schedulers.varys(inst),
-    "lp-ov-gb": lambda inst, lp: schedulers.lp_ov_gb(inst, lp),
 }
 
 GOLDEN = {
     "combined-releases": {
+        "lp-ii-gb": "440cb1e0d097aed53b83500fa52925e96bc8e647c415b3cc6b53225013d3ab72",
         "lp-ov-gb": "8ba059900ad11b755270c69f7e63f8b16215e40a465cf0ad72e007b0497ea0fa",
         "lp-ov-ls": "5809c614d6a5e939f05ff4b9872ec76a11cdfe4112954c7313084419ada592cf",
         "lp-ov-ls-online": "ff320033a8b9dafce3bf4bacf05cc064923e844e248d3694e3582436f463e0f7",
@@ -41,6 +41,7 @@ GOLDEN = {
         "varys": "1a13ee7d5f99eeb84fbbef857655e8fcf033b0e06cfa96c942be2e409ab3c35c",
     },
     "combined-zero": {
+        "lp-ii-gb": "68a230b4b9e65b6872d6904aba9f8fd79eee6fda58943f99be54140c9dfa465f",
         "lp-ov-gb": "53f4931dc3f670db42cd831803dc5a72c33d8e8e4a6f0907463e58c066e37523",
         "lp-ov-ls": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
         "lp-ov-ls-online": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
@@ -48,6 +49,7 @@ GOLDEN = {
         "varys": "a6631d536a0cdc66ec44ad9f40aae72d2dcb0046c77ef10665f6f71a1a58a6f9",
     },
     "dense-releases": {
+        "lp-ii-gb": "dcb7ef8b8848b2a3a37d58680beeab3d76fd5659957bc6cfd3ab2ae76941daa4",
         "lp-ov-gb": "762336810b6b537a228548f3dd4a4b5f8d50f0e90c0fe375a6385a7e428ef2ed",
         "lp-ov-ls": "5d3fa046b76fe349f4afb82d596202d57f8fe4639b2264e4c51fb87a724411c5",
         "lp-ov-ls-online": "2b16264b9db176ced4ca9c9b80f1c673f723c4169644b70abb255e92246d86cc",
@@ -55,6 +57,7 @@ GOLDEN = {
         "varys": "f6b7f75e835801065fe360cbaa961b1edc51d097011673fb2819b9a6233a5c15",
     },
     "dense-zero": {
+        "lp-ii-gb": "748aeb4cdf735817dca3032a464ef69e029601cd488dbc19bd48ed883079adb0",
         "lp-ov-gb": "8f677ee984d0603ed23b3fd7d315ed5bc771703f8c0d2e3c9db4a1403523304a",
         "lp-ov-ls": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
         "lp-ov-ls-online": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",

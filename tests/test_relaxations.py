@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coflowsched import lpcore
-from coflowsched.model import Coflow, CoflowInstance, cumulative_load
+from coflowsched.model import Coflow, CoflowInstance, prefix_bottlenecks
 from coflowsched.relaxations import (
     _build_reduced_ordering_lp,
     build_interval_lp,
@@ -142,8 +142,7 @@ def test_prefix_halving_property_random_sweep():
             )
         )
         res = solve_ordering_lp(inst)
-        for k in range(1, inst.num_coflows + 1):
-            _, peak = cumulative_load(inst, res.ordering, k)
+        for k, peak in enumerate(prefix_bottlenecks(inst, res.ordering), start=1):
             assert res.f_tilde[res.ordering[k - 1]] >= peak / 2 - 1e-6
         checked += 1
     assert checked == 30

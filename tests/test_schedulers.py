@@ -7,7 +7,8 @@ from coflowsched.model import Coflow, CoflowInstance, FlowKey
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import (
     Schedule,
-    bvn_decompose,
+    _integer_bvn,
+    _pad_to_equal_line_sums,
     group_coflows,
     lp_ii_gb,
     lp_ov_gb,
@@ -219,51 +220,28 @@ def test_slotted_respects_releases():
 
 # -- bvn --------------------------------------------------------------------
 
-def test_bvn_identity():
-    parts = bvn_decompose(np.eye(3))
-    assert len(parts) == 1
-    weight, perm = parts[0]
-    assert weight == pytest.approx(1.0)
-    assert perm.tolist() == [0, 1, 2]
-
-
-def test_bvn_symmetric_half_split():
-    parts = bvn_decompose([[0.5, 0.5], [0.5, 0.5]])
-    assert len(parts) == 2
-    assert sorted(w for w, _ in parts) == pytest.approx([0.5, 0.5])
-
-
-def test_bvn_reconstructs_random_doubly_stochastic():
+def test_integer_bvn_rebuilds_padded_matrix():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        # convex combination of random permutations is doubly stochastic
-        m = np.zeros((4, 4))
-        weights = rng.dirichlet(np.ones(5))
-        for w in weights:
-            perm = rng.permutation(4)
-            m[np.arange(4), perm] += w
-        parts = bvn_decompose(m)
-        assert sum(w for w, _ in parts) == pytest.approx(1.0, abs=1e-9)
-        rebuilt = np.zeros((4, 4))
-        for w, perm in parts:
-            rebuilt[np.arange(4), perm] += w
-        assert np.allclose(rebuilt, m, atol=1e-9)
-        assert len(parts) <= 4 * 4 - 2 * 4 + 2
-
-
-def test_bvn_pads_unbalanced_input():
-    parts = bvn_decompose([[2.0, 0.0], [0.0, 1.0]])
-    total = sum(w for w, _ in parts)
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_bvn_input_validation():
-    with pytest.raises(ValueError):
-        bvn_decompose([[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        bvn_decompose([[-1.0, 1.0], [1.0, -1.0]])
-    with pytest.raises(ValueError):
-        bvn_decompose(np.zeros((2, 2)))
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        m = rng.integers(0, 5, size=(n, n))
+        if trial % 2:
+            m[rng.integers(0, n)] += rng.integers(0, 6, size=n)  # unbalanced rows
+        if not m.any():
+            m[0, 0] = 1
+        target = max(m.sum(axis=1).max(), m.sum(axis=0).max())
+        padded = _pad_to_equal_line_sums(m)
+        assert (padded >= m).all()
+        assert padded.sum(axis=1).tolist() == [target] * n
+        assert padded.sum(axis=0).tolist() == [target] * n
+        parts = _integer_bvn(m)
+        assert sum(count for count, _ in parts) == target
+        rebuilt = np.zeros((n, n), dtype=np.int64)
+        for count, perm in parts:
+            assert count > 0
+            assert sorted(perm.tolist()) == list(range(n))
+            rebuilt[np.arange(n), perm] += count
+        assert (rebuilt == padded).all()
 
 
 # -- schedule serialization ---------------------------------------------------

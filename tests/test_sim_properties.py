@@ -6,7 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from coflowsched.model import Coflow, CoflowInstance  # noqa: E402
+from coflowsched.model import Coflow, CoflowInstance, FlowKey  # noqa: E402
 from coflowsched.sim import EVENT_EPS, FluidRun  # noqa: E402
 
 RATES = (0.25, 0.5, 1.0, 2.0)
@@ -34,10 +34,6 @@ def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
         {f.coflow for f in incomplete if instance.coflows[f.coflow].release <= horizon}
     )
     assert run.active_coflows() == active
-    assert run.active_flows() == sorted(
-        (f for f in incomplete if f.coflow in active),
-        key=lambda f: (f.coflow, f.source, f.dest),
-    )
     for k in range(instance.num_coflows):
         assert run.remaining_of(k) == {
             (f.source, f.dest): run.remaining[f] for f in incomplete if f.coflow == k
@@ -51,12 +47,15 @@ def test_views_match_brute_force_after_every_step(instance, data):
     run = FluidRun(instance)
     _assert_views_match(run, instance)
     while not run.done():
+        active = [
+            FlowKey(i, j, k) for k in run.active_coflows() for (i, j) in sorted(run.remaining_of(k))
+        ]
         rates = {}
-        for f in run.active_flows():
+        for f in active:
             if data.draw(st.booleans(), label="serve"):
                 rates[f] = data.draw(st.sampled_from(RATES), label="rate")
         if not rates and run.next_release() is None:
-            rates[run.active_flows()[0]] = 1.0  # keep the run from stalling
+            rates[active[0]] = 1.0  # keep the run from stalling
         run.set_rates(rates)
         run.step()
         _assert_views_match(run, instance)

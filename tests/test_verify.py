@@ -3,7 +3,7 @@ import pytest
 
 from conftest import tiny_instances
 
-from coflowsched.model import Coflow, CoflowInstance, cumulative_load, effective_size
+from coflowsched.model import Coflow, CoflowInstance, effective_size, prefix_bottlenecks
 from coflowsched.relaxations import lp_lower_bound, solve_ordering_lp
 from coflowsched.schedulers import lp_ov_gb, lp_ov_ls, varys
 from coflowsched.sim import total_weighted_completion, validate
@@ -105,8 +105,7 @@ def test_prefix_halving_random_sweep():
 def test_counterexample_fixture_structure():
     inst = counterexample_fixture()
     assert effective_size(inst.coflows[0], 3) == pytest.approx(2.0)
-    _, peak = cumulative_load(inst, [0, 1], 2)
-    assert peak == pytest.approx(3.0)
+    assert prefix_bottlenecks(inst, [0, 1])[1] == pytest.approx(3.0)
     # the weights force the wide coflow first in the LP order
     assert solve_ordering_lp(inst).ordering == [0, 1]
 
