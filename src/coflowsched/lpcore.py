@@ -124,33 +124,6 @@ def check_feasible(
     return FeasibilityReport(ok=not violations, violations=violations)
 
 
-def dump_lp(problem: LpProblem) -> str:
-    """Text dump of a problem in a conventional LP-file layout (debugging)."""
-    lines = ["Minimize", " obj: " + _expr(dict(enumerate(problem.objective)))]
-    lines.append("Subject To")
-    for idx, (coeffs, relation, rhs) in enumerate(problem.constraints):
-        op = {"<=": "<=", ">=": ">=", "==": "="}[relation]
-        lines.append(f" c{idx}: {_expr(coeffs)} {op} {rhs:g}")
-    lines.append("Bounds")
-    for j, (lo, hi) in enumerate(problem.bounds):
-        hi_s = "+inf" if math.isinf(hi) else f"{hi:g}"
-        lines.append(f" {lo:g} <= x{j} <= {hi_s}")
-    lines.append("End")
-    return "\n".join(lines)
-
-
-def _expr(coeffs: dict) -> str:
-    parts = []
-    for j in sorted(coeffs):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        parts.append(f"{sign} {mag:g} x{j}".strip())
-    return " ".join(parts) if parts else "0"
-
-
 class _Tableau:
     """Internal dense tableau for the bounded-variable simplex."""
 
@@ -169,8 +142,8 @@ class _Tableau:
         return self.T.shape[0]
 
 
-def _pivot(tab: _Tableau, zrow: np.ndarray, r: int, j: int) -> None:
-    T = tab.T
+def _pivot(T: np.ndarray, zrow: np.ndarray | None, r: int, j: int) -> None:
+    """Make column j the unit vector of row r (in place), reduced costs too."""
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
@@ -262,7 +235,7 @@ def _iterate(tab: _Tableau, cost: np.ndarray, max_iters: int) -> str:
         hit_upper = up[r] <= down[r]
         tab.xb -= eff * step
         entering_value = step if direction > 0 else tab.ub[j] - step
-        _pivot(tab, zrow, r, j)
+        _pivot(tab.T, zrow, r, j)
         tab.xb[r] = entering_value
         tab.basis[r] = j
         tab.status[j] = _BASIC
@@ -394,41 +367,36 @@ def _solve_once(
     return LpSolution(OPTIMAL, objective, values)
 
 
+def _columns(A, rels, ub_struct, artificials: bool):
+    """Tableau columns: the structural ones, then one slack per inequality
+    row (+1 on <=, -1 on >=), then, for phase 1, one artificial per >= and
+    == row.  Returns the matrix, the shifted upper bounds and the slack and
+    artificial column of each row that has one."""
+    m, n = A.shape
+    slack_rows = [r for r in range(m) if rels[r] != "=="]
+    art_rows = [r for r in range(m) if rels[r] != "<="] if artificials else []
+    slack_of = {r: n + i for i, r in enumerate(slack_rows)}
+    art_of = {r: n + len(slack_rows) + i for i, r in enumerate(art_rows)}
+    ncols = n + len(slack_rows) + len(art_rows)
+    T = np.zeros((m, ncols))
+    T[:, :n] = A
+    for r, s in slack_of.items():
+        T[r, s] = 1.0 if rels[r] == "<=" else -1.0
+    for r, a in art_of.items():
+        T[r, a] = 1.0
+    ub = np.full(ncols, math.inf)
+    ub[:n] = ub_struct
+    return T, ub, slack_of, art_of
+
+
 def _phase1_tableau(A, b, rels, ub_struct) -> _Tableau:
     """All-slack/artificial starting tableau for the two-phase path."""
     m, n = A.shape
-    n_slack = sum(1 for rel in rels if rel != "==")
-    n_art = sum(1 for rel in rels if rel != "<=")
-    ncols = n + n_slack + n_art
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
-    ub = np.full(ncols, math.inf)
-    ub[:n] = ub_struct
-    basis = np.zeros(m, dtype=int)
-    status = np.full(ncols, _AT_LOWER, dtype=np.int8)
-    art_cols: set[int] = set()
-    slack_at = n
-    art_at = n + n_slack
-    for r in range(m):
-        if rels[r] == "<=":
-            T[r, slack_at] = 1.0
-            basis[r] = slack_at
-            slack_at += 1
-        elif rels[r] == ">=":
-            T[r, slack_at] = -1.0
-            slack_at += 1
-            T[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.add(art_at)
-            art_at += 1
-        else:
-            T[r, art_at] = 1.0
-            basis[r] = art_at
-            art_cols.add(art_at)
-            art_at += 1
+    T, ub, slack_of, art_of = _columns(A, rels, ub_struct, artificials=True)
+    basis = np.array([slack_of[r] if rels[r] == "<=" else art_of[r] for r in range(m)], dtype=int)
+    status = np.full(T.shape[1], _AT_LOWER, dtype=np.int8)
     status[basis] = _BASIC
-    tab = _Tableau(T, b.copy(), basis, status, ub, n, art_cols)
-    return tab
+    return _Tableau(T, b.copy(), basis, status, ub, n, set(art_of.values()))
 
 
 def _crash_tableau(A, b, rels, ub_struct, basis_hint, upper_start=None) -> _Tableau | None:
@@ -441,24 +409,8 @@ def _crash_tableau(A, b, rels, ub_struct, basis_hint, upper_start=None) -> _Tabl
     m, n = A.shape
     if len(basis_hint) != m:
         return None
-    n_slack = sum(1 for rel in rels if rel != "==")
-    ncols = n + n_slack
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
-    ub = np.full(ncols, math.inf)
-    ub[:n] = ub_struct
+    T, ub, slack_of, _ = _columns(A, rels, ub_struct, artificials=False)
     basis = np.full(m, -1, dtype=int)
-    slack_at = n
-    slack_of = {}
-    for r in range(m):
-        if rels[r] == "<=":
-            T[r, slack_at] = 1.0
-            slack_of[r] = slack_at
-            slack_at += 1
-        elif rels[r] == ">=":
-            T[r, slack_at] = -1.0
-            slack_of[r] = slack_at
-            slack_at += 1
     xb = b.copy()
     for r in range(m):
         h = basis_hint[r]
@@ -489,21 +441,19 @@ def _crash_tableau(A, b, rels, ub_struct, basis_hint, upper_start=None) -> _Tabl
             continue
         if abs(T[r, h]) <= _PIVOT_TOL:
             return None
+        # the basic values follow the same elimination, before the matrix does
         xb[r] /= T[r, h]
-        T[r] /= T[r, h]
         col = T[:, h].copy()
         col[r] = 0.0
-        T -= np.outer(col, T[r])
         xb -= col * xb[r]
-        T[:, h] = 0.0
-        T[r, h] = 1.0
+        _pivot(T, None, r, h)
         basis[r] = h
     if len(set(basis.tolist())) != m:
         return None
     ub_basic = ub[basis]
     if (xb < -FEASIBILITY_TOL).any() or (xb > ub_basic + FEASIBILITY_TOL).any():
         return None
-    status = np.full(ncols, _AT_LOWER, dtype=np.int8)
+    status = np.full(T.shape[1], _AT_LOWER, dtype=np.int8)
     if at_upper:
         status[at_upper] = _AT_UPPER
     status[basis] = _BASIC
@@ -524,7 +474,7 @@ def _evict_artificials(tab: _Tableau) -> None:
             j = max(choices, key=lambda jj: (abs(row[jj]), -jj))
             old_status = tab.status[j]
             entering_value = tab.ub[j] if old_status == _AT_UPPER else 0.0
-            _pivot(tab, None, r, int(j))
+            _pivot(tab.T, None, r, int(j))
             tab.status[v] = _AT_LOWER
             tab.status[j] = _BASIC
             tab.basis[r] = int(j)

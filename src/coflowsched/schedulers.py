@@ -413,23 +413,23 @@ def _perfect_matching(support: np.ndarray) -> np.ndarray:
     padding or the bookkeeping is broken.
     """
     n = support.shape[0]
-    match_col = np.full(n, -1)  # column -> row
+    cols_of = [np.flatnonzero(row).tolist() for row in support]
+    match_col = [-1] * n  # column -> row
 
-    def augment(row: int, visited: np.ndarray) -> bool:
-        for col in range(n):
-            if support[row, col] and not visited[col]:
-                visited[col] = True
+    def augment(row: int, visited: set) -> bool:
+        for col in cols_of[row]:
+            if col not in visited:
+                visited.add(col)
                 if match_col[col] < 0 or augment(match_col[col], visited):
                     match_col[col] = row
                     return True
         return False
 
     for row in range(n):
-        if not augment(row, np.zeros(n, dtype=bool)):
+        if not augment(row, set()):
             raise RuntimeError("no perfect matching on support; invariant violated")
     perm = np.empty(n, dtype=int)
-    for col, row in enumerate(match_col):
-        perm[row] = col
+    perm[match_col] = np.arange(n)
     return perm
 
 
@@ -477,15 +477,18 @@ def lp_ii_gb(
     """Slotted grouped scheduling driven by the interval-indexed LP.
 
     Time advances in slots of ``time_unit``; each slot executes one switch
-    matching.  The active group's remaining demand matrix is decomposed
-    into permutations (Birkhoff-von Neumann); a pair serves its
-    earliest-ordered group member first, and pairs with no group demand
-    are backfilled from later-ordered released coflows on the same pair.
+    matching.  The released remaining demand of the active group (the first
+    with an incomplete coflow) is decomposed into permutations
+    (Birkhoff-von Neumann), and each permutation serves each of its pairs
+    with the earliest-ordered released flow that has units left there: an
+    active-group member, else a later-ordered coflow as backfill.  While the
+    whole active group is unreleased, slots take the greedy port-disjoint
+    matching in that same priority order.
     Demands must be integer multiples of capacity x time_unit.
     """
     cap = instance.capacity
     quantum = cap * time_unit
-    units: dict[FlowKey, int] = {}
+    remaining: dict[FlowKey, int] = {}
     for key, size in instance.flows():
         u = size / quantum
         if abs(u - round(u)) > 1e-9 * max(1.0, u) or round(u) <= 0:
@@ -493,112 +496,82 @@ def lp_ii_gb(
                 f"flow {tuple(key)} size {size} is not a positive multiple of "
                 f"capacity*time_unit = {quantum}; rescale time_unit"
             )
-        units[key] = int(round(u))
+        remaining[key] = int(round(u))
     if ordering_result is None:
         ordering_result = solve_interval_lp(instance, time_unit)
-    ordering = list(ordering_result.ordering)
     groups = group_coflows(ordering_result, instance).groups
-    pos = {k: p for p, k in enumerate(ordering)}
+    pos = {k: p for p, k in enumerate(ordering_result.ordering)}
     n = instance.n_ports
-    release_slot = {
-        k: math.ceil(cf.release / time_unit - 1e-9)
-        for k, cf in enumerate(instance.coflows)
-    }
-
-    remaining = dict(units)
-    flows_left = {k: {f for f in remaining if f.coflow == k} for k in range(instance.num_coflows)}
+    release_slot = [math.ceil(cf.release / time_unit - 1e-9) for cf in instance.coflows]
+    keys = _flow_keys(instance)
+    # the LP-priority queue, and each pair's flows in queue order
+    queue = sorted(remaining, key=lambda f: (pos[f.coflow], f.source, f.dest))
+    by_pair: dict[tuple[int, int], list[FlowKey]] = {}
+    for f in queue:
+        by_pair.setdefault((f.source, f.dest), []).append(f)
+    flows_left = [len(flows) for flows in keys]
     flow_completions: dict[FlowKey, float] = {}
     segments: list[Segment] = []
-    incomplete = set(range(instance.num_coflows))
-    slot = min(release_slot.values())
+    slot = min(release_slot)
+    gi = 0
 
-    def group_server(pair, members) -> FlowKey | None:
-        for k in members:
-            f = FlowKey(pair[0], pair[1], k)
-            if remaining.get(f, 0) > 0:
-                return f
-        return None
+    def servable(f: FlowKey) -> bool:
+        return remaining[f] > 0 and release_slot[f.coflow] <= slot
 
-    def backfill_server(pair, after_pos) -> FlowKey | None:
-        for k in ordering:
-            if pos[k] <= after_pos or k not in incomplete or release_slot[k] > slot:
-                continue
-            f = FlowKey(pair[0], pair[1], k)
-            if remaining.get(f, 0) > 0:
-                return f
-        return None
-
-    def emit(serving: dict, length: int) -> None:
+    def emit(serving: list, length: int) -> None:
         nonlocal slot
         start, end = slot * time_unit, (slot + length) * time_unit
-        segments.append(Segment(start, end, {f: cap for f in serving.values()}))
-        for f in serving.values():
+        segments.append(Segment(start, end, {f: cap for f in serving}))
+        for f in serving:
             remaining[f] -= length
             if remaining[f] == 0:
                 flow_completions[f] = end
-                flows_left[f.coflow].discard(f)
-                if not flows_left[f.coflow]:
-                    incomplete.discard(f.coflow)
+                flows_left[f.coflow] -= 1
         slot += length
 
-    while incomplete:
-        gi = next(g for g, grp in enumerate(groups) if any(k in incomplete for k in grp))
-        members = [k for k in groups[gi] if k in incomplete]
-        ready = [k for k in members if release_slot[k] <= slot]
-        pending = sorted(
-            release_slot[k] for k in incomplete if release_slot[k] > slot
+    while any(flows_left):
+        # earlier groups never reopen, so the active group only moves forward
+        while not any(flows_left[k] for k in groups[gi]):
+            gi += 1
+        ready = [k for k in groups[gi] if flows_left[k] and release_slot[k] <= slot]
+        next_release = min(
+            (release_slot[k] for k, left in enumerate(flows_left) if left and release_slot[k] > slot),
+            default=math.inf,
         )
-        next_release = pending[0] if pending else math.inf
-        last_pos = max(pos[k] for k in groups[gi])
         if not ready:
-            # the whole active group is unreleased: backfill-only slots
-            serving = {}
+            # the whole active group is unreleased: a greedy matching instead
+            serving = []
             used_src: set[int] = set()
             used_dst: set[int] = set()
-            for k in ordering:
-                if k not in incomplete or release_slot[k] > slot:
-                    continue
-                for f in sorted(flows_left[k]):
-                    if f.source not in used_src and f.dest not in used_dst:
-                        serving[(f.source, f.dest)] = f
-                        used_src.add(f.source)
-                        used_dst.add(f.dest)
-            if not serving:
+            for f in queue:
+                if servable(f) and f.source not in used_src and f.dest not in used_dst:
+                    serving.append(f)
+                    used_src.add(f.source)
+                    used_dst.add(f.dest)
+            if serving:
+                emit(serving, min(next_release - slot, *(remaining[f] for f in serving)))
+            else:
                 slot = next_release
-                continue
-            length = min(remaining[f] for f in serving.values())
-            if next_release < math.inf:
-                length = min(length, next_release - slot)
-            emit(serving, length)
             continue
         matrix = np.zeros((n, n), dtype=np.int64)
         for k in ready:
-            for f in flows_left[k]:
+            for f in keys[k].values():
                 matrix[f.source, f.dest] += remaining[f]
-        interrupted = False
+        # no release falls inside the decomposition, so the served set of
+        # coflows stays fixed until slot reaches next_release
         for count, perm in _integer_bvn(matrix):
-            while count > 0:
-                serving: dict[tuple[int, int], FlowKey] = {}
-                for i in range(n):
-                    pair = (i, int(perm[i]))
-                    f = group_server(pair, ready) or backfill_server(pair, last_pos)
-                    if f is not None:
-                        serving[pair] = f
-                if not serving:
-                    advance = count if next_release == math.inf else min(count, next_release - slot)
-                    slot += advance
-                    count -= advance
-                else:
-                    length = min(count, min(remaining[f] for f in serving.values()))
-                    if next_release < math.inf:
-                        length = min(length, next_release - slot)
+            while count > 0 and slot < next_release:
+                served = (
+                    next(filter(servable, by_pair.get(pair, ())), None)
+                    for pair in enumerate(perm.tolist())
+                )
+                serving = [f for f in served if f is not None]
+                length = min(count, next_release - slot, *(remaining[f] for f in serving))
+                if serving:
                     emit(serving, length)
-                    count -= length
-                if slot >= next_release:
-                    interrupted = True
-                    break
-            if interrupted:
-                break
+                else:
+                    slot += length
+                count -= length
 
     completions = np.zeros(instance.num_coflows)
     for f, t in flow_completions.items():

@@ -194,7 +194,10 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     completion, and the coflow completion definition.
     """
     cap = instance.capacity
+    n = instance.n_ports
+    completed = schedule.flow_completions
     violations: list[Violation] = []
+    transmitted: dict[FlowKey, float] = {}
     last_end = -math.inf
     for idx, seg in enumerate(schedule.segments):
         start, end, rates = seg.start, seg.end, seg.rates
@@ -203,9 +206,14 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
         if start < last_end - EVENT_EPS:
             raise ValueError(f"segment {idx} overlaps its predecessor")
         last_end = end
-        src_sum = np.zeros(instance.n_ports)
-        dst_sum = np.zeros(instance.n_ports)
+        src_sum = [0.0] * n
+        dst_sum = [0.0] * n
         for key, rate in rates.items():
+            # every recorded rate counts toward the volume, nonpositive ones too
+            completion = completed.get(key)
+            if completion is not None:
+                span = max(min(end, completion) - start, 0.0)
+                transmitted[key] = transmitted.get(key, 0.0) + rate * span
             if rate <= 0.0:
                 continue
             src_sum[key.source] += rate
@@ -215,7 +223,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
                 violations.append(
                     Violation("release", f"segment {idx} flow {tuple(key)}", release - start)
                 )
-        for p in range(instance.n_ports):
+        for p in range(n):
             if src_sum[p] > cap + CAPACITY_TOL:
                 violations.append(
                     Violation("capacity_src", f"segment {idx} port {p}", src_sum[p] - cap)
@@ -225,21 +233,11 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
                     Violation("capacity_dst", f"segment {idx} port {p}", dst_sum[p] - cap)
                 )
 
-    transmitted: dict[FlowKey, float] = {}
-    for seg in schedule.segments:
-        for key, rate in seg.rates.items():
-            completion = schedule.flow_completions.get(key)
-            if completion is None:
-                continue
-            effective_end = min(seg.end, completion)
-            span = max(effective_end - seg.start, 0.0)
-            transmitted[key] = transmitted.get(key, 0.0) + rate * span
-
     flows_of: list[list[FlowKey]] = [[] for _ in range(instance.num_coflows)]
     for key, size in instance.flows():
         flows_of[key.coflow].append(key)
         got = transmitted.get(key, 0.0)
-        if key not in schedule.flow_completions:
+        if key not in completed:
             violations.append(Violation("demand", f"flow {tuple(key)} never completed", size))
             continue
         if abs(got - size) > DEMAND_TOL:
@@ -247,7 +245,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
 
     for k, flows in enumerate(flows_of):
         recorded = schedule.completions[k]
-        finished = [schedule.flow_completions[f] for f in flows if f in schedule.flow_completions]
+        finished = [completed[f] for f in flows if f in completed]
         if len(finished) < len(flows):
             continue  # already reported as a demand violation
         expected = max(finished)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Coflow, CoflowInstance, FlowKey, prefix_bottlenecks
-from .relaxations import OrderingLpResult, lp_lower_bound
+from .relaxations import OrderingLpResult
 from .schedulers import Schedule, Segment
 from .sim import total_weighted_completion
 
@@ -299,20 +299,6 @@ def check_prefix_halving(ordering_result: OrderingLpResult, instance: CoflowInst
         margin = ordering_result.f_tilde[k] - w_prefix / 2.0
         worst = min(worst, margin)
     return PrefixBoundReport(ok=worst >= -1e-6, worst_margin=worst)
-
-
-def oracle_sandwich_ok(
-    instance: CoflowInstance, scheduler_totals: dict, tol: float = 1e-6
-) -> tuple[bool, str]:
-    """lp bound <= oracle optimum <= every scheduler total."""
-    bound = lp_lower_bound(instance)
-    opt = oracle_opt(instance).optimal_value
-    if bound > opt + tol:
-        return False, f"lp bound {bound} exceeds oracle optimum {opt}"
-    for name, total in scheduler_totals.items():
-        if opt > total + tol:
-            return False, f"oracle optimum {opt} exceeds {name} total {total}"
-    return True, ""
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Pinned schedules: every scheduler must reproduce these exact outputs.
+"""Pinned schedules and LP solutions: every scheduler and both LP
+relaxations must reproduce these exact outputs.
 
-Each digest is the sha256 of ``json.dumps(schedule.to_dict(), sort_keys=True)``
-for a fixed-seed instance, so any change to a segment boundary, a rate, a
-completion or the last bit of a float shows up.  Re-pin a digest only for a
-change that is meant to alter a schedule, and say why.
+Each schedule digest is the sha256 of
+``json.dumps(schedule.to_dict(), sort_keys=True)`` for a fixed-seed instance,
+so any change to a segment boundary, a rate, a completion or the last bit of
+a float shows up.  The LP digests are the sha256 of the raw float64 bytes of
+the ordering LP's relaxed completions and of the interval LP's interval
+weights, pinned together with the orderings they induce.  Re-pin a digest
+only for a change that is meant to alter an output, and say why.
 """
 
 import hashlib
@@ -13,7 +17,7 @@ from functools import lru_cache
 import pytest
 
 from coflowsched import schedulers
-from coflowsched.relaxations import solve_ordering_lp
+from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
 from coflowsched.workload import SyntheticConfig, assign_weights, generate
 
 # name -> (kind, ports, coflows, interarrival range or None, seed, weight mode)
@@ -67,6 +71,51 @@ GOLDEN = {
 }
 
 
+# instance -> LP -> (sha256 of the solution array's bytes, ordering)
+GOLDEN_LP = {
+    "combined-releases": {
+        "interval": (
+            "48d796c047cae148836b26c0b159ebdb408449602a7c72f813c751e7d8f62b20",
+            [2, 7, 0, 6, 8, 10, 3, 4, 11, 1, 5, 9],
+        ),
+        "ordering": (
+            "a3a35125dad60decbb0ec079fc3afb607e84496916ffe3e54b927cb418ec1753",
+            [7, 2, 6, 0, 10, 8, 4, 3, 11, 9, 5, 1],
+        ),
+    },
+    "combined-zero": {
+        "interval": (
+            "2598374da8bbc571d40a71e56374567fe7b0f124f7c9f047792a0e8b2e727c97",
+            [4, 5, 7, 6, 9, 1, 11, 8, 0, 2, 3, 10],
+        ),
+        "ordering": (
+            "8646f0c66458036f2d073506aace056889549cc789a44ea2203ea94d4bef42d5",
+            [4, 7, 5, 9, 8, 11, 6, 1, 0, 2, 3, 10],
+        ),
+    },
+    "dense-releases": {
+        "interval": (
+            "fc426f35057572324f5c940efb6959c21e812066fcdc2c1f9fed9992c0025f6d",
+            [0, 7, 3, 6, 1, 4, 2, 9, 8, 5],
+        ),
+        "ordering": (
+            "07b6fa005825025f13792136caf0c535fe0dc5ad870ba95ea5f6ff9e265da65c",
+            [7, 3, 0, 6, 1, 4, 2, 9, 8, 5],
+        ),
+    },
+    "dense-zero": {
+        "interval": (
+            "3166488332270283e8b708b13cf92831b52e79ba04c542022dc47e89a9c0f502",
+            [6, 2, 1, 7, 3, 4, 5, 8, 0, 9],
+        ),
+        "ordering": (
+            "00d2cedbba1942e3fcf07c716462456650d481e8caaa7b110629362277e80203",
+            [6, 2, 1, 7, 3, 4, 5, 8, 9, 0],
+        ),
+    },
+}
+
+
 @lru_cache(maxsize=None)
 def _case(name):
     kind, ports, coflows, gaps, seed, weights = INSTANCES[name]
@@ -90,3 +139,14 @@ def test_schedule_matches_pinned_digest(instance_name, scheduler):
     instance, lp = _case(instance_name)
     schedule = SCHEDULERS[scheduler](instance, lp)
     assert schedule_digest(schedule) == GOLDEN[instance_name][scheduler]
+
+
+@pytest.mark.parametrize("instance_name", sorted(INSTANCES))
+def test_lp_solutions_match_pinned_digests(instance_name):
+    instance, lp = _case(instance_name)
+    interval = solve_interval_lp(instance)
+    got = {
+        "ordering": (hashlib.sha256(lp.f_tilde.tobytes()).hexdigest(), list(lp.ordering)),
+        "interval": (hashlib.sha256(interval.x.tobytes()).hexdigest(), list(interval.ordering)),
+    }
+    assert got == GOLDEN_LP[instance_name]

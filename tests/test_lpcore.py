@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coflowsched import lpcore
-from coflowsched.lpcore import LpProblem, check_feasible, dump_lp, solve
+from coflowsched.lpcore import LpProblem, check_feasible, solve
 from coflowsched.model import effective_size, node_load_matrix
 from coflowsched.relaxations import build_ordering_lp, delta_index
 from coflowsched.verify import equal_bottleneck_fixture, staggered_release_fixture
@@ -208,11 +208,3 @@ def test_bogus_basis_hint_falls_back():
     s = solve(p, basis_hint=[-1])  # leaves the >= row infeasible at the corner
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(3.0)
-
-
-def test_dump_lp_layout():
-    p = LpProblem(2, objective=[1.0, -2.0], bounds=[(0.0, 1.0), (0.0, float("inf"))])
-    p.add_constraint({0: 1.0, 1: 3.0}, "<=", 4.0)
-    text = dump_lp(p)
-    assert "Minimize" in text and "Subject To" in text and "Bounds" in text
-    assert "3 x1 <= 4" in text
