@@ -2,7 +2,7 @@
 every schedule, and emit per-run reports as CSV or JSON.
 
 Verbs: gen, run, oracle, validate, lp-bound.  Exit codes: 0 success,
-1 invariant violation (infeasible schedule or broken bound), 2 bad input.
+1 a schedule failed validation (run, validate), 2 bad input.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from . import schedulers, verify, workload
 from .model import CoflowInstance, load_instance, save_instance
@@ -25,42 +25,7 @@ from .sim import total_weighted_completion, validate
 
 SCHEDULER_NAMES = list(schedulers.SCHEDULERS)
 DEFAULT_SCHEDULERS = ["lp-ov-ls", "varys", "lp-ii-gb", "lp-ov-gb"]
-REPORT_COLUMNS = [
-    "instance_id",
-    "scheduler",
-    "total_weighted_completion",
-    "lp_lower_bound",
-    "ratio_to_lb",
-    "ratio_to_lpovls",
-    "wall_ms",
-    "valid",
-]
-
-
-@dataclass
-class ExperimentConfig:
-    n_ports: int = 8
-    n_coflows: int = 40
-    kind: str = "dense"
-    zero_release: bool = False
-    trace_path: str | None = None
-    instance_path: str | None = None
-    min_flows_filter: int = 1
-    schedulers: list = field(default_factory=lambda: list(DEFAULT_SCHEDULERS))
-    repetitions: int = 20
-    seed: int = 0
-    weight_mode: str = "unit"
-    workers: int = 1
-    dump_dir: str | None = None  # per-rep instance and lp-ov-ls schedule JSON
-
-    def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if not self.schedulers:
-            raise ValueError("select at least one scheduler")
-        for name in self.schedulers:
-            if name not in SCHEDULER_NAMES:
-                raise ValueError(f"unknown scheduler {name!r}")
+WEIGHT_MODES = {"unit": "unit", "random": "uniform-random"}  # --weights -> assign_weights
 
 
 @dataclass
@@ -75,41 +40,51 @@ class ScheduleReport:
     valid: bool
 
 
-def _instance_for_rep(config: ExperimentConfig, rep: int) -> CoflowInstance:
-    if config.instance_path:
-        instance = load_instance(config.instance_path)
-        if config.weight_mode == "unit":
+REPORT_COLUMNS = [f.name for f in fields(ScheduleReport)]
+
+
+def _synthetic(args: argparse.Namespace, seed: int) -> CoflowInstance:
+    """The weighted synthetic instance that the shared gen/run flags describe."""
+    ports, coflows = (16, 160) if args.paper_scale else (args.ports, args.coflows)
+    instance = workload.generate(
+        workload.SyntheticConfig(
+            n_ports=ports,
+            n_coflows=coflows,
+            kind=args.workload,
+            interarrival_range=None if args.zero_release else (1, 100),
+            seed=seed,
+        )
+    )
+    return workload.assign_weights(instance, WEIGHT_MODES[args.weights], seed=seed)
+
+
+def _instance_for_rep(args: argparse.Namespace, rep: int) -> CoflowInstance:
+    seed = args.seed + rep
+    if args.instance:
+        instance = load_instance(args.instance)
+        if args.weights == "unit":
             return instance  # keep the stored weights untouched
-        return workload.assign_weights(instance, config.weight_mode, seed=config.seed + rep)
-    if config.trace_path:
-        records = workload.parse_trace_csv(config.trace_path)
+    elif args.trace:
+        records = workload.parse_trace_csv(args.trace)
         ports = 1 + max(
             max(max(r.mapper_ports) for r in records),
             max(max(rack for rack, _ in r.reducer_entries) for r in records),
         )
-        mode = "zero-release" if config.zero_release else "with-releases"
-        instance = workload.ingest_trace(records, ports, mode, config.min_flows_filter)
+        mode = "zero-release" if args.zero_release else "with-releases"
+        instance = workload.ingest_trace(records, ports, mode, args.filter_min_flows)
     else:
-        instance = workload.generate(
-            workload.SyntheticConfig(
-                n_ports=config.n_ports,
-                n_coflows=config.n_coflows,
-                kind=config.kind,
-                interarrival_range=None if config.zero_release else (1, 100),
-                seed=config.seed + rep,
-            )
-        )
-    return workload.assign_weights(instance, config.weight_mode, seed=config.seed + rep)
+        return _synthetic(args, seed)
+    return workload.assign_weights(instance, WEIGHT_MODES[args.weights], seed=seed)
 
 
-def _run_one_rep(config: ExperimentConfig, rep: int) -> list:
-    instance = _instance_for_rep(config, rep)
+def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
+    instance = _instance_for_rep(args, rep)
     ordering_result = solve_ordering_lp(instance)
     lp_bound = ordering_result.objective
     rows = []
     totals = {}
     schedules = {}
-    for name in config.schedulers:
+    for name in args.schedulers:
         t0 = time.perf_counter()
         schedule = schedulers.SCHEDULERS[name](instance, ordering_result)
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -133,24 +108,22 @@ def _run_one_rep(config: ExperimentConfig, rep: int) -> list:
     for row in rows:
         if base:
             row.ratio_to_lpovls = row.total_weighted_completion / base
-    if config.dump_dir:
+    if args.dump_schedules:  # per-rep instance and lp-ov-ls schedule JSON
         schedule = schedules.get("lp-ov-ls") or schedulers.lp_ov_ls(instance, ordering_result)
-        os.makedirs(config.dump_dir, exist_ok=True)
-        save_instance(instance, f"{config.dump_dir}/rep{rep:03d}_instance.json")
-        with open(f"{config.dump_dir}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
+        os.makedirs(args.dump_schedules, exist_ok=True)
+        save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
+        with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
             json.dump(schedule.to_dict(), fh)
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> list:
+def run_experiment(args: argparse.Namespace) -> list:
     """All per-(instance, scheduler) reports, ordered by (rep, scheduler)."""
-    if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(
-                pool.map(_run_one_rep, [config] * config.repetitions, range(config.repetitions))
-            )
+    if args.workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+            chunks = list(pool.map(_run_one_rep, [args] * args.reps, range(args.reps)))
     else:
-        chunks = [_run_one_rep(config, rep) for rep in range(config.repetitions)]
+        chunks = [_run_one_rep(args, rep) for rep in range(args.reps)]
     return [row for chunk in chunks for row in chunk]
 
 
@@ -193,9 +166,7 @@ def reports_to_csv(rows: list) -> str:
 
 def reports_to_json(rows: list) -> str:
     payload = {
-        "reports": [
-            {col: getattr(row, col) for col in REPORT_COLUMNS} for row in rows
-        ],
+        "reports": [asdict(row) for row in rows],
         "summary": summarize(rows),
     }
     return json.dumps(payload, indent=1)
@@ -203,8 +174,6 @@ def reports_to_json(rows: list) -> str:
 
 def report_emit(rows: list, fmt: str, path: str | None) -> str:
     """Render reports to csv/json and write them to ``path`` when given."""
-    if not rows:
-        raise ValueError("nothing to report")
     text = reports_to_csv(rows) if fmt == "csv" else reports_to_json(rows)
     if path:
         with open(path, "w") as fh:
@@ -216,42 +185,42 @@ def report_emit(rows: list, fmt: str, path: str | None) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _scheduler_list(text: str) -> list:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coflowsched", description="coflow scheduling experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="emit a synthetic instance as JSON")
-    gen.add_argument("--workload", choices=["dense", "combined"], default="dense")
-    gen.add_argument("--ports", type=int, default=8)
-    gen.add_argument("--coflows", type=int, default=40)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--zero-release", action="store_true")
-    gen.add_argument("--weights", choices=["unit", "random"], default="unit")
-    gen.add_argument("--paper-scale", action="store_true",
-                     help="use the large evaluation scale (16 ports, 160 coflows)")
+    synthetic = argparse.ArgumentParser(add_help=False)
+    synthetic.add_argument("--workload", choices=["dense", "combined"], default="dense")
+    synthetic.add_argument("--ports", type=int, default=8)
+    synthetic.add_argument("--coflows", type=int, default=40)
+    synthetic.add_argument("--seed", type=int, default=0)
+    synthetic.add_argument("--zero-release", action="store_true")
+    synthetic.add_argument("--weights", choices=WEIGHT_MODES, default="unit")
+    synthetic.add_argument("--paper-scale", action="store_true",
+                           help="use the large evaluation scale (16 ports, 160 coflows)")
+
+    gen = sub.add_parser("gen", parents=[synthetic], help="emit a synthetic instance as JSON")
     gen.add_argument("--out", required=True)
 
-    run = sub.add_parser("run", help="run schedulers over generated or trace instances")
-    run.add_argument("--workload", choices=["dense", "combined"], default="dense")
+    run = sub.add_parser("run", parents=[synthetic],
+                         help="run schedulers over generated or trace instances")
     run.add_argument("--trace", help="trace CSV path (overrides --workload)")
     run.add_argument("--instance",
                      help="instance JSON path (overrides --workload/--trace; "
                           "keeps the stored weights unless --weights random)")
     run.add_argument("--filter-min-flows", type=int, default=1)
-    run.add_argument("--ports", type=int, default=8)
-    run.add_argument("--coflows", type=int, default=40)
-    run.add_argument("--zero-release", action="store_true")
-    run.add_argument("--schedulers", default=",".join(DEFAULT_SCHEDULERS),
+    run.add_argument("--schedulers", type=_scheduler_list, default=",".join(DEFAULT_SCHEDULERS),
                      help="comma-separated subset of " + ",".join(SCHEDULER_NAMES))
     run.add_argument("--reps", type=int, default=20)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--weights", choices=["unit", "random"], default="unit")
     run.add_argument("--out")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
     run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--paper-scale", action="store_true")
     run.add_argument("--dump-schedules", help="directory for schedule JSON files")
 
     oracle = sub.add_parser("oracle", help="exact optimum of a tiny instance")
@@ -269,41 +238,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    ports, coflows = (16, 160) if args.paper_scale else (args.ports, args.coflows)
-    instance = workload.generate(
-        workload.SyntheticConfig(
-            n_ports=ports,
-            n_coflows=coflows,
-            kind=args.workload,
-            interarrival_range=None if args.zero_release else (1, 100),
-            seed=args.seed,
-        )
-    )
-    mode = "unit" if args.weights == "unit" else "uniform-random"
-    instance = workload.assign_weights(instance, mode, seed=args.seed)
+    instance = _synthetic(args, args.seed)
     save_instance(instance, args.out)
-    print(f"wrote {instance.num_coflows} coflows on {ports} ports to {args.out}")
+    print(f"wrote {instance.num_coflows} coflows on {instance.n_ports} ports to {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    ports, coflows = (16, 160) if args.paper_scale else (args.ports, args.coflows)
-    config = ExperimentConfig(
-        n_ports=ports,
-        n_coflows=coflows,
-        kind=args.workload,
-        zero_release=args.zero_release,
-        trace_path=args.trace,
-        instance_path=args.instance,
-        min_flows_filter=args.filter_min_flows,
-        schedulers=[s.strip() for s in args.schedulers.split(",") if s.strip()],
-        repetitions=args.reps,
-        seed=args.seed,
-        weight_mode="unit" if args.weights == "unit" else "uniform-random",
-        workers=args.workers,
-        dump_dir=args.dump_schedules,
-    )
-    rows = run_experiment(config)
+    if args.reps < 1:
+        raise ValueError("repetitions must be at least 1")
+    if not args.schedulers:
+        raise ValueError("select at least one scheduler")
+    for name in args.schedulers:
+        if name not in SCHEDULER_NAMES:
+            raise ValueError(f"unknown scheduler {name!r}")
+    rows = run_experiment(args)
     text = report_emit(rows, args.format, args.out)
     if not args.out:
         print(text, end="")

@@ -254,7 +254,6 @@ def solve(
     problem: LpProblem,
     basis_hint: Sequence[int] | None = None,
     upper_start: Sequence[int] | None = None,
-    max_iters: int | None = None,
 ) -> LpSolution:
     """Solve to proven optimality, or report infeasible/unbounded.
 
@@ -269,14 +268,14 @@ def solve(
     Optimal points are re-verified against the constraints; a warm start
     that went numerically bad is retried cold before giving up.
     """
-    sol = _solve_once(problem, basis_hint, upper_start, max_iters)
+    sol = _solve_once(problem, basis_hint, upper_start)
     if sol.status != OPTIMAL:
         return sol
     scale = max(1.0, *(abs(rhs) for _, _, rhs in problem.constraints)) if problem.constraints else 1.0
     if check_feasible(problem, sol.values, tol=1e-6 * scale).ok:
         return sol
     if basis_hint is not None:
-        sol = _solve_once(problem, None, None, max_iters)
+        sol = _solve_once(problem, None, None)
         if sol.status != OPTIMAL:
             return sol
         if check_feasible(problem, sol.values, tol=1e-6 * scale).ok:
@@ -288,7 +287,6 @@ def _solve_once(
     problem: LpProblem,
     basis_hint: Sequence[int] | None = None,
     upper_start: Sequence[int] | None = None,
-    max_iters: int | None = None,
 ) -> LpSolution:
     n = problem.num_vars
     m = len(problem.constraints)
@@ -329,22 +327,18 @@ def _solve_once(
 
     if tab is None:
         tab = _phase1_tableau(A, b, rels, ub_struct)
-        ncols = tab.T.shape[1]
-        if max_iters is None:
-            max_iters = max(20000, 60 * (m + ncols))
-        if tab.art_cols:
-            # phase 1: minimize the sum of artificials
-            c1 = np.zeros(ncols)
-            c1[list(tab.art_cols)] = 1.0
-            outcome = _iterate(tab, c1, max_iters)
-            if outcome == UNBOUNDED:
-                raise RuntimeError("phase-1 objective cannot be unbounded")
-            infeas = sum(tab.xb[r] for r in range(tab.m) if tab.basis[r] in tab.art_cols)
-            if infeas > _PHASE1_TOL * max(1.0, abs(b).max() if m else 1.0):
-                return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan))
-            _evict_artificials(tab)
-    if max_iters is None:
-        max_iters = max(20000, 60 * (m + tab.T.shape[1]))
+    max_iters = max(20000, 60 * (m + tab.T.shape[1]))
+    if tab.art_cols:  # only the phase-1 tableau has artificials
+        # phase 1: minimize the sum of artificials
+        c1 = np.zeros(tab.T.shape[1])
+        c1[list(tab.art_cols)] = 1.0
+        outcome = _iterate(tab, c1, max_iters)
+        if outcome == UNBOUNDED:
+            raise RuntimeError("phase-1 objective cannot be unbounded")
+        infeas = sum(tab.xb[r] for r in range(tab.m) if tab.basis[r] in tab.art_cols)
+        if infeas > _PHASE1_TOL * max(1.0, abs(b).max() if m else 1.0):
+            return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan))
+        _evict_artificials(tab)
 
     # phase 2: the real objective over the feasible tableau
     c2 = np.zeros(tab.T.shape[1])

@@ -14,6 +14,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+_RESIDUAL_MIN_SIZE = 1e-9  # smaller remaining demands count as finished
+
 
 class FlowKey(NamedTuple):
     """One flow: (source port, destination port, owning coflow id)."""
@@ -152,7 +154,6 @@ def residual_instance(
     instance: CoflowInstance,
     remaining: Mapping[FlowKey, float],
     now: float,
-    min_size: float = 1e-9,
 ) -> tuple[CoflowInstance, list[int]]:
     """Instance of what is left at time ``now``: remaining demands, releases
     shifted to be relative to ``now``.
@@ -162,7 +163,7 @@ def residual_instance(
     """
     per_coflow: dict[int, dict[tuple[int, int], float]] = {}
     for key, rem in remaining.items():
-        if rem > min_size:
+        if rem > _RESIDUAL_MIN_SIZE:
             per_coflow.setdefault(key.coflow, {})[(key.source, key.dest)] = rem
     ids = sorted(per_coflow)
     coflows = [

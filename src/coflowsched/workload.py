@@ -193,18 +193,3 @@ def parse_trace_csv(path) -> list:
                 )
             )
     return records
-
-
-def write_trace_csv(records: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.coflow_id,
-                    rec.arrival_ms,
-                    ";".join(str(p) for p in rec.mapper_ports),
-                    ";".join(f"{r}:{mb:g}" for r, mb in rec.reducer_entries),
-                ]
-            )

@@ -37,6 +37,16 @@ def test_gen_paper_scale_and_random_weights(tmp_path):
     assert any(cf.weight != 1.0 for cf in inst.coflows)
 
 
+def test_gen_and_run_share_one_instance_path(tmp_path):
+    flags = ["--workload", "combined", "--ports", "5", "--coflows", "7", "--seed", "3",
+             "--weights", "random", "--zero-release"]
+    gen_out, dumps = tmp_path / "gen.json", tmp_path / "dumps"
+    assert cli.main(["gen", *flags, "--out", str(gen_out)]) == 0
+    assert cli.main(["run", *flags, "--reps", "1", "--schedulers", "lp-ov-ls",
+                     "--out", str(tmp_path / "r.csv"), "--dump-schedules", str(dumps)]) == 0
+    assert (dumps / "rep000_instance.json").read_bytes() == gen_out.read_bytes()
+
+
 def test_run_produces_report_rows(tmp_path):
     out = tmp_path / "report.csv"
     rc = cli.main(["run", "--workload", "combined", "--ports", "4", "--coflows", "5",
@@ -165,8 +175,12 @@ def test_trace_run(tmp_path):
     assert all(row["valid"] == "true" for row in rows)
 
 
-def test_bad_inputs_exit_two(tmp_path):
+def test_bad_inputs_exit_two(tmp_path, capsys):
     assert cli.main(["run", "--schedulers", "bogus", "--reps", "1"]) == 2
+    assert cli.main(["run", "--schedulers", ",", "--reps", "1"]) == 2
+    assert "select at least one scheduler" in capsys.readouterr().err
+    assert cli.main(["run", "--reps", "0"]) == 2
+    assert "repetitions must be at least 1" in capsys.readouterr().err
     assert cli.main(["lp-bound", "--instance", str(tmp_path / "missing.json")]) == 2
 
 

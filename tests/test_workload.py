@@ -10,7 +10,6 @@ from coflowsched.workload import (
     generate,
     ingest_trace,
     parse_trace_csv,
-    write_trace_csv,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -135,20 +134,10 @@ def test_ingest_bad_rack_index():
         ingest_trace([rec], 4)
 
 
-def test_trace_csv_round_trip(tmp_path):
+def test_parse_trace_csv():
     records = parse_trace_csv(DATA / "mini_trace.csv")
     assert [r.coflow_id for r in records] == ["job0", "job1", "job2", "job3"]
     assert records[1].reducer_entries == [(1, 128.0), (2, 64.0)]
-    out = tmp_path / "again.csv"
-    write_trace_csv(records, out)
-    again = parse_trace_csv(out)
-    for a, b in zip(records, again):
-        assert (a.coflow_id, a.arrival_ms, a.mapper_ports, a.reducer_entries) == (
-            b.coflow_id,
-            b.arrival_ms,
-            b.mapper_ports,
-            b.reducer_entries,
-        )
 
 
 def test_trace_record_validation():
