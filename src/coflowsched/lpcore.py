@@ -1,15 +1,34 @@
-"""Self-contained linear-program solver: dense two-phase primal simplex.
+"""Self-contained linear-program solver: a sparse bounded revised simplex.
 
-Supports variable bounds [lower, upper] with upper possibly infinite, and
-<=, >=, == rows.  Pivot selection is deterministic (largest reduced-cost
-violation, lowest index on ties); after a run of degenerate pivots the
-solver falls back to Bland's lowest-index rule, which guarantees
-termination, and returns to the fast rule once the objective moves again.
+The problem is min c.x over rows (<=, >=, ==) and variable bounds
+[lower, upper], upper possibly infinite.  The constraint matrix stays
+sparse: coordinate arrays built once from the row dicts.  It is scaled by
+powers of two, rows and columns, and then as a whole so that the primal
+values and the costs are of order one; every rescaling is exact in
+floating point, and the tolerances below are relative to the problem's own
+units.
+
+Every row gets a slack column (>= rows are negated into <= rows; the slack
+of an == row is fixed at zero).  Of a basis only its *kernel* is factored:
+the basic structural (or phase-1 artificial) columns restricted to the rows
+whose slack is nonbasic.  Basic slacks are read off their rows.  The kernel
+is held as an explicit inverse, updated at every pivot (column replace, row
+replace, border grow or shrink) and re-inverted with ``np.linalg.inv``
+every ``_REINVERT`` pivots.  A pivot costs one kernel solve, one sparse
+pivot-row product (e_r B^-1) A and the bounded ratio test.
+
+Pricing is devex (Forrest and Goldfarb 1992): the largest squared
+reduced-cost violation over a reference weight, lowest index on ties.  The
+ratio test is bounded, includes bound flips of the entering variable and
+takes the largest pivot among near-tied ratios.  After a run of degenerate
+pivots the solver falls back to Bland's lowest-index rule, which
+guarantees termination, and returns to devex once the objective moves.
 No external solver is used.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -18,13 +37,16 @@ import numpy as np
 
 FEASIBILITY_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
-_PIVOT_TOL = 1e-8       # smaller tableau entries are treated as zero noise
+_PIVOT_TOL = 1e-9       # pivot candidates below this share of the column's largest entry are noise
 _DEGEN_TOL = 1e-9
 _PHASE1_TOL = 1e-7
 _STALL_LIMIT = 64
-_REFRESH_EVERY = 128    # reduced costs recomputed from scratch this often
+_REINVERT = 100         # kernel re-inverted, primal values and reduced costs refreshed, this often
+_BLOCK = 1 << 20        # entries of a dense column block when computing edge weights
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+_LE, _GE, _EQ = 0, 1, 2
+_RELATION_CODE = {"<=": _LE, ">=": _GE, "==": _EQ}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -79,10 +101,32 @@ class LpProblem:
 
 
 @dataclass
+class SolveStats:
+    """What the simplex did: pivots (basis changes), bound flips of the
+    entering variable, switches to Bland's rule, kernel re-inversions,
+    whether the caller's starting basis was accepted, whether phase 1 ran,
+    and whether a warm start was retried cold."""
+
+    pivots: int = 0
+    bound_flips: int = 0
+    bland_switches: int = 0
+    reinversions: int = 0
+    crash_accepted: bool = False
+    phase1: bool = False
+    cold_retry: bool = False
+
+
+@dataclass
 class LpSolution:
+    """``duals`` holds one value per row, in the sign convention of min
+    c.x: >= rows have y >= 0, <= rows y <= 0, and the reduced costs are
+    c - A'y.  It is None unless the status is optimal."""
+
     status: str
     objective_value: float
     values: np.ndarray
+    duals: np.ndarray | None = None
+    stats: SolveStats = field(default_factory=SolveStats)
 
 
 class Violation(NamedTuple):
@@ -97,6 +141,55 @@ class FeasibilityReport:
     violations: list
 
 
+class Certificate(NamedTuple):
+    """A primal point and row duals checked against each other.
+
+    ``ok`` says that the point is feasible, the duals have the right signs
+    and no variable without an upper bound has a negative reduced cost;
+    then ``dual_bound`` is a lower bound on the LP optimum (weak duality)
+    and ``gap`` is (c.x - dual_bound) relative to the larger magnitude.
+    ``violations`` names each failed check."""
+
+    ok: bool
+    objective: float
+    dual_bound: float
+    gap: float
+    violations: list
+
+
+class _Rows(NamedTuple):
+    """The rows of an LpProblem as coordinate arrays in row order."""
+
+    row_of: np.ndarray
+    col_of: np.ndarray
+    val: np.ndarray
+    rhs: np.ndarray
+    rel: np.ndarray     # _LE / _GE / _EQ per row
+
+    @classmethod
+    def of(cls, problem: LpProblem) -> "_Rows":
+        cons = problem.constraints
+        m = len(cons)
+        sizes = np.fromiter((len(c) for c, _, _ in cons), dtype=np.int64, count=m)
+        nnz = int(sizes.sum())
+        chain = itertools.chain.from_iterable
+        return cls(
+            np.repeat(np.arange(m), sizes),
+            np.fromiter(chain(c for c, _, _ in cons), dtype=np.int64, count=nnz),
+            np.fromiter(chain(c.values() for c, _, _ in cons), dtype=float, count=nnz),
+            np.fromiter((rhs for _, _, rhs in cons), dtype=float, count=m),
+            np.fromiter((_RELATION_CODE[r] for _, r, _ in cons), dtype=np.int8, count=m),
+        )
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return np.bincount(self.row_of, self.val * x[self.col_of], minlength=len(self.rhs))
+
+    def transpose_times(self, y: np.ndarray, n: int) -> np.ndarray:
+        """A' y."""
+        return np.bincount(self.col_of, self.val * y[self.row_of], minlength=n)
+
+
 def check_feasible(
     problem: LpProblem, point: Sequence[float], tol: float = FEASIBILITY_TOL
 ) -> FeasibilityReport:
@@ -104,150 +197,74 @@ def check_feasible(
     x = np.asarray(point, dtype=float)
     if x.shape != (problem.num_vars,):
         raise ValueError("point length does not match num_vars")
-    violations = []
-    for idx, (coeffs, relation, rhs) in enumerate(problem.constraints):
-        lhs = sum(c * x[j] for j, c in coeffs.items())
-        gap = 0.0
-        if relation == "<=":
-            gap = lhs - rhs
-        elif relation == ">=":
-            gap = rhs - lhs
-        else:
-            gap = abs(lhs - rhs)
-        if gap > tol:
-            violations.append(Violation("row", idx, gap))
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if x[j] < lo - tol:
-            violations.append(Violation("lower", j, lo - x[j]))
-        if x[j] > hi + tol:
-            violations.append(Violation("upper", j, x[j] - hi))
+    return _feasibility(problem, _Rows.of(problem), x, tol, tol)
+
+
+def _feasibility(problem: LpProblem, rows: _Rows, x: np.ndarray, row_tol, bound_tol) -> FeasibilityReport:
+    """Row violations in row order, then bound violations by variable; each
+    tolerance is a scalar or one value per row (per variable)."""
+    lhs = rows.times(x)
+    gap = np.where(
+        rows.rel == _LE, lhs - rows.rhs, np.where(rows.rel == _GE, rows.rhs - lhs, np.abs(lhs - rows.rhs))
+    )
+    violations = [Violation("row", int(i), float(gap[i])) for i in np.flatnonzero(gap > row_tol)]
+    lower = np.array([lo for lo, _ in problem.bounds])
+    upper = np.array([hi for _, hi in problem.bounds])
+    below = lower - x > bound_tol
+    above = x - upper > bound_tol
+    for j in np.flatnonzero(below | above):
+        if below[j]:
+            violations.append(Violation("lower", int(j), float(lower[j] - x[j])))
+        if above[j]:
+            violations.append(Violation("upper", int(j), float(x[j] - upper[j])))
     return FeasibilityReport(ok=not violations, violations=violations)
 
 
-class _Tableau:
-    """Internal dense tableau for the bounded-variable simplex."""
+def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float],
+            tol: float = FEASIBILITY_TOL) -> Certificate:
+    """Check a primal point x and row duals y (sign convention of
+    ``LpSolution.duals``) and return the dual bound they prove.
 
-    def __init__(self, T, xb, basis, status, ub, n_struct, art_cols):
-        self.T = T                  # (m, ncols) rows of B^-1 A
-        self.xb = xb                # (m,) values of basic variables
-        self.basis = basis          # (m,) variable index per row
-        self.status = status        # (ncols,) _AT_LOWER/_AT_UPPER/_BASIC
-        self.ub = ub                # (ncols,) shifted upper bounds
-        self.n_struct = n_struct
-        self.art_cols = art_cols    # indices of artificial columns
-        self.enterable = np.ones(T.shape[1], dtype=bool)
-
-    @property
-    def m(self) -> int:
-        return self.T.shape[0]
-
-
-def _pivot(T: np.ndarray, zrow: np.ndarray | None, r: int, j: int) -> None:
-    """Make column j the unit vector of row r (in place), reduced costs too."""
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    # rank-1 elimination of column j everywhere but the pivot row
-    T -= np.outer(col, T[r])
-    if zrow is not None:
-        zrow -= zrow[j] * T[r]
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-
-
-def _refresh_zrow(tab: _Tableau, cost: np.ndarray) -> np.ndarray:
-    """Reduced costs recomputed from scratch (kills accumulated drift)."""
-    zrow = cost.copy()
-    basic_cost = cost[tab.basis]
-    nz = np.flatnonzero(basic_cost)
-    if nz.size:
-        zrow -= basic_cost[nz] @ tab.T[nz]
-    zrow[tab.basis] = 0.0
-    return zrow
-
-
-def _iterate(tab: _Tableau, cost: np.ndarray, max_iters: int) -> str:
-    """Run simplex pivots until optimal or unbounded.  Returns a status.
-
-    Pricing is steepest-edge on the explicit tableau (violation squared
-    over column norm), which keeps iteration counts low; a run of
-    degenerate pivots switches to Bland's lowest-index rule until the
-    objective moves again, so the loop always terminates.
+    Four checks, each relative to the magnitudes it compares: x satisfies
+    every row and bound; y >= 0 on >= rows and y <= 0 on <= rows; no
+    variable with an infinite upper bound has a negative reduced cost
+    c_j - (A'y)_j.  The dual bound is b.y plus, per variable, the reduced
+    cost times the bound it pushes against (lower when the reduced cost is
+    nonnegative, else upper).
     """
-    zrow = _refresh_zrow(tab, cost)
-    stall = 0
-    use_bland = False
-    since_refresh = 0
-    certified = True
-    for _ in range(max_iters):
-        viol = np.where(
-            tab.status == _AT_LOWER, -zrow, np.where(tab.status == _AT_UPPER, zrow, 0.0)
-        )
-        cand = (viol > REDUCED_COST_TOL) & tab.enterable & (tab.status != _BASIC)
-        if not cand.any():
-            if certified:
-                return OPTIMAL
-            # certify against reduced costs recomputed from scratch
-            zrow = _refresh_zrow(tab, cost)
-            certified = True
-            continue
-        certified = False
-        if use_bland:
-            j = int(np.flatnonzero(cand)[0])
-        else:
-            gamma = 1.0 + np.einsum("ij,ij->j", tab.T, tab.T)
-            scores = np.where(cand, viol * viol / gamma, -np.inf)
-            j = int(np.argmax(scores))  # argmax takes the lowest index on ties
-        direction = 1.0 if tab.status[j] == _AT_LOWER else -1.0
-        eff = direction * tab.T[:, j]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = problem.num_vars, len(problem.constraints)
+    if x.shape != (n,) or y.shape != (m,):
+        raise ValueError("x must have one entry per variable and y one per row")
+    rows = _Rows.of(problem)
+    c = problem.objective
+    lower = np.array([lo for lo, _ in problem.bounds])
+    upper = np.array([hi for _, hi in problem.bounds])
+    violations = []
 
-        ub_basic = tab.ub[tab.basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            down = np.where(eff > _PIVOT_TOL, tab.xb / eff, np.inf)
-            up = np.where(eff < -_PIVOT_TOL, (ub_basic - tab.xb) / (-eff), np.inf)
-        down = np.where(down < 0, 0.0, down)
-        up = np.where(up < 0, 0.0, up)
-        limits = np.minimum(down, up)
-        r = int(np.argmin(limits))
-        step = limits[r]
-        flip = tab.ub[j]  # length of j's bound interval
-        if flip <= step and math.isfinite(flip):
-            # bound flip: j jumps to its opposite bound, basis unchanged
-            tab.xb -= eff * flip
-            tab.status[j] = _AT_UPPER if tab.status[j] == _AT_LOWER else _AT_LOWER
-            if flip > _DEGEN_TOL:
-                stall = 0
-                use_bland = False
-            continue
-        if not math.isfinite(step):
-            return UNBOUNDED
-        if step <= _DEGEN_TOL:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                use_bland = True
-        else:
-            stall = 0
-            use_bland = False
-        # deterministic leaving choice: smallest ratio, then lowest basis var
-        ties = np.flatnonzero(limits <= step + _DEGEN_TOL)
-        r = int(ties[np.argmin(tab.basis[ties])])
-        leaving = tab.basis[r]
-        hit_upper = up[r] <= down[r]
-        tab.xb -= eff * step
-        entering_value = step if direction > 0 else tab.ub[j] - step
-        _pivot(tab.T, zrow, r, j)
-        tab.xb[r] = entering_value
-        tab.basis[r] = j
-        tab.status[j] = _BASIC
-        tab.status[leaving] = _AT_UPPER if hit_upper else _AT_LOWER
-        if leaving in tab.art_cols:
-            tab.enterable[leaving] = False
-        since_refresh += 1
-        if since_refresh >= _REFRESH_EVERY:
-            zrow = _refresh_zrow(tab, cost)
-            since_refresh = 0
-            certified = True
-    raise RuntimeError("simplex iteration limit exceeded")
+    row_tol = tol * (np.abs(rows.rhs) + np.bincount(rows.row_of, np.abs(rows.val * x[rows.col_of]), minlength=m))
+    bound_tol = tol * (np.abs(x) + np.abs(np.where(np.isfinite(upper), upper, lower)) + np.abs(lower))
+    for v in _feasibility(problem, rows, x, row_tol, bound_tol).violations:
+        violations.append(f"primal: {v.kind} {v.index} violated by {v.amount:.3g}")
+
+    y_tol = tol * (np.abs(y).max() if m else 0.0)
+    for i in np.flatnonzero(((rows.rel == _GE) & (y < -y_tol)) | ((rows.rel == _LE) & (y > y_tol))):
+        kind = ">=" if rows.rel[i] == _GE else "<="
+        violations.append(f"dual sign: y[{i}] = {y[i]:.3g} on a {kind} row")
+
+    reduced = c - rows.transpose_times(y, n)
+    r_tol = tol * (np.abs(c) + np.bincount(rows.col_of, np.abs(rows.val * y[rows.row_of]), minlength=n))
+    for j in np.flatnonzero(np.isinf(upper) & (reduced < -r_tol)):
+        violations.append(f"reduced cost: variable {j} has {reduced[j]:.3g} and no upper bound")
+
+    pushes_upper = (reduced < 0) & np.isfinite(upper)
+    bound_terms = np.where(pushes_upper, reduced * np.where(pushes_upper, upper, 0.0), reduced * lower)
+    dual_bound = float(rows.rhs @ y + bound_terms.sum())
+    objective = float(c @ x)
+    scale = max(abs(objective), abs(dual_bound))
+    gap = (objective - dual_bound) / scale if scale > 0 else 0.0
+    return Certificate(not violations, objective, dual_bound, gap, violations)
 
 
 def solve(
@@ -268,215 +285,520 @@ def solve(
     Optimal points are re-verified against the constraints; a warm start
     that went numerically bad is retried cold before giving up.
     """
-    sol = _solve_once(problem, basis_hint, upper_start)
+    rows = _Rows.of(problem)
+    stats = SolveStats()
+    sol = _solve_once(problem, rows, basis_hint, upper_start, stats)
     if sol.status != OPTIMAL:
         return sol
     scale = max(1.0, *(abs(rhs) for _, _, rhs in problem.constraints)) if problem.constraints else 1.0
-    if check_feasible(problem, sol.values, tol=1e-6 * scale).ok:
+    if _feasibility(problem, rows, sol.values, 1e-6 * scale, 1e-6 * scale).ok:
         return sol
     if basis_hint is not None:
-        sol = _solve_once(problem, None, None)
+        stats.cold_retry = True
+        sol = _solve_once(problem, rows, None, None, stats)
         if sol.status != OPTIMAL:
             return sol
-        if check_feasible(problem, sol.values, tol=1e-6 * scale).ok:
+        if _feasibility(problem, rows, sol.values, 1e-6 * scale, 1e-6 * scale).ok:
             return sol
     raise RuntimeError("simplex returned an out-of-tolerance point; problem is badly scaled")
 
 
+def _pow2(v: float) -> float:
+    """The power of two nearest to v > 0 in log scale (1.0 for v <= 0)."""
+    return 2.0 ** math.floor(math.log2(v) + 0.5) if v > 0 and math.isfinite(v) else 1.0
+
+
+def _pow2_scaling(row_of, col_of, val, m: int, n: int, passes: int = 4):
+    """Row and column factors, powers of two, that bring each row's and
+    each column's largest and smallest magnitude to straddle one
+    (geometric-mean scaling, rounded in the log domain)."""
+    log_a = np.log2(np.abs(val))
+    log_r = np.zeros(m)
+    log_c = np.zeros(n)
+    for _ in range(passes):
+        for log_s, idx, size in ((log_c, col_of, n), (log_r, row_of, m)):
+            lv = log_a + log_r[row_of] + log_c[col_of]
+            hi = np.full(size, -np.inf)
+            lo = np.full(size, np.inf)
+            np.maximum.at(hi, idx, lv)
+            np.minimum.at(lo, idx, lv)
+            used = np.isfinite(hi)
+            log_s[used] -= np.floor((hi[used] + lo[used]) / 2 + 0.5)
+    return np.exp2(log_r), np.exp2(log_c)
+
+
 def _solve_once(
     problem: LpProblem,
-    basis_hint: Sequence[int] | None = None,
-    upper_start: Sequence[int] | None = None,
+    rows: _Rows,
+    basis_hint: Sequence[int] | None,
+    upper_start: Sequence[int] | None,
+    stats: SolveStats,
 ) -> LpSolution:
     n = problem.num_vars
-    m = len(problem.constraints)
+    m = len(rows.rhs)
     lower = np.array([b[0] for b in problem.bounds])
     upper = np.array([b[1] for b in problem.bounds])
+    nz = rows.val != 0.0
+    row_of, col_of, val = rows.row_of[nz], rows.col_of[nz], rows.val[nz]
 
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    rels = []
-    for r, (coeffs, relation, rhs) in enumerate(problem.constraints):
-        for j, c in coeffs.items():
-            A[r, j] += c
-        b[r] = rhs
-        rels.append(relation)
+    # shift variables to start at zero (x = lower + y, 0 <= y <= upper -
+    # lower), negate >= rows into <= rows, then scale: x = lower + C y^,
+    # row i multiplied by R_i, objective divided by gamma
+    b = rows.rhs - np.bincount(row_of, val * lower[col_of], minlength=m)
+    sign = np.where(rows.rel == _GE, -1.0, 1.0)
+    row_scale, col_scale = _pow2_scaling(row_of, col_of, val, m, n)
+    b_s = b * sign * row_scale
+    ub_s = (upper - lower) / col_scale
+    finite_ub = ub_s[np.isfinite(ub_s)]
+    tau = _pow2(max(np.abs(b_s).max(initial=0.0), finite_ub.max(initial=0.0)))
+    b_s /= tau
+    ub_s /= tau
+    col_scale *= tau
+    row_scale /= tau
+    c_s = problem.objective * col_scale
+    gamma = _pow2(np.abs(c_s).max(initial=0.0))
+    c_s /= gamma
+    val_s = val * (sign * row_scale)[row_of] * col_scale[col_of]
 
-    # shift variables to start at zero: x = lower + y, 0 <= y <= ub
-    b = b - A @ lower
-    ub_struct = upper - lower
-
-    # normalize rows so every rhs is nonnegative
-    for r in range(m):
-        if b[r] < 0:
-            A[r] *= -1
-            b[r] *= -1
-            if rels[r] == "<=":
-                rels[r] = ">="
-            elif rels[r] == ">=":
-                rels[r] = "<="
-    # a >= row with zero rhs is just a flipped <= row
-    for r in range(m):
-        if rels[r] == ">=" and b[r] == 0:
-            A[r] *= -1
-            rels[r] = "<="
-
-    tab = None
+    simplex = None
     if basis_hint is not None:
-        tab = _crash_tableau(A, b, rels, ub_struct, basis_hint, upper_start)
+        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rows.rel, basis_hint, upper_start, stats)
+        stats.crash_accepted = simplex is not None
+    if simplex is None:
+        simplex = _phase1(row_of, col_of, val_s, m, n, b_s, ub_s, rows.rel, stats)
+        if simplex is None:
+            return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan), stats=stats)
 
-    if tab is None:
-        tab = _phase1_tableau(A, b, rels, ub_struct)
-    max_iters = max(20000, 60 * (m + tab.T.shape[1]))
-    if tab.art_cols:  # only the phase-1 tableau has artificials
-        # phase 1: minimize the sum of artificials
-        c1 = np.zeros(tab.T.shape[1])
-        c1[list(tab.art_cols)] = 1.0
-        outcome = _iterate(tab, c1, max_iters)
-        if outcome == UNBOUNDED:
-            raise RuntimeError("phase-1 objective cannot be unbounded")
-        infeas = sum(tab.xb[r] for r in range(tab.m) if tab.basis[r] in tab.art_cols)
-        if infeas > _PHASE1_TOL * max(1.0, abs(b).max() if m else 1.0):
-            return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan))
-        _evict_artificials(tab)
+    cost = np.zeros(simplex.nx + m)
+    cost[:n] = c_s
+    if simplex.run(cost) == UNBOUNDED:
+        return LpSolution(UNBOUNDED, -math.inf, np.full(n, math.nan), stats=stats)
+    # Ties among optimal vertices go to the corner nearest the lower bounds
+    # of the bounded variables: minimise their sum, each over its bound
+    # width, moving only along edges of zero reduced cost.
+    width = simplex.ub[:n]
+    bounded = np.isfinite(width) & (width > 0)
+    if bounded.any():
+        tie_cost = np.zeros_like(cost)
+        tie_cost[:n][bounded] = 1.0 / width[bounded]
+        simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
+        simplex.run(cost)
 
-    # phase 2: the real objective over the feasible tableau
-    c2 = np.zeros(tab.T.shape[1])
-    c2[:n] = problem.objective
-    for j in tab.art_cols:
-        tab.ub[j] = 0.0
-        tab.enterable[j] = False
-    outcome = _iterate(tab, c2, max_iters)
-    if outcome == UNBOUNDED:
-        return LpSolution(UNBOUNDED, -math.inf, np.full(n, math.nan))
-
-    values = np.where(tab.status[:n] == _AT_UPPER, tab.ub[:n], 0.0)
-    for r in range(tab.m):
-        if tab.basis[r] < n:
-            values[tab.basis[r]] = tab.xb[r]
-    values = lower + values
+    y = simplex.x[:n]
+    # round-off within tolerance of a bound is snapped onto it
+    y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
+    y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
+    values = lower + col_scale * y
     # snap round-off that drifted just past a bound
     values = np.minimum(np.maximum(values, lower), np.where(np.isfinite(upper), upper, values))
-    objective = float(problem.objective @ values)
-    return LpSolution(OPTIMAL, objective, values)
+    duals = gamma * sign * row_scale * simplex.pi
+    return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)
 
 
-def _columns(A, rels, ub_struct, artificials: bool):
-    """Tableau columns: the structural ones, then one slack per inequality
-    row (+1 on <=, -1 on >=), then, for phase 1, one artificial per >= and
-    == row.  Returns the matrix, the shifted upper bounds and the slack and
-    artificial column of each row that has one."""
-    m, n = A.shape
-    slack_rows = [r for r in range(m) if rels[r] != "=="]
-    art_rows = [r for r in range(m) if rels[r] != "<="] if artificials else []
-    slack_of = {r: n + i for i, r in enumerate(slack_rows)}
-    art_of = {r: n + len(slack_rows) + i for i, r in enumerate(art_rows)}
-    ncols = n + len(slack_rows) + len(art_rows)
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
-    for r, s in slack_of.items():
-        T[r, s] = 1.0 if rels[r] == "<=" else -1.0
-    for r, a in art_of.items():
-        T[r, a] = 1.0
-    ub = np.full(ncols, math.inf)
-    ub[:n] = ub_struct
-    return T, ub, slack_of, art_of
+def _crash(row_of, col_of, val, m, n, b, ub, rel, basis_hint, upper_start, stats):
+    """The caller's starting basis, or None when it is unusable.
 
-
-def _phase1_tableau(A, b, rels, ub_struct) -> _Tableau:
-    """All-slack/artificial starting tableau for the two-phase path."""
-    m, n = A.shape
-    T, ub, slack_of, art_of = _columns(A, rels, ub_struct, artificials=True)
-    basis = np.array([slack_of[r] if rels[r] == "<=" else art_of[r] for r in range(m)], dtype=int)
-    status = np.full(T.shape[1], _AT_LOWER, dtype=np.int8)
-    status[basis] = _BASIC
-    return _Tableau(T, b.copy(), basis, status, ub, n, set(art_of.values()))
-
-
-def _crash_tableau(A, b, rels, ub_struct, basis_hint, upper_start=None) -> _Tableau | None:
-    """Install a caller-supplied starting basis; None when it is unusable.
-
-    The hint must name a variable for every == row (there is no slack to
-    fall back on) and the resulting basic values must respect their
-    bounds, otherwise the caller reverts to the two-phase path.
+    The hint must name a distinct variable for every == row (there is no
+    slack to fall back on), the hinted columns must form a nonsingular
+    kernel on the hinted rows, and the resulting basic values must respect
+    their bounds; otherwise the caller reverts to phase 1.
     """
-    m, n = A.shape
     if len(basis_hint) != m:
         return None
-    T, ub, slack_of, _ = _columns(A, rels, ub_struct, artificials=False)
-    basis = np.full(m, -1, dtype=int)
-    xb = b.copy()
-    for r in range(m):
-        h = basis_hint[r]
-        if h is None or h < 0:
-            if r not in slack_of:
-                return None  # == row with no hinted variable
-            continue
-        if not 0 <= h < n:
-            return None
-    hinted = {h for h in basis_hint if h is not None and h >= 0}
+    hint = np.array([-1 if h is None else int(h) for h in basis_hint], dtype=np.int64)
+    kernel_rows = np.flatnonzero(hint >= 0)
+    kernel_cols = hint[kernel_rows]
+    if (kernel_cols >= n).any() or len(set(kernel_cols.tolist())) != len(kernel_cols):
+        return None
+    if (rel[hint < 0] == _EQ).any():
+        return None  # == row with no hinted variable
     at_upper = sorted(set(upper_start or ()))
-    for j in at_upper:
-        if not 0 <= j < n or not math.isfinite(ub[j]) or j in hinted:
-            return None
-        xb -= T[:, j] * ub[j]
-    # install slack basics first (cheap), then pivot the hinted columns in
-    for r in range(m):
-        h = basis_hint[r]
-        if h is None or h < 0:
-            s = slack_of[r]
-            if T[r, s] < 0:  # surplus: normalize the row so the basis entry is +1
-                T[r] *= -1.0
-                xb[r] *= -1.0
-            basis[r] = s
-    for r in range(m):
-        h = basis_hint[r]
-        if h is None or h < 0:
-            continue
-        if abs(T[r, h]) <= _PIVOT_TOL:
-            return None
-        # the basic values follow the same elimination, before the matrix does
-        xb[r] /= T[r, h]
-        col = T[:, h].copy()
-        col[r] = 0.0
-        xb -= col * xb[r]
-        _pivot(T, None, r, h)
-        basis[r] = h
-    if len(set(basis.tolist())) != m:
+    hinted = set(kernel_cols.tolist())
+    if any(not 0 <= j < n or not math.isfinite(ub[j]) or j in hinted for j in at_upper):
         return None
-    ub_basic = ub[basis]
-    if (xb < -FEASIBILITY_TOL).any() or (xb > ub_basic + FEASIBILITY_TOL).any():
+    simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats)
+    simplex.x[at_upper] = ub[at_upper]
+    simplex.status[at_upper] = _AT_UPPER
+    if not simplex.install(kernel_cols, kernel_rows, check=True):
         return None
-    status = np.full(T.shape[1], _AT_LOWER, dtype=np.int8)
-    if at_upper:
-        status[at_upper] = _AT_UPPER
-    status[basis] = _BASIC
-    return _Tableau(T, np.maximum(xb, 0.0), basis, status, ub, n, set())
+    basic = simplex.basic
+    xb = simplex.x[basic]
+    if (xb < -FEASIBILITY_TOL).any() or (xb > simplex.ub[basic] + FEASIBILITY_TOL).any():
+        return None
+    return simplex
 
 
-def _evict_artificials(tab: _Tableau) -> None:
-    """Pivot zero-valued artificials out of the basis; drop redundant rows."""
-    drop = []
-    for r in range(tab.m):
-        v = tab.basis[r]
-        if v not in tab.art_cols:
-            continue
-        row = tab.T[r]
-        choices = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
-        choices = [j for j in choices if j not in tab.art_cols]
-        if choices:
-            j = max(choices, key=lambda jj: (abs(row[jj]), -jj))
-            old_status = tab.status[j]
-            entering_value = tab.ub[j] if old_status == _AT_UPPER else 0.0
-            _pivot(tab.T, None, r, int(j))
-            tab.status[v] = _AT_LOWER
-            tab.status[j] = _BASIC
-            tab.basis[r] = int(j)
-            tab.xb[r] = entering_value
+def _phase1(row_of, col_of, val, m, n, b, ub, rel, stats):
+    """Minimise a sum of artificials from the slack basis.  One artificial
+    column per row whose slack would start outside its bounds, basic in
+    that row; afterwards the artificials are fixed at zero and never enter
+    again.  Returns None when the problem is infeasible."""
+    art_rows = np.flatnonzero((b < -FEASIBILITY_TOL) | ((rel == _EQ) & (b > FEASIBILITY_TOL)))
+    na = len(art_rows)
+    art_cols = n + np.arange(na)
+    simplex = _Simplex(
+        np.concatenate([row_of, art_rows]),
+        np.concatenate([col_of, art_cols]),
+        np.concatenate([val, np.sign(b[art_rows])]),
+        m, n + na, b, np.concatenate([ub, np.full(na, math.inf)]), rel, stats,
+    )
+    simplex.install(art_cols, art_rows)
+    if na == 0:
+        return simplex
+    stats.phase1 = True
+    cost = np.zeros(simplex.nx + m)
+    cost[art_cols] = 1.0
+    if simplex.run(cost) == UNBOUNDED:
+        raise RuntimeError("phase-1 objective cannot be unbounded")
+    if simplex.x[art_cols].sum() > _PHASE1_TOL * max(1.0, np.abs(b).max()):
+        return None
+    simplex.ub[art_cols] = 0.0
+    simplex.enterable[art_cols] = False
+    return simplex
+
+
+def _sum_by(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Float sums of ``weights`` grouped by ``index`` into ``size`` bins."""
+    return np.bincount(index, weights, minlength=size).astype(float, copy=False)
+
+
+def _entries(ptr: np.ndarray, ids: np.ndarray):
+    """Positions of the entries of the given CSR rows (or CSC columns), and
+    for each entry the index in ``ids`` of its row (column)."""
+    starts = ptr[ids]
+    lens = ptr[ids + 1] - starts
+    owner = np.repeat(np.arange(len(ids)), lens)
+    return np.arange(len(owner)) + (starts - np.cumsum(lens) + lens)[owner], owner
+
+
+class _Simplex:
+    """Bounded primal simplex over rows A y + s = b (A sparse, scaled),
+    0 <= y <= ub and slacks s in [0, inf) on <= rows, [0, 0] on == rows.
+
+    Variables 0..nx-1 are structural (artificials included) and nx + i is
+    the slack of row i.  The basis is the kernel columns ``kcols`` (basic
+    structurals, in kernel order), the kernel rows ``krows`` (rows whose
+    slack is nonbasic, in kernel order) and the basic slacks of all other
+    rows.  ``G`` is the inverse of the kernel A[krows][:, kcols]; its rows
+    follow ``kcols`` and its columns ``krows``.
+    """
+
+    def __init__(self, row_of, col_of, val, m, nx, b, ub_struct, rel, stats):
+        self.m, self.nx = m, nx
+        self.row_of, self.col_of, self.val = row_of, col_of, val
+        by_col = np.argsort(col_of, kind="stable")
+        self.csc_rows, self.csc_vals = row_of[by_col], val[by_col]
+        self.csc_ptr = np.concatenate(([0], np.cumsum(np.bincount(col_of, minlength=nx))))
+        self.csc_cols = col_of[by_col]
+        by_row = np.argsort(row_of, kind="stable")
+        self.csr_rows, self.csr_cols, self.csr_vals = row_of[by_row], col_of[by_row], val[by_row]
+        self.csr_ptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=m))))
+        self.b = b
+        self.ub = np.concatenate([ub_struct, np.where(rel == _EQ, 0.0, math.inf)])
+        ncols = nx + m
+        self.x = np.zeros(ncols)
+        self.status = np.full(ncols, _AT_LOWER, dtype=np.int8)
+        self.enterable = self.ub > 0        # a fixed variable can never improve
+        self.weights = None                 # steepest-edge weights 1 + |B^-1 a_j|^2
+        self.stats = stats
+        self.max_iters = max(20000, 60 * (m + ncols))
+        self.cost = None
+
+    # -- basis bookkeeping -------------------------------------------------
+
+    def install(self, kcols, krows, check: bool = False) -> bool:
+        """Make kcols basic on krows and every other row's slack basic.
+        With ``check``, reject a kernel that is singular or nearly so."""
+        self.kcols = np.array(kcols, dtype=np.int64)
+        self.krows = np.array(krows, dtype=np.int64)
+        self._positions()
+        self.status[self.status == _BASIC] = _AT_LOWER
+        self.status[self.basic] = _BASIC
+        return self.refresh(check)
+
+    def _positions(self) -> None:
+        self.colpos = np.full(self.nx, -1, dtype=np.int64)
+        self.colpos[self.kcols] = np.arange(len(self.kcols))
+        self.rowpos = np.full(self.m, -1, dtype=np.int64)
+        self.rowpos[self.krows] = np.arange(len(self.krows))
+        self.slack_rows = np.flatnonzero(self.rowpos < 0)
+        self.basic = np.concatenate([self.kcols, self.nx + self.slack_rows])
+        self._kernel_columns()
+        # the entries of the kernel rows, each with its kernel position
+        pos, self.kr_owner = _entries(self.csr_ptr, self.krows)
+        self.kr_cols, self.kr_vals = self.csr_cols[pos], self.csr_vals[pos]
+
+    def _kernel_columns(self) -> None:
+        """The entries of the kernel columns, each with its kernel position."""
+        pos, self.kc_owner = _entries(self.csc_ptr, self.kcols)
+        self.kc_rows, self.kc_vals = self.csc_rows[pos], self.csc_vals[pos]
+
+    def refresh(self, check: bool = False) -> bool:
+        """Re-invert the kernel and recompute the basic values (and the
+        reduced costs once a cost vector is set) from scratch."""
+        k = len(self.kcols)
+        rp = self.rowpos[self.row_of]
+        cp = self.colpos[self.col_of]
+        inside = (rp >= 0) & (cp >= 0)
+        kernel = np.zeros((k, k))
+        kernel[rp[inside], cp[inside]] = self.val[inside]
+        try:
+            self.G = np.linalg.inv(kernel)
+        except np.linalg.LinAlgError:
+            return False
+        if check and k and not np.allclose(kernel @ self.G, np.eye(k), rtol=0.0, atol=1e-9):
+            return False
+        self.stats.reinversions += 1
+        x = self.x
+        xs = x[: self.nx].copy()
+        xs[self.kcols] = 0.0
+        rest = self.b - np.bincount(self.row_of, self.val * xs[self.col_of], minlength=self.m)
+        x[self.kcols] = self.G @ rest[self.krows]
+        xs[self.kcols] = x[self.kcols]
+        slack = self.b - np.bincount(self.row_of, self.val * xs[self.col_of], minlength=self.m)
+        x[self.nx + self.slack_rows] = slack[self.slack_rows]
+        if self.cost is not None:
+            self._reduced_costs()
+        return True
+
+    def _reduced_costs(self) -> None:
+        pi = np.zeros(self.m)
+        pi[self.krows] = self.cost[self.kcols] @ self.G
+        d = self.cost.copy()
+        d[: self.nx] -= np.bincount(self.col_of, self.val * pi[self.row_of], minlength=self.nx)
+        d[self.nx:] -= pi
+        d[self.basic] = 0.0
+        self.pi, self.d = pi, d
+
+    # -- the simplex loop --------------------------------------------------
+
+    def run(self, cost: np.ndarray, face: np.ndarray | None = None) -> str:
+        """Pivot to optimality for ``cost``, or report unbounded.  Only
+        variables in ``face`` (all when None) may enter."""
+        self.cost = cost
+        enterable = self.enterable if face is None else self.enterable & face
+        self.refresh()
+        self.weights = None
+        stats = self.stats
+        stall = 0
+        use_bland = False
+        since_refresh = 0
+        fresh = True
+        for _ in range(self.max_iters):
+            d, status = self.d, self.status
+            viol = np.where(status == _AT_LOWER, -d, d)
+            cand = (viol > REDUCED_COST_TOL) & enterable & (status != _BASIC)
+            if not cand.any():
+                if fresh:
+                    return OPTIMAL
+                # certify against values and reduced costs from a fresh kernel
+                self.refresh()
+                since_refresh = 0
+                fresh = True
+                continue
+            fresh = False
+            if self.weights is None:
+                # exact weights for the main runs; a run restricted to a face
+                # (few pivots, if any) prices by the plain violation
+                self.weights = self._edge_weights() if face is None else np.ones(len(d))
+            if use_bland:
+                q = int(np.flatnonzero(cand)[0])
+            else:
+                scores = np.where(cand, viol * viol / self.weights, -np.inf)
+                q = int(np.argmax(scores))  # argmax takes the lowest index on ties
+            direction = 1.0 if status[q] == _AT_LOWER else -1.0
+            alpha = self._column(q)
+            eff = direction * alpha
+
+            # bounded ratio test over the basic variables that move
+            basic = self.basic
+            size = np.abs(eff)
+            moving = np.flatnonzero(size > _PIVOT_TOL * max(1.0, float(size.max(initial=0.0))))
+            size = size[moving]
+            falls = eff[moving] > 0  # else the basic variable rises toward its upper bound
+            xb = self.x[basic[moving]]
+            limits = np.where(falls, xb, self.ub[basic[moving]] - xb) / size
+            np.maximum(limits, 0.0, out=limits)
+            step = float(limits.min(initial=np.inf))
+            flip = self.ub[q]  # length of q's bound interval
+            if flip <= step and math.isfinite(flip):
+                # bound flip: q jumps to its opposite bound, basis unchanged
+                self.x[basic] -= eff * flip
+                self.x[q] = flip if direction > 0 else 0.0
+                status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+                stats.bound_flips += 1
+                if flip > _DEGEN_TOL:
+                    stall = 0
+                    use_bland = False
+                continue
+            if not math.isfinite(step):
+                return UNBOUNDED
+            ties = np.flatnonzero(limits <= step + _DEGEN_TOL)
+            if use_bland:
+                at = int(ties[np.argmin(basic[moving[ties]])])  # lowest variable index
+            else:
+                at = int(ties[np.argmax(size[ties])])  # largest pivot
+            step = float(limits[at])
+            r = int(moving[at])
+            if step <= _DEGEN_TOL:
+                stall += 1
+                if stall > _STALL_LIMIT and not use_bland:
+                    use_bland = True
+                    stats.bland_switches += 1
+            else:
+                stall = 0
+                use_bland = False
+            leaving = int(basic[r])
+            hit_upper = not falls[at]
+            self.x[basic] -= eff * step
+            self.x[q] += direction * step
+            self.x[leaving] = self.ub[leaving] if hit_upper else 0.0
+            status[leaving] = _AT_UPPER if hit_upper else _AT_LOWER
+            status[q] = _BASIC
+            self._pivot(q, r, alpha, leaving)
+            stats.pivots += 1
+            since_refresh += 1
+            if since_refresh >= _REINVERT:
+                self.refresh()
+                since_refresh = 0
+                fresh = True
+        raise RuntimeError("simplex iteration limit exceeded")
+
+    def _edge_weights(self) -> np.ndarray:
+        """Steepest-edge weights 1 + |B^-1 a_j|^2 of every nonbasic column,
+        computed exactly in column blocks of at most ``_BLOCK`` entries."""
+        m, nx, G = self.m, self.nx, self.G
+        # entries of the kernel columns, grouped by row
+        in_kernel = self.colpos[self.csr_cols] >= 0
+        k_rows = self.csr_rows[in_kernel]
+        k_pos = self.colpos[self.csr_cols[in_kernel]]
+        k_vals = self.csr_vals[in_kernel]
+        starts = np.flatnonzero(np.diff(k_rows, prepend=-1))
+
+        def edge_sq(block: np.ndarray) -> np.ndarray:
+            # block holds columns a_j densely; B^-1 a_j is G a_j[krows] on
+            # the kernel and (a_j - A_K G a_j[krows]) on the slack rows
+            on_kernel = G @ block[self.krows]
+            if k_rows.size:
+                block[k_rows[starts]] -= np.add.reduceat(k_vals[:, None] * on_kernel[k_pos], starts, axis=0)
+            return 1.0 + (on_kernel * on_kernel).sum(axis=0) + (block[self.slack_rows] ** 2).sum(axis=0)
+
+        weights = np.ones(nx + m)
+        width = max(1, _BLOCK // max(m, 1))
+        for j0 in range(0, nx, width):
+            j1 = min(nx, j0 + width)
+            lo, hi = self.csc_ptr[j0], self.csc_ptr[j1]
+            block = np.zeros((m, j1 - j0))
+            block[self.csc_rows[lo:hi], self.csc_cols[lo:hi] - j0] = self.csc_vals[lo:hi]
+            weights[j0:j1] = edge_sq(block)
+        for a0 in range(0, len(self.krows), width):
+            rows = self.krows[a0:a0 + width]
+            block = np.zeros((m, len(rows)))
+            block[rows, np.arange(len(rows))] = 1.0
+            weights[nx + rows] = edge_sq(block)
+        weights[self.basic] = 1.0
+        return weights
+
+    def _column(self, q: int) -> np.ndarray:
+        """B^-1 a_q over the basic variables, in ``self.basic`` order."""
+        m, nx = self.m, self.nx
+        col = np.zeros(m)
+        if q < nx:
+            lo, hi = self.csc_ptr[q], self.csc_ptr[q + 1]
+            rows, vals = self.csc_rows[lo:hi], self.csc_vals[lo:hi]
+            col[rows] = vals
+            pos = self.rowpos[rows]
+            inside = pos >= 0
+            alpha_k = self.G[:, pos[inside]] @ vals[inside]
         else:
-            drop.append(r)  # row is redundant after elimination
-    if drop:
-        keep = np.setdiff1d(np.arange(tab.m), drop)
-        tab.T = tab.T[keep]
-        tab.xb = tab.xb[keep]
-        tab.basis = tab.basis[keep]
+            col[q - nx] = 1.0
+            alpha_k = self.G[:, self.rowpos[q - nx]].copy()
+        col -= _sum_by(self.kc_rows, self.kc_vals * alpha_k[self.kc_owner], m)
+        return np.concatenate([alpha_k, col[self.slack_rows]])
+
+    def _pivot(self, q: int, r: int, alpha: np.ndarray, leaving: int) -> None:
+        """Basis change: q enters in basis position r, where ``leaving``
+        was.  Updates the reduced costs, the steepest-edge weights and the kernel
+        inverse."""
+        m, nx, G = self.m, self.nx, self.G
+        k = len(self.kcols)
+        piv = alpha[r]
+        # row r of B^-1 (rho, over the rows) times every column
+        rho = np.zeros(m)
+        if r < k:
+            z = None
+            rho_k = G[r]
+            alpha_r = _sum_by(self.kr_cols, self.kr_vals * rho_k[self.kr_owner], nx)
+        else:
+            i = int(self.slack_rows[r - k])
+            lo, hi = self.csr_ptr[i], self.csr_ptr[i + 1]
+            cols_i, vals_i = self.csr_cols[lo:hi], self.csr_vals[lo:hi]
+            pos = self.colpos[cols_i]
+            inside = pos >= 0
+            z = vals_i[inside] @ G[pos[inside]]
+            rho_k = -z
+            rho[i] = 1.0
+            alpha_r = _sum_by(self.kr_cols, self.kr_vals * rho_k[self.kr_owner], nx)
+            alpha_r[cols_i] += vals_i
+        rho[self.krows] = rho_k
+        alpha_r = np.concatenate([alpha_r, rho])
+        theta = self.d[q] / piv
+        self.d -= theta * alpha_r
+        self.d[leaving] = -theta
+
+        # Goldfarb-Reid update of the steepest-edge weights, with
+        # tau = B^-T alpha and gamma_q = 1 + |alpha|^2 taken fresh
+        tau = np.zeros(m)
+        tau[self.slack_rows] = alpha[k:]
+        spill = _sum_by(self.kc_owner, self.kc_vals * tau[self.kc_rows], k)
+        tau_k = (alpha[:k] - spill) @ G
+        tau[self.krows] = tau_k
+        a_tau = np.concatenate([_sum_by(self.col_of, self.val * tau[self.row_of], nx), tau])
+        gamma_q = 1.0 + float(alpha @ alpha)
+        ratio = alpha_r / piv
+        w = self.weights
+        w += ratio * (ratio * gamma_q - 2.0 * a_tau)
+        np.maximum(w, 1.0 + ratio * ratio, out=w)
+        w[leaving] = max(gamma_q / (piv * piv), 1.0)
+
+        alpha_k = alpha[:k]
+        if q < nx and r < k:
+            # column replace: q takes kernel column r
+            g = G[r] / piv
+            G -= np.outer(alpha_k, g)
+            G[r] = g
+            self.kcols[r] = q
+            self.basic[r] = q
+            self.colpos[leaving] = -1
+            self.colpos[q] = r
+            self._kernel_columns()
+        elif q < nx:
+            # border grow: row i joins the kernel with column q
+            g_new = np.empty((k + 1, k + 1))
+            g_new[:k, :k] = G + np.outer(alpha_k, z) / piv
+            g_new[:k, k] = -alpha_k / piv
+            g_new[k, :k] = -z / piv
+            g_new[k, k] = 1.0 / piv
+            self.G = g_new
+            self.kcols = np.append(self.kcols, q)
+            self.krows = np.append(self.krows, i)
+        elif r < k:
+            # border shrink: q's row and column r leave the kernel
+            a = int(self.rowpos[q - nx])
+            G -= np.outer(G[:, a], G[r] / piv)
+            keep_c = np.arange(k) != r
+            keep_r = np.arange(k) != a
+            self.G = G[np.ix_(keep_c, keep_r)]
+            self.kcols = self.kcols[keep_c]
+            self.krows = self.krows[keep_r]
+        else:
+            # row replace: row i takes the kernel row of q's row
+            a = int(self.rowpos[q - nx])
+            z_a = z.copy()
+            z_a[a] -= 1.0
+            G -= np.outer(G[:, a], z_a) / z[a]
+            self.krows[a] = i
+        if not (q < nx and r < k):
+            self._positions()
+        self.d[q] = 0.0
+        self.d[self.basic] = 0.0

@@ -40,3 +40,24 @@ def tiny_instances(count: int, zero_release: bool = False, seed0: int = 0):
         if inst is not None:
             out.append(inst)
     return out
+
+
+def lp_certificates(instance):
+    """Certificates of the ordering LP (from the crash start that
+    ``solve_ordering_lp`` uses) and of the interval LP (solved cold)."""
+    from coflowsched import lpcore
+    from coflowsched.relaxations import (
+        _build_reduced_ordering_lp,
+        _ordering_crash_basis,
+        build_interval_lp,
+    )
+
+    ordering = _build_reduced_ordering_lp(instance)
+    hint, upper = _ordering_crash_basis(instance, ordering)
+    interval, _ = build_interval_lp(instance)
+    certificates = []
+    for problem, kwargs in ((ordering, {"basis_hint": hint, "upper_start": upper}), (interval, {})):
+        sol = lpcore.solve(problem, **kwargs)
+        assert sol.status == lpcore.OPTIMAL
+        certificates.append(lpcore.certify(problem, sol.values, sol.duals))
+    return certificates

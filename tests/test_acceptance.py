@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import tiny_instances
+from conftest import lp_certificates, tiny_instances
 
 from coflowsched import cli
 from coflowsched.model import Coflow, CoflowInstance, effective_size, prefix_bottlenecks
@@ -123,6 +123,14 @@ def test_criterion_4_prefix_halving(random_suite):
         for inst, result, _ in entries:
             report = check_prefix_halving(result, inst)
             assert report.ok, report.worst_margin
+
+
+def test_lp_duals_certify_both_optima(random_suite):
+    entries, _ = random_suite
+    for inst, _, _ in entries:
+        for certificate in lp_certificates(inst):
+            assert certificate.ok, certificate.violations
+            assert abs(certificate.gap) <= 1e-9
 
 
 def test_criterion_5_oracle_sandwich(tiny_suite):

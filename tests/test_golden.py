@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import lp_certificates
+
 from coflowsched import schedulers
 from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
 from coflowsched.workload import SyntheticConfig, assign_weights, generate
@@ -75,41 +77,41 @@ GOLDEN = {
 GOLDEN_LP = {
     "combined-releases": {
         "interval": (
-            "48d796c047cae148836b26c0b159ebdb408449602a7c72f813c751e7d8f62b20",
+            "be1128dae85ca119abe23f54d11732bdc835e8a0facd6ee9464bd2c0ad3af1b3",
             [2, 7, 0, 6, 8, 10, 3, 4, 11, 1, 5, 9],
         ),
         "ordering": (
-            "a3a35125dad60decbb0ec079fc3afb607e84496916ffe3e54b927cb418ec1753",
+            "2753bd46dd7ece139dfe88088901d6fb7dcbef67c571fcdc477f4ea2b3e3552f",
             [7, 2, 6, 0, 10, 8, 4, 3, 11, 9, 5, 1],
         ),
     },
     "combined-zero": {
         "interval": (
-            "2598374da8bbc571d40a71e56374567fe7b0f124f7c9f047792a0e8b2e727c97",
+            "177bcf0c4967633ae5cfa60b3ff946b0dd000f60879a097bea5679c25d571499",
             [4, 5, 7, 6, 9, 1, 11, 8, 0, 2, 3, 10],
         ),
         "ordering": (
-            "8646f0c66458036f2d073506aace056889549cc789a44ea2203ea94d4bef42d5",
+            "a7f0c34b1bba6e7b9dc2f8296a20842ab967a9623510e2a6c89056fe75347cea",
             [4, 7, 5, 9, 8, 11, 6, 1, 0, 2, 3, 10],
         ),
     },
     "dense-releases": {
         "interval": (
-            "fc426f35057572324f5c940efb6959c21e812066fcdc2c1f9fed9992c0025f6d",
+            "013a7ca49cbdf29505ebbcb3565a15cb7b35a6c0a68986cd1c440ce5fd2be4b8",
             [0, 7, 3, 6, 1, 4, 2, 9, 8, 5],
         ),
         "ordering": (
-            "07b6fa005825025f13792136caf0c535fe0dc5ad870ba95ea5f6ff9e265da65c",
+            "cef00eb75468dfea18c5272acb6bb65cf6ea606421eca676561884ad523d0a59",
             [7, 3, 0, 6, 1, 4, 2, 9, 8, 5],
         ),
     },
     "dense-zero": {
         "interval": (
-            "3166488332270283e8b708b13cf92831b52e79ba04c542022dc47e89a9c0f502",
+            "43bf0d6ef3d78e0a1216bf60759b2c5ef6ae09272a7810f57b1e99cef0a4608d",
             [6, 2, 1, 7, 3, 4, 5, 8, 0, 9],
         ),
         "ordering": (
-            "00d2cedbba1942e3fcf07c716462456650d481e8caaa7b110629362277e80203",
+            "0752a9508ef54cb75385bbfb568bccd300721b8ee18bad0ddfde0089204f3a5e",
             [6, 2, 1, 7, 3, 4, 5, 8, 9, 0],
         ),
     },
@@ -150,3 +152,11 @@ def test_lp_solutions_match_pinned_digests(instance_name):
         "interval": (hashlib.sha256(interval.x.tobytes()).hexdigest(), list(interval.ordering)),
     }
     assert got == GOLDEN_LP[instance_name]
+
+
+@pytest.mark.parametrize("instance_name", sorted(INSTANCES))
+def test_lp_duals_certify_both_optima(instance_name):
+    instance, _ = _case(instance_name)
+    for certificate in lp_certificates(instance):
+        assert certificate.ok, certificate.violations
+        assert abs(certificate.gap) <= 1e-9

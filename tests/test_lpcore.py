@@ -208,3 +208,72 @@ def test_bogus_basis_hint_falls_back():
     s = solve(p, basis_hint=[-1])  # leaves the >= row infeasible at the corner
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(3.0)
+    assert not s.stats.crash_accepted
+    assert s.stats.phase1
+    assert not s.stats.cold_retry
+
+
+def test_ordering_lp_crash_start_accepted():
+    inst = staggered_release_fixture()
+    from coflowsched.relaxations import _build_reduced_ordering_lp, _ordering_crash_basis
+
+    prob = _build_reduced_ordering_lp(inst)
+    hint, upper = _ordering_crash_basis(inst, prob)
+    s = solve(prob, basis_hint=hint, upper_start=upper)
+    assert s.stats.crash_accepted
+    assert not s.stats.phase1
+    assert not s.stats.cold_retry
+    assert s.stats.reinversions >= 1
+
+
+def _ordering_lp_solution():
+    from coflowsched.relaxations import _build_reduced_ordering_lp, _ordering_crash_basis
+    from coflowsched.workload import SyntheticConfig, generate
+
+    inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="dense", seed=5))
+    prob = _build_reduced_ordering_lp(inst)
+    hint, upper = _ordering_crash_basis(inst, prob)
+    return inst, prob, solve(prob, basis_hint=hint, upper_start=upper)
+
+
+def test_duals_certify_the_optimum():
+    _, prob, s = _ordering_lp_solution()
+    cert = lpcore.certify(prob, s.values, s.duals)
+    assert cert.ok, cert.violations
+    assert cert.objective == pytest.approx(s.objective_value, rel=1e-15)
+    assert abs(cert.gap) <= 1e-9
+
+
+def test_certify_rejects_negative_dual_on_ge_row():
+    _, prob, s = _ordering_lp_solution()
+    y = s.duals.copy()
+    row = next(i for i, (_, rel, _) in enumerate(prob.constraints) if rel == ">=")
+    y[row] = -1.0
+    cert = lpcore.certify(prob, s.values, y)
+    assert not cert.ok
+    assert any(v.startswith(f"dual sign: y[{row}]") for v in cert.violations)
+
+
+def test_certify_rejects_negative_reduced_cost_on_completion_column():
+    inst, prob, s = _ordering_lp_solution()
+    y = s.duals.copy()
+    # raising the dual of one of f_0's rows past its weight prices f_0 below zero
+    row = next(i for i, (coeffs, _, _) in enumerate(prob.constraints) if coeffs.get(0) == 1.0)
+    y[row] += 2.0 * inst.coflows[0].weight
+    cert = lpcore.certify(prob, s.values, y)
+    assert not cert.ok
+    assert "reduced cost: variable 0 has" in " ".join(cert.violations)
+
+
+def test_duals_in_caller_sign_convention():
+    # min x0 + 2 x1 st x0 + x1 >= 2 (dual 1), x1 <= 5 (dual 0), x0 - x1 == 0 (dual ...)
+    p = LpProblem(2, objective=[1.0, 2.0])
+    p.add_constraint({0: 1.0, 1: 1.0}, ">=", 2.0)
+    p.add_constraint({1: 1.0}, "<=", 5.0)
+    p.add_constraint({0: 1.0, 1: -1.0}, "==", 0.0)
+    s = solve(p)
+    assert s.values.tolist() == pytest.approx([1.0, 1.0])
+    # c - A'y = 0 on the two basic columns: y0 + y2 = 1, y0 - y2 = 2
+    assert s.duals.tolist() == pytest.approx([1.5, 0.0, -0.5])
+    cert = lpcore.certify(p, s.values, s.duals)
+    assert cert.ok and cert.dual_bound == pytest.approx(3.0)

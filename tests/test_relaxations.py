@@ -180,3 +180,24 @@ def test_empty_instance_rejected():
         build_ordering_lp(inst)
     with pytest.raises(ValueError):
         build_interval_lp(inst)
+
+
+@pytest.mark.parametrize("scale", [2.0**-30, 1e-9, 1e-6, 1e6, 1e9, 2.0**30])
+def test_ordering_lp_does_not_depend_on_units(scale):
+    # every size and release multiplied by the same factor: the relaxed
+    # completions scale with it and the ordering stays
+    for seed in range(8):
+        inst = generate(SyntheticConfig(n_ports=5, n_coflows=10, kind="dense", seed=seed))
+        scaled = CoflowInstance(
+            inst.n_ports,
+            [
+                Coflow({pair: size * scale for pair, size in cf.demands.items()},
+                       release=cf.release * scale, weight=cf.weight)
+                for cf in inst.coflows
+            ],
+            inst.capacity,
+        )
+        base = solve_ordering_lp(inst)
+        got = solve_ordering_lp(scaled)
+        assert got.ordering == base.ordering
+        np.testing.assert_allclose(got.f_tilde / scale, base.f_tilde, rtol=1e-9, atol=0.0)
