@@ -16,7 +16,7 @@ from .model import (
     prefix_bottlenecks,
     save_instance,
 )
-from .lpcore import LpProblem, LpSolution, check_feasible, solve
+from .lpcore import Certificate, LpProblem, LpSolution, SolveStats, certify, check_feasible, solve
 from .relaxations import (
     IntervalLpResult,
     OrderingLpResult,

@@ -5,8 +5,8 @@ The problem is min c.x over rows (<=, >=, ==) and variable bounds
 sparse: coordinate arrays built once from the row dicts.  It is scaled by
 powers of two, rows and columns, and then as a whole so that the primal
 values and the costs are of order one; every rescaling is exact in
-floating point, and the tolerances below are relative to the problem's own
-units.
+floating point, so the tolerances below are relative to the problem's own
+units and a problem solved in other units gives the same answer.
 
 Every row gets a slack column (>= rows are negated into <= rows; the slack
 of an == row is fixed at zero).  Of a basis only its *kernel* is factored:
@@ -15,15 +15,23 @@ whose slack is nonbasic.  Basic slacks are read off their rows.  The kernel
 is held as an explicit inverse, updated at every pivot (column replace, row
 replace, border grow or shrink) and re-inverted with ``np.linalg.inv``
 every ``_REINVERT`` pivots.  A pivot costs one kernel solve, one sparse
-pivot-row product (e_r B^-1) A and the bounded ratio test.
+pivot-row product (e_r B^-1) A, the steepest-edge update and the bounded
+ratio test.
 
-Pricing is devex (Forrest and Goldfarb 1992): the largest squared
-reduced-cost violation over a reference weight, lowest index on ties.  The
-ratio test is bounded, includes bound flips of the entering variable and
-takes the largest pivot among near-tied ratios.  After a run of degenerate
-pivots the solver falls back to Bland's lowest-index rule, which
-guarantees termination, and returns to devex once the objective moves.
-No external solver is used.
+Pricing is steepest edge: exact weights at the start of a run, then
+Goldfarb-Reid updates (Forrest and Goldfarb 1992), lowest index on ties.
+The ratio test is bounded, includes bound flips of the entering variable
+and takes the largest pivot among near-tied ratios.  After a run of
+degenerate pivots the solver falls back to Bland's lowest-index rule,
+which guarantees termination, and returns to steepest edge once the
+objective moves.  Ties among optimal vertices go to the one whose bounded
+variables sit nearest their lower bounds.
+
+A caller's starting basis skips phase 1 when it is feasible; otherwise
+phase 1 minimises a sum of artificials from the slack basis.  An optimal
+solution carries the row duals, and ``certify`` checks a primal point and
+duals against each other and returns the dual bound they prove.  No
+external solver is used.
 """
 
 from __future__ import annotations
@@ -183,11 +191,11 @@ class _Rows(NamedTuple):
 
     def times(self, x: np.ndarray) -> np.ndarray:
         """A x."""
-        return np.bincount(self.row_of, self.val * x[self.col_of], minlength=len(self.rhs))
+        return _sum_by(self.row_of, self.val * x[self.col_of], len(self.rhs))
 
     def transpose_times(self, y: np.ndarray, n: int) -> np.ndarray:
         """A' y."""
-        return np.bincount(self.col_of, self.val * y[self.row_of], minlength=n)
+        return _sum_by(self.col_of, self.val * y[self.row_of], n)
 
 
 def check_feasible(
@@ -243,8 +251,8 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float],
     upper = np.array([hi for _, hi in problem.bounds])
     violations = []
 
-    row_tol = tol * (np.abs(rows.rhs) + np.bincount(rows.row_of, np.abs(rows.val * x[rows.col_of]), minlength=m))
-    bound_tol = tol * (np.abs(x) + np.abs(np.where(np.isfinite(upper), upper, lower)) + np.abs(lower))
+    row_tol = tol * (np.abs(rows.rhs) + _sum_by(rows.row_of, np.abs(rows.val * x[rows.col_of]), m))
+    bound_tol = tol * (np.abs(x) + np.abs(lower) + np.abs(np.where(np.isfinite(upper), upper, 0.0)))
     for v in _feasibility(problem, rows, x, row_tol, bound_tol).violations:
         violations.append(f"primal: {v.kind} {v.index} violated by {v.amount:.3g}")
 
@@ -254,7 +262,7 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float],
         violations.append(f"dual sign: y[{i}] = {y[i]:.3g} on a {kind} row")
 
     reduced = c - rows.transpose_times(y, n)
-    r_tol = tol * (np.abs(c) + np.bincount(rows.col_of, np.abs(rows.val * y[rows.row_of]), minlength=n))
+    r_tol = tol * (np.abs(c) + _sum_by(rows.col_of, np.abs(rows.val * y[rows.row_of]), n))
     for j in np.flatnonzero(np.isinf(upper) & (reduced < -r_tol)):
         violations.append(f"reduced cost: variable {j} has {reduced[j]:.3g} and no upper bound")
 
@@ -308,14 +316,14 @@ def _pow2(v: float) -> float:
     return 2.0 ** math.floor(math.log2(v) + 0.5) if v > 0 and math.isfinite(v) else 1.0
 
 
-def _pow2_scaling(row_of, col_of, val, m: int, n: int, passes: int = 4):
+def _pow2_scaling(row_of, col_of, val, m: int, n: int):
     """Row and column factors, powers of two, that bring each row's and
     each column's largest and smallest magnitude to straddle one
-    (geometric-mean scaling, rounded in the log domain)."""
+    (geometric-mean scaling, four passes, rounded in the log domain)."""
     log_a = np.log2(np.abs(val))
     log_r = np.zeros(m)
     log_c = np.zeros(n)
-    for _ in range(passes):
+    for _ in range(4):
         for log_s, idx, size in ((log_c, col_of, n), (log_r, row_of, m)):
             lv = log_a + log_r[row_of] + log_c[col_of]
             hi = np.full(size, -np.inf)
@@ -344,7 +352,7 @@ def _solve_once(
     # shift variables to start at zero (x = lower + y, 0 <= y <= upper -
     # lower), negate >= rows into <= rows, then scale: x = lower + C y^,
     # row i multiplied by R_i, objective divided by gamma
-    b = rows.rhs - np.bincount(row_of, val * lower[col_of], minlength=m)
+    b = rows.rhs - _sum_by(row_of, val * lower[col_of], m)
     sign = np.where(rows.rel == _GE, -1.0, 1.0)
     row_scale, col_scale = _pow2_scaling(row_of, col_of, val, m, n)
     b_s = b * sign * row_scale
@@ -503,6 +511,7 @@ class _Simplex:
         self.stats = stats
         self.max_iters = max(20000, 60 * (m + ncols))
         self.cost = None
+        self._buffer = np.empty((0, 0))
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -517,6 +526,7 @@ class _Simplex:
         return self.refresh(check)
 
     def _positions(self) -> None:
+        """Kernel positions, basic list and kernel entries, from scratch."""
         self.colpos = np.full(self.nx, -1, dtype=np.int64)
         self.colpos[self.kcols] = np.arange(len(self.kcols))
         self.rowpos = np.full(self.m, -1, dtype=np.int64)
@@ -543,19 +553,25 @@ class _Simplex:
         kernel = np.zeros((k, k))
         kernel[rp[inside], cp[inside]] = self.val[inside]
         try:
-            self.G = np.linalg.inv(kernel)
+            inverse = np.linalg.inv(kernel)
         except np.linalg.LinAlgError:
             return False
-        if check and k and not np.allclose(kernel @ self.G, np.eye(k), rtol=0.0, atol=1e-9):
+        if check and k and not np.allclose(kernel @ inverse, np.eye(k), rtol=0.0, atol=1e-9):
             return False
+        # G lives in the top-left corner of a larger buffer, so that the
+        # kernel can grow and shrink in place
+        if self._buffer.shape[0] < k:
+            self._buffer = np.empty((min(self.m, 2 * k), min(self.m, 2 * k)))
+        self._buffer[:k, :k] = inverse
+        self.G = self._buffer[:k, :k]
         self.stats.reinversions += 1
         x = self.x
         xs = x[: self.nx].copy()
         xs[self.kcols] = 0.0
-        rest = self.b - np.bincount(self.row_of, self.val * xs[self.col_of], minlength=self.m)
+        rest = self.b - _sum_by(self.row_of, self.val * xs[self.col_of], self.m)
         x[self.kcols] = self.G @ rest[self.krows]
         xs[self.kcols] = x[self.kcols]
-        slack = self.b - np.bincount(self.row_of, self.val * xs[self.col_of], minlength=self.m)
+        slack = self.b - _sum_by(self.row_of, self.val * xs[self.col_of], self.m)
         x[self.nx + self.slack_rows] = slack[self.slack_rows]
         if self.cost is not None:
             self._reduced_costs()
@@ -565,7 +581,7 @@ class _Simplex:
         pi = np.zeros(self.m)
         pi[self.krows] = self.cost[self.kcols] @ self.G
         d = self.cost.copy()
-        d[: self.nx] -= np.bincount(self.col_of, self.val * pi[self.row_of], minlength=self.nx)
+        d[: self.nx] -= _sum_by(self.col_of, self.val * pi[self.row_of], self.nx)
         d[self.nx:] -= pi
         d[self.basic] = 0.0
         self.pi, self.d = pi, d
@@ -684,7 +700,7 @@ class _Simplex:
             return 1.0 + (on_kernel * on_kernel).sum(axis=0) + (block[self.slack_rows] ** 2).sum(axis=0)
 
         weights = np.ones(nx + m)
-        width = max(1, _BLOCK // max(m, 1))
+        width = max(1, _BLOCK // max(m, len(k_rows), 1))
         for j0 in range(0, nx, width):
             j1 = min(nx, j0 + width)
             lo, hi = self.csc_ptr[j0], self.csc_ptr[j1]
@@ -774,23 +790,31 @@ class _Simplex:
             self._kernel_columns()
         elif q < nx:
             # border grow: row i joins the kernel with column q
-            g_new = np.empty((k + 1, k + 1))
-            g_new[:k, :k] = G + np.outer(alpha_k, z) / piv
-            g_new[:k, k] = -alpha_k / piv
-            g_new[k, :k] = -z / piv
-            g_new[k, k] = 1.0 / piv
-            self.G = g_new
+            if self._buffer.shape[0] <= k:
+                grown = np.empty((min(self.m, 2 * k + 16),) * 2)
+                grown[:k, :k] = G
+                self._buffer, G = grown, grown[:k, :k]
+            buf = self._buffer
+            G += np.outer(alpha_k, z / piv)
+            buf[:k, k] = -alpha_k / piv
+            buf[k, :k] = -z / piv
+            buf[k, k] = 1.0 / piv
+            self.G = buf[: k + 1, : k + 1]
             self.kcols = np.append(self.kcols, q)
             self.krows = np.append(self.krows, i)
         elif r < k:
-            # border shrink: q's row and column r leave the kernel
+            # border shrink: q's row and column r leave the kernel; the last
+            # kernel row and column move into their places
             a = int(self.rowpos[q - nx])
             G -= np.outer(G[:, a], G[r] / piv)
-            keep_c = np.arange(k) != r
-            keep_r = np.arange(k) != a
-            self.G = G[np.ix_(keep_c, keep_r)]
-            self.kcols = self.kcols[keep_c]
-            self.krows = self.krows[keep_r]
+            last = k - 1
+            G[r] = G[last]
+            G[:, a] = G[:, last]
+            self.G = self._buffer[:last, :last]
+            self.kcols[r] = self.kcols[last]
+            self.krows[a] = self.krows[last]
+            self.kcols = self.kcols[:last]
+            self.krows = self.krows[:last]
         else:
             # row replace: row i takes the kernel row of q's row
             a = int(self.rowpos[q - nx])

@@ -105,10 +105,11 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     Substituting the complement for half the ordering variables removes
     the complementary rows; rows for ports that no other coflow touches
     are dominated by the release row and dropped.  The pair variable for
-    (a, b), a < b, carries "b finishes before a", so the solver's default
-    corner (all pair variables at zero) is the lower-id-first ordering and
-    exact ties come out reproducibly.  The optimum matches
-    build_ordering_lp (asserted in the test suite).
+    (a, b), a < b, carries "b finishes before a", so the solver's tie rule
+    among optimal vertices (bounded variables nearest their lower bounds)
+    prefers the lower-id-first ordering and exact ties come out
+    reproducibly.  The optimum matches build_ordering_lp (asserted in the
+    test suite).
     """
     kk = instance.num_coflows
     if kk == 0:

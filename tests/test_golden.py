@@ -81,7 +81,7 @@ GOLDEN_LP = {
             [2, 7, 0, 6, 8, 10, 3, 4, 11, 1, 5, 9],
         ),
         "ordering": (
-            "2753bd46dd7ece139dfe88088901d6fb7dcbef67c571fcdc477f4ea2b3e3552f",
+            "53fa42d5b8aa79d3e6a423adf80021811c87be3ab903a6de4a25fbd610a4cd71",
             [7, 2, 6, 0, 10, 8, 4, 3, 11, 9, 5, 1],
         ),
     },
@@ -91,7 +91,7 @@ GOLDEN_LP = {
             [4, 5, 7, 6, 9, 1, 11, 8, 0, 2, 3, 10],
         ),
         "ordering": (
-            "a7f0c34b1bba6e7b9dc2f8296a20842ab967a9623510e2a6c89056fe75347cea",
+            "b7296b2466de9a0b0c97ea326c45ac107a46c6888338dca0653f8e0cf62f1eaa",
             [4, 7, 5, 9, 8, 11, 6, 1, 0, 2, 3, 10],
         ),
     },
@@ -111,7 +111,7 @@ GOLDEN_LP = {
             [6, 2, 1, 7, 3, 4, 5, 8, 0, 9],
         ),
         "ordering": (
-            "0752a9508ef54cb75385bbfb568bccd300721b8ee18bad0ddfde0089204f3a5e",
+            "1004cc192bb01dd7eaf647f18a6f1cf8368d9735c918473a5c01492b4f99a65e",
             [6, 2, 1, 7, 3, 4, 5, 8, 9, 0],
         ),
     },
