@@ -30,6 +30,7 @@ class OrderingLpResult:
     delta: np.ndarray
     ordering: list
     objective: float
+    solution: lpcore.LpSolution         # of the reduced LP: duals and solver counters
 
 
 @dataclass
@@ -40,6 +41,7 @@ class IntervalLpResult:
     x: np.ndarray                      # (K, L) completion-interval weights
     relaxed_completions: np.ndarray
     ordering: list
+    solution: lpcore.LpSolution
 
 
 def delta_index(num_coflows: int, k: int, kp: int) -> int:
@@ -216,6 +218,7 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
         delta=delta,
         ordering=ordering,
         objective=float(weights @ f_tilde),
+        solution=sol,
     )
 
 
@@ -299,4 +302,5 @@ def solve_interval_lp(
         x=x,
         relaxed_completions=completions,
         ordering=ordering,
+        solution=sol,
     )

@@ -42,22 +42,22 @@ def tiny_instances(count: int, zero_release: bool = False, seed0: int = 0):
     return out
 
 
-def lp_certificates(instance):
-    """Certificates of the ordering LP (from the crash start that
-    ``solve_ordering_lp`` uses) and of the interval LP (solved cold)."""
+def lp_certificates(instance, ordering_result=None):
+    """Certificates of the solutions behind ``solve_ordering_lp`` (or the
+    given result of it) and ``solve_interval_lp`` on an instance."""
     from coflowsched import lpcore
     from coflowsched.relaxations import (
         _build_reduced_ordering_lp,
-        _ordering_crash_basis,
         build_interval_lp,
+        solve_interval_lp,
+        solve_ordering_lp,
     )
 
-    ordering = _build_reduced_ordering_lp(instance)
-    hint, upper = _ordering_crash_basis(instance, ordering)
-    interval, _ = build_interval_lp(instance)
-    certificates = []
-    for problem, kwargs in ((ordering, {"basis_hint": hint, "upper_start": upper}), (interval, {})):
-        sol = lpcore.solve(problem, **kwargs)
-        assert sol.status == lpcore.OPTIMAL
-        certificates.append(lpcore.certify(problem, sol.values, sol.duals))
-    return certificates
+    ordering_result = ordering_result or solve_ordering_lp(instance)
+    return [
+        lpcore.certify(problem, result.solution.values, result.solution.duals)
+        for problem, result in (
+            (_build_reduced_ordering_lp(instance), ordering_result),
+            (build_interval_lp(instance)[0], solve_interval_lp(instance)),
+        )
+    ]

@@ -127,8 +127,8 @@ def test_criterion_4_prefix_halving(random_suite):
 
 def test_lp_duals_certify_both_optima(random_suite):
     entries, _ = random_suite
-    for inst, _, _ in entries:
-        for certificate in lp_certificates(inst):
+    for inst, result, _ in entries:
+        for certificate in lp_certificates(inst, result):
             assert certificate.ok, certificate.violations
             assert abs(certificate.gap) <= 1e-9
 

@@ -156,7 +156,7 @@ def test_lp_solutions_match_pinned_digests(instance_name):
 
 @pytest.mark.parametrize("instance_name", sorted(INSTANCES))
 def test_lp_duals_certify_both_optima(instance_name):
-    instance, _ = _case(instance_name)
-    for certificate in lp_certificates(instance):
+    instance, lp = _case(instance_name)
+    for certificate in lp_certificates(instance, lp):
         assert certificate.ok, certificate.violations
         assert abs(certificate.gap) <= 1e-9
