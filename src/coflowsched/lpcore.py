@@ -228,8 +228,7 @@ def _feasibility(problem: LpProblem, rows: _Rows, x: np.ndarray, row_tol, bound_
     return FeasibilityReport(ok=not violations, violations=violations)
 
 
-def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float],
-            tol: float = FEASIBILITY_TOL) -> Certificate:
+def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certificate:
     """Check a primal point x and row duals y (sign convention of
     ``LpSolution.duals``) and return the dual bound they prove.
 
@@ -251,18 +250,18 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float],
     upper = np.array([hi for _, hi in problem.bounds])
     violations = []
 
-    row_tol = tol * (np.abs(rows.rhs) + _sum_by(rows.row_of, np.abs(rows.val * x[rows.col_of]), m))
-    bound_tol = tol * (np.abs(x) + np.abs(lower) + np.abs(np.where(np.isfinite(upper), upper, 0.0)))
+    row_tol = FEASIBILITY_TOL * (np.abs(rows.rhs) + _sum_by(rows.row_of, np.abs(rows.val * x[rows.col_of]), m))
+    bound_tol = FEASIBILITY_TOL * (np.abs(x) + np.abs(lower) + np.abs(np.where(np.isfinite(upper), upper, 0.0)))
     for v in _feasibility(problem, rows, x, row_tol, bound_tol).violations:
         violations.append(f"primal: {v.kind} {v.index} violated by {v.amount:.3g}")
 
-    y_tol = tol * (np.abs(y).max() if m else 0.0)
+    y_tol = FEASIBILITY_TOL * (np.abs(y).max() if m else 0.0)
     for i in np.flatnonzero(((rows.rel == _GE) & (y < -y_tol)) | ((rows.rel == _LE) & (y > y_tol))):
         kind = ">=" if rows.rel[i] == _GE else "<="
         violations.append(f"dual sign: y[{i}] = {y[i]:.3g} on a {kind} row")
 
     reduced = c - rows.transpose_times(y, n)
-    r_tol = tol * (np.abs(c) + _sum_by(rows.col_of, np.abs(rows.val * y[rows.row_of]), n))
+    r_tol = FEASIBILITY_TOL * (np.abs(c) + _sum_by(rows.col_of, np.abs(rows.val * y[rows.row_of]), n))
     for j in np.flatnonzero(np.isinf(upper) & (reduced < -r_tol)):
         violations.append(f"reduced cost: variable {j} has {reduced[j]:.3g} and no upper bound")
 

@@ -266,7 +266,7 @@ def test_certify_rejects_negative_reduced_cost_on_completion_column():
 
 
 def test_duals_in_caller_sign_convention():
-    # min x0 + 2 x1 st x0 + x1 >= 2 (dual 1), x1 <= 5 (dual 0), x0 - x1 == 0 (dual ...)
+    # min x0 + 2 x1 st x0 + x1 >= 2, x1 <= 5 (slack), x0 - x1 == 0: x = (1, 1)
     p = LpProblem(2, objective=[1.0, 2.0])
     p.add_constraint({0: 1.0, 1: 1.0}, ">=", 2.0)
     p.add_constraint({1: 1.0}, "<=", 5.0)
