@@ -391,12 +391,12 @@ def _solve_once(
         simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
         simplex.run(cost)
 
+    # round-off within tolerance of a bound is snapped onto it; the clamp
+    # removes the last bit that shifting back by ``lower`` can add
     y = simplex.x[:n]
-    # round-off within tolerance of a bound is snapped onto it
     y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
     y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
     values = lower + col_scale * y
-    # snap round-off that drifted just past a bound
     values = np.minimum(np.maximum(values, lower), np.where(np.isfinite(upper), upper, values))
     duals = gamma * sign * row_scale * simplex.pi
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)
