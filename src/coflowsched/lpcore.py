@@ -45,7 +45,7 @@ import numpy as np
 
 FEASIBILITY_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
-_PIVOT_TOL = 1e-9       # pivot candidates below this share of the column's largest entry are noise
+_PIVOT_TOL = 1e-9       # entries below this share of max(1, largest |entry|) of a column are noise
 _DEGEN_TOL = 1e-9
 _PHASE1_TOL = 1e-7
 _STALL_LIMIT = 64
