@@ -18,6 +18,7 @@ from .model import (
 )
 from .lpcore import Certificate, LpProblem, LpSolution, SolveStats, certify, check_feasible, solve
 from .relaxations import (
+    CertificateError,
     IntervalLpResult,
     OrderingLpResult,
     build_interval_lp,

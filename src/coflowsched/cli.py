@@ -2,7 +2,8 @@
 every schedule, and emit per-run reports as CSV or JSON.
 
 Verbs: gen, run, oracle, validate, lp-bound.  Exit codes: 0 success,
-1 a schedule failed validation (run, validate), 2 bad input.
+1 an invariant violation: a schedule failed validation (run, validate) or
+the LP duals did not certify the lower bound (run, lp-bound), 2 bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import schedulers, verify, workload
 from .model import CoflowInstance, load_instance, save_instance
-from .relaxations import solve_ordering_lp
+from .relaxations import CertificateError, lp_lower_bound, solve_ordering_lp
 from .sim import total_weighted_completion, validate
 
 SCHEDULER_NAMES = list(schedulers.SCHEDULERS)
@@ -80,7 +81,7 @@ def _instance_for_rep(args: argparse.Namespace, rep: int) -> CoflowInstance:
 def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
     instance = _instance_for_rep(args, rep)
     ordering_result = solve_ordering_lp(instance)
-    lp_bound = ordering_result.objective
+    lp_bound = lp_lower_bound(instance, ordering_result)
     rows = []
     totals = {}
     schedules = {}
@@ -291,7 +292,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_lp_bound(args) -> int:
     instance = load_instance(args.instance)
-    print(f"{solve_ordering_lp(instance).objective:.10g}")
+    print(f"{lp_lower_bound(instance):.10g}")
     return 0
 
 
@@ -307,6 +308,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except CertificateError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

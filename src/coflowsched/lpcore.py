@@ -1,8 +1,9 @@
 """Self-contained linear-program solver: a sparse bounded revised simplex.
 
 The problem is min c.x over rows (<=, >=, ==) and variable bounds
-[lower, upper], upper possibly infinite.  The constraint matrix stays
-sparse: coordinate arrays built once from the row dicts.  It is scaled by
+[lower, upper], upper possibly infinite.  ``LpProblem`` stores the
+constraint matrix once, as sparse coordinate arrays that the relaxation
+builders write directly and the solver reads as they are.  It is scaled by
 powers of two, rows and columns, and then as a whole so that the primal
 values and the costs are of order one; every rescaling is exact in
 floating point, so the tolerances below are relative to the problem's own
@@ -36,10 +37,10 @@ external solver is used.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,64 +49,124 @@ REDUCED_COST_TOL = 1e-9
 _PIVOT_TOL = 1e-9       # entries below this share of max(1, largest |entry|) of a column are noise
 _DEGEN_TOL = 1e-9
 _PHASE1_TOL = 1e-7
+_RECHECK_TOL = 1e-6     # relative tolerance of the post-solve re-check
 _STALL_LIMIT = 64
 _REINVERT = 100         # kernel re-inverted, primal values and reduced costs refreshed, this often
 _BLOCK = 1 << 20        # entries of a dense column block when computing edge weights
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
-_LE, _GE, _EQ = 0, 1, 2
-_RELATION_CODE = {"<=": _LE, ">=": _GE, "==": _EQ}
+LE, GE, EQ = 0, 1, 2                # relation codes of the rows
+RELATIONS = ("<=", ">=", "==")      # indexed by relation code
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LpProblem:
-    """min c.x subject to rows (coeffs, relation, rhs) and variable bounds.
+class _View(Sequence):
+    """A read-only sequence whose items are made from the problem's arrays
+    on access."""
 
-    Rows hold sparse coefficient maps {var_index: coef}; relations are
-    "<=", ">=" or "==".  Default bounds are [0, +inf).
+    def __init__(self, size, item):
+        self._size, self._item = size, item
+
+    def __len__(self) -> int:
+        return self._size()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(len(self)))]
+        return self._item(range(len(self))[i])
+
+
+class LpProblem:
+    """min c.x subject to rows sum_j a_ij x_j (<=, >=, ==) b_i and bounds
+    lower <= x <= upper, upper possibly infinite.
+
+    The rows are stored once, as coordinate arrays in row order: per entry
+    ``row_of``, ``col_of`` and ``val``, per row ``rhs`` and ``rel`` (LE, GE
+    or EQ); a row holds each column at most once.  Builders pass whole
+    arrays to the constructor; ``add_constraint`` and ``set_bounds`` write
+    into the same arrays for LPs written by hand.  ``constraints`` and
+    ``bounds`` are read-only views of them as ``(coeffs, relation, rhs)``
+    rows and ``(lower, upper)`` pairs.  Default bounds are [0, +inf).
     """
 
-    num_vars: int
-    objective: np.ndarray = None
-    constraints: list = field(default_factory=list)
-    bounds: list = None
-
-    def __post_init__(self):
-        if self.objective is None:
-            self.objective = np.zeros(self.num_vars)
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.num_vars,):
+    def __init__(self, num_vars: int, *, objective=None, lower=None, upper=None,
+                 row_of=(), col_of=(), val=(), rhs=(), rel=()):
+        n = self.num_vars = num_vars
+        self.objective = np.zeros(n) if objective is None else np.array(objective, dtype=float)
+        self.lower = np.zeros(n) if lower is None else np.array(lower, dtype=float)
+        self.upper = np.full(n, math.inf) if upper is None else np.array(upper, dtype=float)
+        if self.objective.shape != (n,):
             raise ValueError("objective length does not match num_vars")
-        if self.bounds is None:
-            self.bounds = [(0.0, math.inf)] * self.num_vars
-        if len(self.bounds) != self.num_vars:
+        if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds length does not match num_vars")
-        for lo, hi in self.bounds:
-            if not math.isfinite(lo):
-                raise ValueError("lower bounds must be finite")
-            if lo > hi:
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
+        if not np.isfinite(self.lower).all():
+            raise ValueError("lower bounds must be finite")
+        empty = np.flatnonzero(~(self.lower <= self.upper))
+        if empty.size:
+            j = empty[0]
+            raise ValueError(f"empty bound interval [{self.lower[j]}, {self.upper[j]}]")
+        self.row_of = np.asarray(row_of, dtype=np.int64)
+        self.col_of = np.asarray(col_of, dtype=np.int64)
+        self.val = np.asarray(val, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.rel = np.asarray(rel, dtype=np.int8)
+        nnz, m = len(self.row_of), len(self.rhs)
+        if len(self.col_of) != nnz or len(self.val) != nnz or len(self.rel) != m:
+            raise ValueError("row arrays differ in length")
+        if nnz and (self.row_of[0] < 0 or self.row_of[-1] >= m or (np.diff(self.row_of) < 0).any()):
+            raise ValueError("row ids must be in row order and name existing rows")
+        if nnz and (self.col_of.min() < 0 or self.col_of.max() >= n):
+            raise ValueError("variable index out of range")
+        if ((self.rel < LE) | (self.rel > EQ)).any():
+            raise ValueError("unknown relation code")
 
     def add_constraint(self, coeffs: dict, relation: str, rhs: float) -> None:
         if relation == "=":
             relation = "=="
-        if relation not in ("<=", ">=", "=="):
+        if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
         for j in coeffs:
             if not 0 <= j < self.num_vars:
                 raise ValueError(f"variable index {j} out of range")
-        self.constraints.append((dict(coeffs), relation, float(rhs)))
+        size = len(coeffs)
+        self.row_of = np.concatenate([self.row_of, np.full(size, len(self.rhs), dtype=np.int64)])
+        self.col_of = np.concatenate([self.col_of, np.fromiter(coeffs, dtype=np.int64, count=size)])
+        self.val = np.concatenate([self.val, np.fromiter(coeffs.values(), dtype=float, count=size)])
+        self.rhs = np.append(self.rhs, float(rhs))
+        self.rel = np.append(self.rel, np.int8(RELATIONS.index(relation)))
 
     def set_bounds(self, j: int, lower: float, upper: float) -> None:
         if not 0 <= j < self.num_vars:
             raise ValueError(f"variable index {j} out of range")
         if not math.isfinite(lower) or lower > upper:
             raise ValueError(f"bad bounds [{lower}, {upper}]")
-        self.bounds[j] = (float(lower), float(upper))
+        self.lower[j], self.upper[j] = lower, upper
+
+    @property
+    def constraints(self) -> Sequence:
+        """The rows as ``(coeffs, relation, rhs)``, coeffs a {column: value} map."""
+        return _View(lambda: len(self.rhs), self._row)
+
+    @property
+    def bounds(self) -> Sequence:
+        """The ``(lower, upper)`` pair of every variable."""
+        return _View(lambda: self.num_vars, lambda j: (float(self.lower[j]), float(self.upper[j])))
+
+    def _row(self, i: int) -> tuple:
+        lo, hi = np.searchsorted(self.row_of, (i, i + 1))
+        coeffs = dict(zip(self.col_of[lo:hi].tolist(), self.val[lo:hi].tolist()))
+        return coeffs, RELATIONS[self.rel[i]], float(self.rhs[i])
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return _sum_by(self.row_of, self.val * x[self.col_of], len(self.rhs))
+
+    def transpose_times(self, y: np.ndarray) -> np.ndarray:
+        """A' y."""
+        return _sum_by(self.col_of, self.val * y[self.row_of], self.num_vars)
 
 
 @dataclass
@@ -165,39 +226,6 @@ class Certificate(NamedTuple):
     violations: list
 
 
-class _Rows(NamedTuple):
-    """The rows of an LpProblem as coordinate arrays in row order."""
-
-    row_of: np.ndarray
-    col_of: np.ndarray
-    val: np.ndarray
-    rhs: np.ndarray
-    rel: np.ndarray     # _LE / _GE / _EQ per row
-
-    @classmethod
-    def of(cls, problem: LpProblem) -> "_Rows":
-        cons = problem.constraints
-        m = len(cons)
-        sizes = np.fromiter((len(c) for c, _, _ in cons), dtype=np.int64, count=m)
-        nnz = int(sizes.sum())
-        chain = itertools.chain.from_iterable
-        return cls(
-            np.repeat(np.arange(m), sizes),
-            np.fromiter(chain(c for c, _, _ in cons), dtype=np.int64, count=nnz),
-            np.fromiter(chain(c.values() for c, _, _ in cons), dtype=float, count=nnz),
-            np.fromiter((rhs for _, _, rhs in cons), dtype=float, count=m),
-            np.fromiter((_RELATION_CODE[r] for _, r, _ in cons), dtype=np.int8, count=m),
-        )
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """A x."""
-        return _sum_by(self.row_of, self.val * x[self.col_of], len(self.rhs))
-
-    def transpose_times(self, y: np.ndarray, n: int) -> np.ndarray:
-        """A' y."""
-        return _sum_by(self.col_of, self.val * y[self.row_of], n)
-
-
 def check_feasible(
     problem: LpProblem, point: Sequence[float], tol: float = FEASIBILITY_TOL
 ) -> FeasibilityReport:
@@ -205,19 +233,17 @@ def check_feasible(
     x = np.asarray(point, dtype=float)
     if x.shape != (problem.num_vars,):
         raise ValueError("point length does not match num_vars")
-    return _feasibility(problem, _Rows.of(problem), x, tol, tol)
+    return _feasibility(problem, x, tol, tol)
 
 
-def _feasibility(problem: LpProblem, rows: _Rows, x: np.ndarray, row_tol, bound_tol) -> FeasibilityReport:
+def _feasibility(problem: LpProblem, x: np.ndarray, row_tol, bound_tol) -> FeasibilityReport:
     """Row violations in row order, then bound violations by variable; each
     tolerance is a scalar or one value per row (per variable)."""
-    lhs = rows.times(x)
-    gap = np.where(
-        rows.rel == _LE, lhs - rows.rhs, np.where(rows.rel == _GE, rows.rhs - lhs, np.abs(lhs - rows.rhs))
-    )
+    lhs = problem.times(x)
+    rhs, rel = problem.rhs, problem.rel
+    gap = np.where(rel == LE, lhs - rhs, np.where(rel == GE, rhs - lhs, np.abs(lhs - rhs)))
     violations = [Violation("row", int(i), float(gap[i])) for i in np.flatnonzero(gap > row_tol)]
-    lower = np.array([lo for lo, _ in problem.bounds])
-    upper = np.array([hi for _, hi in problem.bounds])
+    lower, upper = problem.lower, problem.upper
     below = lower - x > bound_tol
     above = x - upper > bound_tol
     for j in np.flatnonzero(below | above):
@@ -226,6 +252,17 @@ def _feasibility(problem: LpProblem, rows: _Rows, x: np.ndarray, row_tol, bound_
         if above[j]:
             violations.append(Violation("upper", int(j), float(x[j] - upper[j])))
     return FeasibilityReport(ok=not violations, violations=violations)
+
+
+def _relative_tolerances(problem: LpProblem, x: np.ndarray, rel_tol: float):
+    """Per row rel_tol (|b_i| + sum_j |a_ij x_j|) and per variable
+    rel_tol (|x_j| + |lower_j| + |upper_j|, an infinite upper bound counted
+    as zero): each check relative to the magnitudes it compares."""
+    row_tol = rel_tol * (np.abs(problem.rhs) + _sum_by(problem.row_of, np.abs(problem.val * x[problem.col_of]),
+                                                       len(problem.rhs)))
+    finite_upper = np.where(np.isfinite(problem.upper), problem.upper, 0.0)
+    bound_tol = rel_tol * (np.abs(x) + np.abs(problem.lower) + np.abs(finite_upper))
+    return row_tol, bound_tol
 
 
 def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certificate:
@@ -241,33 +278,28 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, m = problem.num_vars, len(problem.constraints)
+    n, m = problem.num_vars, len(problem.rhs)
     if x.shape != (n,) or y.shape != (m,):
         raise ValueError("x must have one entry per variable and y one per row")
-    rows = _Rows.of(problem)
-    c = problem.objective
-    lower = np.array([lo for lo, _ in problem.bounds])
-    upper = np.array([hi for _, hi in problem.bounds])
+    c, rel, lower, upper = problem.objective, problem.rel, problem.lower, problem.upper
     violations = []
 
-    row_tol = FEASIBILITY_TOL * (np.abs(rows.rhs) + _sum_by(rows.row_of, np.abs(rows.val * x[rows.col_of]), m))
-    bound_tol = FEASIBILITY_TOL * (np.abs(x) + np.abs(lower) + np.abs(np.where(np.isfinite(upper), upper, 0.0)))
-    for v in _feasibility(problem, rows, x, row_tol, bound_tol).violations:
+    row_tol, bound_tol = _relative_tolerances(problem, x, FEASIBILITY_TOL)
+    for v in _feasibility(problem, x, row_tol, bound_tol).violations:
         violations.append(f"primal: {v.kind} {v.index} violated by {v.amount:.3g}")
 
     y_tol = FEASIBILITY_TOL * (np.abs(y).max() if m else 0.0)
-    for i in np.flatnonzero(((rows.rel == _GE) & (y < -y_tol)) | ((rows.rel == _LE) & (y > y_tol))):
-        kind = ">=" if rows.rel[i] == _GE else "<="
-        violations.append(f"dual sign: y[{i}] = {y[i]:.3g} on a {kind} row")
+    for i in np.flatnonzero(((rel == GE) & (y < -y_tol)) | ((rel == LE) & (y > y_tol))):
+        violations.append(f"dual sign: y[{i}] = {y[i]:.3g} on a {RELATIONS[rel[i]]} row")
 
-    reduced = c - rows.transpose_times(y, n)
-    r_tol = FEASIBILITY_TOL * (np.abs(c) + _sum_by(rows.col_of, np.abs(rows.val * y[rows.row_of]), n))
+    reduced = c - problem.transpose_times(y)
+    r_tol = FEASIBILITY_TOL * (np.abs(c) + _sum_by(problem.col_of, np.abs(problem.val * y[problem.row_of]), n))
     for j in np.flatnonzero(np.isinf(upper) & (reduced < -r_tol)):
         violations.append(f"reduced cost: variable {j} has {reduced[j]:.3g} and no upper bound")
 
     pushes_upper = (reduced < 0) & np.isfinite(upper)
     bound_terms = np.where(pushes_upper, reduced * np.where(pushes_upper, upper, 0.0), reduced * lower)
-    dual_bound = float(rows.rhs @ y + bound_terms.sum())
+    dual_bound = float(problem.rhs @ y + bound_terms.sum())
     objective = float(c @ x)
     scale = max(abs(objective), abs(dual_bound))
     gap = (objective - dual_bound) / scale if scale > 0 else 0.0
@@ -289,25 +321,27 @@ def solve(
     When the hinted basis is feasible, phase 1 is skipped entirely;
     otherwise the hint is discarded and the ordinary two-phase path runs.
 
-    Optimal points are re-verified against the constraints; a warm start
-    that went numerically bad is retried cold before giving up.
+    Optimal points are re-verified against every row and bound, each to
+    1e-6 of the magnitudes it compares and never looser than
+    1e-6 * max(1, max |b|); a warm start that went numerically bad is
+    retried cold before giving up.
     """
-    rows = _Rows.of(problem)
     stats = SolveStats()
-    sol = _solve_once(problem, rows, basis_hint, upper_start, stats)
-    if sol.status != OPTIMAL:
-        return sol
-    scale = max(1.0, *(abs(rhs) for _, _, rhs in problem.constraints)) if problem.constraints else 1.0
-    if _feasibility(problem, rows, sol.values, 1e-6 * scale, 1e-6 * scale).ok:
+    sol = _solve_once(problem, basis_hint, upper_start, stats)
+    if sol.status != OPTIMAL or _rechecked(problem, sol.values):
         return sol
     if basis_hint is not None:
         stats.cold_retry = True
-        sol = _solve_once(problem, rows, None, None, stats)
-        if sol.status != OPTIMAL:
-            return sol
-        if _feasibility(problem, rows, sol.values, 1e-6 * scale, 1e-6 * scale).ok:
+        sol = _solve_once(problem, None, None, stats)
+        if sol.status != OPTIMAL or _rechecked(problem, sol.values):
             return sol
     raise RuntimeError("simplex returned an out-of-tolerance point; problem is badly scaled")
+
+
+def _rechecked(problem: LpProblem, x: np.ndarray) -> bool:
+    cap = _RECHECK_TOL * max(1.0, np.abs(problem.rhs).max(initial=0.0))
+    row_tol, bound_tol = _relative_tolerances(problem, x, _RECHECK_TOL)
+    return _feasibility(problem, x, np.minimum(row_tol, cap), np.minimum(bound_tol, cap)).ok
 
 
 def _pow2(v: float) -> float:
@@ -336,23 +370,21 @@ def _pow2_scaling(row_of, col_of, val, m: int, n: int):
 
 def _solve_once(
     problem: LpProblem,
-    rows: _Rows,
     basis_hint: Sequence[int] | None,
     upper_start: Sequence[int] | None,
     stats: SolveStats,
 ) -> LpSolution:
     n = problem.num_vars
-    m = len(rows.rhs)
-    lower = np.array([b[0] for b in problem.bounds])
-    upper = np.array([b[1] for b in problem.bounds])
-    nz = rows.val != 0.0
-    row_of, col_of, val = rows.row_of[nz], rows.col_of[nz], rows.val[nz]
+    m = len(problem.rhs)
+    lower, upper, rel = problem.lower, problem.upper, problem.rel
+    nz = problem.val != 0.0
+    row_of, col_of, val = problem.row_of[nz], problem.col_of[nz], problem.val[nz]
 
     # shift variables to start at zero (x = lower + y, 0 <= y <= upper -
     # lower), negate >= rows into <= rows, then scale: x = lower + C y^,
     # row i multiplied by R_i, objective divided by gamma
-    b = rows.rhs - _sum_by(row_of, val * lower[col_of], m)
-    sign = np.where(rows.rel == _GE, -1.0, 1.0)
+    b = problem.rhs - _sum_by(row_of, val * lower[col_of], m)
+    sign = np.where(rel == GE, -1.0, 1.0)
     row_scale, col_scale = _pow2_scaling(row_of, col_of, val, m, n)
     b_s = b * sign * row_scale
     ub_s = (upper - lower) / col_scale
@@ -369,10 +401,10 @@ def _solve_once(
 
     simplex = None
     if basis_hint is not None:
-        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rows.rel, basis_hint, upper_start, stats)
+        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rel, basis_hint, upper_start, stats)
         stats.crash_accepted = simplex is not None
     if simplex is None:
-        simplex = _phase1(row_of, col_of, val_s, m, n, b_s, ub_s, rows.rel, stats)
+        simplex = _phase1(row_of, col_of, val_s, m, n, b_s, ub_s, rel, stats)
         if simplex is None:
             return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan), stats=stats)
 
@@ -412,16 +444,17 @@ def _crash(row_of, col_of, val, m, n, b, ub, rel, basis_hint, upper_start, stats
     """
     if len(basis_hint) != m:
         return None
-    hint = np.array([-1 if h is None else int(h) for h in basis_hint], dtype=np.int64)
+    hint = np.asarray(basis_hint, dtype=np.int64)
     kernel_rows = np.flatnonzero(hint >= 0)
     kernel_cols = hint[kernel_rows]
-    if (kernel_cols >= n).any() or len(set(kernel_cols.tolist())) != len(kernel_cols):
+    if (kernel_cols >= n).any() or np.unique(kernel_cols).size != kernel_cols.size:
         return None
-    if (rel[hint < 0] == _EQ).any():
+    if (rel[hint < 0] == EQ).any():
         return None  # == row with no hinted variable
-    at_upper = sorted(set(upper_start or ()))
-    hinted = set(kernel_cols.tolist())
-    if any(not 0 <= j < n or not math.isfinite(ub[j]) or j in hinted for j in at_upper):
+    at_upper = np.unique(np.asarray(() if upper_start is None else upper_start, dtype=np.int64))
+    if ((at_upper < 0) | (at_upper >= n)).any():
+        return None
+    if not np.isfinite(ub[at_upper]).all() or np.isin(at_upper, kernel_cols).any():
         return None
     simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats)
     simplex.x[at_upper] = ub[at_upper]
@@ -440,7 +473,7 @@ def _phase1(row_of, col_of, val, m, n, b, ub, rel, stats):
     column per row whose slack would start outside its bounds, basic in
     that row; afterwards the artificials are fixed at zero and never enter
     again.  Returns None when the problem is infeasible."""
-    art_rows = np.flatnonzero((b < -FEASIBILITY_TOL) | ((rel == _EQ) & (b > FEASIBILITY_TOL)))
+    art_rows = np.flatnonzero((b < -FEASIBILITY_TOL) | ((rel == EQ) & (b > FEASIBILITY_TOL)))
     na = len(art_rows)
     art_cols = n + np.arange(na)
     simplex = _Simplex(
@@ -501,7 +534,7 @@ class _Simplex:
         self.csr_rows, self.csr_cols, self.csr_vals = row_of[by_row], col_of[by_row], val[by_row]
         self.csr_ptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=m))))
         self.b = b
-        self.ub = np.concatenate([ub_struct, np.where(rel == _EQ, 0.0, math.inf)])
+        self.ub = np.concatenate([ub_struct, np.where(rel == EQ, 0.0, math.inf)])
         ncols = nx + m
         self.x = np.zeros(ncols)
         self.status = np.full(ncols, _AT_LOWER, dtype=np.int8)

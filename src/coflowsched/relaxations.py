@@ -44,15 +44,65 @@ class IntervalLpResult:
     solution: lpcore.LpSolution
 
 
-def delta_index(num_coflows: int, k: int, kp: int) -> int:
-    """Column of the ordering variable delta[k, kp] in the full LP layout.
+def delta_index(num_coflows: int, k, kp):
+    """Column of the ordering variable delta[k, kp] in the full LP layout
+    (elementwise for arrays of k and kp).
 
     Layout: completion times occupy columns 0..K-1, then the K*(K-1)
     ordering variables in row-major order with the diagonal skipped.
     """
-    if k == kp:
+    if np.any(np.equal(k, kp)):
         raise ValueError("no ordering variable for a coflow against itself")
-    return num_coflows + k * (num_coflows - 1) + (kp if kp < k else kp - 1)
+    return num_coflows + k * (num_coflows - 1) + kp - np.greater(kp, k)
+
+
+def _pair_index(num_coflows: int, a, b):
+    # triangular layout of pairs a < b after the K completion variables
+    return num_coflows + a * num_coflows - a * (a + 1) // 2 + (b - a - 1)
+
+
+def _port_rows(loads: np.ndarray, s_of: np.ndarray, k_of: np.ndarray,
+               col_table: np.ndarray, sign_table: np.ndarray, rhs: np.ndarray) -> tuple:
+    """The port rows (s_of[r], k_of[r]) of an ordering LP, in row order, as
+    (row_of, col_of, val, rhs, rel).  Row r holds first the completion
+    variable f_k with coefficient 1, then, for each other coflow kp that
+    loads port s, kp ascending, column col_table[k, kp] with coefficient
+    sign_table[k, kp] * loads[s, kp]."""
+    count = len(s_of)
+    mask = np.ones((count, loads.shape[1] + 1), dtype=bool)
+    mask[:, 1:] = loads[s_of] > _LOAD_TOL
+    mask[np.arange(count), 1 + k_of] = False
+    cols = np.concatenate([k_of[:, None], col_table[k_of]], axis=1)
+    vals = np.concatenate([np.ones((count, 1)), sign_table[k_of] * loads[s_of]], axis=1)
+    row_of = np.repeat(np.arange(count), mask.sum(axis=1))
+    return row_of, cols[mask], vals[mask], rhs, np.full(count, lpcore.GE)
+
+
+def _ordering_problem(instance: CoflowInstance, num_vars: int, loads: np.ndarray,
+                      port_rows: tuple, extra_rows: tuple = ()) -> lpcore.LpProblem:
+    """An ordering LP from its port rows, the K release rows
+    f_k >= release + bottleneck, and any further rows; each part is
+    (row_of, col_of, val, rhs, rel) with row ids counted from zero."""
+    kk = instance.num_coflows
+    release = np.array([cf.release for cf in instance.coflows], dtype=float)
+    release_rows = (np.arange(kk), np.arange(kk), np.ones(kk), loads.max(axis=0) + release,
+                    np.full(kk, lpcore.GE))
+    parts = [port_rows, release_rows, *extra_rows]
+    offsets = np.cumsum([0] + [len(part[3]) for part in parts[:-1]])
+    objective = np.zeros(num_vars)
+    objective[:kk] = [cf.weight for cf in instance.coflows]
+    upper = np.ones(num_vars)
+    upper[:kk] = np.inf
+    return lpcore.LpProblem(
+        num_vars,
+        objective=objective,
+        upper=upper,
+        row_of=np.concatenate([part[0] + offset for part, offset in zip(parts, offsets)]),
+        col_of=np.concatenate([part[1] for part in parts]),
+        val=np.concatenate([part[2] for part in parts]),
+        rhs=np.concatenate([part[3] for part in parts]),
+        rel=np.concatenate([part[4] for part in parts]),
+    )
 
 
 def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
@@ -66,39 +116,25 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    n = instance.n_ports
     loads = node_load_matrix(instance) / instance.capacity
-    num_vars = kk + kk * (kk - 1)
-    prob = lpcore.LpProblem(num_vars)
-    prob.objective[:kk] = [cf.weight for cf in instance.coflows]
-    for k in range(kk):
-        for kp in range(kk):
-            if kp != k:
-                prob.set_bounds(delta_index(kk, k, kp), 0.0, 1.0)
-
-    # port rows: source side then destination side
-    for s in range(2 * n):
-        for k in range(kk):
-            coeffs = {k: 1.0}
-            for kp in range(kk):
-                if kp != k and loads[s, kp] > _LOAD_TOL:
-                    coeffs[delta_index(kk, kp, k)] = -loads[s, kp]
-            prob.add_constraint(coeffs, ">=", loads[s, k])
-    # release rows
-    for k, cf in enumerate(instance.coflows):
-        prob.add_constraint({k: 1.0}, ">=", loads[:, k].max() + cf.release)
-    # complementary pair rows
-    for a in range(kk):
-        for b in range(a + 1, kk):
-            prob.add_constraint(
-                {delta_index(kk, a, b): 1.0, delta_index(kk, b, a): 1.0}, "==", 1.0
-            )
-    return prob
-
-
-def _pair_index(num_coflows: int, a: int, b: int) -> int:
-    # triangular layout of pairs a < b after the K completion variables
-    return num_coflows + a * num_coflows - a * (a + 1) // 2 + (b - a - 1)
+    # port rows, source side then destination side:
+    # f_k - sum_kp loads[s, kp] delta[kp, k] >= loads[s, k]
+    s_of, k_of = np.divmod(np.arange(loads.size), kk)
+    k, kp = np.indices((kk, kk))
+    off_diagonal = k != kp
+    col_table = np.zeros((kk, kk), dtype=np.int64)
+    col_table[off_diagonal] = delta_index(kk, kp[off_diagonal], k[off_diagonal])
+    port_rows = _port_rows(loads, s_of, k_of, col_table, np.full((kk, kk), -1.0), loads[s_of, k_of])
+    # complementary pairs: delta[a, b] + delta[b, a] == 1
+    a, b = np.triu_indices(kk, 1)
+    pair_rows = (
+        np.repeat(np.arange(len(a)), 2),
+        np.stack([delta_index(kk, a, b), delta_index(kk, b, a)], axis=1).ravel(),
+        np.ones(2 * len(a)),
+        np.ones(len(a)),
+        np.full(len(a), lpcore.EQ),
+    )
+    return _ordering_problem(instance, kk + kk * (kk - 1), loads, port_rows, (pair_rows,))
 
 
 def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
@@ -116,37 +152,23 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    n = instance.n_ports
     loads = node_load_matrix(instance) / instance.capacity
-    num_vars = kk + kk * (kk - 1) // 2
-    prob = lpcore.LpProblem(num_vars)
-    prob.objective[:kk] = [cf.weight for cf in instance.coflows]
-    for j in range(kk, num_vars):
-        prob.set_bounds(j, 0.0, 1.0)
-
-    for s in range(2 * n):
-        users = np.flatnonzero(loads[s] > _LOAD_TOL)
-        if users.size == 0:
-            continue
-        total = float(loads[s].sum())
-        for k in range(kk):
-            other = total - loads[s, k]
-            if other <= _LOAD_TOL:
-                continue
-            coeffs = {k: 1.0}
-            rhs = loads[s, k]
-            for kp in users:
-                if kp == k:
-                    continue
-                if kp < k:
-                    coeffs[_pair_index(kk, kp, k)] = loads[s, kp]
-                    rhs += loads[s, kp]
-                else:
-                    coeffs[_pair_index(kk, k, kp)] = -loads[s, kp]
-            prob.add_constraint(coeffs, ">=", rhs)
-    for k, cf in enumerate(instance.coflows):
-        prob.add_constraint({k: 1.0}, ">=", loads[:, k].max() + cf.release)
-    return prob
+    used = loads > _LOAD_TOL
+    # row (s, k): f_k + sum_{kp<k} loads[s, kp] p(kp, k) - sum_{kp>k} loads[s, kp] p(k, kp)
+    #             >= loads[s, k] + sum_{kp<k} loads[s, kp]
+    keep = used.any(axis=1)[:, None] & (loads.sum(axis=1)[:, None] - loads > _LOAD_TOL)
+    s_of, k_of = np.nonzero(keep)
+    k, kp = np.indices((kk, kk))
+    col_table = _pair_index(kk, np.minimum(k, kp), np.maximum(k, kp))
+    sign_table = np.where(kp < k, 1.0, -1.0)
+    # the right-hand side adds the loads of the lower-id users in ascending
+    # order, as a sequential sum would (adding 0.0 is exact)
+    rhs = loads.copy()
+    used_loads = np.where(used, loads, 0.0)
+    for lo in range(kk - 1):
+        rhs[:, lo + 1:] += used_loads[:, lo:lo + 1]
+    port_rows = _port_rows(loads, s_of, k_of, col_table, sign_table, rhs[s_of, k_of])
+    return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
 
 def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem):
@@ -169,23 +191,26 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem):
             k,
         ),
     )
-    rank = {k: p for p, k in enumerate(greedy)}
-    upper_start = [
-        _pair_index(kk, a, b)
-        for a in range(kk)
-        for b in range(a + 1, kk)
-        if rank[b] < rank[a]  # pair variable holds "b finishes before a"
-    ]
-    upper_set = set(upper_start)
-    best_row: dict[int, tuple[float, int]] = {}
-    for idx, (coeffs, _, rhs) in enumerate(prob.constraints):
-        k = next(j for j, c in coeffs.items() if j < kk and c == 1.0)
-        eff_rhs = rhs - sum(c for j, c in coeffs.items() if j in upper_set)
-        if k not in best_row or eff_rhs > best_row[k][0]:
-            best_row[k] = (eff_rhs, idx)
-    hint = [-1] * len(prob.constraints)
-    for k, (_, idx) in best_row.items():
-        hint[idx] = k
+    rank = np.empty(kk, dtype=np.int64)
+    rank[greedy] = np.arange(kk)
+    a, b = np.triu_indices(kk, 1)
+    later = rank[b] < rank[a]  # pair variable holds "b finishes before a"
+    upper_start = _pair_index(kk, a[later], b[later])
+    at_upper = np.zeros(prob.num_vars, dtype=bool)
+    at_upper[upper_start] = True
+    m = len(prob.rhs)
+    # each row's right-hand side less its entries at their upper bound,
+    # summed in entry order
+    eff_rhs = prob.rhs - np.bincount(prob.row_of, np.where(at_upper[prob.col_of], prob.val, 0.0), minlength=m)
+    # every row has one completion variable f_k, with coefficient 1
+    is_f = (prob.col_of < kk) & (prob.val == 1.0)
+    row_k = np.empty(m, dtype=np.int64)
+    row_k[prob.row_of[is_f]] = prob.col_of[is_f]
+    # per coflow, the first row with the largest effective right-hand side
+    order = np.lexsort((-eff_rhs, row_k))
+    best = order[np.flatnonzero(np.diff(row_k[order], prepend=-1))]
+    hint = np.full(m, -1, dtype=np.int64)
+    hint[best] = row_k[best]
     return hint, upper_start
 
 
@@ -204,13 +229,12 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
             f"ordering LP should always be solvable, got status {sol.status!r}"
         )
     f_tilde = sol.values[:kk].copy()
+    # the pair variable of (a, b), a < b, holds "b before a"
+    a, b = np.triu_indices(kk, 1)
+    before = np.minimum(np.maximum(sol.values[kk:], 0.0), 1.0)
     delta = np.zeros((kk, kk))
-    for a in range(kk):
-        for b in range(a + 1, kk):
-            # the pair variable holds "b before a"
-            v = min(max(sol.values[_pair_index(kk, a, b)], 0.0), 1.0)
-            delta[b, a] = v
-            delta[a, b] = 1.0 - v
+    delta[b, a] = before
+    delta[a, b] = 1.0 - before
     ordering = sorted(range(kk), key=lambda k: (f_tilde[k], k))
     weights = np.array([cf.weight for cf in instance.coflows])
     return OrderingLpResult(
@@ -222,10 +246,23 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
     )
 
 
-def lp_lower_bound(instance: CoflowInstance) -> float:
-    """Optimal precedence-LP value: a proven lower bound on the best
-    achievable total weighted completion time."""
-    return solve_ordering_lp(instance).objective
+class CertificateError(RuntimeError):
+    """An LP solution whose duals do not certify it."""
+
+
+def lp_lower_bound(instance: CoflowInstance, result: OrderingLpResult | None = None) -> float:
+    """A proven lower bound on the best achievable total weighted
+    completion time: the dual bound that the precedence LP's optimal duals
+    certify (weak duality), from ``result`` when given.  Raises
+    CertificateError, naming the failed checks, when they do not certify."""
+    if result is None:
+        result = solve_ordering_lp(instance)
+    sol = result.solution
+    certificate = lpcore.certify(_build_reduced_ordering_lp(instance), sol.values, sol.duals)
+    if not certificate.ok:
+        raise CertificateError("ordering LP duals do not certify the optimum: "
+                               + "; ".join(certificate.violations))
+    return certificate.dual_bound
 
 
 def interval_grid(instance: CoflowInstance, time_unit: float = 1.0) -> np.ndarray:
@@ -248,34 +285,34 @@ def build_interval_lp(
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    n = instance.n_ports
     grid = interval_grid(instance, time_unit)
     nl = len(grid) - 1
     loads = node_load_matrix(instance) / instance.capacity
+    weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
+    release = np.array([cf.release for cf in instance.coflows], dtype=float)
 
-    def var(k: int, l: int) -> int:
-        return k * nl + l
-
-    prob = lpcore.LpProblem(kk * nl)
-    for k, cf in enumerate(instance.coflows):
-        earliest = cf.release + loads[:, k].max()
-        for l in range(nl):
-            prob.objective[var(k, l)] = cf.weight * grid[l]
-            prob.set_bounds(var(k, l), 0.0, 1.0)
-            if grid[l + 1] < earliest - 1e-9:
-                prob.set_bounds(var(k, l), 0.0, 0.0)
-        prob.add_constraint({var(k, l): 1.0 for l in range(nl)}, "==", 1.0)
-    for s in range(2 * n):
-        if loads[s].sum() <= _LOAD_TOL:
-            continue
-        for l in range(nl):
-            coeffs = {}
-            for k in range(kk):
-                if loads[s, k] > _LOAD_TOL:
-                    for lp in range(l + 1):
-                        coeffs[var(k, lp)] = loads[s, k]
-            prob.add_constraint(coeffs, "<=", grid[l + 1])
-    return prob, grid
+    # variable k * nl + l; intervals ending before the coflow can finish are fixed at 0
+    earliest = release + loads.max(axis=0)
+    objective = (weight[:, None] * grid[None, :-1]).ravel()
+    upper = np.where(grid[None, 1:] < earliest[:, None] - 1e-9, 0.0, 1.0).ravel()
+    # assignment rows: sum_l x[k, l] == 1
+    cols = np.arange(kk * nl)
+    # port rows (s, l): sum_k loads[s, k] sum_{l' <= l} x[k, l'] <= grid[l + 1]
+    ports = np.flatnonzero(loads.sum(axis=1) > _LOAD_TOL)
+    users = loads[ports] > _LOAD_TOL
+    done_by = np.tri(nl, dtype=bool)                      # [l, l']: l' <= l
+    si, l, k, lp = np.nonzero(users[:, None, :, None] & done_by[None, :, None, :])
+    n_port_rows = len(ports) * nl
+    return lpcore.LpProblem(
+        kk * nl,
+        objective=objective,
+        upper=upper,
+        row_of=np.concatenate([cols // nl, kk + si * nl + l]),
+        col_of=np.concatenate([cols, k * nl + lp]),
+        val=np.concatenate([np.ones(kk * nl), loads[ports[si], k]]),
+        rhs=np.concatenate([np.ones(kk), np.tile(grid[1:], len(ports))]),
+        rel=np.concatenate([np.full(kk, lpcore.EQ), np.full(n_port_rows, lpcore.LE)]),
+    ), grid
 
 
 def solve_interval_lp(
@@ -286,9 +323,8 @@ def solve_interval_lp(
     prob, grid = build_interval_lp(instance, time_unit)
     nl = len(grid) - 1
     # crash basis: everything assigned to the last interval is feasible
-    hint = [-1] * len(prob.constraints)
-    for k in range(kk):
-        hint[k] = k * nl + (nl - 1)
+    hint = np.full(len(prob.rhs), -1, dtype=np.int64)
+    hint[:kk] = np.arange(kk) * nl + (nl - 1)
     sol = lpcore.solve(prob, basis_hint=hint)
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(

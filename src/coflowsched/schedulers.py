@@ -176,24 +176,14 @@ def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
     return rates
 
 
-def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Schedule:
-    """List scheduling with the ordering recomputed online.
-
-    In "on-arrival" mode the precedence LP is re-solved over the remaining
-    demands of the released coflows at every arrival; with a numeric
-    ``resolve_period`` it is re-solved on that fixed cadence instead, and
-    coflows arriving between re-solves queue behind the ordered ones until
-    the next re-solve picks them up.
+def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
+    """List scheduling with the ordering recomputed online: the precedence
+    LP is re-solved over the remaining demands of the released coflows at
+    every arrival.
     """
-    on_arrival = resolve_period == "on-arrival"
-    if not on_arrival:
-        period = float(resolve_period)
-        if not period > 0:
-            raise ValueError("resolve_period must be positive or 'on-arrival'")
     run = FluidRun(instance)
     pos: dict[int, int] = {}
     seen: set[int] = set()
-    next_resolve = 0.0
 
     def sort_key(f: FlowKey):
         if f.coflow in pos:
@@ -202,7 +192,7 @@ def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Sc
         return (1, 0, release, f.coflow, f.source, f.dest)
 
     # the keys only change when pos does, so the queue is re-sorted at
-    # re-solves alone; unordered coflows wait behind in release order
+    # re-solves alone
     queue = sorted((key for key, _ in instance.flows()), key=sort_key)
 
     def resolve(now: float) -> None:
@@ -220,19 +210,12 @@ def lp_ov_ls_online(instance: CoflowInstance, resolve_period="on-arrival") -> Sc
         queue.sort(key=sort_key)
 
     while not run.done():
-        if on_arrival:
-            active_now = set(run.active_coflows())
-            if active_now - seen:
-                resolve(run.time)
-                seen = active_now
-        else:
-            if run.time + EVENT_EPS >= next_resolve:
-                resolve(run.time)
-                while next_resolve <= run.time + EVENT_EPS:
-                    next_resolve += period
+        active_now = set(run.active_coflows())
+        if active_now - seen:
+            resolve(run.time)
+            seen = active_now
         run.set_rates(_list_schedule_rates(run, queue))
-        limit = None if on_arrival else max(next_resolve - run.time, EVENT_EPS)
-        run.step(max_dt=limit)
+        run.step()
     return _schedule_from_run(run)
 
 

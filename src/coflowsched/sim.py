@@ -138,12 +138,8 @@ class FluidRun:
             dt = min(dt, upcoming - self.time)
         return None if math.isinf(dt) else dt
 
-    def step(self, max_dt: float | None = None) -> None:
-        """Advance to the next event, recording the segment traversed.
-
-        ``max_dt`` caps the advance (used by schedulers that must wake up
-        at fixed re-planning times even when no event falls there).
-        """
+    def step(self) -> None:
+        """Advance to the next event, recording the segment traversed."""
         dt = self.next_event()
         if dt is None:
             if not self.done():
@@ -151,8 +147,6 @@ class FluidRun:
                     "no rates assigned and no pending releases, but work remains"
                 )
             return
-        if max_dt is not None:
-            dt = min(dt, max_dt)
         now = self.time + dt
         if dt > 0.0 and self.rates:
             self.segments.append((self.time, now, dict(self.rates)))

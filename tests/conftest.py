@@ -42,6 +42,28 @@ def tiny_instances(count: int, zero_release: bool = False, seed0: int = 0):
     return out
 
 
+# the fixed-seed instances of the golden tests:
+# name -> (kind, ports, coflows, interarrival range or None, seed, weight mode)
+GOLDEN_INSTANCES = {
+    "dense-releases": ("dense", 5, 10, (1, 30), 11, "uniform-random"),
+    "dense-zero": ("dense", 5, 10, None, 12, "unit"),
+    "combined-releases": ("combined", 8, 12, (1, 30), 13, "uniform-random"),
+    "combined-zero": ("combined", 8, 12, None, 14, "uniform-random"),
+}
+
+
+def golden_instance(name: str) -> CoflowInstance:
+    from coflowsched.workload import SyntheticConfig, assign_weights, generate
+
+    kind, ports, coflows, gaps, seed, weights = GOLDEN_INSTANCES[name]
+    instance = generate(
+        SyntheticConfig(
+            n_ports=ports, n_coflows=coflows, kind=kind, interarrival_range=gaps, seed=seed
+        )
+    )
+    return assign_weights(instance, weights, seed=seed)
+
+
 def lp_certificates(instance, ordering_result=None):
     """Certificates of the solutions behind ``solve_ordering_lp`` (or the
     given result of it) and ``solve_interval_lp`` on an instance."""

@@ -128,6 +128,24 @@ def test_lp_bound_verb(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(10.0)
 
 
+def test_failed_lp_certificate_exits_one(tmp_path, capsys, monkeypatch):
+    from coflowsched import lpcore
+
+    inst_path = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst_path)
+
+    def failing(problem, x, y):
+        return lpcore.Certificate(False, 10.0, 10.0, 0.0, ["dual sign: y[3] = -1 on a >= row"])
+
+    monkeypatch.setattr(lpcore, "certify", failing)
+    for argv in (["lp-bound"], ["run", "--reps", "1", "--schedulers", "lp-ov-ls"]):
+        assert cli.main(argv + ["--instance", str(inst_path)]) == 1
+        captured = capsys.readouterr()
+        assert "invariant violation" in captured.err
+        assert "dual sign: y[3] = -1 on a >= row" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_validate_verb_accepts_and_rejects(tmp_path):
     dumps = tmp_path / "dumps"
     rc = cli.main(["run", "--workload", "dense", "--ports", "2", "--coflows", "2",

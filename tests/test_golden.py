@@ -16,26 +16,10 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import lp_certificates
+from conftest import GOLDEN_INSTANCES, golden_instance, lp_certificates
 
 from coflowsched import schedulers
 from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
-from coflowsched.workload import SyntheticConfig, assign_weights, generate
-
-# name -> (kind, ports, coflows, interarrival range or None, seed, weight mode)
-INSTANCES = {
-    "dense-releases": ("dense", 5, 10, (1, 30), 11, "uniform-random"),
-    "dense-zero": ("dense", 5, 10, None, 12, "unit"),
-    "combined-releases": ("combined", 8, 12, (1, 30), 13, "uniform-random"),
-    "combined-zero": ("combined", 8, 12, None, 14, "uniform-random"),
-}
-
-# the CLI registry (lp-ii-gb solves its own interval LP) plus a periodic
-# re-solve variant of the online scheduler
-SCHEDULERS = {
-    **schedulers.SCHEDULERS,
-    "lp-ov-ls-online-25": lambda inst, lp: schedulers.lp_ov_ls_online(inst, 25.0),
-}
 
 GOLDEN = {
     "combined-releases": {
@@ -43,7 +27,6 @@ GOLDEN = {
         "lp-ov-gb": "8ba059900ad11b755270c69f7e63f8b16215e40a465cf0ad72e007b0497ea0fa",
         "lp-ov-ls": "5809c614d6a5e939f05ff4b9872ec76a11cdfe4112954c7313084419ada592cf",
         "lp-ov-ls-online": "ff320033a8b9dafce3bf4bacf05cc064923e844e248d3694e3582436f463e0f7",
-        "lp-ov-ls-online-25": "5b99991b6e565c261d1ab311884ffebf5a9cc484e9c34977c9bf202de28f122e",
         "varys": "1a13ee7d5f99eeb84fbbef857655e8fcf033b0e06cfa96c942be2e409ab3c35c",
     },
     "combined-zero": {
@@ -51,7 +34,6 @@ GOLDEN = {
         "lp-ov-gb": "53f4931dc3f670db42cd831803dc5a72c33d8e8e4a6f0907463e58c066e37523",
         "lp-ov-ls": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
         "lp-ov-ls-online": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
-        "lp-ov-ls-online-25": "99ed6f3a7da94916c1c5af8650735be9e5cf57d5237af924d021b5c1c6e2ec39",
         "varys": "a6631d536a0cdc66ec44ad9f40aae72d2dcb0046c77ef10665f6f71a1a58a6f9",
     },
     "dense-releases": {
@@ -59,7 +41,6 @@ GOLDEN = {
         "lp-ov-gb": "762336810b6b537a228548f3dd4a4b5f8d50f0e90c0fe375a6385a7e428ef2ed",
         "lp-ov-ls": "5d3fa046b76fe349f4afb82d596202d57f8fe4639b2264e4c51fb87a724411c5",
         "lp-ov-ls-online": "2b16264b9db176ced4ca9c9b80f1c673f723c4169644b70abb255e92246d86cc",
-        "lp-ov-ls-online-25": "c3a5330f89c75e2441bcf292aa7379cd93b54577e1cd9ab98150c7c53f71877d",
         "varys": "f6b7f75e835801065fe360cbaa961b1edc51d097011673fb2819b9a6233a5c15",
     },
     "dense-zero": {
@@ -67,7 +48,6 @@ GOLDEN = {
         "lp-ov-gb": "8f677ee984d0603ed23b3fd7d315ed5bc771703f8c0d2e3c9db4a1403523304a",
         "lp-ov-ls": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
         "lp-ov-ls-online": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
-        "lp-ov-ls-online-25": "ba9e30b9f12930e9beff8e59a50262cc1daf25143293bd7032f50fd71c318ca3",
         "varys": "6cf69283606b31660177cbe8d193944be3ea0d10be356b24702edda8da37d39b",
     },
 }
@@ -120,13 +100,7 @@ GOLDEN_LP = {
 
 @lru_cache(maxsize=None)
 def _case(name):
-    kind, ports, coflows, gaps, seed, weights = INSTANCES[name]
-    instance = generate(
-        SyntheticConfig(
-            n_ports=ports, n_coflows=coflows, kind=kind, interarrival_range=gaps, seed=seed
-        )
-    )
-    instance = assign_weights(instance, weights, seed=seed)
+    instance = golden_instance(name)
     return instance, solve_ordering_lp(instance)
 
 
@@ -135,15 +109,15 @@ def schedule_digest(schedule) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-@pytest.mark.parametrize("instance_name", sorted(INSTANCES))
+@pytest.mark.parametrize("scheduler", sorted(schedulers.SCHEDULERS))
+@pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))
 def test_schedule_matches_pinned_digest(instance_name, scheduler):
     instance, lp = _case(instance_name)
-    schedule = SCHEDULERS[scheduler](instance, lp)
+    schedule = schedulers.SCHEDULERS[scheduler](instance, lp)
     assert schedule_digest(schedule) == GOLDEN[instance_name][scheduler]
 
 
-@pytest.mark.parametrize("instance_name", sorted(INSTANCES))
+@pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))
 def test_lp_solutions_match_pinned_digests(instance_name):
     instance, lp = _case(instance_name)
     interval = solve_interval_lp(instance)
@@ -154,7 +128,7 @@ def test_lp_solutions_match_pinned_digests(instance_name):
     assert got == GOLDEN_LP[instance_name]
 
 
-@pytest.mark.parametrize("instance_name", sorted(INSTANCES))
+@pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))
 def test_lp_duals_certify_both_optima(instance_name):
     instance, lp = _case(instance_name)
     for certificate in lp_certificates(instance, lp):

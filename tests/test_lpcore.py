@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_upper_bounds_and_equality():
 
 
 def test_shifted_lower_bounds():
-    p = LpProblem(1, objective=[1.0], bounds=[(2.0, 10.0)])
+    p = LpProblem(1, objective=[1.0], lower=[2.0], upper=[10.0])
     p.add_constraint({0: 1.0}, ">=", 1.0)
     s = solve(p)
     assert s.values[0] == pytest.approx(2.0)
@@ -277,3 +278,89 @@ def test_duals_in_caller_sign_convention():
     assert s.duals.tolist() == pytest.approx([1.5, 0.0, -0.5])
     cert = lpcore.certify(p, s.values, s.duals)
     assert cert.ok and cert.dual_bound == pytest.approx(3.0)
+
+
+def test_hand_built_rows_and_bounds_read_back_as_added():
+    p = LpProblem(3, objective=[1.0, 0.0, 2.0])
+    rows = [
+        ({2: 1.5, 0: -1.0}, "<=", 4.0),
+        ({1: 1.0}, ">=", 0.25),
+        ({}, "<=", 1.0),
+        ({0: 1.0, 1: 1.0, 2: 1.0}, "==", 3.0),
+    ]
+    for coeffs, relation, rhs in rows:
+        p.add_constraint(coeffs, relation, rhs)
+    p.add_constraint({1: -2.0}, "=", 0.0)
+    rows.append(({1: -2.0}, "==", 0.0))
+    p.set_bounds(1, -2.0, 5.0)
+    p.set_bounds(2, 0.5, math.inf)
+    assert len(p.constraints) == len(rows)
+    assert list(p.constraints) == rows
+    # columns come back in the order they were added
+    assert [list(coeffs) for coeffs, _, _ in p.constraints] == [list(c) for c, _, _ in rows]
+    assert p.constraints[-1] == rows[-1]
+    assert p.constraints[1:3] == rows[1:3]
+    with pytest.raises(IndexError):
+        p.constraints[len(rows)]
+    assert list(p.bounds) == [(0.0, math.inf), (-2.0, 5.0), (0.5, math.inf)]
+    assert p.lower.tolist() == [0.0, -2.0, 0.5]
+
+
+def test_array_constructor_rejects_malformed_rows():
+    rows = dict(row_of=[0, 1], col_of=[0, 1], val=[1.0, 1.0], rhs=[1.0, 1.0], rel=[lpcore.GE, lpcore.LE])
+    assert len(LpProblem(2, **rows).constraints) == 2
+    for change in (
+        dict(row_of=[1, 0]),                    # not in row order
+        dict(row_of=[0, 2]),                    # no row 2
+        dict(col_of=[0, 2]),                    # no variable 2
+        dict(rel=[lpcore.GE, 7]),
+        dict(rhs=[1.0]),
+    ):
+        with pytest.raises(ValueError):
+            LpProblem(2, **{**rows, **change})
+
+
+def _scaled_ordering_instance(scale):
+    from coflowsched.model import Coflow, CoflowInstance
+    from coflowsched.workload import SyntheticConfig, generate
+
+    inst = generate(SyntheticConfig(n_ports=5, n_coflows=10, kind="dense", seed=0))
+    return CoflowInstance(
+        inst.n_ports,
+        [
+            Coflow({pair: size * scale for pair, size in cf.demands.items()},
+                   release=cf.release * scale, weight=cf.weight)
+            for cf in inst.coflows
+        ],
+        inst.capacity,
+    )
+
+
+@pytest.mark.parametrize("wrong_calls", ["first", "all"])
+def test_recheck_rejects_a_wrong_point_at_small_scale(monkeypatch, wrong_calls):
+    # every size and release times 1e-9: right-hand sides near 1e-7, far
+    # below an absolute tolerance of 1e-6, so only a relative re-check sees
+    # completion times 0.6% too small
+    from coflowsched.relaxations import solve_ordering_lp
+
+    inst = _scaled_ordering_instance(1e-9)
+    right = solve_ordering_lp(inst)
+    solve_once = lpcore._solve_once
+    calls = []
+
+    def wrong(*args, **kwargs):
+        sol = solve_once(*args, **kwargs)
+        calls.append(sol)
+        if wrong_calls == "all" or len(calls) == 1:
+            sol.values[: inst.num_coflows] *= 0.994
+        return sol
+
+    monkeypatch.setattr(lpcore, "_solve_once", wrong)
+    if wrong_calls == "all":
+        with pytest.raises(RuntimeError, match="out-of-tolerance"):
+            solve_ordering_lp(inst)
+        return
+    got = solve_ordering_lp(inst)
+    assert got.solution.stats.cold_retry
+    assert len(calls) == 2
+    np.testing.assert_allclose(got.f_tilde, right.f_tilde, rtol=1e-9, atol=0.0)

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from coflowsched import lpcore
-from coflowsched.model import Coflow, CoflowInstance, prefix_bottlenecks
+from conftest import GOLDEN_INSTANCES, golden_instance
+
+from coflowsched import lpcore, schedulers
+from coflowsched.model import Coflow, CoflowInstance, effective_size, node_load_matrix, prefix_bottlenecks
 from coflowsched.relaxations import (
     _build_reduced_ordering_lp,
+    _ordering_crash_basis,
     build_interval_lp,
     build_ordering_lp,
+    delta_index,
     interval_grid,
     lp_lower_bound,
     solve_interval_lp,
@@ -18,7 +24,7 @@ from coflowsched.verify import (
     oracle_opt,
     staggered_release_fixture,
 )
-from coflowsched.workload import SyntheticConfig, generate
+from coflowsched.workload import SyntheticConfig, assign_weights, generate
 
 
 def test_single_coflow_lp_optimum():
@@ -92,6 +98,26 @@ def test_delta_pair_sums_and_range():
 def test_lower_bound_single_coflow_exact():
     inst = CoflowInstance(2, [Coflow({(0, 1): 4.0}, release=1.0, weight=3.0)])
     assert lp_lower_bound(inst) == pytest.approx(15.0)
+
+
+def test_lower_bound_is_the_certified_dual_bound():
+    inst = generate(SyntheticConfig(n_ports=4, n_coflows=8, kind="combined", seed=3))
+    res = solve_ordering_lp(inst)
+    certificate = lpcore.certify(_build_reduced_ordering_lp(inst), res.solution.values, res.solution.duals)
+    assert certificate.ok
+    assert lp_lower_bound(inst) == certificate.dual_bound
+    assert lp_lower_bound(inst, res) == certificate.dual_bound
+    assert abs(certificate.dual_bound - res.objective) <= 1e-9 * res.objective
+
+
+def test_lower_bound_refuses_duals_that_do_not_certify():
+    from coflowsched.relaxations import CertificateError
+
+    inst = staggered_release_fixture()
+    res = solve_ordering_lp(inst)
+    res.solution.duals[0] = -1.0  # a >= row
+    with pytest.raises(CertificateError, match=r"dual sign: y\[0\]"):
+        lp_lower_bound(inst, res)
 
 
 def test_lower_bound_below_oracle():
@@ -201,3 +227,229 @@ def test_ordering_lp_does_not_depend_on_units(scale):
         got = solve_ordering_lp(scaled)
         assert got.ordering == base.ordering
         np.testing.assert_allclose(got.f_tilde / scale, base.f_tilde, rtol=1e-9, atol=0.0)
+
+
+# -- the array builders against row-by-row references ------------------------
+#
+# The references below write each LP row by row into {column: value} maps,
+# the way the builders did before they wrote coordinate arrays; the solver
+# turned such rows into arrays in row order, columns in insertion order.
+# The array builders must give the same arrays bit for bit, so that the
+# simplex sees the same input and takes the same pivots.
+
+_TOL = 1e-12
+
+
+def _reference_ordering_lp(instance):
+    kk, n = instance.num_coflows, instance.n_ports
+    loads = node_load_matrix(instance) / instance.capacity
+    num_vars = kk + kk * (kk - 1)
+    bounds = [(0.0, math.inf)] * kk + [(0.0, 1.0)] * (num_vars - kk)
+    rows = []
+    for s in range(2 * n):
+        for k in range(kk):
+            coeffs = {k: 1.0}
+            for kp in range(kk):
+                if kp != k and loads[s, kp] > _TOL:
+                    coeffs[delta_index(kk, kp, k)] = -loads[s, kp]
+            rows.append((coeffs, ">=", loads[s, k]))
+    for k, cf in enumerate(instance.coflows):
+        rows.append(({k: 1.0}, ">=", loads[:, k].max() + cf.release))
+    for a in range(kk):
+        for b in range(a + 1, kk):
+            rows.append(({delta_index(kk, a, b): 1.0, delta_index(kk, b, a): 1.0}, "==", 1.0))
+    return _reference_problem(instance, num_vars, bounds, rows)
+
+
+def _reference_pair_index(kk, a, b):
+    return kk + a * kk - a * (a + 1) // 2 + (b - a - 1)
+
+
+def _reference_reduced_lp(instance):
+    kk, n = instance.num_coflows, instance.n_ports
+    loads = node_load_matrix(instance) / instance.capacity
+    num_vars = kk + kk * (kk - 1) // 2
+    bounds = [(0.0, math.inf)] * kk + [(0.0, 1.0)] * (num_vars - kk)
+    rows = []
+    for s in range(2 * n):
+        users = np.flatnonzero(loads[s] > _TOL)
+        if users.size == 0:
+            continue
+        total = float(loads[s].sum())
+        for k in range(kk):
+            if total - loads[s, k] <= _TOL:
+                continue
+            coeffs = {k: 1.0}
+            rhs = loads[s, k]
+            for kp in users:
+                if kp < k:
+                    coeffs[_reference_pair_index(kk, kp, k)] = loads[s, kp]
+                    rhs += loads[s, kp]
+                elif kp > k:
+                    coeffs[_reference_pair_index(kk, k, kp)] = -loads[s, kp]
+            rows.append((coeffs, ">=", rhs))
+    for k, cf in enumerate(instance.coflows):
+        rows.append(({k: 1.0}, ">=", loads[:, k].max() + cf.release))
+    return _reference_problem(instance, num_vars, bounds, rows)
+
+
+def _reference_problem(instance, num_vars, bounds, rows):
+    objective = np.zeros(num_vars)
+    objective[: instance.num_coflows] = [cf.weight for cf in instance.coflows]
+    return objective, bounds, rows
+
+
+def _reference_interval_lp(instance, time_unit=1.0):
+    kk, n = instance.num_coflows, instance.n_ports
+    grid = interval_grid(instance, time_unit)
+    nl = len(grid) - 1
+    loads = node_load_matrix(instance) / instance.capacity
+    objective = np.zeros(kk * nl)
+    bounds = [None] * (kk * nl)
+    rows = []
+    for k, cf in enumerate(instance.coflows):
+        earliest = cf.release + loads[:, k].max()
+        for l in range(nl):
+            objective[k * nl + l] = cf.weight * grid[l]
+            bounds[k * nl + l] = (0.0, 0.0 if grid[l + 1] < earliest - 1e-9 else 1.0)
+        rows.append(({k * nl + l: 1.0 for l in range(nl)}, "==", 1.0))
+    for s in range(2 * n):
+        if loads[s].sum() <= _TOL:
+            continue
+        for l in range(nl):
+            coeffs = {}
+            for k in range(kk):
+                if loads[s, k] > _TOL:
+                    for lp in range(l + 1):
+                        coeffs[k * nl + lp] = loads[s, k]
+            rows.append((coeffs, "<=", grid[l + 1]))
+    return objective, bounds, rows
+
+
+def _reference_crash_basis(instance, rows):
+    kk = instance.num_coflows
+    greedy = sorted(
+        range(kk),
+        key=lambda k: (
+            instance.coflows[k].release
+            + effective_size(instance.coflows[k], instance.n_ports)
+            / (instance.capacity * instance.coflows[k].weight),
+            k,
+        ),
+    )
+    rank = {k: p for p, k in enumerate(greedy)}
+    upper_start = [
+        _reference_pair_index(kk, a, b)
+        for a in range(kk)
+        for b in range(a + 1, kk)
+        if rank[b] < rank[a]
+    ]
+    upper_set = set(upper_start)
+    best_row = {}
+    for idx, (coeffs, _, rhs) in enumerate(rows):
+        k = next(j for j, c in coeffs.items() if j < kk and c == 1.0)
+        eff_rhs = rhs - sum(c for j, c in coeffs.items() if j in upper_set)
+        if k not in best_row or eff_rhs > best_row[k][0]:
+            best_row[k] = (eff_rhs, idx)
+    hint = [-1] * len(rows)
+    for k, (_, idx) in best_row.items():
+        hint[idx] = k
+    return hint, upper_start
+
+
+def _same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def _assert_same_lp(prob, reference):
+    objective, bounds, rows = reference
+    sizes = [len(coeffs) for coeffs, _, _ in rows]
+    expected = {
+        "row_of": np.repeat(np.arange(len(rows)), sizes),
+        "col_of": np.fromiter((j for coeffs, _, _ in rows for j in coeffs), dtype=np.int64),
+        "val": np.fromiter((c for coeffs, _, _ in rows for c in coeffs.values()), dtype=float),
+        "rhs": np.array([float(rhs) for _, _, rhs in rows]),
+        "rel": np.array([lpcore.RELATIONS.index(rel) for _, rel, _ in rows], dtype=np.int8),
+        "lower": np.array([lo for lo, _ in bounds]),
+        "upper": np.array([hi for _, hi in bounds]),
+        "objective": objective,
+    }
+    for name, array in expected.items():
+        assert _same_bits(getattr(prob, name), array), name
+
+
+def _random_scaled_instances(count):
+    rng = np.random.default_rng(2024)
+    for seed in range(count):
+        inst = generate(
+            SyntheticConfig(
+                n_ports=int(rng.integers(3, 9)),
+                n_coflows=int(rng.integers(4, 13)),
+                kind="dense" if seed % 2 else "combined",
+                interarrival_range=(1, 50),
+                seed=300 + seed,
+            )
+        )
+        inst = assign_weights(inst, "uniform-random", seed=300 + seed)
+        factor = float(rng.uniform(0.01, 100.0))
+        yield CoflowInstance(
+            inst.n_ports,
+            [
+                Coflow({pair: size * factor for pair, size in cf.demands.items()},
+                       release=cf.release, weight=cf.weight)
+                for cf in inst.coflows
+            ],
+            inst.capacity,
+        )
+
+
+def _online_residual_instances(monkeypatch):
+    """Every residual instance that lp-ov-ls-online hands to the ordering
+    LP on two instances shaped like the online benchmark workload."""
+    seen = []
+    solve = schedulers.solve_ordering_lp
+
+    def recording(instance):
+        seen.append(instance)
+        return solve(instance)
+
+    monkeypatch.setattr(schedulers, "solve_ordering_lp", recording)
+    for seed in (10_000, 10_001):
+        schedulers.lp_ov_ls_online(generate(
+            SyntheticConfig(n_ports=8, n_coflows=20, kind="dense", interarrival_range=(1, 100), seed=seed)
+        ))
+    monkeypatch.undo()
+    assert len(seen) >= 30
+    return seen
+
+
+def _assert_reduced_lp_matches(instance):
+    reduced = _build_reduced_ordering_lp(instance)
+    reference = _reference_reduced_lp(instance)
+    _assert_same_lp(reduced, reference)
+    hint, upper_start = _ordering_crash_basis(instance, reduced)
+    ref_hint, ref_upper = _reference_crash_basis(instance, reference[2])
+    assert _same_bits(hint, np.array(ref_hint, dtype=np.int64))
+    assert _same_bits(upper_start, np.array(ref_upper, dtype=np.int64))
+
+
+def _assert_builders_match(instance):
+    _assert_same_lp(build_ordering_lp(instance), _reference_ordering_lp(instance))
+    _assert_reduced_lp_matches(instance)
+    _assert_same_lp(build_interval_lp(instance)[0], _reference_interval_lp(instance))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+def test_array_builders_match_row_by_row_reference_on_golden_instances(name):
+    _assert_builders_match(golden_instance(name))
+
+
+def test_array_builders_match_row_by_row_reference_on_scaled_random_instances():
+    for instance in _random_scaled_instances(20):
+        _assert_builders_match(instance)
+
+
+def test_reduced_lp_and_crash_basis_match_reference_on_online_residuals(monkeypatch):
+    for instance in _online_residual_instances(monkeypatch):
+        _assert_reduced_lp_matches(instance)

@@ -81,14 +81,6 @@ def test_online_staggered_within_bound():
     assert total_weighted_completion(sched, inst) <= 5 * lp_lower_bound(inst) + 1e-6
 
 
-def test_online_periodic_mode():
-    inst = staggered_release_fixture()
-    sched = lp_ov_ls_online(inst, resolve_period=2.0)
-    assert validate(sched, inst).ok
-    with pytest.raises(ValueError):
-        lp_ov_ls_online(inst, resolve_period=0.0)
-
-
 # -- varys ------------------------------------------------------------------
 
 def test_varys_blocking_pair_total():
