@@ -447,14 +447,18 @@ def _crash(row_of, col_of, val, m, n, b, ub, rel, basis_hint, upper_start, stats
     hint = np.asarray(basis_hint, dtype=np.int64)
     kernel_rows = np.flatnonzero(hint >= 0)
     kernel_cols = hint[kernel_rows]
-    if (kernel_cols >= n).any() or np.unique(kernel_cols).size != kernel_cols.size:
+    if (kernel_cols >= n).any():
+        return None
+    hinted = np.bincount(kernel_cols, minlength=n)
+    if (hinted > 1).any():
         return None
     if (rel[hint < 0] == EQ).any():
         return None  # == row with no hinted variable
-    at_upper = np.unique(np.asarray(() if upper_start is None else upper_start, dtype=np.int64))
-    if ((at_upper < 0) | (at_upper >= n)).any():
+    upper = np.asarray(() if upper_start is None else upper_start, dtype=np.int64)
+    if ((upper < 0) | (upper >= n)).any():
         return None
-    if not np.isfinite(ub[at_upper]).all() or np.isin(at_upper, kernel_cols).any():
+    at_upper = np.flatnonzero(np.bincount(upper, minlength=n))
+    if not np.isfinite(ub[at_upper]).all() or hinted[at_upper].any():
         return None
     simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats)
     simplex.x[at_upper] = ub[at_upper]
