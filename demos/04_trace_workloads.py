@@ -4,12 +4,14 @@
 Each record carries an arrival time, mapper racks, and per-reducer shuffle
 megabytes; reducer volume is spread evenly over the mappers, links run at
 128 MB/s, and arrivals are compressed tenfold into release times.  The
-slotted scheduler runs at 1/128 s per slot so one slot moves one megabyte.
+slotted scheduler picks the coarsest power-of-two slot in which every flow
+takes whole slots: 1/128 s here, so one slot moves one megabyte.
 """
 
 import pathlib
 
 from coflowsched import lp_ii_gb, lp_ov_ls, solve_ordering_lp, varys
+from coflowsched.relaxations import slot_length
 from coflowsched.sim import total_weighted_completion, validate
 from coflowsched.workload import ingest_trace, parse_trace_csv
 
@@ -30,7 +32,7 @@ print(f"LP lower bound: {result.objective:.3f} weighted seconds")
 for name, sched in (
     ("lp-ov-ls", lp_ov_ls(inst, result)),
     ("varys", varys(inst)),
-    ("lp-ii-gb @ 1/128 s", lp_ii_gb(inst, time_unit=1 / 128)),
+    (f"lp-ii-gb @ 1/{1 / slot_length(inst):g} s", lp_ii_gb(inst)),
 ):
     total = total_weighted_completion(sched, inst)
     print(f"  {name:18s} total={total:8.3f}  feasible={validate(sched, inst).ok}")

@@ -29,8 +29,6 @@ from .relaxations import (
 )
 from .schedulers import (
     GroupPartition,
-    Schedule,
-    Segment,
     group_coflows,
     lp_ii_gb,
     lp_ov_gb,
@@ -38,7 +36,7 @@ from .schedulers import (
     lp_ov_ls_online,
     varys,
 )
-from .sim import FluidRun, ValidationReport, total_weighted_completion, validate
+from .sim import FluidRun, Schedule, Segment, ValidationReport, total_weighted_completion, validate
 from .verify import (
     OracleResult,
     blocking_pair_fixture,

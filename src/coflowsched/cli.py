@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from . import schedulers, verify, workload
 from .model import CoflowInstance, load_instance, save_instance
 from .relaxations import CertificateError, lp_lower_bound, solve_ordering_lp
-from .sim import total_weighted_completion, validate
+from .sim import Schedule, total_weighted_completion, validate
 
 SCHEDULER_NAMES = list(schedulers.SCHEDULERS)
 DEFAULT_SCHEDULERS = ["lp-ov-ls", "varys", "lp-ii-gb", "lp-ov-gb"]
@@ -284,7 +284,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_validate(args) -> int:
     instance = load_instance(args.instance)
     with open(args.schedule) as fh:
-        schedule = schedulers.Schedule.from_dict(json.load(fh))
+        schedule = Schedule.from_dict(json.load(fh))
     report = validate(schedule, instance)
     print(report.to_json())
     return 0 if report.ok else 1

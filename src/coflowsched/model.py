@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 _RESIDUAL_MIN_SIZE = 1e-9  # smaller remaining demands count as finished
+_PORT_TYPES = (int, np.integer)
 
 
 class FlowKey(NamedTuple):
@@ -42,14 +44,16 @@ class Coflow:
         if not self.demands:
             raise ValueError("a coflow must contain at least one flow")
         for (i, j), size in self.demands.items():
+            if not (isinstance(i, _PORT_TYPES) and isinstance(j, _PORT_TYPES)):
+                raise ValueError(f"flow ({i}, {j}) has a non-integer port index")
             if i < 0 or j < 0:
                 raise ValueError(f"negative port index in flow ({i}, {j})")
-            if not size > 0:
-                raise ValueError(f"flow ({i}, {j}) has non-positive size {size}")
-        if not self.weight > 0:
-            raise ValueError("coflow weight must be positive")
-        if self.release < 0:
-            raise ValueError("release time must be nonnegative")
+            if not 0.0 < size < inf:
+                raise ValueError(f"flow ({i}, {j}) has size {size}, not finite and positive")
+        if not 0.0 < self.weight < inf:
+            raise ValueError(f"coflow weight {self.weight} is not finite and positive")
+        if not 0.0 <= self.release < inf:
+            raise ValueError(f"release time {self.release} is not finite and nonnegative")
         object.__setattr__(self, "demands", dict(self.demands))
 
     @property
@@ -75,8 +79,8 @@ class CoflowInstance:
     def __post_init__(self):
         if self.n_ports < 1:
             raise ValueError("n_ports must be at least 1")
-        if not self.capacity > 0:
-            raise ValueError("capacity must be positive")
+        if not 0.0 < self.capacity < inf:
+            raise ValueError(f"capacity {self.capacity} is not finite and positive")
         object.__setattr__(self, "coflows", tuple(self.coflows))
         for k, cf in enumerate(self.coflows):
             if cf.max_port >= self.n_ports:
@@ -199,19 +203,41 @@ def instance_to_dict(instance: CoflowInstance) -> dict:
     }
 
 
+_KINDS = {"an integer": int, "a number": (int, float), "a list": list}
+
+
+def _field(data, key: str, kind: str, where: str, default=None):
+    """``data[key]`` of ``kind`` (a key of _KINDS), or ``default`` when it is
+    absent and given; otherwise ValueError names the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    value = data.get(key, default)
+    if value is None:
+        raise ValueError(f"{where} has no {key!r}")
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ValueError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def instance_from_dict(data: dict) -> CoflowInstance:
-    coflows = [
-        Coflow(
-            demands={(f["src"], f["dst"]): f["size"] for f in entry["flows"]},
-            release=entry.get("release", 0.0),
-            weight=entry.get("weight", 1.0),
-        )
-        for entry in data["coflows"]
-    ]
+    coflows = []
+    for k, entry in enumerate(_field(data, "coflows", "a list", "instance")):
+        where = f"coflow {k}"
+        demands = {}
+        for f, flow in enumerate(_field(entry, "flows", "a list", where)):
+            at = f"{where} flow {f}"
+            pair = (_field(flow, "src", "an integer", at), _field(flow, "dst", "an integer", at))
+            demands[pair] = _field(flow, "size", "a number", at)
+        release = _field(entry, "release", "a number", where, 0.0)
+        weight = _field(entry, "weight", "a number", where, 1.0)
+        try:
+            coflows.append(Coflow(demands=demands, release=release, weight=weight))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return CoflowInstance(
-        n_ports=data["n_ports"],
+        n_ports=_field(data, "n_ports", "an integer", "instance"),
         coflows=coflows,
-        capacity=data.get("capacity", 1.0),
+        capacity=_field(data, "capacity", "a number", "instance", 1.0),
     )
 
 

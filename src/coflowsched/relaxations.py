@@ -265,27 +265,38 @@ def lp_lower_bound(instance: CoflowInstance, result: OrderingLpResult | None = N
     return certificate.dual_bound
 
 
-def interval_grid(instance: CoflowInstance, time_unit: float = 1.0) -> np.ndarray:
-    """Geometric grid 0, u, 2u, 4u, ... covering the scheduling horizon."""
-    if time_unit <= 0:
-        raise ValueError("time_unit must be positive")
+def slot_length(instance: CoflowInstance) -> float:
+    """The coarsest slot u = 2^-j (j = 0, 1, ...) in which every flow takes a
+    whole positive number of slots at full rate, to 1e-9 * max(1, slots).
+    Raises ValueError when the largest flow would first need over 2^52."""
+    times = [size / instance.capacity for _, size in instance.flows()]
+    slot = 1.0
+    while not all(abs(u - round(u)) <= 1e-9 * max(1.0, u) and round(u) > 0
+                  for u in (t / slot for t in times)):
+        slot /= 2.0
+        if max(times) / slot > 2.0 ** 52:
+            raise ValueError("no power-of-two slot fits every flow size within 2^52 slots")
+    return slot
+
+
+def interval_grid(instance: CoflowInstance) -> np.ndarray:
+    """Geometric grid 0, u, 2u, 4u, ... covering the scheduling horizon,
+    u the instance's slot_length."""
     end = horizon(instance)
-    points = [0.0, float(time_unit)]
+    points = [0.0, slot_length(instance)]
     while points[-1] < end - 1e-12:
         points.append(points[-1] * 2.0)
     return np.array(points)
 
 
-def build_interval_lp(
-    instance: CoflowInstance, time_unit: float = 1.0
-) -> tuple[lpcore.LpProblem, np.ndarray]:
+def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.ndarray]:
     """Interval-indexed LP: assignment weights x[l, k] say coflow k
     completes inside grid interval l; per-port rows keep the demand
     finished by each grid point within that point's capacity budget."""
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    grid = interval_grid(instance, time_unit)
+    grid = interval_grid(instance)
     nl = len(grid) - 1
     loads = node_load_matrix(instance) / instance.capacity
     weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
@@ -315,12 +326,10 @@ def build_interval_lp(
     ), grid
 
 
-def solve_interval_lp(
-    instance: CoflowInstance, time_unit: float = 1.0
-) -> IntervalLpResult:
+def solve_interval_lp(instance: CoflowInstance) -> IntervalLpResult:
     """Solve the interval-indexed LP and order coflows by relaxed completion."""
     kk = instance.num_coflows
-    prob, grid = build_interval_lp(instance, time_unit)
+    prob, grid = build_interval_lp(instance)
     nl = len(grid) - 1
     # crash basis: everything assigned to the last interval is feasible
     hint = np.full(len(prob.rhs), -1, dtype=np.int64)

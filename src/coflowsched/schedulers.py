@@ -10,8 +10,9 @@
                      execution of each group via Birkhoff-von Neumann
                      matchings with backfilling.
 
-All schedulers emit a Schedule of piecewise-constant rate segments that
-passes the sim-module validator.
+The fluid schedulers are rate policies that sim.run_fluid drives over the
+run's own flow state; lp_ii_gb steps its own slots.  All return a
+sim.Schedule that passes the sim-module validator.
 """
 
 from __future__ import annotations
@@ -22,72 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CoflowInstance, FlowKey, port_loads, prefix_bottlenecks, residual_instance
-from .relaxations import solve_interval_lp, solve_ordering_lp
-from .sim import EVENT_EPS, FluidRun, run_fluid
+from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
+from .sim import EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
 
 _EPS = 1e-9
-
-
-@dataclass
-class Segment:
-    """Constant rate assignment over [start, end)."""
-
-    start: float
-    end: float
-    rates: dict
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-
-@dataclass
-class Schedule:
-    """Piecewise-constant rates plus per-flow and per-coflow completions."""
-
-    segments: list
-    completions: np.ndarray
-    flow_completions: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "segments": [
-                {
-                    "start": seg.start,
-                    "end": seg.end,
-                    "rates": [
-                        {"src": f.source, "dst": f.dest, "coflow": f.coflow, "rate": r}
-                        for f, r in sorted(seg.rates.items())
-                    ],
-                }
-                for seg in self.segments
-            ],
-            "completions": list(map(float, self.completions)),
-            "flow_completions": [
-                {"src": f.source, "dst": f.dest, "coflow": f.coflow, "time": t}
-                for f, t in sorted(self.flow_completions.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Schedule":
-        segments = [
-            Segment(
-                seg["start"],
-                seg["end"],
-                {
-                    FlowKey(r["src"], r["dst"], r["coflow"]): r["rate"]
-                    for r in seg["rates"]
-                },
-            )
-            for seg in data["segments"]
-        ]
-        completions = np.array(data["completions"], dtype=float)
-        flow_completions = {
-            FlowKey(e["src"], e["dst"], e["coflow"]): e["time"]
-            for e in data["flow_completions"]
-        }
-        return cls(segments, completions, flow_completions)
 
 
 @dataclass
@@ -97,14 +36,6 @@ class GroupPartition:
 
     groups: list
     boundaries: list
-
-
-def _schedule_from_run(run: FluidRun) -> Schedule:
-    return Schedule(
-        segments=[Segment(a, b, rates) for a, b, rates in run.segments],
-        completions=run.coflow_completions.copy(),
-        flow_completions=dict(run.flow_completions),
-    )
 
 
 def _flow_keys(instance: CoflowInstance) -> list:
@@ -137,7 +68,7 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     queue = sorted(
         (key for key, _ in instance.flows()), key=lambda f: (pos[f.coflow], f.source, f.dest)
     )
-    return _schedule_from_run(run_fluid(instance, lambda run: _list_schedule_rates(run, queue)))
+    return run_fluid(instance, lambda run: _list_schedule_rates(run, queue))
 
 
 def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
@@ -179,44 +110,29 @@ def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
 def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     """List scheduling with the ordering recomputed online: the precedence
     LP is re-solved over the remaining demands of the released coflows at
-    every arrival.
+    every arrival, and the queue rebuilt from the active coflows' unfinished
+    flows by (residual LP rank, source, dest); coflows that the residual
+    instance drops (all flows nearly done) go last, by (release, id).
     """
-    run = FluidRun(instance)
-    pos: dict[int, int] = {}
+    keys = _flow_keys(instance)
+    queue: list[FlowKey] = []
     seen: set[int] = set()
 
-    def sort_key(f: FlowKey):
-        if f.coflow in pos:
-            return (0, pos[f.coflow], 0.0, f.coflow, f.source, f.dest)
-        release = instance.coflows[f.coflow].release
-        return (1, 0, release, f.coflow, f.source, f.dest)
+    def policy(run: FluidRun) -> dict:
+        active = run.active_coflows()
+        if not seen.issuperset(active):
+            seen.update(active)
+            left = {k: run.remaining_of(k) for k in active}
+            remaining = {keys[k][pair]: d for k in active for pair, d in left[k].items()}
+            residual, ids = residual_instance(instance, remaining, run.time)
+            rank = {ids[k]: p for p, k in enumerate(solve_ordering_lp(residual).ordering)}
+            order = sorted(
+                active, key=lambda k: (rank.get(k, len(rank)), instance.coflows[k].release, k)
+            )
+            queue[:] = [keys[k][pair] for k in order for pair in sorted(left[k])]
+        return _list_schedule_rates(run, queue)
 
-    # the keys only change when pos does, so the queue is re-sorted at
-    # re-solves alone
-    queue = sorted((key for key, _ in instance.flows()), key=sort_key)
-
-    def resolve(now: float) -> None:
-        active = {
-            key: run.remaining[key]
-            for k in run.active_coflows()
-            for key in run.incomplete_flows(k)
-        }
-        if not active:
-            return
-        residual, ids = residual_instance(instance, active, now)
-        result = solve_ordering_lp(residual)
-        pos.clear()
-        pos.update({ids[k]: p for p, k in enumerate(result.ordering)})
-        queue.sort(key=sort_key)
-
-    while not run.done():
-        active_now = set(run.active_coflows())
-        if active_now - seen:
-            resolve(run.time)
-            seen = active_now
-        run.set_rates(_list_schedule_rates(run, queue))
-        run.step()
-    return _schedule_from_run(run)
+    return run_fluid(instance, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +199,7 @@ def varys(instance: CoflowInstance) -> Schedule:
                     break
         return rates
 
-    return _schedule_from_run(run_fluid(instance, policy))
+    return run_fluid(instance, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +246,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     cap = instance.capacity
     n = instance.n_ports
     keys = _flow_keys(instance)
+    pair_order = [sorted(flows.items()) for flows in keys]
 
     def policy(run: FluidRun) -> dict:
         gi = next(
@@ -363,25 +280,23 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
                 if extra > _EPS:
                     grant(pair, server[pair], extra)
-        # backfill idle pairs from later-ordered released coflows; spare
-        # capacity only shrinks, so pairs on an exhausted port are dropped
-        # before the sort
+        # backfill pairs without group demand from later-ordered released
+        # coflows, in pair order; spare capacity only shrinks, so each pair
+        # is tested when it comes up
+        finished = run.flow_completions
         last_pos = max(pos[k] for k in groups[gi])
         for k in ordering[last_pos + 1:]:
             if run.is_complete(k) or not run.released(k):
                 continue
-            idle = [
-                pair
-                for pair in run.remaining_of(k)
-                if pair not in demand and rem_src[pair[0]] > _EPS and rem_dst[pair[1]] > _EPS
-            ]
-            for pair in sorted(idle):
+            for pair, key in pair_order[k]:
+                if key in finished or pair in demand:
+                    continue
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
                 if extra > _EPS:
                     grant(pair, k, extra)
         return rates
 
-    return _schedule_from_run(run_fluid(instance, policy))
+    return run_fluid(instance, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -454,38 +369,28 @@ def _integer_bvn(matrix: np.ndarray) -> list:
 # interval-indexed LP + grouping + slotted BvN execution
 # ---------------------------------------------------------------------------
 
-def lp_ii_gb(
-    instance: CoflowInstance, time_unit: float = 1.0, ordering_result=None
-) -> Schedule:
+def lp_ii_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     """Slotted grouped scheduling driven by the interval-indexed LP.
 
-    Time advances in slots of ``time_unit``; each slot executes one switch
-    matching.  The released remaining demand of the active group (the first
-    with an incomplete coflow) is decomposed into permutations
+    Time advances in slots of the instance's slot_length u, the coarsest
+    power of two in which every flow takes whole slots; each slot executes
+    one switch matching.  The released remaining demand of the active group
+    (the first with an incomplete coflow) is decomposed into permutations
     (Birkhoff-von Neumann), and each permutation serves each of its pairs
     with the earliest-ordered released flow that has units left there: an
     active-group member, else a later-ordered coflow as backfill.  While the
     whole active group is unreleased, slots take the greedy port-disjoint
     matching in that same priority order.
-    Demands must be integer multiples of capacity x time_unit.
     """
     cap = instance.capacity
-    quantum = cap * time_unit
-    remaining: dict[FlowKey, int] = {}
-    for key, size in instance.flows():
-        u = size / quantum
-        if abs(u - round(u)) > 1e-9 * max(1.0, u) or round(u) <= 0:
-            raise ValueError(
-                f"flow {tuple(key)} size {size} is not a positive multiple of "
-                f"capacity*time_unit = {quantum}; rescale time_unit"
-            )
-        remaining[key] = int(round(u))
+    u = slot_length(instance)
+    remaining = {key: int(round(size / (cap * u))) for key, size in instance.flows()}
     if ordering_result is None:
-        ordering_result = solve_interval_lp(instance, time_unit)
+        ordering_result = solve_interval_lp(instance)
     groups = group_coflows(ordering_result, instance).groups
     pos = {k: p for p, k in enumerate(ordering_result.ordering)}
     n = instance.n_ports
-    release_slot = [math.ceil(cf.release / time_unit - 1e-9) for cf in instance.coflows]
+    release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
     keys = _flow_keys(instance)
     # the LP-priority queue, and each pair's flows in queue order
     queue = sorted(remaining, key=lambda f: (pos[f.coflow], f.source, f.dest))
@@ -503,7 +408,7 @@ def lp_ii_gb(
 
     def emit(serving: list, length: int) -> None:
         nonlocal slot
-        start, end = slot * time_unit, (slot + length) * time_unit
+        start, end = slot * u, (slot + length) * u
         segments.append(Segment(start, end, {f: cap for f in serving}))
         for f in serving:
             remaining[f] -= length
@@ -556,10 +461,7 @@ def lp_ii_gb(
                     slot += length
                 count -= length
 
-    completions = np.zeros(instance.num_coflows)
-    for f, t in flow_completions.items():
-        completions[f.coflow] = max(completions[f.coflow], t)
-    return Schedule(segments=segments, completions=completions, flow_completions=flow_completions)
+    return Schedule.of_flows(segments, flow_completions, instance.num_coflows)
 
 
 # CLI name -> (instance, ordering LP result) -> Schedule.  The lambdas look

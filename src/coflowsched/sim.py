@@ -1,7 +1,9 @@
-"""Event-driven fluid executor and the independent schedule validator.
+"""The schedule type, the event-driven fluid executor that builds it, and
+the independent schedule validator.
 
-The executor advances piecewise-constant rate assignments between events
-(coflow releases and flow completions, coalesced within EVENT_EPS).  The
+run_fluid advances a policy's piecewise-constant rates between events
+(coflow releases and flow completions, coalesced within EVENT_EPS) and
+returns a Schedule, in which each coflow completes with its last flow.  The
 validator re-checks any schedule against the model constraints: per-port
 capacity, no pre-release transmission, demand conservation, and the
 definition of coflow completion.  It reads only the schedule's segments,
@@ -22,6 +24,74 @@ from .model import CoflowInstance, FlowKey
 EVENT_EPS = 1e-9
 CAPACITY_TOL = 1e-9
 DEMAND_TOL = 1e-6
+
+
+@dataclass
+class Segment:
+    """Constant rate assignment over [start, end)."""
+
+    start: float
+    end: float
+    rates: dict
+
+
+@dataclass
+class Schedule:
+    """Piecewise-constant rates plus per-flow and per-coflow completions."""
+
+    segments: list
+    completions: np.ndarray
+    flow_completions: dict
+
+    @classmethod
+    def of_flows(cls, segments: list, flow_completions: dict, num_coflows: int) -> "Schedule":
+        """The schedule in which each coflow completes with its last flow."""
+        completions = [0.0] * num_coflows
+        for f, t in flow_completions.items():
+            completions[f.coflow] = max(completions[f.coflow], t)
+        return cls(segments, np.array(completions), flow_completions)
+
+    def to_dict(self) -> dict:
+        return {
+            "segments": [
+                {
+                    "start": seg.start,
+                    "end": seg.end,
+                    "rates": [
+                        {"src": f.source, "dst": f.dest, "coflow": f.coflow, "rate": r}
+                        for f, r in sorted(seg.rates.items())
+                    ],
+                }
+                for seg in self.segments
+            ],
+            "completions": list(map(float, self.completions)),
+            "flow_completions": [
+                {"src": f.source, "dst": f.dest, "coflow": f.coflow, "time": t}
+                for f, t in sorted(self.flow_completions.items())
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Schedule":
+        """A stored schedule, with its coflow completions as recorded (the
+        validator's completion_def check compares them with the flows')."""
+        segments = [
+            Segment(
+                seg["start"],
+                seg["end"],
+                {
+                    FlowKey(r["src"], r["dst"], r["coflow"]): r["rate"]
+                    for r in seg["rates"]
+                },
+            )
+            for seg in data["segments"]
+        ]
+        completions = np.array(data["completions"], dtype=float)
+        flow_completions = {
+            FlowKey(e["src"], e["dst"], e["coflow"]): e["time"]
+            for e in data["flow_completions"]
+        }
+        return cls(segments, completions, flow_completions)
 
 
 @dataclass
@@ -53,8 +123,8 @@ class FluidRun:
     """Mutable state of one scheduling run.
 
     A policy assigns rates at each event; ``step`` advances to the next
-    event.  Segments, per-flow completions, and per-coflow completions are
-    accumulated for the final Schedule.
+    event.  Segments and per-flow completions are accumulated for the final
+    Schedule.
     """
 
     def __init__(self, instance: CoflowInstance):
@@ -62,8 +132,7 @@ class FluidRun:
         self.time = 0.0
         self.remaining: dict[FlowKey, float] = {}
         self.flow_completions: dict[FlowKey, float] = {}
-        self.coflow_completions = np.full(instance.num_coflows, math.nan)
-        self.segments: list[tuple[float, float, dict]] = []
+        self.segments: list[Segment] = []
         self.rates: dict[FlowKey, float] = {}
         for key, size in instance.flows():
             self.remaining[key] = size
@@ -84,10 +153,6 @@ class FluidRun:
 
     def is_complete(self, k: int) -> bool:
         return k not in self._incomplete
-
-    def incomplete_flows(self, k: int) -> set:
-        """Unfinished flows of coflow k (empty set once it completes)."""
-        return set(self._incomplete.get(k, ()))
 
     def active_coflows(self) -> list:
         """Released, incomplete coflow ids, ascending."""
@@ -149,7 +214,7 @@ class FluidRun:
             return
         now = self.time + dt
         if dt > 0.0 and self.rates:
-            self.segments.append((self.time, now, dict(self.rates)))
+            self.segments.append(Segment(self.time, now, self.rates))
         for key, rate in self.rates.items():
             left = self.remaining[key] - rate * dt
             if left <= rate * EVENT_EPS:
@@ -159,21 +224,20 @@ class FluidRun:
                 members.discard(key)
                 if not members:
                     del self._incomplete[key.coflow]
-                    self.coflow_completions[key.coflow] = now
             else:
                 self.remaining[key] = left
         self.time = now
         self.rates = {}
 
 
-def run_fluid(instance: CoflowInstance, policy) -> FluidRun:
-    """Drive a rate policy to completion.  ``policy(run)`` returns the rate
-    map to apply until the next event."""
+def run_fluid(instance: CoflowInstance, policy) -> Schedule:
+    """Drive a rate policy to completion and return its schedule.
+    ``policy(run)`` returns the rate map to apply until the next event."""
     run = FluidRun(instance)
     while not run.done():
         run.set_rates(policy(run))
         run.step()
-    return run
+    return Schedule.of_flows(run.segments, run.flow_completions, instance.num_coflows)
 
 
 # ---------------------------------------------------------------------------

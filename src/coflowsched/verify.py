@@ -11,12 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Coflow, CoflowInstance, FlowKey, prefix_bottlenecks
 from .relaxations import OrderingLpResult
-from .schedulers import Schedule, Segment
-from .sim import total_weighted_completion
+from .sim import Schedule, Segment, total_weighted_completion
 
 DEFAULT_MAX_PORTS = 3
 DEFAULT_MAX_TOTAL_DEMAND = 14
@@ -188,15 +185,9 @@ def oracle_opt(
             state = tuple(nxt)
         t = t_next
 
-    completions = np.zeros(instance.num_coflows)
-    for key, done_at in flow_completions.items():
-        completions[key.coflow] = max(completions[key.coflow], done_at)
-    schedule = Schedule(
-        segments=segments, completions=completions, flow_completions=flow_completions
-    )
     return OracleResult(
         optimal_value=float(value),
-        optimal_schedule=schedule,
+        optimal_schedule=Schedule.of_flows(segments, flow_completions, instance.num_coflows),
         explored_states=len(memo),
     )
 

@@ -49,6 +49,10 @@ GOLDEN_INSTANCES = {
     "dense-zero": ("dense", 5, 10, None, 12, "unit"),
     "combined-releases": ("combined", 8, 12, (1, 30), 13, "uniform-random"),
     "combined-zero": ("combined", 8, 12, None, 14, "uniform-random"),
+    # shaped like the benchmark's sched-combined-16x8 (lp-ov-gb's backfill)
+    # and online-dense-8x20 (one re-solve per arrival)
+    "combined-16x8-zero": ("combined", 16, 8, None, 19, "uniform-random"),
+    "dense-8x20-releases": ("dense", 8, 20, (1, 100), 16, "unit"),
 }
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 import pathlib
 
 import pytest
 
 from coflowsched import cli
-from coflowsched.model import Coflow, CoflowInstance, load_instance, save_instance
+from coflowsched.model import Coflow, CoflowInstance, instance_to_dict, load_instance, save_instance
 from coflowsched.verify import blocking_pair_fixture, staggered_release_fixture
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -184,13 +185,51 @@ def test_dump_schedules_same_with_workers_and_without_lp_ov_ls(tmp_path):
 
 
 def test_trace_run(tmp_path):
+    # the default schedulers; lp-ii-gb runs the megabyte flows in 1/128 s slots
     out = tmp_path / "trace.csv"
     rc = cli.main(["run", "--trace", str(DATA / "mini_trace.csv"), "--reps", "1",
-                   "--schedulers", "lp-ov-ls,varys,lp-ov-gb", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 0
     rows = _read_rows(out)
-    assert len(rows) == 3
+    assert [row["scheduler"] for row in rows] == cli.DEFAULT_SCHEDULERS
     assert all(row["valid"] == "true" for row in rows)
+
+
+def _set(*path, value):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+MALFORMED = {
+    "release-nan": _set("coflows", 1, "release", value=math.nan),
+    "size-infinity": _set("coflows", 0, "flows", 0, "size", value=math.inf),
+    "weight-infinity": _set("coflows", 0, "weight", value=math.inf),
+    "capacity-infinity": _set("capacity", value=math.inf),
+    "size-string": _set("coflows", 0, "flows", 0, "size", value="3"),
+    "no-coflows": lambda data: data.pop("coflows"),
+    "fractional-port": _set("coflows", 0, "flows", 0, "src", value=0.5),
+    "top-level-list": None,
+}
+
+
+@pytest.mark.parametrize("verb", ["run", "lp-bound"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_instance_exits_two(tmp_path, capsys, case, verb):
+    data = instance_to_dict(staggered_release_fixture())
+    if MALFORMED[case] is None:
+        data = [data]
+    else:
+        MALFORMED[case](data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    extra = ["--reps", "1", "--schedulers", "lp-ov-ls"] if verb == "run" else []
+    assert cli.main([verb, "--instance", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):

@@ -22,6 +22,13 @@ from coflowsched import schedulers
 from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
 
 GOLDEN = {
+    "combined-16x8-zero": {
+        "lp-ii-gb": "5cbb81d3efbe5916eba2cc28946fbdfa1a3e8dc93768db6baac46b593a890911",
+        "lp-ov-gb": "eb83edb1376e498b392fc3a5447e4c33438f3dfb38406c63544ff1163898b6ac",
+        "lp-ov-ls": "828db1851179b5716820497f53b59c615b609b2ec084b5df3a313b85712d5b55",
+        "lp-ov-ls-online": "828db1851179b5716820497f53b59c615b609b2ec084b5df3a313b85712d5b55",
+        "varys": "3fb38a6d486f325b19d0bfc685661148d5f6a9413ec0103660a6f637ad744964",
+    },
     "combined-releases": {
         "lp-ii-gb": "440cb1e0d097aed53b83500fa52925e96bc8e647c415b3cc6b53225013d3ab72",
         "lp-ov-gb": "8ba059900ad11b755270c69f7e63f8b16215e40a465cf0ad72e007b0497ea0fa",
@@ -35,6 +42,13 @@ GOLDEN = {
         "lp-ov-ls": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
         "lp-ov-ls-online": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
         "varys": "a6631d536a0cdc66ec44ad9f40aae72d2dcb0046c77ef10665f6f71a1a58a6f9",
+    },
+    "dense-8x20-releases": {
+        "lp-ii-gb": "32d0a5fcb84d93258678b88e33c2ed285af010af4eece39a5763499027dd4cfb",
+        "lp-ov-gb": "d696e267b215de9d73413cd4cbf02cdd1abf4fe90828d1ad06c4fe3306a83e8d",
+        "lp-ov-ls": "74a429d20501057e8f92a60f73764803c89f4afe7d302916458caf1048f7f3de",
+        "lp-ov-ls-online": "5193af14a71c4d818f003b5ec3f6503c6ee4698f8f24107cb4dc624e3fac4e39",
+        "varys": "6743f88a79b16a3b136a1d84af3ae6d770361479622e3960eba14d0fda73368f",
     },
     "dense-releases": {
         "lp-ii-gb": "dcb7ef8b8848b2a3a37d58680beeab3d76fd5659957bc6cfd3ab2ae76941daa4",
@@ -55,6 +69,16 @@ GOLDEN = {
 
 # instance -> LP -> (sha256 of the solution array's bytes, ordering)
 GOLDEN_LP = {
+    "combined-16x8-zero": {
+        "interval": (
+            "714c91b04a0190511a47ab44b18e34a1898ea2c089171cd57520b690733dfdc7",
+            [3, 5, 7, 4, 2, 0, 6, 1],
+        ),
+        "ordering": (
+            "07ab218995c3752f1063d5c264fc9f9066e859865f3c9f3ddbd4961d78c7efe4",
+            [3, 5, 4, 7, 2, 0, 6, 1],
+        ),
+    },
     "combined-releases": {
         "interval": (
             "be1128dae85ca119abe23f54d11732bdc835e8a0facd6ee9464bd2c0ad3af1b3",
@@ -73,6 +97,16 @@ GOLDEN_LP = {
         "ordering": (
             "b7296b2466de9a0b0c97ea326c45ac107a46c6888338dca0653f8e0cf62f1eaa",
             [4, 7, 5, 9, 8, 11, 6, 1, 0, 2, 3, 10],
+        ),
+    },
+    "dense-8x20-releases": {
+        "interval": (
+            "7c9fe2e96803e7fed5fa97a10576e4890dc3e182ce634355e75a3c07c52904cd",
+            [2, 4, 5, 7, 0, 8, 13, 16, 17, 1, 19, 15, 10, 3, 9, 12, 14, 6, 11, 18],
+        ),
+        "ordering": (
+            "5f9f57e06c1b5db01a11557a04cac73d6d855c3f5d84f9c245de5d25792b416f",
+            [4, 2, 7, 5, 16, 0, 17, 8, 19, 13, 1, 9, 15, 3, 10, 12, 14, 6, 18, 11],
         ),
     },
     "dense-releases": {

@@ -299,9 +299,9 @@ def _reference_problem(instance, num_vars, bounds, rows):
     return objective, bounds, rows
 
 
-def _reference_interval_lp(instance, time_unit=1.0):
+def _reference_interval_lp(instance):
     kk, n = instance.num_coflows, instance.n_ports
-    grid = interval_grid(instance, time_unit)
+    grid = interval_grid(instance)
     nl = len(grid) - 1
     loads = node_load_matrix(instance) / instance.capacity
     objective = np.zeros(kk * nl)

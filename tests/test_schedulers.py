@@ -194,12 +194,15 @@ def test_slotted_staggered_dominates_oracle():
 
 
 def test_slotted_rejects_fractional_demand():
+    # size 2.5 takes five slots of 1/2
     inst = CoflowInstance(2, [Coflow({(0, 1): 2.5})])
+    sched = lp_ii_gb(inst)
+    assert validate(sched, inst).ok
+    assert sched.completions[0] == pytest.approx(2.5)
+    # 1/3 needs a slot so fine that the 1e8 flow would take over 2^52 of them
+    inst = CoflowInstance(2, [Coflow({(0, 1): 1e8}), Coflow({(1, 0): 1 / 3})])
     with pytest.raises(ValueError):
         lp_ii_gb(inst)
-    # rescaling the slot makes it integral again
-    sched = lp_ii_gb(inst, time_unit=0.5)
-    assert sched.completions[0] == pytest.approx(2.5)
 
 
 def test_slotted_respects_releases():
