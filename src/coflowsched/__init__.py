@@ -28,7 +28,6 @@ from .relaxations import (
     solve_ordering_lp,
 )
 from .schedulers import (
-    GroupPartition,
     group_coflows,
     lp_ii_gb,
     lp_ov_gb,

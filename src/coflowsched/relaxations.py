@@ -15,8 +15,6 @@ import numpy as np
 from . import lpcore
 from .model import CoflowInstance, effective_size, horizon, node_load_matrix
 
-_LOAD_TOL = 1e-12
-
 
 @dataclass
 class OrderingLpResult:
@@ -70,7 +68,7 @@ def _port_rows(loads: np.ndarray, s_of: np.ndarray, k_of: np.ndarray,
     sign_table[k, kp] * loads[s, kp]."""
     count = len(s_of)
     mask = np.ones((count, loads.shape[1] + 1), dtype=bool)
-    mask[:, 1:] = loads[s_of] > _LOAD_TOL
+    mask[:, 1:] = loads[s_of] > 0.0
     mask[np.arange(count), 1 + k_of] = False
     cols = np.concatenate([k_of[:, None], col_table[k_of]], axis=1)
     vals = np.concatenate([np.ones((count, 1)), sign_table[k_of] * loads[s_of]], axis=1)
@@ -153,20 +151,18 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     if kk == 0:
         raise ValueError("instance has no coflows")
     loads = node_load_matrix(instance) / instance.capacity
-    used = loads > _LOAD_TOL
     # row (s, k): f_k + sum_{kp<k} loads[s, kp] p(kp, k) - sum_{kp>k} loads[s, kp] p(k, kp)
-    #             >= loads[s, k] + sum_{kp<k} loads[s, kp]
-    keep = used.any(axis=1)[:, None] & (loads.sum(axis=1)[:, None] - loads > _LOAD_TOL)
-    s_of, k_of = np.nonzero(keep)
+    #             >= loads[s, k] + sum_{kp<k} loads[s, kp];
+    # kept when another coflow loads port s (a lone user's sum less its own is exactly 0)
+    s_of, k_of = np.nonzero(loads.sum(axis=1)[:, None] - loads > 0.0)
     k, kp = np.indices((kk, kk))
     col_table = _pair_index(kk, np.minimum(k, kp), np.maximum(k, kp))
     sign_table = np.where(kp < k, 1.0, -1.0)
     # the right-hand side adds the loads of the lower-id users in ascending
     # order, as a sequential sum would (adding 0.0 is exact)
     rhs = loads.copy()
-    used_loads = np.where(used, loads, 0.0)
     for lo in range(kk - 1):
-        rhs[:, lo + 1:] += used_loads[:, lo:lo + 1]
+        rhs[:, lo + 1:] += loads[:, lo:lo + 1]
     port_rows = _port_rows(loads, s_of, k_of, col_table, sign_table, rhs[s_of, k_of])
     return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
@@ -309,8 +305,8 @@ def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.nd
     # assignment rows: sum_l x[k, l] == 1
     cols = np.arange(kk * nl)
     # port rows (s, l): sum_k loads[s, k] sum_{l' <= l} x[k, l'] <= grid[l + 1]
-    ports = np.flatnonzero(loads.sum(axis=1) > _LOAD_TOL)
-    users = loads[ports] > _LOAD_TOL
+    ports = np.flatnonzero(loads.sum(axis=1) > 0.0)
+    users = loads[ports] > 0.0
     done_by = np.tri(nl, dtype=bool)                      # [l, l']: l' <= l
     si, l, k, lp = np.nonzero(users[:, None, :, None] & done_by[None, :, None, :])
     n_port_rows = len(ports) * nl

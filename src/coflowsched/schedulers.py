@@ -18,24 +18,13 @@ sim.Schedule that passes the sim-module validator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .model import CoflowInstance, FlowKey, port_loads, prefix_bottlenecks, residual_instance
 from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
-from .sim import EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
-
-_EPS = 1e-9
-
-
-@dataclass
-class GroupPartition:
-    """Coflow ids grouped by the geometric interval of the cumulative
-    bottleneck load along the LP ordering."""
-
-    groups: list
-    boundaries: list
+from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
 
 
 def _flow_keys(instance: CoflowInstance) -> list:
@@ -43,12 +32,6 @@ def _flow_keys(instance: CoflowInstance) -> list:
     return [
         {pair: FlowKey(*pair, k) for pair in cf.demands} for k, cf in enumerate(instance.coflows)
     ]
-
-
-def _ordering_of(instance: CoflowInstance, ordering_result) -> list:
-    if ordering_result is None:
-        ordering_result = solve_ordering_lp(instance)
-    return list(getattr(ordering_result, "ordering", ordering_result))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +46,7 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     link rate whenever both of its ports are still free, so every segment
     is a partial matching of the switch.
     """
-    ordering = _ordering_of(instance, ordering_result)
+    ordering = (ordering_result or solve_ordering_lp(instance)).ordering
     pos = {k: p for p, k in enumerate(ordering)}
     queue = sorted(
         (key for key, _ in instance.flows()), key=lambda f: (pos[f.coflow], f.source, f.dest)
@@ -125,7 +108,8 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             left = {k: run.remaining_of(k) for k in active}
             remaining = {keys[k][pair]: d for k in active for pair, d in left[k].items()}
             residual, ids = residual_instance(instance, remaining, run.time)
-            rank = {ids[k]: p for p, k in enumerate(solve_ordering_lp(residual).ordering)}
+            residual_order = solve_ordering_lp(residual).ordering if ids else []
+            rank = {ids[k]: p for p, k in enumerate(residual_order)}
             order = sorted(
                 active, key=lambda k: (rank.get(k, len(rank)), instance.coflows[k].release, k)
             )
@@ -167,7 +151,7 @@ def varys(instance: CoflowInstance) -> Schedule:
                 for load, rem in zip(src_load + dst_load, rem_src + rem_dst)
                 if load > 0.0
             ]
-            if any(rem <= _EPS for _, rem in needed):
+            if any(rem <= CAPACITY_TOL for _, rem in needed):
                 skipped.append(k)
                 continue
             gamma = max(load / rem for load, rem in needed)
@@ -185,17 +169,17 @@ def varys(instance: CoflowInstance) -> Schedule:
         spare: list[list] = [[] for _ in range(n)]
         for rank, k in enumerate(skipped):
             for (i, j) in pairs_of[k]:
-                if rem_src[i] > _EPS and rem_dst[j] > _EPS:
+                if rem_src[i] > CAPACITY_TOL and rem_dst[j] > CAPACITY_TOL:
                     spare[i].append((rank, j, k))
         for i, candidates in enumerate(spare):
             for _, j, k in sorted(candidates):
                 extra = min(rem_src[i], rem_dst[j])
-                if extra <= _EPS:
+                if extra <= CAPACITY_TOL:
                     continue
                 rates[keys[k][(i, j)]] = extra
                 rem_src[i] -= extra
                 rem_dst[j] -= extra
-                if rem_src[i] <= _EPS:
+                if rem_src[i] <= CAPACITY_TOL:
                     break
         return rates
 
@@ -206,13 +190,12 @@ def varys(instance: CoflowInstance) -> Schedule:
 # grouping
 # ---------------------------------------------------------------------------
 
-def group_coflows(ordering_result, instance: CoflowInstance) -> GroupPartition:
-    """Partition the LP-ordered coflows by the geometric interval
-    (2^(m-1), 2^m] that contains the cumulative bottleneck load of the
-    order prefix; consecutive coflows in the same interval share a group."""
-    ordering = _ordering_of(instance, ordering_result)
+def group_coflows(instance: CoflowInstance, ordering: list) -> list[list[int]]:
+    """Split an ordering of all coflow ids into groups by the geometric
+    interval (2^(m-1), 2^m] that contains the cumulative bottleneck load of
+    each order prefix: consecutive coflows in the same interval share a
+    group, so the groups are consecutive slices of the ordering."""
     groups: list[list[int]] = []
-    boundaries: list[float] = []
     prev_m: int | None = None
     for k, peak in zip(ordering, prefix_bottlenecks(instance, ordering)):
         m = math.ceil(math.log2(peak) - 1e-12)
@@ -220,9 +203,8 @@ def group_coflows(ordering_result, instance: CoflowInstance) -> GroupPartition:
             groups[-1].append(k)
         else:
             groups.append([k])
-            boundaries.append(2.0 ** m)
             prev_m = m
-    return GroupPartition(groups=groups, boundaries=boundaries)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +220,24 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     Groups run one after another; within a group, a pair's rate always
     serves its earliest-ordered member first.
     """
-    if ordering_result is None:
-        ordering_result = solve_ordering_lp(instance)
-    ordering = list(ordering_result.ordering)
-    groups = group_coflows(ordering_result, instance).groups
-    pos = {k: p for p, k in enumerate(ordering)}
+    ordering = (ordering_result or solve_ordering_lp(instance)).ordering
+    groups = group_coflows(instance, ordering)
+    # each group with the coflows ordered after it
+    stages = [(grp, ordering[end:]) for grp, end in zip(groups, accumulate(map(len, groups)))]
     cap = instance.capacity
     n = instance.n_ports
     keys = _flow_keys(instance)
     pair_order = [sorted(flows.items()) for flows in keys]
 
     def policy(run: FluidRun) -> dict:
-        gi = next(
-            g for g, grp in enumerate(groups) if any(not run.is_complete(k) for k in grp)
+        group, later = next(
+            (grp, rest) for grp, rest in stages if any(not run.is_complete(k) for k in grp)
         )
-        members = [k for k in groups[gi] if not run.is_complete(k)]
-        active_members = [k for k in members if run.released(k)]
         demand: dict[tuple[int, int], float] = {}
         server: dict[tuple[int, int], int] = {}
-        for k in sorted(active_members, key=lambda k: pos[k]):
+        for k in group:
+            if run.is_complete(k) or not run.released(k):
+                continue
             for pair, d in run.remaining_of(k).items():
                 demand[pair] = demand.get(pair, 0.0) + d
                 server.setdefault(pair, k)
@@ -278,21 +259,20 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             # raise the group's own pair rates until a port saturates
             for pair in pairs:
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
-                if extra > _EPS:
+                if extra > CAPACITY_TOL:
                     grant(pair, server[pair], extra)
         # backfill pairs without group demand from later-ordered released
         # coflows, in pair order; spare capacity only shrinks, so each pair
         # is tested when it comes up
         finished = run.flow_completions
-        last_pos = max(pos[k] for k in groups[gi])
-        for k in ordering[last_pos + 1:]:
+        for k in later:
             if run.is_complete(k) or not run.released(k):
                 continue
             for pair, key in pair_order[k]:
                 if key in finished or pair in demand:
                     continue
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
-                if extra > _EPS:
+                if extra > CAPACITY_TOL:
                     grant(pair, k, extra)
         return rates
 
@@ -385,10 +365,9 @@ def lp_ii_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     cap = instance.capacity
     u = slot_length(instance)
     remaining = {key: int(round(size / (cap * u))) for key, size in instance.flows()}
-    if ordering_result is None:
-        ordering_result = solve_interval_lp(instance)
-    groups = group_coflows(ordering_result, instance).groups
-    pos = {k: p for p, k in enumerate(ordering_result.ordering)}
+    ordering = (ordering_result or solve_interval_lp(instance)).ordering
+    groups = group_coflows(instance, ordering)
+    pos = {k: p for p, k in enumerate(ordering)}
     n = instance.n_ports
     release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
     keys = _flow_keys(instance)

@@ -240,36 +240,30 @@ class BoundReport:
 
 
 def check_approximation_bounds(
-    instance: CoflowInstance, schedule: Schedule, lp_bound: float, ordering=None
+    instance: CoflowInstance, schedule: Schedule, lp_bound: float, ordering: list
 ) -> BoundReport:
     """Check the proven guarantees of the list scheduler on one schedule:
     total within 5x the LP bound (4x when every release is zero), and each
     completion within release + twice the cumulative bottleneck load of
-    its LP-order prefix."""
+    its prefix of the LP ordering ``ordering``."""
     total = total_weighted_completion(schedule, instance)
     zero_release = all(cf.release == 0 for cf in instance.coflows)
     limit = 4.0 if zero_release else 5.0
     ratio = total / lp_bound if lp_bound > 0 else math.inf
     total_ok = total <= limit * lp_bound + 1e-6
 
-    structural_ok = True
     worst = math.inf
-    if ordering is not None:
-        ordering = list(getattr(ordering, "ordering", ordering))
-        peaks = prefix_bottlenecks(instance, ordering) / instance.capacity
-        for k, w_prefix in zip(ordering, peaks):
-            bound_k = instance.coflows[k].release + 2.0 * w_prefix
-            margin = bound_k - schedule.completions[k]
-            worst = min(worst, margin)
-            if margin < -1e-6:
-                structural_ok = False
+    peaks = prefix_bottlenecks(instance, ordering) / instance.capacity
+    for k, w_prefix in zip(ordering, peaks):
+        bound_k = instance.coflows[k].release + 2.0 * w_prefix
+        worst = min(worst, bound_k - schedule.completions[k])
     return BoundReport(
         ratio=ratio,
         limit=limit,
         total=total,
         lp_bound=lp_bound,
         total_ok=total_ok,
-        structural_ok=structural_ok,
+        structural_ok=bool(worst >= -1e-6),
         worst_structural_margin=worst,
     )
 

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -43,29 +45,50 @@ def tiny_instances(count: int, zero_release: bool = False, seed0: int = 0):
 
 
 # the fixed-seed instances of the golden tests:
-# name -> (kind, ports, coflows, interarrival range or None, seed, weight mode)
+# name -> (kind, ports, coflows, interarrival range or None, seed, weight mode,
+# capacity); every size is multiplied by the capacity, so the schedule's time
+# scale stays that of capacity 1.  Kind "trace" ingests tests/data/mini_trace.csv
+# on that many ports instead, at the trace link capacity 128 (slot 1/128).
 GOLDEN_INSTANCES = {
-    "dense-releases": ("dense", 5, 10, (1, 30), 11, "uniform-random"),
-    "dense-zero": ("dense", 5, 10, None, 12, "unit"),
-    "combined-releases": ("combined", 8, 12, (1, 30), 13, "uniform-random"),
-    "combined-zero": ("combined", 8, 12, None, 14, "uniform-random"),
+    "dense-releases": ("dense", 5, 10, (1, 30), 11, "uniform-random", 1.0),
+    "dense-zero": ("dense", 5, 10, None, 12, "unit", 1.0),
+    "combined-releases": ("combined", 8, 12, (1, 30), 13, "uniform-random", 1.0),
+    "combined-zero": ("combined", 8, 12, None, 14, "uniform-random", 1.0),
     # shaped like the benchmark's sched-combined-16x8 (lp-ov-gb's backfill)
     # and online-dense-8x20 (one re-solve per arrival)
-    "combined-16x8-zero": ("combined", 16, 8, None, 19, "uniform-random"),
-    "dense-8x20-releases": ("dense", 8, 20, (1, 100), 16, "unit"),
+    "combined-16x8-zero": ("combined", 16, 8, None, 19, "uniform-random", 1.0),
+    "dense-8x20-releases": ("dense", 8, 20, (1, 100), 16, "unit", 1.0),
+    # port ledgers and "port full" at a capacity other than 1
+    "dense-5x8-capacity-0.37": ("dense", 5, 8, (1, 30), 17, "uniform-random", 0.37),
+    "mini-trace-4": ("trace", 4),
 }
 
 
 def golden_instance(name: str) -> CoflowInstance:
-    from coflowsched.workload import SyntheticConfig, assign_weights, generate
+    from coflowsched.workload import (
+        SyntheticConfig,
+        assign_weights,
+        generate,
+        ingest_trace,
+        parse_trace_csv,
+    )
 
-    kind, ports, coflows, gaps, seed, weights = GOLDEN_INSTANCES[name]
+    if GOLDEN_INSTANCES[name][0] == "trace":
+        records = parse_trace_csv(pathlib.Path(__file__).parent / "data" / "mini_trace.csv")
+        return ingest_trace(records, GOLDEN_INSTANCES[name][1])
+    kind, ports, coflows, gaps, seed, weights, capacity = GOLDEN_INSTANCES[name]
     instance = generate(
         SyntheticConfig(
             n_ports=ports, n_coflows=coflows, kind=kind, interarrival_range=gaps, seed=seed
         )
     )
-    return assign_weights(instance, weights, seed=seed)
+    instance = assign_weights(instance, weights, seed=seed)
+    scaled = [
+        Coflow({pair: size * capacity for pair, size in cf.demands.items()},
+               release=cf.release, weight=cf.weight)
+        for cf in instance.coflows
+    ]
+    return CoflowInstance(ports, scaled, capacity=capacity)
 
 
 def lp_certificates(instance, ordering_result=None):

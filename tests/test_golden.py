@@ -43,6 +43,13 @@ GOLDEN = {
         "lp-ov-ls-online": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
         "varys": "a6631d536a0cdc66ec44ad9f40aae72d2dcb0046c77ef10665f6f71a1a58a6f9",
     },
+    "dense-5x8-capacity-0.37": {
+        "lp-ii-gb": "5e9b05276cac15fbc35321ff99290f5c01245996b2990576a1de9acbdd55f978",
+        "lp-ov-gb": "0caf86ac131a9c8f6bb85f8d44db18b6575196c924f10d71f227d18111ce162f",
+        "lp-ov-ls": "8ba04a2248eb3633b9b75443665ce4c98c587e7959ba341004ba5b424d6ac063",
+        "lp-ov-ls-online": "c5b3a63c2a322c4ae84102a46d4f0962126fb02fd70bdfbf852c329005fd9950",
+        "varys": "71d765ef995e6a9fc283a21c9a1f793e144e6db1fe0644e5d5c8c2f8321c1dc9",
+    },
     "dense-8x20-releases": {
         "lp-ii-gb": "32d0a5fcb84d93258678b88e33c2ed285af010af4eece39a5763499027dd4cfb",
         "lp-ov-gb": "d696e267b215de9d73413cd4cbf02cdd1abf4fe90828d1ad06c4fe3306a83e8d",
@@ -63,6 +70,13 @@ GOLDEN = {
         "lp-ov-ls": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
         "lp-ov-ls-online": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
         "varys": "6cf69283606b31660177cbe8d193944be3ea0d10be356b24702edda8da37d39b",
+    },
+    "mini-trace-4": {
+        "lp-ii-gb": "c2605bad568a665f9449cec6b4873334833e37224de9b3817e730ab1523a5106",
+        "lp-ov-gb": "547c4e7f768f3e52435f163beb107f74f75cfd51245f666fa1655d473b653ddc",
+        "lp-ov-ls": "5110c10001df97789284a0ba4ec09f01133d7b430bc55d555c787df1e16b536d",
+        "lp-ov-ls-online": "5110c10001df97789284a0ba4ec09f01133d7b430bc55d555c787df1e16b536d",
+        "varys": "3b08221bb791a6026f32546446996be81f88e6b4b4546cbd4e41a32994d7d7e0",
     },
 }
 
@@ -99,6 +113,16 @@ GOLDEN_LP = {
             [4, 7, 5, 9, 8, 11, 6, 1, 0, 2, 3, 10],
         ),
     },
+    "dense-5x8-capacity-0.37": {
+        "interval": (
+            "b6b9baebfdb8cdb5e56e8b012f913e3b9c4ea054a4f5d183dd14c4cae0901a9d",
+            [2, 4, 5, 3, 6, 1, 0, 7],
+        ),
+        "ordering": (
+            "62d5b2dca8f4c352cbc324aaa54c6c7f64334fc6066523280a2803d3ece31da1",
+            [2, 5, 4, 3, 6, 1, 7, 0],
+        ),
+    },
     "dense-8x20-releases": {
         "interval": (
             "7c9fe2e96803e7fed5fa97a10576e4890dc3e182ce634355e75a3c07c52904cd",
@@ -127,6 +151,16 @@ GOLDEN_LP = {
         "ordering": (
             "1004cc192bb01dd7eaf647f18a6f1cf8368d9735c918473a5c01492b4f99a65e",
             [6, 2, 1, 7, 3, 4, 5, 8, 9, 0],
+        ),
+    },
+    "mini-trace-4": {
+        "interval": (
+            "8900639cdb883465c5c4b3a9888becddd5b18421414d7f7208012410c2f7061d",
+            [0, 1, 2, 3],
+        ),
+        "ordering": (
+            "04f8444b838626b16e81034f9c331b01fdb1fda8868121b6fcf3ff7ddb3e3345",
+            [0, 1, 3, 2],
         ),
     },
 }

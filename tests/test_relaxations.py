@@ -208,7 +208,7 @@ def test_empty_instance_rejected():
         build_interval_lp(inst)
 
 
-@pytest.mark.parametrize("scale", [2.0**-30, 1e-9, 1e-6, 1e6, 1e9, 2.0**30])
+@pytest.mark.parametrize("scale", [2.0**-50, 1e-15, 2.0**-30, 1e-9, 1e-6, 1e6, 1e9, 2.0**30])
 def test_ordering_lp_does_not_depend_on_units(scale):
     # every size and release multiplied by the same factor: the relaxed
     # completions scale with it and the ordering stays

@@ -72,6 +72,15 @@ def test_online_single_coflow():
     assert lp_ov_ls_online(inst).completions[0] == pytest.approx(5.0)
 
 
+def test_online_schedules_an_arrival_with_nothing_left_to_order():
+    # at the arrival every flow is below the residual size floor, so the
+    # residual instance is empty and the coflow goes last by (release, id)
+    inst = CoflowInstance(2, [Coflow({(0, 0): 1e-10}, release=1.0)])
+    sched = lp_ov_ls_online(inst)
+    assert validate(sched, inst).ok
+    assert sched.completions[0] == 1.0000000001
+
+
 def test_online_staggered_within_bound():
     from coflowsched.relaxations import lp_lower_bound
 
@@ -108,34 +117,28 @@ def test_varys_equal_bottleneck_total():
 
 def test_single_coflow_single_group():
     inst = CoflowInstance(2, [Coflow({(0, 1): 4.0})])
-    part = group_coflows([0], inst)
-    assert part.groups == [[0]]
+    assert group_coflows(inst, [0]) == [[0]]
 
 
 def test_grouping_separates_distant_peaks():
     inst = CoflowInstance(
         2, [Coflow({(0, 0): 1.0}), Coflow({(0, 1): 2.0})]
     )  # peaks 1 then 3
-    part = group_coflows([0, 1], inst)
-    assert part.groups == [[0], [1]]
-    assert part.boundaries == [1.0, 4.0]
+    assert group_coflows(inst, [0, 1]) == [[0], [1]]
 
 
 def test_grouping_geometric_intervals():
     # cumulative peaks 1 and 1.5 land in the intervals (0.5, 1] and (1, 2]
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}), Coflow({(0, 1): 0.5, (1, 0): 1.5})])
-    part = group_coflows([0, 1], inst)
-    assert part.groups == [[0], [1]]
+    assert group_coflows(inst, [0, 1]) == [[0], [1]]
     # same interval merges: peaks 1.2 then 1.8 both in (1, 2]
     inst2 = CoflowInstance(2, [Coflow({(0, 0): 1.2}), Coflow({(1, 1): 1.8})])
-    part2 = group_coflows([0, 1], inst2)
-    assert part2.groups == [[0, 1]]
+    assert group_coflows(inst2, [0, 1]) == [[0, 1]]
 
 
 def test_grouping_counterexample_splits():
     inst = counterexample_fixture()
-    part = group_coflows([0, 1], inst)
-    assert part.groups == [[0], [1]]
+    assert group_coflows(inst, [0, 1]) == [[0], [1]]
 
 
 # -- lp_ov_gb ---------------------------------------------------------------
