@@ -284,7 +284,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_validate(args) -> int:
     instance = load_instance(args.instance)
     with open(args.schedule) as fh:
-        schedule = Schedule.from_dict(json.load(fh))
+        schedule = Schedule.from_dict(json.load(fh), instance)
     report = validate(schedule, instance)
     print(report.to_json())
     return 0 if report.ok else 1

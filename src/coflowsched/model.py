@@ -103,14 +103,14 @@ class CoflowInstance:
         return sum(cf.total_demand for cf in self.coflows)
 
 
-def port_loads(pairs: Mapping[tuple[int, int], float], n_ports: int) -> tuple[list, list]:
-    """Source-side and destination-side totals of a {(source, dest): amount}
-    map, each port summed in the map's iteration order."""
+def port_loads(flows: Mapping[tuple, float], n_ports: int) -> tuple[list, list]:
+    """Source-side and destination-side totals of a map from (source, dest)
+    pairs or FlowKeys to amounts, each port summed in the map's order."""
     src = [0.0] * n_ports
     dst = [0.0] * n_ports
-    for (i, j), d in pairs.items():
-        src[i] += d
-        dst[j] += d
+    for key, d in flows.items():
+        src[key[0]] += d
+        dst[key[1]] += d
     return src, dst
 
 

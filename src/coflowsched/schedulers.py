@@ -27,11 +27,39 @@ from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
 
 
-def _flow_keys(instance: CoflowInstance) -> list:
-    """Per coflow id, its (source, dest) pairs mapped to their FlowKeys."""
-    return [
-        {pair: FlowKey(*pair, k) for pair in cf.demands} for k, cf in enumerate(instance.coflows)
-    ]
+def _queue(instance: CoflowInstance, ordering: list) -> list[FlowKey]:
+    """The flows of the coflows in ``ordering``, by (position in ordering,
+    source, dest): the priority order of list scheduling."""
+    return [FlowKey(i, j, k) for k in ordering for (i, j) in sorted(instance.coflows[k].demands)]
+
+
+def _greedy_matching(queue: list, finished, release: list, now: float, n: int) -> list:
+    """The flows that list scheduling serves at time ``now``: ``queue`` is
+    scanned in order, and a flow is taken when it is released
+    (``release[coflow] <= now``) and both of its ports are still free.
+
+    Flows in ``finished`` are dropped from ``queue`` in place; unreleased
+    ones are skipped but kept.  The scan stops once every source or every
+    destination port is taken, because no later flow can fit then.
+    """
+    used_src: set[int] = set()
+    used_dst: set[int] = set()
+    served = []
+    kept = []
+    for idx, f in enumerate(queue):
+        if f in finished:
+            continue
+        kept.append(f)
+        if f.source in used_src or f.dest in used_dst or release[f.coflow] > now:
+            continue
+        served.append(f)
+        used_src.add(f.source)
+        used_dst.add(f.dest)
+        if len(used_src) == n or len(used_dst) == n:
+            kept.extend(queue[idx + 1:])
+            break
+    queue[:] = kept
+    return served
 
 
 # ---------------------------------------------------------------------------
@@ -46,58 +74,26 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     link rate whenever both of its ports are still free, so every segment
     is a partial matching of the switch.
     """
-    ordering = (ordering_result or solve_ordering_lp(instance)).ordering
-    pos = {k: p for p, k in enumerate(ordering)}
-    queue = sorted(
-        (key for key, _ in instance.flows()), key=lambda f: (pos[f.coflow], f.source, f.dest)
-    )
+    queue = _queue(instance, (ordering_result or solve_ordering_lp(instance)).ordering)
     return run_fluid(instance, lambda run: _list_schedule_rates(run, queue))
 
 
 def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
-    """Full-rate greedy matching over ``queue``, flows in priority order.
-
-    Finished flows are dropped from ``queue`` in place and unreleased ones
-    are skipped.  The scan stops once every source or every destination
-    port is taken, because no later flow can fit then.
-    """
+    """Full link rate for each flow of the greedy matching over ``queue``."""
     instance = run.instance
-    cap = instance.capacity
-    n = instance.n_ports
-    horizon = run.time + EVENT_EPS
-    finished = run.flow_completions
-    used_src: set[int] = set()
-    used_dst: set[int] = set()
-    rates = {}
-    kept = []
-    for idx, f in enumerate(queue):
-        if f in finished:
-            continue
-        kept.append(f)
-        if (
-            f.source in used_src
-            or f.dest in used_dst
-            or instance.coflows[f.coflow].release > horizon
-        ):
-            continue
-        rates[f] = cap
-        used_src.add(f.source)
-        used_dst.add(f.dest)
-        if len(used_src) == n or len(used_dst) == n:
-            kept.extend(queue[idx + 1:])
-            break
-    queue[:] = kept
-    return rates
+    served = _greedy_matching(
+        queue, run.flow_completions, run.release, run.time + EVENT_EPS, instance.n_ports
+    )
+    return dict.fromkeys(served, instance.capacity)
 
 
 def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     """List scheduling with the ordering recomputed online: the precedence
     LP is re-solved over the remaining demands of the released coflows at
-    every arrival, and the queue rebuilt from the active coflows' unfinished
-    flows by (residual LP rank, source, dest); coflows that the residual
-    instance drops (all flows nearly done) go last, by (release, id).
+    every arrival, and the queue rebuilt from the active coflows' flows by
+    (residual LP rank, source, dest); coflows that the residual instance
+    drops (all flows nearly done) go last, by (release, id).
     """
-    keys = _flow_keys(instance)
     queue: list[FlowKey] = []
     seen: set[int] = set()
 
@@ -105,15 +101,13 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
         active = run.active_coflows()
         if not seen.issuperset(active):
             seen.update(active)
-            left = {k: run.remaining_of(k) for k in active}
-            remaining = {keys[k][pair]: d for k in active for pair, d in left[k].items()}
+            remaining = {f: d for k in active for f, d in run.remaining_of(k).items()}
             residual, ids = residual_instance(instance, remaining, run.time)
             residual_order = solve_ordering_lp(residual).ordering if ids else []
             rank = {ids[k]: p for p, k in enumerate(residual_order)}
-            order = sorted(
-                active, key=lambda k: (rank.get(k, len(rank)), instance.coflows[k].release, k)
-            )
-            queue[:] = [keys[k][pair] for k in order for pair in sorted(left[k])]
+            order = sorted(active, key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
+            # finished flows of the active coflows leave at the next scan
+            queue[:] = _queue(instance, order)
         return _list_schedule_rates(run, queue)
 
     return run_fluid(instance, policy)
@@ -132,14 +126,13 @@ def varys(instance: CoflowInstance) -> Schedule:
     """
     cap = instance.capacity
     n = instance.n_ports
-    keys = _flow_keys(instance)
 
     def policy(run: FluidRun) -> dict:
         # one snapshot of each active coflow's remaining demand and port
         # loads serves the bottleneck sort, the pacing and the leftover pass
-        pairs_of = {k: run.remaining_of(k) for k in run.active_coflows()}
-        loads_of = {k: port_loads(pairs, n) for k, pairs in pairs_of.items()}
-        order = sorted(pairs_of, key=lambda k: (max(map(max, loads_of[k])), k))
+        flows_of = {k: run.remaining_of(k) for k in run.active_coflows()}
+        loads_of = {k: port_loads(flows, n) for k, flows in flows_of.items()}
+        order = sorted(flows_of, key=lambda k: (max(map(max, loads_of[k])), k))
         rem_src = [cap] * n
         rem_dst = [cap] * n
         rates: dict[FlowKey, float] = {}
@@ -155,12 +148,12 @@ def varys(instance: CoflowInstance) -> Schedule:
                 skipped.append(k)
                 continue
             gamma = max(load / rem for load, rem in needed)
-            pairs = pairs_of[k]
-            for pair in sorted(pairs):
-                r = pairs[pair] / gamma
-                rates[keys[k][pair]] = r
-                rem_src[pair[0]] = max(rem_src[pair[0]] - r, 0.0)
-                rem_dst[pair[1]] = max(rem_dst[pair[1]] - r, 0.0)
+            flows = flows_of[k]
+            for f in sorted(flows):
+                r = flows[f] / gamma
+                rates[f] = r
+                rem_src[f.source] = max(rem_src[f.source] - r, 0.0)
+                rem_dst[f.dest] = max(rem_dst[f.dest] - r, 0.0)
         # leftover pass over the skipped coflows: source ports ascending, then
         # flows in list order; coflows already paced to finish together keep
         # their rates (extra speed on a non-bottleneck flow would not move
@@ -168,15 +161,15 @@ def varys(instance: CoflowInstance) -> Schedule:
         # on, so a flow with an exhausted port can never be served.
         spare: list[list] = [[] for _ in range(n)]
         for rank, k in enumerate(skipped):
-            for (i, j) in pairs_of[k]:
-                if rem_src[i] > CAPACITY_TOL and rem_dst[j] > CAPACITY_TOL:
-                    spare[i].append((rank, j, k))
+            for f in flows_of[k]:
+                if rem_src[f.source] > CAPACITY_TOL and rem_dst[f.dest] > CAPACITY_TOL:
+                    spare[f.source].append((rank, f.dest, f))
         for i, candidates in enumerate(spare):
-            for _, j, k in sorted(candidates):
+            for _, j, f in sorted(candidates):
                 extra = min(rem_src[i], rem_dst[j])
                 if extra <= CAPACITY_TOL:
                     continue
-                rates[keys[k][(i, j)]] = extra
+                rates[f] = extra
                 rem_src[i] -= extra
                 rem_dst[j] -= extra
                 if rem_src[i] <= CAPACITY_TOL:
@@ -222,58 +215,59 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     """
     ordering = (ordering_result or solve_ordering_lp(instance)).ordering
     groups = group_coflows(instance, ordering)
-    # each group with the coflows ordered after it
-    stages = [(grp, ordering[end:]) for grp, end in zip(groups, accumulate(map(len, groups)))]
+    # each group with the flows of the coflows ordered after it
+    stages = [
+        (grp, _queue(instance, ordering[end:]))
+        for grp, end in zip(groups, accumulate(map(len, groups)))
+    ]
     cap = instance.capacity
     n = instance.n_ports
-    keys = _flow_keys(instance)
-    pair_order = [sorted(flows.items()) for flows in keys]
 
     def policy(run: FluidRun) -> dict:
         group, later = next(
             (grp, rest) for grp, rest in stages if any(not run.is_complete(k) for k in grp)
         )
         demand: dict[tuple[int, int], float] = {}
-        server: dict[tuple[int, int], int] = {}
+        server: dict[tuple[int, int], FlowKey] = {}
         for k in group:
-            if run.is_complete(k) or not run.released(k):
+            if not run.released(k):
                 continue
-            for pair, d in run.remaining_of(k).items():
+            for f, d in run.remaining_of(k).items():
+                pair = (f.source, f.dest)
                 demand[pair] = demand.get(pair, 0.0) + d
-                server.setdefault(pair, k)
+                server.setdefault(pair, f)
         rem_src = [cap] * n
         rem_dst = [cap] * n
         rates: dict[FlowKey, float] = {}
 
-        def grant(pair: tuple[int, int], k: int, amount: float) -> None:
-            key = keys[k][pair]
-            rates[key] = rates.get(key, 0.0) + amount
-            rem_src[pair[0]] = max(rem_src[pair[0]] - amount, 0.0)
-            rem_dst[pair[1]] = max(rem_dst[pair[1]] - amount, 0.0)
+        def grant(f: FlowKey, amount: float) -> None:
+            i, j, _ = f
+            rates[f] = rates.get(f, 0.0) + amount
+            rem_src[i] = max(rem_src[i] - amount, 0.0)
+            rem_dst[j] = max(rem_dst[j] - amount, 0.0)
 
         if demand:
             finish = max(map(max, port_loads(demand, n))) / cap
             pairs = sorted(demand)
             for pair in pairs:
-                grant(pair, server[pair], demand[pair] / finish)
+                grant(server[pair], demand[pair] / finish)
             # raise the group's own pair rates until a port saturates
             for pair in pairs:
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
                 if extra > CAPACITY_TOL:
-                    grant(pair, server[pair], extra)
+                    grant(server[pair], extra)
         # backfill pairs without group demand from later-ordered released
         # coflows, in pair order; spare capacity only shrinks, so each pair
         # is tested when it comes up
         finished = run.flow_completions
-        for k in later:
-            if run.is_complete(k) or not run.released(k):
+        now = run.time + EVENT_EPS
+        for f in later:
+            i, j, k = f
+            if f in finished or (i, j) in demand or run.release[k] > now:
                 continue
-            for pair, key in pair_order[k]:
-                if key in finished or pair in demand:
-                    continue
-                extra = min(rem_src[pair[0]], rem_dst[pair[1]])
-                if extra > CAPACITY_TOL:
-                    grant(pair, k, extra)
+            extra = min(rem_src[i], rem_dst[j])
+            if extra > CAPACITY_TOL:
+                grant(f, extra)
         return rates
 
     return run_fluid(instance, policy)
@@ -349,7 +343,7 @@ def _integer_bvn(matrix: np.ndarray) -> list:
 # interval-indexed LP + grouping + slotted BvN execution
 # ---------------------------------------------------------------------------
 
-def lp_ii_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
+def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     """Slotted grouped scheduling driven by the interval-indexed LP.
 
     Time advances in slots of the instance's slot_length u, the coarsest
@@ -365,18 +359,16 @@ def lp_ii_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     cap = instance.capacity
     u = slot_length(instance)
     remaining = {key: int(round(size / (cap * u))) for key, size in instance.flows()}
-    ordering = (ordering_result or solve_interval_lp(instance)).ordering
+    ordering = solve_interval_lp(instance).ordering
     groups = group_coflows(instance, ordering)
-    pos = {k: p for p, k in enumerate(ordering)}
     n = instance.n_ports
     release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
-    keys = _flow_keys(instance)
     # the LP-priority queue, and each pair's flows in queue order
-    queue = sorted(remaining, key=lambda f: (pos[f.coflow], f.source, f.dest))
+    queue = _queue(instance, ordering)
     by_pair: dict[tuple[int, int], list[FlowKey]] = {}
     for f in queue:
         by_pair.setdefault((f.source, f.dest), []).append(f)
-    flows_left = [len(flows) for flows in keys]
+    flows_left = [len(cf.demands) for cf in instance.coflows]
     flow_completions: dict[FlowKey, float] = {}
     segments: list[Segment] = []
     slot = min(release_slot)
@@ -407,14 +399,7 @@ def lp_ii_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         )
         if not ready:
             # the whole active group is unreleased: a greedy matching instead
-            serving = []
-            used_src: set[int] = set()
-            used_dst: set[int] = set()
-            for f in queue:
-                if servable(f) and f.source not in used_src and f.dest not in used_dst:
-                    serving.append(f)
-                    used_src.add(f.source)
-                    used_dst.add(f.dest)
+            serving = _greedy_matching(queue, flow_completions, release_slot, slot, n)
             if serving:
                 emit(serving, min(next_release - slot, *(remaining[f] for f in serving)))
             else:
@@ -422,8 +407,8 @@ def lp_ii_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             continue
         matrix = np.zeros((n, n), dtype=np.int64)
         for k in ready:
-            for f in keys[k].values():
-                matrix[f.source, f.dest] += remaining[f]
+            for (i, j) in instance.coflows[k].demands:
+                matrix[i, j] += remaining[FlowKey(i, j, k)]
         # no release falls inside the decomposition, so the served set of
         # coflows stays fixed until slot reaches next_release
         for count, perm in _integer_bvn(matrix):

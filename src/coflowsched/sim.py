@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import CoflowInstance, FlowKey
+from .model import CoflowInstance, FlowKey, _field
 
 EVENT_EPS = 1e-9
 CAPACITY_TOL = 1e-9
@@ -72,26 +72,51 @@ class Schedule:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Schedule":
-        """A stored schedule, with its coflow completions as recorded (the
-        validator's completion_def check compares them with the flows')."""
-        segments = [
-            Segment(
-                seg["start"],
-                seg["end"],
-                {
-                    FlowKey(r["src"], r["dst"], r["coflow"]): r["rate"]
-                    for r in seg["rates"]
-                },
-            )
-            for seg in data["segments"]
-        ]
-        completions = np.array(data["completions"], dtype=float)
-        flow_completions = {
-            FlowKey(e["src"], e["dst"], e["coflow"]): e["time"]
-            for e in data["flow_completions"]
-        }
+    def from_dict(cls, data: dict, instance: CoflowInstance) -> "Schedule":
+        """A stored schedule of ``instance``, with its coflow completions as
+        recorded (the validator's completion_def check compares them with
+        the flows').  A missing or mistyped field, a number that is not
+        finite, a port or coflow id outside ``instance`` or a completions
+        list of the wrong length, or a flow listed twice in one segment or
+        among the flow completions, raises ValueError naming the entry."""
+        limits = {"src": instance.n_ports, "dst": instance.n_ports, "coflow": instance.num_coflows}
+
+        def flow(entry, where: str, seen: dict) -> FlowKey:
+            ids = [_field(entry, name, "an integer", where) for name in limits]
+            for (name, size), value in zip(limits.items(), ids):
+                if not 0 <= value < size:
+                    raise ValueError(f"{where}: {name!r} {value} is outside 0..{size - 1}")
+            if tuple(ids) in seen:
+                raise ValueError(f"{where}: flow {tuple(ids)} is listed twice")
+            return FlowKey(*ids)
+
+        segments = []
+        for s, seg in enumerate(_field(data, "segments", "a list", "schedule")):
+            where = f"segment {s}"
+            rates = {}
+            for r, entry in enumerate(_field(seg, "rates", "a list", where)):
+                at = f"{where} rate {r}"
+                rates[flow(entry, at, rates)] = _number(entry, "rate", at)
+            start, end = _number(seg, "start", where), _number(seg, "end", where)
+            segments.append(Segment(start, end, rates))
+        recorded = dict(enumerate(_field(data, "completions", "a list", "schedule")))
+        if len(recorded) != instance.num_coflows:
+            raise ValueError(f"schedule: 'completions' has {len(recorded)} entries, "
+                             f"not one per coflow ({instance.num_coflows})")
+        completions = np.array([_number(recorded, k, "completions") for k in recorded], float)
+        flow_completions = {}
+        for e, entry in enumerate(_field(data, "flow_completions", "a list", "schedule")):
+            where = f"flow completion {e}"
+            flow_completions[flow(entry, where, flow_completions)] = _number(entry, "time", where)
         return cls(segments, completions, flow_completions)
+
+
+def _number(data, key, where: str) -> float:
+    """``data[key]`` of a schedule file, which must be a finite number."""
+    value = _field(data, key, "a number", where)
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: {key!r} must be finite, got {value!r}")
+    return value
 
 
 @dataclass
@@ -134,6 +159,7 @@ class FluidRun:
         self.flow_completions: dict[FlowKey, float] = {}
         self.segments: list[Segment] = []
         self.rates: dict[FlowKey, float] = {}
+        self.release = [cf.release for cf in instance.coflows]  # by coflow id
         for key, size in instance.flows():
             self.remaining[key] = size
         self._release_times = sorted(
@@ -149,7 +175,7 @@ class FluidRun:
         return not self._incomplete
 
     def released(self, k: int) -> bool:
-        return self.instance.coflows[k].release <= self.time + EVENT_EPS
+        return self.release[k] <= self.time + EVENT_EPS
 
     def is_complete(self, k: int) -> bool:
         return k not in self._incomplete
@@ -159,14 +185,8 @@ class FluidRun:
         return sorted(k for k in self._incomplete if self.released(k))
 
     def remaining_of(self, k: int) -> dict:
-        """Remaining demand of coflow k keyed by (source, dest).
-
-        Callers must not mutate the returned mapping.
-        """
-        return {
-            (f.source, f.dest): self.remaining[f]
-            for f in self._incomplete.get(k, ())
-        }
+        """Remaining demand of coflow k's incomplete flows, by FlowKey."""
+        return {f: self.remaining[f] for f in self._incomplete.get(k, ())}
 
     def next_release(self) -> float | None:
         for t in self._release_times:
@@ -183,7 +203,7 @@ class FluidRun:
                 continue
             if key not in self.remaining or key in self.flow_completions:
                 raise ValueError(f"rate assigned to unknown or finished flow {key}")
-            if self.instance.coflows[key.coflow].release > self.time + EVENT_EPS:
+            if self.release[key.coflow] > self.time + EVENT_EPS:
                 raise ValueError(f"rate assigned to unreleased flow {key}")
             clean[key] = float(rate)
         self.rates = clean

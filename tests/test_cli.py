@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -230,6 +233,65 @@ def test_malformed_instance_exits_two(tmp_path, capsys, case, verb):
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+MALFORMED_SCHEDULE = {  # case: (edit, text the error must contain)
+    "segment-without-rates": (lambda data: data["segments"][0].pop("rates"),
+                              "segment 0 has no 'rates'"),
+    "top-level-list": (None, "schedule is not a JSON object"),
+    "completions-too-short": (lambda data: data["completions"].pop(),
+                              "'completions' has 1 entries"),
+    "rate-on-coflow-9": (_set("segments", 0, "rates", 0, "coflow", value=9),
+                         "segment 0 rate 0: 'coflow' 9 is outside 0..1"),
+    "src-minus-one": (_set("segments", 0, "rates", 0, "src", value=-1),
+                      "segment 0 rate 0: 'src' -1 is outside 0..1"),
+    "rate-nan": (_set("segments", 0, "rates", 0, "rate", value=math.nan),
+                 "segment 0 rate 0: 'rate' must be finite"),
+    "completion-time-string": (_set("flow_completions", 0, "time", value="2"),
+                               "flow completion 0: 'time' must be a number"),
+    "rate-listed-twice": (lambda data: data["segments"][0]["rates"].append(
+                              dict(data["segments"][0]["rates"][0], rate=5.0)),
+                          "is listed twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULE))
+def test_malformed_schedule_exits_two(tmp_path, capsys, case):
+    from coflowsched.schedulers import lp_ov_ls
+
+    inst = CoflowInstance(2, [Coflow({(0, 1): 2.0, (1, 0): 1.0}), Coflow({(1, 1): 1.0})])
+    data = lp_ov_ls(inst).to_dict()
+    edit, message = MALFORMED_SCHEDULE[case]
+    if edit is None:
+        data = [data]
+    else:
+        edit(data)
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "bad.json"
+    save_instance(inst, inst_path)
+    sched_path.write_text(json.dumps(data))
+    assert cli.main(["validate", "--instance", str(inst_path), "--schedule", str(sched_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_run_imports_no_test_only_or_masked_array_modules(tmp_path):
+    # scipy and hypothesis are test-only extras, and numpy.ma would add to the
+    # import time of every run; a fresh interpreter shows what a run imports
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from coflowsched import cli\n"
+        f"rc = cli.main(['run', '--ports', '4', '--coflows', '6', '--reps', '1',\n"
+        f"               '--schedulers', {','.join(cli.SCHEDULER_NAMES)!r},\n"
+        f"               '--out', {str(tmp_path / 'r.csv')!r}])\n"
+        "print(rc, sorted({'scipy', 'hypothesis', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []"
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from coflowsched.model import (
     Coflow,
     CoflowInstance,
+    FlowKey,
     effective_size,
     horizon,
     instance_from_dict,
@@ -32,6 +33,10 @@ def test_aggregate_loads_single_flow():
     src, dst = port_loads(Coflow({(0, 1): 5.0}).demands, 2)
     assert src == [5.0, 0.0]
     assert dst == [0.0, 5.0]
+    # flows named by FlowKeys, as the simulator names them, sum the same
+    pairs = {(0, 1): 5.0, (1, 1): 2.0, (0, 0): 0.5}
+    keyed = {FlowKey(i, j, 3): d for (i, j), d in pairs.items()}
+    assert port_loads(keyed, 2) == port_loads(pairs, 2) == ([5.5, 2.0], [0.5, 7.0])
 
 
 def test_aggregate_loads_first_staggered_coflow():

@@ -7,6 +7,7 @@ from coflowsched.model import Coflow, CoflowInstance, FlowKey
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import (
     Schedule,
+    _greedy_matching,
     _integer_bvn,
     _pad_to_equal_line_sums,
     group_coflows,
@@ -56,6 +57,25 @@ def test_list_scheduler_segments_are_matchings():
         assert len(sources) == len(set(sources))
         assert len(dests) == len(set(dests))
         assert all(r == pytest.approx(inst.capacity) for r in seg.rates.values())
+
+
+def test_greedy_matching_drops_finished_keeps_unreleased_and_stops_when_full():
+    done, late, first = FlowKey(0, 0, 0), FlowKey(1, 0, 1), FlowKey(0, 1, 0)
+    clash, second = FlowKey(0, 0, 2), FlowKey(1, 0, 0)
+    done_after, rest = FlowKey(1, 1, 0), FlowKey(1, 1, 2)
+    queue = [done, late, first, clash, second, done_after, rest]
+    finished = {done: 1.0, done_after: 2.0}
+    release = [0.0, 5.0, 0.0]  # coflow 1 is not released yet
+    served = _greedy_matching(queue, finished, release, 1.0, 2)
+    assert served == [first, second]
+    # done leaves the queue in place; late is skipped but kept, clash lost
+    # its source port; both ports of each side are taken at second, so the
+    # scan stops there and done_after stays although it is finished
+    assert queue == [late, first, clash, second, done_after, rest]
+    # the next scan drops done_after; clash's destination is now late's
+    served = _greedy_matching(queue, {**finished, first: 3.0, second: 3.0}, release, 5.0, 2)
+    assert served == [late]
+    assert queue == [late, clash, rest]
 
 
 # -- online variant ---------------------------------------------------------
@@ -248,7 +268,7 @@ def test_schedule_json_round_trip():
     inst = staggered_release_fixture()
     sched = lp_ov_ls(inst)
     data = json.loads(json.dumps(sched.to_dict()))
-    back = Schedule.from_dict(data)
+    back = Schedule.from_dict(data, inst)
     assert np.allclose(back.completions, sched.completions)
     assert back.flow_completions == sched.flow_completions
     assert len(back.segments) == len(sched.segments)

@@ -6,7 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from coflowsched.model import Coflow, CoflowInstance, FlowKey  # noqa: E402
+from coflowsched.model import Coflow, CoflowInstance  # noqa: E402
 from coflowsched.sim import EVENT_EPS, FluidRun  # noqa: E402
 
 RATES = (0.25, 0.5, 1.0, 2.0)
@@ -36,7 +36,7 @@ def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
     assert run.active_coflows() == active
     for k in range(instance.num_coflows):
         assert run.remaining_of(k) == {
-            (f.source, f.dest): run.remaining[f] for f in incomplete if f.coflow == k
+            f: run.remaining[f] for f in incomplete if f.coflow == k
         }
     assert run.done() == (not incomplete)
 
@@ -47,9 +47,7 @@ def test_views_match_brute_force_after_every_step(instance, data):
     run = FluidRun(instance)
     _assert_views_match(run, instance)
     while not run.done():
-        active = [
-            FlowKey(i, j, k) for k in run.active_coflows() for (i, j) in sorted(run.remaining_of(k))
-        ]
+        active = [f for k in run.active_coflows() for f in sorted(run.remaining_of(k))]
         rates = {}
         for f in active:
             if data.draw(st.booleans(), label="serve"):
