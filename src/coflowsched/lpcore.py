@@ -28,11 +28,11 @@ which guarantees termination, and returns to steepest edge once the
 objective moves.  Ties among optimal vertices go to the one whose bounded
 variables sit nearest their lower bounds.
 
-A caller's starting basis skips phase 1 when it is feasible; otherwise
-phase 1 minimises a sum of artificials from the slack basis.  An optimal
-solution carries the row duals, and ``certify`` checks a primal point and
-duals against each other and returns the dual bound they prove.  No
-external solver is used.
+A caller's starting basis, a ``Basis`` value, skips phase 1 when it is
+feasible; otherwise phase 1 minimises a sum of artificials from the slack
+basis.  An optimal solution carries the row duals, and ``certify`` checks a
+primal point and duals against each other and returns the dual bound they
+prove.  No external solver is used.
 """
 
 from __future__ import annotations
@@ -167,6 +167,17 @@ class LpProblem:
     def transpose_times(self, y: np.ndarray) -> np.ndarray:
         """A' y."""
         return _sum_by(self.col_of, self.val * y[self.row_of], self.num_vars)
+
+
+class Basis(NamedTuple):
+    """A starting basis: ``columns[i]`` is basic in row ``rows[i]``, every
+    other row's slack is basic, and the nonbasic variables in ``at_upper``
+    start at their upper bound (all others at their lower bound).  The
+    kernel is factored in the given order."""
+
+    rows: Sequence[int]
+    columns: Sequence[int]
+    at_upper: Sequence[int] = ()
 
 
 @dataclass
@@ -306,20 +317,15 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     return Certificate(not violations, objective, dual_bound, gap, violations)
 
 
-def solve(
-    problem: LpProblem,
-    basis_hint: Sequence[int] | None = None,
-    upper_start: Sequence[int] | None = None,
-) -> LpSolution:
+def solve(problem: LpProblem, start: Basis | None = None) -> LpSolution:
     """Solve to proven optimality, or report infeasible/unbounded.
 
     Deterministic: identical problems produce identical solutions.
 
-    ``basis_hint`` optionally names, per constraint row, a variable to
-    start basic there (-1 keeps the row's slack), and ``upper_start``
-    lists variables that begin at their upper bound instead of the lower.
-    When the hinted basis is feasible, phase 1 is skipped entirely;
-    otherwise the hint is discarded and the ordinary two-phase path runs.
+    ``start`` optionally names the basis to begin from.  When it is
+    feasible, phase 1 is skipped entirely; otherwise (see ``_crash``; a row
+    or column named twice makes the kernel singular) it is discarded and
+    the ordinary two-phase path runs.
 
     Optimal points are re-verified against every row and bound, each to
     1e-6 of the magnitudes it compares and never looser than
@@ -327,12 +333,12 @@ def solve(
     retried cold before giving up.
     """
     stats = SolveStats()
-    sol = _solve_once(problem, basis_hint, upper_start, stats)
+    sol = _solve_once(problem, start, stats)
     if sol.status != OPTIMAL or _rechecked(problem, sol.values):
         return sol
-    if basis_hint is not None:
+    if start is not None:
         stats.cold_retry = True
-        sol = _solve_once(problem, None, None, stats)
+        sol = _solve_once(problem, None, stats)
         if sol.status != OPTIMAL or _rechecked(problem, sol.values):
             return sol
     raise RuntimeError("simplex returned an out-of-tolerance point; problem is badly scaled")
@@ -368,12 +374,7 @@ def _pow2_scaling(row_of, col_of, val, m: int, n: int):
     return np.exp2(log_r), np.exp2(log_c)
 
 
-def _solve_once(
-    problem: LpProblem,
-    basis_hint: Sequence[int] | None,
-    upper_start: Sequence[int] | None,
-    stats: SolveStats,
-) -> LpSolution:
+def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> LpSolution:
     n = problem.num_vars
     m = len(problem.rhs)
     lower, upper, rel = problem.lower, problem.upper, problem.rel
@@ -400,8 +401,8 @@ def _solve_once(
     val_s = val * (sign * row_scale)[row_of] * col_scale[col_of]
 
     simplex = None
-    if basis_hint is not None:
-        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rel, basis_hint, upper_start, stats)
+    if start is not None:
+        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rel, start, stats)
         stats.crash_accepted = simplex is not None
     if simplex is None:
         simplex = _phase1(row_of, col_of, val_s, m, n, b_s, ub_s, rel, stats)
@@ -423,47 +424,39 @@ def _solve_once(
         simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
         simplex.run(cost)
 
-    # round-off within tolerance of a bound is snapped onto it; the clamp
-    # removes the last bit that shifting back by ``lower`` can add
+    # round-off within tolerance of a bound is snapped onto it, and so is
+    # what shifting back by ``lower`` leaves of a zero; the clamp removes
+    # the last bit that the shift can add
     y = simplex.x[:n]
     y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
     y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
     values = lower + col_scale * y
+    values = np.where(np.abs(values) <= FEASIBILITY_TOL * np.abs(lower), 0.0, values)
     values = np.minimum(np.maximum(values, lower), np.where(np.isfinite(upper), upper, values))
     duals = gamma * sign * row_scale * simplex.pi
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)
 
 
-def _crash(row_of, col_of, val, m, n, b, ub, rel, basis_hint, upper_start, stats):
-    """The caller's starting basis, or None when it is unusable.
-
-    The hint must name a distinct variable for every == row (there is no
-    slack to fall back on), the hinted columns must form a nonsingular
-    kernel on the hinted rows, and the resulting basic values must respect
-    their bounds; otherwise the caller reverts to phase 1.
-    """
-    if len(basis_hint) != m:
+def _crash(row_of, col_of, val, m, n, b, ub, rel, start, stats):
+    """The caller's starting basis, or None when it is unusable: an index
+    out of range, an == row left to its slack (it has none to fall back
+    on), a variable at an infinite upper bound, a singular kernel, or basic
+    values outside their bounds."""
+    rows = np.asarray(start.rows, dtype=np.int64)
+    cols = np.asarray(start.columns, dtype=np.int64)
+    upper = np.asarray(start.at_upper, dtype=np.int64)
+    if rows.shape != cols.shape or ((rows < 0) | (rows >= m)).any() or ((cols < 0) | (cols >= n)).any():
         return None
-    hint = np.asarray(basis_hint, dtype=np.int64)
-    kernel_rows = np.flatnonzero(hint >= 0)
-    kernel_cols = hint[kernel_rows]
-    if (kernel_cols >= n).any():
+    if ((upper < 0) | (upper >= n)).any() or not np.isfinite(ub[upper]).all():
         return None
-    hinted = np.bincount(kernel_cols, minlength=n)
-    if (hinted > 1).any():
-        return None
-    if (rel[hint < 0] == EQ).any():
-        return None  # == row with no hinted variable
-    upper = np.asarray(() if upper_start is None else upper_start, dtype=np.int64)
-    if ((upper < 0) | (upper >= n)).any():
-        return None
-    at_upper = np.flatnonzero(np.bincount(upper, minlength=n))
-    if not np.isfinite(ub[at_upper]).all() or hinted[at_upper].any():
+    slack_basic = np.ones(m, dtype=bool)
+    slack_basic[rows] = False
+    if (rel[slack_basic] == EQ).any():
         return None
     simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats)
-    simplex.x[at_upper] = ub[at_upper]
-    simplex.status[at_upper] = _AT_UPPER
-    if not simplex.install(kernel_cols, kernel_rows, check=True):
+    simplex.x[upper] = ub[upper]
+    simplex.status[upper] = _AT_UPPER
+    if not simplex.install(cols, rows, check=True):
         return None
     basic = simplex.basic
     xb = simplex.x[basic]

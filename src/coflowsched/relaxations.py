@@ -167,7 +167,7 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
 
-def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem):
+def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> lpcore.Basis:
     """Feasible starting vertex for the reduced LP: fix every pair variable
     to the corner of a greedy order (release plus bottleneck over weight),
     then make each completion variable basic in its tightest row.
@@ -202,12 +202,11 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem):
     is_f = (prob.col_of < kk) & (prob.val == 1.0)
     row_k = np.empty(m, dtype=np.int64)
     row_k[prob.row_of[is_f]] = prob.col_of[is_f]
-    # per coflow, the first row with the largest effective right-hand side
+    # per coflow, the first row with the largest effective right-hand side;
+    # the kernel is factored in row order
     order = np.lexsort((-eff_rhs, row_k))
-    best = order[np.flatnonzero(np.diff(row_k[order], prepend=-1))]
-    hint = np.full(m, -1, dtype=np.int64)
-    hint[best] = row_k[best]
-    return hint, upper_start
+    best = np.sort(order[np.flatnonzero(np.diff(row_k[order], prepend=-1))])
+    return lpcore.Basis(best, row_k[best], upper_start)
 
 
 def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
@@ -218,8 +217,7 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
     """
     kk = instance.num_coflows
     prob = _build_reduced_ordering_lp(instance)
-    hint, upper_start = _ordering_crash_basis(instance, prob)
-    sol = lpcore.solve(prob, basis_hint=hint, upper_start=upper_start)
+    sol = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
             f"ordering LP should always be solvable, got status {sol.status!r}"
@@ -328,9 +326,7 @@ def solve_interval_lp(instance: CoflowInstance) -> IntervalLpResult:
     prob, grid = build_interval_lp(instance)
     nl = len(grid) - 1
     # crash basis: everything assigned to the last interval is feasible
-    hint = np.full(len(prob.rhs), -1, dtype=np.int64)
-    hint[:kk] = np.arange(kk) * nl + (nl - 1)
-    sol = lpcore.solve(prob, basis_hint=hint)
+    sol = lpcore.solve(prob, lpcore.Basis(np.arange(kk), np.arange(kk) * nl + nl - 1))
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
             f"interval LP should always be solvable, got status {sol.status!r}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coflowsched import lpcore
-from coflowsched.lpcore import LpProblem, check_feasible, solve
+from coflowsched.lpcore import Basis, LpProblem, check_feasible, solve
 from coflowsched.model import effective_size, node_load_matrix
 from coflowsched.relaxations import build_ordering_lp, delta_index
 from coflowsched.verify import equal_bottleneck_fixture, staggered_release_fixture
@@ -131,6 +131,20 @@ def test_shifted_lower_bounds():
     assert s.values[0] == pytest.approx(2.0)
 
 
+def test_zero_optimum_with_a_far_lower_bound():
+    # the solver works in x - lower, so x = 0 comes back as lower + 100(1 +- eps),
+    # a few 1e-14 off zero, against zero right-hand sides whose relative
+    # re-check tolerance is about 3e-25
+    p = LpProblem(1, objective=[-0.02], lower=[-100.0])
+    for _ in range(4):
+        p.add_constraint({0: -2e-5}, "<=", 0.0)
+    p.add_constraint({0: -2e-5}, ">=", 0.0)
+    s = solve(p)
+    assert s.status == lpcore.OPTIMAL
+    assert s.values[0] == 0.0
+    assert lpcore.certify(p, s.values, s.duals).ok
+
+
 def test_bad_problem_structure():
     p = LpProblem(1)
     with pytest.raises(ValueError):
@@ -192,21 +206,20 @@ def test_degenerate_problem_terminates():
     assert s.objective_value == pytest.approx(-0.05)
 
 
-def test_basis_hint_matches_cold_solve():
+def test_crash_start_matches_cold_solve():
     inst = staggered_release_fixture()
     from coflowsched.relaxations import _build_reduced_ordering_lp, _ordering_crash_basis
 
     prob = _build_reduced_ordering_lp(inst)
-    hint, upper = _ordering_crash_basis(inst, prob)
-    warm = solve(prob, basis_hint=hint, upper_start=upper)
+    warm = solve(prob, _ordering_crash_basis(inst, prob))
     cold = solve(prob)
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
 
 
-def test_bogus_basis_hint_falls_back():
+def test_bogus_start_falls_back():
     p = LpProblem(1, objective=[1.0])
     p.add_constraint({0: 1.0}, ">=", 3.0)
-    s = solve(p, basis_hint=[-1])  # leaves the >= row infeasible at the corner
+    s = solve(p, Basis([], []))  # leaves the >= row infeasible at the corner
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(3.0)
     assert not s.stats.crash_accepted
@@ -214,13 +227,53 @@ def test_bogus_basis_hint_falls_back():
     assert not s.stats.cold_retry
 
 
+def test_start_with_only_variables_at_upper_is_honoured():
+    p = LpProblem(2, objective=[1.0, 1.0], upper=[1.0, 1.0])
+    p.add_constraint({0: 1.0, 1: 1.0}, "<=", 5.0)
+    s = solve(p, Basis([], [], [0, 1]))
+    assert s.stats.crash_accepted
+    assert s.stats.bound_flips == 2  # both variables flip down from their upper bound
+    assert list(s.values) == [0.0, 0.0]
+
+
+def _two_row_lp():
+    # min x0 + 2 x1: x0 + x1 >= 2, x0 - x1 == 0, x0 + 3 x1 <= 10; optimum (1, 1)
+    p = LpProblem(2, objective=[1.0, 2.0])
+    p.add_constraint({0: 1.0, 1: 1.0}, ">=", 2.0)
+    p.add_constraint({0: 1.0, 1: -1.0}, "==", 0.0)
+    p.add_constraint({0: 1.0, 1: 3.0}, "<=", 10.0)
+    return p
+
+
+def test_valid_start_skips_phase_one():
+    s = solve(_two_row_lp(), Basis([0, 1], [0, 1]))
+    assert s.stats.crash_accepted
+    assert not s.stats.phase1
+    assert s.objective_value == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("start", [
+    Basis([0, 1], [0, 0]),  # one column named twice
+    Basis([0, 0], [0, 1]),  # one row named twice
+    Basis([0], [0]),        # the == row left to its slack
+], ids=["column-twice", "row-twice", "eq-row-slack"])
+def test_unusable_start_falls_back_to_phase_one(start):
+    p = _two_row_lp()
+    s = solve(p, start)
+    cold = solve(p)
+    assert not s.stats.crash_accepted
+    assert s.stats.phase1
+    assert not s.stats.cold_retry
+    assert s.status == cold.status == lpcore.OPTIMAL
+    assert s.values.tobytes() == cold.values.tobytes()
+
+
 def test_ordering_lp_crash_start_accepted():
     inst = staggered_release_fixture()
     from coflowsched.relaxations import _build_reduced_ordering_lp, _ordering_crash_basis
 
     prob = _build_reduced_ordering_lp(inst)
-    hint, upper = _ordering_crash_basis(inst, prob)
-    s = solve(prob, basis_hint=hint, upper_start=upper)
+    s = solve(prob, _ordering_crash_basis(inst, prob))
     assert s.stats.crash_accepted
     assert not s.stats.phase1
     assert not s.stats.cold_retry
@@ -233,8 +286,7 @@ def _ordering_lp_solution():
 
     inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="dense", seed=5))
     prob = _build_reduced_ordering_lp(inst)
-    hint, upper = _ordering_crash_basis(inst, prob)
-    return inst, prob, solve(prob, basis_hint=hint, upper_start=upper)
+    return inst, prob, solve(prob, _ordering_crash_basis(inst, prob))
 
 
 def test_duals_certify_the_optimum():

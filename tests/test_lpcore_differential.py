@@ -4,8 +4,12 @@ Each drawn LP mixes <=, >= and == rows, zero right-hand sides, duplicate
 and degenerate rows, and coefficients from 1e-6 to 1e6 (a row magnitude
 times a column magnitude, each from 1e-3 to 1e3, so the LP is badly
 scaled but not ill-conditioned).  Some draws are infeasible or unbounded.  Every LP is
-solved cold and with a random ``basis_hint``/``upper_start``; status and
-objective must agree with HiGHS.
+solved cold and from a random ``lpcore.Basis``; status and objective must
+agree with HiGHS.
+
+``derandomize=True`` seeds Hypothesis from a hash of the test function, so
+the 300 LPs drawn depend on the test's source: an edit to
+``test_matches_highs`` draws a different set.
 """
 
 import math
@@ -98,14 +102,17 @@ def _highs(problem):
     return res
 
 
-def _random_hint(problem, seed):
+def _random_start(problem, seed):
+    """A random start: each row keeps its slack or names a random column
+    (so a column may be named twice, or an == row left to its slack, and
+    the solver must fall back), and some bounded variables start at upper."""
     rng = np.random.default_rng(seed)
     n = problem.num_vars
     hint = [int(rng.integers(-1, n)) for _ in problem.constraints]
-    hinted = {h for h in hint if h >= 0}
+    rows = [i for i, h in enumerate(hint) if h >= 0]
     upper = [j for j, (_, hi) in enumerate(problem.bounds)
-             if math.isfinite(hi) and j not in hinted and rng.random() < 0.5]
-    return hint, upper
+             if math.isfinite(hi) and j not in hint and rng.random() < 0.5]
+    return lpcore.Basis(rows, [hint[i] for i in rows], upper)
 
 
 def _objective_scale(problem, values):
@@ -120,11 +127,10 @@ def test_matches_highs(problem, seed):
     if ref.status not in (0, 2, 3):
         return  # HiGHS hit a limit; nothing to compare against
     expected = {0: lpcore.OPTIMAL, 2: lpcore.INFEASIBLE, 3: lpcore.UNBOUNDED}[ref.status]
-    hint, upper = _random_hint(problem, seed)
-    for kwargs in ({}, {"basis_hint": hint, "upper_start": upper}):
-        sol = lpcore.solve(problem, **kwargs)
-        assert sol.status == expected, (kwargs, ref.message)
+    for start in (None, _random_start(problem, seed)):
+        sol = lpcore.solve(problem, start)
+        assert sol.status == expected, (start, ref.message)
         if expected == lpcore.OPTIMAL:
             scale = max(_objective_scale(problem, ref.x), _objective_scale(problem, sol.values))
             assert abs(sol.objective_value - ref.fun) <= REL_TOL * scale, (
-                kwargs, sol.objective_value, ref.fun)
+                start, sol.objective_value, ref.fun)

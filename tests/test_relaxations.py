@@ -351,10 +351,8 @@ def _reference_crash_basis(instance, rows):
         eff_rhs = rhs - sum(c for j, c in coeffs.items() if j in upper_set)
         if k not in best_row or eff_rhs > best_row[k][0]:
             best_row[k] = (eff_rhs, idx)
-    hint = [-1] * len(rows)
-    for k, (_, idx) in best_row.items():
-        hint[idx] = k
-    return hint, upper_start
+    kernel = sorted((idx, k) for k, (_, idx) in best_row.items())
+    return [idx for idx, _ in kernel], [k for _, k in kernel], upper_start
 
 
 def _same_bits(got, expected):
@@ -428,10 +426,9 @@ def _assert_reduced_lp_matches(instance):
     reduced = _build_reduced_ordering_lp(instance)
     reference = _reference_reduced_lp(instance)
     _assert_same_lp(reduced, reference)
-    hint, upper_start = _ordering_crash_basis(instance, reduced)
-    ref_hint, ref_upper = _reference_crash_basis(instance, reference[2])
-    assert _same_bits(hint, np.array(ref_hint, dtype=np.int64))
-    assert _same_bits(upper_start, np.array(ref_upper, dtype=np.int64))
+    start = _ordering_crash_basis(instance, reduced)
+    for got, expected in zip(start, _reference_crash_basis(instance, reference[2]), strict=True):
+        assert _same_bits(got, np.array(expected, dtype=np.int64))
 
 
 def _assert_builders_match(instance):
