@@ -186,11 +186,12 @@ def varys(instance: CoflowInstance) -> Schedule:
 def group_coflows(instance: CoflowInstance, ordering: list) -> list[list[int]]:
     """Split an ordering of all coflow ids into groups by the geometric
     interval (2^(m-1), 2^m] that contains the cumulative bottleneck load of
-    each order prefix: consecutive coflows in the same interval share a
-    group, so the groups are consecutive slices of the ordering."""
+    each order prefix, in time units (data / capacity): consecutive coflows
+    in the same interval share a group, so the groups are consecutive
+    slices of the ordering."""
     groups: list[list[int]] = []
     prev_m: int | None = None
-    for k, peak in zip(ordering, prefix_bottlenecks(instance, ordering)):
+    for k, peak in zip(ordering, prefix_bottlenecks(instance, ordering) / instance.capacity):
         m = math.ceil(math.log2(peak) - 1e-12)
         if m == prev_m:
             groups[-1].append(k)

@@ -44,8 +44,8 @@ GOLDEN = {
         "varys": "a6631d536a0cdc66ec44ad9f40aae72d2dcb0046c77ef10665f6f71a1a58a6f9",
     },
     "dense-5x8-capacity-0.37": {
-        "lp-ii-gb": "5e9b05276cac15fbc35321ff99290f5c01245996b2990576a1de9acbdd55f978",
-        "lp-ov-gb": "0caf86ac131a9c8f6bb85f8d44db18b6575196c924f10d71f227d18111ce162f",
+        "lp-ii-gb": "955dc1ffe520635acd0810ce0e7c4678695b0e1babbe32f74ad9bcc12f2164d5",
+        "lp-ov-gb": "1b4a71d0cb1365fddf8b7ad34e5994130b361c81ac0d33254cdd31b418855a3d",
         "lp-ov-ls": "8ba04a2248eb3633b9b75443665ce4c98c587e7959ba341004ba5b424d6ac063",
         "lp-ov-ls-online": "c5b3a63c2a322c4ae84102a46d4f0962126fb02fd70bdfbf852c329005fd9950",
         "varys": "71d765ef995e6a9fc283a21c9a1f793e144e6db1fe0644e5d5c8c2f8321c1dc9",

@@ -156,6 +156,25 @@ def test_grouping_geometric_intervals():
     assert group_coflows(inst2, [0, 1]) == [[0, 1]]
 
 
+def test_grouped_schedulers_do_not_depend_on_the_unit_of_data():
+    # sizes and capacity scaled alike leave every time, so every group and
+    # every completion, as it was
+    for seed in range(4):
+        inst = generate(SyntheticConfig(n_ports=5, n_coflows=8, kind="dense",
+                                        interarrival_range=(1, 30), seed=seed))
+        ordering = solve_ordering_lp(inst).ordering
+        for factor in (0.37, 1000.0):
+            scaled = CoflowInstance(inst.n_ports, [
+                Coflow({pair: size * factor for pair, size in cf.demands.items()},
+                       release=cf.release, weight=cf.weight)
+                for cf in inst.coflows
+            ], capacity=inst.capacity * factor)
+            assert group_coflows(scaled, ordering) == group_coflows(inst, ordering)
+            for scheduler in (lp_ov_gb, lp_ii_gb):
+                assert np.allclose(scheduler(scaled).completions, scheduler(inst).completions,
+                                   rtol=1e-9, atol=0.0), (seed, factor, scheduler.__name__)
+
+
 def test_grouping_counterexample_splits():
     inst = counterexample_fixture()
     assert group_coflows(inst, [0, 1]) == [[0], [1]]
