@@ -121,7 +121,7 @@ def _number(data, key, where: str) -> float:
 
 @dataclass
 class Violation:
-    kind: str          # capacity_src, capacity_dst, release, demand, completion_def
+    kind: str          # capacity_src, capacity_dst, release, demand, completion_def, unknown_flow
     location: str
     magnitude: float
 
@@ -268,11 +268,13 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     """Check a schedule against the model constraints.
 
     Inspects segment structure (ordered, non-overlapping), per-port rate
-    sums, release dates, transmitted volume per flow at its recorded
-    completion, and the coflow completion definition.
+    sums, release dates, rates and completions only on the instance's flows,
+    transmitted volume per flow at its recorded completion, and the coflow
+    completion definition.
     """
     cap = instance.capacity
     n = instance.n_ports
+    sizes = dict(instance.flows())
     completed = schedule.flow_completions
     violations: list[Violation] = []
     transmitted: dict[FlowKey, float] = {}
@@ -289,6 +291,8 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
         for key, rate in rates.items():
             # every recorded rate counts toward the volume, nonpositive ones too
             completion = completed.get(key)
+            if completion is None and key not in sizes:
+                completion = end  # a flow the instance lacks: all it was sent counts
             if completion is not None:
                 span = max(min(end, completion) - start, 0.0)
                 transmitted[key] = transmitted.get(key, 0.0) + rate * span
@@ -311,8 +315,11 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
                     Violation("capacity_dst", f"segment {idx} port {p}", dst_sum[p] - cap)
                 )
 
+    for key in sorted((transmitted.keys() | completed.keys()) - sizes.keys()):
+        violations.append(Violation("unknown_flow", f"flow {tuple(key)}", transmitted.get(key, 0.0)))
+
     flows_of: list[list[FlowKey]] = [[] for _ in range(instance.num_coflows)]
-    for key, size in instance.flows():
+    for key, size in sizes.items():
         flows_of[key.coflow].append(key)
         got = transmitted.get(key, 0.0)
         if key not in completed:

@@ -169,6 +169,24 @@ def test_validate_verb_accepts_and_rejects(tmp_path):
     assert cli.main(["validate", "--instance", str(inst), "--schedule", str(broken)]) == 1
 
 
+def test_validate_verb_rejects_a_flow_the_instance_lacks(tmp_path, capsys):
+    from coflowsched.schedulers import lp_ov_ls
+
+    instance = CoflowInstance(3, [Coflow({(0, 0): 1.0}), Coflow({(1, 1): 1.0})])
+    inst = tmp_path / "instance.json"
+    save_instance(instance, inst)
+    data = lp_ov_ls(instance).to_dict()
+    data["segments"][0]["rates"].append({"src": 2, "dst": 2, "coflow": 1, "rate": 0.5})
+    data["flow_completions"].append({"src": 2, "dst": 2, "coflow": 1, "time": 99.0})
+    sched = tmp_path / "schedule.json"
+    sched.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["validate", "--instance", str(inst), "--schedule", str(sched)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [v["kind"] for v in report["violations"]] == ["unknown_flow"]
+    assert report["violations"][0]["location"] == "flow (2, 2, 1)"
+
+
 def test_dump_schedules_same_with_workers_and_without_lp_ov_ls(tmp_path):
     common = ["run", "--workload", "dense", "--ports", "3", "--coflows", "4",
               "--reps", "2", "--seed", "3"]
