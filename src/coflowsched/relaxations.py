@@ -191,13 +191,13 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> l
     rank[greedy] = np.arange(kk)
     a, b = np.triu_indices(kk, 1)
     later = rank[b] < rank[a]  # pair variable holds "b finishes before a"
-    upper_start = _pair_index(kk, a[later], b[later])
-    at_upper = np.zeros(prob.num_vars, dtype=bool)
-    at_upper[upper_start] = True
+    at_upper = _pair_index(kk, a[later], b[later])
+    is_upper = np.zeros(prob.num_vars, dtype=bool)
+    is_upper[at_upper] = True
     m = len(prob.rhs)
     # each row's right-hand side less its entries at their upper bound,
     # summed in entry order
-    eff_rhs = prob.rhs - np.bincount(prob.row_of, np.where(at_upper[prob.col_of], prob.val, 0.0), minlength=m)
+    eff_rhs = prob.rhs - np.bincount(prob.row_of, np.where(is_upper[prob.col_of], prob.val, 0.0), minlength=m)
     # every row has one completion variable f_k, with coefficient 1
     is_f = (prob.col_of < kk) & (prob.val == 1.0)
     row_k = np.empty(m, dtype=np.int64)
@@ -206,7 +206,7 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> l
     # the kernel is factored in row order
     order = np.lexsort((-eff_rhs, row_k))
     best = np.sort(order[np.flatnonzero(np.diff(row_k[order], prepend=-1))])
-    return lpcore.Basis(best, row_k[best], upper_start)
+    return lpcore.Basis(best, row_k[best], at_upper)
 
 
 def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:

@@ -338,13 +338,13 @@ def _reference_crash_basis(instance, rows):
         ),
     )
     rank = {k: p for p, k in enumerate(greedy)}
-    upper_start = [
+    at_upper = [
         _reference_pair_index(kk, a, b)
         for a in range(kk)
         for b in range(a + 1, kk)
         if rank[b] < rank[a]
     ]
-    upper_set = set(upper_start)
+    upper_set = set(at_upper)
     best_row = {}
     for idx, (coeffs, _, rhs) in enumerate(rows):
         k = next(j for j, c in coeffs.items() if j < kk and c == 1.0)
@@ -352,7 +352,7 @@ def _reference_crash_basis(instance, rows):
         if k not in best_row or eff_rhs > best_row[k][0]:
             best_row[k] = (eff_rhs, idx)
     kernel = sorted((idx, k) for k, (_, idx) in best_row.items())
-    return [idx for idx, _ in kernel], [k for _, k in kernel], upper_start
+    return [idx for idx, _ in kernel], [k for _, k in kernel], at_upper
 
 
 def _same_bits(got, expected):
