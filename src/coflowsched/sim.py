@@ -291,11 +291,11 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
         for key, rate in rates.items():
             # every recorded rate counts toward the volume, nonpositive ones too
             completion = completed.get(key)
-            if completion is None and key not in sizes:
-                completion = end  # a flow the instance lacks: all it was sent counts
             if completion is not None:
                 span = max(min(end, completion) - start, 0.0)
                 transmitted[key] = transmitted.get(key, 0.0) + rate * span
+            elif key not in sizes:  # a flow the instance lacks: all it was sent counts
+                transmitted[key] = transmitted.get(key, 0.0) + rate * (end - start)
             if rate <= 0.0:
                 continue
             src_sum[key.source] += rate
