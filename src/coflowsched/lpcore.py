@@ -424,14 +424,14 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
         simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
         simplex.run(cost)
 
-    # round-off within tolerance of a bound is snapped onto it, and so is
-    # what shifting back by ``lower`` leaves of a zero; the clamp removes
-    # the last bit that the shift can add
+    # round-off within tolerance of a bound is snapped onto it, and so are
+    # the few ulps of ``lower`` that shifting back leaves of a zero; the
+    # clamp removes the last bit that the shift can add
     y = simplex.x[:n]
     y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
     y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
     values = lower + col_scale * y
-    values = np.where(np.abs(values) <= FEASIBILITY_TOL * np.abs(lower), 0.0, values)
+    values = np.where(np.abs(values) <= 4 * np.spacing(np.abs(lower)), 0.0, values)
     values = np.minimum(np.maximum(values, lower), np.where(np.isfinite(upper), upper, values))
     duals = gamma * sign * row_scale * simplex.pi
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)

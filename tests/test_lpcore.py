@@ -145,6 +145,18 @@ def test_zero_optimum_with_a_far_lower_bound():
     assert lpcore.certify(p, s.values, s.duals).ok
 
 
+@pytest.mark.parametrize("sense,objective", [(">=", 1.0), ("<=", -1.0)])
+def test_small_optimum_with_a_far_lower_bound_is_kept(sense, objective):
+    # only the ulps of ``lower`` that the shift leaves are snapped to zero,
+    # not a real optimum of 5e-4 a billion times larger
+    p = LpProblem(1, objective=[objective], lower=[-1e6])
+    p.add_constraint({0: 1.0}, sense, 5e-4)
+    s = solve(p)
+    assert s.status == lpcore.OPTIMAL
+    assert s.values[0] == pytest.approx(5e-4, rel=1e-6)
+    assert s.objective_value == pytest.approx(objective * 5e-4, rel=1e-6)
+
+
 def test_bad_problem_structure():
     p = LpProblem(1)
     with pytest.raises(ValueError):
@@ -254,7 +266,7 @@ def test_valid_start_skips_phase_one():
 
 @pytest.mark.parametrize("start", [
     Basis([0, 1], [0, 0]),  # one column named twice
-    Basis([0, 0], [0, 1]),  # one row named twice
+    Basis([1, 1], [0, 1]),  # the == row named twice
     Basis([0], [0]),        # the == row left to its slack
 ], ids=["column-twice", "row-twice", "eq-row-slack"])
 def test_unusable_start_falls_back_to_phase_one(start):
