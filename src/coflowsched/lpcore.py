@@ -1,7 +1,7 @@
 """Self-contained linear-program solver: a sparse bounded revised simplex.
 
 The problem is min c.x over rows (<=, >=, ==) and variable bounds
-[lower, upper], upper possibly infinite.  ``LpProblem`` stores the
+[0, upper], upper possibly infinite.  ``LpProblem`` stores the
 constraint matrix once, as sparse coordinate arrays that the relaxation
 builders write directly and the solver reads as they are.  It is scaled by
 powers of two, rows and columns, and then as a whole so that the primal
@@ -26,7 +26,7 @@ and takes the largest pivot among near-tied ratios.  After a run of
 degenerate pivots the solver falls back to Bland's lowest-index rule,
 which guarantees termination, and returns to steepest edge once the
 objective moves.  Ties among optimal vertices go to the one whose bounded
-variables sit nearest their lower bounds.
+variables sit nearest zero.
 
 A caller's starting basis, a ``Basis`` value, skips phase 1 when it is
 feasible; otherwise phase 1 minimises a sum of artificials from the slack
@@ -81,33 +81,29 @@ class _View(Sequence):
 
 class LpProblem:
     """min c.x subject to rows sum_j a_ij x_j (<=, >=, ==) b_i and bounds
-    lower <= x <= upper, upper possibly infinite.
+    0 <= x <= upper, upper possibly infinite.
 
     The rows are stored once, as coordinate arrays in row order: per entry
     ``row_of``, ``col_of`` and ``val``, per row ``rhs`` and ``rel`` (LE, GE
     or EQ); a row holds each column at most once.  Builders pass whole
-    arrays to the constructor; ``add_constraint`` and ``set_bounds`` write
+    arrays to the constructor; ``add_constraint`` and ``set_upper`` write
     into the same arrays for LPs written by hand.  ``constraints`` and
     ``bounds`` are read-only views of them as ``(coeffs, relation, rhs)``
-    rows and ``(lower, upper)`` pairs.  Default bounds are [0, +inf).
+    rows and ``(0.0, upper)`` pairs.  Default upper bounds are +inf.
     """
 
-    def __init__(self, num_vars: int, *, objective=None, lower=None, upper=None,
+    def __init__(self, num_vars: int, *, objective=None, upper=None,
                  row_of=(), col_of=(), val=(), rhs=(), rel=()):
         n = self.num_vars = num_vars
         self.objective = np.zeros(n) if objective is None else np.array(objective, dtype=float)
-        self.lower = np.zeros(n) if lower is None else np.array(lower, dtype=float)
         self.upper = np.full(n, math.inf) if upper is None else np.array(upper, dtype=float)
         if self.objective.shape != (n,):
             raise ValueError("objective length does not match num_vars")
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bounds length does not match num_vars")
-        if not np.isfinite(self.lower).all():
-            raise ValueError("lower bounds must be finite")
-        empty = np.flatnonzero(~(self.lower <= self.upper))
-        if empty.size:
-            j = empty[0]
-            raise ValueError(f"empty bound interval [{self.lower[j]}, {self.upper[j]}]")
+        if self.upper.shape != (n,):
+            raise ValueError("upper bounds length does not match num_vars")
+        bad = np.flatnonzero(~(self.upper >= 0.0))
+        if bad.size:
+            raise ValueError(f"upper bound {self.upper[bad[0]]} of variable {bad[0]} is negative or NaN")
         self.row_of = np.asarray(row_of, dtype=np.int64)
         self.col_of = np.asarray(col_of, dtype=np.int64)
         self.val = np.asarray(val, dtype=float)
@@ -138,12 +134,12 @@ class LpProblem:
         self.rhs = np.append(self.rhs, float(rhs))
         self.rel = np.append(self.rel, np.int8(RELATIONS.index(relation)))
 
-    def set_bounds(self, j: int, lower: float, upper: float) -> None:
+    def set_upper(self, j: int, upper: float) -> None:
         if not 0 <= j < self.num_vars:
             raise ValueError(f"variable index {j} out of range")
-        if not math.isfinite(lower) or lower > upper:
-            raise ValueError(f"bad bounds [{lower}, {upper}]")
-        self.lower[j], self.upper[j] = lower, upper
+        if not upper >= 0.0:
+            raise ValueError(f"upper bound {upper} is negative or NaN")
+        self.upper[j] = upper
 
     @property
     def constraints(self) -> Sequence:
@@ -152,8 +148,8 @@ class LpProblem:
 
     @property
     def bounds(self) -> Sequence:
-        """The ``(lower, upper)`` pair of every variable."""
-        return _View(lambda: self.num_vars, lambda j: (float(self.lower[j]), float(self.upper[j])))
+        """The ``(0.0, upper)`` pair of every variable."""
+        return _View(lambda: self.num_vars, lambda j: (0.0, float(self.upper[j])))
 
     def _row(self, i: int) -> tuple:
         lo, hi = np.searchsorted(self.row_of, (i, i + 1))
@@ -172,7 +168,7 @@ class LpProblem:
 class Basis(NamedTuple):
     """A starting basis: ``columns[i]`` is basic in row ``rows[i]``, every
     other row's slack is basic, and the nonbasic variables in ``at_upper``
-    start at their upper bound (all others at their lower bound).  The
+    start at their upper bound (all others at zero).  The
     kernel is factored in the given order."""
 
     rows: Sequence[int]
@@ -209,18 +205,6 @@ class LpSolution:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-class Violation(NamedTuple):
-    kind: str        # "row", "lower" or "upper"
-    index: int
-    amount: float
-
-
-@dataclass
-class FeasibilityReport:
-    ok: bool
-    violations: list
-
-
 class Certificate(NamedTuple):
     """A primal point and row duals checked against each other.
 
@@ -237,42 +221,42 @@ class Certificate(NamedTuple):
     violations: list
 
 
-def check_feasible(
-    problem: LpProblem, point: Sequence[float], tol: float = FEASIBILITY_TOL
-) -> FeasibilityReport:
-    """Check a point against all rows and bounds; list violations with slack."""
+def check_feasible(problem: LpProblem, point: Sequence[float]) -> list:
+    """The rows and bounds that ``point`` violates, as strings such as
+    ``"primal: row 3 violated by 1"``; empty when it is feasible.  Each
+    check is relative to the magnitudes it compares (``FEASIBILITY_TOL``
+    times them, see ``_relative_tolerances``)."""
     x = np.asarray(point, dtype=float)
     if x.shape != (problem.num_vars,):
         raise ValueError("point length does not match num_vars")
-    return _feasibility(problem, x, tol, tol)
+    return _violations(problem, x, *_relative_tolerances(problem, x, FEASIBILITY_TOL))
 
 
-def _feasibility(problem: LpProblem, x: np.ndarray, row_tol, bound_tol) -> FeasibilityReport:
+def _violations(problem: LpProblem, x: np.ndarray, row_tol, bound_tol) -> list:
     """Row violations in row order, then bound violations by variable; each
-    tolerance is a scalar or one value per row (per variable)."""
+    tolerance is one value per row (per variable)."""
     lhs = problem.times(x)
-    rhs, rel = problem.rhs, problem.rel
+    rhs, rel, upper = problem.rhs, problem.rel, problem.upper
     gap = np.where(rel == LE, lhs - rhs, np.where(rel == GE, rhs - lhs, np.abs(lhs - rhs)))
-    violations = [Violation("row", int(i), float(gap[i])) for i in np.flatnonzero(gap > row_tol)]
-    lower, upper = problem.lower, problem.upper
-    below = lower - x > bound_tol
+    violations = [f"primal: row {i} violated by {gap[i]:.3g}" for i in np.flatnonzero(gap > row_tol)]
+    below = -x > bound_tol
     above = x - upper > bound_tol
     for j in np.flatnonzero(below | above):
         if below[j]:
-            violations.append(Violation("lower", int(j), float(lower[j] - x[j])))
+            violations.append(f"primal: lower {j} violated by {-x[j]:.3g}")
         if above[j]:
-            violations.append(Violation("upper", int(j), float(x[j] - upper[j])))
-    return FeasibilityReport(ok=not violations, violations=violations)
+            violations.append(f"primal: upper {j} violated by {x[j] - upper[j]:.3g}")
+    return violations
 
 
 def _relative_tolerances(problem: LpProblem, x: np.ndarray, rel_tol: float):
     """Per row rel_tol (|b_i| + sum_j |a_ij x_j|) and per variable
-    rel_tol (|x_j| + |lower_j| + |upper_j|, an infinite upper bound counted
-    as zero): each check relative to the magnitudes it compares."""
+    rel_tol (|x_j| + upper_j, an infinite upper bound counted as zero):
+    each check relative to the magnitudes it compares."""
     row_tol = rel_tol * (np.abs(problem.rhs) + _sum_by(problem.row_of, np.abs(problem.val * x[problem.col_of]),
                                                        len(problem.rhs)))
     finite_upper = np.where(np.isfinite(problem.upper), problem.upper, 0.0)
-    bound_tol = rel_tol * (np.abs(x) + np.abs(problem.lower) + np.abs(finite_upper))
+    bound_tol = rel_tol * (np.abs(x) + finite_upper)
     return row_tol, bound_tol
 
 
@@ -281,23 +265,19 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     ``LpSolution.duals``) and return the dual bound they prove.
 
     Four checks, each relative to the magnitudes it compares: x satisfies
-    every row and bound; y >= 0 on >= rows and y <= 0 on <= rows; no
-    variable with an infinite upper bound has a negative reduced cost
-    c_j - (A'y)_j.  The dual bound is b.y plus, per variable, the reduced
-    cost times the bound it pushes against (lower when the reduced cost is
-    nonnegative, else upper).
+    every row and bound (``check_feasible``); y >= 0 on >= rows and y <= 0
+    on <= rows; no variable with an infinite upper bound has a negative
+    reduced cost c_j - (A'y)_j.  The dual bound is b.y plus, per variable
+    whose reduced cost is negative and whose upper bound is finite, the
+    reduced cost times that bound.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = problem.num_vars, len(problem.rhs)
     if x.shape != (n,) or y.shape != (m,):
         raise ValueError("x must have one entry per variable and y one per row")
-    c, rel, lower, upper = problem.objective, problem.rel, problem.lower, problem.upper
-    violations = []
-
-    row_tol, bound_tol = _relative_tolerances(problem, x, FEASIBILITY_TOL)
-    for v in _feasibility(problem, x, row_tol, bound_tol).violations:
-        violations.append(f"primal: {v.kind} {v.index} violated by {v.amount:.3g}")
+    c, rel, upper = problem.objective, problem.rel, problem.upper
+    violations = check_feasible(problem, x)
 
     y_tol = FEASIBILITY_TOL * (np.abs(y).max() if m else 0.0)
     for i in np.flatnonzero(((rel == GE) & (y < -y_tol)) | ((rel == LE) & (y > y_tol))):
@@ -309,7 +289,7 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
         violations.append(f"reduced cost: variable {j} has {reduced[j]:.3g} and no upper bound")
 
     pushes_upper = (reduced < 0) & np.isfinite(upper)
-    bound_terms = np.where(pushes_upper, reduced * np.where(pushes_upper, upper, 0.0), reduced * lower)
+    bound_terms = reduced * np.where(pushes_upper, upper, 0.0)
     dual_bound = float(problem.rhs @ y + bound_terms.sum())
     objective = float(c @ x)
     scale = max(abs(objective), abs(dual_bound))
@@ -347,7 +327,7 @@ def solve(problem: LpProblem, start: Basis | None = None) -> LpSolution:
 def _rechecked(problem: LpProblem, x: np.ndarray) -> bool:
     cap = _RECHECK_TOL * max(1.0, np.abs(problem.rhs).max(initial=0.0))
     row_tol, bound_tol = _relative_tolerances(problem, x, _RECHECK_TOL)
-    return _feasibility(problem, x, np.minimum(row_tol, cap), np.minimum(bound_tol, cap)).ok
+    return not _violations(problem, x, np.minimum(row_tol, cap), np.minimum(bound_tol, cap))
 
 
 def _pow2(v: float) -> float:
@@ -377,18 +357,16 @@ def _pow2_scaling(row_of, col_of, val, m: int, n: int):
 def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> LpSolution:
     n = problem.num_vars
     m = len(problem.rhs)
-    lower, upper, rel = problem.lower, problem.upper, problem.rel
+    upper, rel = problem.upper, problem.rel
     nz = problem.val != 0.0
     row_of, col_of, val = problem.row_of[nz], problem.col_of[nz], problem.val[nz]
 
-    # shift variables to start at zero (x = lower + y, 0 <= y <= upper -
-    # lower), negate >= rows into <= rows, then scale: x = lower + C y^,
-    # row i multiplied by R_i, objective divided by gamma
-    b = problem.rhs - _sum_by(row_of, val * lower[col_of], m)
+    # negate >= rows into <= rows, then scale: x = C y^, row i multiplied
+    # by R_i, objective divided by gamma
     sign = np.where(rel == GE, -1.0, 1.0)
     row_scale, col_scale = _pow2_scaling(row_of, col_of, val, m, n)
-    b_s = b * sign * row_scale
-    ub_s = (upper - lower) / col_scale
+    b_s = problem.rhs * sign * row_scale
+    ub_s = upper / col_scale
     finite_ub = ub_s[np.isfinite(ub_s)]
     tau = _pow2(max(np.abs(b_s).max(initial=0.0), finite_ub.max(initial=0.0)))
     b_s /= tau
@@ -413,9 +391,9 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
     cost[:n] = c_s
     if simplex.run(cost) == UNBOUNDED:
         return LpSolution(UNBOUNDED, -math.inf, np.full(n, math.nan), stats=stats)
-    # Ties among optimal vertices go to the corner nearest the lower bounds
-    # of the bounded variables: minimise their sum, each over its bound
-    # width, moving only along edges of zero reduced cost.
+    # Ties among optimal vertices go to the corner nearest zero of the
+    # bounded variables: minimise their sum, each over its bound width,
+    # moving only along edges of zero reduced cost.
     width = simplex.ub[:n]
     bounded = np.isfinite(width) & (width > 0)
     if bounded.any():
@@ -424,15 +402,12 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
         simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
         simplex.run(cost)
 
-    # round-off within tolerance of a bound is snapped onto it, and so are
-    # the few ulps of ``lower`` that shifting back leaves of a zero; the
-    # clamp removes the last bit that the shift can add
+    # round-off within tolerance of a bound is snapped onto it, and the
+    # clamp keeps the rest inside [0, upper]
     y = simplex.x[:n]
     y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
     y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
-    values = lower + col_scale * y
-    values = np.where(np.abs(values) <= 4 * np.spacing(np.abs(lower)), 0.0, values)
-    values = np.minimum(np.maximum(values, lower), np.where(np.isfinite(upper), upper, values))
+    values = np.minimum(np.maximum(col_scale * y, 0.0), upper)
     duals = gamma * sign * row_scale * simplex.pi
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)
 
@@ -522,14 +497,15 @@ class _Simplex:
 
     def __init__(self, row_of, col_of, val, m, nx, b, ub_struct, rel, stats):
         self.m, self.nx = m, nx
-        self.row_of, self.col_of, self.val = row_of, col_of, val
-        by_col = np.argsort(col_of, kind="stable")
-        self.csc_rows, self.csc_vals = row_of[by_col], val[by_col]
-        self.csc_ptr = np.concatenate(([0], np.cumsum(np.bincount(col_of, minlength=nx))))
-        self.csc_cols = col_of[by_col]
+        # the entries sorted by row, stably, serve as the CSR view and for
+        # the whole-matrix products: each row keeps its entries in the
+        # given order, and so does each column
         by_row = np.argsort(row_of, kind="stable")
-        self.csr_rows, self.csr_cols, self.csr_vals = row_of[by_row], col_of[by_row], val[by_row]
+        self.row_of, self.col_of, self.val = row_of[by_row], col_of[by_row], val[by_row]
         self.csr_ptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=m))))
+        by_col = np.argsort(self.col_of, kind="stable")
+        self.csc_rows, self.csc_cols, self.csc_vals = self.row_of[by_col], self.col_of[by_col], self.val[by_col]
+        self.csc_ptr = np.concatenate(([0], np.cumsum(np.bincount(col_of, minlength=nx))))
         self.b = b
         self.ub = np.concatenate([ub_struct, np.where(rel == EQ, 0.0, math.inf)])
         ncols = nx + m
@@ -565,7 +541,7 @@ class _Simplex:
         self._kernel_columns()
         # the entries of the kernel rows, each with its kernel position
         pos, self.kr_owner = _entries(self.csr_ptr, self.krows)
-        self.kr_cols, self.kr_vals = self.csr_cols[pos], self.csr_vals[pos]
+        self.kr_cols, self.kr_vals = self.col_of[pos], self.val[pos]
 
     def _kernel_columns(self) -> None:
         """The entries of the kernel columns, each with its kernel position."""
@@ -714,10 +690,10 @@ class _Simplex:
         computed exactly in column blocks of at most ``_BLOCK`` entries."""
         m, nx, G = self.m, self.nx, self.G
         # entries of the kernel columns, grouped by row
-        in_kernel = self.colpos[self.csr_cols] >= 0
-        k_rows = self.csr_rows[in_kernel]
-        k_pos = self.colpos[self.csr_cols[in_kernel]]
-        k_vals = self.csr_vals[in_kernel]
+        in_kernel = self.colpos[self.col_of] >= 0
+        k_rows = self.row_of[in_kernel]
+        k_pos = self.colpos[self.col_of[in_kernel]]
+        k_vals = self.val[in_kernel]
         starts = np.flatnonzero(np.diff(k_rows, prepend=-1))
 
         def edge_sq(block: np.ndarray) -> np.ndarray:
@@ -773,17 +749,17 @@ class _Simplex:
         if r < k:
             z = None
             rho_k = G[r]
-            alpha_r = _sum_by(self.kr_cols, self.kr_vals * rho_k[self.kr_owner], nx)
         else:
             i = int(self.slack_rows[r - k])
             lo, hi = self.csr_ptr[i], self.csr_ptr[i + 1]
-            cols_i, vals_i = self.csr_cols[lo:hi], self.csr_vals[lo:hi]
+            cols_i, vals_i = self.col_of[lo:hi], self.val[lo:hi]
             pos = self.colpos[cols_i]
             inside = pos >= 0
             z = vals_i[inside] @ G[pos[inside]]
             rho_k = -z
             rho[i] = 1.0
-            alpha_r = _sum_by(self.kr_cols, self.kr_vals * rho_k[self.kr_owner], nx)
+        alpha_r = _sum_by(self.kr_cols, self.kr_vals * rho_k[self.kr_owner], nx)
+        if r >= k:
             alpha_r[cols_i] += vals_i
         rho[self.krows] = rho_k
         alpha_r = np.concatenate([alpha_r, rho])

@@ -7,6 +7,10 @@ scaled but not ill-conditioned).  Some draws are infeasible or unbounded.  Every
 solved cold and from a random ``lpcore.Basis``; status and objective must
 agree with HiGHS.
 
+Each variable x_j is drawn with a lower end that may be negative, and the
+LP is built in the offsets x_j - lower_j, which lie in [0, width_j] as
+lpcore's variables do: every right-hand side loses sum_j a_ij lower_j.
+
 ``derandomize=True`` seeds Hypothesis from a hash of the test function, so
 the 300 LPs drawn depend on the test's source: an edit to
 ``test_matches_highs`` draws a different set.
@@ -38,13 +42,14 @@ def bounded_lps(draw):
         n, objective=[draw(st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 3.0))) / col_mag[j]
                       for j in range(n)]
     )
+    lower = []
     for j in range(n):
-        lower = draw(st.sampled_from((0.0, 0.0, -1.0, 2.0))) * col_mag[j]
+        lower.append(draw(st.sampled_from((0.0, 0.0, -1.0, 2.0))) * col_mag[j])
         width = draw(st.sampled_from((math.inf, math.inf, 0.0, 1.0, 5.0)))
-        problem.set_bounds(j, lower, lower + width * col_mag[j])
+        problem.set_upper(j, width * col_mag[j])
     # a point inside the bounds, used to make most rows satisfiable
-    point = [lo + (min(hi - lo, col_mag[j]) if math.isfinite(hi) else col_mag[j]) * 0.5
-             for j, (lo, hi) in enumerate(problem.bounds)]
+    point = [lower[j] + (min(hi, col_mag[j]) if math.isfinite(hi) else col_mag[j]) * 0.5
+             for j, (_, hi) in enumerate(problem.bounds)]
     for _ in range(m):
         if problem.constraints and draw(st.integers(0, 4)) == 0:
             coeffs, relation, rhs = problem.constraints[draw(
@@ -70,7 +75,7 @@ def bounded_lps(draw):
             value = at_point + (-row_mag if relation == "<=" else row_mag) * 0.25
         else:
             value = at_point + row_mag * 1.5
-        problem.add_constraint(coeffs, relation, value)
+        problem.add_constraint(coeffs, relation, value - sum(c * lower[j] for j, c in coeffs.items()))
     return problem
 
 

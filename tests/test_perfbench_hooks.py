@@ -4,7 +4,8 @@
 so renaming or dropping one of them breaks the traced benchmark run.  This
 runs the benchmark's own pipeline under the tracer on two tiny instances
 with every scheduler and checks that each wrapped entry point recorded a
-span and that no operation failed.
+span, that no operation failed and that each instance's ordering LP
+matches HiGHS.
 """
 
 import importlib.util
@@ -43,12 +44,16 @@ def test_traced_pipeline_records_every_entry_point():
     cases, _, _ = workloads.sample_cases(w, seed=3, count=2)
     originals = [schedulers.lp_ii_gb, sim.validate, lpcore.solve, relaxations.solve_interval_lp]
     tracer = tracing.Tracer()
-    ops = []
+    runs = []
     with tracing.instrument(tracer):
         for index, case in enumerate(cases):
             tracer.instance = index
-            ops += workloads.run_pipeline(w, case, span=tracer.span).ops
+            runs.append(workloads.run_pipeline(w, case, span=tracer.span))
     assert [schedulers.lp_ii_gb, sim.validate, lpcore.solve, relaxations.solve_interval_lp] == originals
+    # the HiGHS cross-check reads the LP's rows and bounds through their views
+    for case, run in zip(cases, runs, strict=True):
+        assert workloads.reference_error(case.instance, run.lp.objective) is None
+    ops = [op for run in runs for op in run.ops]
 
     assert len(ops) == 2 * len(workloads.SCHEDULE)
     assert [op.error for op in ops if op.error] == []

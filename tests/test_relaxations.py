@@ -229,6 +229,18 @@ def test_ordering_lp_does_not_depend_on_units(scale):
         np.testing.assert_allclose(got.f_tilde / scale, base.f_tilde, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="the reduced LP keeps rows of coflow 1 on ports it does not load; "
+                          "the simplex returns f_1 = 0 against the release row f_1 >= 1/3")
+def test_coflows_that_share_no_port():
+    # solves at a size of 1e5; at 2e5 the rows f_1 + 2e5 p >= 2e5 of
+    # (src 0, coflow 1) and (dst 0, coflow 1) outweigh the release row
+    inst = CoflowInstance(2, [Coflow({(0, 0): 2e5}), Coflow({(1, 1): 1 / 3})])
+    res = solve_ordering_lp(inst)
+    np.testing.assert_allclose(res.f_tilde, [2e5, 1 / 3], rtol=1e-9)
+    assert res.ordering == [1, 0]
+
+
 # -- the array builders against row-by-row references ------------------------
 #
 # The references below write each LP row by row into {column: value} maps,
@@ -369,10 +381,10 @@ def _assert_same_lp(prob, reference):
         "val": np.fromiter((c for coeffs, _, _ in rows for c in coeffs.values()), dtype=float),
         "rhs": np.array([float(rhs) for _, _, rhs in rows]),
         "rel": np.array([lpcore.RELATIONS.index(rel) for _, rel, _ in rows], dtype=np.int8),
-        "lower": np.array([lo for lo, _ in bounds]),
         "upper": np.array([hi for _, hi in bounds]),
         "objective": objective,
     }
+    assert all(lo == 0.0 for lo, _ in bounds)
     for name, array in expected.items():
         assert _same_bits(getattr(prob, name), array), name
 
