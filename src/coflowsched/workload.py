@@ -9,6 +9,7 @@ CoflowInstance on a switch with 128 MB/s links.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,13 @@ class TraceRecord:
     def __post_init__(self):
         if not self.mapper_ports or not self.reducer_entries:
             raise ValueError(f"coflow {self.coflow_id} needs mappers and reducers")
+        if self.arrival_ms < 0:
+            raise ValueError(f"coflow {self.coflow_id} arrives at a negative time")
+        if min([*self.mapper_ports, *(rack for rack, _ in self.reducer_entries)]) < 0:
+            raise ValueError(f"coflow {self.coflow_id} names a negative rack id")
         for _, mb in self.reducer_entries:
-            if not mb > 0:
-                raise ValueError(f"coflow {self.coflow_id} has a non-positive shuffle volume")
+            if not 0 < mb < math.inf:
+                raise ValueError(f"coflow {self.coflow_id} has a shuffle volume that is not finite and positive")
 
     @property
     def num_flows(self) -> int:
@@ -169,27 +174,50 @@ def ingest_trace(
 def parse_trace_csv(path) -> list:
     """Read trace records from the CSV layout
     ``coflow_id,arrival_ms,mappers,reducers`` where mappers are
-    ';'-separated rack ids and reducers ';'-separated rack:megabytes."""
+    ';'-separated rack ids and reducers ';'-separated rack:megabytes.
+    A malformed line raises ValueError naming the line and the column."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _TRACE_HEADER if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in _TRACE_HEADER if c not in header]
         if missing:
             raise ValueError(f"trace file missing columns: {missing}")
-        for row in reader:
-            mappers = [int(x) for x in row["mappers"].split(";") if x]
-            reducers = []
-            for part in row["reducers"].split(";"):
-                if not part:
-                    continue
-                rack, mb = part.split(":")
-                reducers.append((int(rack), float(mb)))
-            records.append(
-                TraceRecord(
-                    coflow_id=row["coflow_id"],
-                    arrival_ms=int(row["arrival_ms"]),
-                    mapper_ports=mappers,
-                    reducer_entries=reducers,
-                )
-            )
+        for fields in reader:
+            if not fields:
+                continue  # a blank line
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"{len(fields)} fields where the header has {len(header)}")
+                records.append(_trace_record(dict(zip(header, fields))))
+            except ValueError as exc:
+                raise ValueError(f"trace line {reader.line_num}: {exc}") from None
+    if not records:
+        raise ValueError("trace file has no records")
     return records
+
+
+def _trace_record(row: dict) -> TraceRecord:
+    reducers = []
+    for part in filter(None, row["reducers"].split(";")):
+        fields = part.split(":")
+        if len(fields) != 2:
+            raise ValueError(f"'reducers' entry {part!r} is not rack:megabytes")
+        try:
+            mb = float(fields[1])
+        except ValueError:
+            raise ValueError(f"'reducers' entry {part!r} has a volume that is not a number") from None
+        reducers.append((_integer("reducers", fields[0]), mb))
+    return TraceRecord(
+        coflow_id=row["coflow_id"],
+        arrival_ms=_integer("arrival_ms", row["arrival_ms"]),
+        mapper_ports=[_integer("mappers", x) for x in row["mappers"].split(";") if x],
+        reducer_entries=reducers,
+    )
+
+
+def _integer(column: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{column!r} entry {text!r} is not an integer") from None

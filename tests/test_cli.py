@@ -293,6 +293,32 @@ def test_malformed_schedule_exits_two(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+_TRACE_HEADER = "coflow_id,arrival_ms,mappers,reducers\n"
+_TRACE_ROW = "c0,0,0;1,2:10\n"  # a valid line 2
+MALFORMED_TRACE = {  # case: (file text, text the error must contain)
+    "too-few-fields": (_TRACE_HEADER + "c1,5\n", "trace line 2: 2 fields where the header has 4"),
+    "header-only": (_TRACE_HEADER, "trace file has no records"),
+    "mapper-not-integer": (_TRACE_HEADER + _TRACE_ROW + "c1,5,0;x,1:4\n",
+                           "trace line 3: 'mappers' entry 'x' is not an integer"),
+    "empty-arrival": (_TRACE_HEADER + "c1,,0,1:4\n", "trace line 2: 'arrival_ms' entry '' is not an integer"),
+    "reducer-with-dash": (_TRACE_HEADER + _TRACE_ROW + "c1,5,0,1-5\n",
+                          "trace line 3: 'reducers' entry '1-5' is not rack:megabytes"),
+    "reducer-with-three-parts": (_TRACE_HEADER + "c1,5,0,1:3:4\n",
+                                 "trace line 2: 'reducers' entry '1:3:4' is not rack:megabytes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACE))
+def test_malformed_trace_exits_two(tmp_path, capsys, case):
+    text, message = MALFORMED_TRACE[case]
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    assert cli.main(["run", "--trace", str(path), "--reps", "1", "--schedulers", "lp-ov-ls"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_run_imports_no_test_only_or_masked_array_modules(tmp_path):
     # scipy and hypothesis are test-only extras, and numpy.ma would add to the
     # import time of every run; a fresh interpreter shows what a run imports

@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -145,6 +146,13 @@ def test_trace_record_validation():
         TraceRecord("x", 0, [], [(1, 8.0)])
     with pytest.raises(ValueError):
         TraceRecord("x", 0, [0], [(1, 0.0)])
+    with pytest.raises(ValueError, match="not finite and positive"):
+        TraceRecord("x", 0, [0], [(1, math.inf)])
+    with pytest.raises(ValueError, match="negative time"):
+        TraceRecord("x", -5, [0], [(1, 8.0)])
+    for mappers, reducers in (([-1], [(1, 8.0)]), ([0], [(-1, 8.0)])):
+        with pytest.raises(ValueError, match="negative rack id"):
+            TraceRecord("x", 0, mappers, reducers)
 
 
 def test_generated_instances_pass_model_invariants():
