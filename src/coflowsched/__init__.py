@@ -16,9 +16,8 @@ from .model import (
     prefix_bottlenecks,
     save_instance,
 )
-from .lpcore import Certificate, LpProblem, LpSolution, SolveStats, certify, check_feasible, solve
+from .lpcore import Certificate, CertificateError, LpProblem, LpSolution, SolveStats, certify, check_feasible, solve
 from .relaxations import (
-    CertificateError,
     IntervalLpResult,
     OrderingLpResult,
     build_interval_lp,

@@ -3,7 +3,8 @@ every schedule, and emit per-run reports as CSV or JSON.
 
 Verbs: gen, run, oracle, validate, lp-bound.  Exit codes: 0 success,
 1 an invariant violation: a schedule failed validation (run, validate) or
-the LP duals did not certify the lower bound (run, lp-bound), 2 bad input.
+the duals of an LP the command solved (ordering, interval or residual) did
+not certify its answer (run, lp-bound), 2 bad input.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import asdict, dataclass, fields
 
 from . import schedulers, verify, workload
 from .model import CoflowInstance, load_instance, save_instance
-from .relaxations import CertificateError, lp_lower_bound, solve_ordering_lp
+from .lpcore import CertificateError
+from .relaxations import lp_lower_bound, solve_ordering_lp
 from .sim import Schedule, total_weighted_completion, validate
 
 SCHEDULER_NAMES = list(schedulers.SCHEDULERS)

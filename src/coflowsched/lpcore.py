@@ -30,9 +30,9 @@ variables sit nearest zero.
 
 A caller's starting basis, a ``Basis`` value, skips phase 1 when it is
 feasible; otherwise phase 1 minimises a sum of artificials from the slack
-basis.  An optimal solution carries the row duals, and ``certify`` checks a
-primal point and duals against each other and returns the dual bound they
-prove.  No external solver is used.
+basis.  An optimal solution carries the row duals and the ``Certificate``
+that ``certify`` made of it: the point and duals checked against each other
+and the dual bound they prove.  No external solver is used.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ REDUCED_COST_TOL = 1e-9
 _PIVOT_TOL = 1e-9       # entries below this share of max(1, largest |entry|) of a column are noise
 _DEGEN_TOL = 1e-9
 _PHASE1_TOL = 1e-7
-_RECHECK_TOL = 1e-6     # relative tolerance of the post-solve re-check
+_FEASIBILITY_CAP = 1e-6  # no primal tolerance exceeds this share of max(1, max |b|)
 _STALL_LIMIT = 64
 _REINVERT = 100         # kernel re-inverted, primal values and reduced costs refreshed, this often
 _BLOCK = 1 << 20        # entries of a dense column block when computing edge weights
@@ -156,14 +156,6 @@ class LpProblem:
         coeffs = dict(zip(self.col_of[lo:hi].tolist(), self.val[lo:hi].tolist()))
         return coeffs, RELATIONS[self.rel[i]], float(self.rhs[i])
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """A x."""
-        return _sum_by(self.row_of, self.val * x[self.col_of], len(self.rhs))
-
-    def transpose_times(self, y: np.ndarray) -> np.ndarray:
-        """A' y."""
-        return _sum_by(self.col_of, self.val * y[self.row_of], self.num_vars)
-
 
 class Basis(NamedTuple):
     """A starting basis: ``columns[i]`` is basic in row ``rows[i]``, every
@@ -196,13 +188,16 @@ class SolveStats:
 class LpSolution:
     """``duals`` holds one value per row, in the sign convention of min
     c.x: >= rows have y >= 0, <= rows y <= 0, and the reduced costs are
-    c - A'y.  It is None unless the status is optimal."""
+    c - A'y.  ``certificate`` is ``certify`` of ``values`` and ``duals``;
+    ``solve`` returns no optimal solution whose certificate fails.  Both are
+    None unless the status is optimal."""
 
     status: str
     objective_value: float
     values: np.ndarray
     duals: np.ndarray | None = None
     stats: SolveStats = field(default_factory=SolveStats)
+    certificate: Certificate | None = None
 
 
 class Certificate(NamedTuple):
@@ -211,7 +206,7 @@ class Certificate(NamedTuple):
     ``ok`` says that the point is feasible, the duals have the right signs
     and no variable without an upper bound has a negative reduced cost;
     then ``dual_bound`` is a lower bound on the LP optimum (weak duality)
-    and ``gap`` is (c.x - dual_bound) relative to the larger magnitude.
+    and ``gap`` is (c.x - dual_bound) relative to the terms summed (``certify``).
     ``violations`` names each failed check."""
 
     ok: bool
@@ -221,22 +216,27 @@ class Certificate(NamedTuple):
     violations: list
 
 
+class CertificateError(RuntimeError):
+    """An optimal LP answer whose duals do not certify it."""
+
+
 def check_feasible(problem: LpProblem, point: Sequence[float]) -> list:
     """The rows and bounds that ``point`` violates, as strings such as
-    ``"primal: row 3 violated by 1"``; empty when it is feasible.  Each
-    check is relative to the magnitudes it compares (``FEASIBILITY_TOL``
-    times them, see ``_relative_tolerances``)."""
+    ``"primal: row 3 violated by 1"``; empty when it is feasible.  Row
+    violations come in row order, then bound violations by variable.  Each
+    check is relative to the magnitudes it compares: ``FEASIBILITY_TOL``
+    times |b_i| + sum_j |a_ij x_j| per row and |x_j| + upper_j per variable
+    (an infinite upper bound counted as zero), never more than
+    ``_FEASIBILITY_CAP`` * max(1, max |b|)."""
     x = np.asarray(point, dtype=float)
     if x.shape != (problem.num_vars,):
         raise ValueError("point length does not match num_vars")
-    return _violations(problem, x, *_relative_tolerances(problem, x, FEASIBILITY_TOL))
-
-
-def _violations(problem: LpProblem, x: np.ndarray, row_tol, bound_tol) -> list:
-    """Row violations in row order, then bound violations by variable; each
-    tolerance is one value per row (per variable)."""
-    lhs = problem.times(x)
     rhs, rel, upper = problem.rhs, problem.rel, problem.upper
+    cap = _FEASIBILITY_CAP * max(1.0, np.abs(rhs).max(initial=0.0))
+    products = problem.val * x[problem.col_of]
+    row_tol = np.minimum(FEASIBILITY_TOL * (np.abs(rhs) + _sum_by(problem.row_of, np.abs(products), len(rhs))), cap)
+    bound_tol = np.minimum(FEASIBILITY_TOL * (np.abs(x) + np.where(np.isfinite(upper), upper, 0.0)), cap)
+    lhs = _sum_by(problem.row_of, products, len(rhs))
     gap = np.where(rel == LE, lhs - rhs, np.where(rel == GE, rhs - lhs, np.abs(lhs - rhs)))
     violations = [f"primal: row {i} violated by {gap[i]:.3g}" for i in np.flatnonzero(gap > row_tol)]
     below = -x > bound_tol
@@ -249,17 +249,6 @@ def _violations(problem: LpProblem, x: np.ndarray, row_tol, bound_tol) -> list:
     return violations
 
 
-def _relative_tolerances(problem: LpProblem, x: np.ndarray, rel_tol: float):
-    """Per row rel_tol (|b_i| + sum_j |a_ij x_j|) and per variable
-    rel_tol (|x_j| + upper_j, an infinite upper bound counted as zero):
-    each check relative to the magnitudes it compares."""
-    row_tol = rel_tol * (np.abs(problem.rhs) + _sum_by(problem.row_of, np.abs(problem.val * x[problem.col_of]),
-                                                       len(problem.rhs)))
-    finite_upper = np.where(np.isfinite(problem.upper), problem.upper, 0.0)
-    bound_tol = rel_tol * (np.abs(x) + finite_upper)
-    return row_tol, bound_tol
-
-
 def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certificate:
     """Check a primal point x and row duals y (sign convention of
     ``LpSolution.duals``) and return the dual bound they prove.
@@ -269,7 +258,9 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     on <= rows; no variable with an infinite upper bound has a negative
     reduced cost c_j - (A'y)_j.  The dual bound is b.y plus, per variable
     whose reduced cost is negative and whose upper bound is finite, the
-    reduced cost times that bound.
+    reduced cost times that bound.  The gap is c.x less the dual bound over
+    the larger of the magnitudes summed on each side, sum_j |c_j x_j| and
+    sum_i |b_i y_i| plus the bound terms' magnitudes (0 when all are 0).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -283,8 +274,9 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     for i in np.flatnonzero(((rel == GE) & (y < -y_tol)) | ((rel == LE) & (y > y_tol))):
         violations.append(f"dual sign: y[{i}] = {y[i]:.3g} on a {RELATIONS[rel[i]]} row")
 
-    reduced = c - problem.transpose_times(y)
-    r_tol = FEASIBILITY_TOL * (np.abs(c) + _sum_by(problem.col_of, np.abs(problem.val * y[problem.row_of]), n))
+    products = problem.val * y[problem.row_of]
+    reduced = c - _sum_by(problem.col_of, products, n)
+    r_tol = FEASIBILITY_TOL * (np.abs(c) + _sum_by(problem.col_of, np.abs(products), n))
     for j in np.flatnonzero(np.isinf(upper) & (reduced < -r_tol)):
         violations.append(f"reduced cost: variable {j} has {reduced[j]:.3g} and no upper bound")
 
@@ -292,7 +284,7 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     bound_terms = reduced * np.where(pushes_upper, upper, 0.0)
     dual_bound = float(problem.rhs @ y + bound_terms.sum())
     objective = float(c @ x)
-    scale = max(abs(objective), abs(dual_bound))
+    scale = max(float(np.abs(c * x).sum()), float(np.abs(problem.rhs * y).sum() + np.abs(bound_terms).sum()))
     gap = (objective - dual_bound) / scale if scale > 0 else 0.0
     return Certificate(not violations, objective, dual_bound, gap, violations)
 
@@ -307,27 +299,22 @@ def solve(problem: LpProblem, start: Basis | None = None) -> LpSolution:
     or column named twice makes the kernel singular) it is discarded and
     the ordinary two-phase path runs.
 
-    Optimal points are re-verified against every row and bound, each to
-    1e-6 of the magnitudes it compares and never looser than
-    1e-6 * max(1, max |b|); a warm start that went numerically bad is
-    retried cold before giving up.
+    Every optimal answer is certified (``certify``) and carries its
+    certificate.  A warm-started answer that fails it is retried cold; an
+    answer that still fails raises ``CertificateError``, naming the failed
+    checks.
     """
     stats = SolveStats()
     sol = _solve_once(problem, start, stats)
-    if sol.status != OPTIMAL or _rechecked(problem, sol.values):
-        return sol
-    if start is not None:
+    while sol.status == OPTIMAL:
+        sol.certificate = certify(problem, sol.values, sol.duals)
+        if sol.certificate.ok:
+            break
+        if start is None or stats.cold_retry:
+            raise CertificateError("LP duals do not certify the optimum: " + "; ".join(sol.certificate.violations))
         stats.cold_retry = True
         sol = _solve_once(problem, None, stats)
-        if sol.status != OPTIMAL or _rechecked(problem, sol.values):
-            return sol
-    raise RuntimeError("simplex returned an out-of-tolerance point; problem is badly scaled")
-
-
-def _rechecked(problem: LpProblem, x: np.ndarray) -> bool:
-    cap = _RECHECK_TOL * max(1.0, np.abs(problem.rhs).max(initial=0.0))
-    row_tol, bound_tol = _relative_tolerances(problem, x, _RECHECK_TOL)
-    return not _violations(problem, x, np.minimum(row_tol, cap), np.minimum(bound_tol, cap))
+    return sol
 
 
 def _pow2(v: float) -> float:

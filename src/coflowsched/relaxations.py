@@ -28,7 +28,7 @@ class OrderingLpResult:
     delta: np.ndarray
     ordering: list
     objective: float
-    solution: lpcore.LpSolution         # of the reduced LP: duals and solver counters
+    solution: lpcore.LpSolution         # of the reduced LP: duals, certificate and solver counters
 
 
 @dataclass
@@ -240,23 +240,15 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
     )
 
 
-class CertificateError(RuntimeError):
-    """An LP solution whose duals do not certify it."""
-
-
 def lp_lower_bound(instance: CoflowInstance, result: OrderingLpResult | None = None) -> float:
     """A proven lower bound on the best achievable total weighted
-    completion time: the dual bound that the precedence LP's optimal duals
-    certify (weak duality), from ``result`` when given.  Raises
-    CertificateError, naming the failed checks, when they do not certify."""
+    completion time: the dual bound of the precedence LP's certificate
+    (weak duality), from ``result`` when given.  ``lpcore.solve`` raises
+    ``lpcore.CertificateError`` for an answer whose duals do not certify
+    it, so every result carries a certified bound."""
     if result is None:
         result = solve_ordering_lp(instance)
-    sol = result.solution
-    certificate = lpcore.certify(_build_reduced_ordering_lp(instance), sol.values, sol.duals)
-    if not certificate.ok:
-        raise CertificateError("ordering LP duals do not certify the optimum: "
-                               + "; ".join(certificate.violations))
-    return certificate.dual_bound
+    return result.solution.certificate.dual_bound
 
 
 def slot_length(instance: CoflowInstance) -> float:

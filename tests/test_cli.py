@@ -150,6 +150,24 @@ def test_failed_lp_certificate_exits_one(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in captured.err
 
 
+def test_lp_that_fails_its_certificate_exits_one_naming_the_rows(tmp_path):
+    # sizes 100 and 1e-4 on one port: the ordering LP's answer violates rows
+    # (tests/test_relaxations.py::test_coflows_of_mixed_sizes_on_one_port);
+    # a fresh interpreter shows everything the command prints
+    inst_path = tmp_path / "mixed.json"
+    save_instance(CoflowInstance(1, [Coflow({(0, 0): 100.0}), Coflow({(0, 0): 1e-4})]), inst_path)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for argv in (["run", "--reps", "1"], ["lp-bound"]):
+        proc = subprocess.run([sys.executable, "-m", "coflowsched.cli", *argv, "--instance", str(inst_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "invariant violation" in proc.stderr
+        assert "primal: row" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_validate_verb_accepts_and_rejects(tmp_path):
     dumps = tmp_path / "dumps"
     rc = cli.main(["run", "--workload", "dense", "--ports", "2", "--coflows", "2",

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import GOLDEN_INSTANCES, golden_instance, lp_certificates
 
-from coflowsched import schedulers
+from coflowsched import lpcore, schedulers
 from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
 
 GOLDEN = {
@@ -197,8 +197,25 @@ def test_lp_solutions_match_pinned_digests(instance_name):
 
 
 @pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))
-def test_lp_duals_certify_both_optima(instance_name):
+def test_lp_duals_certify_both_optima(instance_name, monkeypatch):
     instance, lp = _case(instance_name)
     for certificate in lp_certificates(instance, lp):
         assert certificate.ok, certificate.violations
         assert abs(certificate.gap) <= 1e-9
+    # and the residual LPs that lp-ov-ls-online solves at each arrival
+    solve = lpcore.solve
+    solved = []
+
+    def recording(problem, start=None):
+        solution = solve(problem, start)
+        solved.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(lpcore, "solve", recording)
+    schedulers.lp_ov_ls_online(instance)
+    assert solved
+    for problem, solution in solved:
+        certificate = solution.certificate
+        assert certificate.ok, certificate.violations
+        assert abs(certificate.gap) <= 1e-9
+        assert certificate.dual_bound == lpcore.certify(problem, solution.values, solution.duals).dual_bound

@@ -300,6 +300,22 @@ def test_certify_rejects_negative_reduced_cost_on_completion_column():
     assert "reduced cost: variable 0 has" in " ".join(cert.violations)
 
 
+def test_certificate_gap_of_a_zero_optimum_is_relative_to_the_terms():
+    # c.x = 0.1 + 0.2 - 0.3 cancels to 5.55e-17 and b.y to 2.78e-17: the
+    # gap is measured against the terms summed, not against their residue
+    p = LpProblem(3, objective=[1.0, 1.0, -1.0])
+    p.add_constraint({0: 1.0}, ">=", 0.1)
+    p.add_constraint({2: 1.0}, "<=", 0.3)
+    p.add_constraint({1: 1.0}, ">=", 0.2)
+    s = solve(p)
+    assert s.values.tolist() == [0.1, 0.2, 0.3]
+    cert = lpcore.certify(p, s.values, s.duals)
+    assert cert.ok
+    assert abs(cert.objective) < 1e-16
+    assert abs(cert.gap) <= 1e-9
+    assert lpcore.certify(LpProblem(1), [0.0], []).gap == 0.0
+
+
 def test_duals_in_caller_sign_convention():
     # min x0 + 2 x1 st x0 + x1 >= 2, x1 <= 5 (slack), x0 - x1 == 0: x = (1, 1)
     p = LpProblem(2, objective=[1.0, 2.0])
@@ -371,9 +387,9 @@ def _scaled_ordering_instance(scale):
 
 
 @pytest.mark.parametrize("wrong_calls", ["first", "all"])
-def test_recheck_rejects_a_wrong_point_at_small_scale(monkeypatch, wrong_calls):
+def test_certificate_rejects_a_wrong_point_at_small_scale(monkeypatch, wrong_calls):
     # every size and release times 1e-9: right-hand sides near 1e-7, far
-    # below an absolute tolerance of 1e-6, so only a relative re-check sees
+    # below an absolute tolerance of 1e-6, so only a relative check sees
     # completion times 0.6% too small
     from coflowsched.relaxations import solve_ordering_lp
 
@@ -391,7 +407,7 @@ def test_recheck_rejects_a_wrong_point_at_small_scale(monkeypatch, wrong_calls):
 
     monkeypatch.setattr(lpcore, "_solve_once", wrong)
     if wrong_calls == "all":
-        with pytest.raises(RuntimeError, match="out-of-tolerance"):
+        with pytest.raises(lpcore.CertificateError, match="primal: row"):
             solve_ordering_lp(inst)
         return
     got = solve_ordering_lp(inst)

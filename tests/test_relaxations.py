@@ -110,14 +110,17 @@ def test_lower_bound_is_the_certified_dual_bound():
     assert abs(certificate.dual_bound - res.objective) <= 1e-9 * res.objective
 
 
-def test_lower_bound_refuses_duals_that_do_not_certify():
-    from coflowsched.relaxations import CertificateError
+def test_lower_bound_refuses_duals_that_do_not_certify(monkeypatch):
+    solve_once = lpcore._solve_once
 
-    inst = staggered_release_fixture()
-    res = solve_ordering_lp(inst)
-    res.solution.duals[0] = -1.0  # a >= row
-    with pytest.raises(CertificateError, match=r"dual sign: y\[0\]"):
-        lp_lower_bound(inst, res)
+    def wrong_duals(*args, **kwargs):
+        sol = solve_once(*args, **kwargs)
+        sol.duals[0] = -1.0  # a >= row
+        return sol
+
+    monkeypatch.setattr(lpcore, "_solve_once", wrong_duals)
+    with pytest.raises(lpcore.CertificateError, match=r"dual sign: y\[0\]"):
+        solve_ordering_lp(staggered_release_fixture())
 
 
 def test_lower_bound_below_oracle():
@@ -238,6 +241,16 @@ def test_coflows_that_share_no_port():
     inst = CoflowInstance(2, [Coflow({(0, 0): 2e5}), Coflow({(1, 1): 1 / 3})])
     res = solve_ordering_lp(inst)
     np.testing.assert_allclose(res.f_tilde, [2e5, 1 / 3], rtol=1e-9)
+    assert res.ordering == [1, 0]
+
+
+@pytest.mark.xfail(strict=True, raises=lpcore.CertificateError,
+                   reason="mixed size ranges on one port: the simplex's snap and tolerances follow "
+                          "the largest scale, and the answer fails its certificate's row checks")
+def test_coflows_of_mixed_sizes_on_one_port():
+    res = solve_ordering_lp(CoflowInstance(1, [Coflow({(0, 0): 100.0}), Coflow({(0, 0): 1e-4})]))
+    # HiGHS: objective 100.0002
+    np.testing.assert_allclose(res.f_tilde, [100.0001, 1e-4], rtol=1e-9)
     assert res.ordering == [1, 0]
 
 
