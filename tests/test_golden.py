@@ -6,8 +6,10 @@ Each schedule digest is the sha256 of
 so any change to a segment boundary, a rate, a completion or the last bit of
 a float shows up.  The LP digests are the sha256 of the raw float64 bytes of
 the ordering LP's relaxed completions and of the interval LP's interval
-weights, pinned together with the orderings they induce.  Re-pin a digest
-only for a change that is meant to alter an output, and say why.
+weights, pinned together with the orderings they induce.  The ordering LP's
+pivot count is pinned too, so a solver change that alters the simplex path
+shows up even when the answer does not.  Re-pin a digest or a count only
+for a change that is meant to alter it, and say why.
 """
 
 import hashlib
@@ -99,7 +101,7 @@ GOLDEN_LP = {
             [2, 7, 0, 6, 8, 10, 3, 4, 11, 1, 5, 9],
         ),
         "ordering": (
-            "53fa42d5b8aa79d3e6a423adf80021811c87be3ab903a6de4a25fbd610a4cd71",
+            "a7f2fe1dfddd41a591e1d239828da81d0ee09d0b551b04408d9d215f75927c07",
             [7, 2, 6, 0, 10, 8, 4, 3, 11, 9, 5, 1],
         ),
     },
@@ -109,7 +111,7 @@ GOLDEN_LP = {
             [4, 5, 7, 6, 9, 1, 11, 8, 0, 2, 3, 10],
         ),
         "ordering": (
-            "b7296b2466de9a0b0c97ea326c45ac107a46c6888338dca0653f8e0cf62f1eaa",
+            "eb41a4a8a166320fa9301c092ce9e847149cfb15828268854007a70426999a2f",
             [4, 7, 5, 9, 8, 11, 6, 1, 0, 2, 3, 10],
         ),
     },
@@ -119,7 +121,7 @@ GOLDEN_LP = {
             [2, 4, 5, 3, 6, 1, 0, 7],
         ),
         "ordering": (
-            "62d5b2dca8f4c352cbc324aaa54c6c7f64334fc6066523280a2803d3ece31da1",
+            "6e00358273b7d1896af3d0dc46bd11940d241f3bfa9343944df7b8371ed2d024",
             [2, 5, 4, 3, 6, 1, 7, 0],
         ),
     },
@@ -129,7 +131,7 @@ GOLDEN_LP = {
             [2, 4, 5, 7, 0, 8, 13, 16, 17, 1, 19, 15, 10, 3, 9, 12, 14, 6, 11, 18],
         ),
         "ordering": (
-            "5f9f57e06c1b5db01a11557a04cac73d6d855c3f5d84f9c245de5d25792b416f",
+            "3b92b4b674ec215b38f02af06d915a899aaebd57c304f382e592b779b3f0786f",
             [4, 2, 7, 5, 16, 0, 17, 8, 19, 13, 1, 9, 15, 3, 10, 12, 14, 6, 18, 11],
         ),
     },
@@ -139,7 +141,7 @@ GOLDEN_LP = {
             [0, 7, 3, 6, 1, 4, 2, 9, 8, 5],
         ),
         "ordering": (
-            "cef00eb75468dfea18c5272acb6bb65cf6ea606421eca676561884ad523d0a59",
+            "87a039d8d76f7b5c02c06ba2e58a2c23f578e0cdb353ec8b140f0d899ff11258",
             [7, 3, 0, 6, 1, 4, 2, 9, 8, 5],
         ),
     },
@@ -149,7 +151,7 @@ GOLDEN_LP = {
             [6, 2, 1, 7, 3, 4, 5, 8, 0, 9],
         ),
         "ordering": (
-            "1004cc192bb01dd7eaf647f18a6f1cf8368d9735c918473a5c01492b4f99a65e",
+            "197cf00d629dce7b386a1331f5471bb4f32cc7966450b38153579f57e45ad44c",
             [6, 2, 1, 7, 3, 4, 5, 8, 9, 0],
         ),
     },
@@ -163,6 +165,20 @@ GOLDEN_LP = {
             [0, 1, 3, 2],
         ),
     },
+}
+
+
+# instance -> simplex pivots of its ordering LP from the BSSI crash start
+# (``SolveStats.pivots``, a count that does not depend on the machine)
+GOLDEN_LP_PIVOTS = {
+    "combined-16x8-zero": 6,
+    "combined-releases": 27,
+    "combined-zero": 17,
+    "dense-5x8-capacity-0.37": 10,
+    "dense-8x20-releases": 92,
+    "dense-releases": 9,
+    "dense-zero": 19,
+    "mini-trace-4": 0,
 }
 
 
@@ -194,6 +210,12 @@ def test_lp_solutions_match_pinned_digests(instance_name):
         "interval": (hashlib.sha256(interval.x.tobytes()).hexdigest(), list(interval.ordering)),
     }
     assert got == GOLDEN_LP[instance_name]
+
+
+@pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))
+def test_ordering_lp_pivots_match_pinned_counts(instance_name):
+    _, lp = _case(instance_name)
+    assert lp.solution.stats.pivots == GOLDEN_LP_PIVOTS[instance_name]
 
 
 @pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))

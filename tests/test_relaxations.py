@@ -6,8 +6,9 @@ import pytest
 from conftest import GOLDEN_INSTANCES, golden_instance
 
 from coflowsched import lpcore, schedulers
-from coflowsched.model import Coflow, CoflowInstance, effective_size, node_load_matrix, prefix_bottlenecks
+from coflowsched.model import Coflow, CoflowInstance, node_load_matrix, prefix_bottlenecks
 from coflowsched.relaxations import (
+    _bssi_order,
     _build_reduced_ordering_lp,
     _ordering_crash_basis,
     build_interval_lp,
@@ -351,18 +352,35 @@ def _reference_interval_lp(instance):
     return objective, bounds, rows
 
 
+def _reference_bssi_order(instance):
+    # from the last position back: the port with the most load left, then
+    # the remaining coflow of least weight per load on it; every sum is a
+    # plain left-to-right float sum (the builtin sum is compensated from
+    # Python 3.12 on)
+    kk = instance.num_coflows
+    loads = (node_load_matrix(instance) / instance.capacity).tolist()
+    weight = [cf.weight for cf in instance.coflows]
+    remaining = list(range(kk))
+    order = []
+    while remaining:
+        left = []
+        for row in loads:
+            total = 0.0
+            for k in remaining:
+                total += row[k]
+            left.append(total)
+        port = loads[left.index(max(left))]
+        ratio, last = min((weight[k] / port[k], k) for k in remaining if port[k] > 0.0)
+        remaining.remove(last)
+        for k in remaining:
+            weight[k] -= ratio * port[k]
+        order.append(last)
+    return order[::-1]
+
+
 def _reference_crash_basis(instance, rows):
     kk = instance.num_coflows
-    greedy = sorted(
-        range(kk),
-        key=lambda k: (
-            instance.coflows[k].release
-            + effective_size(instance.coflows[k], instance.n_ports)
-            / (instance.capacity * instance.coflows[k].weight),
-            k,
-        ),
-    )
-    rank = {k: p for p, k in enumerate(greedy)}
+    rank = {k: p for p, k in enumerate(_reference_bssi_order(instance))}
     at_upper = [
         _reference_pair_index(kk, a, b)
         for a in range(kk)
@@ -373,7 +391,11 @@ def _reference_crash_basis(instance, rows):
     best_row = {}
     for idx, (coeffs, _, rhs) in enumerate(rows):
         k = next(j for j, c in coeffs.items() if j < kk and c == 1.0)
-        eff_rhs = rhs - sum(c for j, c in coeffs.items() if j in upper_set)
+        at_upper_sum = 0.0
+        for j, c in coeffs.items():
+            if j in upper_set:
+                at_upper_sum += c
+        eff_rhs = rhs - at_upper_sum
         if k not in best_row or eff_rhs > best_row[k][0]:
             best_row[k] = (eff_rhs, idx)
     kernel = sorted((idx, k) for k, (_, idx) in best_row.items())
@@ -475,3 +497,60 @@ def test_array_builders_match_row_by_row_reference_on_scaled_random_instances():
 def test_reduced_lp_and_crash_basis_match_reference_on_online_residuals(monkeypatch):
     for instance in _online_residual_instances(monkeypatch):
         _assert_reduced_lp_matches(instance)
+
+
+# -- the BSSI crash start ------------------------------------------------------
+
+
+def test_bssi_order_by_hand():
+    # one port: BSSI is Smith's rule, largest weight per size first
+    one_port = CoflowInstance(1, [Coflow({(0, 0): size}, weight=w) for size, w in [(1, 3), (2, 2), (3, 1)]])
+    assert _bssi_order(one_port) == [0, 1, 2]
+    # two ports, unit weights: coflows 0 and 1 share source 0 with sizes 3
+    # and 2, coflow 2 sends 4 from source 1.  Source 0 carries 5 > 4, and of
+    # its users coflow 0 has the least weight per load (1/3), so it goes
+    # last; coflow 1's weight drops to 1 - 2/3 = 1/3.  Of coflows 1 and 2,
+    # source 1 now carries 4 > 2, so coflow 2 goes before coflow 0: the
+    # order is [1, 2, 0].  The greedy key bottleneck / weight (2, 3, 4)
+    # would give [1, 0, 2].
+    two_ports = CoflowInstance(2, [Coflow({(0, 0): 3.0}), Coflow({(0, 0): 2.0}), Coflow({(1, 1): 4.0})])
+    assert _bssi_order(two_ports) == [1, 2, 0]
+
+
+def _random_instances(count):
+    rng = np.random.default_rng(2026)
+    for seed in range(count):
+        inst = generate(
+            SyntheticConfig(
+                n_ports=int(rng.integers(3, 9)),
+                n_coflows=int(rng.integers(4, 13)),
+                kind="dense" if seed % 2 else "combined",
+                interarrival_range=(1, 50) if seed % 4 >= 2 else None,
+                seed=500 + seed,
+            )
+        )
+        yield assign_weights(inst, "uniform-random" if seed % 8 >= 4 else "unit", seed=500 + seed)
+
+
+def _assert_crash_start_is_accepted_and_optimal(instance):
+    prob = _build_reduced_ordering_lp(instance)
+    warm = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
+    assert warm.stats.crash_accepted
+    assert not warm.stats.phase1 and not warm.stats.cold_retry
+    cold = lpcore.solve(prob)
+    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+def test_bssi_crash_is_accepted_and_optimal_on_golden_instances(name):
+    _assert_crash_start_is_accepted_and_optimal(golden_instance(name))
+
+
+def test_bssi_crash_is_accepted_and_optimal_on_random_instances():
+    for instance in _random_instances(20):
+        _assert_crash_start_is_accepted_and_optimal(instance)
+
+
+def test_bssi_crash_is_accepted_and_optimal_on_online_residuals(monkeypatch):
+    for instance in _online_residual_instances(monkeypatch):
+        _assert_crash_start_is_accepted_and_optimal(instance)
