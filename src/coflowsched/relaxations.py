@@ -175,20 +175,21 @@ def _bssi_order(instance: CoflowInstance) -> list:
     load on that port (ties to the lowest id; a coflow that does not load
     the port cannot be picked), and lower every remaining coflow's weight
     by that ratio times its load on the port.  Releases are ignored."""
-    loads = node_load_matrix(instance) / instance.capacity
+    kk = instance.num_coflows
+    remaining = node_load_matrix(instance) / instance.capacity  # placed coflows' columns zeroed
     weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
-    left = np.arange(instance.num_coflows)  # remaining coflows, ascending id
     order = []
-    while left.size:
-        remaining = loads[:, left]
-        # cumsum adds each port's remaining loads in id order, one at a time
+    for _ in range(kk):
+        # cumsum adds each port's loads in id order, one at a time
         port = remaining[np.argmax(np.cumsum(remaining, axis=1)[:, -1])]
-        ratio = np.divide(weight[left], port, out=np.full(left.size, np.inf), where=port > 0.0)
+        ratio = np.divide(weight, port, out=np.full(kk, np.inf), where=port > 0.0)
         last = int(np.argmin(ratio))
-        if port[last] > 0.0:  # else no remaining coflow has any load left
-            weight[left] -= ratio[last] * port
-        order.append(int(left[last]))
-        left = np.delete(left, last)
+        if ratio[last] < np.inf:
+            weight -= ratio[last] * port
+        else:  # no finite ratio (loads that underflowed to 0): place the highest id left
+            last = max(set(range(kk)).difference(order))
+        remaining[:, last] = 0.0
+        order.append(last)
     return order[::-1]
 
 

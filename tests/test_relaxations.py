@@ -515,6 +515,10 @@ def test_bssi_order_by_hand():
     # would give [1, 0, 2].
     two_ports = CoflowInstance(2, [Coflow({(0, 0): 3.0}), Coflow({(0, 0): 2.0}), Coflow({(1, 1): 4.0})])
     assert _bssi_order(two_ports) == [1, 2, 0]
+    # loads that underflow to 0 give no ratio: those coflows go first, by id
+    tiny = Coflow({(0, 0): 1e-300})
+    underflow = CoflowInstance(2, [tiny, Coflow({(1, 1): 3.0}), tiny], capacity=1e100)
+    assert _bssi_order(underflow) == [0, 2, 1]
 
 
 def _random_instances(count):
