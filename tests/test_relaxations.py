@@ -507,12 +507,12 @@ def test_bssi_order_by_hand():
     one_port = CoflowInstance(1, [Coflow({(0, 0): size}, weight=w) for size, w in [(1, 3), (2, 2), (3, 1)]])
     assert _bssi_order(one_port) == [0, 1, 2]
     # two ports, unit weights: coflows 0 and 1 share source 0 with sizes 3
-    # and 2, coflow 2 sends 4 from source 1.  Source 0 carries 5 > 4, and of
-    # its users coflow 0 has the least weight per load (1/3), so it goes
-    # last; coflow 1's weight drops to 1 - 2/3 = 1/3.  Of coflows 1 and 2,
-    # source 1 now carries 4 > 2, so coflow 2 goes before coflow 0: the
-    # order is [1, 2, 0].  The greedy key bottleneck / weight (2, 3, 4)
-    # would give [1, 0, 2].
+    # and 2, coflow 2 sends 4 from source 1.  Source 0 carries 5 > 4 (so
+    # does destination 0, a higher port), and of its users coflow 0 has the
+    # least weight per load (1/3), so it goes last; coflow 1's weight drops
+    # to 1 - 2/3 = 1/3.  Of coflows 1 and 2, source 1 now carries 4 > 2, so
+    # coflow 2 goes before coflow 0: the order is [1, 2, 0].  The greedy key
+    # bottleneck / weight (3, 2, 4) would give [1, 0, 2].
     two_ports = CoflowInstance(2, [Coflow({(0, 0): 3.0}), Coflow({(0, 0): 2.0}), Coflow({(1, 1): 4.0})])
     assert _bssi_order(two_ports) == [1, 2, 0]
     # loads that underflow to 0 give no ratio: those coflows go first, by id
