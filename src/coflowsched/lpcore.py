@@ -503,6 +503,7 @@ class _Simplex:
         self.stats = stats
         self.max_iters = max(20000, 60 * (m + ncols))
         self.cost = None
+        self.fresh = False  # G and x from a refresh, with no pivot or bound flip since
         self._buffer = np.empty((0, 0))
 
     # -- basis bookkeeping -------------------------------------------------
@@ -567,6 +568,7 @@ class _Simplex:
         x[self.nx + self.slack_rows] = slack[self.slack_rows]
         if self.cost is not None:
             self._reduced_costs()
+        self.fresh = True
         return True
 
     def _reduced_costs(self) -> None:
@@ -585,26 +587,28 @@ class _Simplex:
         variables in ``face`` (all when None) may enter."""
         self.cost = cost
         enterable = self.enterable if face is None else self.enterable & face
-        self.refresh()
+        if self.fresh:
+            # a re-inversion would give G and x the same bits again
+            self._reduced_costs()
+        else:
+            self.refresh()
         self.weights = None
         stats = self.stats
         stall = 0
         use_bland = False
         since_refresh = 0
-        fresh = True
         for _ in range(self.max_iters):
             d, status = self.d, self.status
             viol = np.where(status == _AT_LOWER, -d, d)
             cand = (viol > REDUCED_COST_TOL) & enterable & (status != _BASIC)
             if not cand.any():
-                if fresh:
+                if self.fresh:
                     return OPTIMAL
                 # certify against values and reduced costs from a fresh kernel
                 self.refresh()
                 since_refresh = 0
-                fresh = True
                 continue
-            fresh = False
+            self.fresh = False
             if self.weights is None:
                 # exact weights for the main runs; a run restricted to a face
                 # (few pivots, if any) prices by the plain violation
@@ -669,7 +673,6 @@ class _Simplex:
             if since_refresh >= _REINVERT:
                 self.refresh()
                 since_refresh = 0
-                fresh = True
         raise RuntimeError("simplex iteration limit exceeded")
 
     def _edge_weights(self) -> np.ndarray:

@@ -278,15 +278,15 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
 # Birkhoff-von Neumann decomposition
 # ---------------------------------------------------------------------------
 
-def _perfect_matching(support: np.ndarray) -> np.ndarray:
-    """Row -> column perfect matching on a boolean support matrix.
+def _perfect_matching(cols_of: list) -> list:
+    """Row -> column perfect matching, given each row's support as an
+    ascending column list.
 
     Deterministic augmenting-path search (rows and columns ascending).
     The padded matrices handed to it always admit one; failure means the
     padding or the bookkeeping is broken.
     """
-    n = support.shape[0]
-    cols_of = [np.flatnonzero(row).tolist() for row in support]
+    n = len(cols_of)
     match_col = [-1] * n  # column -> row
 
     def augment(row: int, visited: set) -> bool:
@@ -301,8 +301,9 @@ def _perfect_matching(support: np.ndarray) -> np.ndarray:
     for row in range(n):
         if not augment(row, set()):
             raise RuntimeError("no perfect matching on support; invariant violated")
-    perm = np.empty(n, dtype=int)
-    perm[match_col] = np.arange(n)
+    perm = [0] * n
+    for col, row in enumerate(match_col):
+        perm[row] = col
     return perm
 
 
@@ -328,15 +329,27 @@ def _integer_bvn(matrix: np.ndarray) -> list:
     """Birkhoff-von Neumann decomposition of a nonnegative integer matrix,
     used by the slotted scheduler: returns [(slot_count, perm)], perm[i] the
     column of row i, whose counts sum to the max line sum and whose
-    permutations rebuild the padded matrix."""
-    padded = _pad_to_equal_line_sums(matrix)
+    permutations rebuild the padded matrix.
+
+    Each matching is searched from scratch on the rows' supports, which are
+    kept across peels: a column leaves a row's list when its entry reaches
+    0.  Re-augmenting only the rows whose matched entry reached 0 would
+    reuse the rest of the previous matching, but it finds other
+    permutations: in a probe it gave the from-scratch decomposition on only
+    97 of 300 random matrices, and lp-ii-gb's schedules follow these
+    permutations.
+    """
+    padded = _pad_to_equal_line_sums(matrix).tolist()
+    support = [[j for j, v in enumerate(row) if v > 0] for row in padded]
     out = []
-    while padded.any():
-        perm = _perfect_matching(padded > 0)
-        count = int(min(padded[i, perm[i]] for i in range(len(perm))))
+    while any(support):
+        perm = _perfect_matching(support)
+        count = min(padded[i][j] for i, j in enumerate(perm))
         out.append((count, perm))
-        for i in range(len(perm)):
-            padded[i, perm[i]] -= count
+        for i, j in enumerate(perm):
+            padded[i][j] -= count
+            if not padded[i][j]:
+                support[i].remove(j)
     return out
 
 
@@ -416,7 +429,7 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
             while count > 0 and slot < next_release:
                 served = (
                     next(filter(servable, by_pair.get(pair, ())), None)
-                    for pair in enumerate(perm.tolist())
+                    for pair in enumerate(perm)
                 )
                 serving = [f for f in served if f is not None]
                 length = min(count, next_release - slot, *(remaining[f] for f in serving))

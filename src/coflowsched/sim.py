@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Mapping
 
 import numpy as np
 
-from .model import CoflowInstance, FlowKey, _field
+from .model import _PORT_TYPES, CoflowInstance, FlowKey, _field
 
 EVENT_EPS = 1e-9
 CAPACITY_TOL = 1e-9
@@ -270,74 +271,126 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     Inspects segment structure (ordered, non-overlapping), per-port rate
     sums, release dates, rates and completions only on the instance's flows,
     transmitted volume per flow at its recorded completion, and the coflow
-    completion definition.
+    completion definition.  A malformed segment, or a rate on a port or
+    coflow outside the instance, raises ValueError naming the segment.
+
+    Every recorded rate is one entry, in segment order and then in the
+    order of its segment's rate map; each sum below adds its entries in
+    that order, so it is the same sequence of float additions as a loop
+    over the segments would make.  Violations are listed per segment
+    (releases, then ports ascending, source before destination), then
+    unknown flows, demands and coflow completions.
     """
-    cap = instance.capacity
-    n = instance.n_ports
-    sizes = dict(instance.flows())
+    cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
+    flows = list(instance.flows())
+    nf = len(flows)
+    index = {key: i for i, (key, _) in enumerate(flows)}
+    segments = schedule.segments
     completed = schedule.flow_completions
-    violations: list[Violation] = []
-    transmitted: dict[FlowKey, float] = {}
-    last_end = -math.inf
-    for idx, seg in enumerate(schedule.segments):
-        start, end, rates = seg.start, seg.end, seg.rates
-        if end <= start:
-            raise ValueError(f"segment {idx} has non-positive length")
-        if start < last_end - EVENT_EPS:
-            raise ValueError(f"segment {idx} overlaps its predecessor")
-        last_end = end
-        src_sum = [0.0] * n
-        dst_sum = [0.0] * n
-        for key, rate in rates.items():
-            # every recorded rate counts toward the volume, nonpositive ones too
-            completion = completed.get(key)
-            if completion is not None:
-                span = max(min(end, completion) - start, 0.0)
-                transmitted[key] = transmitted.get(key, 0.0) + rate * span
-            elif key not in sizes:  # a flow the instance lacks: all it was sent counts
-                transmitted[key] = transmitted.get(key, 0.0) + rate * (end - start)
-            if rate <= 0.0:
-                continue
-            src_sum[key.source] += rate
-            dst_sum[key.dest] += rate
-            release = instance.coflows[key.coflow].release
-            if start < release - EVENT_EPS:
-                violations.append(
-                    Violation("release", f"segment {idx} flow {tuple(key)}", release - start)
-                )
-        for p in range(n):
-            if src_sum[p] > cap + CAPACITY_TOL:
-                violations.append(
-                    Violation("capacity_src", f"segment {idx} port {p}", src_sum[p] - cap)
-                )
-            if dst_sum[p] > cap + CAPACITY_TOL:
-                violations.append(
-                    Violation("capacity_dst", f"segment {idx} port {p}", dst_sum[p] - cap)
-                )
 
-    for key in sorted((transmitted.keys() | completed.keys()) - sizes.keys()):
-        violations.append(Violation("unknown_flow", f"flow {tuple(key)}", transmitted.get(key, 0.0)))
+    maps = [seg.rates for seg in segments]
+    counts = np.fromiter(map(len, maps), dtype=np.int64, count=len(maps))
+    offsets = np.cumsum(counts) - counts
+    entries = int(counts.sum())
+    fi = np.fromiter(map(index.get, chain.from_iterable(maps), repeat(-1)), dtype=np.int64, count=entries)
+    rate = np.fromiter(chain.from_iterable(r.values() for r in maps), dtype=float, count=entries)
+    seg_of = np.repeat(np.arange(len(maps)), counts)
 
-    flows_of: list[list[FlowKey]] = [[] for _ in range(instance.num_coflows)]
-    for key, size in sizes.items():
-        flows_of[key.coflow].append(key)
-        got = transmitted.get(key, 0.0)
-        if key not in completed:
+    def entry(e: int) -> tuple:
+        """The segment and the flow of entry e."""
+        s = int(seg_of[e])
+        return s, next(islice(maps[s], e - int(offsets[s]), None))
+
+    starts = np.array([seg.start for seg in segments], dtype=float)
+    ends = np.array([seg.end for seg in segments], dtype=float)
+    previous = np.concatenate(([-math.inf], ends[:-1]))
+    bad = np.flatnonzero((ends <= starts) | (starts < previous - EVENT_EPS))
+    first_bad = int(bad[0]) if bad.size else len(segments)
+    # flows the instance lacks take the ids from nf on, in order of appearance
+    unknown: dict = {}
+    for e in np.flatnonzero(fi < 0).tolist():
+        s, key = entry(e)
+        if s >= first_bad:
+            break
+        if not all(isinstance(v, _PORT_TYPES) and 0 <= v < top for v, top in zip(key, (n, n, num))):
+            raise ValueError(f"segment {s} flow {tuple(key)} is outside the instance "
+                             f"({n} ports, {num} coflows)")
+        fi[e] = unknown.setdefault(key, nf + len(unknown))
+    if first_bad < len(segments):
+        if ends[first_bad] <= starts[first_bad]:
+            raise ValueError(f"segment {first_bad} has non-positive length")
+        raise ValueError(f"segment {first_bad} overlaps its predecessor")
+    # (source, dest, coflow) of every flow a rate names
+    ids = np.array([key for key, _ in flows] + list(unknown), dtype=np.int64).reshape(-1, 3)
+    at = np.fromiter((index[k] if k in index else unknown.setdefault(k, nf + len(unknown))
+                      for k in completed), dtype=np.int64, count=len(completed))
+    total = nf + len(unknown)
+    done = np.zeros(total, dtype=bool)  # has a recorded completion
+    finish = np.zeros(total)
+    done[at] = True
+    finish[at] = np.fromiter(completed.values(), dtype=float, count=len(completed))
+    sent = np.bincount(fi, _volumes(fi, rate, seg_of, starts, ends, done, finish), minlength=total)
+
+    # Per-(segment, port) sums and release checks, over the positive rates
+    # (and NaN ones, as "not <= 0").  A zero weight in place of the others
+    # leaves every sum's bits alone: the sums start at +0.0.
+    found = []  # (segment, rank within the segment, violation)
+    live = ~(rate <= 0.0)
+    release = np.array([cf.release for cf in instance.coflows], dtype=float)
+    late = starts[seg_of] < release[ids[fi, 2]] - EVENT_EPS
+    for e in np.flatnonzero(late & live).tolist():
+        s, key = entry(e)
+        gap = instance.coflows[key.coflow].release - segments[s].start
+        found.append((s, e, Violation("release", f"segment {s} flow {tuple(key)}", gap)))
+    weight = np.where(live, rate, 0.0)
+    for side, kind in enumerate(("capacity_src", "capacity_dst")):
+        cells = seg_of * n
+        cells += ids[fi, side]
+        sums = np.bincount(cells, weight, minlength=len(segments) * n)
+        for cell in np.flatnonzero(sums > cap + CAPACITY_TOL).tolist():
+            s, p = divmod(cell, n)
+            found.append((s, entries + 2 * p + side,
+                          Violation(kind, f"segment {s} port {p}", float(sums[cell]) - cap)))
+    found.sort(key=lambda item: item[:2])
+    violations = [v for _, _, v in found]
+
+    for key in sorted(unknown):
+        violations.append(Violation("unknown_flow", f"flow {tuple(key)}", float(sent[unknown[key]])))
+
+    sizes = np.fromiter((size for _, size in flows), dtype=float, count=nf)
+    off = ~done[:nf] | (np.abs(sent[:nf] - sizes) > DEMAND_TOL)
+    for i in np.flatnonzero(off).tolist():
+        key, size = flows[i]
+        if done[i]:
+            violations.append(Violation("demand", f"flow {tuple(key)}", abs(float(sent[i]) - size)))
+        else:
             violations.append(Violation("demand", f"flow {tuple(key)} never completed", size))
-            continue
-        if abs(got - size) > DEMAND_TOL:
-            violations.append(Violation("demand", f"flow {tuple(key)}", abs(got - size)))
 
-    for k, flows in enumerate(flows_of):
-        recorded = schedule.completions[k]
-        finished = [completed[f] for f in flows if f in completed]
-        if len(finished) < len(flows):
-            continue  # already reported as a demand violation
-        expected = max(finished)
+    # a coflow completes with its last flow, by Python's max: NaN only when
+    # its first flow's completion is NaN
+    firsts = np.flatnonzero(np.diff(ids[:nf, 2], prepend=-1))
+    all_done = np.logical_and.reduceat(done[:nf], firsts)
+    last = np.fmax.reduceat(finish[:nf], firsts)
+    last[np.isnan(finish[firsts])] = math.nan
+    for k in np.flatnonzero(all_done).tolist():
+        recorded, expected = schedule.completions[k], float(last[k])
         if abs(recorded - expected) > EVENT_EPS * max(1.0, abs(expected)):
             violations.append(Violation("completion_def", f"coflow {k}", abs(recorded - expected)))
 
     return ValidationReport(ok=not violations, violations=violations)
+
+
+def _volumes(fi, rate, seg_of, starts, ends, done, finish) -> np.ndarray:
+    """What each entry sends: rate x max(min(end, completion) - start, 0),
+    the whole segment when its flow has no completion; computed in place,
+    with Python's min and max order (NaN stays)."""
+    cut = ends[seg_of]
+    at = finish[fi]
+    np.copyto(cut, at, where=done[fi] & (at < cut))
+    cut -= starts[seg_of]
+    cut[cut < 0.0] = 0.0
+    cut *= rate
+    return cut
 
 
 def total_weighted_completion(schedule, instance: CoflowInstance) -> float:

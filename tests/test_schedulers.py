@@ -276,9 +276,61 @@ def test_integer_bvn_rebuilds_padded_matrix():
         rebuilt = np.zeros((n, n), dtype=np.int64)
         for count, perm in parts:
             assert count > 0
-            assert sorted(perm.tolist()) == list(range(n))
+            assert sorted(perm) == list(range(n))
             rebuilt[np.arange(n), perm] += count
         assert (rebuilt == padded).all()
+
+
+def _reference_integer_bvn(matrix: np.ndarray) -> list:
+    """The decomposition with every matching's supports rebuilt from the
+    padded matrix, as lp-ii-gb computed it before the supports were kept
+    across peels."""
+
+    def perfect_matching(support: np.ndarray) -> np.ndarray:
+        n = support.shape[0]
+        cols_of = [np.flatnonzero(row).tolist() for row in support]
+        match_col = [-1] * n
+
+        def augment(row: int, visited: set) -> bool:
+            for col in cols_of[row]:
+                if col not in visited:
+                    visited.add(col)
+                    if match_col[col] < 0 or augment(match_col[col], visited):
+                        match_col[col] = row
+                        return True
+            return False
+
+        for row in range(n):
+            assert augment(row, set())
+        perm = np.empty(n, dtype=int)
+        perm[match_col] = np.arange(n)
+        return perm
+
+    padded = _pad_to_equal_line_sums(matrix)
+    out = []
+    while padded.any():
+        perm = perfect_matching(padded > 0)
+        count = int(min(padded[i, perm[i]] for i in range(len(perm))))
+        out.append((count, perm.tolist()))
+        for i in range(len(perm)):
+            padded[i, perm[i]] -= count
+    return out
+
+
+def test_integer_bvn_equals_the_from_scratch_decomposition():
+    rng = np.random.default_rng(11)
+    matrices = [np.array([[3]]), np.array([[0]]), np.zeros((3, 3), dtype=np.int64),
+                np.array([[0, 0], [0, 5]]), np.array([[4, 0, 0], [0, 0, 0], [0, 0, 0]])]
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        m = rng.integers(0, 6, size=(n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        if trial % 3 == 1:
+            m[rng.integers(0, n)] = 0  # a zero row, filled by the padding
+        elif trial % 3 == 2:
+            m[:, rng.integers(0, n)] += rng.integers(0, 9, size=n)  # an unbalanced column
+        matrices.append(m)
+    for m in matrices:
+        assert _integer_bvn(m) == _reference_integer_bvn(m), m
 
 
 # -- schedule serialization ---------------------------------------------------
