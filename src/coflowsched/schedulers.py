@@ -10,19 +10,20 @@
                      execution of each group via Birkhoff-von Neumann
                      matchings with backfilling.
 
-The fluid schedulers are rate policies that sim.run_fluid drives over the
-run's own flow state; lp_ii_gb steps its own slots.  All return a
+The fluid schedulers are rate policies that sim.run_fluid drives over a
+sim.FluidRun's flow state; varys and lp_ov_gb read its per-flow arrays and
+hand out capacity with numpy, lp_ii_gb steps its own slots.  All return a
 sim.Schedule that passes the sim-module validator.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import chain
 
 import numpy as np
 
-from .model import CoflowInstance, FlowKey, port_loads, prefix_bottlenecks, residual_instance
+from .model import CoflowInstance, FlowKey, prefix_bottlenecks, residual_instance
 from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
 
@@ -75,7 +76,7 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     is a partial matching of the switch.
     """
     queue = _queue(instance, (ordering_result or solve_ordering_lp(instance)).ordering)
-    return run_fluid(instance, lambda run: _list_schedule_rates(run, queue))
+    return run_fluid(FluidRun(instance), lambda run: _list_schedule_rates(run, queue))
 
 
 def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
@@ -110,7 +111,7 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             queue[:] = _queue(instance, order)
         return _list_schedule_rates(run, queue)
 
-    return run_fluid(instance, policy)
+    return run_fluid(FluidRun(instance), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -126,57 +127,103 @@ def varys(instance: CoflowInstance) -> Schedule:
     """
     cap = instance.capacity
     n = instance.n_ports
+    run = FluidRun(instance)
+    kk, nf = instance.num_coflows, len(run.flows)
+    # every coflow's port loads, sources then destinations, in one bincount
+    # over (coflow, port) cells that adds each cell in member order
+    members = np.fromiter(chain.from_iterable(run.members), dtype=np.int64, count=nf)
+    owner_cell = 2 * n * run.coflow[members]
+    cells = np.concatenate((owner_cell + run.source[members], owner_cell + n + run.dest[members]))
+    weights_of = np.concatenate((members, members))
+    pair = run.source * n + run.dest
 
     def policy(run: FluidRun) -> dict:
-        # one snapshot of each active coflow's remaining demand and port
-        # loads serves the bottleneck sort, the pacing and the leftover pass
-        flows_of = {k: run.remaining_of(k) for k in run.active_coflows()}
-        loads_of = {k: port_loads(flows, n) for k, flows in flows_of.items()}
-        order = sorted(flows_of, key=lambda k: (max(map(max, loads_of[k])), k))
-        rem_src = [cap] * n
-        rem_dst = [cap] * n
+        active = run.active_coflows()
+        if not active:
+            return {}
+        rem = run.remaining
+        loads = np.bincount(cells, rem[weights_of], minlength=kk * 2 * n).reshape(kk, 2 * n)
+        peak = loads.max(axis=1).tolist()
+        order = sorted(active, key=lambda k: (peak[k], k))
+        needs = loads[order] > 0.0
+        spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
         rates: dict[FlowKey, float] = {}
         skipped: list[int] = []
-        for k in order:
-            src_load, dst_load = loads_of[k]
-            needed = [
-                (load, rem)
-                for load, rem in zip(src_load + dst_load, rem_src + rem_dst)
-                if load > 0.0
-            ]
-            if any(rem <= CAPACITY_TOL for _, rem in needed):
-                skipped.append(k)
-                continue
-            gamma = max(load / rem for load, rem in needed)
-            flows = flows_of[k]
-            for f in sorted(flows):
-                r = flows[f] / gamma
-                rates[f] = r
-                rem_src[f.source] = max(rem_src[f.source] - r, 0.0)
-                rem_dst[f.dest] = max(rem_dst[f.dest] - r, 0.0)
+        at = 0
+        while at < len(order):
+            # spare capacity only shrinks, so every coflow before the next
+            # one with capacity left on all its ports is skipped
+            fits = ~(needs[at:] & (spare <= CAPACITY_TOL)).any(axis=1)
+            nxt = at + int(fits.argmax())
+            if not fits[nxt - at]:
+                skipped += order[at:]
+                break
+            skipped += order[at:nxt]
+            k, need = order[nxt], needs[nxt]
+            gamma = (loads[k, need] / spare[need]).max()
+            lo = run.offsets[k]
+            ids = lo + np.flatnonzero(rem[lo:run.offsets[k + 1]] > 0.0)  # by (source, dest)
+            paced = rem[ids] / gamma
+            rates.update(zip(map(run.flows.__getitem__, ids.tolist()), paced.tolist()))
+            # each port's rates subtracted in flow order; the rates are
+            # positive, so one clamp at the end gives the bits of a clamp
+            # after each subtraction
+            np.subtract.at(spare, run.source[ids], paced)
+            np.subtract.at(spare, n + run.dest[ids], paced)
+            np.maximum(spare, 0.0, out=spare)
+            at = nxt + 1
         # leftover pass over the skipped coflows: source ports ascending, then
-        # flows in list order; coflows already paced to finish together keep
+        # flows by (rank, dest); coflows already paced to finish together keep
         # their rates (extra speed on a non-bottleneck flow would not move
-        # their completion anyway).  Spare capacity only shrinks from here
-        # on, so a flow with an exhausted port can never be served.
-        spare: list[list] = [[] for _ in range(n)]
-        for rank, k in enumerate(skipped):
-            for f in flows_of[k]:
-                if rem_src[f.source] > CAPACITY_TOL and rem_dst[f.dest] > CAPACITY_TOL:
-                    spare[f.source].append((rank, f.dest, f))
-        for i, candidates in enumerate(spare):
-            for _, j, f in sorted(candidates):
-                extra = min(rem_src[i], rem_dst[j])
-                if extra <= CAPACITY_TOL:
-                    continue
-                rates[f] = extra
-                rem_src[i] -= extra
-                rem_dst[j] -= extra
-                if rem_src[i] <= CAPACITY_TOL:
-                    break
+        # their completion anyway)
+        if skipped:
+            rank = np.full(kk, kk)
+            rank[skipped] = np.arange(len(skipped))
+            ok = spare > CAPACITY_TOL
+            open_pair = (ok[:n, None] & ok[None, n:]).ravel()
+            ids = np.flatnonzero((rank[run.coflow] < kk) & (rem > 0.0) & open_pair[pair])
+            order_key = (run.source[ids] * kk + rank[run.coflow[ids]]) * nf + ids
+            first = _first_per_pair(pair[ids], order_key, n)
+            _fill(run, rates, np.array(first, dtype=np.int64) % nf, spare)
         return rates
 
-    return run_fluid(instance, policy)
+    return run_fluid(run, policy)
+
+
+_NO_KEY = np.iinfo(np.int64).max
+
+
+def _first_per_pair(pairs: np.ndarray, keys: np.ndarray, n: int) -> list:
+    """The least of ``keys`` on each port pair (index source * n + dest),
+    ascending."""
+    least = np.full(n * n, _NO_KEY)
+    np.minimum.at(least, pairs, keys)
+    return sorted(least[least < _NO_KEY].tolist())
+
+
+def _fill(run: FluidRun, rates: dict, ids: np.ndarray, spare: np.ndarray) -> None:
+    """Raise the rate of each flow of ``ids``, in order, by all that is left
+    on both of its ports, the less of the two, when both have more than
+    CAPACITY_TOL left.  ``spare`` holds what is left, source ports then
+    destinations, and is updated in place.
+
+    Each raise leaves one of its two ports with nothing, so a port pair is
+    raised at most once, and a flow whose ports are short at the start
+    never is: only the others are looped over.
+    """
+    n = run.instance.n_ports
+    ok = spare > CAPACITY_TOL
+    src, dst = run.source[ids], n + run.dest[ids]
+    keep = ok[src] & ok[dst]
+    left = spare.tolist()
+    for f, i, j in zip(ids[keep].tolist(), src[keep].tolist(), dst[keep].tolist()):
+        extra = min(left[i], left[j])
+        if extra > CAPACITY_TOL:
+            key = run.flows[f]
+            rates[key] = rates.get(key, 0.0) + extra
+            left[i] -= extra
+            left[j] -= extra
+    spare[:] = left
 
 
 # ---------------------------------------------------------------------------
@@ -216,62 +263,74 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     """
     ordering = (ordering_result or solve_ordering_lp(instance)).ordering
     groups = group_coflows(instance, ordering)
-    # each group with the flows of the coflows ordered after it
-    stages = [
-        (grp, _queue(instance, ordering[end:]))
-        for grp, end in zip(groups, accumulate(map(len, groups)))
-    ]
     cap = instance.capacity
     n = instance.n_ports
+    run = FluidRun(instance)
+    pair = run.source * n + run.dest
+    release = np.array(run.release)[run.coflow]  # by flow id
+    # the list-scheduling queue in flow ids: ids are by (coflow, source, dest)
+    queue = np.concatenate([np.arange(run.offsets[k], run.offsets[k + 1]) for k in ordering])
+    # each group's member ids, in group order, and the queue of the coflows
+    # ordered after it; a queue drops its finished flows as it is scanned
+    stages = []
+    end = 0
+    for grp in groups:
+        members = np.fromiter(chain.from_iterable(run.members[k] for k in grp), dtype=np.int64)
+        end += sum(run.live[k] for k in grp)
+        stages.append([grp, members, queue[end:]])
+    current = 0
 
     def policy(run: FluidRun) -> dict:
-        group, later = next(
-            (grp, rest) for grp, rest in stages if any(not run.is_complete(k) for k in grp)
-        )
-        demand: dict[tuple[int, int], float] = {}
-        server: dict[tuple[int, int], FlowKey] = {}
-        for k in group:
-            if not run.released(k):
-                continue
-            for f, d in run.remaining_of(k).items():
-                pair = (f.source, f.dest)
-                demand[pair] = demand.get(pair, 0.0) + d
-                server.setdefault(pair, f)
-        rem_src = [cap] * n
-        rem_dst = [cap] * n
-        rates: dict[FlowKey, float] = {}
-
-        def grant(f: FlowKey, amount: float) -> None:
-            i, j, _ = f
-            rates[f] = rates.get(f, 0.0) + amount
-            rem_src[i] = max(rem_src[i] - amount, 0.0)
-            rem_dst[j] = max(rem_dst[j] - amount, 0.0)
-
-        if demand:
-            finish = max(map(max, port_loads(demand, n))) / cap
-            pairs = sorted(demand)
-            for pair in pairs:
-                grant(server[pair], demand[pair] / finish)
-            # raise the group's own pair rates until a port saturates
-            for pair in pairs:
-                extra = min(rem_src[pair[0]], rem_dst[pair[1]])
-                if extra > CAPACITY_TOL:
-                    grant(server[pair], extra)
-        # backfill pairs without group demand from later-ordered released
-        # coflows, in pair order; spare capacity only shrinks, so each pair
-        # is tested when it comes up
-        finished = run.flow_completions
+        nonlocal current
+        # earlier groups never reopen, so the active group only moves forward
+        while all(map(run.is_complete, stages[current][0])):
+            current += 1
+        _, members, later = stages[current]
+        rem = run.remaining
         now = run.time + EVENT_EPS
-        for f in later:
-            i, j, k = f
-            if f in finished or (i, j) in demand or run.release[k] > now:
-                continue
-            extra = min(rem_src[i], rem_dst[j])
-            if extra > CAPACITY_TOL:
-                grant(f, extra)
+        # the group's released demand per pair, added in member order
+        weight = np.where(release[members] <= now, rem[members], 0.0)
+        demand = np.bincount(pair[members], weight, minlength=n * n)
+        pairs = np.flatnonzero(demand > 0.0)  # by (source, dest)
+        spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
+        rates: dict[FlowKey, float] = {}
+        if pairs.size:
+            # each pair is served by its first released unfinished member;
+            # the port loads add the pairs in the order in which they first
+            # appear among those
+            live = np.flatnonzero(weight > 0.0)
+            seen = np.array(_first_per_pair(pair[members[live]], live, n), dtype=np.int64)
+            by_seen = pair[members[seen]]
+            server = np.empty(n * n, dtype=np.int64)
+            server[by_seen] = members[seen]
+            servers = server[pairs]
+            loads = np.concatenate((np.bincount(by_seen // n, demand[by_seen], minlength=n),
+                                    np.bincount(by_seen % n, demand[by_seen], minlength=n)))
+            finish = loads.max() / cap
+            amount = demand[pairs] / finish
+            rates.update(zip(map(run.flows.__getitem__, servers.tolist()), amount.tolist()))
+            # each port's grants subtracted in pair order; the grants are
+            # positive, so one clamp at the end gives the bits of a clamp
+            # after each grant
+            np.subtract.at(spare, pairs // n, amount)
+            np.subtract.at(spare, n + pairs % n, amount)
+            np.maximum(spare, 0.0, out=spare)
+            # raise the group's own pair rates until a port saturates
+            _fill(run, rates, servers, spare)
+        # backfill pairs without group demand from later-ordered released
+        # coflows, in queue order (LP rank, then source, then dest); spare
+        # capacity only shrinks, so only each open pair's first such flow
+        # can be served
+        later = stages[current][2] = later[rem[later] > 0.0]
+        ok = spare > CAPACITY_TOL
+        open_pair = (ok[:n, None] & ok[None, n:]).ravel()
+        open_pair[pairs] = False
+        on_pair = pair[later]
+        at = np.flatnonzero(open_pair[on_pair] & (release[later] <= now))
+        _fill(run, rates, later[_first_per_pair(on_pair[at], at, n)], spare)
         return rates
 
-    return run_fluid(instance, policy)
+    return run_fluid(run, policy)
 
 
 # ---------------------------------------------------------------------------

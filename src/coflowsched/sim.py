@@ -3,11 +3,16 @@ the independent schedule validator.
 
 run_fluid advances a policy's piecewise-constant rates between events
 (coflow releases and flow completions, coalesced within EVENT_EPS) and
-returns a Schedule, in which each coflow completes with its last flow.  The
-validator re-checks any schedule against the model constraints: per-port
-capacity, no pre-release transmission, demand conservation, and the
-definition of coflow completion.  It reads only the schedule's segments,
-so it stays independent of how the schedule was produced.
+returns a Schedule, in which each coflow completes with its last flow.
+The run's state is a FluidRun: flows numbered 0..F-1 in instance order,
+their remaining demand in one float array that policies read whole with
+numpy, and a count of unfinished flows per coflow.  Rates are still handed
+over, and recorded, as maps from FlowKey to rate.
+
+The validator re-checks any schedule against the model constraints:
+per-port capacity, no pre-release transmission, demand conservation, and
+the definition of coflow completion.  It reads only the schedule's
+segments, so it stays independent of how the schedule was produced.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -151,43 +158,87 @@ class FluidRun:
     A policy assigns rates at each event; ``step`` advances to the next
     event.  Segments and per-flow completions are accumulated for the final
     Schedule.
+
+    Flows have ids 0..F-1 in ``instance.flows()`` order, so coflow k's
+    flows are the ids ``offsets[k]`` to ``offsets[k + 1] - 1``, by (source,
+    dest).  ``remaining`` holds each flow's demand left, by id, and is 0.0
+    exactly when the flow is finished; ``source``, ``dest`` and ``coflow``
+    give each id's ports and coflow, and ``live`` counts each coflow's
+    unfinished flows.
+
+    ``members[k]`` lists coflow k's ids in the order in which a set of its
+    FlowKeys, built in ``instance.flows()`` order, iterates.  The policies
+    add a coflow's flows in that order, the order the pinned schedules
+    were recorded with.  A set keeps its order when keys leave it, so a
+    sum over all members that adds 0.0 for the finished ones
+    (``np.bincount`` adds its weights in order) has the bits of a loop over
+    the set of unfinished flows.
     """
 
     def __init__(self, instance: CoflowInstance):
         self.instance = instance
         self.time = 0.0
-        self.remaining: dict[FlowKey, float] = {}
+        flows = list(instance.flows())
+        self.flows = [key for key, _ in flows]  # by id
+        self.flow_id = {key: i for i, key in enumerate(self.flows)}
+        self.remaining = np.array([size for _, size in flows], dtype=float)
+        # the same buffer, read and written as Python floats: the executor's
+        # per-rate loop indexes it one flow at a time
+        self._left = memoryview(self.remaining)
+        self.live = [len(cf.demands) for cf in instance.coflows]  # by coflow id
+        self._unfinished = len(flows)
+        self.offsets = np.concatenate(([0], np.cumsum(self.live)))
         self.flow_completions: dict[FlowKey, float] = {}
         self.segments: list[Segment] = []
         self.rates: dict[FlowKey, float] = {}
         self.release = [cf.release for cf in instance.coflows]  # by coflow id
-        for key, size in instance.flows():
-            self.remaining[key] = size
         self._release_times = sorted(
             {cf.release for cf in instance.coflows if cf.release > 0.0}
         )
-        self._incomplete: dict[int, set[FlowKey]] = {}
-        for key in self.remaining:
-            self._incomplete.setdefault(key.coflow, set()).add(key)
+
+    # -- per-flow arrays, built when a policy first reads them -----------
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        return self._field(0)
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        return self._field(1)
+
+    @cached_property
+    def coflow(self) -> np.ndarray:
+        return self._field(2)
+
+    def _field(self, index: int) -> np.ndarray:
+        return np.fromiter(map(itemgetter(index), self.flows), dtype=np.int64, count=len(self.flows))
+
+    @cached_property
+    def members(self) -> list:
+        return [
+            [self.flow_id[key] for key in set(self.flows[lo:hi])]
+            for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        ]
 
     # -- views ------------------------------------------------------------
 
     def done(self) -> bool:
-        return not self._incomplete
-
-    def released(self, k: int) -> bool:
-        return self.release[k] <= self.time + EVENT_EPS
+        return not self._unfinished
 
     def is_complete(self, k: int) -> bool:
-        return k not in self._incomplete
+        return not self.live[k]
 
     def active_coflows(self) -> list:
         """Released, incomplete coflow ids, ascending."""
-        return sorted(k for k in self._incomplete if self.released(k))
+        horizon = self.time + EVENT_EPS
+        return [k for k, (left, release) in enumerate(zip(self.live, self.release))
+                if left and release <= horizon]
 
     def remaining_of(self, k: int) -> dict:
-        """Remaining demand of coflow k's incomplete flows, by FlowKey."""
-        return {f: self.remaining[f] for f in self._incomplete.get(k, ())}
+        """Remaining demand of coflow k's incomplete flows, by FlowKey, in
+        member order."""
+        left = self._left
+        return {self.flows[i]: left[i] for i in self.members[k] if left[i] > 0.0}
 
     def next_release(self) -> float | None:
         for t in self._release_times:
@@ -202,7 +253,7 @@ class FluidRun:
         for key, rate in rates.items():
             if rate <= 0.0:
                 continue
-            if key not in self.remaining or key in self.flow_completions:
+            if key not in self.flow_id or key in self.flow_completions:
                 raise ValueError(f"rate assigned to unknown or finished flow {key}")
             if self.release[key.coflow] > self.time + EVENT_EPS:
                 raise ValueError(f"rate assigned to unreleased flow {key}")
@@ -217,8 +268,9 @@ class FluidRun:
         closer than EVENT_EPS coalesce.
         """
         dt = math.inf
+        left, flow_id = self._left, self.flow_id
         for key, rate in self.rates.items():
-            dt = min(dt, self.remaining[key] / rate)
+            dt = min(dt, left[flow_id[key]] / rate)
         upcoming = self.next_release()
         if upcoming is not None:
             dt = min(dt, upcoming - self.time)
@@ -236,29 +288,29 @@ class FluidRun:
         now = self.time + dt
         if dt > 0.0 and self.rates:
             self.segments.append(Segment(self.time, now, self.rates))
+        left, flow_id = self._left, self.flow_id
         for key, rate in self.rates.items():
-            left = self.remaining[key] - rate * dt
-            if left <= rate * EVENT_EPS:
-                self.remaining[key] = 0.0
+            i = flow_id[key]
+            rest = left[i] - rate * dt
+            if rest <= rate * EVENT_EPS:
+                left[i] = 0.0
                 self.flow_completions[key] = now
-                members = self._incomplete[key.coflow]
-                members.discard(key)
-                if not members:
-                    del self._incomplete[key.coflow]
+                self.live[key.coflow] -= 1
+                self._unfinished -= 1
             else:
-                self.remaining[key] = left
+                left[i] = rest
         self.time = now
         self.rates = {}
 
 
-def run_fluid(instance: CoflowInstance, policy) -> Schedule:
-    """Drive a rate policy to completion and return its schedule.
-    ``policy(run)`` returns the rate map to apply until the next event."""
-    run = FluidRun(instance)
+def run_fluid(run: FluidRun, policy) -> Schedule:
+    """Drive a rate policy over ``run`` to completion and return its
+    schedule.  ``policy(run)`` returns the rate map to apply until the next
+    event."""
     while not run.done():
         run.set_rates(policy(run))
         run.step()
-    return Schedule.of_flows(run.segments, run.flow_completions, instance.num_coflows)
+    return Schedule.of_flows(run.segments, run.flow_completions, run.instance.num_coflows)
 
 
 # ---------------------------------------------------------------------------

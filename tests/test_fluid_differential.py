@@ -1,0 +1,225 @@
+"""Differential test of the fluid policies ``varys`` and ``lp_ov_gb``: their
+schedules must equal, byte for byte, those of the per-coflow dict loops
+they replaced, kept here as ``_reference_varys`` and
+``_reference_lp_ov_gb``.  The references read each coflow's unfinished
+flows from sets built and emptied as the simulator once kept them.
+
+The equality rests on one ordering fact, pinned by the tests at the end:
+``FluidRun.members`` lists each coflow's flows in the order in which such a
+set iterates, also after finished flows leave it.
+"""
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from coflowsched.model import Coflow, CoflowInstance, FlowKey, port_loads
+from coflowsched.schedulers import group_coflows, lp_ov_gb, varys, _queue
+from coflowsched.sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, run_fluid
+from coflowsched.workload import SyntheticConfig, generate
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+class _Incomplete:
+    """Each coflow's unfinished flows as a set of FlowKeys: built in
+    ``instance.flows()`` order, a flow discarded once it has finished."""
+
+    def __init__(self, instance: CoflowInstance):
+        self.sets: dict[int, set] = {}
+        for key, _ in instance.flows():
+            self.sets.setdefault(key.coflow, set()).add(key)
+
+    def remaining_of(self, run: FluidRun, k: int) -> dict:
+        members = self.sets[k]
+        for key in [f for f in members if f in run.flow_completions]:
+            members.discard(key)
+        return {f: float(run.remaining[run.flow_id[f]]) for f in members}
+
+
+def _reference_varys(instance: CoflowInstance) -> Schedule:
+    cap = instance.capacity
+    n = instance.n_ports
+    incomplete = _Incomplete(instance)
+
+    def policy(run: FluidRun) -> dict:
+        flows_of = {k: incomplete.remaining_of(run, k) for k in run.active_coflows()}
+        loads_of = {k: port_loads(flows, n) for k, flows in flows_of.items()}
+        order = sorted(flows_of, key=lambda k: (max(map(max, loads_of[k])), k))
+        rem_src = [cap] * n
+        rem_dst = [cap] * n
+        rates: dict[FlowKey, float] = {}
+        skipped: list[int] = []
+        for k in order:
+            src_load, dst_load = loads_of[k]
+            needed = [
+                (load, rem)
+                for load, rem in zip(src_load + dst_load, rem_src + rem_dst)
+                if load > 0.0
+            ]
+            if any(rem <= CAPACITY_TOL for _, rem in needed):
+                skipped.append(k)
+                continue
+            gamma = max(load / rem for load, rem in needed)
+            flows = flows_of[k]
+            for f in sorted(flows):
+                r = flows[f] / gamma
+                rates[f] = r
+                rem_src[f.source] = max(rem_src[f.source] - r, 0.0)
+                rem_dst[f.dest] = max(rem_dst[f.dest] - r, 0.0)
+        spare: list[list] = [[] for _ in range(n)]
+        for rank, k in enumerate(skipped):
+            for f in flows_of[k]:
+                if rem_src[f.source] > CAPACITY_TOL and rem_dst[f.dest] > CAPACITY_TOL:
+                    spare[f.source].append((rank, f.dest, f))
+        for i, candidates in enumerate(spare):
+            for _, j, f in sorted(candidates):
+                extra = min(rem_src[i], rem_dst[j])
+                if extra <= CAPACITY_TOL:
+                    continue
+                rates[f] = extra
+                rem_src[i] -= extra
+                rem_dst[j] -= extra
+                if rem_src[i] <= CAPACITY_TOL:
+                    break
+        return rates
+
+    return run_fluid(FluidRun(instance), policy)
+
+
+def _reference_lp_ov_gb(instance: CoflowInstance, ordering_result) -> Schedule:
+    ordering = ordering_result.ordering
+    groups = group_coflows(instance, ordering)
+    ends = np.cumsum([len(grp) for grp in groups])
+    stages = [(grp, _queue(instance, ordering[end:])) for grp, end in zip(groups, ends)]
+    cap = instance.capacity
+    n = instance.n_ports
+    incomplete = _Incomplete(instance)
+
+    def policy(run: FluidRun) -> dict:
+        group, later = next(
+            (grp, rest) for grp, rest in stages if any(not run.is_complete(k) for k in grp)
+        )
+        demand: dict[tuple[int, int], float] = {}
+        server: dict[tuple[int, int], FlowKey] = {}
+        for k in group:
+            if run.release[k] > run.time + EVENT_EPS:
+                continue
+            for f, d in incomplete.remaining_of(run, k).items():
+                pair = (f.source, f.dest)
+                demand[pair] = demand.get(pair, 0.0) + d
+                server.setdefault(pair, f)
+        rem_src = [cap] * n
+        rem_dst = [cap] * n
+        rates: dict[FlowKey, float] = {}
+
+        def grant(f: FlowKey, amount: float) -> None:
+            i, j, _ = f
+            rates[f] = rates.get(f, 0.0) + amount
+            rem_src[i] = max(rem_src[i] - amount, 0.0)
+            rem_dst[j] = max(rem_dst[j] - amount, 0.0)
+
+        if demand:
+            finish = max(map(max, port_loads(demand, n))) / cap
+            pairs = sorted(demand)
+            for pair in pairs:
+                grant(server[pair], demand[pair] / finish)
+            for pair in pairs:
+                extra = min(rem_src[pair[0]], rem_dst[pair[1]])
+                if extra > CAPACITY_TOL:
+                    grant(server[pair], extra)
+        finished = run.flow_completions
+        now = run.time + EVENT_EPS
+        for f in later:
+            i, j, k = f
+            if f in finished or (i, j) in demand or run.release[k] > now:
+                continue
+            extra = min(rem_src[i], rem_dst[j])
+            if extra > CAPACITY_TOL:
+                grant(f, extra)
+        return rates
+
+    return run_fluid(FluidRun(instance), policy)
+
+
+def _recorded(schedule: Schedule) -> tuple:
+    """The schedule's JSON, and each segment's rates in the order recorded
+    (the validator adds them in that order)."""
+    return json.dumps(schedule.to_dict()), [list(seg.rates.items()) for seg in schedule.segments]
+
+
+# equal sizes make bottleneck ties, and varys then skips coflows; sizes
+# that are not dyadic make sums depend on the order of their terms
+SIZES = (1.0, 1.0, 1.0, 2.0, 0.5, 3.0, 0.1, 0.7)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 5))
+    port = st.integers(0, n - 1)
+    size = st.just(1.0) if draw(st.booleans()) else st.sampled_from(SIZES)
+    coflows = [
+        Coflow(
+            draw(st.dictionaries(st.tuples(port, port), size, min_size=1, max_size=6)),
+            release=draw(st.sampled_from((0.0, 0.0, 0.5, 1.0, 3.0))),
+            weight=draw(st.sampled_from((1.0, 2.0, 0.5))),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return CoflowInstance(n, coflows, capacity=draw(st.sampled_from((1.0, 0.37, 2))))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(instance=instances(), data=st.data())
+def test_fluid_policies_match_the_dict_references(instance, data):
+    ordering = SimpleNamespace(
+        ordering=data.draw(st.permutations(range(instance.num_coflows)), label="ordering")
+    )
+    assert _recorded(varys(instance)) == _recorded(_reference_varys(instance))
+    reference = _reference_lp_ov_gb(instance, ordering)
+    assert _recorded(lp_ov_gb(instance, ordering)) == _recorded(reference)
+
+
+def test_fluid_policies_match_the_dict_references_on_a_dense_instance():
+    inst = generate(SyntheticConfig(n_ports=6, n_coflows=8, kind="dense",
+                                    interarrival_range=(1, 20), seed=3))
+    ordering = SimpleNamespace(ordering=list(range(inst.num_coflows))[::-1])
+    assert _recorded(varys(inst)) == _recorded(_reference_varys(inst))
+    assert _recorded(lp_ov_gb(inst, ordering)) == _recorded(_reference_lp_ov_gb(inst, ordering))
+
+
+def _assert_members_iterate_like_sets(instance: CoflowInstance, finished: list) -> None:
+    run = FluidRun(instance)
+    sets = _Incomplete(instance).sets
+    for k, members in enumerate(run.members):
+        assert [run.flows[i] for i in members] == list(sets[k])
+    for key in finished:
+        sets[key.coflow].discard(key)
+    gone = set(finished)
+    for k, members in enumerate(run.members):
+        assert [run.flows[i] for i in members if run.flows[i] not in gone] == list(sets[k])
+
+
+# Why this order matters: varys's port loads and lp-ov-gb's group demands
+# add each coflow's flows in member order, the order in which the
+# per-coflow sets of earlier versions iterated, and float addition is not
+# associative.  CPython sets iterate in hash-slot order and keep it when
+# keys are removed; a Python version that breaks either would move these
+# sums, and the pinned digests of tests/test_golden.py with them.
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(instance=instances(), data=st.data())
+def test_members_iterate_like_a_set_built_in_flow_order(instance, data):
+    flows = [key for key, _ in instance.flows()]
+    finished = data.draw(st.lists(st.sampled_from(flows), unique=True), label="finished")
+    _assert_members_iterate_like_sets(instance, finished)
+
+
+def test_members_iterate_like_sets_on_a_wide_instance():
+    # 16 ports: sets of up to 256 flows, resized many times as they fill
+    inst = generate(SyntheticConfig(n_ports=16, n_coflows=4, kind="dense", seed=1))
+    flows = [key for key, _ in inst.flows()]
+    order = np.random.default_rng(0).permutation(len(flows))
+    _assert_members_iterate_like_sets(inst, [flows[i] for i in order[: len(flows) // 2]])

@@ -122,7 +122,7 @@ def test_next_event_coalesces_jitter():
     run.step()
     # the arrival and the completion collapse into one event
     assert run.is_complete(0)
-    assert run.released(1)
+    assert run.active_coflows() == [1]
 
 
 def test_next_event_idle_until_arrival():
@@ -139,6 +139,28 @@ def test_next_event_none_when_done():
     run.step()
     assert run.done()
     assert run.next_event() is None
+
+
+def test_flow_ids_number_the_instance_flows():
+    inst = CoflowInstance(
+        3, [Coflow({(2, 0): 1.0, (0, 1): 2.0}), Coflow({(1, 1): 4.0}, release=1.0)]
+    )
+    run = FluidRun(inst)
+    assert run.flows == [FlowKey(0, 1, 0), FlowKey(2, 0, 0), FlowKey(1, 1, 1)]
+    assert run.flow_id == {key: i for i, key in enumerate(run.flows)}
+    assert run.offsets.tolist() == [0, 2, 3]
+    assert run.source.tolist() == [0, 2, 1]
+    assert run.dest.tolist() == [1, 0, 1]
+    assert run.coflow.tolist() == [0, 0, 1]
+    assert run.remaining.tolist() == [2.0, 1.0, 4.0]
+    assert run.live == [2, 1]
+    run.set_rates({FlowKey(2, 0, 0): 1.0, FlowKey(0, 1, 0): 1.0})
+    run.step()
+    # a finished flow's demand is exactly 0.0; its coflow counts one flow less
+    assert run.remaining.tolist() == [1.0, 0.0, 4.0]
+    assert run.live == [1, 1]
+    assert run.remaining_of(0) == {FlowKey(0, 1, 0): 1.0}
+    assert run.active_coflows() == [0, 1]
 
 
 def test_stalled_run_raises():

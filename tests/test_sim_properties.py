@@ -1,5 +1,6 @@
 """Property test: the FluidRun views agree with a brute-force recomputation
-from ``run.remaining`` and the release dates after every step."""
+from ``run.remaining`` (by flow id) and the release dates after every
+step."""
 
 import pytest
 
@@ -29,15 +30,19 @@ def instances(draw):
 
 def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
     horizon = run.time + EVENT_EPS
-    incomplete = [f for f, left in run.remaining.items() if left > 0.0]
+    assert run.flows == [key for key, _ in instance.flows()]
+    incomplete = [f for f, left in zip(run.flows, run.remaining.tolist()) if left > 0.0]
     active = sorted(
         {f.coflow for f in incomplete if instance.coflows[f.coflow].release <= horizon}
     )
     assert run.active_coflows() == active
     for k in range(instance.num_coflows):
         assert run.remaining_of(k) == {
-            f: run.remaining[f] for f in incomplete if f.coflow == k
+            f: run.remaining[run.flow_id[f]] for f in incomplete if f.coflow == k
         }
+        assert run.live[k] == sum(f.coflow == k for f in incomplete)
+    # a finished flow's remaining demand is exactly 0.0, and nothing else's
+    assert set(run.flows) - set(incomplete) == run.flow_completions.keys()
     assert run.done() == (not incomplete)
 
 
