@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -94,9 +95,21 @@ class CoflowInstance:
 
     def flows(self) -> Iterator[tuple[FlowKey, float]]:
         """All (FlowKey, size) pairs, in (coflow, source, dest) order."""
-        for k, cf in enumerate(self.coflows):
-            for (i, j) in sorted(cf.demands):
-                yield FlowKey(i, j, k), cf.demands[(i, j)]
+        return zip(self.flow_keys, self.flow_sizes)
+
+    @cached_property
+    def flow_keys(self) -> tuple[FlowKey, ...]:
+        """Every flow's FlowKey, in (coflow, source, dest) order; built once
+        per instance."""
+        return tuple(
+            FlowKey(i, j, k) for k, cf in enumerate(self.coflows) for (i, j) in sorted(cf.demands)
+        )
+
+    @cached_property
+    def flow_sizes(self) -> tuple:
+        """Every flow's size, in ``flow_keys`` order; built once per
+        instance."""
+        return tuple(self.coflows[k].demands[(i, j)] for i, j, k in self.flow_keys)
 
     @property
     def total_demand(self) -> float:

@@ -274,7 +274,7 @@ def slot_length(instance: CoflowInstance) -> float:
     """The coarsest slot u = 2^-j (j = 0, 1, ...) in which every flow takes a
     whole positive number of slots at full rate, to 1e-9 * max(1, slots).
     Raises ValueError when the largest flow would first need over 2^52."""
-    times = [size / instance.capacity for _, size in instance.flows()]
+    times = [size / instance.capacity for size in instance.flow_sizes]
     slot = 1.0
     while not all(abs(u - round(u)) <= 1e-9 * max(1.0, u) and round(u) > 0
                   for u in (t / slot for t in times)):

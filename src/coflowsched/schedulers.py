@@ -14,12 +14,20 @@ The fluid schedulers are rate policies that sim.run_fluid drives over a
 sim.FluidRun's flow state; varys and lp_ov_gb read its per-flow arrays and
 hand out capacity with numpy, lp_ii_gb steps its own slots.  All return a
 sim.Schedule that passes the sim-module validator.
+
+List scheduling's priority queue (LP rank, source, dest) lives in one
+structure, _PairHeads, shared by lp_ov_ls, lp_ov_ls_online and lp_ii_gb:
+each port pair's first released unfinished flow is its head, the greedy
+matching scans the heads alone, and lp_ii_gb's permutations serve each of
+their pairs with its head.  Heads move only when a coflow is released or a
+head finishes, so no event rescans the queue.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from bisect import bisect_left, insort
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -31,36 +39,93 @@ from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
 def _queue(instance: CoflowInstance, ordering: list) -> list[FlowKey]:
     """The flows of the coflows in ``ordering``, by (position in ordering,
     source, dest): the priority order of list scheduling."""
-    return [FlowKey(i, j, k) for k in ordering for (i, j) in sorted(instance.coflows[k].demands)]
+    keys = instance.flow_keys
+    starts = [0, *accumulate(len(cf.demands) for cf in instance.coflows)]
+    return [key for k in ordering for key in keys[starts[k]:starts[k + 1]]]
 
 
-def _greedy_matching(queue: list, finished, release: list, now: float, n: int) -> list:
-    """The flows that list scheduling serves at time ``now``: ``queue`` is
-    scanned in order, and a flow is taken when it is released
-    (``release[coflow] <= now``) and both of its ports are still free.
+class _PairHeads:
+    """List scheduling's priority queue, kept per port pair.
 
-    Flows in ``finished`` are dropped from ``queue`` in place; unreleased
-    ones are skipped but kept.  The scan stops once every source or every
-    destination port is taken, because no later flow can fit then.
+    ``queue`` lists flows in priority order (LP rank, source, dest), and a
+    flow's position in it is its key.  Each port pair keeps the keys of its
+    released, unfinished flows in ascending order; the first is the pair's
+    *head*, and ``heads`` holds the heads' keys, ascending.  A coflow is
+    released by ``now`` when ``release[coflow] <= now``.
+
+    Head lemma: the greedy matching over the whole queue, which takes a
+    released unfinished flow when both of its ports are still free, takes
+    only heads.  Any other such flow on a pair comes after the pair's head,
+    and when the scan reaches the head, the head either takes both ports or
+    finds one of them taken; either way the later flow finds a port taken.
+    So the same greedy over the heads alone serves the same flows in the
+    same order.
+
+    Heads change only on the pairs of coflows released since the last
+    ``admit`` and on pairs whose head the caller reports finished; nothing
+    rescans the queue.
     """
-    used_src: set[int] = set()
-    used_dst: set[int] = set()
-    served = []
-    kept = []
-    for idx, f in enumerate(queue):
-        if f in finished:
-            continue
-        kept.append(f)
-        if f.source in used_src or f.dest in used_dst or release[f.coflow] > now:
-            continue
-        served.append(f)
-        used_src.add(f.source)
-        used_dst.add(f.dest)
-        if len(used_src) == n or len(used_dst) == n:
-            kept.extend(queue[idx + 1:])
-            break
-    queue[:] = kept
-    return served
+
+    def __init__(self, queue: list, release: list, n: int):
+        self.queue = queue
+        self.n = n
+        self.heads: list[int] = []
+        self.served: list[FlowKey] = []  # the last matching
+        self._release = release
+        self._lines: list[list[int]] = [[] for _ in range(n * n)]  # by source * n + dest
+        # each flow's ports as bits of one int: source s is bit s, dest d bit n + d
+        bits = [(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)]
+        self._ports = [bits[f.source * n + f.dest] for f in queue]
+        keys_of: dict[int, list[int]] = {}
+        for key, f in enumerate(queue):
+            keys_of.setdefault(f.coflow, []).append(key)
+        # latest release first, so the next coflow to release is popped off the end
+        self._arrivals = sorted(keys_of.items(), key=lambda item: release[item[0]], reverse=True)
+
+    def admit(self, now: float) -> None:
+        """Take in the flows of the coflows released by ``now``."""
+        arrivals, heads, n = self._arrivals, self.heads, self.n
+        while arrivals and self._release[arrivals[-1][0]] <= now:
+            for key in arrivals.pop()[1]:
+                f = self.queue[key]
+                line = self._lines[f.source * n + f.dest]
+                if not line or key < line[0]:
+                    if line:
+                        del heads[bisect_left(heads, line[0])]
+                    insort(heads, key)
+                insort(line, key)
+
+    def finish(self, flows) -> None:
+        """Advance the pairs of ``flows``, heads that have just finished, to
+        their next released unfinished flow."""
+        heads, n = self.heads, self.n
+        for f in flows:
+            line = self._lines[f.source * n + f.dest]
+            del heads[bisect_left(heads, line.pop(0))]
+            if line:
+                insort(heads, line[0])
+
+    def head(self, source: int, dest: int) -> FlowKey | None:
+        """The first released unfinished flow on the pair, if any."""
+        line = self._lines[source * self.n + dest]
+        return self.queue[line[0]] if line else None
+
+    def matching(self) -> list[FlowKey]:
+        """The flows that list scheduling serves now, kept as ``served``:
+        the heads in order, each taken when both of its ports are still
+        free.  Each taken flow holds a source and a destination of its own,
+        so after n flows every port is taken and the scan stops."""
+        queue, ports, n = self.queue, self._ports, self.n
+        used = 0
+        served = self.served = []
+        for key in self.heads:
+            if used & ports[key]:
+                continue
+            used |= ports[key]
+            served.append(queue[key])
+            if len(served) == n:
+                break
+        return served
 
 
 # ---------------------------------------------------------------------------
@@ -76,29 +141,33 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     is a partial matching of the switch.
     """
     queue = _queue(instance, (ordering_result or solve_ordering_lp(instance)).ordering)
-    return run_fluid(FluidRun(instance), lambda run: _list_schedule_rates(run, queue))
+    run = FluidRun(instance)
+    heads = _PairHeads(queue, run.release, instance.n_ports)
+    return run_fluid(run, lambda run: _list_schedule_rates(run, heads))
 
 
-def _list_schedule_rates(run: FluidRun, queue: list) -> dict:
-    """Full link rate for each flow of the greedy matching over ``queue``."""
-    instance = run.instance
-    served = _greedy_matching(
-        queue, run.flow_completions, run.release, run.time + EVENT_EPS, instance.n_ports
-    )
-    return dict.fromkeys(served, instance.capacity)
+def _list_schedule_rates(run: FluidRun, heads: _PairHeads) -> dict:
+    """Full link rate for each flow of the greedy matching over ``heads``,
+    once the flows it served last that have finished are reported."""
+    done = run.flow_completions
+    heads.finish([f for f in heads.served if f in done])
+    heads.admit(run.time + EVENT_EPS)
+    return dict.fromkeys(heads.matching(), run.instance.capacity)
 
 
 def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     """List scheduling with the ordering recomputed online: the precedence
     LP is re-solved over the remaining demands of the released coflows at
-    every arrival, and the queue rebuilt from the active coflows' flows by
-    (residual LP rank, source, dest); coflows that the residual instance
-    drops (all flows nearly done) go last, by (release, id).
+    every arrival, and the queue rebuilt from the active coflows' unfinished
+    flows by (residual LP rank, source, dest); coflows that the residual
+    instance drops (all flows nearly done) go last, by (release, id).
     """
-    queue: list[FlowKey] = []
+    n = instance.n_ports
+    heads = _PairHeads([], [], n)
     seen: set[int] = set()
 
     def policy(run: FluidRun) -> dict:
+        nonlocal heads
         active = run.active_coflows()
         if not seen.issuperset(active):
             seen.update(active)
@@ -107,9 +176,9 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             residual_order = solve_ordering_lp(residual).ordering if ids else []
             rank = {ids[k]: p for p, k in enumerate(residual_order)}
             order = sorted(active, key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
-            # finished flows of the active coflows leave at the next scan
-            queue[:] = _queue(instance, order)
-        return _list_schedule_rates(run, queue)
+            done = run.flow_completions
+            heads = _PairHeads([f for f in _queue(instance, order) if f not in done], run.release, n)
+        return _list_schedule_rates(run, heads)
 
     return run_fluid(FluidRun(instance), policy)
 
@@ -436,35 +505,33 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     groups = group_coflows(instance, ordering)
     n = instance.n_ports
     release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
-    # the LP-priority queue, and each pair's flows in queue order
-    queue = _queue(instance, ordering)
-    by_pair: dict[tuple[int, int], list[FlowKey]] = {}
-    for f in queue:
-        by_pair.setdefault((f.source, f.dest), []).append(f)
+    # the LP-priority queue, each pair's head the flow that serves it
+    heads = _PairHeads(_queue(instance, ordering), release_slot, n)
     flows_left = [len(cf.demands) for cf in instance.coflows]
     flow_completions: dict[FlowKey, float] = {}
     segments: list[Segment] = []
     slot = min(release_slot)
     gi = 0
 
-    def servable(f: FlowKey) -> bool:
-        return remaining[f] > 0 and release_slot[f.coflow] <= slot
-
     def emit(serving: list, length: int) -> None:
         nonlocal slot
         start, end = slot * u, (slot + length) * u
         segments.append(Segment(start, end, {f: cap for f in serving}))
+        finished = []
         for f in serving:
             remaining[f] -= length
             if remaining[f] == 0:
                 flow_completions[f] = end
                 flows_left[f.coflow] -= 1
+                finished.append(f)
+        heads.finish(finished)
         slot += length
 
     while any(flows_left):
         # earlier groups never reopen, so the active group only moves forward
         while not any(flows_left[k] for k in groups[gi]):
             gi += 1
+        heads.admit(slot)
         ready = [k for k in groups[gi] if flows_left[k] and release_slot[k] <= slot]
         next_release = min(
             (release_slot[k] for k, left in enumerate(flows_left) if left and release_slot[k] > slot),
@@ -472,7 +539,7 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
         )
         if not ready:
             # the whole active group is unreleased: a greedy matching instead
-            serving = _greedy_matching(queue, flow_completions, release_slot, slot, n)
+            serving = heads.matching()
             if serving:
                 emit(serving, min(next_release - slot, *(remaining[f] for f in serving)))
             else:
@@ -483,14 +550,11 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
             for (i, j) in instance.coflows[k].demands:
                 matrix[i, j] += remaining[FlowKey(i, j, k)]
         # no release falls inside the decomposition, so the served set of
-        # coflows stays fixed until slot reaches next_release
+        # coflows, and each pair's head but for completions, stays fixed
+        # until slot reaches next_release
         for count, perm in _integer_bvn(matrix):
             while count > 0 and slot < next_release:
-                served = (
-                    next(filter(servable, by_pair.get(pair, ())), None)
-                    for pair in enumerate(perm)
-                )
-                serving = [f for f in served if f is not None]
+                serving = [f for f in map(heads.head, range(n), perm) if f is not None]
                 length = min(count, next_release - slot, *(remaining[f] for f in serving))
                 if serving:
                     emit(serving, length)

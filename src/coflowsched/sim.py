@@ -178,15 +178,14 @@ class FluidRun:
     def __init__(self, instance: CoflowInstance):
         self.instance = instance
         self.time = 0.0
-        flows = list(instance.flows())
-        self.flows = [key for key, _ in flows]  # by id
+        self.flows = list(instance.flow_keys)  # by id
         self.flow_id = {key: i for i, key in enumerate(self.flows)}
-        self.remaining = np.array([size for _, size in flows], dtype=float)
+        self.remaining = np.array(instance.flow_sizes, dtype=float)
         # the same buffer, read and written as Python floats: the executor's
         # per-rate loop indexes it one flow at a time
         self._left = memoryview(self.remaining)
         self.live = [len(cf.demands) for cf in instance.coflows]  # by coflow id
-        self._unfinished = len(flows)
+        self._unfinished = len(self.flows)
         self.offsets = np.concatenate(([0], np.cumsum(self.live)))
         self.flow_completions: dict[FlowKey, float] = {}
         self.segments: list[Segment] = []
@@ -334,9 +333,9 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     unknown flows, demands and coflow completions.
     """
     cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
-    flows = list(instance.flows())
-    nf = len(flows)
-    index = {key: i for i, (key, _) in enumerate(flows)}
+    keys, sizes = instance.flow_keys, instance.flow_sizes
+    nf = len(keys)
+    index = {key: i for i, key in enumerate(keys)}
     segments = schedule.segments
     completed = schedule.flow_completions
 
@@ -373,7 +372,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
             raise ValueError(f"segment {first_bad} has non-positive length")
         raise ValueError(f"segment {first_bad} overlaps its predecessor")
     # (source, dest, coflow) of every flow a rate names
-    ids = np.array([key for key, _ in flows] + list(unknown), dtype=np.int64).reshape(-1, 3)
+    ids = np.array(keys + tuple(unknown), dtype=np.int64).reshape(-1, 3)
     at = np.fromiter((index[k] if k in index else unknown.setdefault(k, nf + len(unknown))
                       for k in completed), dtype=np.int64, count=len(completed))
     total = nf + len(unknown)
@@ -409,10 +408,9 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     for key in sorted(unknown):
         violations.append(Violation("unknown_flow", f"flow {tuple(key)}", float(sent[unknown[key]])))
 
-    sizes = np.fromiter((size for _, size in flows), dtype=float, count=nf)
-    off = ~done[:nf] | (np.abs(sent[:nf] - sizes) > DEMAND_TOL)
+    off = ~done[:nf] | (np.abs(sent[:nf] - np.fromiter(sizes, dtype=float, count=nf)) > DEMAND_TOL)
     for i in np.flatnonzero(off).tolist():
-        key, size = flows[i]
+        key, size = keys[i], sizes[i]
         if done[i]:
             violations.append(Violation("demand", f"flow {tuple(key)}", abs(float(sent[i]) - size)))
         else:

@@ -199,3 +199,14 @@ def test_instance_json_round_trip(tmp_path):
         assert a.demands == b.demands
         assert a.release == b.release
         assert a.weight == b.weight
+
+
+def test_flows_are_built_once_in_coflow_source_dest_order():
+    inst = CoflowInstance(3, [Coflow({(2, 0): 1.0, (0, 1): 2}), Coflow({(1, 1): 0.5, (0, 2): 3.0})])
+    assert list(inst.flows()) == [
+        (FlowKey(0, 1, 0), 2), (FlowKey(2, 0, 0), 1.0),
+        (FlowKey(0, 2, 1), 3.0), (FlowKey(1, 1, 1), 0.5),
+    ]
+    # the sizes are the instance's own numbers, an int stays an int
+    assert type(inst.flow_sizes[0]) is int
+    assert inst.flow_keys is inst.flow_keys and inst.flow_sizes is inst.flow_sizes

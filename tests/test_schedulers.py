@@ -7,7 +7,7 @@ from coflowsched.model import Coflow, CoflowInstance, FlowKey
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import (
     Schedule,
-    _greedy_matching,
+    _PairHeads,
     _integer_bvn,
     _pad_to_equal_line_sums,
     group_coflows,
@@ -59,23 +59,29 @@ def test_list_scheduler_segments_are_matchings():
         assert all(r == pytest.approx(inst.capacity) for r in seg.rates.values())
 
 
-def test_greedy_matching_drops_finished_keeps_unreleased_and_stops_when_full():
+def test_pair_heads_serve_released_heads_and_stop_when_full():
     done, late, first = FlowKey(0, 0, 0), FlowKey(1, 0, 1), FlowKey(0, 1, 0)
     clash, second = FlowKey(0, 0, 2), FlowKey(1, 0, 0)
     done_after, rest = FlowKey(1, 1, 0), FlowKey(1, 1, 2)
     queue = [done, late, first, clash, second, done_after, rest]
-    finished = {done: 1.0, done_after: 2.0}
-    release = [0.0, 5.0, 0.0]  # coflow 1 is not released yet
-    served = _greedy_matching(queue, finished, release, 1.0, 2)
-    assert served == [first, second]
-    # done leaves the queue in place; late is skipped but kept, clash lost
-    # its source port; both ports of each side are taken at second, so the
-    # scan stops there and done_after stays although it is finished
-    assert queue == [late, first, clash, second, done_after, rest]
-    # the next scan drops done_after; clash's destination is now late's
-    served = _greedy_matching(queue, {**finished, first: 3.0, second: 3.0}, release, 5.0, 2)
-    assert served == [late]
-    assert queue == [late, clash, rest]
+    heads = _PairHeads(queue, [0.0, 5.0, 0.0], 2)  # coflow 1 is released at 5.0
+    heads.admit(1.0)
+    # one head per pair, in queue order; late is not released yet
+    assert [queue[key] for key in heads.heads] == [done, first, second, done_after]
+    assert heads.matching() == [done, done_after]
+    heads.finish([done, done_after])
+    # clash and rest become their pairs' heads; clash lost its source port
+    # to first, and both ports of each side are taken at second, so the
+    # scan stops there
+    assert heads.head(0, 0) == clash and heads.head(1, 1) == rest
+    assert heads.matching() == [first, second]
+    heads.finish([first, second])
+    heads.admit(5.0)
+    # late is its pair's head now; clash's destination is late's, and
+    # rest's source too
+    assert [queue[key] for key in heads.heads] == [late, clash, rest]
+    assert heads.matching() == [late]
+    assert heads.head(0, 1) is None
 
 
 # -- online variant ---------------------------------------------------------
