@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -110,6 +111,11 @@ class CoflowInstance:
         """Every flow's size, in ``flow_keys`` order; built once per
         instance."""
         return tuple(self.coflows[k].demands[(i, j)] for i, j, k in self.flow_keys)
+
+    @cached_property
+    def flow_offsets(self) -> tuple:
+        """Coflow k's flow ids are ``flow_offsets[k]`` to ``flow_offsets[k + 1] - 1``."""
+        return (0, *accumulate(len(cf.demands) for cf in self.coflows))
 
     @property
     def total_demand(self) -> float:

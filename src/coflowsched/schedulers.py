@@ -11,23 +11,24 @@
                      matchings with backfilling.
 
 The fluid schedulers are rate policies that sim.run_fluid drives over a
-sim.FluidRun's flow state; varys and lp_ov_gb read its per-flow arrays and
-hand out capacity with numpy, lp_ii_gb steps its own slots.  All return a
-sim.Schedule that passes the sim-module validator.
+sim.FluidRun's flow state, returning rates by flow id (a flow's position
+in ``instance.flow_keys``); varys and lp_ov_gb hand out capacity with
+numpy over the run's per-flow arrays, lp_ii_gb steps its own slots.  All
+return a sim.Schedule that passes the sim-module validator.
 
-List scheduling's priority queue (LP rank, source, dest) lives in one
-structure, _PairHeads, shared by lp_ov_ls, lp_ov_ls_online and lp_ii_gb:
-each port pair's first released unfinished flow is its head, the greedy
-matching scans the heads alone, and lp_ii_gb's permutations serve each of
-their pairs with its head.  Heads move only when a coflow is released or a
-head finishes, so no event rescans the queue.
+List scheduling's priority queue of flow ids (LP rank, source, dest)
+lives in one structure, _PairHeads, shared by lp_ov_ls, lp_ov_ls_online
+and lp_ii_gb: each port pair's first released unfinished flow is its head,
+the greedy matching scans the heads alone, and lp_ii_gb's permutations
+serve each of their pairs with its head.  Heads move only when a coflow is
+released or a head finishes, so no event rescans the queue.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from itertools import accumulate, chain
+from bisect import bisect_left, bisect_right, insort
+from itertools import chain
 
 import numpy as np
 
@@ -36,18 +37,17 @@ from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
 
 
-def _queue(instance: CoflowInstance, ordering: list) -> list[FlowKey]:
-    """The flows of the coflows in ``ordering``, by (position in ordering,
-    source, dest): the priority order of list scheduling."""
-    keys = instance.flow_keys
-    starts = [0, *accumulate(len(cf.demands) for cf in instance.coflows)]
-    return [key for k in ordering for key in keys[starts[k]:starts[k + 1]]]
+def _queue(instance: CoflowInstance, ordering: list) -> list[int]:
+    """The flow ids of the coflows in ``ordering``, by (position in
+    ordering, source, dest): the priority order of list scheduling."""
+    offsets = instance.flow_offsets
+    return [i for k in ordering for i in range(offsets[k], offsets[k + 1])]
 
 
 class _PairHeads:
     """List scheduling's priority queue, kept per port pair.
 
-    ``queue`` lists flows in priority order (LP rank, source, dest), and a
+    ``queue`` lists flow ids in priority order (LP rank, source, dest), and a
     flow's position in it is its key.  Each port pair keeps the keys of its
     released, unfinished flows in ascending order; the first is the pair's
     *head*, and ``heads`` holds the heads' keys, ascending.  A coflow is
@@ -66,19 +66,20 @@ class _PairHeads:
     rescans the queue.
     """
 
-    def __init__(self, queue: list, release: list, n: int):
+    def __init__(self, instance: CoflowInstance, queue: list, release: list):
+        n = self.n = instance.n_ports
         self.queue = queue
-        self.n = n
         self.heads: list[int] = []
-        self.served: list[FlowKey] = []  # the last matching
+        self.served: list[int] = []  # the last matching
+        flows = self._flows = instance.flow_keys
         self._release = release
         self._lines: list[list[int]] = [[] for _ in range(n * n)]  # by source * n + dest
         # each flow's ports as bits of one int: source s is bit s, dest d bit n + d
         bits = [(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)]
-        self._ports = [bits[f.source * n + f.dest] for f in queue]
+        self._ports = [bits[flows[i].source * n + flows[i].dest] for i in queue]
         keys_of: dict[int, list[int]] = {}
-        for key, f in enumerate(queue):
-            keys_of.setdefault(f.coflow, []).append(key)
+        for key, i in enumerate(queue):
+            keys_of.setdefault(flows[i].coflow, []).append(key)
         # latest release first, so the next coflow to release is popped off the end
         self._arrivals = sorted(keys_of.items(), key=lambda item: release[item[0]], reverse=True)
 
@@ -87,7 +88,7 @@ class _PairHeads:
         arrivals, heads, n = self._arrivals, self.heads, self.n
         while arrivals and self._release[arrivals[-1][0]] <= now:
             for key in arrivals.pop()[1]:
-                f = self.queue[key]
+                f = self._flows[self.queue[key]]
                 line = self._lines[f.source * n + f.dest]
                 if not line or key < line[0]:
                     if line:
@@ -96,22 +97,23 @@ class _PairHeads:
                 insort(line, key)
 
     def finish(self, flows) -> None:
-        """Advance the pairs of ``flows``, heads that have just finished, to
-        their next released unfinished flow."""
+        """Advance the pairs of ``flows``, the ids of heads that have just
+        finished, to their next released unfinished flow."""
         heads, n = self.heads, self.n
-        for f in flows:
+        for i in flows:
+            f = self._flows[i]
             line = self._lines[f.source * n + f.dest]
             del heads[bisect_left(heads, line.pop(0))]
             if line:
                 insort(heads, line[0])
 
-    def head(self, source: int, dest: int) -> FlowKey | None:
-        """The first released unfinished flow on the pair, if any."""
+    def head(self, source: int, dest: int) -> int | None:
+        """The first released unfinished flow id on the pair, if any."""
         line = self._lines[source * self.n + dest]
         return self.queue[line[0]] if line else None
 
-    def matching(self) -> list[FlowKey]:
-        """The flows that list scheduling serves now, kept as ``served``:
+    def matching(self) -> list[int]:
+        """The flow ids that list scheduling serves now, kept as ``served``:
         the heads in order, each taken when both of its ports are still
         free.  Each taken flow holds a source and a destination of its own,
         so after n flows every port is taken and the scan stops."""
@@ -142,15 +144,14 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     """
     queue = _queue(instance, (ordering_result or solve_ordering_lp(instance)).ordering)
     run = FluidRun(instance)
-    heads = _PairHeads(queue, run.release, instance.n_ports)
+    heads = _PairHeads(instance, queue, run.release)
     return run_fluid(run, lambda run: _list_schedule_rates(run, heads))
 
 
 def _list_schedule_rates(run: FluidRun, heads: _PairHeads) -> dict:
     """Full link rate for each flow of the greedy matching over ``heads``,
     once the flows it served last that have finished are reported."""
-    done = run.flow_completions
-    heads.finish([f for f in heads.served if f in done])
+    heads.finish([i for i in heads.served if not run.remaining[i]])
     heads.admit(run.time + EVENT_EPS)
     return dict.fromkeys(heads.matching(), run.instance.capacity)
 
@@ -162,8 +163,7 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     flows by (residual LP rank, source, dest); coflows that the residual
     instance drops (all flows nearly done) go last, by (release, id).
     """
-    n = instance.n_ports
-    heads = _PairHeads([], [], n)
+    heads = _PairHeads(instance, [], [])
     seen: set[int] = set()
 
     def policy(run: FluidRun) -> dict:
@@ -171,13 +171,14 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
         active = run.active_coflows()
         if not seen.issuperset(active):
             seen.update(active)
-            remaining = {f: d for k in active for f, d in run.remaining_of(k).items()}
+            left, flows = run.remaining.tolist(), run.flows
+            # finished flows add 0.0, which the residual drops
+            remaining = {flows[i]: left[i] for k in active for i in run.members[k]}
             residual, ids = residual_instance(instance, remaining, run.time)
             residual_order = solve_ordering_lp(residual).ordering if ids else []
             rank = {ids[k]: p for p, k in enumerate(residual_order)}
             order = sorted(active, key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
-            done = run.flow_completions
-            heads = _PairHeads([f for f in _queue(instance, order) if f not in done], run.release, n)
+            heads = _PairHeads(instance, [i for i in _queue(instance, order) if left[i]], run.release)
         return _list_schedule_rates(run, heads)
 
     return run_fluid(FluidRun(instance), policy)
@@ -197,7 +198,7 @@ def varys(instance: CoflowInstance) -> Schedule:
     cap = instance.capacity
     n = instance.n_ports
     run = FluidRun(instance)
-    kk, nf = instance.num_coflows, len(run.flows)
+    kk, nf, offsets = instance.num_coflows, len(run.flows), instance.flow_offsets
     # every coflow's port loads, sources then destinations, in one bincount
     # over (coflow, port) cells that adds each cell in member order
     members = np.fromiter(chain.from_iterable(run.members), dtype=np.int64, count=nf)
@@ -216,7 +217,7 @@ def varys(instance: CoflowInstance) -> Schedule:
         order = sorted(active, key=lambda k: (peak[k], k))
         needs = loads[order] > 0.0
         spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
-        rates: dict[FlowKey, float] = {}
+        rates: dict[int, float] = {}
         skipped: list[int] = []
         at = 0
         while at < len(order):
@@ -230,10 +231,10 @@ def varys(instance: CoflowInstance) -> Schedule:
             skipped += order[at:nxt]
             k, need = order[nxt], needs[nxt]
             gamma = (loads[k, need] / spare[need]).max()
-            lo = run.offsets[k]
-            ids = lo + np.flatnonzero(rem[lo:run.offsets[k + 1]] > 0.0)  # by (source, dest)
+            lo = offsets[k]
+            ids = lo + np.flatnonzero(rem[lo:offsets[k + 1]] > 0.0)  # by (source, dest)
             paced = rem[ids] / gamma
-            rates.update(zip(map(run.flows.__getitem__, ids.tolist()), paced.tolist()))
+            rates.update(zip(ids.tolist(), paced.tolist()))
             # each port's rates subtracted in flow order; the rates are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each subtraction
@@ -271,7 +272,7 @@ def _first_per_pair(pairs: np.ndarray, keys: np.ndarray, n: int) -> list:
 
 
 def _fill(run: FluidRun, rates: dict, ids: np.ndarray, spare: np.ndarray) -> None:
-    """Raise the rate of each flow of ``ids``, in order, by all that is left
+    """Raise the rate of each flow id of ``ids``, in order, by all that is left
     on both of its ports, the less of the two, when both have more than
     CAPACITY_TOL left.  ``spare`` holds what is left, source ports then
     destinations, and is updated in place.
@@ -288,8 +289,7 @@ def _fill(run: FluidRun, rates: dict, ids: np.ndarray, spare: np.ndarray) -> Non
     for f, i, j in zip(ids[keep].tolist(), src[keep].tolist(), dst[keep].tolist()):
         extra = min(left[i], left[j])
         if extra > CAPACITY_TOL:
-            key = run.flows[f]
-            rates[key] = rates.get(key, 0.0) + extra
+            rates[f] = rates.get(f, 0.0) + extra
             left[i] -= extra
             left[j] -= extra
     spare[:] = left
@@ -337,8 +337,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     run = FluidRun(instance)
     pair = run.source * n + run.dest
     release = np.array(run.release)[run.coflow]  # by flow id
-    # the list-scheduling queue in flow ids: ids are by (coflow, source, dest)
-    queue = np.concatenate([np.arange(run.offsets[k], run.offsets[k + 1]) for k in ordering])
+    queue = np.array(_queue(instance, ordering), dtype=np.int64)
     # each group's member ids, in group order, and the queue of the coflows
     # ordered after it; a queue drops its finished flows as it is scanned
     stages = []
@@ -362,7 +361,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         demand = np.bincount(pair[members], weight, minlength=n * n)
         pairs = np.flatnonzero(demand > 0.0)  # by (source, dest)
         spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
-        rates: dict[FlowKey, float] = {}
+        rates: dict[int, float] = {}
         if pairs.size:
             # each pair is served by its first released unfinished member;
             # the port loads add the pairs in the order in which they first
@@ -377,7 +376,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
                                     np.bincount(by_seen % n, demand[by_seen], minlength=n)))
             finish = loads.max() / cap
             amount = demand[pairs] / finish
-            rates.update(zip(map(run.flows.__getitem__, servers.tolist()), amount.tolist()))
+            rates.update(zip(servers.tolist(), amount.tolist()))
             # each port's grants subtracted in pair order; the grants are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each grant
@@ -500,13 +499,14 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     """
     cap = instance.capacity
     u = slot_length(instance)
-    remaining = {key: int(round(size / (cap * u))) for key, size in instance.flows()}
+    keys, offsets, n = instance.flow_keys, instance.flow_offsets, instance.n_ports
+    remaining = [int(round(size / (cap * u))) for size in instance.flow_sizes]  # slots, by flow id
     ordering = solve_interval_lp(instance).ordering
     groups = group_coflows(instance, ordering)
-    n = instance.n_ports
     release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
+    release_slots = sorted(set(release_slot))
     # the LP-priority queue, each pair's head the flow that serves it
-    heads = _PairHeads(_queue(instance, ordering), release_slot, n)
+    heads = _PairHeads(instance, _queue(instance, ordering), release_slot)
     flows_left = [len(cf.demands) for cf in instance.coflows]
     flow_completions: dict[FlowKey, float] = {}
     segments: list[Segment] = []
@@ -516,14 +516,14 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     def emit(serving: list, length: int) -> None:
         nonlocal slot
         start, end = slot * u, (slot + length) * u
-        segments.append(Segment(start, end, {f: cap for f in serving}))
+        segments.append(Segment(start, end, {keys[i]: cap for i in serving}))
         finished = []
-        for f in serving:
-            remaining[f] -= length
-            if remaining[f] == 0:
-                flow_completions[f] = end
-                flows_left[f.coflow] -= 1
-                finished.append(f)
+        for i in serving:
+            remaining[i] -= length
+            if remaining[i] == 0:
+                flow_completions[keys[i]] = end
+                flows_left[keys[i].coflow] -= 1
+                finished.append(i)
         heads.finish(finished)
         slot += length
 
@@ -533,29 +533,28 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
             gi += 1
         heads.admit(slot)
         ready = [k for k in groups[gi] if flows_left[k] and release_slot[k] <= slot]
-        next_release = min(
-            (release_slot[k] for k, left in enumerate(flows_left) if left and release_slot[k] > slot),
-            default=math.inf,
-        )
+        # a coflow released after slot has all its flows left
+        at = bisect_right(release_slots, slot)
+        next_release = release_slots[at] if at < len(release_slots) else math.inf
         if not ready:
             # the whole active group is unreleased: a greedy matching instead
             serving = heads.matching()
             if serving:
-                emit(serving, min(next_release - slot, *(remaining[f] for f in serving)))
+                emit(serving, min(next_release - slot, *(remaining[i] for i in serving)))
             else:
                 slot = next_release
             continue
         matrix = np.zeros((n, n), dtype=np.int64)
         for k in ready:
-            for (i, j) in instance.coflows[k].demands:
-                matrix[i, j] += remaining[FlowKey(i, j, k)]
+            for i in range(offsets[k], offsets[k + 1]):
+                matrix[keys[i].source, keys[i].dest] += remaining[i]
         # no release falls inside the decomposition, so the served set of
         # coflows, and each pair's head but for completions, stays fixed
         # until slot reaches next_release
         for count, perm in _integer_bvn(matrix):
             while count > 0 and slot < next_release:
-                serving = [f for f in map(heads.head, range(n), perm) if f is not None]
-                length = min(count, next_release - slot, *(remaining[f] for f in serving))
+                serving = [i for i in map(heads.head, range(n), perm) if i is not None]
+                length = min(count, next_release - slot, *(remaining[i] for i in serving))
                 if serving:
                     emit(serving, length)
                 else:

@@ -6,8 +6,8 @@ run_fluid advances a policy's piecewise-constant rates between events
 returns a Schedule, in which each coflow completes with its last flow.
 The run's state is a FluidRun: flows numbered 0..F-1 in instance order,
 their remaining demand in one float array that policies read whole with
-numpy, and a count of unfinished flows per coflow.  Rates are still handed
-over, and recorded, as maps from FlowKey to rate.
+numpy, and a count of unfinished flows per coflow.  Policies hand rates
+over by flow id; only the recorded schedule names flows by FlowKey.
 
 The validator re-checks any schedule against the model constraints:
 per-port capacity, no pre-release transmission, demand conservation, and
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -155,16 +156,16 @@ class ValidationReport:
 class FluidRun:
     """Mutable state of one scheduling run.
 
-    A policy assigns rates at each event; ``step`` advances to the next
-    event.  Segments and per-flow completions are accumulated for the final
-    Schedule.
+    A policy assigns rates at each event, as a map from flow id to rate;
+    ``step`` advances to the next event.  Segments and per-flow completions
+    are accumulated for the final Schedule, by FlowKey.
 
-    Flows have ids 0..F-1 in ``instance.flows()`` order, so coflow k's
-    flows are the ids ``offsets[k]`` to ``offsets[k + 1] - 1``, by (source,
-    dest).  ``remaining`` holds each flow's demand left, by id, and is 0.0
-    exactly when the flow is finished; ``source``, ``dest`` and ``coflow``
-    give each id's ports and coflow, and ``live`` counts each coflow's
-    unfinished flows.
+    Flows have ids 0..F-1 in ``instance.flow_keys`` order, so coflow k's
+    flows are the ids ``instance.flow_offsets[k]`` to
+    ``instance.flow_offsets[k + 1] - 1``, by (source, dest).  ``remaining``
+    holds each flow's demand left, by id, and is 0.0 exactly when the flow
+    is finished; ``source``, ``dest`` and ``coflow`` give each id's ports
+    and coflow, and ``live`` counts each coflow's unfinished flows.
 
     ``members[k]`` lists coflow k's ids in the order in which a set of its
     FlowKeys, built in ``instance.flows()`` order, iterates.  The policies
@@ -179,17 +180,15 @@ class FluidRun:
         self.instance = instance
         self.time = 0.0
         self.flows = list(instance.flow_keys)  # by id
-        self.flow_id = {key: i for i, key in enumerate(self.flows)}
         self.remaining = np.array(instance.flow_sizes, dtype=float)
         # the same buffer, read and written as Python floats: the executor's
         # per-rate loop indexes it one flow at a time
         self._left = memoryview(self.remaining)
         self.live = [len(cf.demands) for cf in instance.coflows]  # by coflow id
         self._unfinished = len(self.flows)
-        self.offsets = np.concatenate(([0], np.cumsum(self.live)))
         self.flow_completions: dict[FlowKey, float] = {}
         self.segments: list[Segment] = []
-        self.rates: dict[FlowKey, float] = {}
+        self.rates: dict[int, float] = {}
         self.release = [cf.release for cf in instance.coflows]  # by coflow id
         self._release_times = sorted(
             {cf.release for cf in instance.coflows if cf.release > 0.0}
@@ -214,10 +213,9 @@ class FluidRun:
 
     @cached_property
     def members(self) -> list:
-        return [
-            [self.flow_id[key] for key in set(self.flows[lo:hi])]
-            for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-        ]
+        offsets = self.instance.flow_offsets
+        ids = {key: i for i, key in enumerate(self.flows)}
+        return [[ids[key] for key in set(self.flows[lo:hi])] for lo, hi in zip(offsets, offsets[1:])]
 
     # -- views ------------------------------------------------------------
 
@@ -233,30 +231,30 @@ class FluidRun:
         return [k for k, (left, release) in enumerate(zip(self.live, self.release))
                 if left and release <= horizon]
 
-    def remaining_of(self, k: int) -> dict:
-        """Remaining demand of coflow k's incomplete flows, by FlowKey, in
-        member order."""
-        left = self._left
-        return {self.flows[i]: left[i] for i in self.members[k] if left[i] > 0.0}
-
     def next_release(self) -> float | None:
-        for t in self._release_times:
-            if t > self.time + EVENT_EPS:
-                return t
-        return None
+        times = self._release_times
+        at = bisect_right(times, self.time + EVENT_EPS)
+        return times[at] if at < len(times) else None
 
     # -- stepping ---------------------------------------------------------
 
-    def set_rates(self, rates: Mapping[FlowKey, float]) -> None:
+    def set_rates(self, rates: Mapping[int, float]) -> None:
+        """Take ``rates``, by flow id, until the next event, dropping those
+        of 0.0 or less."""
         clean = {}
-        for key, rate in rates.items():
+        left, flows, nf = self._left, self.flows, len(self.flows)
+        for i, rate in rates.items():
+            if not (isinstance(i, int) and 0 <= i < nf):
+                raise ValueError(f"rate assigned to {i!r}, which is not a flow id in 0..{nf - 1}")
+            if not math.isfinite(rate):
+                raise ValueError(f"rate {rate!r} assigned to flow {i} is not finite")
             if rate <= 0.0:
                 continue
-            if key not in self.flow_id or key in self.flow_completions:
-                raise ValueError(f"rate assigned to unknown or finished flow {key}")
-            if self.release[key.coflow] > self.time + EVENT_EPS:
-                raise ValueError(f"rate assigned to unreleased flow {key}")
-            clean[key] = float(rate)
+            if not left[i]:
+                raise ValueError(f"rate assigned to finished flow {i}")
+            if self.release[flows[i].coflow] > self.time + EVENT_EPS:
+                raise ValueError(f"rate assigned to unreleased flow {i}")
+            clean[i] = float(rate)
         self.rates = clean
 
     def next_event(self) -> float | None:
@@ -267,9 +265,9 @@ class FluidRun:
         closer than EVENT_EPS coalesce.
         """
         dt = math.inf
-        left, flow_id = self._left, self.flow_id
-        for key, rate in self.rates.items():
-            dt = min(dt, left[flow_id[key]] / rate)
+        left = self._left
+        for i, rate in self.rates.items():
+            dt = min(dt, left[i] / rate)
         upcoming = self.next_release()
         if upcoming is not None:
             dt = min(dt, upcoming - self.time)
@@ -285,14 +283,14 @@ class FluidRun:
                 )
             return
         now = self.time + dt
+        left, flows = self._left, self.flows
         if dt > 0.0 and self.rates:
-            self.segments.append(Segment(self.time, now, self.rates))
-        left, flow_id = self._left, self.flow_id
-        for key, rate in self.rates.items():
-            i = flow_id[key]
+            self.segments.append(Segment(self.time, now, {flows[i]: r for i, r in self.rates.items()}))
+        for i, rate in self.rates.items():
             rest = left[i] - rate * dt
             if rest <= rate * EVENT_EPS:
                 left[i] = 0.0
+                key = flows[i]
                 self.flow_completions[key] = now
                 self.live[key.coflow] -= 1
                 self._unfinished -= 1
@@ -304,8 +302,8 @@ class FluidRun:
 
 def run_fluid(run: FluidRun, policy) -> Schedule:
     """Drive a rate policy over ``run`` to completion and return its
-    schedule.  ``policy(run)`` returns the rate map to apply until the next
-    event."""
+    schedule.  ``policy(run)`` returns the rates, by flow id, to apply until
+    the next event."""
     while not run.done():
         run.set_rates(policy(run))
         run.step()
@@ -418,7 +416,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
 
     # a coflow completes with its last flow, by Python's max: NaN only when
     # its first flow's completion is NaN
-    firsts = np.flatnonzero(np.diff(ids[:nf, 2], prepend=-1))
+    firsts = np.array(instance.flow_offsets[:-1], dtype=np.int64)
     all_done = np.logical_and.reduceat(done[:nf], firsts)
     last = np.fmax.reduceat(finish[:nf], firsts)
     last[np.isnan(finish[firsts])] = math.nan

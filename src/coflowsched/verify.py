@@ -94,14 +94,11 @@ class _SlotSearch:
         self.keys = [key for key, _ in flows]
         self.initial = tuple(int(round(size)) for _, size in flows)
         self.releases = [int(round(cf.release)) for cf in instance.coflows]
-        self.flows_of = [
-            [fi for fi, key in enumerate(self.keys) if key.coflow == k]
-            for k in range(instance.num_coflows)
-        ]
+        self.offsets = instance.flow_offsets
 
     def left(self, state: tuple, k: int) -> int:
         """Remaining units of coflow ``k``."""
-        return sum(state[fi] for fi in self.flows_of[k])
+        return sum(state[self.offsets[k]:self.offsets[k + 1]])
 
     def successors(self, state: tuple, t: int):
         """Yields (matching, next state, next slot start); a matching of None

@@ -30,6 +30,7 @@ class _Incomplete:
 
     def __init__(self, instance: CoflowInstance):
         self.sets: dict[int, set] = {}
+        self.ids = {key: i for i, key in enumerate(instance.flow_keys)}
         for key, _ in instance.flows():
             self.sets.setdefault(key.coflow, set()).add(key)
 
@@ -37,7 +38,11 @@ class _Incomplete:
         members = self.sets[k]
         for key in [f for f in members if f in run.flow_completions]:
             members.discard(key)
-        return {f: float(run.remaining[run.flow_id[f]]) for f in members}
+        return {f: float(run.remaining[self.ids[f]]) for f in members}
+
+    def by_id(self, rates: dict) -> dict:
+        """The FlowKey rate map as FluidRun takes it, by flow id."""
+        return {self.ids[f]: r for f, r in rates.items()}
 
 
 def _reference_varys(instance: CoflowInstance) -> Schedule:
@@ -85,7 +90,7 @@ def _reference_varys(instance: CoflowInstance) -> Schedule:
                 rem_dst[j] -= extra
                 if rem_src[i] <= CAPACITY_TOL:
                     break
-        return rates
+        return incomplete.by_id(rates)
 
     return run_fluid(FluidRun(instance), policy)
 
@@ -94,7 +99,8 @@ def _reference_lp_ov_gb(instance: CoflowInstance, ordering_result) -> Schedule:
     ordering = ordering_result.ordering
     groups = group_coflows(instance, ordering)
     ends = np.cumsum([len(grp) for grp in groups])
-    stages = [(grp, _queue(instance, ordering[end:])) for grp, end in zip(groups, ends)]
+    keys = instance.flow_keys
+    stages = [(grp, [keys[i] for i in _queue(instance, ordering[end:])]) for grp, end in zip(groups, ends)]
     cap = instance.capacity
     n = instance.n_ports
     incomplete = _Incomplete(instance)
@@ -140,7 +146,7 @@ def _reference_lp_ov_gb(instance: CoflowInstance, ordering_result) -> Schedule:
             extra = min(rem_src[i], rem_dst[j])
             if extra > CAPACITY_TOL:
                 grant(f, extra)
-        return rates
+        return incomplete.by_id(rates)
 
     return run_fluid(FluidRun(instance), policy)
 

@@ -53,7 +53,7 @@ def _reference_rates(run: FluidRun, queue: list) -> dict:
     served = _reference_greedy_matching(
         queue, run.flow_completions, run.release, run.time + EVENT_EPS, instance.n_ports
     )
-    return dict.fromkeys(served, instance.capacity)
+    return dict.fromkeys(map(run.flows.index, served), instance.capacity)
 
 
 def _reference_lp_ov_ls(instance: CoflowInstance, ordering_result) -> Schedule:
@@ -69,7 +69,8 @@ def _reference_lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
         active = run.active_coflows()
         if not seen.issuperset(active):
             seen.update(active)
-            remaining = {f: d for k in active for f, d in run.remaining_of(k).items()}
+            left = run.remaining.tolist()
+            remaining = {run.flows[i]: left[i] for k in active for i in run.members[k] if left[i] > 0.0}
             residual, ids = residual_instance(instance, remaining, run.time)
             residual_order = solve_ordering_lp(residual).ordering if ids else []
             rank = {ids[k]: p for p, k in enumerate(residual_order)}

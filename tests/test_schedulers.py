@@ -60,11 +60,19 @@ def test_list_scheduler_segments_are_matchings():
 
 
 def test_pair_heads_serve_released_heads_and_stop_when_full():
-    done, late, first = FlowKey(0, 0, 0), FlowKey(1, 0, 1), FlowKey(0, 1, 0)
-    clash, second = FlowKey(0, 0, 2), FlowKey(1, 0, 0)
-    done_after, rest = FlowKey(1, 1, 0), FlowKey(1, 1, 2)
+    inst = CoflowInstance(2, [
+        Coflow({(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0}),
+        Coflow({(1, 0): 1.0}),
+        Coflow({(0, 0): 1.0, (1, 1): 1.0}),
+    ])
+    # flow ids, by (coflow, source, dest)
+    done, first, second, done_after, late, clash, rest = range(7)
     queue = [done, late, first, clash, second, done_after, rest]
-    heads = _PairHeads(queue, [0.0, 5.0, 0.0], 2)  # coflow 1 is released at 5.0
+    assert [inst.flow_keys[i] for i in queue] == [
+        FlowKey(0, 0, 0), FlowKey(1, 0, 1), FlowKey(0, 1, 0), FlowKey(0, 0, 2),
+        FlowKey(1, 0, 0), FlowKey(1, 1, 0), FlowKey(1, 1, 2),
+    ]
+    heads = _PairHeads(inst, queue, [0.0, 5.0, 0.0])  # coflow 1 is released at 5.0
     heads.admit(1.0)
     # one head per pair, in queue order; late is not released yet
     assert [queue[key] for key in heads.heads] == [done, first, second, done_after]

@@ -109,7 +109,7 @@ def test_total_weighted_completion_examples():
 def test_next_event_completion_before_arrival():
     inst = CoflowInstance(2, [Coflow({(0, 0): 2.0}), Coflow({(1, 1): 1.0}, release=5.0)])
     run = FluidRun(inst)
-    run.set_rates({FlowKey(0, 0, 0): 1.0})
+    run.set_rates({0: 1.0})
     assert run.next_event() == pytest.approx(2.0)
 
 
@@ -118,7 +118,7 @@ def test_next_event_coalesces_jitter():
         2, [Coflow({(0, 0): 1.0 + 1e-12}), Coflow({(1, 1): 1.0}, release=1.0)]
     )
     run = FluidRun(inst)
-    run.set_rates({FlowKey(0, 0, 0): 1.0})
+    run.set_rates({0: 1.0})
     run.step()
     # the arrival and the completion collapse into one event
     assert run.is_complete(0)
@@ -135,7 +135,7 @@ def test_next_event_idle_until_arrival():
 def test_next_event_none_when_done():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
     run = FluidRun(inst)
-    run.set_rates({FlowKey(0, 0, 0): 1.0})
+    run.set_rates({0: 1.0})
     run.step()
     assert run.done()
     assert run.next_event() is None
@@ -147,19 +147,23 @@ def test_flow_ids_number_the_instance_flows():
     )
     run = FluidRun(inst)
     assert run.flows == [FlowKey(0, 1, 0), FlowKey(2, 0, 0), FlowKey(1, 1, 1)]
-    assert run.flow_id == {key: i for i, key in enumerate(run.flows)}
-    assert run.offsets.tolist() == [0, 2, 3]
+    assert run.flows == list(inst.flow_keys)
+    # coflow k's ids are flow_offsets[k] to flow_offsets[k + 1] - 1
+    assert inst.flow_offsets == (0, 2, 3)
+    assert sorted(map(sorted, run.members)) == [[0, 1], [2]]
     assert run.source.tolist() == [0, 2, 1]
     assert run.dest.tolist() == [1, 0, 1]
     assert run.coflow.tolist() == [0, 0, 1]
     assert run.remaining.tolist() == [2.0, 1.0, 4.0]
     assert run.live == [2, 1]
-    run.set_rates({FlowKey(2, 0, 0): 1.0, FlowKey(0, 1, 0): 1.0})
+    run.set_rates({1: 1.0, 0: 1.0})
     run.step()
     # a finished flow's demand is exactly 0.0; its coflow counts one flow less
     assert run.remaining.tolist() == [1.0, 0.0, 4.0]
     assert run.live == [1, 1]
-    assert run.remaining_of(0) == {FlowKey(0, 1, 0): 1.0}
+    # the schedule records rates and completions by FlowKey, in rate order
+    assert list(run.segments[0].rates.items()) == [(FlowKey(2, 0, 0), 1.0), (FlowKey(0, 1, 0), 1.0)]
+    assert run.flow_completions == {FlowKey(2, 0, 0): 1.0}
     assert run.active_coflows() == [0, 1]
 
 
@@ -174,10 +178,33 @@ def test_stalled_run_raises():
 def test_rates_rejected_for_unreleased_or_unknown_flows():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}, release=2.0)])
     run = FluidRun(inst)
-    with pytest.raises(ValueError):
-        run.set_rates({FlowKey(0, 0, 0): 1.0})
-    with pytest.raises(ValueError):
-        run.set_rates({FlowKey(1, 1, 0): 1.0})
+    with pytest.raises(ValueError, match="unreleased flow 0"):
+        run.set_rates({0: 1.0})
+    with pytest.raises(ValueError, match="not a flow id"):
+        run.set_rates({1: 1.0})
+
+
+@pytest.mark.parametrize("rates, message", [
+    ({math.inf: 1.0}, "rate assigned to inf, which is not a flow id"),
+    ({-1: 1.0}, "rate assigned to -1, which is not a flow id in 0..1"),
+    ({2: 0.0}, "rate assigned to 2, which is not a flow id in 0..1"),
+    ({FlowKey(0, 0, 0): 1.0}, r"rate assigned to FlowKey\(source=0, dest=0, coflow=0\)"),
+    ({0: math.inf}, "rate inf assigned to flow 0 is not finite"),
+    ({0: -math.inf}, "rate -inf assigned to flow 0 is not finite"),
+    ({1: math.nan}, "rate nan assigned to flow 1 is not finite"),
+], ids=["float-key", "negative-id", "id-past-the-end", "flowkey", "inf", "minus-inf", "nan"])
+def test_set_rates_rejects_keys_that_are_not_ids_and_rates_that_are_not_finite(rates, message):
+    # an infinite rate used to turn the flow's remaining demand into NaN,
+    # and the next step then claimed that no rates were assigned
+    inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}), Coflow({(1, 1): 1.0})])
+    run = FluidRun(inst)
+    with pytest.raises(ValueError, match=message):
+        run.set_rates(rates)
+    assert run.rates == {}
+    run.set_rates({0: 1.0, 1: 0.5})
+    run.step()
+    with pytest.raises(ValueError, match="finished flow 0"):
+        run.set_rates({0: 1.0})
 
 
 def test_work_conservation_on_random_instances():

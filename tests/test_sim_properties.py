@@ -1,6 +1,6 @@
 """Property test: the FluidRun views agree with a brute-force recomputation
 from ``run.remaining`` (by flow id) and the release dates after every
-step."""
+step of rates drawn by flow id."""
 
 import pytest
 
@@ -36,10 +36,10 @@ def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
         {f.coflow for f in incomplete if instance.coflows[f.coflow].release <= horizon}
     )
     assert run.active_coflows() == active
+    offsets = instance.flow_offsets
     for k in range(instance.num_coflows):
-        assert run.remaining_of(k) == {
-            f: run.remaining[run.flow_id[f]] for f in incomplete if f.coflow == k
-        }
+        ids = list(range(offsets[k], offsets[k + 1]))
+        assert [i for i, f in enumerate(run.flows) if f.coflow == k] == ids == sorted(run.members[k])
         assert run.live[k] == sum(f.coflow == k for f in incomplete)
     # a finished flow's remaining demand is exactly 0.0, and nothing else's
     assert set(run.flows) - set(incomplete) == run.flow_completions.keys()
@@ -52,11 +52,11 @@ def test_views_match_brute_force_after_every_step(instance, data):
     run = FluidRun(instance)
     _assert_views_match(run, instance)
     while not run.done():
-        active = [f for k in run.active_coflows() for f in sorted(run.remaining_of(k))]
+        active = [i for k in run.active_coflows() for i in sorted(run.members[k]) if run.remaining[i]]
         rates = {}
-        for f in active:
+        for i in active:
             if data.draw(st.booleans(), label="serve"):
-                rates[f] = data.draw(st.sampled_from(RATES), label="rate")
+                rates[i] = data.draw(st.sampled_from(RATES), label="rate")
         if not rates and run.next_release() is None:
             rates[active[0]] = 1.0  # keep the run from stalling
         run.set_rates(rates)
