@@ -26,15 +26,8 @@ from .relaxations import (
     solve_interval_lp,
     solve_ordering_lp,
 )
-from .schedulers import (
-    group_coflows,
-    lp_ii_gb,
-    lp_ov_gb,
-    lp_ov_ls,
-    lp_ov_ls_online,
-    varys,
-)
-from .sim import FluidRun, Schedule, Segment, ValidationReport, total_weighted_completion, validate
+from .schedulers import group_coflows, lp_ii_gb, lp_ov_gb, lp_ov_ls, lp_ov_ls_online, varys
+from .sim import FluidRun, Recorder, Schedule, Segment, ValidationReport, total_weighted_completion, validate
 from .verify import (
     OracleResult,
     blocking_pair_fixture,

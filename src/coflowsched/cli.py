@@ -85,16 +85,14 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
     ordering_result = solve_ordering_lp(instance)
     lp_bound = lp_lower_bound(instance, ordering_result)
     rows = []
-    totals = {}
-    schedules = {}
+    dumped = None  # the lp-ov-ls schedule, the only one kept after its row
     for name in args.schedulers:
         t0 = time.perf_counter()
         schedule = schedulers.SCHEDULERS[name](instance, ordering_result)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         report = validate(schedule, instance)
         total = total_weighted_completion(schedule, instance)
-        totals[name] = total
-        schedules[name] = schedule
+        dumped = schedule if name == "lp-ov-ls" else dumped
         rows.append(
             ScheduleReport(
                 instance_id=f"rep{rep:03d}",
@@ -107,12 +105,12 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
                 valid=report.ok,
             )
         )
-    base = totals.get("lp-ov-ls")
+    base = next((row.total_weighted_completion for row in rows if row.scheduler == "lp-ov-ls"), None)
     for row in rows:
         if base:
             row.ratio_to_lpovls = row.total_weighted_completion / base
     if args.dump_schedules:  # per-rep instance and lp-ov-ls schedule JSON
-        schedule = schedules.get("lp-ov-ls") or schedulers.lp_ov_ls(instance, ordering_result)
+        schedule = dumped or schedulers.lp_ov_ls(instance, ordering_result)
         os.makedirs(args.dump_schedules, exist_ok=True)
         save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
         with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:

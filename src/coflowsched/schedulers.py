@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
-from .model import CoflowInstance, FlowKey, prefix_bottlenecks, residual_instance
+from .model import CoflowInstance, prefix_bottlenecks, residual_instance
 from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
-from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
+from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid
 
 
 def _queue(instance: CoflowInstance, ordering: list) -> list[int]:
@@ -508,20 +508,19 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     # the LP-priority queue, each pair's head the flow that serves it
     heads = _PairHeads(instance, _queue(instance, ordering), release_slot)
     flows_left = [len(cf.demands) for cf in instance.coflows]
-    flow_completions: dict[FlowKey, float] = {}
-    segments: list[Segment] = []
+    record = Recorder(instance)
     slot = min(release_slot)
     gi = 0
 
     def emit(serving: list, length: int) -> None:
         nonlocal slot
         start, end = slot * u, (slot + length) * u
-        segments.append(Segment(start, end, {keys[i]: cap for i in serving}))
+        record.segment(start, end, serving, repeat(cap, len(serving)))
         finished = []
         for i in serving:
             remaining[i] -= length
             if remaining[i] == 0:
-                flow_completions[keys[i]] = end
+                record.flow_completions[keys[i]] = end
                 flows_left[keys[i].coflow] -= 1
                 finished.append(i)
         heads.finish(finished)
@@ -561,7 +560,7 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
                     slot += length
                 count -= length
 
-    return Schedule.of_flows(segments, flow_completions, instance.num_coflows)
+    return record.schedule()
 
 
 # CLI name -> (instance, ordering LP result) -> Schedule.  The lambdas look

@@ -1,5 +1,6 @@
-"""The schedule type, the event-driven fluid executor that builds it, and
-the independent schedule validator.
+"""The schedule type and the Recorder through which every scheduler
+records one, as parallel arrays of segments and rate entries; the
+event-driven fluid executor; and the independent schedule validator.
 
 run_fluid advances a policy's piecewise-constant rates between events
 (coflow releases and flow completions, coalesced within EVENT_EPS) and
@@ -7,27 +8,29 @@ returns a Schedule, in which each coflow completes with its last flow.
 The run's state is a FluidRun: flows numbered 0..F-1 in instance order,
 their remaining demand in one float array that policies read whole with
 numpy, and a count of unfinished flows per coflow.  Policies hand rates
-over by flow id; only the recorded schedule names flows by FlowKey.
+over, and the Recorder keeps them, by flow id.
 
 The validator re-checks any schedule against the model constraints:
 per-port capacity, no pre-release transmission, demand conservation, and
 the definition of coflow completion.  It reads only the schedule's
-segments, so it stays independent of how the schedule was produced.
+arrays, so it stays independent of how the schedule was produced.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import repeat
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .lpcore import _View
 from .model import _PORT_TYPES, CoflowInstance, FlowKey, _field
 
 EVENT_EPS = 1e-9
@@ -46,38 +49,55 @@ class Segment:
 
 @dataclass
 class Schedule:
-    """Piecewise-constant rates plus per-flow and per-coflow completions."""
+    """Piecewise-constant rates plus per-flow and per-coflow completions.
 
-    segments: list
+    Segment s runs over [``start[s]``, ``end[s]``) with the entries
+    ``offsets[s]`` to ``offsets[s + 1] - 1``, in recorded order: entry e
+    runs flow ``keys[flow[e]]`` at ``rate[e]``.  A recorded schedule's
+    keys are ``instance.flow_keys``; one built ``of_segments`` numbers its
+    FlowKeys in order of first appearance.  ``segments`` reads the arrays
+    as Segments, made on access.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    offsets: np.ndarray
+    flow: np.ndarray
+    rate: np.ndarray
+    keys: tuple
     completions: np.ndarray
     flow_completions: dict
 
     @classmethod
-    def of_flows(cls, segments: list, flow_completions: dict, num_coflows: int) -> "Schedule":
-        """The schedule in which each coflow completes with its last flow."""
-        completions = [0.0] * num_coflows
-        for f, t in flow_completions.items():
-            completions[f.coflow] = max(completions[f.coflow], t)
-        return cls(segments, np.array(completions), flow_completions)
+    def of_segments(cls, segments: list, completions, flow_completions: dict) -> "Schedule":
+        """The schedule of ``segments``, Segments that name flows by FlowKey."""
+        ids: dict = {}
+        flow = [ids.setdefault(key, len(ids)) for seg in segments for key in seg.rates]
+        rate = [r for seg in segments for r in seg.rates.values()]
+        offsets = np.cumsum([0, *(len(seg.rates) for seg in segments)])
+        return cls(np.array([seg.start for seg in segments], dtype=float),
+                   np.array([seg.end for seg in segments], dtype=float), offsets,
+                   np.array(flow, dtype=np.int64), np.array(rate, dtype=float), tuple(ids),
+                   np.asarray(completions, dtype=float), flow_completions)
+
+    @property
+    def segments(self) -> Sequence:
+        return _View(lambda: len(self.start), self._segment)
+
+    def _segment(self, s: int) -> Segment:
+        lo, hi = self.offsets[s:s + 2].tolist()
+        flows = map(self.keys.__getitem__, self.flow[lo:hi].tolist())
+        return Segment(float(self.start[s]), float(self.end[s]), dict(zip(flows, self.rate[lo:hi].tolist())))
 
     def to_dict(self) -> dict:
+        def flows(by_key: dict, name: str) -> list:
+            return [dict(zip(("src", "dst", "coflow"), f), **{name: v}) for f, v in sorted(by_key.items())]
+
         return {
-            "segments": [
-                {
-                    "start": seg.start,
-                    "end": seg.end,
-                    "rates": [
-                        {"src": f.source, "dst": f.dest, "coflow": f.coflow, "rate": r}
-                        for f, r in sorted(seg.rates.items())
-                    ],
-                }
-                for seg in self.segments
-            ],
+            "segments": [{"start": seg.start, "end": seg.end, "rates": flows(seg.rates, "rate")}
+                         for seg in self.segments],
             "completions": list(map(float, self.completions)),
-            "flow_completions": [
-                {"src": f.source, "dst": f.dest, "coflow": f.coflow, "time": t}
-                for f, t in sorted(self.flow_completions.items())
-            ],
+            "flow_completions": flows(self.flow_completions, "time"),
         }
 
     @classmethod
@@ -106,18 +126,44 @@ class Schedule:
             for r, entry in enumerate(_field(seg, "rates", "a list", where)):
                 at = f"{where} rate {r}"
                 rates[flow(entry, at, rates)] = _number(entry, "rate", at)
-            start, end = _number(seg, "start", where), _number(seg, "end", where)
-            segments.append(Segment(start, end, rates))
+            segments.append(Segment(_number(seg, "start", where), _number(seg, "end", where), rates))
         recorded = dict(enumerate(_field(data, "completions", "a list", "schedule")))
         if len(recorded) != instance.num_coflows:
             raise ValueError(f"schedule: 'completions' has {len(recorded)} entries, "
                              f"not one per coflow ({instance.num_coflows})")
-        completions = np.array([_number(recorded, k, "completions") for k in recorded], float)
+        completions = [_number(recorded, k, "completions") for k in recorded]
         flow_completions = {}
         for e, entry in enumerate(_field(data, "flow_completions", "a list", "schedule")):
             where = f"flow completion {e}"
             flow_completions[flow(entry, where, flow_completions)] = _number(entry, "time", where)
-        return cls(segments, completions, flow_completions)
+        return cls.of_segments(segments, completions, flow_completions)
+
+
+class Recorder:
+    """A schedule of ``instance`` as it is recorded: ``segment`` appends
+    [start, end) with its flows' ids and rates, in the policy's order, and
+    ``flow_completions`` maps each finished flow's FlowKey to its time."""
+
+    def __init__(self, instance: CoflowInstance):
+        self.instance = instance
+        self.start, self.end, self.rate = array("d"), array("d"), array("d")
+        self.offsets, self.flow = array("q", [0]), array("q")
+        self.flow_completions: dict[FlowKey, float] = {}
+
+    def segment(self, start: float, end: float, flows, rates) -> None:
+        self.start.append(start)
+        self.end.append(end)
+        self.flow.extend(flows)
+        self.rate.extend(rates)
+        self.offsets.append(len(self.flow))
+
+    def schedule(self) -> Schedule:
+        """The schedule on these buffers, which then take no more segments; coflows end with their last flow."""
+        completions = [0.0] * self.instance.num_coflows
+        for f, t in self.flow_completions.items():
+            completions[f.coflow] = max(completions[f.coflow], t)
+        arrays = map(np.asarray, (self.start, self.end, self.offsets, self.flow, self.rate))
+        return Schedule(*arrays, self.instance.flow_keys, np.array(completions), self.flow_completions)
 
 
 def _number(data, key, where: str) -> float:
@@ -141,24 +187,15 @@ class ValidationReport:
     violations: list
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ok": self.ok,
-                "violations": [
-                    {"kind": v.kind, "location": v.location, "magnitude": v.magnitude}
-                    for v in self.violations
-                ],
-            },
-            indent=1,
-        )
+        return json.dumps(asdict(self), indent=1)
 
 
 class FluidRun:
     """Mutable state of one scheduling run.
 
     A policy assigns rates at each event, as a map from flow id to rate;
-    ``step`` advances to the next event.  Segments and per-flow completions
-    are accumulated for the final Schedule, by FlowKey.
+    ``step`` advances to the next event and records the segment traversed,
+    and the flows that finish, in ``record`` and its ``flow_completions``.
 
     Flows have ids 0..F-1 in ``instance.flow_keys`` order, so coflow k's
     flows are the ids ``instance.flow_offsets[k]`` to
@@ -186,13 +223,11 @@ class FluidRun:
         self._left = memoryview(self.remaining)
         self.live = [len(cf.demands) for cf in instance.coflows]  # by coflow id
         self._unfinished = len(self.flows)
-        self.flow_completions: dict[FlowKey, float] = {}
-        self.segments: list[Segment] = []
+        self.record = Recorder(instance)
+        self.flow_completions = self.record.flow_completions
         self.rates: dict[int, float] = {}
         self.release = [cf.release for cf in instance.coflows]  # by coflow id
-        self._release_times = sorted(
-            {cf.release for cf in instance.coflows if cf.release > 0.0}
-        )
+        self._release_times = sorted({cf.release for cf in instance.coflows if cf.release > 0.0})
 
     # -- per-flow arrays, built when a policy first reads them -----------
 
@@ -278,14 +313,12 @@ class FluidRun:
         dt = self.next_event()
         if dt is None:
             if not self.done():
-                raise RuntimeError(
-                    "no rates assigned and no pending releases, but work remains"
-                )
+                raise RuntimeError("no rates assigned and no pending releases, but work remains")
             return
         now = self.time + dt
         left, flows = self._left, self.flows
         if dt > 0.0 and self.rates:
-            self.segments.append(Segment(self.time, now, {flows[i]: r for i, r in self.rates.items()}))
+            self.record.segment(self.time, now, self.rates.keys(), self.rates.values())
         for i, rate in self.rates.items():
             rest = left[i] - rate * dt
             if rest <= rate * EVENT_EPS:
@@ -307,7 +340,7 @@ def run_fluid(run: FluidRun, policy) -> Schedule:
     while not run.done():
         run.set_rates(policy(run))
         run.step()
-    return Schedule.of_flows(run.segments, run.flow_completions, run.instance.num_coflows)
+    return run.record.schedule()
 
 
 # ---------------------------------------------------------------------------
@@ -323,52 +356,41 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     completion definition.  A malformed segment, or a rate on a port or
     coflow outside the instance, raises ValueError naming the segment.
 
-    Every recorded rate is one entry, in segment order and then in the
-    order of its segment's rate map; each sum below adds its entries in
-    that order, so it is the same sequence of float additions as a loop
-    over the segments would make.  Violations are listed per segment
+    Each of the schedule's keys is looked up once; its entries are read as
+    recorded, and each sum adds them in entry order, the float additions
+    of a loop over the segments.  Violations are listed per segment
     (releases, then ports ascending, source before destination), then
     unknown flows, demands and coflow completions.
     """
     cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
-    keys, sizes = instance.flow_keys, instance.flow_sizes
-    nf = len(keys)
+    keys, sizes, nf = instance.flow_keys, instance.flow_sizes, len(instance.flow_keys)
     index = {key: i for i, key in enumerate(keys)}
-    segments = schedule.segments
     completed = schedule.flow_completions
+    starts, ends, flow, rate = schedule.start, schedule.end, schedule.flow, schedule.rate
+    named, segments, entries = schedule.keys, len(starts), len(rate)
+    seg_of = np.repeat(np.arange(segments), np.diff(schedule.offsets))
 
-    maps = [seg.rates for seg in segments]
-    counts = np.fromiter(map(len, maps), dtype=np.int64, count=len(maps))
-    offsets = np.cumsum(counts) - counts
-    entries = int(counts.sum())
-    fi = np.fromiter(map(index.get, chain.from_iterable(maps), repeat(-1)), dtype=np.int64, count=entries)
-    rate = np.fromiter(chain.from_iterable(r.values() for r in maps), dtype=float, count=entries)
-    seg_of = np.repeat(np.arange(len(maps)), counts)
-
-    def entry(e: int) -> tuple:
-        """The segment and the flow of entry e."""
-        s = int(seg_of[e])
-        return s, next(islice(maps[s], e - int(offsets[s]), None))
-
-    starts = np.array([seg.start for seg in segments], dtype=float)
-    ends = np.array([seg.end for seg in segments], dtype=float)
     previous = np.concatenate(([-math.inf], ends[:-1]))
     bad = np.flatnonzero((ends <= starts) | (starts < previous - EVENT_EPS))
-    first_bad = int(bad[0]) if bad.size else len(segments)
-    # flows the instance lacks take the ids from nf on, in order of appearance
+    first_bad = int(bad[0]) if bad.size else segments
+    # each named flow's instance id; the flows the instance lacks take the
+    # ids from nf on, in order of first appearance
+    own = np.fromiter(map(index.get, named, repeat(-1)), dtype=np.int64, count=len(named))
+    strange = np.flatnonzero(own[flow] < 0)
     unknown: dict = {}
-    for e in np.flatnonzero(fi < 0).tolist():
-        s, key = entry(e)
+    for e in strange[np.sort(np.unique(flow[strange], return_index=True)[1])].tolist():
+        s, key = int(seg_of[e]), named[flow[e]]
         if s >= first_bad:
             break
         if not all(isinstance(v, _PORT_TYPES) and 0 <= v < top for v, top in zip(key, (n, n, num))):
             raise ValueError(f"segment {s} flow {tuple(key)} is outside the instance "
                              f"({n} ports, {num} coflows)")
-        fi[e] = unknown.setdefault(key, nf + len(unknown))
-    if first_bad < len(segments):
+        own[flow[e]] = unknown.setdefault(key, nf + len(unknown))
+    if first_bad < segments:
         if ends[first_bad] <= starts[first_bad]:
             raise ValueError(f"segment {first_bad} has non-positive length")
         raise ValueError(f"segment {first_bad} overlaps its predecessor")
+    fi = own[flow]
     # (source, dest, coflow) of every flow a rate names
     ids = np.array(keys + tuple(unknown), dtype=np.int64).reshape(-1, 3)
     at = np.fromiter((index[k] if k in index else unknown.setdefault(k, nf + len(unknown))
@@ -378,7 +400,14 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     finish = np.zeros(total)
     done[at] = True
     finish[at] = np.fromiter(completed.values(), dtype=float, count=len(completed))
-    sent = np.bincount(fi, _volumes(fi, rate, seg_of, starts, ends, done, finish), minlength=total)
+    # each entry sends rate x max(min(end, completion) - start, 0), or the whole
+    # segment without a completion, in Python's min and max order (NaN stays)
+    sent = ends[seg_of]
+    np.copyto(sent, finish[fi], where=done[fi] & (finish[fi] < sent))
+    sent -= starts[seg_of]
+    sent[sent < 0.0] = 0.0
+    sent *= rate
+    sent = np.bincount(fi, sent, minlength=total)
 
     # Per-(segment, port) sums and release checks, over the positive rates
     # (and NaN ones, as "not <= 0").  A zero weight in place of the others
@@ -388,14 +417,14 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     release = np.array([cf.release for cf in instance.coflows], dtype=float)
     late = starts[seg_of] < release[ids[fi, 2]] - EVENT_EPS
     for e in np.flatnonzero(late & live).tolist():
-        s, key = entry(e)
-        gap = instance.coflows[key.coflow].release - segments[s].start
-        found.append((s, e, Violation("release", f"segment {s} flow {tuple(key)}", gap)))
+        s = int(seg_of[e])
+        gap = float(release[ids[fi[e], 2]] - starts[s])
+        found.append((s, e, Violation("release", f"segment {s} flow {tuple(named[flow[e]])}", gap)))
     weight = np.where(live, rate, 0.0)
     for side, kind in enumerate(("capacity_src", "capacity_dst")):
         cells = seg_of * n
         cells += ids[fi, side]
-        sums = np.bincount(cells, weight, minlength=len(segments) * n)
+        sums = np.bincount(cells, weight, minlength=segments * n)
         for cell in np.flatnonzero(sums > cap + CAPACITY_TOL).tolist():
             s, p = divmod(cell, n)
             found.append((s, entries + 2 * p + side,
@@ -428,24 +457,6 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def _volumes(fi, rate, seg_of, starts, ends, done, finish) -> np.ndarray:
-    """What each entry sends: rate x max(min(end, completion) - start, 0),
-    the whole segment when its flow has no completion; computed in place,
-    with Python's min and max order (NaN stays)."""
-    cut = ends[seg_of]
-    at = finish[fi]
-    np.copyto(cut, at, where=done[fi] & (at < cut))
-    cut -= starts[seg_of]
-    cut[cut < 0.0] = 0.0
-    cut *= rate
-    return cut
-
-
 def total_weighted_completion(schedule, instance: CoflowInstance) -> float:
     """Objective value of a schedule: sum of weight x completion time."""
-    return float(
-        sum(
-            instance.coflows[k].weight * schedule.completions[k]
-            for k in range(instance.num_coflows)
-        )
-    )
+    return float(sum(cf.weight * schedule.completions[k] for k, cf in enumerate(instance.coflows)))

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Coflow, CoflowInstance, FlowKey, prefix_bottlenecks
+from .model import Coflow, CoflowInstance, prefix_bottlenecks
 from .relaxations import OrderingLpResult
-from .sim import Schedule, Segment, total_weighted_completion
+from .sim import Recorder, Schedule, total_weighted_completion
 
 DEFAULT_MAX_PORTS = 3
 DEFAULT_MAX_TOTAL_DEMAND = 14
@@ -90,9 +90,8 @@ class _SlotSearch:
 
     def __init__(self, instance: CoflowInstance, max_ports: int, max_total_demand: float):
         _require_small_integer_instance(instance, max_ports, max_total_demand)
-        flows = list(instance.flows())
-        self.keys = [key for key, _ in flows]
-        self.initial = tuple(int(round(size)) for _, size in flows)
+        self.keys = instance.flow_keys
+        self.initial = tuple(int(round(size)) for size in instance.flow_sizes)
         self.releases = [int(round(cf.release)) for cf in instance.coflows]
         self.offsets = instance.flow_offsets
 
@@ -163,28 +162,28 @@ def oracle_opt(
     value, _, _ = solve(search.initial, 0)
 
     # rebuild the optimal schedule by replaying the memoized decisions
-    segments: list[Segment] = []
-    flow_completions: dict[FlowKey, float] = {}
+    record, last = Recorder(instance), None
     state, t = search.initial, 0
     while any(state):
         _, matching, t_next = solve(state, t)
         if matching is not None:
-            rates = {keys[fi]: 1.0 for fi in matching}
-            if segments and segments[-1].end == t and segments[-1].rates == rates:
-                segments[-1] = Segment(segments[-1].start, t_next, rates)
+            # consecutive slots of one matching make one segment
+            if matching == last and record.end[-1] == t:
+                record.end[-1] = t_next
             else:
-                segments.append(Segment(float(t), float(t_next), rates))
+                record.segment(t, t_next, matching, [1.0] * len(matching))
+            last = matching
             nxt = list(state)
             for fi in matching:
                 nxt[fi] -= 1
                 if nxt[fi] == 0:
-                    flow_completions[keys[fi]] = float(t_next)
+                    record.flow_completions[keys[fi]] = float(t_next)
             state = tuple(nxt)
         t = t_next
 
     return OracleResult(
         optimal_value=float(value),
-        optimal_schedule=Schedule.of_flows(segments, flow_completions, instance.num_coflows),
+        optimal_schedule=record.schedule(),
         explored_states=len(memo),
     )
 

@@ -16,7 +16,7 @@ import pytest
 from coflowsched.model import Coflow, CoflowInstance, FlowKey, residual_instance
 from coflowsched.relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from coflowsched.schedulers import _integer_bvn, group_coflows, lp_ii_gb, lp_ov_ls, lp_ov_ls_online
-from coflowsched.sim import EVENT_EPS, FluidRun, Schedule, Segment, run_fluid
+from coflowsched.sim import EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid
 from coflowsched.workload import SyntheticConfig, generate
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -94,8 +94,9 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
     for f in queue:
         by_pair.setdefault((f.source, f.dest), []).append(f)
     flows_left = [len(cf.demands) for cf in instance.coflows]
-    flow_completions: dict[FlowKey, float] = {}
-    segments: list[Segment] = []
+    record = Recorder(instance)
+    flow_id = {key: i for i, key in enumerate(instance.flow_keys)}
+    flow_completions = record.flow_completions
     slot = min(release_slot)
     gi = 0
 
@@ -105,7 +106,7 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
     def emit(serving: list, length: int) -> None:
         nonlocal slot
         start, end = slot * u, (slot + length) * u
-        segments.append(Segment(start, end, {f: cap for f in serving}))
+        record.segment(start, end, [flow_id[f] for f in serving], [cap] * len(serving))
         for f in serving:
             remaining[f] -= length
             if remaining[f] == 0:
@@ -146,7 +147,7 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
                     slot += length
                 count -= length
 
-    return Schedule.of_flows(segments, flow_completions, instance.num_coflows)
+    return record.schedule()
 
 
 def _outcome(schedule_of, *args) -> str:

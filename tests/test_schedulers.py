@@ -6,6 +6,7 @@ import pytest
 from coflowsched.model import Coflow, CoflowInstance, FlowKey
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import (
+    SCHEDULERS,
     Schedule,
     _PairHeads,
     _integer_bvn,
@@ -350,14 +351,16 @@ def test_integer_bvn_equals_the_from_scratch_decomposition():
 # -- schedule serialization ---------------------------------------------------
 
 def test_schedule_json_round_trip():
-    inst = staggered_release_fixture()
-    sched = lp_ov_ls(inst)
-    data = json.loads(json.dumps(sched.to_dict()))
-    back = Schedule.from_dict(data, inst)
-    assert np.allclose(back.completions, sched.completions)
-    assert back.flow_completions == sched.flow_completions
-    assert len(back.segments) == len(sched.segments)
-    assert validate(back, inst).ok
+    inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="combined",
+                                    interarrival_range=(1, 40), seed=41))
+    res = solve_ordering_lp(inst)
+    for name, scheduler in SCHEDULERS.items():
+        sched = scheduler(inst, res)
+        text = json.dumps(sched.to_dict())
+        back = Schedule.from_dict(json.loads(text), inst)
+        assert json.dumps(back.to_dict()) == text, name
+        assert validate(back, inst) == validate(sched, inst), name
+        assert validate(back, inst).ok, name
 
 
 # -- cross-scheduler sanity ---------------------------------------------------

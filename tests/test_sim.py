@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from coflowsched.model import Coflow, CoflowInstance, FlowKey
-from coflowsched.schedulers import Schedule, Segment, lp_ov_ls, varys
+from coflowsched.schedulers import lp_ov_ls, varys
 from coflowsched.sim import (
     FluidRun,
+    Schedule,
+    Segment,
     total_weighted_completion,
     validate,
 )
@@ -28,7 +30,7 @@ def test_list_scheduler_output_validates():
 
 def test_pre_release_transmission_flagged():
     inst = staggered_release_fixture()
-    sched = Schedule(
+    sched = Schedule.of_segments(
         segments=[Segment(0.0, 1.0, {FlowKey(1, 1, 3): 1.0})],
         completions=np.array([0.0, 0.0, 0.0, 0.0]),
         flow_completions={FlowKey(1, 1, 3): 1.0},
@@ -40,7 +42,7 @@ def test_pre_release_transmission_flagged():
 
 def test_capacity_violation_magnitude():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}), Coflow({(0, 1): 1.0})])
-    sched = Schedule(
+    sched = Schedule.of_segments(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0})],
         completions=np.array([1.0, 1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0},
@@ -53,7 +55,7 @@ def test_capacity_violation_magnitude():
 
 def test_demand_shortfall_flagged():
     inst = CoflowInstance(2, [Coflow({(0, 0): 2.0})])
-    sched = Schedule(
+    sched = Schedule.of_segments(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
@@ -64,7 +66,7 @@ def test_demand_shortfall_flagged():
 
 def test_completion_definition_checked():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
-    sched = Schedule(
+    sched = Schedule.of_segments(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([2.5]),  # recorded later than the last flow
         flow_completions={FlowKey(0, 0, 0): 1.0},
@@ -75,14 +77,14 @@ def test_completion_definition_checked():
 
 def test_malformed_segments_raise():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
-    bad_len = Schedule(
+    bad_len = Schedule.of_segments(
         segments=[Segment(1.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
     )
     with pytest.raises(ValueError):
         validate(bad_len, inst)
-    overlapping = Schedule(
+    overlapping = Schedule.of_segments(
         segments=[
             Segment(0.0, 2.0, {FlowKey(0, 0, 0): 0.25}),
             Segment(1.0, 3.0, {FlowKey(0, 0, 0): 0.25}),
@@ -161,8 +163,11 @@ def test_flow_ids_number_the_instance_flows():
     # a finished flow's demand is exactly 0.0; its coflow counts one flow less
     assert run.remaining.tolist() == [1.0, 0.0, 4.0]
     assert run.live == [1, 1]
-    # the schedule records rates and completions by FlowKey, in rate order
-    assert list(run.segments[0].rates.items()) == [(FlowKey(2, 0, 0), 1.0), (FlowKey(0, 1, 0), 1.0)]
+    # the schedule records rates by flow id, in rate order, and completions
+    # by FlowKey
+    assert list(run.record.flow) == [1, 0] and list(run.record.rate) == [1.0, 1.0]
+    assert list(run.record.schedule().segments[0].rates.items()) == [(FlowKey(2, 0, 0), 1.0),
+                                                                     (FlowKey(0, 1, 0), 1.0)]
     assert run.flow_completions == {FlowKey(2, 0, 0): 1.0}
     assert run.active_coflows() == [0, 1]
 

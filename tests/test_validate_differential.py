@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from coflowsched.model import Coflow, CoflowInstance, FlowKey
+from coflowsched.model import Coflow, CoflowInstance, FlowKey, instance_from_dict, instance_to_dict
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import SCHEDULERS
 from coflowsched.sim import (
@@ -175,7 +175,7 @@ def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
         elif edit == "recorded" and num:
             k = draw(st.integers(0, num - 1))
             completions[k] += draw(st.sampled_from((1e-10, 1e-6, -0.5, 3.0)))
-    return Schedule(segments, completions, flow_completions)
+    return Schedule.of_segments(segments, completions, flow_completions)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -183,14 +183,18 @@ def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
 def test_validate_matches_the_reference_loop(instance, data):
     name = data.draw(st.sampled_from(sorted(SCHEDULERS)), label="scheduler")
     schedule = SCHEDULERS[name](instance, solve_ordering_lp(instance))
-    assert _outcome(validate, schedule, instance) == _outcome(_reference_validate, schedule, instance)
     corrupted = _corrupt(data.draw, schedule, instance)
-    assert _outcome(validate, corrupted, instance) == _outcome(_reference_validate, corrupted, instance)
+    # a copy whose flow keys equal the instance's but are not the same tuple
+    copy = instance_from_dict(instance_to_dict(instance))
+    for checked in (schedule, corrupted):
+        expected = _outcome(_reference_validate, checked, instance)
+        assert _outcome(validate, checked, instance) == expected
+        assert _outcome(validate, checked, copy) == expected
 
 
 def test_validate_matches_the_reference_on_hand_made_faults():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0, (1, 1): 2.0}, release=1.0), Coflow({(0, 1): 1.0})])
-    sched = Schedule(
+    sched = Schedule.of_segments(
         segments=[
             Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 1): 0.5}),
             Segment(1.0, 2.0, {FlowKey(1, 1, 0): 1.5, FlowKey(0, 1, 1): -1.0, FlowKey(1, 1, 1): 1.0}),
@@ -209,7 +213,7 @@ def test_validate_matches_the_reference_on_hand_made_faults():
 @pytest.mark.parametrize("key", [FlowKey(2, 0, 0), FlowKey(-1, 0, 0), FlowKey(0, 0, 1)])
 def test_rates_outside_the_instance_raise(key):
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
-    sched = Schedule(
+    sched = Schedule.of_segments(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0}), Segment(1.0, 2.0, {key: 0.5})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
