@@ -70,7 +70,6 @@ class _PairHeads:
         n = self.n = instance.n_ports
         self.queue = queue
         self.heads: list[int] = []
-        self.served: list[int] = []  # the last matching
         flows = self._flows = instance.flow_keys
         self._release = release
         self._lines: list[list[int]] = [[] for _ in range(n * n)]  # by source * n + dest
@@ -97,8 +96,8 @@ class _PairHeads:
                 insort(line, key)
 
     def finish(self, flows) -> None:
-        """Advance the pairs of ``flows``, the ids of heads that have just
-        finished, to their next released unfinished flow."""
+        """Advance the pairs of ``flows``, the ids of this queue's heads
+        that have just finished, to their next released unfinished flow."""
         heads, n = self.heads, self.n
         for i in flows:
             f = self._flows[i]
@@ -113,13 +112,13 @@ class _PairHeads:
         return self.queue[line[0]] if line else None
 
     def matching(self) -> list[int]:
-        """The flow ids that list scheduling serves now, kept as ``served``:
-        the heads in order, each taken when both of its ports are still
-        free.  Each taken flow holds a source and a destination of its own,
-        so after n flows every port is taken and the scan stops."""
+        """The flow ids that list scheduling serves now: the heads in
+        order, each taken when both of its ports are still free.  Each
+        taken flow holds a source and a destination of its own, so after n
+        flows every port is taken and the scan stops."""
         queue, ports, n = self.queue, self._ports, self.n
         used = 0
-        served = self.served = []
+        served = []
         for key in self.heads:
             if used & ports[key]:
                 continue
@@ -145,13 +144,17 @@ def lp_ov_ls(instance: CoflowInstance, ordering_result=None) -> Schedule:
     queue = _queue(instance, (ordering_result or solve_ordering_lp(instance)).ordering)
     run = FluidRun(instance)
     heads = _PairHeads(instance, queue, run.release)
-    return run_fluid(run, lambda run: _list_schedule_rates(run, heads))
+
+    def policy(run: FluidRun) -> dict:
+        heads.finish(run.finished)
+        return _list_schedule_rates(run, heads)
+
+    return run_fluid(run, policy)
 
 
 def _list_schedule_rates(run: FluidRun, heads: _PairHeads) -> dict:
     """Full link rate for each flow of the greedy matching over ``heads``,
-    once the flows it served last that have finished are reported."""
-    heads.finish([i for i in heads.served if not run.remaining[i]])
+    which has been told the flows the last step finished."""
     heads.admit(run.time + EVENT_EPS)
     return dict.fromkeys(heads.matching(), run.instance.capacity)
 
@@ -168,6 +171,7 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
 
     def policy(run: FluidRun) -> dict:
         nonlocal heads
+        heads.finish(run.finished)  # the heads that served them, before any rebuild
         active = run.active_coflows()
         if not seen.issuperset(active):
             seen.update(active)
@@ -520,9 +524,9 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
         for i in serving:
             remaining[i] -= length
             if remaining[i] == 0:
-                record.flow_completions[keys[i]] = end
                 flows_left[keys[i].coflow] -= 1
                 finished.append(i)
+        record.complete(finished, end)
         heads.finish(finished)
         slot += length
 

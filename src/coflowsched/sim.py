@@ -1,6 +1,7 @@
 """The schedule type and the Recorder through which every scheduler
-records one, as parallel arrays of segments and rate entries; the
-event-driven fluid executor; and the independent schedule validator.
+records one, as parallel arrays of segments, rate entries and flow
+completions; the event-driven fluid executor; and the independent
+schedule validator.
 
 run_fluid advances a policy's piecewise-constant rates between events
 (coflow releases and flow completions, coalesced within EVENT_EPS) and
@@ -8,7 +9,7 @@ returns a Schedule, in which each coflow completes with its last flow.
 The run's state is a FluidRun: flows numbered 0..F-1 in instance order,
 their remaining demand in one float array that policies read whole with
 numpy, and a count of unfinished flows per coflow.  Policies hand rates
-over, and the Recorder keeps them, by flow id.
+over, and the Recorder keeps them and each flow's completion, by flow id.
 
 The validator re-checks any schedule against the model constraints:
 per-port capacity, no pre-release transmission, demand conservation, and
@@ -53,10 +54,11 @@ class Schedule:
 
     Segment s runs over [``start[s]``, ``end[s]``) with the entries
     ``offsets[s]`` to ``offsets[s + 1] - 1``, in recorded order: entry e
-    runs flow ``keys[flow[e]]`` at ``rate[e]``.  A recorded schedule's
-    keys are ``instance.flow_keys``; one built ``of_segments`` numbers its
-    FlowKeys in order of first appearance.  ``segments`` reads the arrays
-    as Segments, made on access.
+    runs flow ``keys[flow[e]]`` at ``rate[e]``.  Flow ``keys[finished[c]]``
+    completes at ``finished_at[c]``, in completion order.  A recorded
+    schedule's keys are ``instance.flow_keys``; one built ``of_segments``
+    numbers its FlowKeys in order of first appearance, rates first.
+    ``segments`` reads the arrays as Segments, made on access.
     """
 
     start: np.ndarray
@@ -64,21 +66,25 @@ class Schedule:
     offsets: np.ndarray
     flow: np.ndarray
     rate: np.ndarray
+    finished: np.ndarray
+    finished_at: np.ndarray
     keys: tuple
     completions: np.ndarray
-    flow_completions: dict
 
     @classmethod
     def of_segments(cls, segments: list, completions, flow_completions: dict) -> "Schedule":
-        """The schedule of ``segments``, Segments that name flows by FlowKey."""
+        """The schedule of ``segments`` and ``flow_completions``, which name
+        flows by FlowKey."""
         ids: dict = {}
         flow = [ids.setdefault(key, len(ids)) for seg in segments for key in seg.rates]
         rate = [r for seg in segments for r in seg.rates.values()]
+        finished = [ids.setdefault(key, len(ids)) for key in flow_completions]
         offsets = np.cumsum([0, *(len(seg.rates) for seg in segments)])
         return cls(np.array([seg.start for seg in segments], dtype=float),
                    np.array([seg.end for seg in segments], dtype=float), offsets,
-                   np.array(flow, dtype=np.int64), np.array(rate, dtype=float), tuple(ids),
-                   np.asarray(completions, dtype=float), flow_completions)
+                   np.array(flow, dtype=np.int64), np.array(rate, dtype=float),
+                   np.array(finished, dtype=np.int64), np.array([*flow_completions.values()], dtype=float),
+                   tuple(ids), np.asarray(completions, dtype=float))
 
     @property
     def segments(self) -> Sequence:
@@ -93,11 +99,12 @@ class Schedule:
         def flows(by_key: dict, name: str) -> list:
             return [dict(zip(("src", "dst", "coflow"), f), **{name: v}) for f, v in sorted(by_key.items())]
 
+        finished = map(self.keys.__getitem__, self.finished.tolist())
         return {
             "segments": [{"start": seg.start, "end": seg.end, "rates": flows(seg.rates, "rate")}
                          for seg in self.segments],
             "completions": list(map(float, self.completions)),
-            "flow_completions": flows(self.flow_completions, "time"),
+            "flow_completions": flows(dict(zip(finished, self.finished_at.tolist())), "time"),
         }
 
     @classmethod
@@ -142,13 +149,13 @@ class Schedule:
 class Recorder:
     """A schedule of ``instance`` as it is recorded: ``segment`` appends
     [start, end) with its flows' ids and rates, in the policy's order, and
-    ``flow_completions`` maps each finished flow's FlowKey to its time."""
+    ``complete`` the ids of the flows that finish at ``time``."""
 
     def __init__(self, instance: CoflowInstance):
         self.instance = instance
         self.start, self.end, self.rate = array("d"), array("d"), array("d")
         self.offsets, self.flow = array("q", [0]), array("q")
-        self.flow_completions: dict[FlowKey, float] = {}
+        self.finished, self.finished_at = array("q"), array("d")
 
     def segment(self, start: float, end: float, flows, rates) -> None:
         self.start.append(start)
@@ -157,13 +164,19 @@ class Recorder:
         self.rate.extend(rates)
         self.offsets.append(len(self.flow))
 
+    def complete(self, flows: list, time: float) -> None:
+        self.finished.extend(flows)
+        self.finished_at.extend(repeat(time, len(flows)))
+
     def schedule(self) -> Schedule:
-        """The schedule on these buffers, which then take no more segments; coflows end with their last flow."""
-        completions = [0.0] * self.instance.num_coflows
-        for f, t in self.flow_completions.items():
-            completions[f.coflow] = max(completions[f.coflow], t)
-        arrays = map(np.asarray, (self.start, self.end, self.offsets, self.flow, self.rate))
-        return Schedule(*arrays, self.instance.flow_keys, np.array(completions), self.flow_completions)
+        """The schedule on these buffers, which then take no more; each
+        coflow ends with its last flow (every coflow has one)."""
+        *arrays, finished, at = map(np.asarray, (self.start, self.end, self.offsets, self.flow,
+                                                 self.rate, self.finished, self.finished_at))
+        finish = np.zeros(len(self.instance.flow_keys))  # by flow id
+        finish[finished] = at
+        completions = np.maximum.reduceat(finish, self.instance.flow_offsets[:-1])
+        return Schedule(*arrays, finished, at, self.instance.flow_keys, completions)
 
 
 def _number(data, key, where: str) -> float:
@@ -194,8 +207,9 @@ class FluidRun:
     """Mutable state of one scheduling run.
 
     A policy assigns rates at each event, as a map from flow id to rate;
-    ``step`` advances to the next event and records the segment traversed,
-    and the flows that finish, in ``record`` and its ``flow_completions``.
+    ``step`` advances to the next event, records the segment traversed and
+    the ids of the flows that finish, in rate order, in ``record``, and
+    keeps those ids as ``finished``.
 
     Flows have ids 0..F-1 in ``instance.flow_keys`` order, so coflow k's
     flows are the ids ``instance.flow_offsets[k]`` to
@@ -222,10 +236,10 @@ class FluidRun:
         # per-rate loop indexes it one flow at a time
         self._left = memoryview(self.remaining)
         self.live = [len(cf.demands) for cf in instance.coflows]  # by coflow id
-        self._unfinished = len(self.flows)
         self.record = Recorder(instance)
-        self.flow_completions = self.record.flow_completions
-        self.rates: dict[int, float] = {}
+        self.finished: list[int] = []  # the ids the last step finished
+        # the rates taken until the next event, and the time to the first completion under them
+        self._ids, self._rates, self._first = [], [], math.inf
         self.release = [cf.release for cf in instance.coflows]  # by coflow id
         self._release_times = sorted({cf.release for cf in instance.coflows if cf.release > 0.0})
 
@@ -255,7 +269,7 @@ class FluidRun:
     # -- views ------------------------------------------------------------
 
     def done(self) -> bool:
-        return not self._unfinished
+        return len(self.record.finished) == len(self.flows)
 
     def is_complete(self, k: int) -> bool:
         return not self.live[k]
@@ -276,8 +290,9 @@ class FluidRun:
     def set_rates(self, rates: Mapping[int, float]) -> None:
         """Take ``rates``, by flow id, until the next event, dropping those
         of 0.0 or less."""
-        clean = {}
-        left, flows, nf = self._left, self.flows, len(self.flows)
+        ids, kept, first = [], [], math.inf
+        left, flows, release, nf = self._left, self.flows, self.release, len(self.flows)
+        horizon = self.time + EVENT_EPS
         for i, rate in rates.items():
             if not (isinstance(i, int) and 0 <= i < nf):
                 raise ValueError(f"rate assigned to {i!r}, which is not a flow id in 0..{nf - 1}")
@@ -287,10 +302,15 @@ class FluidRun:
                 continue
             if not left[i]:
                 raise ValueError(f"rate assigned to finished flow {i}")
-            if self.release[flows[i].coflow] > self.time + EVENT_EPS:
+            if release[flows[i].coflow] > horizon:
                 raise ValueError(f"rate assigned to unreleased flow {i}")
-            clean[i] = float(rate)
-        self.rates = clean
+            rate = float(rate)
+            ids.append(i)
+            kept.append(rate)
+            dt = left[i] / rate
+            if dt < first:
+                first = dt
+        self._ids, self._rates, self._first = ids, kept, first
 
     def next_event(self) -> float | None:
         """Time to the next event (relative), or None when nothing remains.
@@ -299,38 +319,37 @@ class FluidRun:
         rates or the next coflow release, whichever comes first; events
         closer than EVENT_EPS coalesce.
         """
-        dt = math.inf
-        left = self._left
-        for i, rate in self.rates.items():
-            dt = min(dt, left[i] / rate)
+        dt = self._first
         upcoming = self.next_release()
         if upcoming is not None:
             dt = min(dt, upcoming - self.time)
         return None if math.isinf(dt) else dt
 
     def step(self) -> None:
-        """Advance to the next event, recording the segment traversed."""
+        """Advance to the next event, recording the segment traversed and the
+        flows that finish."""
         dt = self.next_event()
         if dt is None:
             if not self.done():
                 raise RuntimeError("no rates assigned and no pending releases, but work remains")
             return
         now = self.time + dt
-        left, flows = self._left, self.flows
-        if dt > 0.0 and self.rates:
-            self.record.segment(self.time, now, self.rates.keys(), self.rates.values())
-        for i, rate in self.rates.items():
+        ids, rates = self._ids, self._rates
+        if now > self.time and ids:  # a dt below half an ulp of the clock leaves no segment
+            self.record.segment(self.time, now, ids, rates)
+        left, flows, live = self._left, self.flows, self.live
+        finished = self.finished = []
+        for i, rate in zip(ids, rates):
             rest = left[i] - rate * dt
             if rest <= rate * EVENT_EPS:
                 left[i] = 0.0
-                key = flows[i]
-                self.flow_completions[key] = now
-                self.live[key.coflow] -= 1
-                self._unfinished -= 1
+                finished.append(i)
+                live[flows[i].coflow] -= 1
             else:
                 left[i] = rest
+        self.record.complete(finished, now)
         self.time = now
-        self.rates = {}
+        self._ids, self._rates, self._first = [], [], math.inf
 
 
 def run_fluid(run: FluidRun, policy) -> Schedule:
@@ -365,7 +384,6 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
     keys, sizes, nf = instance.flow_keys, instance.flow_sizes, len(instance.flow_keys)
     index = {key: i for i, key in enumerate(keys)}
-    completed = schedule.flow_completions
     starts, ends, flow, rate = schedule.start, schedule.end, schedule.flow, schedule.rate
     named, segments, entries = schedule.keys, len(starts), len(rate)
     seg_of = np.repeat(np.arange(segments), np.diff(schedule.offsets))
@@ -393,17 +411,21 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     fi = own[flow]
     # (source, dest, coflow) of every flow a rate names
     ids = np.array(keys + tuple(unknown), dtype=np.int64).reshape(-1, 3)
-    at = np.fromiter((index[k] if k in index else unknown.setdefault(k, nf + len(unknown))
-                      for k in completed), dtype=np.int64, count=len(completed))
+    # each completion's flow; one the instance lacks and no rate names takes
+    # the next id
+    at = own[schedule.finished]
+    for c in np.flatnonzero(at < 0).tolist():
+        at[c] = unknown.setdefault(named[schedule.finished[c]], nf + len(unknown))
     total = nf + len(unknown)
     done = np.zeros(total, dtype=bool)  # has a recorded completion
     finish = np.zeros(total)
     done[at] = True
-    finish[at] = np.fromiter(completed.values(), dtype=float, count=len(completed))
+    finish[at] = schedule.finished_at
     # each entry sends rate x max(min(end, completion) - start, 0), or the whole
     # segment without a completion, in Python's min and max order (NaN stays)
-    sent = ends[seg_of]
-    np.copyto(sent, finish[fi], where=done[fi] & (finish[fi] < sent))
+    sent, got = ends[seg_of], finish[fi]
+    np.copyto(sent, got, where=done[fi] & (got < sent))
+    del got
     sent -= starts[seg_of]
     sent[sent < 0.0] = 0.0
     sent *= rate
@@ -415,15 +437,19 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     found = []  # (segment, rank within the segment, violation)
     live = ~(rate <= 0.0)
     release = np.array([cf.release for cf in instance.coflows], dtype=float)
-    late = starts[seg_of] < release[ids[fi, 2]] - EVENT_EPS
-    for e in np.flatnonzero(late & live).tolist():
+    late = np.flatnonzero((starts[seg_of] < (release[ids[:, 2]] - EVENT_EPS)[fi]) & live)
+    for e in late.tolist():
         s = int(seg_of[e])
         gap = float(release[ids[fi[e], 2]] - starts[s])
         found.append((s, e, Violation("release", f"segment {s} flow {tuple(named[flow[e]])}", gap)))
     weight = np.where(live, rate, 0.0)
+    # each entry's (segment, port) cell, segment * n + port, in one buffer for
+    # both sides; seg_of holds segment * n from here on
+    seg_of *= n
+    cells = np.empty_like(seg_of)
     for side, kind in enumerate(("capacity_src", "capacity_dst")):
-        cells = seg_of * n
-        cells += ids[fi, side]
+        np.take(ids[:, side], fi, out=cells, mode="clip")  # "raise" would buffer a copy
+        cells += seg_of
         sums = np.bincount(cells, weight, minlength=segments * n)
         for cell in np.flatnonzero(sums > cap + CAPACITY_TOL).tolist():
             s, p = divmod(cell, n)

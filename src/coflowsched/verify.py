@@ -176,8 +176,7 @@ def oracle_opt(
             nxt = list(state)
             for fi in matching:
                 nxt[fi] -= 1
-                if nxt[fi] == 0:
-                    record.flow_completions[keys[fi]] = float(t_next)
+            record.complete([fi for fi in matching if not nxt[fi]], t_next)
             state = tuple(nxt)
         t = t_next
 

@@ -36,7 +36,8 @@ class _Incomplete:
 
     def remaining_of(self, run: FluidRun, k: int) -> dict:
         members = self.sets[k]
-        for key in [f for f in members if f in run.flow_completions]:
+        # a finished flow's remaining demand is exactly 0.0
+        for key in [f for f in members if not run.remaining[self.ids[f]]]:
             members.discard(key)
         return {f: float(run.remaining[self.ids[f]]) for f in members}
 
@@ -137,11 +138,11 @@ def _reference_lp_ov_gb(instance: CoflowInstance, ordering_result) -> Schedule:
                 extra = min(rem_src[pair[0]], rem_dst[pair[1]])
                 if extra > CAPACITY_TOL:
                     grant(server[pair], extra)
-        finished = run.flow_completions
+        left = run.remaining.tolist()  # 0.0 exactly for a finished flow
         now = run.time + EVENT_EPS
         for f in later:
             i, j, k = f
-            if f in finished or (i, j) in demand or run.release[k] > now:
+            if not left[incomplete.ids[f]] or (i, j) in demand or run.release[k] > now:
                 continue
             extra = min(rem_src[i], rem_dst[j])
             if extra > CAPACITY_TOL:

@@ -50,8 +50,9 @@ def _reference_greedy_matching(queue: list, finished, release: list, now: float,
 
 def _reference_rates(run: FluidRun, queue: list) -> dict:
     instance = run.instance
+    finished = {f for f, left in zip(run.flows, run.remaining.tolist()) if not left}
     served = _reference_greedy_matching(
-        queue, run.flow_completions, run.release, run.time + EVENT_EPS, instance.n_ports
+        queue, finished, run.release, run.time + EVENT_EPS, instance.n_ports
     )
     return dict.fromkeys(map(run.flows.index, served), instance.capacity)
 
@@ -96,7 +97,7 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
     flows_left = [len(cf.demands) for cf in instance.coflows]
     record = Recorder(instance)
     flow_id = {key: i for i, key in enumerate(instance.flow_keys)}
-    flow_completions = record.flow_completions
+    finished: set[FlowKey] = set()
     slot = min(release_slot)
     gi = 0
 
@@ -110,8 +111,9 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
         for f in serving:
             remaining[f] -= length
             if remaining[f] == 0:
-                flow_completions[f] = end
+                finished.add(f)
                 flows_left[f.coflow] -= 1
+        record.complete([flow_id[f] for f in serving if remaining[f] == 0], end)
         slot += length
 
     while any(flows_left):
@@ -123,7 +125,7 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
             default=math.inf,
         )
         if not ready:
-            serving = _reference_greedy_matching(queue, flow_completions, release_slot, slot, n)
+            serving = _reference_greedy_matching(queue, finished, release_slot, slot, n)
             if serving:
                 emit(serving, min(next_release - slot, *(remaining[f] for f in serving)))
             else:

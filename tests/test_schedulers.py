@@ -139,7 +139,7 @@ def test_varys_single_coflow_finishes_together():
     sched = varys(inst)
     peak = 4.0 + 2.0  # bottleneck is source port 0
     assert sched.completions[0] == pytest.approx(1.0 + peak)
-    finish_times = set(round(t, 9) for t in sched.flow_completions.values())
+    finish_times = set(round(t, 9) for t in sched.finished_at.tolist())
     assert len(finish_times) == 1
 
 

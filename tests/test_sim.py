@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coflowsched.model import Coflow, CoflowInstance, FlowKey
-from coflowsched.schedulers import lp_ov_ls, varys
+from coflowsched.relaxations import solve_ordering_lp
+from coflowsched.schedulers import SCHEDULERS, lp_ov_ls, varys
 from coflowsched.sim import (
     FluidRun,
     Schedule,
@@ -163,12 +164,12 @@ def test_flow_ids_number_the_instance_flows():
     # a finished flow's demand is exactly 0.0; its coflow counts one flow less
     assert run.remaining.tolist() == [1.0, 0.0, 4.0]
     assert run.live == [1, 1]
-    # the schedule records rates by flow id, in rate order, and completions
-    # by FlowKey
+    # the schedule records rates and completions by flow id, in rate order
     assert list(run.record.flow) == [1, 0] and list(run.record.rate) == [1.0, 1.0]
+    assert run.finished == [1]
+    assert list(run.record.finished) == [1] and list(run.record.finished_at) == [1.0]
     assert list(run.record.schedule().segments[0].rates.items()) == [(FlowKey(2, 0, 0), 1.0),
                                                                      (FlowKey(0, 1, 0), 1.0)]
-    assert run.flow_completions == {FlowKey(2, 0, 0): 1.0}
     assert run.active_coflows() == [0, 1]
 
 
@@ -205,7 +206,7 @@ def test_set_rates_rejects_keys_that_are_not_ids_and_rates_that_are_not_finite(r
     run = FluidRun(inst)
     with pytest.raises(ValueError, match=message):
         run.set_rates(rates)
-    assert run.rates == {}
+    assert run.next_event() is None  # no rate was taken
     run.set_rates({0: 1.0, 1: 0.5})
     run.step()
     with pytest.raises(ValueError, match="finished flow 0"):
@@ -229,6 +230,28 @@ def test_work_conservation_on_random_instances():
         )
         assert moved == pytest.approx(inst.total_demand, abs=1e-6)
         assert validate(sched, inst).ok
+
+
+@pytest.mark.parametrize("ports, coflows, seed, power", [
+    *((6, 10, seed, power) for seed in range(4) for power in (16, 20)),
+    (8, 40, 1, 16),
+    (8, 40, 2, 16),
+])
+def test_schedules_validate_with_sizes_and_releases_scaled_by_powers_of_two(ports, coflows, seed, power):
+    # at times about 1e8, an event closer than half an ulp of the clock but
+    # above EVENT_EPS used to leave a segment whose end equals its start,
+    # which the validator refuses as malformed (varys and lp-ov-gb)
+    base = generate(SyntheticConfig(n_ports=ports, n_coflows=coflows, seed=seed))
+    factor = 2.0 ** power
+    inst = CoflowInstance(ports, [
+        Coflow({pair: size * factor for pair, size in cf.demands.items()},
+               release=cf.release * factor, weight=cf.weight)
+        for cf in base.coflows
+    ])
+    lp = solve_ordering_lp(inst)
+    for name, scheduler in SCHEDULERS.items():
+        report = validate(scheduler(inst, lp), inst)
+        assert report.ok, (name, report.violations[:3])
 
 
 def test_validation_report_serializes():

@@ -1,6 +1,7 @@
 """Property test: the FluidRun views agree with a brute-force recomputation
 from ``run.remaining`` (by flow id) and the release dates after every
-step of rates drawn by flow id."""
+step of rates drawn by flow id, and each step hands over, and records, the
+flows it finished."""
 
 import pytest
 
@@ -41,8 +42,11 @@ def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
         ids = list(range(offsets[k], offsets[k + 1]))
         assert [i for i, f in enumerate(run.flows) if f.coflow == k] == ids == sorted(run.members[k])
         assert run.live[k] == sum(f.coflow == k for f in incomplete)
-    # a finished flow's remaining demand is exactly 0.0, and nothing else's
-    assert set(run.flows) - set(incomplete) == run.flow_completions.keys()
+    # a finished flow's remaining demand is exactly 0.0, and nothing else's;
+    # the Recorder holds each finished flow once
+    finished = list(run.record.finished)
+    assert len(set(finished)) == len(finished)
+    assert set(run.flows) - set(incomplete) == {run.flows[i] for i in finished}
     assert run.done() == (not incomplete)
 
 
@@ -59,6 +63,13 @@ def test_views_match_brute_force_after_every_step(instance, data):
                 rates[i] = data.draw(st.sampled_from(RATES), label="rate")
         if not rates and run.next_release() is None:
             rates[active[0]] = 1.0  # keep the run from stalling
+        before, recorded = run.remaining.tolist(), len(run.record.finished)
         run.set_rates(rates)
         run.step()
+        after = run.remaining.tolist()
+        # the flows whose demand this step took to 0.0, in rate order, each
+        # recorded once at the step's time
+        assert run.finished == [i for i in rates if before[i] and not after[i]]
+        assert list(run.record.finished[recorded:]) == run.finished
+        assert list(run.record.finished_at[recorded:]) == [run.time] * len(run.finished)
         _assert_views_match(run, instance)

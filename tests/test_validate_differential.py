@@ -27,12 +27,18 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
+def _completions_of(schedule: Schedule) -> dict:
+    """The schedule's flow completions, FlowKey to time, in completion order."""
+    keys = map(schedule.keys.__getitem__, schedule.finished.tolist())
+    return dict(zip(keys, schedule.finished_at.tolist()))
+
+
 def _reference_validate(schedule, instance: CoflowInstance) -> ValidationReport:
     """The validator as one loop over the segments and their rates."""
     cap = instance.capacity
     n = instance.n_ports
     sizes = dict(instance.flows())
-    completed = schedule.flow_completions
+    completed = _completions_of(schedule)
     violations: list[Violation] = []
     transmitted: dict[FlowKey, float] = {}
     last_end = -math.inf
@@ -129,7 +135,7 @@ def instances(draw):
 
 def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
     segments = [Segment(s.start, s.end, dict(s.rates)) for s in schedule.segments]
-    flow_completions = dict(schedule.flow_completions)
+    flow_completions = _completions_of(schedule)
     completions = np.array(schedule.completions, dtype=float)
     n, num = instance.n_ports, instance.num_coflows
     absent = [FlowKey(i, j, k) for k in range(num) for i in range(n) for j in range(n)
