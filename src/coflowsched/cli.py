@@ -308,6 +308,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout early; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CertificateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

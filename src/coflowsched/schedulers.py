@@ -12,9 +12,10 @@
 
 The fluid schedulers are rate policies that sim.run_fluid drives over a
 sim.FluidRun's flow state, returning rates by flow id (a flow's position
-in ``instance.flow_keys``); varys and lp_ov_gb hand out capacity with
-numpy over the run's per-flow arrays, lp_ii_gb steps its own slots.  All
-return a sim.Schedule that passes the sim-module validator.
+in ``instance.flow_keys``): list scheduling as a dict of at most one rate
+per port; varys and lp_ov_gb, which hand out capacity with numpy over the
+run's per-flow arrays, as an id array and a rate array.  lp_ii_gb steps
+its own slots.  All return a sim.Schedule that passes the validator.
 
 List scheduling's priority queue of flow ids (LP rank, source, dest)
 lives in one structure, _PairHeads, shared by lp_ov_ls, lp_ov_ls_online
@@ -211,7 +212,7 @@ def varys(instance: CoflowInstance) -> Schedule:
     weights_of = np.concatenate((members, members))
     pair = run.source * n + run.dest
 
-    def policy(run: FluidRun) -> dict:
+    def policy(run: FluidRun):
         active = run.active_coflows()
         if not active:
             return {}
@@ -221,7 +222,7 @@ def varys(instance: CoflowInstance) -> Schedule:
         order = sorted(active, key=lambda k: (peak[k], k))
         needs = loads[order] > 0.0
         spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
-        rates: dict[int, float] = {}
+        flows, rates = [], []  # id and rate arrays: each paced coflow's, then the leftover pass's
         skipped: list[int] = []
         at = 0
         while at < len(order):
@@ -238,7 +239,8 @@ def varys(instance: CoflowInstance) -> Schedule:
             lo = offsets[k]
             ids = lo + np.flatnonzero(rem[lo:offsets[k + 1]] > 0.0)  # by (source, dest)
             paced = rem[ids] / gamma
-            rates.update(zip(ids.tolist(), paced.tolist()))
+            flows.append(ids)
+            rates.append(paced)
             # each port's rates subtracted in flow order; the rates are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each subtraction
@@ -257,9 +259,11 @@ def varys(instance: CoflowInstance) -> Schedule:
             open_pair = (ok[:n, None] & ok[None, n:]).ravel()
             ids = np.flatnonzero((rank[run.coflow] < kk) & (rem > 0.0) & open_pair[pair])
             order_key = (run.source[ids] * kk + rank[run.coflow[ids]]) * nf + ids
-            first = _first_per_pair(pair[ids], order_key, n)
-            _fill(run, rates, np.array(first, dtype=np.int64) % nf, spare)
-        return rates
+            first = np.array(_first_per_pair(pair[ids], order_key, n), dtype=np.int64) % nf
+            raised, extra = _fill(run, first, spare)
+            flows.append(first[raised])
+            rates.append(extra)
+        return np.concatenate(flows), np.concatenate(rates)
 
     return run_fluid(run, policy)
 
@@ -275,28 +279,31 @@ def _first_per_pair(pairs: np.ndarray, keys: np.ndarray, n: int) -> list:
     return sorted(least[least < _NO_KEY].tolist())
 
 
-def _fill(run: FluidRun, rates: dict, ids: np.ndarray, spare: np.ndarray) -> None:
-    """Raise the rate of each flow id of ``ids``, in order, by all that is left
-    on both of its ports, the less of the two, when both have more than
-    CAPACITY_TOL left.  ``spare`` holds what is left, source ports then
+def _fill(run: FluidRun, ids: np.ndarray, spare: np.ndarray) -> tuple:
+    """Raise each flow id of ``ids``, in order, by all that is left on both
+    of its ports, the less of the two, when both have more than
+    CAPACITY_TOL left; return the positions in ``ids`` raised (int64) and
+    the raises.  ``spare`` holds what is left, source ports then
     destinations, and is updated in place.
 
     Each raise leaves one of its two ports with nothing, so a port pair is
-    raised at most once, and a flow whose ports are short at the start
-    never is: only the others are looped over.
+    raised at most once.  Per-port open flags (more than CAPACITY_TOL
+    left) skip the candidates on a closed port without computing a raise.
     """
     n = run.instance.n_ports
-    ok = spare > CAPACITY_TOL
-    src, dst = run.source[ids], n + run.dest[ids]
-    keep = ok[src] & ok[dst]
     left = spare.tolist()
-    for f, i, j in zip(ids[keep].tolist(), src[keep].tolist(), dst[keep].tolist()):
-        extra = min(left[i], left[j])
-        if extra > CAPACITY_TOL:
-            rates[f] = rates.get(f, 0.0) + extra
-            left[i] -= extra
-            left[j] -= extra
+    is_open = [x > CAPACITY_TOL for x in left]
+    raised, extra = [], []
+    for at, (i, j) in enumerate(zip(run.source[ids].tolist(), (n + run.dest[ids]).tolist())):
+        if is_open[i] and is_open[j]:
+            x = min(left[i], left[j])
+            raised.append(at)
+            extra.append(x)
+            left[i] -= x
+            left[j] -= x
+            is_open[i], is_open[j] = left[i] > CAPACITY_TOL, left[j] > CAPACITY_TOL
     spare[:] = left
+    return np.array(raised, dtype=np.int64), np.array(extra, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +346,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     cap = instance.capacity
     n = instance.n_ports
     run = FluidRun(instance)
-    pair = run.source * n + run.dest
-    release = np.array(run.release)[run.coflow]  # by flow id
+    pair, release = run.source * n + run.dest, run.flow_release
     queue = np.array(_queue(instance, ordering), dtype=np.int64)
     # each group's member ids, in group order, and the queue of the coflows
     # ordered after it; a queue drops its finished flows as it is scanned
@@ -352,7 +358,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         stages.append([grp, members, queue[end:]])
     current = 0
 
-    def policy(run: FluidRun) -> dict:
+    def policy(run: FluidRun) -> tuple:
         nonlocal current
         # earlier groups never reopen, so the active group only moves forward
         while all(map(run.is_complete, stages[current][0])):
@@ -365,7 +371,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         demand = np.bincount(pair[members], weight, minlength=n * n)
         pairs = np.flatnonzero(demand > 0.0)  # by (source, dest)
         spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
-        rates: dict[int, float] = {}
+        servers, amount = pairs, np.zeros(0)  # the group's servers and their rates
         if pairs.size:
             # each pair is served by its first released unfinished member;
             # the port loads add the pairs in the order in which they first
@@ -380,7 +386,6 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
                                     np.bincount(by_seen % n, demand[by_seen], minlength=n)))
             finish = loads.max() / cap
             amount = demand[pairs] / finish
-            rates.update(zip(servers.tolist(), amount.tolist()))
             # each port's grants subtracted in pair order; the grants are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each grant
@@ -388,7 +393,8 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             np.subtract.at(spare, n + pairs % n, amount)
             np.maximum(spare, 0.0, out=spare)
             # raise the group's own pair rates until a port saturates
-            _fill(run, rates, servers, spare)
+            raised, extra = _fill(run, servers, spare)
+            amount[raised] += extra
         # backfill pairs without group demand from later-ordered released
         # coflows, in queue order (LP rank, then source, then dest); spare
         # capacity only shrinks, so only each open pair's first such flow
@@ -399,8 +405,9 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         open_pair[pairs] = False
         on_pair = pair[later]
         at = np.flatnonzero(open_pair[on_pair] & (release[later] <= now))
-        _fill(run, rates, later[_first_per_pair(on_pair[at], at, n)], spare)
-        return rates
+        backfill = later[_first_per_pair(on_pair[at], at, n)]
+        raised, extra = _fill(run, backfill, spare)
+        return np.concatenate((servers, backfill[raised])), np.concatenate((amount, extra))
 
     return run_fluid(run, policy)
 

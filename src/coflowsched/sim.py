@@ -9,7 +9,9 @@ returns a Schedule, in which each coflow completes with its last flow.
 The run's state is a FluidRun: flows numbered 0..F-1 in instance order,
 their remaining demand in one float array that policies read whole with
 numpy, and a count of unfinished flows per coflow.  Policies hand rates
-over, and the Recorder keeps them and each flow's completion, by flow id.
+over by flow id, as a dict (list scheduling, at most one rate per port) or
+as an id array and a rate array (varys and lp_ov_gb, hundreds of rates),
+and the Recorder keeps them and each flow's completion.
 
 The validator re-checks any schedule against the model constraints:
 per-port capacity, no pre-release transmission, demand conservation, and
@@ -158,6 +160,8 @@ class Recorder:
         self.finished, self.finished_at = array("q"), array("d")
 
     def segment(self, start: float, end: float, flows, rates) -> None:
+        """``flows`` (ids) and ``rates``: iterables, such as lists, or the
+        ``array`` objects FluidRun builds on a policy's id and rate arrays."""
         self.start.append(start)
         self.end.append(end)
         self.flow.extend(flows)
@@ -206,10 +210,12 @@ class ValidationReport:
 class FluidRun:
     """Mutable state of one scheduling run.
 
-    A policy assigns rates at each event, as a map from flow id to rate;
-    ``step`` advances to the next event, records the segment traversed and
-    the ids of the flows that finish, in rate order, in ``record``, and
-    keeps those ids as ``finished``.
+    A policy assigns rates at each event (``set_rates``), as a map from
+    flow id to rate or as a pair of arrays, int64 flow ids and float64
+    rates; ``step`` advances to the next event, records the segment
+    traversed and the ids of the flows that finish, in rate order, in
+    ``record``, and keeps those ids as ``finished``.  Both forms take the
+    same float operations per rate, so they step alike to the bit.
 
     Flows have ids 0..F-1 in ``instance.flow_keys`` order, so coflow k's
     flows are the ids ``instance.flow_offsets[k]`` to
@@ -257,6 +263,10 @@ class FluidRun:
     def coflow(self) -> np.ndarray:
         return self._field(2)
 
+    @cached_property
+    def flow_release(self) -> np.ndarray:  # each flow's coflow release, by id
+        return np.array(self.release, dtype=float)[self.coflow]
+
     def _field(self, index: int) -> np.ndarray:
         return np.fromiter(map(itemgetter(index), self.flows), dtype=np.int64, count=len(self.flows))
 
@@ -287,9 +297,13 @@ class FluidRun:
 
     # -- stepping ---------------------------------------------------------
 
-    def set_rates(self, rates: Mapping[int, float]) -> None:
-        """Take ``rates``, by flow id, until the next event, dropping those
-        of 0.0 or less."""
+    def set_rates(self, rates: Mapping[int, float] | tuple) -> None:
+        """Take ``rates`` until the next event, dropping those of 0.0 or
+        less: a map from flow id to rate, or a pair (ids, rates) of int64
+        and float64 arrays.  Each id must be a flow id, named once, of a
+        released unfinished flow, and each rate finite."""
+        if type(rates) is tuple:
+            return self._set_arrays(*rates)
         ids, kept, first = [], [], math.inf
         left, flows, release, nf = self._left, self.flows, self.release, len(self.flows)
         horizon = self.time + EVENT_EPS
@@ -311,6 +325,30 @@ class FluidRun:
             if dt < first:
                 first = dt
         self._ids, self._rates, self._first = ids, kept, first
+
+    def _set_arrays(self, ids: np.ndarray, rates: np.ndarray) -> None:
+        """``set_rates`` of an id array and a rate array: the same checks
+        and the same earliest completion, a few array operations each."""
+        nf = len(self.flows)
+        if not (isinstance(ids, np.ndarray) and isinstance(rates, np.ndarray) and ids.ndim == 1
+                and (ids.dtype, rates.dtype, rates.shape) == (np.int64, np.float64, ids.shape)):
+            raise ValueError("rate arrays must be int64 flow ids and float64 rates of one length")
+        # a negative id reads as an unsigned one past the end
+        _refuse(ids.view(np.uint64) >= nf, ids, rates, f"rate assigned to {{i}}, which is not a flow id in 0..{nf - 1}")
+        _refuse(~np.isfinite(rates), ids, rates, "rate {r!r} assigned to flow {i} is not finite")
+        keep = rates > 0.0
+        if np.count_nonzero(keep) < len(keep):
+            ids, rates = ids[keep], rates[keep]
+        left = self.remaining[ids]
+        _refuse(left == 0.0, ids, rates, "rate assigned to finished flow {i}")
+        if self.next_release() is not None:  # some coflow is not released yet
+            _refuse(self.flow_release[ids] > self.time + EVENT_EPS, ids, rates, "rate assigned to unreleased flow {i}")
+        by_id = np.sort(ids)  # an id named twice sits next to itself
+        _refuse(by_id[1:] == by_id[:-1], by_id[1:], by_id[1:], "rate assigned twice to flow {i}")
+        self._ids, self._rates = ids, rates
+        # the least of remaining / rate; argmin picks it, without NaN, whatever the order
+        dt = left / rates
+        self._first = float(dt[dt.argmin()]) if ids.size else math.inf
 
     def next_event(self) -> float | None:
         """Time to the next event (relative), or None when nothing remains.
@@ -335,18 +373,31 @@ class FluidRun:
             return
         now = self.time + dt
         ids, rates = self._ids, self._rates
-        if now > self.time and ids:  # a dt below half an ulp of the clock leaves no segment
-            self.record.segment(self.time, now, ids, rates)
+        moved = now > self.time  # a dt below half an ulp of the clock leaves no segment
         left, flows, live = self._left, self.flows, self.live
         finished = self.finished = []
-        for i, rate in zip(ids, rates):
-            rest = left[i] - rate * dt
-            if rest <= rate * EVENT_EPS:
-                left[i] = 0.0
-                finished.append(i)
+        if type(ids) is list:
+            if moved and ids:
+                self.record.segment(self.time, now, ids, rates)
+            for i, rate in zip(ids, rates):
+                rest = left[i] - rate * dt
+                if rest <= rate * EVENT_EPS:
+                    left[i] = 0.0
+                    finished.append(i)
+                    live[flows[i].coflow] -= 1
+                else:
+                    left[i] = rest
+        else:
+            if moved and ids.size:  # the Recorder appends the arrays' bytes as they are
+                self.record.segment(self.time, now, array("q", ids.tobytes()), array("d", rates.tobytes()))
+            # the loop's float operations, elementwise: one subtraction, one mask
+            rest = self.remaining[ids] - rates * dt
+            done = rest <= rates * EVENT_EPS
+            rest[done] = 0.0
+            self.remaining[ids] = rest
+            finished += ids[done].tolist()
+            for i in finished:
                 live[flows[i].coflow] -= 1
-            else:
-                left[i] = rest
         self.record.complete(finished, now)
         self.time = now
         self._ids, self._rates, self._first = [], [], math.inf
@@ -354,12 +405,20 @@ class FluidRun:
 
 def run_fluid(run: FluidRun, policy) -> Schedule:
     """Drive a rate policy over ``run`` to completion and return its
-    schedule.  ``policy(run)`` returns the rates, by flow id, to apply until
-    the next event."""
+    schedule.  ``policy(run)`` returns the rates to apply until the next
+    event, in either form that ``FluidRun.set_rates`` takes: lp_ov_ls and
+    lp_ov_ls_online a dict by flow id, varys and lp_ov_gb an (ids, rates)
+    pair of arrays."""
     while not run.done():
         run.set_rates(policy(run))
         run.step()
     return run.record.schedule()
+
+
+def _refuse(bad: np.ndarray, ids: np.ndarray, rates: np.ndarray, message: str) -> None:
+    """Raise ValueError(``message``) naming the first entry ``bad`` marks: id ``i``, rate ``r``."""
+    if np.count_nonzero(bad):
+        raise ValueError(message.format(i=ids[bad][0].item(), r=rates[bad][0].item()))
 
 
 # ---------------------------------------------------------------------------

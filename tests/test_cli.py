@@ -187,6 +187,31 @@ def test_validate_verb_accepts_and_rejects(tmp_path):
     assert cli.main(["validate", "--instance", str(inst), "--schedule", str(broken)]) == 1
 
 
+def test_validate_into_a_reader_that_closes_early_exits_without_a_traceback(tmp_path):
+    # each of 3000 segments runs the one flow at twice the capacity: the
+    # report lists 6000 violations, far more than a pipe holds, so the
+    # command is still writing when the reader closes, as under `| head -3`
+    inst = tmp_path / "instance.json"
+    save_instance(CoflowInstance(1, [Coflow({(0, 0): 1.0})]), inst)
+    flow = {"src": 0, "dst": 0, "coflow": 0}
+    sched = tmp_path / "schedule.json"
+    sched.write_text(json.dumps({
+        "segments": [{"start": s / 2, "end": (s + 1) / 2, "rates": [dict(flow, rate=2.0)]} for s in range(3000)],
+        "completions": [1500.0], "flow_completions": [dict(flow, time=1500.0)]}))
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "coflowsched.cli", "validate", "--instance", str(inst),
+                             "--schedule", str(sched)], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(16).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) != 0
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_validate_verb_rejects_a_flow_the_instance_lacks(tmp_path, capsys):
     from coflowsched.schedulers import lp_ov_ls
 

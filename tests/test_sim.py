@@ -213,6 +213,56 @@ def test_set_rates_rejects_keys_that_are_not_ids_and_rates_that_are_not_finite(r
         run.set_rates({0: 1.0})
 
 
+def _ids(*ids):
+    return np.array(ids, dtype=np.int64)
+
+
+@pytest.mark.parametrize("ids, rates, message", [
+    (_ids(0, 3), np.array([1.0, 1.0]), "rate assigned to 3, which is not a flow id in 0..2"),
+    (_ids(0, -1), np.array([1.0, 1.0]), "rate assigned to -1, which is not a flow id in 0..2"),
+    (_ids(-1), np.array([0.0]), "rate assigned to -1, which is not a flow id"),
+    (np.array([0], dtype=np.int32), np.array([1.0]), "int64 flow ids and float64 rates"),
+    (np.array([0.0]), np.array([1.0]), "int64 flow ids and float64 rates"),
+    ([0], np.array([1.0]), "int64 flow ids and float64 rates"),
+    (_ids(0), np.array([1], dtype=np.int64), "int64 flow ids and float64 rates"),
+    (_ids(0, 1), np.array([1.0]), "int64 flow ids and float64 rates"),
+    (_ids(0, 1), np.array([1.0, math.nan]), "rate nan assigned to flow 1 is not finite"),
+    (_ids(1), np.array([math.inf]), "rate inf assigned to flow 1 is not finite"),
+    (_ids(0), np.array([-math.inf]), "rate -inf assigned to flow 0 is not finite"),
+    (_ids(2), np.array([1.0]), "rate assigned to unreleased flow 2"),
+    (_ids(1, 0, 1), np.array([1.0, 0.5, 0.25]), "rate assigned twice to flow 1"),
+    (_ids(0, 1, 0), np.array([0.5, 0.5, 0.5]), "rate assigned twice to flow 0"),
+], ids=["past-the-end", "negative", "negative-zero-rate", "int32", "float-ids", "list", "int-rates",
+        "lengths", "nan", "inf", "minus-inf", "unreleased", "twice", "twice-first"])
+def test_rate_arrays_are_checked_like_rate_maps(ids, rates, message):
+    inst = CoflowInstance(2, [Coflow({(0, 0): 1.0, (1, 1): 2.0}), Coflow({(0, 1): 1.0}, release=3.0)])
+    run = FluidRun(inst)
+    with pytest.raises(ValueError, match=message):
+        run.set_rates((ids, rates))
+    assert run.next_event() == 3.0  # no rate was taken
+    run.set_rates((_ids(0, 1), np.array([1.0, 0.5])))
+    run.step()
+    with pytest.raises(ValueError, match="rate assigned to finished flow 0"):
+        run.set_rates((_ids(1, 0), np.array([1.0, 1.0])))
+
+
+def test_rate_arrays_drop_rates_of_zero_or_less():
+    inst = CoflowInstance(2, [Coflow({(0, 0): 1.0, (1, 1): 2.0}), Coflow({(0, 1): 1.0}, release=3.0)])
+    run = FluidRun(inst)
+    # the dropped rates may name finished and unreleased flows, as in a map
+    run.set_rates((_ids(0, 1, 2), np.array([1.0, 0.0, -2.0])))
+    assert run.next_event() == 1.0
+    run.step()
+    assert run.finished == [0]
+    assert list(run.record.flow) == [0] and list(run.record.rate) == [1.0]
+    run.set_rates((_ids(0, 1, 2), np.array([-0.0, 0.5, 0.0])))
+    run.step()
+    assert run.time == 3.0 and run.remaining.tolist() == [0.0, 1.0, 1.0]
+    assert list(run.record.flow) == [0, 1] and list(run.record.rate) == [1.0, 0.5]
+    run.set_rates((_ids(), np.array([])))
+    assert run.next_event() is None
+
+
 def test_work_conservation_on_random_instances():
     for seed in range(6):
         inst = generate(

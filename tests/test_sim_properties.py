@@ -1,8 +1,10 @@
-"""Property test: the FluidRun views agree with a brute-force recomputation
+"""Property tests: the FluidRun views agree with a brute-force recomputation
 from ``run.remaining`` (by flow id) and the release dates after every
 step of rates drawn by flow id, and each step hands over, and records, the
-flows it finished."""
+flows it finished; and rates handed over as a dict and as (ids, rates)
+arrays step alike, to the bit."""
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -73,3 +75,35 @@ def test_views_match_brute_force_after_every_step(instance, data):
         assert list(run.record.finished[recorded:]) == run.finished
         assert list(run.record.finished_at[recorded:]) == [run.time] * len(run.finished)
         _assert_views_match(run, instance)
+
+
+def _recorded(run: FluidRun) -> list:
+    record = run.record
+    return [bytes(a) for a in (record.start, record.end, record.offsets, record.flow, record.rate,
+                               record.finished, record.finished_at)]
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(instance=instances(), data=st.data())
+def test_rate_maps_and_rate_arrays_step_alike(instance, data):
+    # the same rates, in the same order, as a dict and as (ids, rates)
+    # arrays: every float the two runs keep is equal to the bit
+    by_map, by_arrays = FluidRun(instance), FluidRun(instance)
+    while not by_map.done():
+        active = [i for k in by_map.active_coflows() for i in by_map.members[k] if by_map.remaining[i]]
+        served = data.draw(st.permutations(active), label="order")[:data.draw(st.integers(0, len(active)))]
+        rates = {i: data.draw(st.sampled_from(RATES + (0.0, -1.0, 1 / 3, 0.7)), label="rate") for i in served}
+        if not any(r > 0.0 for r in rates.values()) and by_map.next_release() is None:
+            rates[active[0]] = 1.0  # keep the run from stalling
+        by_map.set_rates(rates)
+        by_arrays.set_rates((np.fromiter(rates, dtype=np.int64, count=len(rates)),
+                             np.fromiter(rates.values(), dtype=float, count=len(rates))))
+        assert by_arrays.next_event() == by_map.next_event()
+        by_map.step()
+        by_arrays.step()
+        assert by_arrays.remaining.tobytes() == by_map.remaining.tobytes()
+        assert by_arrays.finished == by_map.finished
+        assert by_arrays.live == by_map.live
+        assert repr(by_arrays.time) == repr(by_map.time)
+        assert _recorded(by_arrays) == _recorded(by_map)
+    assert by_arrays.done()
