@@ -7,7 +7,10 @@ builders write directly and the solver reads as they are.  It is scaled by
 powers of two, rows and columns, and then as a whole so that the primal
 values and the costs are of order one; every rescaling is exact in
 floating point, so the tolerances below are relative to the problem's own
-units and a problem solved in other units gives the same answer.
+units and a problem solved in other units gives the same answer.  Columns
+fixed at zero (upper bound 0) that the starting basis does not name never
+enter; after scaling they are left out of the solve and read 0.0 in the
+answer.
 
 Every row gets a slack column (>= rows are negated into <= rows; the slack
 of an == row is fixed at zero).  Of a basis only its *kernel* is factored:
@@ -173,7 +176,8 @@ class SolveStats:
     """What the simplex did: pivots (basis changes), bound flips of the
     entering variable, switches to Bland's rule, kernel re-inversions,
     whether the caller's starting basis was accepted, whether phase 1 ran,
-    and whether a warm start was retried cold."""
+    whether a warm start was retried cold, and how many columns fixed at
+    zero the last attempt solved without."""
 
     pivots: int = 0
     bound_flips: int = 0
@@ -182,6 +186,7 @@ class SolveStats:
     crash_accepted: bool = False
     phase1: bool = False
     cold_retry: bool = False
+    dropped_columns: int = 0
 
 
 @dataclass
@@ -365,36 +370,60 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
     c_s /= gamma
     val_s = val * (sign * row_scale)[row_of] * col_scale[col_of]
 
+    # A column fixed at zero that the start does not make basic or put at
+    # its bound never enters and holds 0.0, so it adds only zeros to the
+    # products and its own reduced cost and weight are never read: the
+    # simplex runs without it, takes the same path and gives the same bits.
+    keep = ub_s != 0.0
+    if start is not None:
+        named = np.concatenate((np.asarray(start.columns, dtype=np.int64), np.asarray(start.at_upper, dtype=np.int64)))
+        keep[named[(named >= 0) & (named < n)]] = True
+    kept = np.flatnonzero(keep)
+    nk = len(kept)
+    stats.dropped_columns = n - nk
+    if nk < n:
+        new_id = np.cumsum(keep) - 1
+        entries = keep[col_of]
+        row_of, col_of, val_s = row_of[entries], new_id[col_of[entries]], val_s[entries]
+        ub_s, c_s = ub_s[keep], c_s[keep]
+        if start is not None:
+            # an index out of range becomes -1, which _crash refuses as before
+            def renumber(ids):
+                ids = np.asarray(ids, dtype=np.int64)
+                return np.where((ids >= 0) & (ids < n), new_id[np.clip(ids, 0, n - 1)], -1)
+            start = Basis(start.rows, renumber(start.columns), renumber(start.at_upper))
+
     simplex = None
     if start is not None:
-        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rel, start, stats)
+        simplex = _crash(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, start, stats)
         stats.crash_accepted = simplex is not None
     if simplex is None:
-        simplex = _phase1(row_of, col_of, val_s, m, n, b_s, ub_s, rel, stats)
+        simplex = _phase1(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, stats)
         if simplex is None:
             return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan), stats=stats)
 
     cost = np.zeros(simplex.nx + m)
-    cost[:n] = c_s
+    cost[:nk] = c_s
     if simplex.run(cost) == UNBOUNDED:
         return LpSolution(UNBOUNDED, -math.inf, np.full(n, math.nan), stats=stats)
     # Ties among optimal vertices go to the corner nearest zero of the
     # bounded variables: minimise their sum, each over its bound width,
     # moving only along edges of zero reduced cost.
-    width = simplex.ub[:n]
+    width = simplex.ub[:nk]
     bounded = np.isfinite(width) & (width > 0)
     if bounded.any():
         tie_cost = np.zeros_like(cost)
-        tie_cost[:n][bounded] = 1.0 / width[bounded]
+        tie_cost[:nk][bounded] = 1.0 / width[bounded]
         simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
         simplex.run(cost)
 
     # round-off within tolerance of a bound is snapped onto it, and the
     # clamp keeps the rest inside [0, upper]
-    y = simplex.x[:n]
+    y = simplex.x[:nk]
     y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
     y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
-    values = np.minimum(np.maximum(col_scale * y, 0.0), upper)
+    values = np.zeros(n)
+    values[kept] = np.minimum(np.maximum(col_scale[kept] * y, 0.0), upper[kept])
     duals = gamma * sign * row_scale * simplex.pi
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)
 

@@ -17,19 +17,20 @@ per port; varys and lp_ov_gb, which hand out capacity with numpy over the
 run's per-flow arrays, as an id array and a rate array.  lp_ii_gb steps
 its own slots.  All return a sim.Schedule that passes the validator.
 
-List scheduling's priority queue of flow ids (LP rank, source, dest)
-lives in one structure, _PairHeads, shared by lp_ov_ls, lp_ov_ls_online
-and lp_ii_gb: each port pair's first released unfinished flow is its head,
-the greedy matching scans the heads alone, and lp_ii_gb's permutations
-serve each of their pairs with its head.  Heads move only when a coflow is
-released or a head finishes, so no event rescans the queue.
+A priority queue of flow ids kept per port pair, _PairHeads, serves every
+policy that takes each pair's first released unfinished flow, its head:
+list scheduling's greedy matching (lp_ov_ls, lp_ov_ls_online) scans the
+heads alone, lp_ii_gb's permutations serve each of their pairs with its
+head, and lp_ov_gb serves a group's pairs and backfills the others from two
+such queues.  Heads move only when a coflow is released or a head
+finishes, so no event rescans the queue.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -46,13 +47,15 @@ def _queue(instance: CoflowInstance, ordering: list) -> list[int]:
 
 
 class _PairHeads:
-    """List scheduling's priority queue, kept per port pair.
+    """A priority queue of flows, kept per port pair.
 
-    ``queue`` lists flow ids in priority order (LP rank, source, dest), and a
-    flow's position in it is its key.  Each port pair keeps the keys of its
-    released, unfinished flows in ascending order; the first is the pair's
-    *head*, and ``heads`` holds the heads' keys, ascending.  A coflow is
-    released by ``now`` when ``release[coflow] <= now``.
+    ``queue`` lists flow ids in any priority order, and a flow's position in
+    it is its key: list scheduling's (LP rank, source, dest), or lp_ov_gb's
+    group members in member order and the queue after the group.  Each port
+    pair keeps the keys of its released, unfinished flows in ascending
+    order; the first is the pair's *head*, and ``heads`` holds the heads'
+    keys, ascending.  A coflow is released by ``now`` when
+    ``release[coflow] <= now``.
 
     Head lemma: the greedy matching over the whole queue, which takes a
     released unfinished flow when both of its ports are still free, takes
@@ -211,8 +214,22 @@ def varys(instance: CoflowInstance) -> Schedule:
     cells = np.concatenate((owner_cell + run.source[members], owner_cell + n + run.dest[members]))
     weights_of = np.concatenate((members, members))
     pair = run.source * n + run.dest
+    outside = kk * nf  # the key of a flow that the leftover pass does not take
+
+    def pair_runs(by_pair: np.ndarray) -> tuple:
+        """``by_pair``, flow ids sorted by (pair, id), with where each pair's
+        run starts, the pairs' source and destination ports, and each flow's
+        coflow: the leftover pass takes the least key of each pair with one
+        reduceat, and rebuilds this without the finished flows once half of
+        them are."""
+        starts = np.flatnonzero(np.diff(pair[by_pair], prepend=-1))
+        at = pair[by_pair[starts]]
+        return by_pair, starts, at // n, n + at % n, run.coflow[by_pair]
+
+    table = pair_runs(np.argsort(pair, kind="stable"))
 
     def policy(run: FluidRun):
+        nonlocal table
         active = run.active_coflows()
         if not active:
             return {}
@@ -248,35 +265,29 @@ def varys(instance: CoflowInstance) -> Schedule:
             np.subtract.at(spare, n + run.dest[ids], paced)
             np.maximum(spare, 0.0, out=spare)
             at = nxt + 1
-        # leftover pass over the skipped coflows: source ports ascending, then
-        # flows by (rank, dest); coflows already paced to finish together keep
-        # their rates (extra speed on a non-bottleneck flow would not move
-        # their completion anyway)
+        # leftover pass over the skipped coflows: each open pair's unfinished
+        # flow of the first skipped coflow (lowest id on a tie), the pairs by
+        # source port, then by that rank, then by flow id; coflows already
+        # paced to finish together keep their rates (extra speed on a
+        # non-bottleneck flow would not move their completion anyway)
         if skipped:
+            by_pair, starts, pair_src, pair_dst, coflow_by_pair = table
             rank = np.full(kk, kk)
             rank[skipped] = np.arange(len(skipped))
+            alive = rem[by_pair] > 0.0
+            keys = np.where(alive, rank[coflow_by_pair] * nf + by_pair, outside)
+            least = np.minimum.reduceat(keys, starts)
+            if 2 * np.count_nonzero(alive) < alive.size:  # half of them finished: drop those
+                table = pair_runs(by_pair[alive])
             ok = spare > CAPACITY_TOL
-            open_pair = (ok[:n, None] & ok[None, n:]).ravel()
-            ids = np.flatnonzero((rank[run.coflow] < kk) & (rem > 0.0) & open_pair[pair])
-            order_key = (run.source[ids] * kk + rank[run.coflow[ids]]) * nf + ids
-            first = np.array(_first_per_pair(pair[ids], order_key, n), dtype=np.int64) % nf
+            take = (least < outside) & ok[pair_src] & ok[pair_dst]
+            first = np.sort(pair_src[take] * outside + least[take]) % nf
             raised, extra = _fill(run, first, spare)
             flows.append(first[raised])
             rates.append(extra)
         return np.concatenate(flows), np.concatenate(rates)
 
     return run_fluid(run, policy)
-
-
-_NO_KEY = np.iinfo(np.int64).max
-
-
-def _first_per_pair(pairs: np.ndarray, keys: np.ndarray, n: int) -> list:
-    """The least of ``keys`` on each port pair (index source * n + dest),
-    ascending."""
-    least = np.full(n * n, _NO_KEY)
-    np.minimum.at(least, pairs, keys)
-    return sorted(least[least < _NO_KEY].tolist())
 
 
 def _fill(run: FluidRun, ids: np.ndarray, spare: np.ndarray) -> tuple:
@@ -347,41 +358,56 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     n = instance.n_ports
     run = FluidRun(instance)
     pair, release = run.source * n + run.dest, run.flow_release
-    queue = np.array(_queue(instance, ordering), dtype=np.int64)
-    # each group's member ids, in group order, and the queue of the coflows
-    # ordered after it; a queue drops its finished flows as it is scanned
-    stages = []
-    end = 0
-    for grp in groups:
-        members = np.fromiter(chain.from_iterable(run.members[k] for k in grp), dtype=np.int64)
-        end += sum(run.live[k] for k in grp)
-        stages.append([grp, members, queue[end:]])
-    current = 0
+    queue = _queue(instance, ordering)
+    group_of = {k: g for g, grp in enumerate(groups) for k in grp}
+    ends = list(accumulate(sum(run.live[k] for k in grp) for grp in groups))  # in the queue
+    current, stage = -1, None
+
+    def stage_of(g: int) -> tuple:
+        """Group g's members that are not yet finished, in member order, with
+        their pairs, their releases and their pair heads; then the same of
+        the queue after the group, the backfill."""
+        left = run.remaining.tolist()
+        own = [i for k in groups[g] for i in run.members[k] if left[i]]
+        rest = [i for i in queue[ends[g]:] if left[i]]
+        members, later = np.array(own, dtype=np.int64), np.array(rest, dtype=np.int64)
+        return (members, pair[members], release[members], _PairHeads(instance, own, run.release),
+                later, pair[later], _PairHeads(instance, rest, run.release))
 
     def policy(run: FluidRun) -> tuple:
-        nonlocal current
+        nonlocal current, stage
         # earlier groups never reopen, so the active group only moves forward
-        while all(map(run.is_complete, stages[current][0])):
+        entering = current < 0 or all(map(run.is_complete, groups[current]))
+        if entering:
             current += 1
-        _, members, later = stages[current]
-        rem = run.remaining
+            while all(map(run.is_complete, groups[current])):
+                current += 1
+            stage = stage_of(current)
+        members, m_pair, m_release, group_heads, later, l_pair, later_heads = stage
+        if not entering and run.finished:
+            # each flow the last step finished was served as a head of one of the two
+            flows = run.flows
+            mine = [i for i in run.finished if group_of[flows[i].coflow] == current]
+            group_heads.finish(mine)
+            later_heads.finish([i for i in run.finished if group_of[flows[i].coflow] != current])
         now = run.time + EVENT_EPS
-        # the group's released demand per pair, added in member order
-        weight = np.where(release[members] <= now, rem[members], 0.0)
-        demand = np.bincount(pair[members], weight, minlength=n * n)
-        pairs = np.flatnonzero(demand > 0.0)  # by (source, dest)
+        group_heads.admit(now)
+        later_heads.admit(now)
+        # the group's released demand per pair, added in member order; a pair
+        # has some exactly when it has a head
+        weight = run.remaining[members]
+        if run.next_release() is not None:  # some coflow is not released yet
+            weight = np.where(m_release <= now, weight, 0.0)
+        demand = np.bincount(m_pair, weight, minlength=n * n)
+        heads = np.array(group_heads.heads, dtype=np.int64)
+        by_seen = m_pair[heads]  # the pairs in the order their servers appear
+        by_pair = np.argsort(by_seen)
+        pairs, servers = by_seen[by_pair], members[heads[by_pair]]
         spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
-        servers, amount = pairs, np.zeros(0)  # the group's servers and their rates
-        if pairs.size:
+        amount = np.zeros(0)  # the servers' rates
+        if heads.size:
             # each pair is served by its first released unfinished member;
-            # the port loads add the pairs in the order in which they first
-            # appear among those
-            live = np.flatnonzero(weight > 0.0)
-            seen = np.array(_first_per_pair(pair[members[live]], live, n), dtype=np.int64)
-            by_seen = pair[members[seen]]
-            server = np.empty(n * n, dtype=np.int64)
-            server[by_seen] = members[seen]
-            servers = server[pairs]
+            # the port loads add the pairs in the order of their servers
             loads = np.concatenate((np.bincount(by_seen // n, demand[by_seen], minlength=n),
                                     np.bincount(by_seen % n, demand[by_seen], minlength=n)))
             finish = loads.max() / cap
@@ -392,22 +418,20 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             np.subtract.at(spare, pairs // n, amount)
             np.subtract.at(spare, n + pairs % n, amount)
             np.maximum(spare, 0.0, out=spare)
-            # raise the group's own pair rates until a port saturates
-            raised, extra = _fill(run, servers, spare)
-            amount[raised] += extra
+        # raise the group's own pair rates until a port saturates, then
         # backfill pairs without group demand from later-ordered released
         # coflows, in queue order (LP rank, then source, then dest); spare
-        # capacity only shrinks, so only each open pair's first such flow
-        # can be served
-        later = stages[current][2] = later[rem[later] > 0.0]
-        ok = spare > CAPACITY_TOL
-        open_pair = (ok[:n, None] & ok[None, n:]).ravel()
-        open_pair[pairs] = False
-        on_pair = pair[later]
-        at = np.flatnonzero(open_pair[on_pair] & (release[later] <= now))
-        backfill = later[_first_per_pair(on_pair[at], at, n)]
-        raised, extra = _fill(run, backfill, spare)
-        return np.concatenate((servers, backfill[raised])), np.concatenate((amount, extra))
+        # capacity only shrinks, so only each pair's head can be served.  A
+        # group pair has a closed port once its server's turn is over, so
+        # leaving its backfill head out only spares _fill the look.
+        back = np.array(later_heads.heads, dtype=np.int64)
+        free = np.ones(n * n, dtype=bool)
+        free[by_seen] = False
+        candidates = np.concatenate((servers, later[back[free[l_pair[back]]]]))
+        raised, extra = _fill(run, candidates, spare)
+        own = int(np.searchsorted(raised, servers.size))
+        amount[raised[:own]] += extra[:own]
+        return np.concatenate((servers, candidates[raised[own:]])), np.concatenate((amount, extra[own:]))
 
     return run_fluid(run, policy)
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from coflowsched.model import Coflow, CoflowInstance, FlowKey, port_loads
+from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import group_coflows, lp_ov_gb, varys, _queue
 from coflowsched.sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, run_fluid
 from coflowsched.workload import SyntheticConfig, generate
@@ -196,6 +197,18 @@ def test_fluid_policies_match_the_dict_references_on_a_dense_instance():
     ordering = SimpleNamespace(ordering=list(range(inst.num_coflows))[::-1])
     assert _recorded(varys(inst)) == _recorded(_reference_varys(inst))
     assert _recorded(lp_ov_gb(inst, ordering)) == _recorded(_reference_lp_ov_gb(inst, ordering))
+
+
+def test_fluid_policies_match_the_dict_references_on_a_wide_instance_with_releases():
+    # 16 ports (up to 256 pairs per event), combined sizes, releases that
+    # fall while earlier groups run, and the LP's ordering in five groups
+    inst = generate(SyntheticConfig(n_ports=16, n_coflows=8, kind="combined",
+                                    interarrival_range=(1, 20), seed=0))
+    lp = solve_ordering_lp(inst)
+    assert len(group_coflows(inst, lp.ordering)) >= 3
+    assert len({cf.release for cf in inst.coflows}) == inst.num_coflows
+    assert _recorded(varys(inst)) == _recorded(_reference_varys(inst))
+    assert _recorded(lp_ov_gb(inst, lp)) == _recorded(_reference_lp_ov_gb(inst, lp))
 
 
 def _assert_members_iterate_like_sets(instance: CoflowInstance, finished: list) -> None:
