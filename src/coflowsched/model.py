@@ -242,10 +242,13 @@ def instance_from_dict(data: dict) -> CoflowInstance:
     coflows = []
     for k, entry in enumerate(_field(data, "coflows", "a list", "instance")):
         where = f"coflow {k}"
-        demands = {}
+        demands, first = {}, {}
         for f, flow in enumerate(_field(entry, "flows", "a list", where)):
             at = f"{where} flow {f}"
             pair = (_field(flow, "src", "an integer", at), _field(flow, "dst", "an integer", at))
+            if pair in first:
+                raise ValueError(f"{where}: flows {first[pair]} and {f} both run from port {pair[0]} to port {pair[1]}")
+            first[pair] = f
             demands[pair] = _field(flow, "size", "a number", at)
         release = _field(entry, "release", "a number", where, 0.0)
         weight = _field(entry, "weight", "a number", where, 1.0)

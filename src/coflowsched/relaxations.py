@@ -273,15 +273,17 @@ def lp_lower_bound(instance: CoflowInstance, result: OrderingLpResult | None = N
 def slot_length(instance: CoflowInstance) -> float:
     """The coarsest slot u = 2^-j (j = 0, 1, ...) in which every flow takes a
     whole positive number of slots at full rate, to 1e-9 * max(1, slots).
-    Raises ValueError when the largest flow would first need over 2^52."""
+    Raises ValueError naming the largest flow when it would take over 2^52
+    slots of a slot tried, the one returned included."""
     times = [size / instance.capacity for size in instance.flow_sizes]
+    longest = max(range(len(times)), key=times.__getitem__)
     slot = 1.0
-    while not all(abs(u - round(u)) <= 1e-9 * max(1.0, u) and round(u) > 0
-                  for u in (t / slot for t in times)):
+    while times[longest] / slot <= 2.0 ** 52:
+        if all(abs(u - round(u)) <= 1e-9 * max(1.0, u) and round(u) > 0 for u in (t / slot for t in times)):
+            return slot
         slot /= 2.0
-        if max(times) / slot > 2.0 ** 52:
-            raise ValueError("no power-of-two slot fits every flow size within 2^52 slots")
-    return slot
+    raise ValueError(f"flow {tuple(instance.flow_keys[longest])} would take {times[longest] / slot:.3g} "
+                     f"slots of length {slot:g}, over 2^52: no power-of-two slot fits every flow size")
 
 
 def interval_grid(instance: CoflowInstance) -> np.ndarray:

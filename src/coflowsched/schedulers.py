@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -51,11 +51,12 @@ class _PairHeads:
 
     ``queue`` lists flow ids in any priority order, and a flow's position in
     it is its key: list scheduling's (LP rank, source, dest), or lp_ov_gb's
-    group members in member order and the queue after the group.  Each port
-    pair keeps the keys of its released, unfinished flows in ascending
-    order; the first is the pair's *head*, and ``heads`` holds the heads'
-    keys, ascending.  A coflow is released by ``now`` when
-    ``release[coflow] <= now``.
+    two slices of that queue, the group's and the rest after it.  Each port
+    pair that occurs in the queue keeps the keys of its released, unfinished
+    flows in ascending order; the first is the pair's *head*, and ``heads``
+    holds the heads' keys, ascending.  A coflow is released by ``now`` when
+    ``release[coflow] <= now``.  Lines exist only for the pairs that occur
+    in the queue.
 
     Head lemma: the greedy matching over the whole queue, which takes a
     released unfinished flow when both of its ports are still free, takes
@@ -76,10 +77,9 @@ class _PairHeads:
         self.heads: list[int] = []
         flows = self._flows = instance.flow_keys
         self._release = release
-        self._lines: list[list[int]] = [[] for _ in range(n * n)]  # by source * n + dest
-        # each flow's ports as bits of one int: source s is bit s, dest d bit n + d
-        bits = [(1 << i) | (1 << (n + j)) for i in range(n) for j in range(n)]
-        self._ports = [bits[flows[i].source * n + flows[i].dest] for i in queue]
+        self._lines: dict[int, list[int]] = {}  # by source * n + dest
+        # each queued flow's ports as bits of one int: source s is bit s, dest d bit n + d
+        self._ports = [(1 << flows[i].source) | (1 << (n + flows[i].dest)) for i in queue]
         keys_of: dict[int, list[int]] = {}
         for key, i in enumerate(queue):
             keys_of.setdefault(flows[i].coflow, []).append(key)
@@ -92,7 +92,7 @@ class _PairHeads:
         while arrivals and self._release[arrivals[-1][0]] <= now:
             for key in arrivals.pop()[1]:
                 f = self._flows[self.queue[key]]
-                line = self._lines[f.source * n + f.dest]
+                line = self._lines.setdefault(f.source * n + f.dest, [])
                 if not line or key < line[0]:
                     if line:
                         del heads[bisect_left(heads, line[0])]
@@ -112,7 +112,7 @@ class _PairHeads:
 
     def head(self, source: int, dest: int) -> int | None:
         """The first released unfinished flow id on the pair, if any."""
-        line = self._lines[source * self.n + dest]
+        line = self._lines.get(source * self.n + dest)
         return self.queue[line[0]] if line else None
 
     def matching(self) -> list[int]:
@@ -181,7 +181,7 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             seen.update(active)
             left, flows = run.remaining.tolist(), run.flows
             # finished flows add 0.0, which the residual drops
-            remaining = {flows[i]: left[i] for k in active for i in run.members[k]}
+            remaining = {flows[i]: left[i] for i in _queue(instance, active)}
             residual, ids = residual_instance(instance, remaining, run.time)
             residual_order = solve_ordering_lp(residual).ordering if ids else []
             rank = {ids[k]: p for p, k in enumerate(residual_order)}
@@ -208,11 +208,9 @@ def varys(instance: CoflowInstance) -> Schedule:
     run = FluidRun(instance)
     kk, nf, offsets = instance.num_coflows, len(run.flows), instance.flow_offsets
     # every coflow's port loads, sources then destinations, in one bincount
-    # over (coflow, port) cells that adds each cell in member order
-    members = np.fromiter(chain.from_iterable(run.members), dtype=np.int64, count=nf)
-    owner_cell = 2 * n * run.coflow[members]
-    cells = np.concatenate((owner_cell + run.source[members], owner_cell + n + run.dest[members]))
-    weights_of = np.concatenate((members, members))
+    # over (coflow, port) cells that adds each cell in flow id order
+    owner_cell = 2 * n * run.coflow
+    cells = np.concatenate((owner_cell + run.source, owner_cell + n + run.dest))
     pair = run.source * n + run.dest
     outside = kk * nf  # the key of a flow that the leftover pass does not take
 
@@ -234,7 +232,7 @@ def varys(instance: CoflowInstance) -> Schedule:
         if not active:
             return {}
         rem = run.remaining
-        loads = np.bincount(cells, rem[weights_of], minlength=kk * 2 * n).reshape(kk, 2 * n)
+        loads = np.bincount(cells, np.concatenate((rem, rem)), minlength=kk * 2 * n).reshape(kk, 2 * n)
         peak = loads.max(axis=1).tolist()
         order = sorted(active, key=lambda k: (peak[k], k))
         needs = loads[order] > 0.0
@@ -298,21 +296,18 @@ def _fill(run: FluidRun, ids: np.ndarray, spare: np.ndarray) -> tuple:
     destinations, and is updated in place.
 
     Each raise leaves one of its two ports with nothing, so a port pair is
-    raised at most once.  Per-port open flags (more than CAPACITY_TOL
-    left) skip the candidates on a closed port without computing a raise.
+    raised at most once.
     """
     n = run.instance.n_ports
     left = spare.tolist()
-    is_open = [x > CAPACITY_TOL for x in left]
     raised, extra = [], []
     for at, (i, j) in enumerate(zip(run.source[ids].tolist(), (n + run.dest[ids]).tolist())):
-        if is_open[i] and is_open[j]:
+        if left[i] > CAPACITY_TOL and left[j] > CAPACITY_TOL:
             x = min(left[i], left[j])
             raised.append(at)
             extra.append(x)
             left[i] -= x
             left[j] -= x
-            is_open[i], is_open[j] = left[i] > CAPACITY_TOL, left[j] > CAPACITY_TOL
     spare[:] = left
     return np.array(raised, dtype=np.int64), np.array(extra, dtype=float)
 
@@ -357,19 +352,22 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     cap = instance.capacity
     n = instance.n_ports
     run = FluidRun(instance)
-    pair, release = run.source * n + run.dest, run.flow_release
+    # each flow's port pair, numbered among the pairs that occur, in
+    # (source, dest) order; pair_src and pair_dst give each pair's ports
+    pair_key, pair = np.unique(run.source * n + run.dest, return_inverse=True)
+    pair_src, pair_dst, release = pair_key // n, pair_key % n, run.flow_release
     queue = _queue(instance, ordering)
     group_of = {k: g for g, grp in enumerate(groups) for k in grp}
-    ends = list(accumulate(sum(run.live[k] for k in grp) for grp in groups))  # in the queue
+    ends = [0, *accumulate(sum(run.live[k] for k in grp) for grp in groups)]  # in the queue
     current, stage = -1, None
 
     def stage_of(g: int) -> tuple:
-        """Group g's members that are not yet finished, in member order, with
+        """Group g's flows that are not yet finished, in queue order, with
         their pairs, their releases and their pair heads; then the same of
         the queue after the group, the backfill."""
         left = run.remaining.tolist()
-        own = [i for k in groups[g] for i in run.members[k] if left[i]]
-        rest = [i for i in queue[ends[g]:] if left[i]]
+        own = [i for i in queue[ends[g]:ends[g + 1]] if left[i]]
+        rest = [i for i in queue[ends[g + 1]:] if left[i]]
         members, later = np.array(own, dtype=np.int64), np.array(rest, dtype=np.int64)
         return (members, pair[members], release[members], _PairHeads(instance, own, run.release),
                 later, pair[later], _PairHeads(instance, rest, run.release))
@@ -393,12 +391,12 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         now = run.time + EVENT_EPS
         group_heads.admit(now)
         later_heads.admit(now)
-        # the group's released demand per pair, added in member order; a pair
+        # the group's released demand per pair, added in queue order; a pair
         # has some exactly when it has a head
         weight = run.remaining[members]
         if run.next_release() is not None:  # some coflow is not released yet
             weight = np.where(m_release <= now, weight, 0.0)
-        demand = np.bincount(m_pair, weight, minlength=n * n)
+        demand = np.bincount(m_pair, weight, minlength=pair_key.size)
         heads = np.array(group_heads.heads, dtype=np.int64)
         by_seen = m_pair[heads]  # the pairs in the order their servers appear
         by_pair = np.argsort(by_seen)
@@ -408,15 +406,15 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         if heads.size:
             # each pair is served by its first released unfinished member;
             # the port loads add the pairs in the order of their servers
-            loads = np.concatenate((np.bincount(by_seen // n, demand[by_seen], minlength=n),
-                                    np.bincount(by_seen % n, demand[by_seen], minlength=n)))
+            loads = np.concatenate((np.bincount(pair_src[by_seen], demand[by_seen], minlength=n),
+                                    np.bincount(pair_dst[by_seen], demand[by_seen], minlength=n)))
             finish = loads.max() / cap
             amount = demand[pairs] / finish
             # each port's grants subtracted in pair order; the grants are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each grant
-            np.subtract.at(spare, pairs // n, amount)
-            np.subtract.at(spare, n + pairs % n, amount)
+            np.subtract.at(spare, pair_src[pairs], amount)
+            np.subtract.at(spare, n + pair_dst[pairs], amount)
             np.maximum(spare, 0.0, out=spare)
         # raise the group's own pair rates until a port saturates, then
         # backfill pairs without group demand from later-ordered released
@@ -425,7 +423,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         # group pair has a closed port once its server's turn is over, so
         # leaving its backfill head out only spares _fill the look.
         back = np.array(later_heads.heads, dtype=np.int64)
-        free = np.ones(n * n, dtype=bool)
+        free = np.ones(pair_key.size, dtype=bool)
         free[by_seen] = False
         candidates = np.concatenate((servers, later[back[free[l_pair[back]]]]))
         raised, extra = _fill(run, candidates, spare)

@@ -224,13 +224,11 @@ class FluidRun:
     is finished; ``source``, ``dest`` and ``coflow`` give each id's ports
     and coflow, and ``live`` counts each coflow's unfinished flows.
 
-    ``members[k]`` lists coflow k's ids in the order in which a set of its
-    FlowKeys, built in ``instance.flows()`` order, iterates.  The policies
-    add a coflow's flows in that order, the order the pinned schedules
-    were recorded with.  A set keeps its order when keys leave it, so a
-    sum over all members that adds 0.0 for the finished ones
+    The policies add a coflow's flows in id order, so every sum they take
+    follows the instance's flows and not the labels of its ports; a sum
+    over a coflow's whole id range that adds 0.0 for the finished flows
     (``np.bincount`` adds its weights in order) has the bits of a loop over
-    the set of unfinished flows.
+    its unfinished flows.
     """
 
     def __init__(self, instance: CoflowInstance):
@@ -269,12 +267,6 @@ class FluidRun:
 
     def _field(self, index: int) -> np.ndarray:
         return np.fromiter(map(itemgetter(index), self.flows), dtype=np.int64, count=len(self.flows))
-
-    @cached_property
-    def members(self) -> list:
-        offsets = self.instance.flow_offsets
-        ids = {key: i for i, key in enumerate(self.flows)}
-        return [[ids[key] for key in set(self.flows[lo:hi])] for lo, hi in zip(offsets, offsets[1:])]
 
     # -- views ------------------------------------------------------------
 

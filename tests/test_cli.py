@@ -275,6 +275,8 @@ MALFORMED = {
     "size-string": _set("coflows", 0, "flows", 0, "size", value="3"),
     "no-coflows": lambda data: data.pop("coflows"),
     "fractional-port": _set("coflows", 0, "flows", 0, "src", value=0.5),
+    "repeated-pair": lambda data: data["coflows"][0]["flows"].append(
+        dict(data["coflows"][0]["flows"][0], size=2.0)),
     "top-level-list": None,
 }
 
@@ -294,6 +296,20 @@ def test_malformed_instance_exits_two(tmp_path, capsys, case, verb):
     err = capsys.readouterr().err
     assert any(line.startswith("error: ") for line in err.splitlines())
     assert "Traceback" not in err
+
+
+def test_lp_ii_gb_slot_count_too_large_exits_two_naming_the_flow(tmp_path, capsys):
+    # each 1e300 flow takes 1e300 slots of length 1, which no int64 slot
+    # count holds; lp-ii-gb used to end in an OverflowError
+    inst = CoflowInstance(1, [Coflow({(0, 0): 1e300}), Coflow({(0, 0): 1e300})])
+    path = tmp_path / "huge.json"
+    save_instance(inst, path)
+    assert cli.main(["run", "--instance", str(path), "--reps", "1", "--schedulers", "lp-ii-gb"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: flow (0, 0, 0) would take 1e+300 slots of length 1, over 2^52: "
+        "no power-of-two slot fits every flow size"
+    ]
 
 
 MALFORMED_SCHEDULE = {  # case: (edit, text the error must contain)

@@ -1,12 +1,10 @@
 """Differential test of the fluid policies ``varys`` and ``lp_ov_gb``: their
 schedules must equal, byte for byte, those of the per-coflow dict loops
 they replaced, kept here as ``_reference_varys`` and
-``_reference_lp_ov_gb``.  The references read each coflow's unfinished
-flows from sets built and emptied as the simulator once kept them.
-
-The equality rests on one ordering fact, pinned by the tests at the end:
-``FluidRun.members`` lists each coflow's flows in the order in which such a
-set iterates, also after finished flows leave it.
+``_reference_lp_ov_gb``.  The references keep each coflow's unfinished
+flows in a dict built in ``instance.flows()`` order, that is, in flow id
+order, and add them in that order, as the policies add each coflow's id
+range and lp_ov_gb its slices of the LP queue.
 """
 
 import json
@@ -26,20 +24,21 @@ st = pytest.importorskip("hypothesis.strategies")
 
 
 class _Incomplete:
-    """Each coflow's unfinished flows as a set of FlowKeys: built in
-    ``instance.flows()`` order, a flow discarded once it has finished."""
+    """Each coflow's unfinished flows as an insertion-ordered dict of
+    FlowKeys: built in ``instance.flows()`` order, a flow dropped once it
+    has finished."""
 
     def __init__(self, instance: CoflowInstance):
-        self.sets: dict[int, set] = {}
+        self.flows: dict[int, dict] = {}
         self.ids = {key: i for i, key in enumerate(instance.flow_keys)}
         for key, _ in instance.flows():
-            self.sets.setdefault(key.coflow, set()).add(key)
+            self.flows.setdefault(key.coflow, {})[key] = None
 
     def remaining_of(self, run: FluidRun, k: int) -> dict:
-        members = self.sets[k]
+        members = self.flows[k]
         # a finished flow's remaining demand is exactly 0.0
         for key in [f for f in members if not run.remaining[self.ids[f]]]:
-            members.discard(key)
+            del members[key]
         return {f: float(run.remaining[self.ids[f]]) for f in members}
 
     def by_id(self, rates: dict) -> dict:
@@ -209,37 +208,3 @@ def test_fluid_policies_match_the_dict_references_on_a_wide_instance_with_releas
     assert len({cf.release for cf in inst.coflows}) == inst.num_coflows
     assert _recorded(varys(inst)) == _recorded(_reference_varys(inst))
     assert _recorded(lp_ov_gb(inst, lp)) == _recorded(_reference_lp_ov_gb(inst, lp))
-
-
-def _assert_members_iterate_like_sets(instance: CoflowInstance, finished: list) -> None:
-    run = FluidRun(instance)
-    sets = _Incomplete(instance).sets
-    for k, members in enumerate(run.members):
-        assert [run.flows[i] for i in members] == list(sets[k])
-    for key in finished:
-        sets[key.coflow].discard(key)
-    gone = set(finished)
-    for k, members in enumerate(run.members):
-        assert [run.flows[i] for i in members if run.flows[i] not in gone] == list(sets[k])
-
-
-# Why this order matters: varys's port loads and lp-ov-gb's group demands
-# add each coflow's flows in member order, the order in which the
-# per-coflow sets of earlier versions iterated, and float addition is not
-# associative.  CPython sets iterate in hash-slot order and keep it when
-# keys are removed; a Python version that breaks either would move these
-# sums, and the pinned digests of tests/test_golden.py with them.
-@hypothesis.settings(max_examples=100, deadline=None)
-@hypothesis.given(instance=instances(), data=st.data())
-def test_members_iterate_like_a_set_built_in_flow_order(instance, data):
-    flows = [key for key, _ in instance.flows()]
-    finished = data.draw(st.lists(st.sampled_from(flows), unique=True), label="finished")
-    _assert_members_iterate_like_sets(instance, finished)
-
-
-def test_members_iterate_like_sets_on_a_wide_instance():
-    # 16 ports: sets of up to 256 flows, resized many times as they fill
-    inst = generate(SyntheticConfig(n_ports=16, n_coflows=4, kind="dense", seed=1))
-    flows = [key for key, _ in inst.flows()]
-    order = np.random.default_rng(0).permutation(len(flows))
-    _assert_members_iterate_like_sets(inst, [flows[i] for i in order[: len(flows) // 2]])

@@ -23,55 +23,58 @@ from conftest import GOLDEN_INSTANCES, golden_instance, lp_certificates
 from coflowsched import lpcore, schedulers
 from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
 
+# varys's and lp-ov-gb's digests, but for mini-trace-4's, were re-pinned when
+# both began adding each coflow's flows in id order instead of the iteration
+# order of a set of FlowKeys; their totals moved by at most 9e-16 relative
 GOLDEN = {
     "combined-16x8-zero": {
         "lp-ii-gb": "5cbb81d3efbe5916eba2cc28946fbdfa1a3e8dc93768db6baac46b593a890911",
-        "lp-ov-gb": "eb83edb1376e498b392fc3a5447e4c33438f3dfb38406c63544ff1163898b6ac",
+        "lp-ov-gb": "e2caee05f8403867b83517ce0bb61326d35a3e26d1a14e52893f37a01e60f54f",
         "lp-ov-ls": "828db1851179b5716820497f53b59c615b609b2ec084b5df3a313b85712d5b55",
         "lp-ov-ls-online": "828db1851179b5716820497f53b59c615b609b2ec084b5df3a313b85712d5b55",
-        "varys": "3fb38a6d486f325b19d0bfc685661148d5f6a9413ec0103660a6f637ad744964",
+        "varys": "f2d250e2a72d4d25a778ba4b6e51b221723c3d53a374b006409d2ee0b32c3ea6",
     },
     "combined-releases": {
         "lp-ii-gb": "440cb1e0d097aed53b83500fa52925e96bc8e647c415b3cc6b53225013d3ab72",
-        "lp-ov-gb": "8ba059900ad11b755270c69f7e63f8b16215e40a465cf0ad72e007b0497ea0fa",
+        "lp-ov-gb": "a06972ac04f3f84f84ba2a2de7100e452b51e9b545f4e6d20756891621ef5299",
         "lp-ov-ls": "5809c614d6a5e939f05ff4b9872ec76a11cdfe4112954c7313084419ada592cf",
         "lp-ov-ls-online": "ff320033a8b9dafce3bf4bacf05cc064923e844e248d3694e3582436f463e0f7",
-        "varys": "1a13ee7d5f99eeb84fbbef857655e8fcf033b0e06cfa96c942be2e409ab3c35c",
+        "varys": "77684b6612968c8ca75a0a81d21ac47d296bd8a5a8e9819b66e8e77601859cce",
     },
     "combined-zero": {
         "lp-ii-gb": "68a230b4b9e65b6872d6904aba9f8fd79eee6fda58943f99be54140c9dfa465f",
-        "lp-ov-gb": "53f4931dc3f670db42cd831803dc5a72c33d8e8e4a6f0907463e58c066e37523",
+        "lp-ov-gb": "272919a55b8c5bcd1654bd6f51c927081a0869060b85e6274c2836c9f9922849",
         "lp-ov-ls": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
         "lp-ov-ls-online": "4fc806b9685ff1a6dd60a6b182de66cf0840796f2fbf7c18d93ac313cff5eb66",
-        "varys": "a6631d536a0cdc66ec44ad9f40aae72d2dcb0046c77ef10665f6f71a1a58a6f9",
+        "varys": "a2c68744537c203f6725d0ded1725d1aef0871f506d36c12ee4f92e006ae2782",
     },
     "dense-5x8-capacity-0.37": {
         "lp-ii-gb": "955dc1ffe520635acd0810ce0e7c4678695b0e1babbe32f74ad9bcc12f2164d5",
-        "lp-ov-gb": "1b4a71d0cb1365fddf8b7ad34e5994130b361c81ac0d33254cdd31b418855a3d",
+        "lp-ov-gb": "5be03365a2f23dd08307797539bbe5f3b3aff1a6f54f5fd2f912f99a7a4d84f5",
         "lp-ov-ls": "8ba04a2248eb3633b9b75443665ce4c98c587e7959ba341004ba5b424d6ac063",
         "lp-ov-ls-online": "c5b3a63c2a322c4ae84102a46d4f0962126fb02fd70bdfbf852c329005fd9950",
-        "varys": "71d765ef995e6a9fc283a21c9a1f793e144e6db1fe0644e5d5c8c2f8321c1dc9",
+        "varys": "5409cb94dcb2b9de8b7e0b59bba3158a16c73cd6ac745d4b0cb05822cd63a33f",
     },
     "dense-8x20-releases": {
         "lp-ii-gb": "32d0a5fcb84d93258678b88e33c2ed285af010af4eece39a5763499027dd4cfb",
-        "lp-ov-gb": "d696e267b215de9d73413cd4cbf02cdd1abf4fe90828d1ad06c4fe3306a83e8d",
+        "lp-ov-gb": "9f794c644e8b6dedb0a74bcf786e97d8add0b0c08b199e75f6d5e4b9a4a699bb",
         "lp-ov-ls": "74a429d20501057e8f92a60f73764803c89f4afe7d302916458caf1048f7f3de",
         "lp-ov-ls-online": "5193af14a71c4d818f003b5ec3f6503c6ee4698f8f24107cb4dc624e3fac4e39",
-        "varys": "6743f88a79b16a3b136a1d84af3ae6d770361479622e3960eba14d0fda73368f",
+        "varys": "304edc018a2e25bf739149288f7fa16388a7fa443e0207e7d5aec50b8b29bd26",
     },
     "dense-releases": {
         "lp-ii-gb": "dcb7ef8b8848b2a3a37d58680beeab3d76fd5659957bc6cfd3ab2ae76941daa4",
-        "lp-ov-gb": "762336810b6b537a228548f3dd4a4b5f8d50f0e90c0fe375a6385a7e428ef2ed",
+        "lp-ov-gb": "b63265f59a794535a0606e3db5b6e5cc83ea3f4eebbb7073eaaf7372120b205f",
         "lp-ov-ls": "5d3fa046b76fe349f4afb82d596202d57f8fe4639b2264e4c51fb87a724411c5",
         "lp-ov-ls-online": "2b16264b9db176ced4ca9c9b80f1c673f723c4169644b70abb255e92246d86cc",
-        "varys": "f6b7f75e835801065fe360cbaa961b1edc51d097011673fb2819b9a6233a5c15",
+        "varys": "71dc128512013e77b31a4a5abb1a4b35701a200df974eda4b07692c1aff74f07",
     },
     "dense-zero": {
         "lp-ii-gb": "748aeb4cdf735817dca3032a464ef69e029601cd488dbc19bd48ed883079adb0",
-        "lp-ov-gb": "8f677ee984d0603ed23b3fd7d315ed5bc771703f8c0d2e3c9db4a1403523304a",
+        "lp-ov-gb": "953c0c973380f734cd4315e8156e2aadcd76750a3e665dd2be7f948ce70bae64",
         "lp-ov-ls": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
         "lp-ov-ls-online": "9aac9df816c71f784faf9172e6afe23147dcedff91135b0b72b84b66516ad194",
-        "varys": "6cf69283606b31660177cbe8d193944be3ea0d10be356b24702edda8da37d39b",
+        "varys": "15e24064129de57e69385fe932c3c55d7c75d67482f38a9789941db662f4a101",
     },
     "mini-trace-4": {
         "lp-ii-gb": "c2605bad568a665f9449cec6b4873334833e37224de9b3817e730ab1523a5106",

@@ -70,8 +70,9 @@ def _reference_lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
         active = run.active_coflows()
         if not seen.issuperset(active):
             seen.update(active)
-            left = run.remaining.tolist()
-            remaining = {run.flows[i]: left[i] for k in active for i in run.members[k] if left[i] > 0.0}
+            left, offsets = run.remaining.tolist(), instance.flow_offsets
+            remaining = {run.flows[i]: left[i] for k in active
+                         for i in range(offsets[k], offsets[k + 1]) if left[i] > 0.0}
             residual, ids = residual_instance(instance, remaining, run.time)
             residual_order = solve_ordering_lp(residual).ordering if ids else []
             rank = {ids[k]: p for p, k in enumerate(residual_order)}

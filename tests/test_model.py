@@ -201,6 +201,15 @@ def test_instance_json_round_trip(tmp_path):
         assert a.weight == b.weight
 
 
+def test_instance_file_with_a_repeated_pair_is_rejected():
+    # one coflow, two flows on (0, 1): neither size may be dropped silently
+    data = {"n_ports": 2, "coflows": [{"flows": [{"src": 0, "dst": 1, "size": 1.0},
+                                                  {"src": 1, "dst": 0, "size": 1.0},
+                                                  {"src": 0, "dst": 1, "size": 2.0}]}]}
+    with pytest.raises(ValueError, match="coflow 0: flows 0 and 2 both run from port 0 to port 1"):
+        instance_from_dict(data)
+
+
 def test_flows_are_built_once_in_coflow_source_dest_order():
     inst = CoflowInstance(3, [Coflow({(2, 0): 1.0, (0, 1): 2}), Coflow({(1, 1): 0.5, (0, 2): 3.0})])
     assert list(inst.flows()) == [

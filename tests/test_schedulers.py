@@ -258,7 +258,7 @@ def test_slotted_rejects_fractional_demand():
     assert sched.completions[0] == pytest.approx(2.5)
     # 1/3 needs a slot so fine that the 1e8 flow would take over 2^52 of them
     inst = CoflowInstance(2, [Coflow({(0, 1): 1e8}), Coflow({(1, 0): 1 / 3})])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"flow \(0, 1, 0\) would take 6.71e\+15 slots"):
         lp_ii_gb(inst)
 
 

@@ -153,7 +153,6 @@ def test_flow_ids_number_the_instance_flows():
     assert run.flows == list(inst.flow_keys)
     # coflow k's ids are flow_offsets[k] to flow_offsets[k + 1] - 1
     assert inst.flow_offsets == (0, 2, 3)
-    assert sorted(map(sorted, run.members)) == [[0, 1], [2]]
     assert run.source.tolist() == [0, 2, 1]
     assert run.dest.tolist() == [1, 0, 1]
     assert run.coflow.tolist() == [0, 0, 1]
