@@ -4,7 +4,8 @@ every schedule, and emit per-run reports as CSV or JSON.
 Verbs: gen, run, oracle, validate, lp-bound.  Exit codes: 0 success,
 1 an invariant violation: a schedule failed validation (run, validate) or
 the duals of an LP the command solved (ordering, interval or residual) did
-not certify its answer (run, lp-bound), 2 bad input.
+not certify its answer (run, lp-bound), or any other exception, printed as
+one line "error: <command>: <type>: <message>"; 2 bad input.
 """
 
 from __future__ import annotations
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

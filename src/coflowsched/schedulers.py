@@ -21,9 +21,10 @@ A priority queue of flow ids kept per port pair, _PairHeads, serves every
 policy that takes each pair's first released unfinished flow, its head:
 list scheduling's greedy matching (lp_ov_ls, lp_ov_ls_online) scans the
 heads alone, lp_ii_gb's permutations serve each of their pairs with its
-head, and lp_ov_gb serves a group's pairs and backfills the others from two
-such queues.  Heads move only when a coflow is released or a head
-finishes, so no event rescans the queue.
+head, and lp_ov_gb splits the heads at its active group's end: those
+before serve the group's pairs, those after backfill the others.  Heads
+move only when a coflow is released or a head finishes, so no event
+rescans the queue.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ class _PairHeads:
     """A priority queue of flows, kept per port pair.
 
     ``queue`` lists flow ids in any priority order, and a flow's position in
-    it is its key: list scheduling's (LP rank, source, dest), or lp_ov_gb's
-    two slices of that queue, the group's and the rest after it.  Each port
-    pair that occurs in the queue keeps the keys of its released, unfinished
-    flows in ascending order; the first is the pair's *head*, and ``heads``
-    holds the heads' keys, ascending.  A coflow is released by ``now`` when
-    ``release[coflow] <= now``.  Lines exist only for the pairs that occur
-    in the queue.
+    it is its key: (LP rank, source, dest) in every policy here, lp_ii_gb's
+    rank from the interval LP.  Each port pair that occurs in the queue
+    keeps the keys of its released, unfinished flows in ascending order; the
+    first is the pair's *head*, and ``heads`` holds the heads' keys,
+    ascending.  A coflow is released by ``now`` when ``release[coflow] <=
+    now``.  Lines exist only for the pairs that occur in the queue.
 
     Head lemma: the greedy matching over the whole queue, which takes a
     released unfinished flow when both of its ports are still free, takes
@@ -293,7 +293,7 @@ def _fill(run: FluidRun, ids: np.ndarray, spare: np.ndarray) -> tuple:
     of its ports, the less of the two, when both have more than
     CAPACITY_TOL left; return the positions in ``ids`` raised (int64) and
     the raises.  ``spare`` holds what is left, source ports then
-    destinations, and is updated in place.
+    destinations.
 
     Each raise leaves one of its two ports with nothing, so a port pair is
     raised at most once.
@@ -308,7 +308,6 @@ def _fill(run: FluidRun, ids: np.ndarray, spare: np.ndarray) -> tuple:
             extra.append(x)
             left[i] -= x
             left[j] -= x
-    spare[:] = left
     return np.array(raised, dtype=np.int64), np.array(extra, dtype=float)
 
 
@@ -355,56 +354,42 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     # each flow's port pair, numbered among the pairs that occur, in
     # (source, dest) order; pair_src and pair_dst give each pair's ports
     pair_key, pair = np.unique(run.source * n + run.dest, return_inverse=True)
-    pair_src, pair_dst, release = pair_key // n, pair_key % n, run.flow_release
+    pair_src, pair_dst = pair_key // n, pair_key % n
     queue = _queue(instance, ordering)
-    group_of = {k: g for g, grp in enumerate(groups) for k in grp}
+    # each queue position's flow id, pair and release
+    q_flow = np.array(queue, dtype=np.int64)
+    q_pair, q_release = pair[q_flow], run.flow_release[q_flow]
     ends = [0, *accumulate(sum(run.live[k] for k in grp) for grp in groups)]  # in the queue
-    current, stage = -1, None
-
-    def stage_of(g: int) -> tuple:
-        """Group g's flows that are not yet finished, in queue order, with
-        their pairs, their releases and their pair heads; then the same of
-        the queue after the group, the backfill."""
-        left = run.remaining.tolist()
-        own = [i for i in queue[ends[g]:ends[g + 1]] if left[i]]
-        rest = [i for i in queue[ends[g + 1]:] if left[i]]
-        members, later = np.array(own, dtype=np.int64), np.array(rest, dtype=np.int64)
-        return (members, pair[members], release[members], _PairHeads(instance, own, run.release),
-                later, pair[later], _PairHeads(instance, rest, run.release))
+    heads = _PairHeads(instance, queue, run.release)
+    current = 0
 
     def policy(run: FluidRun) -> tuple:
-        nonlocal current, stage
+        nonlocal current
         # earlier groups never reopen, so the active group only moves forward
-        entering = current < 0 or all(map(run.is_complete, groups[current]))
-        if entering:
+        while all(map(run.is_complete, groups[current])):
             current += 1
-            while all(map(run.is_complete, groups[current])):
-                current += 1
-            stage = stage_of(current)
-        members, m_pair, m_release, group_heads, later, l_pair, later_heads = stage
-        if not entering and run.finished:
-            # each flow the last step finished was served as a head of one of the two
-            flows = run.flows
-            mine = [i for i in run.finished if group_of[flows[i].coflow] == current]
-            group_heads.finish(mine)
-            later_heads.finish([i for i in run.finished if group_of[flows[i].coflow] != current])
+        lo, hi = ends[current], ends[current + 1]
+        heads.finish(run.finished)
         now = run.time + EVENT_EPS
-        group_heads.admit(now)
-        later_heads.admit(now)
-        # the group's released demand per pair, added in queue order; a pair
-        # has some exactly when it has a head
-        weight = run.remaining[members]
+        heads.admit(now)
+        # every earlier group is finished, so the heads before the group's
+        # end are its servers, each pair's first released unfinished member;
+        # those after it are the backfill, on pairs with no such member
+        keys = np.array(heads.heads, dtype=np.int64)
+        cut = bisect_left(heads.heads, hi)
+        served = keys[:cut]
+        # the group's released demand per pair, added in queue order (a
+        # finished flow adds 0.0); a pair has some exactly when it has a server
+        weight = run.remaining[q_flow[lo:hi]]
         if run.next_release() is not None:  # some coflow is not released yet
-            weight = np.where(m_release <= now, weight, 0.0)
-        demand = np.bincount(m_pair, weight, minlength=pair_key.size)
-        heads = np.array(group_heads.heads, dtype=np.int64)
-        by_seen = m_pair[heads]  # the pairs in the order their servers appear
+            weight = np.where(q_release[lo:hi] <= now, weight, 0.0)
+        demand = np.bincount(q_pair[lo:hi], weight, minlength=pair_key.size)
+        by_seen = q_pair[served]  # the pairs in the order their servers appear
         by_pair = np.argsort(by_seen)
-        pairs, servers = by_seen[by_pair], members[heads[by_pair]]
+        pairs, servers = by_seen[by_pair], q_flow[served[by_pair]]
         spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
         amount = np.zeros(0)  # the servers' rates
-        if heads.size:
-            # each pair is served by its first released unfinished member;
+        if served.size:
             # the port loads add the pairs in the order of their servers
             loads = np.concatenate((np.bincount(pair_src[by_seen], demand[by_seen], minlength=n),
                                     np.bincount(pair_dst[by_seen], demand[by_seen], minlength=n)))
@@ -419,13 +404,8 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         # raise the group's own pair rates until a port saturates, then
         # backfill pairs without group demand from later-ordered released
         # coflows, in queue order (LP rank, then source, then dest); spare
-        # capacity only shrinks, so only each pair's head can be served.  A
-        # group pair has a closed port once its server's turn is over, so
-        # leaving its backfill head out only spares _fill the look.
-        back = np.array(later_heads.heads, dtype=np.int64)
-        free = np.ones(pair_key.size, dtype=bool)
-        free[by_seen] = False
-        candidates = np.concatenate((servers, later[back[free[l_pair[back]]]]))
+        # capacity only shrinks, so only each pair's head can be served
+        candidates = np.concatenate((servers, q_flow[keys[cut:]]))
         raised, extra = _fill(run, candidates, spare)
         own = int(np.searchsorted(raised, servers.size))
         amount[raised[:own]] += extra[:own]

@@ -150,6 +150,23 @@ def test_failed_lp_certificate_exits_one(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in captured.err
 
 
+def test_unexpected_exception_exits_one_in_one_line(tmp_path, capsys, monkeypatch):
+    from coflowsched import schedulers
+
+    inst_path = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst_path)
+
+    def broken(instance):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(schedulers, "varys", broken)
+    argv = ["run", "--instance", str(inst_path), "--reps", "1", "--schedulers", "varys"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: run: ZeroDivisionError: float division by zero"]
+    assert "Traceback" not in err
+
+
 def test_lp_that_fails_its_certificate_exits_one_naming_the_rows(tmp_path):
     # sizes 100 and 1e-4 on one port: the ordering LP's answer violates rows
     # (tests/test_relaxations.py::test_coflows_of_mixed_sizes_on_one_port);

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ def test_grouped_fluid_equal_bottleneck_total():
     inst = equal_bottleneck_fixture()
     sched = lp_ov_gb(inst)
     assert total_weighted_completion(sched, inst) == pytest.approx(4.0)
+    assert validate(sched, inst).ok
+
+
+def test_grouped_fluid_backfills_a_pair_whose_group_flow_is_unreleased():
+    # coflow 0 forms the first group but arrives at 5; until then its pair
+    # has no server, so coflow 1, the next group, backfills it alone
+    inst = CoflowInstance(1, [Coflow({(0, 0): 1.0}, release=5.0), Coflow({(0, 0): 4.0})])
+    assert group_coflows(inst, [0, 1]) == [[0], [1]]
+    sched = lp_ov_gb(inst, SimpleNamespace(ordering=[0, 1]))
+    assert [(seg.start, seg.end, seg.rates) for seg in sched.segments] == [
+        (0.0, 4.0, {FlowKey(0, 0, 1): 1.0}),
+        (5.0, 6.0, {FlowKey(0, 0, 0): 1.0}),
+    ]
+    assert sched.completions.tolist() == [6.0, 4.0]
     assert validate(sched, inst).ok
 
 
