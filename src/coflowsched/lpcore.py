@@ -18,9 +18,14 @@ the basic structural (or phase-1 artificial) columns restricted to the rows
 whose slack is nonbasic.  Basic slacks are read off their rows.  The kernel
 is held as an explicit inverse, updated at every pivot (column replace, row
 replace, border grow or shrink) and re-inverted with ``np.linalg.inv``
-every ``_REINVERT`` pivots.  A pivot costs one kernel solve, one sparse
-pivot-row product (e_r B^-1) A, the steepest-edge update and the bounded
-ratio test.
+every ``_REINVERT`` pivots.  The basis bookkeeping (kernel positions, the
+basic list and the entries of the kernel's columns and rows) is kept
+across basis changes too: a pivot rewrites, appends or moves one block of
+entries and shifts a few positions instead of rebuilding them.  A pivot
+costs one kernel solve, one sparse pivot-row product (e_r B^-1) A, the
+steepest-edge update with its whole-matrix product A' tau, the update of
+the kernel inverse and the bounded ratio test; at a few hundred rows that
+is mostly the overhead of about a hundred numpy calls, not arithmetic.
 
 Pricing is steepest edge: exact weights at the start of a run, then
 Goldfarb-Reid updates (Forrest and Goldfarb 1992), lowest index on ties.
@@ -330,19 +335,29 @@ def _pow2(v: float) -> float:
 def _pow2_scaling(row_of, col_of, val, m: int, n: int):
     """Row and column factors, powers of two, that bring each row's and
     each column's largest and smallest magnitude to straddle one
-    (geometric-mean scaling, four passes, rounded in the log domain)."""
+    (geometric-mean scaling, four passes, rounded in the log domain).  The
+    entries are in row order; each pass takes the extremes of the entries
+    grouped by column, then by row, with one ``reduceat`` each."""
     log_a = np.log2(np.abs(val))
     log_r = np.zeros(m)
     log_c = np.zeros(n)
+    if not len(val):
+        return np.exp2(log_r), np.exp2(log_c)
+    # per line kind: its factors, the entries in line order (the rows'
+    # are in order already), where each line with entries starts, and which
+    # lines those are
+    lines = []
+    by_col = np.argsort(col_of, kind="stable")
+    for log_s, order, idx in ((log_c, by_col, col_of[by_col]), (log_r, slice(None), row_of)):
+        first = np.flatnonzero(np.diff(idx, prepend=-1))
+        lines.append((log_s, order, first, idx[first]))
     for _ in range(4):
-        for log_s, idx, size in ((log_c, col_of, n), (log_r, row_of, m)):
-            lv = log_a + log_r[row_of] + log_c[col_of]
-            hi = np.full(size, -np.inf)
-            lo = np.full(size, np.inf)
-            np.maximum.at(hi, idx, lv)
-            np.minimum.at(lo, idx, lv)
-            used = np.isfinite(hi)
-            log_s[used] -= np.floor((hi[used] + lo[used]) / 2 + 0.5)
+        for log_s, order, first, used in lines:
+            lv = (log_a + log_r[row_of] + log_c[col_of])[order]
+            hi = np.maximum.reduceat(lv, first)
+            lo = np.minimum.reduceat(lv, first)
+            # a line whose largest magnitude is not finite keeps its factor
+            log_s[used] -= np.where(np.isfinite(hi), np.floor((hi + lo) / 2 + 0.5), 0.0)
     return np.exp2(log_r), np.exp2(log_c)
 
 
@@ -499,6 +514,49 @@ def _entries(ptr: np.ndarray, ids: np.ndarray):
     return np.arange(len(owner)) + (starts - np.cumsum(lens) + lens)[owner], owner
 
 
+class _KernelEntries:
+    """The entries of the kernel columns (or rows) of a CSC (CSR) view
+    ``ptr``, ``idx``, ``val``: one block per kernel position, in kernel
+    order, each block in the order of the view.  Per entry ``idx`` holds
+    its row (column), ``val`` its value and ``owner`` its kernel position;
+    block p is entries ``self.ptr[p]:self.ptr[p + 1]``.  These are the arrays that
+    ``_entries`` gives for the same kernel, so every product over them adds
+    the same terms in the same order."""
+
+    def __init__(self, ptr, idx, val, ids, capacity: int):
+        self.view = (ptr, idx, val)
+        pos, self.owner = _entries(ptr, ids)
+        self.idx, self.val = idx[pos], val[pos]
+        self.ptr = np.zeros(capacity + 1, dtype=np.int64)
+        np.cumsum(ptr[ids + 1] - ptr[ids], out=self.ptr[1:len(ids) + 1])
+
+    def _splice(self, p: int, stop: int, idx, val, lo: int, hi: int) -> None:
+        """Block p becomes entries lo:hi of (idx, val), blocks p + 1 to
+        stop - 1 follow it unchanged, and the blocks from ``stop`` on go."""
+        ptr = self.ptr
+        s, e, end = ptr[p], ptr[p + 1], ptr[stop]
+        self.idx = np.concatenate((self.idx[:s], idx[lo:hi], self.idx[e:end]))
+        self.val = np.concatenate((self.val[:s], val[lo:hi], self.val[e:end]))
+        self.owner = np.concatenate((self.owner[:s], np.full(hi - lo, p), self.owner[e:end]))
+        ptr[p + 1:stop + 1] += (hi - lo) - (e - s)
+
+    def replace(self, p: int, k: int, j: int) -> None:
+        """Block p of the k becomes line j of the view."""
+        ptr, idx, val = self.view
+        self._splice(p, k, idx, val, ptr[j], ptr[j + 1])
+
+    def append(self, k: int, j: int) -> None:
+        """Line j of the view becomes block k, after the k blocks."""
+        self.ptr[k + 1] = self.ptr[k]
+        self.replace(k, k + 1, j)
+
+    def move_last(self, p: int, k: int) -> None:
+        """The last of the k blocks moves into position p, whose block goes."""
+        last = k - 1
+        lo, hi = (self.ptr[last], self.ptr[k]) if p < last else (0, 0)
+        self._splice(p, last, self.idx, self.val, lo, hi)
+
+
 class _Simplex:
     """Bounded primal simplex over rows A y + s = b (A sparse, scaled),
     0 <= y <= ub and slacks s in [0, inf) on <= rows, [0, 0] on == rows.
@@ -509,16 +567,26 @@ class _Simplex:
     slack is nonbasic, in kernel order) and the basic slacks of all other
     rows.  ``G`` is the inverse of the kernel A[krows][:, kcols]; its rows
     follow ``kcols`` and its columns ``krows``.
+
+    ``install`` builds the bookkeeping (``_positions``): the kernel
+    positions ``colpos`` and ``rowpos``, the basic list, ``slack_rows`` and
+    the kernel entry lists ``kc`` and ``kr``.  Each basis change then keeps
+    it current in place, in the order that a rebuild would give, so the
+    products over it add the same terms in the same order.
     """
 
     def __init__(self, row_of, col_of, val, m, nx, b, ub_struct, rel, stats):
         self.m, self.nx = m, nx
         # the entries sorted by row, stably, serve as the CSR view and for
         # the whole-matrix products: each row keeps its entries in the
-        # given order, and so does each column
-        by_row = np.argsort(row_of, kind="stable")
-        self.row_of, self.col_of, self.val = row_of[by_row], col_of[by_row], val[by_row]
-        self.csr_ptr = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=m))))
+        # given order, and so does each column.  An LpProblem's entries are
+        # in row order already; only phase 1's artificials come after them.
+        if (row_of[1:] < row_of[:-1]).any():
+            by_row = np.argsort(row_of, kind="stable")
+            row_of, col_of, val = row_of[by_row], col_of[by_row], val[by_row]
+        self.row_of, self.col_of, self.val = row_of, col_of, val
+        self.row_len = np.bincount(row_of, minlength=m)
+        self.csr_ptr = np.concatenate(([0], np.cumsum(self.row_len)))
         by_col = np.argsort(self.col_of, kind="stable")
         self.csc_rows, self.csc_cols, self.csc_vals = self.row_of[by_col], self.col_of[by_col], self.val[by_col]
         self.csc_ptr = np.concatenate(([0], np.cumsum(np.bincount(col_of, minlength=nx))))
@@ -548,22 +616,33 @@ class _Simplex:
         return self.refresh(check)
 
     def _positions(self) -> None:
-        """Kernel positions, basic list and kernel entries, from scratch."""
+        """Kernel positions, basic list, slack rows and kernel entries, from
+        scratch, in new arrays; ``_pivot`` keeps them current after."""
+        k = len(self.kcols)
         self.colpos = np.full(self.nx, -1, dtype=np.int64)
-        self.colpos[self.kcols] = np.arange(len(self.kcols))
+        self.colpos[self.kcols] = np.arange(k)
         self.rowpos = np.full(self.m, -1, dtype=np.int64)
-        self.rowpos[self.krows] = np.arange(len(self.krows))
-        self.slack_rows = np.flatnonzero(self.rowpos < 0)
-        self.basic = np.concatenate([self.kcols, self.nx + self.slack_rows])
-        self._kernel_columns()
-        # the entries of the kernel rows, each with its kernel position
-        pos, self.kr_owner = _entries(self.csr_ptr, self.krows)
-        self.kr_cols, self.kr_vals = self.col_of[pos], self.val[pos]
+        self.rowpos[self.krows] = np.arange(k)
+        slack_rows = np.flatnonzero(self.rowpos < 0)
+        # basic is the kernel columns, then the basic slacks in row order;
+        # kcols, krows and slack_rows are views of buffers as long as basic
+        # (m entries, unless a start names a row twice and refresh refuses
+        # it), so that a border grow or shrink moves no other entry
+        self.basic = np.concatenate([self.kcols, self.nx + slack_rows])
+        size = len(self.basic)
+        self._krows = np.empty(size, dtype=np.int64)
+        self._krows[:k] = self.krows
+        self._slack = np.empty(size, dtype=np.int64)
+        self._slack[k:] = slack_rows
+        self._kernel_size(k)
+        self.kc = _KernelEntries(self.csc_ptr, self.csc_rows, self.csc_vals, self.kcols, size)
+        self.kr = _KernelEntries(self.csr_ptr, self.col_of, self.val, self.krows, size)
 
-    def _kernel_columns(self) -> None:
-        """The entries of the kernel columns, each with its kernel position."""
-        pos, self.kc_owner = _entries(self.csc_ptr, self.kcols)
-        self.kc_rows, self.kc_vals = self.csc_rows[pos], self.csc_vals[pos]
+    def _kernel_size(self, k: int) -> None:
+        """Point kcols, krows and slack_rows at a kernel of k."""
+        self.kcols = self.basic[:k]
+        self.krows = self._krows[:k]
+        self.slack_rows = self._slack[k:]
 
     def refresh(self, check: bool = False) -> bool:
         """Re-invert the kernel and recompute the basic values (and the
@@ -629,7 +708,8 @@ class _Simplex:
         for _ in range(self.max_iters):
             d, status = self.d, self.status
             viol = np.where(status == _AT_LOWER, -d, d)
-            cand = (viol > REDUCED_COST_TOL) & enterable & (status != _BASIC)
+            # d is exactly 0.0 on the basic columns, so none of them is a candidate
+            cand = (viol > REDUCED_COST_TOL) & enterable
             if not cand.any():
                 if self.fresh:
                     return OPTIMAL
@@ -643,10 +723,10 @@ class _Simplex:
                 # (few pivots, if any) prices by the plain violation
                 self.weights = self._edge_weights() if face is None else np.ones(len(d))
             if use_bland:
-                q = int(np.flatnonzero(cand)[0])
+                q = int(cand.argmax())  # the first candidate
             else:
                 scores = np.where(cand, viol * viol / self.weights, -np.inf)
-                q = int(np.argmax(scores))  # argmax takes the lowest index on ties
+                q = int(scores.argmax())  # argmax takes the lowest index on ties
             direction = 1.0 if status[q] == _AT_LOWER else -1.0
             alpha = self._column(q)
             eff = direction * alpha
@@ -654,11 +734,12 @@ class _Simplex:
             # bounded ratio test over the basic variables that move
             basic = self.basic
             size = np.abs(eff)
-            moving = np.flatnonzero(size > _PIVOT_TOL * max(1.0, float(size.max(initial=0.0))))
+            moving = (size > _PIVOT_TOL * max(1.0, float(size.max(initial=0.0)))).nonzero()[0]
             size = size[moving]
             falls = eff[moving] > 0  # else the basic variable rises toward its upper bound
-            xb = self.x[basic[moving]]
-            limits = np.where(falls, xb, self.ub[basic[moving]] - xb) / size
+            on_move = basic[moving]
+            xb = self.x[on_move]
+            limits = np.where(falls, xb, self.ub[on_move] - xb) / size
             np.maximum(limits, 0.0, out=limits)
             step = float(limits.min(initial=np.inf))
             flip = self.ub[q]  # length of q's bound interval
@@ -674,11 +755,11 @@ class _Simplex:
                 continue
             if not math.isfinite(step):
                 return UNBOUNDED
-            ties = np.flatnonzero(limits <= step + _DEGEN_TOL)
+            ties = (limits <= step + _DEGEN_TOL).nonzero()[0]
             if use_bland:
-                at = int(ties[np.argmin(basic[moving[ties]])])  # lowest variable index
+                at = int(ties[on_move[ties].argmin()])  # lowest variable index
             else:
-                at = int(ties[np.argmax(size[ties])])  # largest pivot
+                at = int(ties[size[ties].argmax()])  # largest pivot
             step = float(limits[at])
             r = int(moving[at])
             if step <= _DEGEN_TOL:
@@ -753,13 +834,14 @@ class _Simplex:
         else:
             col[q - nx] = 1.0
             alpha_k = self.G[:, self.rowpos[q - nx]].copy()
-        col -= _sum_by(self.kc_rows, self.kc_vals * alpha_k[self.kc_owner], m)
+        kc = self.kc
+        col -= _sum_by(kc.idx, kc.val * alpha_k[kc.owner], m)
         return np.concatenate([alpha_k, col[self.slack_rows]])
 
     def _pivot(self, q: int, r: int, alpha: np.ndarray, leaving: int) -> None:
         """Basis change: q enters in basis position r, where ``leaving``
-        was.  Updates the reduced costs, the steepest-edge weights and the kernel
-        inverse."""
+        was.  Updates the reduced costs, the steepest-edge weights, the kernel
+        inverse and the basis bookkeeping, the last in place of a rebuild."""
         m, nx, G = self.m, self.nx, self.G
         k = len(self.kcols)
         piv = alpha[r]
@@ -777,7 +859,8 @@ class _Simplex:
             z = vals_i[inside] @ G[pos[inside]]
             rho_k = -z
             rho[i] = 1.0
-        alpha_r = _sum_by(self.kr_cols, self.kr_vals * rho_k[self.kr_owner], nx)
+        kr = self.kr
+        alpha_r = _sum_by(kr.idx, kr.val * rho_k[kr.owner], nx)
         if r >= k:
             alpha_r[cols_i] += vals_i
         rho[self.krows] = rho_k
@@ -787,31 +870,41 @@ class _Simplex:
         self.d[leaving] = -theta
 
         # Goldfarb-Reid update of the steepest-edge weights, with
-        # tau = B^-T alpha and gamma_q = 1 + |alpha|^2 taken fresh
+        # tau = B^-T alpha and gamma_q = 1 + |alpha|^2 taken fresh:
+        # w += ratio (ratio gamma_q - 2 A'tau), then w >= 1 + ratio^2
+        kc = self.kc
         tau = np.zeros(m)
         tau[self.slack_rows] = alpha[k:]
-        spill = _sum_by(self.kc_owner, self.kc_vals * tau[self.kc_rows], k)
+        spill = _sum_by(kc.owner, kc.val * tau[kc.idx], k)
         tau_k = (alpha[:k] - spill) @ G
         tau[self.krows] = tau_k
-        a_tau = np.concatenate([_sum_by(self.col_of, self.val * tau[self.row_of], nx), tau])
+        a_tau = np.concatenate([_sum_by(self.col_of, self.val * np.repeat(tau, self.row_len), nx), tau])
         gamma_q = 1.0 + float(alpha @ alpha)
         ratio = alpha_r / piv
         w = self.weights
-        w += ratio * (ratio * gamma_q - 2.0 * a_tau)
-        np.maximum(w, 1.0 + ratio * ratio, out=w)
+        a_tau *= 2.0
+        change = ratio * gamma_q
+        change -= a_tau
+        change *= ratio
+        w += change
+        np.multiply(ratio, ratio, out=change)
+        change += 1.0
+        np.maximum(w, change, out=w)
         w[leaving] = max(gamma_q / (piv * piv), 1.0)
 
+        # the kernel inverse, then the kernel, the basic list and the
+        # kernel entries in the order that _positions() would give them
         alpha_k = alpha[:k]
+        basic, colpos, rowpos = self.basic, self.colpos, self.rowpos
         if q < nx and r < k:
             # column replace: q takes kernel column r
             g = G[r] / piv
-            G -= np.outer(alpha_k, g)
+            G -= alpha_k[:, None] * g
             G[r] = g
-            self.kcols[r] = q
-            self.basic[r] = q
-            self.colpos[leaving] = -1
-            self.colpos[q] = r
-            self._kernel_columns()
+            basic[r] = q
+            colpos[leaving] = -1
+            colpos[q] = r
+            kc.replace(r, k, q)
         elif q < nx:
             # border grow: row i joins the kernel with column q
             if self._buffer.shape[0] <= k:
@@ -819,34 +912,69 @@ class _Simplex:
                 grown[:k, :k] = G
                 self._buffer, G = grown, grown[:k, :k]
             buf = self._buffer
-            G += np.outer(alpha_k, z / piv)
+            G += alpha_k[:, None] * (z / piv)
             buf[:k, k] = -alpha_k / piv
             buf[k, :k] = -z / piv
             buf[k, k] = 1.0 / piv
             self.G = buf[: k + 1, : k + 1]
-            self.kcols = np.append(self.kcols, q)
-            self.krows = np.append(self.krows, i)
-        elif r < k:
-            # border shrink: q's row and column r leave the kernel; the last
-            # kernel row and column move into their places
-            a = int(self.rowpos[q - nx])
-            G -= np.outer(G[:, a], G[r] / piv)
-            last = k - 1
-            G[r] = G[last]
-            G[:, a] = G[:, last]
-            self.G = self._buffer[:last, :last]
-            self.kcols[r] = self.kcols[last]
-            self.krows[a] = self.krows[last]
-            self.kcols = self.kcols[:last]
-            self.krows = self.krows[:last]
+            # the basic slacks before row i move up one place
+            basic[k + 1:r + 1] = basic[k:r]
+            self._slack[k + 1:r + 1] = self._slack[k:r]
+            basic[k] = q
+            self._krows[k] = i
+            colpos[q] = k
+            rowpos[i] = k
+            kc.append(k, q)
+            kr.append(k, i)
+            self._kernel_size(k + 1)
         else:
-            # row replace: row i takes the kernel row of q's row
-            a = int(self.rowpos[q - nx])
-            z_a = z.copy()
-            z_a[a] -= 1.0
-            G -= np.outer(G[:, a], z_a) / z[a]
-            self.krows[a] = i
-        if not (q < nx and r < k):
-            self._positions()
+            h = q - nx
+            a = int(rowpos[h])
+            slack = self._slack
+            # the basis position of h's slack among the basic slacks, which
+            # are in row order
+            at = k + int(self.slack_rows.searchsorted(h))
+            if r < k:
+                # border shrink: q's row h and column r leave the kernel;
+                # the last kernel row and column move into their places
+                G -= G[:, a, None] * (G[r] / piv)
+                last = k - 1
+                G[r] = G[last]
+                G[:, a] = G[:, last]
+                self.G = self._buffer[:last, :last]
+                basic[r] = basic[last]
+                self._krows[a] = self._krows[last]
+                colpos[basic[r]] = r
+                colpos[leaving] = -1
+                rowpos[self._krows[a]] = a
+                rowpos[h] = -1
+                # the basic slacks before h move down one place
+                basic[last:at - 1] = basic[k:at]
+                slack[last:at - 1] = slack[k:at]
+                basic[at - 1] = q
+                slack[at - 1] = h
+                kc.move_last(r, k)
+                kr.move_last(a, k)
+                self._kernel_size(last)
+            else:
+                # row replace: row i takes the kernel row of q's row h
+                z_a = z.copy()
+                z_a[a] -= 1.0
+                G -= G[:, a, None] * z_a / z[a]
+                self._krows[a] = i
+                rowpos[i] = a
+                rowpos[h] = -1
+                # h's slack replaces row i's in basis position r, and
+                # the basic slacks between them move one place
+                if at > r:
+                    basic[r:at - 1] = basic[r + 1:at]
+                    slack[r:at - 1] = slack[r + 1:at]
+                    at -= 1
+                else:
+                    basic[at + 1:r + 1] = basic[at:r]
+                    slack[at + 1:r + 1] = slack[at:r]
+                basic[at] = q
+                slack[at] = h
+                kr.replace(a, k, i)
         self.d[q] = 0.0
-        self.d[self.basic] = 0.0
+        self.d[basic] = 0.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -153,12 +153,19 @@ def horizon(instance: CoflowInstance) -> float:
 
 def node_load_matrix(instance: CoflowInstance) -> np.ndarray:
     """(2N, K) matrix of per-node loads: rows 0..N-1 are source ports,
-    rows N..2N-1 are destination ports."""
+    rows N..2N-1 are destination ports.  Each entry adds its coflow's
+    flows in demand order, as ``port_loads`` does, in one ``np.bincount``."""
     n, kk = instance.n_ports, instance.num_coflows
-    loads = np.zeros((2 * n, kk))
-    for k, cf in enumerate(instance.coflows):
-        loads[:n, k], loads[n:, k] = port_loads(cf.demands, n)
-    return loads
+    coflows = instance.coflows
+    counts = [len(cf.demands) for cf in coflows]
+    total = sum(counts)
+    ports = np.fromiter(chain.from_iterable(chain.from_iterable(cf.demands for cf in coflows)),
+                        dtype=np.int64, count=2 * total)
+    sizes = np.fromiter(chain.from_iterable(cf.demands.values() for cf in coflows), dtype=float, count=total)
+    owner = np.repeat(np.arange(kk), counts)
+    cells = np.concatenate((ports[0::2] * kk + owner, (n + ports[1::2]) * kk + owner))
+    loads = np.bincount(cells, np.concatenate((sizes, sizes)), minlength=2 * n * kk)
+    return loads.astype(float, copy=False).reshape(2 * n, kk)
 
 
 def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.ndarray:

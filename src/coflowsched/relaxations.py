@@ -103,6 +103,12 @@ def _ordering_problem(instance: CoflowInstance, num_vars: int, loads: np.ndarray
     )
 
 
+def _time_loads(instance: CoflowInstance) -> np.ndarray:
+    """The port-load matrix (``node_load_matrix``) in time units: data over
+    the link capacity."""
+    return node_load_matrix(instance) / instance.capacity
+
+
 def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     """The full precedence LP: K completion variables, K*(K-1) ordering
     variables in [0,1], and 2NK + K + C(K,2) constraints.
@@ -114,7 +120,7 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    loads = node_load_matrix(instance) / instance.capacity
+    loads = _time_loads(instance)
     # port rows, source side then destination side:
     # f_k - sum_kp loads[s, kp] delta[kp, k] >= loads[s, k]
     s_of, k_of = np.divmod(np.arange(loads.size), kk)
@@ -135,7 +141,7 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     return _ordering_problem(instance, kk + kk * (kk - 1), loads, port_rows, (pair_rows,))
 
 
-def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
+def _build_reduced_ordering_lp(instance: CoflowInstance, loads: np.ndarray | None = None) -> lpcore.LpProblem:
     """Equivalent LP with one variable per unordered pair.
 
     Substituting the complement for half the ordering variables removes
@@ -145,12 +151,14 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     among optimal vertices (bounded variables nearest their lower bounds)
     prefers the lower-id-first ordering and exact ties come out
     reproducibly.  The optimum matches build_ordering_lp (asserted in the
-    test suite).
+    test suite).  ``loads`` is the port-load matrix in time units
+    (``_time_loads``), computed when not given.
     """
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    loads = node_load_matrix(instance) / instance.capacity
+    if loads is None:
+        loads = _time_loads(instance)
     # row (s, k): f_k + sum_{kp<k} loads[s, kp] p(kp, k) - sum_{kp>k} loads[s, kp] p(k, kp)
     #             >= loads[s, k] + sum_{kp<k} loads[s, kp];
     # kept when another coflow loads port s (a lone user's sum less its own is exactly 0)
@@ -167,16 +175,18 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
 
-def _bssi_order(instance: CoflowInstance) -> list:
+def _bssi_order(instance: CoflowInstance, loads: np.ndarray | None = None) -> list:
     """Sincronia's BSSI order (Agarwal et al., SIGCOMM 2018), built from
     the last position back on the port loads in time units: take the port
     with the most load left among the remaining coflows (ties to the lowest
     port), put last the remaining coflow with the smallest weight over its
     load on that port (ties to the lowest id; a coflow that does not load
     the port cannot be picked), and lower every remaining coflow's weight
-    by that ratio times its load on the port.  Releases are ignored."""
+    by that ratio times its load on the port.  Releases are ignored.
+    ``loads`` (``_time_loads``, computed when not given) is not changed."""
     kk = instance.num_coflows
-    remaining = node_load_matrix(instance) / instance.capacity  # placed coflows' columns zeroed
+    # placed coflows' columns zeroed
+    remaining = _time_loads(instance) if loads is None else loads.copy()
     weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
     order = []
     for _ in range(kk):
@@ -193,7 +203,8 @@ def _bssi_order(instance: CoflowInstance) -> list:
     return order[::-1]
 
 
-def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> lpcore.Basis:
+def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem,
+                          loads: np.ndarray | None = None) -> lpcore.Basis:
     """Feasible starting vertex for the reduced LP: fix every pair variable
     to the corner of the BSSI order (``_bssi_order``), then make each
     completion variable basic in its tightest row.
@@ -203,11 +214,12 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> l
     skipped.  BSSI is itself a 4-approximate ordering for zero releases,
     so its corner sits close to the LP optimum and keeps the phase-2 path
     short: about half the pivots of a release-plus-bottleneck-over-weight
-    greedy order at 8x24, and a fifth at 16x160.
+    greedy order at 8x24, and a fifth at 16x160.  ``loads`` is passed on
+    to ``_bssi_order``.
     """
     kk = instance.num_coflows
     rank = np.empty(kk, dtype=np.int64)
-    rank[_bssi_order(instance)] = np.arange(kk)
+    rank[_bssi_order(instance, loads)] = np.arange(kk)
     a, b = np.triu_indices(kk, 1)
     later = rank[b] < rank[a]  # pair variable holds "b finishes before a"
     at_upper = _pair_index(kk, a[later], b[later])
@@ -235,8 +247,9 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
     lower coflow id so repeated runs are reproducible.
     """
     kk = instance.num_coflows
-    prob = _build_reduced_ordering_lp(instance)
-    sol = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
+    loads = _time_loads(instance)
+    prob = _build_reduced_ordering_lp(instance, loads)
+    sol = lpcore.solve(prob, _ordering_crash_basis(instance, prob, loads))
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
             f"ordering LP should always be solvable, got status {sol.status!r}"
@@ -305,7 +318,7 @@ def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.nd
         raise ValueError("instance has no coflows")
     grid = interval_grid(instance)
     nl = len(grid) - 1
-    loads = node_load_matrix(instance) / instance.capacity
+    loads = _time_loads(instance)
     weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
     release = np.array([cf.release for cf in instance.coflows], dtype=float)
 

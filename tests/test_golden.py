@@ -20,7 +20,8 @@ import pytest
 
 from conftest import GOLDEN_INSTANCES, golden_instance, lp_certificates
 
-from coflowsched import lpcore, schedulers
+from coflowsched import cli, lpcore, schedulers
+from coflowsched.model import load_instance
 from coflowsched.relaxations import solve_interval_lp, solve_ordering_lp
 
 # varys's and lp-ov-gb's digests, but for mini-trace-4's, were re-pinned when
@@ -184,6 +185,15 @@ GOLDEN_LP_PIVOTS = {
     "mini-trace-4": 0,
 }
 
+# SolveStats and f~ digest of the ordering LP of `coflowsched gen --ports 8
+# --coflows 40 --seed 1`: several hundred basis changes, where the largest
+# golden LP above takes 92, so a path change that shows only after many
+# pivots shows here
+GOLDEN_8X40_LP = (
+    lpcore.SolveStats(pivots=488, bound_flips=3, reinversions=6, crash_accepted=True),
+    "4989ab223c05c69f656820d6a1ebceb8b2335dc69e21559db8fe79c3c570637b",
+)
+
 # instance -> simplex pivots of its interval LP from the last-interval crash
 # start; the columns fixed at zero (intervals that end before the coflow can
 # finish) never enter, so the solver may drop them without moving these
@@ -238,6 +248,13 @@ def test_lp_solutions_match_pinned_digests(instance_name):
 def test_ordering_lp_pivots_match_pinned_counts(instance_name):
     _, lp = _case(instance_name)
     assert lp.solution.stats.pivots == GOLDEN_LP_PIVOTS[instance_name]
+
+
+def test_8x40_ordering_lp_matches_pinned_path(tmp_path):
+    path = tmp_path / "i.json"
+    assert cli.main(["gen", "--ports", "8", "--coflows", "40", "--seed", "1", "--out", str(path)]) == 0
+    lp = solve_ordering_lp(load_instance(path))
+    assert (lp.solution.stats, hashlib.sha256(lp.f_tilde.tobytes()).hexdigest()) == GOLDEN_8X40_LP
 
 
 @pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))

@@ -1,3 +1,5 @@
+import collections
+import copy
 import dataclasses
 import itertools
 import math
@@ -189,6 +191,99 @@ def test_degenerate_problem_terminates():
     s = solve(p)
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(-0.05)
+
+
+def _random_bounded_lp(rng):
+    """A sparse LP with <=, >= and == rows that a point inside the bounds
+    satisfies; >= rows with a positive right-hand side and == rows give
+    phase 1 artificials."""
+    m, n = int(rng.integers(6, 14)), int(rng.integers(5, 12))
+    upper = np.where(rng.random(n) < 0.7, rng.choice([0.5, 1.0, 3.0], n), math.inf)
+    point = rng.uniform(0.0, 1.0, n) * np.where(np.isfinite(upper), upper, 2.0)
+    p = LpProblem(n, objective=rng.uniform(-2.0, 2.0, n), upper=upper)
+    for _ in range(m):
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        coeffs = {int(j): float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for j in support}
+        lhs = sum(a * point[j] for j, a in coeffs.items())
+        relation = rng.choice(["<=", ">=", "=="], p=[0.45, 0.4, 0.15])
+        slack = float(rng.uniform(0.0, 1.0))
+        p.add_constraint(coeffs, relation, lhs + slack if relation == "<=" else lhs - slack if relation == ">=" else lhs)
+    return p
+
+
+def _rebuilt(simplex):
+    """A copy of the simplex whose basis bookkeeping is rebuilt from its
+    kernel columns and rows by ``_positions()``."""
+    fresh = copy.copy(simplex)
+    fresh.kcols, fresh.krows = simplex.kcols.copy(), simplex.krows.copy()
+    fresh._positions()
+    return fresh
+
+
+def test_pivots_keep_the_bookkeeping_a_rebuild_gives(monkeypatch):
+    # after every basis change the positions, basic list, slack rows and
+    # kernel entry lists equal a from-scratch rebuild, entry for entry and
+    # in the same order, so every product adds the same terms in the same order
+    pivot = lpcore._Simplex._pivot
+    kinds = collections.Counter()
+
+    def checked(self, q, r, alpha, leaving):
+        # (a structural column enters, a kernel column leaves)
+        kinds[{(True, True): "column replace", (True, False): "border grow",
+               (False, True): "border shrink", (False, False): "row replace"}[q < self.nx, r < len(self.kcols)]] += 1
+        pivot(self, q, r, alpha, leaving)
+        fresh = _rebuilt(self)
+        for name in ("colpos", "rowpos", "slack_rows", "basic", "kcols", "krows"):
+            got, want = getattr(self, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        k = len(self.kcols)
+        for name in ("kc", "kr"):
+            got, want = getattr(self, name), getattr(fresh, name)
+            for part in ("idx", "val", "owner"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+            assert got.ptr[:k + 1].tolist() == want.ptr[:k + 1].tolist(), name
+
+    monkeypatch.setattr(lpcore._Simplex, "_pivot", checked)
+    rng = np.random.default_rng(5)
+    flips = phase1 = 0
+    for _ in range(60):
+        s = solve(_random_bounded_lp(rng))
+        flips += s.stats.bound_flips
+        phase1 += s.stats.pivots > 0 and s.stats.phase1
+    from coflowsched.relaxations import solve_ordering_lp
+
+    flips += solve_ordering_lp(golden_instance("dense-8x20-releases")).solution.stats.bound_flips
+    assert set(kinds) == {"column replace", "border grow", "border shrink", "row replace"}, kinds
+    assert flips > 0 and phase1 > 0
+
+
+def _reference_pow2_scaling(row_of, col_of, val, m, n):
+    # the extremes of each line by unbuffered maximum/minimum at every entry
+    log_a = np.log2(np.abs(val))
+    log_r, log_c = np.zeros(m), np.zeros(n)
+    for _ in range(4):
+        for log_s, idx, size in ((log_c, col_of, n), (log_r, row_of, m)):
+            lv = log_a + log_r[row_of] + log_c[col_of]
+            hi, lo = np.full(size, -np.inf), np.full(size, np.inf)
+            np.maximum.at(hi, idx, lv)
+            np.minimum.at(lo, idx, lv)
+            used = np.isfinite(hi)
+            log_s[used] -= np.floor((hi[used] + lo[used]) / 2 + 0.5)
+    return np.exp2(log_r), np.exp2(log_c)
+
+
+def test_pow2_scaling_takes_each_lines_extremes_exactly():
+    # rows and columns without entries, and magnitudes from 1e-9 to 1e9
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        cells = np.unique(rng.integers(0, m * n, int(rng.integers(0, m * n + 1))))
+        row_of, col_of = np.divmod(cells, n)
+        val = rng.choice([-1.0, 1.0], len(cells)) * 10.0 ** rng.uniform(-9, 9, len(cells))
+        got = lpcore._pow2_scaling(row_of, col_of, val, m, n)
+        want = _reference_pow2_scaling(row_of, col_of, val, m, n)
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
 
 def test_crash_start_matches_cold_solve():
