@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -117,6 +117,14 @@ class CoflowInstance:
         """Coflow k's flow ids are ``flow_offsets[k]`` to ``flow_offsets[k + 1] - 1``."""
         return (0, *accumulate(len(cf.demands) for cf in self.coflows))
 
+    @cached_property
+    def time_loads(self) -> np.ndarray:
+        """``node_load_matrix`` in time units (data over the link capacity);
+        built once per instance and read-only."""
+        loads = node_load_matrix(self) / self.capacity
+        loads.flags.writeable = False
+        return loads
+
     @property
     def total_demand(self) -> float:
         return sum(cf.total_demand for cf in self.coflows)
@@ -153,19 +161,12 @@ def horizon(instance: CoflowInstance) -> float:
 
 def node_load_matrix(instance: CoflowInstance) -> np.ndarray:
     """(2N, K) matrix of per-node loads: rows 0..N-1 are source ports,
-    rows N..2N-1 are destination ports.  Each entry adds its coflow's
-    flows in demand order, as ``port_loads`` does, in one ``np.bincount``."""
+    rows N..2N-1 are destination ports."""
     n, kk = instance.n_ports, instance.num_coflows
-    coflows = instance.coflows
-    counts = [len(cf.demands) for cf in coflows]
-    total = sum(counts)
-    ports = np.fromiter(chain.from_iterable(chain.from_iterable(cf.demands for cf in coflows)),
-                        dtype=np.int64, count=2 * total)
-    sizes = np.fromiter(chain.from_iterable(cf.demands.values() for cf in coflows), dtype=float, count=total)
-    owner = np.repeat(np.arange(kk), counts)
-    cells = np.concatenate((ports[0::2] * kk + owner, (n + ports[1::2]) * kk + owner))
-    loads = np.bincount(cells, np.concatenate((sizes, sizes)), minlength=2 * n * kk)
-    return loads.astype(float, copy=False).reshape(2 * n, kk)
+    loads = np.zeros((2 * n, kk))
+    for k, cf in enumerate(instance.coflows):
+        loads[:n, k], loads[n:, k] = port_loads(cf.demands, n)
+    return loads
 
 
 def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore
-from .model import CoflowInstance, horizon, node_load_matrix
+from .model import CoflowInstance, horizon
 
 
 @dataclass
@@ -103,12 +103,6 @@ def _ordering_problem(instance: CoflowInstance, num_vars: int, loads: np.ndarray
     )
 
 
-def _time_loads(instance: CoflowInstance) -> np.ndarray:
-    """The port-load matrix (``node_load_matrix``) in time units: data over
-    the link capacity."""
-    return node_load_matrix(instance) / instance.capacity
-
-
 def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     """The full precedence LP: K completion variables, K*(K-1) ordering
     variables in [0,1], and 2NK + K + C(K,2) constraints.
@@ -120,7 +114,7 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    loads = _time_loads(instance)
+    loads = instance.time_loads
     # port rows, source side then destination side:
     # f_k - sum_kp loads[s, kp] delta[kp, k] >= loads[s, k]
     s_of, k_of = np.divmod(np.arange(loads.size), kk)
@@ -141,7 +135,7 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     return _ordering_problem(instance, kk + kk * (kk - 1), loads, port_rows, (pair_rows,))
 
 
-def _build_reduced_ordering_lp(instance: CoflowInstance, loads: np.ndarray | None = None) -> lpcore.LpProblem:
+def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     """Equivalent LP with one variable per unordered pair.
 
     Substituting the complement for half the ordering variables removes
@@ -151,14 +145,12 @@ def _build_reduced_ordering_lp(instance: CoflowInstance, loads: np.ndarray | Non
     among optimal vertices (bounded variables nearest their lower bounds)
     prefers the lower-id-first ordering and exact ties come out
     reproducibly.  The optimum matches build_ordering_lp (asserted in the
-    test suite).  ``loads`` is the port-load matrix in time units
-    (``_time_loads``), computed when not given.
+    test suite).
     """
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
-    if loads is None:
-        loads = _time_loads(instance)
+    loads = instance.time_loads
     # row (s, k): f_k + sum_{kp<k} loads[s, kp] p(kp, k) - sum_{kp>k} loads[s, kp] p(k, kp)
     #             >= loads[s, k] + sum_{kp<k} loads[s, kp];
     # kept when another coflow loads port s (a lone user's sum less its own is exactly 0)
@@ -175,18 +167,16 @@ def _build_reduced_ordering_lp(instance: CoflowInstance, loads: np.ndarray | Non
     return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
 
-def _bssi_order(instance: CoflowInstance, loads: np.ndarray | None = None) -> list:
+def _bssi_order(instance: CoflowInstance) -> list:
     """Sincronia's BSSI order (Agarwal et al., SIGCOMM 2018), built from
     the last position back on the port loads in time units: take the port
     with the most load left among the remaining coflows (ties to the lowest
     port), put last the remaining coflow with the smallest weight over its
     load on that port (ties to the lowest id; a coflow that does not load
     the port cannot be picked), and lower every remaining coflow's weight
-    by that ratio times its load on the port.  Releases are ignored.
-    ``loads`` (``_time_loads``, computed when not given) is not changed."""
+    by that ratio times its load on the port.  Releases are ignored."""
     kk = instance.num_coflows
-    # placed coflows' columns zeroed
-    remaining = _time_loads(instance) if loads is None else loads.copy()
+    remaining = instance.time_loads.copy()  # placed coflows' columns zeroed
     weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
     order = []
     for _ in range(kk):
@@ -203,8 +193,7 @@ def _bssi_order(instance: CoflowInstance, loads: np.ndarray | None = None) -> li
     return order[::-1]
 
 
-def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem,
-                          loads: np.ndarray | None = None) -> lpcore.Basis:
+def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> lpcore.Basis:
     """Feasible starting vertex for the reduced LP: fix every pair variable
     to the corner of the BSSI order (``_bssi_order``), then make each
     completion variable basic in its tightest row.
@@ -214,12 +203,11 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem,
     skipped.  BSSI is itself a 4-approximate ordering for zero releases,
     so its corner sits close to the LP optimum and keeps the phase-2 path
     short: about half the pivots of a release-plus-bottleneck-over-weight
-    greedy order at 8x24, and a fifth at 16x160.  ``loads`` is passed on
-    to ``_bssi_order``.
+    greedy order at 8x24, and a fifth at 16x160.
     """
     kk = instance.num_coflows
     rank = np.empty(kk, dtype=np.int64)
-    rank[_bssi_order(instance, loads)] = np.arange(kk)
+    rank[_bssi_order(instance)] = np.arange(kk)
     a, b = np.triu_indices(kk, 1)
     later = rank[b] < rank[a]  # pair variable holds "b finishes before a"
     at_upper = _pair_index(kk, a[later], b[later])
@@ -247,9 +235,8 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
     lower coflow id so repeated runs are reproducible.
     """
     kk = instance.num_coflows
-    loads = _time_loads(instance)
-    prob = _build_reduced_ordering_lp(instance, loads)
-    sol = lpcore.solve(prob, _ordering_crash_basis(instance, prob, loads))
+    prob = _build_reduced_ordering_lp(instance)
+    sol = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
             f"ordering LP should always be solvable, got status {sol.status!r}"
@@ -318,7 +305,7 @@ def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.nd
         raise ValueError("instance has no coflows")
     grid = interval_grid(instance)
     nl = len(grid) - 1
-    loads = _time_loads(instance)
+    loads = instance.time_loads
     weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
     release = np.array([cf.release for cf in instance.coflows], dtype=float)
 
