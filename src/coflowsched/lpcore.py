@@ -98,6 +98,9 @@ class LpProblem:
     into the same arrays for LPs written by hand.  ``constraints`` and
     ``bounds`` are read-only views of them as ``(coeffs, relation, rhs)``
     rows and ``(0.0, upper)`` pairs.  Default upper bounds are +inf.
+    Costs, right-hand sides and coefficients must be finite: the
+    constructor and ``add_constraint`` raise ValueError naming the first
+    NaN or infinite one.
     """
 
     def __init__(self, num_vars: int, *, objective=None, upper=None,
@@ -126,15 +129,22 @@ class LpProblem:
             raise ValueError("variable index out of range")
         if ((self.rel < LE) | (self.rel > EQ)).any():
             raise ValueError("unknown relation code")
+        _refuse_non_finite(self.objective, lambda j: f"cost of variable {j}")
+        _refuse_non_finite(self.val, lambda e: f"coefficient of variable {self.col_of[e]} in row {self.row_of[e]}")
+        _refuse_non_finite(self.rhs, lambda i: f"right-hand side of row {i}")
 
     def add_constraint(self, coeffs: dict, relation: str, rhs: float) -> None:
         if relation == "=":
             relation = "=="
         if relation not in RELATIONS:
             raise ValueError(f"unknown relation {relation!r}")
-        for j in coeffs:
+        for j, c in coeffs.items():
             if not 0 <= j < self.num_vars:
                 raise ValueError(f"variable index {j} out of range")
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of variable {j} in row {len(self.rhs)} is {c}, not finite")
+        if not math.isfinite(rhs):
+            raise ValueError(f"right-hand side of row {len(self.rhs)} is {rhs}, not finite")
         size = len(coeffs)
         self.row_of = np.concatenate([self.row_of, np.full(size, len(self.rhs), dtype=np.int64)])
         self.col_of = np.concatenate([self.col_of, np.fromiter(coeffs, dtype=np.int64, count=size)])
@@ -163,6 +173,14 @@ class LpProblem:
         lo, hi = np.searchsorted(self.row_of, (i, i + 1))
         coeffs = dict(zip(self.col_of[lo:hi].tolist(), self.val[lo:hi].tolist()))
         return coeffs, RELATIONS[self.rel[i]], float(self.rhs[i])
+
+
+def _refuse_non_finite(values: np.ndarray, name) -> None:
+    """Raise ValueError for the first NaN or infinite entry of ``values``,
+    ``name(index)`` saying what it is."""
+    if not np.isfinite(values).all():
+        at = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"{name(at)} is {values[at]}, not finite")
 
 
 class Basis(NamedTuple):
@@ -337,7 +355,9 @@ def _pow2_scaling(row_of, col_of, val, m: int, n: int):
     each column's largest and smallest magnitude to straddle one
     (geometric-mean scaling, four passes, rounded in the log domain).  The
     entries are in row order; each pass takes the extremes of the entries
-    grouped by column, then by row, with one ``reduceat`` each."""
+    grouped by column, then by row, with one ``reduceat`` each.  Every
+    entry is finite (``LpProblem`` refuses the rest) and nonzero (the
+    caller drops zeros), so every line's extremes are finite."""
     log_a = np.log2(np.abs(val))
     log_r = np.zeros(m)
     log_c = np.zeros(n)
@@ -356,8 +376,7 @@ def _pow2_scaling(row_of, col_of, val, m: int, n: int):
             lv = (log_a + log_r[row_of] + log_c[col_of])[order]
             hi = np.maximum.reduceat(lv, first)
             lo = np.minimum.reduceat(lv, first)
-            # a line whose largest magnitude is not finite keeps its factor
-            log_s[used] -= np.where(np.isfinite(hi), np.floor((hi + lo) / 2 + 0.5), 0.0)
+            log_s[used] -= np.floor((hi + lo) / 2 + 0.5)
     return np.exp2(log_r), np.exp2(log_c)
 
 

@@ -121,9 +121,17 @@ class CoflowInstance:
     def time_loads(self) -> np.ndarray:
         """``node_load_matrix`` in time units (data over the link capacity);
         built once per instance and read-only."""
-        loads = node_load_matrix(self) / self.capacity
-        loads.flags.writeable = False
-        return loads
+        return _read_only(node_load_matrix(self) / self.capacity)
+
+    @cached_property
+    def releases(self) -> np.ndarray:
+        """Every coflow's release time, by id; built once and read-only."""
+        return _read_only(np.array([cf.release for cf in self.coflows], dtype=float))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Every coflow's weight, by id; built once and read-only."""
+        return _read_only(np.array([cf.weight for cf in self.coflows], dtype=float))
 
     @property
     def total_demand(self) -> float:
@@ -181,31 +189,45 @@ def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.
     return np.cumsum(node_load_matrix(instance)[:, ordering], axis=1).max(axis=0)
 
 
-def residual_instance(
-    instance: CoflowInstance,
-    remaining: Mapping[FlowKey, float],
-    now: float,
-) -> tuple[CoflowInstance, list[int]]:
-    """Instance of what is left at time ``now``: remaining demands, releases
+class OrderingInputs(NamedTuple):
+    """All that the ordering LP reads of an instance (``CoflowInstance``
+    has the same four fields): the coflow count, the (2N, K) load matrix
+    in time units, and each coflow's release and weight."""
+
+    num_coflows: int
+    time_loads: np.ndarray
+    releases: np.ndarray
+    weights: np.ndarray
+
+
+def residual(instance: CoflowInstance, source: np.ndarray, dest: np.ndarray, coflow: np.ndarray,
+             remaining: np.ndarray, now: float) -> tuple[OrderingInputs, np.ndarray]:
+    """The ordering LP's inputs for what is left at time ``now``: the flows
+    with more than _RESIDUAL_MIN_SIZE of ``remaining`` (each flow's demand
+    left, by flow id; ``source``, ``dest`` and ``coflow`` give each flow's
+    ports and coflow), their coflows numbered in id order, and releases
     shifted to be relative to ``now``.
 
-    Returns the residual instance and the list mapping its coflow ids back
-    to the original ids.  Coflows with no remaining demand are dropped.
+    Returns the inputs and the array mapping their coflow ids back to the
+    instance's.  Each load cell adds its flows in id order, as
+    ``port_loads`` over a coflow's demands does, so the loads have the bits
+    of an instance built of the remaining demands.
     """
-    per_coflow: dict[int, dict[tuple[int, int], float]] = {}
-    for key, rem in remaining.items():
-        if rem > _RESIDUAL_MIN_SIZE:
-            per_coflow.setdefault(key.coflow, {})[(key.source, key.dest)] = rem
-    ids = sorted(per_coflow)
-    coflows = [
-        Coflow(
-            demands=per_coflow[k],
-            release=max(instance.coflows[k].release - now, 0.0),
-            weight=instance.coflows[k].weight,
-        )
-        for k in ids
-    ]
-    return CoflowInstance(instance.n_ports, coflows, instance.capacity), ids
+    keep = np.flatnonzero(remaining > _RESIDUAL_MIN_SIZE)
+    ids, of = np.unique(coflow[keep], return_inverse=True)
+    n, kk = instance.n_ports, len(ids)
+    left = remaining[keep]
+    cells = np.concatenate((source[keep] * kk + of, (n + dest[keep]) * kk + of))
+    loads = np.bincount(cells, np.concatenate((left, left)), minlength=2 * n * kk).reshape(2 * n, kk)
+    inputs = OrderingInputs(kk, _read_only(loads / instance.capacity),
+                            _read_only(np.maximum(instance.releases[ids] - now, 0.0)),
+                            _read_only(instance.weights[ids]))
+    return inputs, ids
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore
-from .model import CoflowInstance, horizon
+from .model import CoflowInstance, OrderingInputs, horizon
 
 
 @dataclass
@@ -76,19 +76,18 @@ def _port_rows(loads: np.ndarray, s_of: np.ndarray, k_of: np.ndarray,
     return row_of, cols[mask], vals[mask], rhs, np.full(count, lpcore.GE)
 
 
-def _ordering_problem(instance: CoflowInstance, num_vars: int, loads: np.ndarray,
+def _ordering_problem(instance: OrderingInputs, num_vars: int, loads: np.ndarray,
                       port_rows: tuple, extra_rows: tuple = ()) -> lpcore.LpProblem:
     """An ordering LP from its port rows, the K release rows
     f_k >= release + bottleneck, and any further rows; each part is
     (row_of, col_of, val, rhs, rel) with row ids counted from zero."""
     kk = instance.num_coflows
-    release = np.array([cf.release for cf in instance.coflows], dtype=float)
-    release_rows = (np.arange(kk), np.arange(kk), np.ones(kk), loads.max(axis=0) + release,
+    release_rows = (np.arange(kk), np.arange(kk), np.ones(kk), loads.max(axis=0) + instance.releases,
                     np.full(kk, lpcore.GE))
     parts = [port_rows, release_rows, *extra_rows]
     offsets = np.cumsum([0] + [len(part[3]) for part in parts[:-1]])
     objective = np.zeros(num_vars)
-    objective[:kk] = [cf.weight for cf in instance.coflows]
+    objective[:kk] = instance.weights
     upper = np.ones(num_vars)
     upper[:kk] = np.inf
     return lpcore.LpProblem(
@@ -103,7 +102,7 @@ def _ordering_problem(instance: CoflowInstance, num_vars: int, loads: np.ndarray
     )
 
 
-def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
+def build_ordering_lp(instance: OrderingInputs) -> lpcore.LpProblem:
     """The full precedence LP: K completion variables, K*(K-1) ordering
     variables in [0,1], and 2NK + K + C(K,2) constraints.
 
@@ -135,7 +134,7 @@ def build_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     return _ordering_problem(instance, kk + kk * (kk - 1), loads, port_rows, (pair_rows,))
 
 
-def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
+def _build_reduced_ordering_lp(instance: OrderingInputs) -> lpcore.LpProblem:
     """Equivalent LP with one variable per unordered pair.
 
     Substituting the complement for half the ordering variables removes
@@ -167,7 +166,7 @@ def _build_reduced_ordering_lp(instance: CoflowInstance) -> lpcore.LpProblem:
     return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
 
-def _bssi_order(instance: CoflowInstance) -> list:
+def _bssi_order(instance: OrderingInputs) -> list:
     """Sincronia's BSSI order (Agarwal et al., SIGCOMM 2018), built from
     the last position back on the port loads in time units: take the port
     with the most load left among the remaining coflows (ties to the lowest
@@ -177,7 +176,7 @@ def _bssi_order(instance: CoflowInstance) -> list:
     by that ratio times its load on the port.  Releases are ignored."""
     kk = instance.num_coflows
     remaining = instance.time_loads.copy()  # placed coflows' columns zeroed
-    weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
+    weight = instance.weights.copy()
     order = []
     for _ in range(kk):
         # cumsum adds each port's loads in id order, one at a time
@@ -193,7 +192,7 @@ def _bssi_order(instance: CoflowInstance) -> list:
     return order[::-1]
 
 
-def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> lpcore.Basis:
+def _ordering_crash_basis(instance: OrderingInputs, prob: lpcore.LpProblem) -> lpcore.Basis:
     """Feasible starting vertex for the reduced LP: fix every pair variable
     to the corner of the BSSI order (``_bssi_order``), then make each
     completion variable basic in its tightest row.
@@ -228,11 +227,13 @@ def _ordering_crash_basis(instance: CoflowInstance, prob: lpcore.LpProblem) -> l
     return lpcore.Basis(best, row_k[best], at_upper)
 
 
-def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
+def solve_ordering_lp(instance: OrderingInputs) -> OrderingLpResult:
     """Solve the precedence LP and extract the coflow ordering.
 
     The ordering sorts relaxed completion times ascending; ties go to the
-    lower coflow id so repeated runs are reproducible.
+    lower coflow id so repeated runs are reproducible.  Of ``instance`` the
+    LP reads only the four ``OrderingInputs`` fields, so a CoflowInstance
+    and lp-ov-ls-online's residual inputs are solved alike.
     """
     kk = instance.num_coflows
     prob = _build_reduced_ordering_lp(instance)
@@ -249,17 +250,16 @@ def solve_ordering_lp(instance: CoflowInstance) -> OrderingLpResult:
     delta[b, a] = before
     delta[a, b] = 1.0 - before
     ordering = sorted(range(kk), key=lambda k: (f_tilde[k], k))
-    weights = np.array([cf.weight for cf in instance.coflows])
     return OrderingLpResult(
         f_tilde=f_tilde,
         delta=delta,
         ordering=ordering,
-        objective=float(weights @ f_tilde),
+        objective=float(instance.weights @ f_tilde),
         solution=sol,
     )
 
 
-def lp_lower_bound(instance: CoflowInstance, result: OrderingLpResult | None = None) -> float:
+def lp_lower_bound(instance: OrderingInputs, result: OrderingLpResult | None = None) -> float:
     """A proven lower bound on the best achievable total weighted
     completion time: the dual bound of the precedence LP's certificate
     (weak duality), from ``result`` when given.  ``lpcore.solve`` raises
@@ -306,8 +306,7 @@ def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.nd
     grid = interval_grid(instance)
     nl = len(grid) - 1
     loads = instance.time_loads
-    weight = np.array([cf.weight for cf in instance.coflows], dtype=float)
-    release = np.array([cf.release for cf in instance.coflows], dtype=float)
+    weight, release = instance.weights, instance.releases
 
     # variable k * nl + l; intervals ending before the coflow can finish are fixed at 0
     earliest = release + loads.max(axis=0)

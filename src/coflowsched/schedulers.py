@@ -35,7 +35,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .model import CoflowInstance, prefix_bottlenecks, residual_instance
+from .model import CoflowInstance, prefix_bottlenecks, residual
 from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid
 
@@ -168,25 +168,31 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     LP is re-solved over the remaining demands of the released coflows at
     every arrival, and the queue rebuilt from the active coflows' unfinished
     flows by (residual LP rank, source, dest); coflows that the residual
-    instance drops (all flows nearly done) go last, by (release, id).
+    drops (all flows nearly done) go last, by (release, id).
+
+    An arrival is the clock reaching the next release time recorded at the
+    last solve, so the events between arrivals only serve the queue.
     """
     heads = _PairHeads(instance, [], [])
-    seen: set[int] = set()
+    due = -math.inf  # the next release time after the last solve
 
     def policy(run: FluidRun) -> dict:
-        nonlocal heads
+        nonlocal heads, due
         heads.finish(run.finished)  # the heads that served them, before any rebuild
-        active = run.active_coflows()
-        if not seen.issuperset(active):
-            seen.update(active)
-            left, flows = run.remaining.tolist(), run.flows
-            # finished flows add 0.0, which the residual drops
-            remaining = {flows[i]: left[i] for i in _queue(instance, active)}
-            residual, ids = residual_instance(instance, remaining, run.time)
-            residual_order = solve_ordering_lp(residual).ordering if ids else []
-            rank = {ids[k]: p for p, k in enumerate(residual_order)}
-            order = sorted(active, key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
-            heads = _PairHeads(instance, [i for i in _queue(instance, order) if left[i]], run.release)
+        now = run.time
+        if due <= now + EVENT_EPS:
+            upcoming = run.next_release()
+            due = math.inf if upcoming is None else upcoming
+            left = run.remaining
+            if upcoming is not None:  # leave out the flows not released yet
+                left = np.where(run.flow_release <= now + EVENT_EPS, left, 0.0)
+            inputs, ids = residual(instance, run.source, run.dest, run.coflow, left, now)
+            # called by this module's name, which perfbench's tracer wraps
+            residual_order = solve_ordering_lp(inputs).ordering if ids.size else []
+            rank = dict(zip(ids[residual_order].tolist(), range(len(residual_order))))
+            order = sorted(run.active_coflows(), key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
+            unfinished = run.remaining.tolist()
+            heads = _PairHeads(instance, [i for i in _queue(instance, order) if unfinished[i]], run.release)
         return _list_schedule_rates(run, heads)
 
     return run_fluid(FluidRun(instance), policy)
@@ -418,16 +424,24 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
 # Birkhoff-von Neumann decomposition
 # ---------------------------------------------------------------------------
 
-def _perfect_matching(cols_of: list) -> list:
+def _perfect_matching(cols_of: list, states: list | None = None, start: int = 0) -> list:
     """Row -> column perfect matching, given each row's support as an
     ascending column list.
 
     Deterministic augmenting-path search (rows and columns ascending).
-    The padded matrices handed to it always admit one; failure means the
-    padding or the bookkeeping is broken.
+    Row r's search reads only the supports of rows 0..r, so the column ->
+    row match before row r depends only on the supports of rows 0..r-1.
+    ``states``, a list of n entries when given, keeps that match before
+    each row (``states[r]``) from one call to the next: a call whose rows
+    before ``start`` kept their supports since the last call on the same
+    list resumes at row ``start`` and finds the matching a search from
+    row 0 would.  The padded matrices handed to it always admit one;
+    failure means the padding or the bookkeeping is broken.
     """
     n = len(cols_of)
-    match_col = [-1] * n  # column -> row
+    if states is None:
+        states, start = [None] * n, 0
+    match_col = states[start].copy() if start else [-1] * n  # column -> row
 
     def augment(row: int, visited: set) -> bool:
         for col in cols_of[row]:
@@ -438,7 +452,8 @@ def _perfect_matching(cols_of: list) -> list:
                     return True
         return False
 
-    for row in range(n):
+    for row in range(start, n):
+        states[row] = match_col.copy()
         if not augment(row, set()):
             raise RuntimeError("no perfect matching on support; invariant violated")
     perm = [0] * n
@@ -471,25 +486,33 @@ def _integer_bvn(matrix: np.ndarray) -> list:
     column of row i, whose counts sum to the max line sum and whose
     permutations rebuild the padded matrix.
 
-    Each matching is searched from scratch on the rows' supports, which are
-    kept across peels: a column leaves a row's list when its entry reaches
-    0.  Re-augmenting only the rows whose matched entry reached 0 would
-    reuse the rest of the previous matching, but it finds other
-    permutations: in a probe it gave the from-scratch decomposition on only
-    97 of 300 random matrices, and lp-ii-gb's schedules follow these
-    permutations.
+    Each matching is the one a search from scratch on the rows' supports
+    finds.  The supports are kept across peels: a column leaves a row's
+    list when its entry reaches 0.  The search resumes at the first row
+    that lost a column in the last peel, from the match it kept before
+    that row (``_perfect_matching``'s ``states``); the rows above kept their
+    supports, so their part of the search would come out the same.
+    Re-augmenting only the rows whose matched entry reached 0 would reuse
+    more of the previous matching, but it finds other permutations: in a
+    probe it gave the from-scratch decomposition on only 97 of 300 random
+    matrices, and lp-ii-gb's schedules follow these permutations.
     """
     padded = _pad_to_equal_line_sums(matrix).tolist()
     support = [[j for j, v in enumerate(row) if v > 0] for row in padded]
+    states = [None] * len(padded)
     out = []
+    start = 0
     while any(support):
-        perm = _perfect_matching(support)
+        perm = _perfect_matching(support, states, start)
         count = min(padded[i][j] for i, j in enumerate(perm))
         out.append((count, perm))
+        start = -1
         for i, j in enumerate(perm):
             padded[i][j] -= count
             if not padded[i][j]:
                 support[i].remove(j)
+                if start < 0:
+                    start = i
     return out
 
 

@@ -487,7 +487,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     # leaves every sum's bits alone: the sums start at +0.0.
     found = []  # (segment, rank within the segment, violation)
     live = ~(rate <= 0.0)
-    release = np.array([cf.release for cf in instance.coflows], dtype=float)
+    release = instance.releases
     late = np.flatnonzero((starts[seg_of] < (release[ids[:, 2]] - EVENT_EPS)[fi]) & live)
     for e in late.tolist():
         s = int(seg_of[e])

@@ -110,3 +110,29 @@ def lp_certificates(instance, ordering_result=None):
             (build_interval_lp(instance)[0], solve_interval_lp(instance)),
         )
     ]
+
+
+def residual_instance(instance, remaining, now):
+    """Instance of what is left at time ``now``: the demands of
+    ``remaining``, a map from FlowKey to the demand left, above
+    ``model._RESIDUAL_MIN_SIZE``, releases shifted to be relative to
+    ``now``.  Returns the residual instance and the list mapping its coflow
+    ids back to the original ids; coflows with no remaining demand are
+    dropped.  The reference for ``model.residual``, which lp-ov-ls-online
+    builds from the run's arrays."""
+    from coflowsched.model import _RESIDUAL_MIN_SIZE
+
+    per_coflow = {}
+    for key, rem in remaining.items():
+        if rem > _RESIDUAL_MIN_SIZE:
+            per_coflow.setdefault(key.coflow, {})[(key.source, key.dest)] = rem
+    ids = sorted(per_coflow)
+    coflows = [
+        Coflow(
+            demands=per_coflow[k],
+            release=max(instance.coflows[k].release - now, 0.0),
+            weight=instance.coflows[k].weight,
+        )
+        for k in ids
+    ]
+    return CoflowInstance(instance.n_ports, coflows, instance.capacity), ids

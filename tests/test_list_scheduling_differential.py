@@ -13,7 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from coflowsched.model import Coflow, CoflowInstance, FlowKey, residual_instance
+from conftest import residual_instance
+
+from coflowsched.model import Coflow, CoflowInstance, FlowKey
 from coflowsched.relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from coflowsched.schedulers import _integer_bvn, group_coflows, lp_ii_gb, lp_ov_ls, lp_ov_ls_online
 from coflowsched.sim import EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid

@@ -142,6 +142,44 @@ def test_bad_problem_structure():
         LpProblem(2, objective=[1.0])
 
 
+# Each LP below was answered wrongly before the problem refused non-finite
+# data: min x0 with x0 >= NaN came back optimal at x = [0] with a
+# certificate marked ok, min NaN*x0 with x0 >= 1 optimal with a certificate
+# marked ok, and a NaN or an infinite coefficient in x0 + x1 >= 1 raised
+# "RuntimeError: phase-1 objective cannot be unbounded".
+_NON_FINITE_LPS = {
+    "nan right-hand side": ([1.0], {0: 1.0}, math.nan, "right-hand side of row 0 is nan"),
+    "nan cost": ([math.nan], {0: 1.0}, 1.0, "cost of variable 0 is nan"),
+    "nan coefficient": ([1.0, 1.0], {0: 1.0, 1: math.nan}, 1.0, "coefficient of variable 1 in row 0 is nan"),
+    "inf coefficient": ([1.0, 1.0], {0: 1.0, 1: math.inf}, 1.0, "coefficient of variable 1 in row 0 is inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_LPS))
+def test_non_finite_data_is_refused(name):
+    objective, coeffs, rhs, message = _NON_FINITE_LPS[name]
+    rows = dict(row_of=[0] * len(coeffs), col_of=list(coeffs), val=list(coeffs.values()), rhs=[rhs], rel=[lpcore.GE])
+    with pytest.raises(ValueError, match=message):
+        LpProblem(len(objective), objective=objective, **rows)
+    if math.isfinite(objective[0]):
+        p = LpProblem(len(objective), objective=objective)
+        with pytest.raises(ValueError, match=message):
+            p.add_constraint(coeffs, ">=", rhs)
+        assert len(p.constraints) == 0 and len(p.val) == 0  # nothing of the row was kept
+
+
+def test_infinite_costs_and_right_hand_sides_are_refused():
+    with pytest.raises(ValueError, match="cost of variable 1 is -inf"):
+        LpProblem(2, objective=[1.0, -math.inf])
+    with pytest.raises(ValueError, match="right-hand side of row 1 is inf"):
+        LpProblem(1, row_of=[0, 1], col_of=[0, 0], val=[1.0, 1.0], rhs=[1.0, math.inf], rel=[lpcore.GE, lpcore.LE])
+    p = LpProblem(1)
+    p.add_constraint({0: 1.0}, ">=", 1.0)
+    with pytest.raises(ValueError, match="right-hand side of row 1 is -inf"):
+        p.add_constraint({0: 1.0}, "<=", -math.inf)
+    assert len(p.constraints) == 1
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     for _ in range(5):

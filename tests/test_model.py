@@ -14,12 +14,17 @@ from coflowsched.model import (
     node_load_matrix,
     port_loads,
     prefix_bottlenecks,
+    residual,
 )
+from coflowsched.sim import FluidRun
 from coflowsched.verify import (
     blocking_pair_fixture,
     counterexample_fixture,
     staggered_release_fixture,
 )
+from coflowsched.workload import SyntheticConfig, assign_weights, generate
+
+from conftest import residual_instance
 
 
 def test_aggregate_loads_spanning_pair():
@@ -98,6 +103,67 @@ def test_time_loads_is_the_load_matrix_over_capacity_built_once_read_only():
         assert loads.tobytes() == (node_load_matrix(inst) / inst.capacity).tobytes()
         with pytest.raises(ValueError):
             loads[0, 0] = 1.0
+
+
+
+def test_releases_and_weights_are_built_once_read_only():
+    inst = CoflowInstance(2, [Coflow({(0, 1): 1.0}, release=2.5, weight=3), Coflow({(1, 0): 2.0})])
+    for name, expected in (("releases", [2.5, 0.0]), ("weights", [3.0, 1.0])):
+        values = getattr(inst, name)
+        assert values is getattr(inst, name)
+        assert values.dtype == np.float64 and values.tolist() == expected
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
+
+def _residual_cases():
+    """(instance, remaining by flow id, now): flows left whole, in part, at
+    and below the 1e-9 floor or finished, whole coflows finished, the
+    unreleased flows at 0.0 as lp-ov-ls-online passes them, nothing left,
+    and capacities other than 1 (an int one too)."""
+    rng = np.random.default_rng(29)
+    for trial in range(48):
+        inst = generate(SyntheticConfig(n_ports=int(rng.integers(2, 7)), n_coflows=int(rng.integers(2, 10)),
+                                        kind="dense" if trial % 2 else "combined",
+                                        interarrival_range=(1, 30), seed=700 + trial))
+        inst = assign_weights(inst, "uniform-random", seed=700 + trial)
+        capacity = (1.0, 2.5, 0.75, 3)[trial % 4]
+        inst = CoflowInstance(inst.n_ports, [
+            Coflow({pair: size * capacity for pair, size in cf.demands.items()}, release=cf.release, weight=cf.weight)
+            for cf in inst.coflows], capacity)
+        sizes = np.array(inst.flow_sizes)
+        choice = rng.integers(0, 6, len(sizes))
+        left = np.select([choice == 0, choice == 1, choice == 2, choice == 3, choice == 4],
+                         [sizes, sizes * rng.random(len(sizes)), np.full(len(sizes), 1e-9),
+                          np.full(len(sizes), 4e-10), np.zeros(len(sizes))],
+                         np.nextafter(1e-9, 1.0))
+        offsets = inst.flow_offsets
+        for k in rng.choice(inst.num_coflows, int(rng.integers(0, inst.num_coflows // 2 + 1)), replace=False):
+            left[offsets[k]:offsets[k + 1]] = 0.0  # finished
+        now = float(rng.uniform(inst.releases.min(), inst.releases.max() + 1.0))
+        left[inst.releases[[key.coflow for key in inst.flow_keys]] > now] = 0.0
+        yield inst, left, now
+        if trial % 8 == 0:
+            yield inst, np.zeros(len(sizes)), now  # nothing left
+
+
+def test_residual_matches_the_instance_of_the_remaining_demands():
+    seen_empty = seen_floor = seen_kept = 0
+    for inst, left, now in _residual_cases():
+        run = FluidRun(inst)
+        got, ids = residual(inst, run.source, run.dest, run.coflow, left, now)
+        expected, expected_ids = residual_instance(inst, dict(zip(inst.flow_keys, left.tolist())), now)
+        assert ids.tolist() == expected_ids
+        assert got.num_coflows == expected.num_coflows == len(expected_ids)
+        for name in ("time_loads", "releases", "weights"):
+            want = getattr(expected, name)
+            value = getattr(got, name)
+            assert (value.dtype, value.shape, value.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+            assert not value.flags.writeable
+        seen_empty += not expected_ids
+        seen_kept += len(expected_ids) >= 3
+        seen_floor += bool(((left > 0.0) & (left <= 1e-9)).any())
+    assert seen_empty >= 5 and seen_floor >= 30 and seen_kept >= 10
 
 
 def test_cumulative_load_prefix_one_is_effective_size():

@@ -6,7 +6,7 @@ import pytest
 from conftest import GOLDEN_INSTANCES, golden_instance
 
 from coflowsched import lpcore, schedulers
-from coflowsched.model import Coflow, CoflowInstance, node_load_matrix, prefix_bottlenecks
+from coflowsched.model import Coflow, CoflowInstance, prefix_bottlenecks
 from coflowsched.relaxations import (
     _bssi_order,
     _build_reduced_ordering_lp,
@@ -267,8 +267,8 @@ _TOL = 1e-12
 
 
 def _reference_ordering_lp(instance):
-    kk, n = instance.num_coflows, instance.n_ports
-    loads = node_load_matrix(instance) / instance.capacity
+    kk, loads = instance.num_coflows, instance.time_loads
+    n = loads.shape[0] // 2
     num_vars = kk + kk * (kk - 1)
     bounds = [(0.0, math.inf)] * kk + [(0.0, 1.0)] * (num_vars - kk)
     rows = []
@@ -279,8 +279,8 @@ def _reference_ordering_lp(instance):
                 if kp != k and loads[s, kp] > _TOL:
                     coeffs[delta_index(kk, kp, k)] = -loads[s, kp]
             rows.append((coeffs, ">=", loads[s, k]))
-    for k, cf in enumerate(instance.coflows):
-        rows.append(({k: 1.0}, ">=", loads[:, k].max() + cf.release))
+    for k in range(kk):
+        rows.append(({k: 1.0}, ">=", loads[:, k].max() + instance.releases[k]))
     for a in range(kk):
         for b in range(a + 1, kk):
             rows.append(({delta_index(kk, a, b): 1.0, delta_index(kk, b, a): 1.0}, "==", 1.0))
@@ -292,8 +292,8 @@ def _reference_pair_index(kk, a, b):
 
 
 def _reference_reduced_lp(instance):
-    kk, n = instance.num_coflows, instance.n_ports
-    loads = node_load_matrix(instance) / instance.capacity
+    kk, loads = instance.num_coflows, instance.time_loads
+    n = loads.shape[0] // 2
     num_vars = kk + kk * (kk - 1) // 2
     bounds = [(0.0, math.inf)] * kk + [(0.0, 1.0)] * (num_vars - kk)
     rows = []
@@ -314,29 +314,29 @@ def _reference_reduced_lp(instance):
                 elif kp > k:
                     coeffs[_reference_pair_index(kk, k, kp)] = -loads[s, kp]
             rows.append((coeffs, ">=", rhs))
-    for k, cf in enumerate(instance.coflows):
-        rows.append(({k: 1.0}, ">=", loads[:, k].max() + cf.release))
+    for k in range(kk):
+        rows.append(({k: 1.0}, ">=", loads[:, k].max() + instance.releases[k]))
     return _reference_problem(instance, num_vars, bounds, rows)
 
 
 def _reference_problem(instance, num_vars, bounds, rows):
     objective = np.zeros(num_vars)
-    objective[: instance.num_coflows] = [cf.weight for cf in instance.coflows]
+    objective[: instance.num_coflows] = instance.weights.tolist()
     return objective, bounds, rows
 
 
 def _reference_interval_lp(instance):
-    kk, n = instance.num_coflows, instance.n_ports
+    kk, loads = instance.num_coflows, instance.time_loads
+    n = loads.shape[0] // 2
     grid = interval_grid(instance)
     nl = len(grid) - 1
-    loads = node_load_matrix(instance) / instance.capacity
     objective = np.zeros(kk * nl)
     bounds = [None] * (kk * nl)
     rows = []
-    for k, cf in enumerate(instance.coflows):
-        earliest = cf.release + loads[:, k].max()
+    for k in range(kk):
+        earliest = instance.releases[k] + loads[:, k].max()
         for l in range(nl):
-            objective[k * nl + l] = cf.weight * grid[l]
+            objective[k * nl + l] = instance.weights[k] * grid[l]
             bounds[k * nl + l] = (0.0, 0.0 if grid[l + 1] < earliest - 1e-9 else 1.0)
         rows.append(({k * nl + l: 1.0 for l in range(nl)}, "==", 1.0))
     for s in range(2 * n):
@@ -358,8 +358,8 @@ def _reference_bssi_order(instance):
     # plain left-to-right float sum (the builtin sum is compensated from
     # Python 3.12 on)
     kk = instance.num_coflows
-    loads = (node_load_matrix(instance) / instance.capacity).tolist()
-    weight = [cf.weight for cf in instance.coflows]
+    loads = instance.time_loads.tolist()
+    weight = instance.weights.tolist()
     remaining = list(range(kk))
     order = []
     while remaining:
@@ -450,8 +450,9 @@ def _random_scaled_instances(count):
 
 
 def _online_residual_instances(monkeypatch):
-    """Every residual instance that lp-ov-ls-online hands to the ordering
-    LP on two instances shaped like the online benchmark workload."""
+    """Every residual that lp-ov-ls-online hands to the ordering LP, as
+    ``model.OrderingInputs``, on two instances shaped like the online
+    benchmark workload."""
     seen = []
     solve = schedulers.solve_ordering_lp
 
@@ -537,12 +538,23 @@ def _random_instances(count):
 
 
 def _assert_crash_start_is_accepted_and_optimal(instance):
+    # the crash start and a cold start reach the same optimum and the same
+    # ordering, with completion times f~ equal to 1e-9 relative
     prob = _build_reduced_ordering_lp(instance)
     warm = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
     assert warm.stats.crash_accepted
     assert not warm.stats.phase1 and not warm.stats.cold_retry
     cold = lpcore.solve(prob)
     assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=0.0)
+    kk = instance.num_coflows
+    f_warm, f_cold = warm.values[:kk], cold.values[:kk]
+    np.testing.assert_allclose(f_cold, f_warm, rtol=1e-9, atol=0.0)
+    assert _ordering_of(f_cold) == _ordering_of(f_warm)
+
+
+def _ordering_of(f_tilde):
+    # as solve_ordering_lp orders: f~ ascending, ties to the lower id
+    return sorted(range(len(f_tilde)), key=lambda k: (f_tilde[k], k))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))

@@ -12,6 +12,7 @@ from coflowsched.schedulers import (
     _PairHeads,
     _integer_bvn,
     _pad_to_equal_line_sums,
+    _perfect_matching,
     group_coflows,
     lp_ii_gb,
     lp_ov_gb,
@@ -361,6 +362,21 @@ def test_integer_bvn_equals_the_from_scratch_decomposition():
         matrices.append(m)
     for m in matrices:
         assert _integer_bvn(m) == _reference_integer_bvn(m), m
+
+
+def test_perfect_matching_resumes_where_the_supports_changed():
+    # a search resumed at the first row whose support changed, from the
+    # states of the last search, finds the matching of a fresh search
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        support = [[j for j in range(n) if rng.random() < 0.5 or j == i] for i in range(n)]
+        states = [None] * n
+        assert _perfect_matching(support, states) == _perfect_matching(support)
+        start = int(rng.integers(0, n))
+        for i in range(start, n):  # one column in or out, the diagonal kept for a perfect matching
+            support[i] = sorted((set(support[i]) ^ {int(rng.integers(0, n))}) | {i})
+        assert _perfect_matching(support, states, start) == _perfect_matching(support)
 
 
 # -- schedule serialization ---------------------------------------------------
