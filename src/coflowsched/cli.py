@@ -5,7 +5,11 @@ Verbs: gen, run, oracle, validate, lp-bound.  Exit codes: 0 success,
 1 an invariant violation: a schedule failed validation (run, validate) or
 the duals of an LP the command solved (ordering, interval or residual) did
 not certify its answer (run, lp-bound), or any other exception, printed as
-one line "error: <command>: <type>: <message>"; 2 bad input.
+one line "error: <command>: <type>: <message>"; 2 bad input.  In run, a
+scheduler that raises anything but bad input gets a report row with
+``valid`` false and the exception in ``error`` while the others finish;
+the run then exits 1 with one line "error: run: <scheduler>: <type>:
+<message>" naming the first that raised.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ class ScheduleReport:
     ratio_to_lpovls: float | None
     wall_ms: float
     valid: bool
+    error: str | None = None  # "<type>: <message>" of a scheduler that raised
 
 
 REPORT_COLUMNS = [f.name for f in fields(ScheduleReport)]
@@ -89,10 +94,17 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
     dumped = None  # the lp-ov-ls schedule, the only one kept after its row
     for name in args.schedulers:
         t0 = time.perf_counter()
-        schedule = schedulers.SCHEDULERS[name](instance, ordering_result)
+        try:
+            schedule = schedulers.SCHEDULERS[name](instance, ordering_result)
+        except ValueError:
+            raise  # bad input, for every scheduler alike
+        except Exception as exc:
+            schedule, error = None, f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        report = validate(schedule, instance)
-        total = total_weighted_completion(schedule, instance)
+        if schedule is None:
+            valid, total = False, math.nan
+        else:
+            valid, total, error = validate(schedule, instance).ok, total_weighted_completion(schedule, instance), None
         dumped = schedule if name == "lp-ov-ls" else dumped
         rows.append(
             ScheduleReport(
@@ -103,10 +115,11 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
                 ratio_to_lb=total / lp_bound if lp_bound > 0 else math.inf,
                 ratio_to_lpovls=None,
                 wall_ms=wall_ms,
-                valid=report.ok,
+                valid=valid,
+                error=error,
             )
         )
-    base = next((row.total_weighted_completion for row in rows if row.scheduler == "lp-ov-ls"), None)
+    base = next((row.total_weighted_completion for row in rows if row.scheduler == "lp-ov-ls" and not row.error), None)
     for row in rows:
         if base:
             row.ratio_to_lpovls = row.total_weighted_completion / base
@@ -258,6 +271,10 @@ def _cmd_run(args) -> int:
     text = report_emit(rows, args.format, args.out)
     if not args.out:
         print(text, end="")
+    failed = next((row for row in rows if row.error), None)
+    if failed:
+        print(f"error: run: {failed.scheduler}: {failed.error}", file=sys.stderr)
+        return 1
     summary = summarize(rows)
     for name, stats in summary.items():
         norm = stats["mean_ratio_to_lpovls"]

@@ -36,11 +36,26 @@ which guarantees termination, and returns to steepest edge once the
 objective moves.  Ties among optimal vertices go to the one whose bounded
 variables sit nearest zero.
 
-A caller's starting basis, a ``Basis`` value, skips phase 1 when it is
-feasible; otherwise phase 1 minimises a sum of artificials from the slack
-basis.  An optimal solution carries the row duals and the ``Certificate``
-that ``certify`` made of it: the point and duals checked against each other
-and the dual bound they prove.  No external solver is used.
+A caller's starting basis, a ``Basis`` value (or several, tried in order
+until one's kernel installs), skips phase 1.  When its basic values are
+within their bounds the primal simplex starts from it.  When they are not,
+as after the right-hand side and coefficients change under an earlier
+optimal basis, a dual simplex runs from it first (Koberstein, *The dual
+simplex method*, 2005): boxed nonbasic columns whose reduced cost has the
+wrong sign move to their other bound, unbounded ones get a temporary upper
+bound and move to it, and dual pivots on the same kernel and bookkeeping
+follow until the basis is primal feasible.  The leaving row is priced by
+dual steepest edge (exact weights at the start, then the Forrest-Goldfarb
+update), and the ratio test flips the boxed columns it passes while the
+leaving value still falls short of its bound.  The temporary bounds then
+go, a column still at one moves off it by primal steps, and the primal
+simplex finishes as from any feasible start.  The dual simplex gives up to
+phase 1 when no column can enter, so infeasibility is always proven by
+phase 1.  With no usable start, phase 1 minimises a sum
+of artificials from the slack basis.  An optimal solution carries the row
+duals, its final basis and the ``Certificate`` that ``certify`` made of
+it: the point and duals checked against each other and the dual bound
+they prove.  No external solver is used.
 """
 
 from __future__ import annotations
@@ -61,6 +76,7 @@ _FEASIBILITY_CAP = 1e-6  # no primal tolerance exceeds this share of max(1, max 
 _STALL_LIMIT = 64
 _REINVERT = 100         # kernel re-inverted, primal values and reduced costs refreshed, this often
 _BLOCK = 1 << 20        # entries of a dense column block when computing edge weights
+_ARTIFICIAL_BOUND = 1e3  # temporary upper bound of a dual-infeasible unbounded column (scaled units)
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 LE, GE, EQ = 0, 1, 2                # relation codes of the rows
@@ -196,11 +212,22 @@ class Basis(NamedTuple):
 
 @dataclass
 class SolveStats:
-    """What the simplex did: pivots (basis changes), bound flips of the
-    entering variable, switches to Bland's rule, kernel re-inversions,
-    whether the caller's starting basis was accepted, whether phase 1 ran,
-    whether a warm start was retried cold, and how many columns fixed at
-    zero the last attempt solved without."""
+    """What the simplex did: pivots of the primal simplex (basis changes),
+    bound flips of the entering variable or of the boxed columns that the
+    dual ratio test passes, switches to Bland's rule, kernel
+    re-inversions, whether a caller's starting basis was accepted and which
+    of those passed (``start_index``), whether phase 1 ran, whether a warm
+    start was retried cold, and how many columns fixed at zero the last
+    attempt solved without.  ``ties`` says that the final basis does not
+    prove the optimum unique (a column could enter at zero reduced cost
+    for the cost and then for the tie-break), so another path may end at
+    another optimal vertex; ``tie_retry`` is for a caller that solved such
+    an answer again from another start, and added up both solves' counts.
+    A start that installs
+    but is not primal feasible sets ``dual``: ``start_flips`` boxed columns
+    moved to their other bound and ``artificial_bounds`` unbounded ones
+    given a temporary bound, then ``dual_pivots`` pivots of the dual
+    simplex."""
 
     pivots: int = 0
     bound_flips: int = 0
@@ -210,6 +237,27 @@ class SolveStats:
     phase1: bool = False
     cold_retry: bool = False
     dropped_columns: int = 0
+    start_index: int = 0
+    ties: bool = False
+    tie_retry: bool = False
+    dual: bool = False
+    dual_pivots: int = 0
+    start_flips: int = 0
+    artificial_bounds: int = 0
+
+    @property
+    def start_use(self) -> str:
+        """How the solve began: "cold" (phase 1 or the slack basis),
+        "fallback" (a later start, the earlier ones unusable or the answer
+        solved again), or from the first start "dual-artificial",
+        "dual-flips" or "primal"."""
+        if self.cold_retry or not self.crash_accepted:
+            return "cold"
+        if self.start_index or self.tie_retry:
+            return "fallback"
+        if self.dual:
+            return "dual-artificial" if self.artificial_bounds else "dual-flips"
+        return "primal"
 
 
 @dataclass
@@ -217,8 +265,10 @@ class LpSolution:
     """``duals`` holds one value per row, in the sign convention of min
     c.x: >= rows have y >= 0, <= rows y <= 0, and the reduced costs are
     c - A'y.  ``certificate`` is ``certify`` of ``values`` and ``duals``;
-    ``solve`` returns no optimal solution whose certificate fails.  Both are
-    None unless the status is optimal."""
+    ``solve`` returns no optimal solution whose certificate fails.
+    ``basis`` is the final basis, a start for a related problem; kernel
+    members that are phase-1 artificials are left out, their rows' slacks
+    named basic instead.  All three are None unless the status is optimal."""
 
     status: str
     objective_value: float
@@ -226,6 +276,7 @@ class LpSolution:
     duals: np.ndarray | None = None
     stats: SolveStats = field(default_factory=SolveStats)
     certificate: Certificate | None = None
+    basis: Basis | None = None
 
 
 class Certificate(NamedTuple):
@@ -317,31 +368,35 @@ def certify(problem: LpProblem, x: Sequence[float], y: Sequence[float]) -> Certi
     return Certificate(not violations, objective, dual_bound, gap, violations)
 
 
-def solve(problem: LpProblem, start: Basis | None = None) -> LpSolution:
+def solve(problem: LpProblem, start: Basis | Sequence[Basis] | None = None) -> LpSolution:
     """Solve to proven optimality, or report infeasible/unbounded.
 
     Deterministic: identical problems produce identical solutions.
 
-    ``start`` optionally names the basis to begin from.  When it is
-    feasible, phase 1 is skipped entirely; otherwise (see ``_crash``; a row
-    or column named twice makes the kernel singular) it is discarded and
-    the ordinary two-phase path runs.
+    ``start`` optionally names the basis to begin from, or several to try in
+    order.  The first that ``_crash`` installs is used (an index out of
+    range, an == row left to its slack, or a singular kernel, as when a row
+    or column is named twice, passes to the next); phase 1 is skipped, and
+    a start that is not primal feasible goes through the dual simplex
+    first (module docstring).  With none usable the ordinary two-phase path
+    runs.
 
     Every optimal answer is certified (``certify``) and carries its
     certificate.  A warm-started answer that fails it is retried cold; an
     answer that still fails raises ``CertificateError``, naming the failed
     checks.
     """
+    starts = () if start is None else (start,) if isinstance(start, Basis) else tuple(start)
     stats = SolveStats()
-    sol = _solve_once(problem, start, stats)
+    sol = _solve_once(problem, starts, stats)
     while sol.status == OPTIMAL:
         sol.certificate = certify(problem, sol.values, sol.duals)
         if sol.certificate.ok:
             break
-        if start is None or stats.cold_retry:
+        if not starts or stats.cold_retry:
             raise CertificateError("LP duals do not certify the optimum: " + "; ".join(sol.certificate.violations))
         stats.cold_retry = True
-        sol = _solve_once(problem, None, stats)
+        sol = _solve_once(problem, (), stats)
     return sol
 
 
@@ -380,7 +435,7 @@ def _pow2_scaling(row_of, col_of, val, m: int, n: int):
     return np.exp2(log_r), np.exp2(log_c)
 
 
-def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> LpSolution:
+def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolution:
     n = problem.num_vars
     m = len(problem.rhs)
     upper, rel = problem.upper, problem.rel
@@ -404,12 +459,12 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
     c_s /= gamma
     val_s = val * (sign * row_scale)[row_of] * col_scale[col_of]
 
-    # A column fixed at zero that the start does not make basic or put at
-    # its bound never enters and holds 0.0, so it adds only zeros to the
-    # products and its own reduced cost and weight are never read: the
-    # simplex runs without it, takes the same path and gives the same bits.
+    # A column fixed at zero that no start makes basic or puts at its bound
+    # never enters and holds 0.0, so it adds only zeros to the products and
+    # its own reduced cost and weight are never read: the simplex runs
+    # without it, takes the same path and gives the same bits.
     keep = ub_s != 0.0
-    if start is not None:
+    for start in starts:
         named = np.concatenate((np.asarray(start.columns, dtype=np.int64), np.asarray(start.at_upper, dtype=np.int64)))
         keep[named[(named >= 0) & (named < n)]] = True
     kept = np.flatnonzero(keep)
@@ -420,16 +475,24 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
         entries = keep[col_of]
         row_of, col_of, val_s = row_of[entries], new_id[col_of[entries]], val_s[entries]
         ub_s, c_s = ub_s[keep], c_s[keep]
-        if start is not None:
-            # an index out of range becomes -1, which _crash refuses as before
-            def renumber(ids):
-                ids = np.asarray(ids, dtype=np.int64)
-                return np.where((ids >= 0) & (ids < n), new_id[np.clip(ids, 0, n - 1)], -1)
-            start = Basis(start.rows, renumber(start.columns), renumber(start.at_upper))
+
+        # an index out of range becomes -1, which _crash refuses as before
+        def renumber(ids):
+            ids = np.asarray(ids, dtype=np.int64)
+            return np.where((ids >= 0) & (ids < n), new_id[np.clip(ids, 0, n - 1)], -1)
+        starts = [Basis(start.rows, renumber(start.columns), renumber(start.at_upper)) for start in starts]
 
     simplex = None
-    if start is not None:
+    for index, start in enumerate(starts):
         simplex = _crash(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, start, stats)
+        if simplex is not None:
+            stats.start_index = index
+            if not simplex.feasible():
+                stats.dual = True
+                if not simplex.dual_run(np.concatenate((c_s, np.zeros(m)))):
+                    simplex = None  # phase 1 proves infeasibility, or finds a start
+            break
+    if starts:
         stats.crash_accepted = simplex is not None
     if simplex is None:
         simplex = _phase1(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, stats)
@@ -445,11 +508,14 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
     # moving only along edges of zero reduced cost.
     width = simplex.ub[:nk]
     bounded = np.isfinite(width) & (width > 0)
+    face = np.abs(simplex.d) <= REDUCED_COST_TOL
     if bounded.any():
         tie_cost = np.zeros_like(cost)
         tie_cost[:nk][bounded] = 1.0 / width[bounded]
-        simplex.run(tie_cost, face=np.abs(simplex.d) <= REDUCED_COST_TOL)
+        simplex.run(tie_cost, face=face)
+        face &= np.abs(simplex.d) <= REDUCED_COST_TOL
         simplex.run(cost)
+    stats.ties = bool((face & simplex.enterable & (simplex.status != _BASIC)).any())
 
     # round-off within tolerance of a bound is snapped onto it, and the
     # clamp keeps the rest inside [0, upper]
@@ -459,14 +525,17 @@ def _solve_once(problem: LpProblem, start: Basis | None, stats: SolveStats) -> L
     values = np.zeros(n)
     values[kept] = np.minimum(np.maximum(col_scale[kept] * y, 0.0), upper[kept])
     duals = gamma * sign * row_scale * simplex.pi
-    return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats)
+    structural = simplex.kcols < nk
+    basis = Basis(simplex.krows[structural], kept[simplex.kcols[structural]],
+                  kept[np.flatnonzero(simplex.status[:nk] == _AT_UPPER)])
+    return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats, basis=basis)
 
 
 def _crash(row_of, col_of, val, m, n, b, ub, rel, start, stats):
-    """The caller's starting basis, or None when it is unusable: an index
-    out of range, an == row left to its slack (it has none to fall back
-    on), a variable at an infinite upper bound, a singular kernel, or basic
-    values outside their bounds."""
+    """The caller's starting basis, installed, or None when it is unusable:
+    an index out of range, an == row left to its slack (it has none to fall
+    back on), a variable at an infinite upper bound, or a singular
+    kernel."""
     rows = np.asarray(start.rows, dtype=np.int64)
     cols = np.asarray(start.columns, dtype=np.int64)
     upper = np.asarray(start.at_upper, dtype=np.int64)
@@ -481,13 +550,7 @@ def _crash(row_of, col_of, val, m, n, b, ub, rel, start, stats):
     simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats)
     simplex.x[upper] = ub[upper]
     simplex.status[upper] = _AT_UPPER
-    if not simplex.install(cols, rows, check=True):
-        return None
-    basic = simplex.basic
-    xb = simplex.x[basic]
-    if (xb < -FEASIBILITY_TOL).any() or (xb > simplex.ub[basic] + FEASIBILITY_TOL).any():
-        return None
-    return simplex
+    return simplex if simplex.install(cols, rows, check=True) else None
 
 
 def _phase1(row_of, col_of, val, m, n, b, ub, rel, stats):
@@ -685,18 +748,29 @@ class _Simplex:
         self._buffer[:k, :k] = inverse
         self.G = self._buffer[:k, :k]
         self.stats.reinversions += 1
+        self._values()
+        return True
+
+    def _values(self) -> None:
+        """The basic values from the nonbasic ones through G, and the
+        reduced costs once a cost vector is set.  A kernel row's slack is
+        nonzero only at a temporary bound of ``dual_run``."""
         x = self.x
         xs = x[: self.nx].copy()
         xs[self.kcols] = 0.0
         rest = self.b - _sum_by(self.row_of, self.val * xs[self.col_of], self.m)
-        x[self.kcols] = self.G @ rest[self.krows]
+        x[self.kcols] = self.G @ (rest[self.krows] - x[self.nx + self.krows])
         xs[self.kcols] = x[self.kcols]
         slack = self.b - _sum_by(self.row_of, self.val * xs[self.col_of], self.m)
         x[self.nx + self.slack_rows] = slack[self.slack_rows]
         if self.cost is not None:
             self._reduced_costs()
         self.fresh = True
-        return True
+
+    def feasible(self) -> bool:
+        """Whether every basic value is within its bounds, to FEASIBILITY_TOL."""
+        xb = self.x[self.basic]
+        return not ((xb < -FEASIBILITY_TOL).any() or (xb > self.ub[self.basic] + FEASIBILITY_TOL).any())
 
     def _reduced_costs(self) -> None:
         pi = np.zeros(self.m)
@@ -746,41 +820,15 @@ class _Simplex:
             else:
                 scores = np.where(cand, viol * viol / self.weights, -np.inf)
                 q = int(scores.argmax())  # argmax takes the lowest index on ties
-            direction = 1.0 if status[q] == _AT_LOWER else -1.0
-            alpha = self._column(q)
-            eff = direction * alpha
-
-            # bounded ratio test over the basic variables that move
-            basic = self.basic
-            size = np.abs(eff)
-            moving = (size > _PIVOT_TOL * max(1.0, float(size.max(initial=0.0)))).nonzero()[0]
-            size = size[moving]
-            falls = eff[moving] > 0  # else the basic variable rises toward its upper bound
-            on_move = basic[moving]
-            xb = self.x[on_move]
-            limits = np.where(falls, xb, self.ub[on_move] - xb) / size
-            np.maximum(limits, 0.0, out=limits)
-            step = float(limits.min(initial=np.inf))
-            flip = self.ub[q]  # length of q's bound interval
-            if flip <= step and math.isfinite(flip):
-                # bound flip: q jumps to its opposite bound, basis unchanged
-                self.x[basic] -= eff * flip
-                self.x[q] = flip if direction > 0 else 0.0
-                status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
-                stats.bound_flips += 1
-                if flip > _DEGEN_TOL:
+            # q's bound interval is as long as its upper bound
+            step, pivoted = self._step(q, 1.0 if status[q] == _AT_LOWER else -1.0, self.ub[q], use_bland)
+            if not pivoted:
+                if not math.isfinite(step):
+                    return UNBOUNDED
+                if step > _DEGEN_TOL:
                     stall = 0
                     use_bland = False
                 continue
-            if not math.isfinite(step):
-                return UNBOUNDED
-            ties = (limits <= step + _DEGEN_TOL).nonzero()[0]
-            if use_bland:
-                at = int(ties[on_move[ties].argmin()])  # lowest variable index
-            else:
-                at = int(ties[size[ties].argmax()])  # largest pivot
-            step = float(limits[at])
-            r = int(moving[at])
             if step <= _DEGEN_TOL:
                 stall += 1
                 if stall > _STALL_LIMIT and not use_bland:
@@ -789,20 +837,161 @@ class _Simplex:
             else:
                 stall = 0
                 use_bland = False
-            leaving = int(basic[r])
-            hit_upper = not falls[at]
-            self.x[basic] -= eff * step
-            self.x[q] += direction * step
-            self.x[leaving] = self.ub[leaving] if hit_upper else 0.0
-            status[leaving] = _AT_UPPER if hit_upper else _AT_LOWER
-            status[q] = _BASIC
-            self._pivot(q, r, alpha, leaving)
-            stats.pivots += 1
             since_refresh += 1
             if since_refresh >= _REINVERT:
                 self.refresh()
                 since_refresh = 0
         raise RuntimeError("simplex iteration limit exceeded")
+
+    def _step(self, q: int, direction: float, flip: float, use_bland: bool) -> tuple:
+        """One primal step: nonbasic q moves by ``direction`` until a basic
+        variable reaches a bound and leaves in its place (Bland's rule or the
+        largest pivot among near ties), or, if that comes first, to its
+        other bound ``flip`` away, the basis unchanged.  Returns the step
+        and whether the basis changed; an infinite step means nothing stops
+        q."""
+        alpha = self._column(q)
+        eff = direction * alpha
+
+        # bounded ratio test over the basic variables that move
+        basic, status = self.basic, self.status
+        size = np.abs(eff)
+        moving = (size > _PIVOT_TOL * max(1.0, float(size.max(initial=0.0)))).nonzero()[0]
+        size = size[moving]
+        falls = eff[moving] > 0  # else the basic variable rises toward its upper bound
+        on_move = basic[moving]
+        xb = self.x[on_move]
+        limits = np.where(falls, xb, self.ub[on_move] - xb) / size
+        np.maximum(limits, 0.0, out=limits)
+        step = float(limits.min(initial=np.inf))
+        if flip <= step and math.isfinite(flip):
+            # bound flip: q jumps to its opposite bound, basis unchanged
+            self.x[basic] -= eff * flip
+            self.x[q] = flip if direction > 0 else 0.0
+            status[q] = _AT_UPPER if direction > 0 else _AT_LOWER
+            self.stats.bound_flips += 1
+            return flip, False
+        if not math.isfinite(step):
+            return step, False
+        ties = (limits <= step + _DEGEN_TOL).nonzero()[0]
+        if use_bland:
+            at = int(ties[on_move[ties].argmin()])  # lowest variable index
+        else:
+            at = int(ties[size[ties].argmax()])  # largest pivot
+        step = float(limits[at])
+        r = int(moving[at])
+        leaving = int(basic[r])
+        hit_upper = not falls[at]
+        self.x[basic] -= eff * step
+        self.x[q] += direction * step
+        self.x[leaving] = self.ub[leaving] if hit_upper else 0.0
+        status[leaving] = _AT_UPPER if hit_upper else _AT_LOWER
+        status[q] = _BASIC
+        self._pivot(q, r, alpha, leaving)
+        self.stats.pivots += 1
+        return step, True
+
+    def dual_run(self, cost: np.ndarray) -> bool:
+        """Make the installed basis primal feasible with the dual simplex,
+        for ``cost``; see the module docstring.  Returns False, for phase 1
+        to take over, when no column can enter (the problem with the
+        temporary bounds is infeasible), when a column leaving a temporary
+        bound meets no basic bound (the problem is unbounded), or at the
+        iteration limit."""
+        self.cost = cost
+        self._reduced_costs()
+        d, x, ub, status, stats = self.d, self.x, self.ub, self.status, self.stats
+        # the basic reduced costs are 0.0, so only nonbasic columns are wrong
+        wrong = np.flatnonzero((np.where(status == _AT_UPPER, d, -d) > REDUCED_COST_TOL) & self.enterable)
+        artificial = wrong[np.isinf(ub[wrong])]
+        ub[artificial] = _ARTIFICIAL_BOUND
+        status[wrong] ^= _AT_UPPER
+        x[wrong] = np.where(status[wrong] == _AT_UPPER, ub[wrong], 0.0)
+        stats.start_flips += len(wrong) - len(artificial)
+        stats.artificial_bounds += len(artificial)
+        if len(wrong):
+            self._values()
+        beta = self._row_weights()
+        # per column: 1 at its lower bound, -1 at its upper, 0 basic or fixed
+        sign = np.where(status == _AT_UPPER, -1.0, 1.0) * (self.enterable & (status != _BASIC))
+        since_refresh = 0
+        for _ in range(self.max_iters):
+            basic, d = self.basic, self.d
+            xb = x[basic]
+            gap = np.maximum(-xb, xb - ub[basic])
+            if gap.max() <= FEASIBILITY_TOL:
+                if self.fresh:
+                    break
+                self.refresh()
+                since_refresh = 0
+                continue
+            # dual steepest edge: the largest infeasibility over its row's weight
+            r = int(np.where(gap > FEASIBILITY_TOL, gap * gap / beta[basic], 0.0).argmax())
+            self.fresh = False
+            leaving = int(basic[r])
+            bound = 0.0 if xb[r] < 0.0 else ub[leaving]
+            # the entering column moves the leaving value toward its bound,
+            # and its reduced cost reaches zero first
+            row = self._pivot_row(r)
+            alpha_r = row[0]
+            push = alpha_r * sign
+            if xb[r] < 0.0:
+                np.negative(push, out=push)
+            cand = np.flatnonzero(push > _PIVOT_TOL * max(1.0, float(np.abs(alpha_r).max())))
+            if not cand.size:
+                return False
+            ratios = np.maximum(sign[cand] * d[cand], 0.0) / push[cand]
+            # bound-flipping ratio test: boxed candidates are passed in ratio
+            # order, each flipped to its other bound, while the leaving value
+            # still falls short of its bound
+            order = np.argsort(ratios, kind="stable")
+            by_ratio = cand[order]
+            short = abs(xb[r] - bound) - np.cumsum(push[by_ratio] * ub[by_ratio]) > 0.0
+            passed = int(short.argmin())
+            if short[passed]:
+                return False
+            at = order[passed:]
+            ties = cand[at[ratios[at] <= ratios[order[passed]] + _DEGEN_TOL]]
+            q = int(ties[np.abs(alpha_r[ties]).argmax()])  # largest pivot
+            if passed:
+                self._flip(by_ratio[:passed])
+                sign[by_ratio[:passed]] *= -1.0
+            alpha = self._column(q)
+            # Forrest-Goldfarb update of the weights, with tau = B^-1 rho_r
+            rho = alpha_r[self.nx:]
+            beta_r = float(rho @ rho)
+            ratio = alpha / alpha[r]
+            w = beta[basic]
+            w += ratio * (ratio * beta_r - 2.0 * self._ftran(rho.copy()))
+            beta[basic] = np.maximum(w, 1e-12, out=w)
+            beta[q] = max(beta_r / (alpha[r] * alpha[r]), 1e-12)
+            step = (x[leaving] - bound) / alpha[r]
+            x[basic] -= alpha * step
+            x[q] += step
+            x[leaving] = bound
+            status[leaving] = _AT_LOWER if bound == 0.0 else _AT_UPPER
+            status[q] = _BASIC
+            sign[q] = 0.0
+            if self.enterable[leaving]:
+                sign[leaving] = 1.0 if bound == 0.0 else -1.0
+            self._pivot(q, r, alpha, leaving, row)
+            stats.dual_pivots += 1
+            since_refresh += 1
+            if since_refresh >= _REINVERT:
+                self.refresh()
+                since_refresh = 0
+        else:
+            return False
+        # the temporary bounds go; a column still at one steps off it, down
+        # unless its reduced cost asks for more
+        ub[artificial] = math.inf
+        for j in artificial[status[artificial] == _AT_UPPER]:
+            self.fresh = False
+            up = self.d[j] < -REDUCED_COST_TOL
+            step, _ = self._step(int(j), 1.0 if up else -1.0, math.inf if up else x[j], False)
+            if not math.isfinite(step):
+                return False
+        return True
 
     def _edge_weights(self) -> np.ndarray:
         """Steepest-edge weights 1 + |B^-1 a_j|^2 of every nonbasic column,
@@ -857,14 +1046,51 @@ class _Simplex:
         col -= _sum_by(kc.idx, kc.val * alpha_k[kc.owner], m)
         return np.concatenate([alpha_k, col[self.slack_rows]])
 
-    def _pivot(self, q: int, r: int, alpha: np.ndarray, leaving: int) -> None:
-        """Basis change: q enters in basis position r, where ``leaving``
-        was.  Updates the reduced costs, the steepest-edge weights, the kernel
-        inverse and the basis bookkeeping, the last in place of a rebuild."""
+    def _flip(self, cols: np.ndarray) -> None:
+        """Move the nonbasic ``cols`` to their other bounds, and the basic
+        values with them."""
+        x, status, m, nx = self.x, self.status, self.m, self.nx
+        move = np.where(status[cols] == _AT_UPPER, -self.ub[cols], self.ub[cols])
+        x[cols] += move
+        status[cols] ^= _AT_UPPER
+        self.stats.bound_flips += len(cols)
+        # B^-1 of the moved columns' sum, as _column takes it
+        shown = cols < nx
+        pos, owner = _entries(self.csc_ptr, cols[shown])
+        col = _sum_by(self.csc_rows[pos], self.csc_vals[pos] * move[shown][owner], m)
+        col[cols[~shown] - nx] += move[~shown]
+        x[self.basic] -= self._ftran(col)
+
+    def _ftran(self, col: np.ndarray) -> np.ndarray:
+        """B^-1 col over the basic variables, in ``self.basic`` order, for
+        a dense ``col`` over the rows, which it overwrites."""
+        alpha_k = self.G @ col[self.krows]
+        kc = self.kc
+        col -= _sum_by(kc.idx, kc.val * alpha_k[kc.owner], self.m)
+        return np.concatenate([alpha_k, col[self.slack_rows]])
+
+    def _row_weights(self) -> np.ndarray:
+        """|e_p B^-1|^2 of each basic variable's row p of B^-1, by variable:
+        |G_p|^2 for a kernel column, 1 + |A_iK G|^2 for the slack of row i
+        (A_iK its entries in the kernel columns); 1.0 for the others."""
+        m, kc, slack_rows = self.m, self.kc, self.slack_rows
+        at = np.full(m, -1)
+        at[slack_rows] = np.arange(len(slack_rows))
+        out = at[kc.idx] >= 0
+        spill = np.zeros((len(slack_rows), len(self.kcols)))
+        spill[at[kc.idx[out]], kc.owner[out]] = kc.val[out]
+        spill = spill @ self.G
+        beta = np.ones(self.nx + m)
+        beta[self.kcols] = (self.G * self.G).sum(axis=1)
+        beta[self.nx + slack_rows] += (spill * spill).sum(axis=1)
+        return beta
+
+    def _pivot_row(self, r: int) -> tuple:
+        """Row r of B^-1 (rho, over the rows) times every column, and for a
+        slack row the kernel part z of that row of B^-1, negated (None for
+        a kernel row)."""
         m, nx, G = self.m, self.nx, self.G
         k = len(self.kcols)
-        piv = alpha[r]
-        # row r of B^-1 (rho, over the rows) times every column
         rho = np.zeros(m)
         if r < k:
             z = None
@@ -883,38 +1109,52 @@ class _Simplex:
         if r >= k:
             alpha_r[cols_i] += vals_i
         rho[self.krows] = rho_k
-        alpha_r = np.concatenate([alpha_r, rho])
+        return np.concatenate([alpha_r, rho]), z
+
+    def _pivot(self, q: int, r: int, alpha: np.ndarray, leaving: int, row: tuple | None = None) -> None:
+        """Basis change: q enters in basis position r, where ``leaving``
+        was; ``row`` is ``_pivot_row(r)`` when the caller has it.  Updates
+        the reduced costs, the steepest-edge weights (when a run keeps
+        them), the kernel inverse and the basis bookkeeping, the last in
+        place of a rebuild."""
+        m, nx, G = self.m, self.nx, self.G
+        k = len(self.kcols)
+        piv = alpha[r]
+        alpha_r, z = self._pivot_row(r) if row is None else row
+        if r >= k:
+            i = int(self.slack_rows[r - k])
         theta = self.d[q] / piv
         self.d -= theta * alpha_r
         self.d[leaving] = -theta
 
-        # Goldfarb-Reid update of the steepest-edge weights, with
-        # tau = B^-T alpha and gamma_q = 1 + |alpha|^2 taken fresh:
-        # w += ratio (ratio gamma_q - 2 A'tau), then w >= 1 + ratio^2
-        kc = self.kc
-        tau = np.zeros(m)
-        tau[self.slack_rows] = alpha[k:]
-        spill = _sum_by(kc.owner, kc.val * tau[kc.idx], k)
-        tau_k = (alpha[:k] - spill) @ G
-        tau[self.krows] = tau_k
-        a_tau = np.concatenate([_sum_by(self.col_of, self.val * np.repeat(tau, self.row_len), nx), tau])
-        gamma_q = 1.0 + float(alpha @ alpha)
-        ratio = alpha_r / piv
-        w = self.weights
-        a_tau *= 2.0
-        change = ratio * gamma_q
-        change -= a_tau
-        change *= ratio
-        w += change
-        np.multiply(ratio, ratio, out=change)
-        change += 1.0
-        np.maximum(w, change, out=w)
-        w[leaving] = max(gamma_q / (piv * piv), 1.0)
+        if self.weights is not None:
+            # Goldfarb-Reid update of the steepest-edge weights, with
+            # tau = B^-T alpha and gamma_q = 1 + |alpha|^2 taken fresh:
+            # w += ratio (ratio gamma_q - 2 A'tau), then w >= 1 + ratio^2
+            kc = self.kc
+            tau = np.zeros(m)
+            tau[self.slack_rows] = alpha[k:]
+            spill = _sum_by(kc.owner, kc.val * tau[kc.idx], k)
+            tau_k = (alpha[:k] - spill) @ G
+            tau[self.krows] = tau_k
+            a_tau = np.concatenate([_sum_by(self.col_of, self.val * np.repeat(tau, self.row_len), nx), tau])
+            gamma_q = 1.0 + float(alpha @ alpha)
+            ratio = alpha_r / piv
+            w = self.weights
+            a_tau *= 2.0
+            change = ratio * gamma_q
+            change -= a_tau
+            change *= ratio
+            w += change
+            np.multiply(ratio, ratio, out=change)
+            change += 1.0
+            np.maximum(w, change, out=w)
+            w[leaving] = max(gamma_q / (piv * piv), 1.0)
 
         # the kernel inverse, then the kernel, the basic list and the
         # kernel entries in the order that _positions() would give them
         alpha_k = alpha[:k]
-        basic, colpos, rowpos = self.basic, self.colpos, self.rowpos
+        basic, colpos, rowpos, kc, kr = self.basic, self.colpos, self.rowpos, self.kc, self.kr
         if q < nx and r < k:
             # column replace: q takes kernel column r
             g = G[r] / piv

@@ -9,6 +9,7 @@ coflow; sorting by it yields the scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,16 @@ class IntervalLpResult:
     solution: lpcore.LpSolution
 
 
+class WarmStart(NamedTuple):
+    """An earlier ordering LP to start the next one from: its inputs, its
+    final basis, and for each of its coflows the index of the same coflow
+    in the next LP (-1 when it is gone), increasing on those that stay."""
+
+    inputs: OrderingInputs
+    basis: lpcore.Basis
+    moved: np.ndarray
+
+
 def delta_index(num_coflows: int, k, kp):
     """Column of the ordering variable delta[k, kp] in the full LP layout
     (elementwise for arrays of k and kp).
@@ -57,6 +68,13 @@ def delta_index(num_coflows: int, k, kp):
 def _pair_index(num_coflows: int, a, b):
     # triangular layout of pairs a < b after the K completion variables
     return num_coflows + a * num_coflows - a * (a + 1) // 2 + (b - a - 1)
+
+
+def _port_row_keys(loads: np.ndarray) -> tuple:
+    """(port, coflow) of each port row of the reduced LP, in row order: row
+    (s, k) is kept when another coflow loads port s (a lone user's sum less
+    its own is exactly 0)."""
+    return np.nonzero(loads.sum(axis=1)[:, None] - loads > 0.0)
 
 
 def _port_rows(loads: np.ndarray, s_of: np.ndarray, k_of: np.ndarray,
@@ -151,9 +169,8 @@ def _build_reduced_ordering_lp(instance: OrderingInputs) -> lpcore.LpProblem:
         raise ValueError("instance has no coflows")
     loads = instance.time_loads
     # row (s, k): f_k + sum_{kp<k} loads[s, kp] p(kp, k) - sum_{kp>k} loads[s, kp] p(k, kp)
-    #             >= loads[s, k] + sum_{kp<k} loads[s, kp];
-    # kept when another coflow loads port s (a lone user's sum less its own is exactly 0)
-    s_of, k_of = np.nonzero(loads.sum(axis=1)[:, None] - loads > 0.0)
+    #             >= loads[s, k] + sum_{kp<k} loads[s, kp]
+    s_of, k_of = _port_row_keys(loads)
     k, kp = np.indices((kk, kk))
     col_table = _pair_index(kk, np.minimum(k, kp), np.maximum(k, kp))
     sign_table = np.where(kp < k, 1.0, -1.0)
@@ -227,17 +244,69 @@ def _ordering_crash_basis(instance: OrderingInputs, prob: lpcore.LpProblem) -> l
     return lpcore.Basis(best, row_k[best], at_upper)
 
 
-def solve_ordering_lp(instance: OrderingInputs) -> OrderingLpResult:
+def _mapped_basis(warm: WarmStart, instance: OrderingInputs, crash: lpcore.Basis) -> lpcore.Basis:
+    """``warm``'s basis on this instance's reduced LP.  Rows and columns of
+    coflows that are gone drop out.  The kernel's rows and columns are
+    paired only by position, so a kernel row whose column went takes a
+    column whose row went, completion columns first, and what is left over
+    of either leaves the kernel.  Each coflow new to this LP takes its pair
+    columns' bounds and its completion column's row from ``crash``, the
+    BSSI start."""
+    old, basis, moved = warm
+    kk = instance.num_coflows
+    s_old, k_old = _port_row_keys(old.time_loads)
+    s_new, k_new = _port_row_keys(instance.time_loads)
+    table = np.full(instance.time_loads.shape, -1)
+    table[s_new, k_new] = np.arange(len(s_new))
+    # the new index of every old row and column, -1 for one that is gone
+    to = moved[k_old]
+    row_to = np.concatenate((np.where(to >= 0, table[s_old, to], -1), np.where(moved >= 0, len(s_new) + moved, -1)))
+    a, b = moved[np.stack(np.triu_indices(old.num_coflows, 1))]
+    col_to = np.concatenate((moved, np.where((a >= 0) & (b >= 0), _pair_index(kk, a, b), -1)))
+    rows, cols = row_to[basis.rows], col_to[basis.columns]
+    kept = (rows >= 0) & (cols >= 0)
+    lone_rows = rows[(rows >= 0) & (cols < 0)]
+    lone_cols = cols[(cols >= 0) & (rows < 0)]
+    lone_cols = lone_cols[np.argsort(lone_cols >= kk, kind="stable")]
+    paired = min(len(lone_rows), len(lone_cols))
+    upper = col_to[basis.at_upper]
+    new = np.ones(kk, dtype=bool)
+    new[moved[moved >= 0]] = False
+    a, b = np.triu_indices(kk, 1)
+    crash_upper = np.asarray(crash.at_upper)
+    pair = crash_upper - kk
+    f_new = new[crash.columns]
+    return lpcore.Basis(np.concatenate((rows[kept], lone_rows[:paired], crash.rows[f_new])),
+                        np.concatenate((cols[kept], lone_cols[:paired], crash.columns[f_new])),
+                        np.concatenate((upper[upper >= 0], crash_upper[new[a[pair]] | new[b[pair]]])))
+
+
+def solve_ordering_lp(instance: OrderingInputs, warm: WarmStart | None = None) -> OrderingLpResult:
     """Solve the precedence LP and extract the coflow ordering.
 
     The ordering sorts relaxed completion times ascending; ties go to the
     lower coflow id so repeated runs are reproducible.  Of ``instance`` the
     LP reads only the four ``OrderingInputs`` fields, so a CoflowInstance
-    and lp-ov-ls-online's residual inputs are solved alike.
+    and lp-ov-ls-online's residual inputs are solved alike.  The solve
+    starts from the BSSI crash (``_ordering_crash_basis``), or with ``warm``
+    from an earlier LP's final basis mapped onto this one
+    (``_mapped_basis``), the crash taking over when its kernel is singular.
+    Where the warm answer could differ from the crash's in its ordering, it
+    is solved again from the crash: when its basis does not prove the
+    optimum unique (``SolveStats.ties``), or when two completion times lie
+    within 1e-9 relative of each other, so that rounding orders them.
     """
     kk = instance.num_coflows
     prob = _build_reduced_ordering_lp(instance)
-    sol = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
+    crash = _ordering_crash_basis(instance, prob)
+    sol = lpcore.solve(prob, crash if warm is None else (_mapped_basis(warm, instance, crash), crash))
+    if warm is not None and sol.status == lpcore.OPTIMAL and not sol.stats.start_index:
+        f = np.sort(sol.values[:kk])
+        if sol.stats.ties or (np.diff(f) <= 1e-9 * np.abs(f[1:])).any():
+            first, sol = sol.stats, lpcore.solve(prob, crash)
+            for name in ("pivots", "bound_flips", "reinversions", "dual_pivots", "start_flips", "artificial_bounds"):
+                setattr(sol.stats, name, getattr(sol.stats, name) + getattr(first, name))
+            sol.stats.tie_retry = True
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
             f"ordering LP should always be solvable, got status {sol.status!r}"

@@ -36,7 +36,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .model import CoflowInstance, prefix_bottlenecks, residual
-from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
+from .relaxations import WarmStart, slot_length, solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid
 
 
@@ -68,21 +68,29 @@ class _PairHeads:
 
     Heads change only on the pairs of coflows released since the last
     ``admit`` and on pairs whose head the caller reports finished; nothing
-    rescans the queue.
+    rescans the queue.  The coflows released by ``now`` at construction
+    are taken in at once: their keys, met in ascending order, are appended
+    to their lines, and the lines' first keys are then the heads in
+    ascending order, the state that ``admit(now)`` would reach.
     """
 
-    def __init__(self, instance: CoflowInstance, queue: list, release: list):
+    def __init__(self, instance: CoflowInstance, queue: list, release: list, now: float = -math.inf):
         n = self.n = instance.n_ports
         self.queue = queue
-        self.heads: list[int] = []
         flows = self._flows = instance.flow_keys
         self._release = release
-        self._lines: dict[int, list[int]] = {}  # by source * n + dest
+        lines: dict[int, list[int]] = {}  # by source * n + dest
         # each queued flow's ports as bits of one int: source s is bit s, dest d bit n + d
         self._ports = [(1 << flows[i].source) | (1 << (n + flows[i].dest)) for i in queue]
         keys_of: dict[int, list[int]] = {}
         for key, i in enumerate(queue):
-            keys_of.setdefault(flows[i].coflow, []).append(key)
+            f = flows[i]
+            if release[f.coflow] <= now:
+                lines.setdefault(f.source * n + f.dest, []).append(key)
+            else:
+                keys_of.setdefault(f.coflow, []).append(key)
+        self._lines = lines
+        self.heads: list[int] = [line[0] for line in lines.values()]
         # latest release first, so the next coflow to release is popped off the end
         self._arrivals = sorted(keys_of.items(), key=lambda item: release[item[0]], reverse=True)
 
@@ -171,13 +179,17 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     drops (all flows nearly done) go last, by (release, id).
 
     An arrival is the clock reaching the next release time recorded at the
-    last solve, so the events between arrivals only serve the queue.
+    last solve, so the events between arrivals only serve the queue.  Each
+    residual LP starts from the last one's final basis, mapped by coflow id
+    (``relaxations.WarmStart``).
     """
     heads = _PairHeads(instance, [], [])
     due = -math.inf  # the next release time after the last solve
+    last = None  # the last residual LP's inputs, coflow ids and result
+    index = np.full(instance.num_coflows, -1)  # of each coflow in the residual, -1 when absent
 
     def policy(run: FluidRun) -> dict:
-        nonlocal heads, due
+        nonlocal heads, due, last
         heads.finish(run.finished)  # the heads that served them, before any rebuild
         now = run.time
         if due <= now + EVENT_EPS:
@@ -187,12 +199,22 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             if upcoming is not None:  # leave out the flows not released yet
                 left = np.where(run.flow_release <= now + EVENT_EPS, left, 0.0)
             inputs, ids = residual(instance, run.source, run.dest, run.coflow, left, now)
-            # called by this module's name, which perfbench's tracer wraps
-            residual_order = solve_ordering_lp(inputs).ordering if ids.size else []
+            residual_order = []
+            if ids.size:
+                warm = None
+                if last is not None:
+                    index[:] = -1
+                    index[ids] = np.arange(ids.size)
+                    warm = WarmStart(last[0], last[2].solution.basis, index[last[1]])
+                # called by this module's name, which perfbench's tracer wraps
+                last = inputs, ids, solve_ordering_lp(inputs, warm)
+                residual_order = last[2].ordering
             rank = dict(zip(ids[residual_order].tolist(), range(len(residual_order))))
             order = sorted(run.active_coflows(), key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
             unfinished = run.remaining.tolist()
-            heads = _PairHeads(instance, [i for i in _queue(instance, order) if unfinished[i]], run.release)
+            # every queued flow is released: the queue is filled in one pass
+            heads = _PairHeads(instance, [i for i in _queue(instance, order) if unfinished[i]], run.release,
+                               now + EVENT_EPS)
         return _list_schedule_rates(run, heads)
 
     return run_fluid(FluidRun(instance), policy)

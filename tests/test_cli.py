@@ -163,8 +163,62 @@ def test_unexpected_exception_exits_one_in_one_line(tmp_path, capsys, monkeypatc
     argv = ["run", "--instance", str(inst_path), "--reps", "1", "--schedulers", "varys"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: run: ZeroDivisionError: float division by zero"]
+    assert err.splitlines() == ["error: run: varys: ZeroDivisionError: float division by zero"]
     assert "Traceback" not in err
+
+
+def _rows_of(fmt, path):
+    if fmt == "csv":
+        return _read_rows(path)
+    return json.loads(path.read_text())["reports"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_scheduler_that_raises_keeps_the_other_rows(tmp_path, capsys, monkeypatch, fmt):
+    from coflowsched import schedulers
+
+    inst_path = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst_path)
+
+    def broken(instance, lp):
+        raise KeyError("no such pair")
+
+    monkeypatch.setitem(schedulers.SCHEDULERS, "lp-ov-gb", broken)
+    out = tmp_path / f"out.{fmt}"
+    argv = ["run", "--instance", str(inst_path), "--reps", "2", "--format", fmt, "--out", str(out),
+            "--schedulers", "lp-ov-ls,lp-ov-gb,varys"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: run: lp-ov-gb: KeyError: 'no such pair'"]
+    rows = _rows_of(fmt, out)
+    assert [row["scheduler"] for row in rows] == ["lp-ov-ls", "lp-ov-gb", "varys"] * 2
+    for row in rows:
+        failed = row["scheduler"] == "lp-ov-gb"
+        assert row["valid"] in ((False, "false") if failed else (True, "true"))
+        assert (row["error"] or None) == ("KeyError: 'no such pair'" if failed else None)
+        assert math.isnan(float(row["total_weighted_completion"])) == failed
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_one_tiny_flow_reports_every_scheduler(tmp_path, capsys, fmt):
+    # one flow of size 1e-300: lp-ii-gb's interval LP is infeasible in
+    # floating point, and the other four schedulers still report
+    path = tmp_path / "tiny.json"
+    save_instance(CoflowInstance(1, [Coflow({(0, 0): 1e-300})]), path)
+    out = tmp_path / f"out.{fmt}"
+    names = ["lp-ov-ls", "lp-ov-ls-online", "varys", "lp-ii-gb", "lp-ov-gb"]
+    argv = ["run", "--instance", str(path), "--reps", "1", "--format", fmt, "--out", str(out),
+            "--schedulers", ",".join(names)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run: lp-ii-gb: RuntimeError: interval LP")
+    rows = _rows_of(fmt, out)
+    assert [row["scheduler"] for row in rows] == names
+    for row in rows:
+        failed = row["scheduler"] == "lp-ii-gb"
+        assert row["valid"] in ((False, "false") if failed else (True, "true"))
+        assert bool(row["error"]) == failed
+        if not failed:
+            assert float(row["total_weighted_completion"]) == 1e-300
 
 
 def test_lp_that_fails_its_certificate_exits_one_naming_the_rows(tmp_path):

@@ -335,14 +335,19 @@ def test_crash_start_matches_cold_solve():
 
 
 def test_bogus_start_falls_back():
+    # the slack basis leaves the >= row infeasible at the corner, but it
+    # installs and is dual feasible (x0 costs 1 at zero): one dual pivot
+    # makes x0 basic at 3, with no phase 1
     p = LpProblem(1, objective=[1.0])
     p.add_constraint({0: 1.0}, ">=", 3.0)
-    s = solve(p, Basis([], []))  # leaves the >= row infeasible at the corner
+    s = solve(p, Basis([], []))
     assert s.status == lpcore.OPTIMAL
-    assert s.objective_value == pytest.approx(3.0)
-    assert not s.stats.crash_accepted
-    assert s.stats.phase1
+    assert s.objective_value == 3.0
+    assert s.stats.crash_accepted and s.stats.start_use == "dual-flips"
+    assert s.stats.dual_pivots == 1 and s.stats.pivots == 0
+    assert not s.stats.phase1
     assert not s.stats.cold_retry
+    assert [list(part) for part in s.basis] == [[0], [0], []]
 
 
 def test_start_with_only_variables_at_upper_is_honoured():

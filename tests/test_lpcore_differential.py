@@ -5,7 +5,10 @@ and degenerate rows, and coefficients from 1e-6 to 1e6 (a row magnitude
 times a column magnitude, each from 1e-3 to 1e3, so the LP is badly
 scaled but not ill-conditioned).  Some draws are infeasible or unbounded.  Every LP is
 solved cold and from a random ``lpcore.Basis``; status and objective must
-agree with HiGHS.
+agree with HiGHS.  A random start that installs but is not primal feasible
+takes the dual simplex path; a second test draws starts that also leave an
+unbounded column with a negative reduced cost, so the dual path places a
+temporary bound.
 
 Each variable x_j is drawn with a lower end that may be negative, and the
 LP is built in the offsets x_j - lower_j, which lie in [0, width_j] as
@@ -34,7 +37,7 @@ MAGNITUDES = [10.0**e for e in range(-3, 4)]
 
 
 @st.composite
-def bounded_lps(draw):
+def bounded_lps(draw, relations=("<=", ">=", "==")):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 6))
     col_mag = [draw(st.sampled_from(MAGNITUDES)) for _ in range(n)]
@@ -62,7 +65,7 @@ def bounded_lps(draw):
             j: row_mag * draw(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 3.0))) / col_mag[j]
             for j in support
         }
-        relation = draw(st.sampled_from(("<=", ">=", "==")))
+        relation = draw(st.sampled_from(relations))
         at_point = sum(c * point[j] for j, c in coeffs.items())
         rhs = draw(st.sampled_from(("zero", "point", "loose", "tight", "wrong")))
         if rhs == "zero":
@@ -139,3 +142,28 @@ def test_matches_highs(problem, seed):
             scale = max(_objective_scale(problem, ref.x), _objective_scale(problem, sol.values))
             assert abs(sol.objective_value - ref.fun) <= REL_TOL * scale, (
                 start, sol.objective_value, ref.fun)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(bounded_lps(relations=("<=", ">=")), st.integers(0, 4))
+def test_dual_path_with_temporary_bounds_matches_highs(problem, pick):
+    # column j gets no upper bound and a negative cost, so from the slack
+    # basis (no == rows: it installs) its reduced cost has the wrong sign;
+    # with a row violated at the slack basis the dual path must place a
+    # temporary bound on it, and still agree with HiGHS
+    j = pick % problem.num_vars
+    problem.set_upper(j, math.inf)
+    problem.objective[j] = -abs(problem.objective[j]) or -1.0
+    violated = np.where(problem.rel == lpcore.LE, problem.rhs < -1e-9 * np.abs(problem.rhs).max(),
+                        problem.rhs > 1e-9 * np.abs(problem.rhs).max())
+    hypothesis.assume(violated.any())
+    ref = _highs(problem)
+    hypothesis.assume(ref.status in (0, 2, 3))
+    expected = {0: lpcore.OPTIMAL, 2: lpcore.INFEASIBLE, 3: lpcore.UNBOUNDED}[ref.status]
+    sol = lpcore.solve(problem, lpcore.Basis([], []))
+    assert sol.stats.dual and sol.stats.artificial_bounds >= 1
+    assert sol.status == expected, ref.message
+    if expected == lpcore.OPTIMAL:
+        scale = max(_objective_scale(problem, ref.x), _objective_scale(problem, sol.values))
+        assert abs(sol.objective_value - ref.fun) <= REL_TOL * scale, (sol.objective_value, ref.fun)

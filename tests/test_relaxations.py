@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ from conftest import GOLDEN_INSTANCES, golden_instance
 from coflowsched import lpcore, schedulers
 from coflowsched.model import Coflow, CoflowInstance, prefix_bottlenecks
 from coflowsched.relaxations import (
+    WarmStart,
     _bssi_order,
     _build_reduced_ordering_lp,
+    _mapped_basis,
     _ordering_crash_basis,
+    _port_row_keys,
     build_interval_lp,
     build_ordering_lp,
     delta_index,
@@ -451,14 +455,15 @@ def _random_scaled_instances(count):
 
 def _online_residual_instances(monkeypatch):
     """Every residual that lp-ov-ls-online hands to the ordering LP, as
-    ``model.OrderingInputs``, on two instances shaped like the online
-    benchmark workload."""
+    ``model.OrderingInputs``, with the ``WarmStart`` it passes (None for
+    the first), on two instances shaped like the online benchmark
+    workload."""
     seen = []
     solve = schedulers.solve_ordering_lp
 
-    def recording(instance):
-        seen.append(instance)
-        return solve(instance)
+    def recording(instance, warm=None):
+        seen.append((instance, warm))
+        return solve(instance, warm)
 
     monkeypatch.setattr(schedulers, "solve_ordering_lp", recording)
     for seed in (10_000, 10_001):
@@ -496,7 +501,7 @@ def test_array_builders_match_row_by_row_reference_on_scaled_random_instances():
 
 
 def test_reduced_lp_and_crash_basis_match_reference_on_online_residuals(monkeypatch):
-    for instance in _online_residual_instances(monkeypatch):
+    for instance, _ in _online_residual_instances(monkeypatch):
         _assert_reduced_lp_matches(instance)
 
 
@@ -537,19 +542,32 @@ def _random_instances(count):
         yield assign_weights(inst, "uniform-random" if seed % 8 >= 4 else "unit", seed=500 + seed)
 
 
-def _assert_crash_start_is_accepted_and_optimal(instance):
-    # the crash start and a cold start reach the same optimum and the same
+def _assert_crash_start_is_accepted_and_optimal(instance, warm=None):
+    # the crash start, a cold start and, given an earlier residual LP, its
+    # basis mapped onto this one reach the same optimum and the same
     # ordering, with completion times f~ equal to 1e-9 relative
     prob = _build_reduced_ordering_lp(instance)
-    warm = lpcore.solve(prob, _ordering_crash_basis(instance, prob))
-    assert warm.stats.crash_accepted
-    assert not warm.stats.phase1 and not warm.stats.cold_retry
-    cold = lpcore.solve(prob)
-    assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=0.0)
+    crash = _ordering_crash_basis(instance, prob)
+    crashed = lpcore.solve(prob, crash)
+    assert crashed.stats.start_use == "primal"
+    assert not crashed.stats.phase1 and not crashed.stats.cold_retry
+    solutions = [crashed, lpcore.solve(prob)]
     kk = instance.num_coflows
-    f_warm, f_cold = warm.values[:kk], cold.values[:kk]
-    np.testing.assert_allclose(f_cold, f_warm, rtol=1e-9, atol=0.0)
-    assert _ordering_of(f_cold) == _ordering_of(f_warm)
+    if warm is not None:
+        start = _mapped_basis(warm, instance, crash)
+        # on these instances the re-pairing of lone kernel rows and columns
+        # keeps every completion column basic
+        assert set(range(kk)) <= set(np.asarray(start.columns).tolist())
+        mapped = lpcore.solve(prob, (start, crash))
+        assert mapped.stats.crash_accepted
+        assert not mapped.stats.phase1 and not mapped.stats.cold_retry
+        solutions.append(mapped)
+    for sol in solutions[1:]:
+        assert sol.certificate.ok
+        assert sol.objective_value == pytest.approx(crashed.objective_value, rel=1e-9, abs=0.0)
+        np.testing.assert_allclose(sol.values[:kk], crashed.values[:kk], rtol=1e-9, atol=0.0)
+        assert _ordering_of(sol.values[:kk]) == _ordering_of(crashed.values[:kk])
+    return solutions
 
 
 def _ordering_of(f_tilde):
@@ -567,6 +585,29 @@ def test_bssi_crash_is_accepted_and_optimal_on_random_instances():
         _assert_crash_start_is_accepted_and_optimal(instance)
 
 
+def test_singular_mapped_start_falls_back_to_the_crash():
+    # a warm start whose kernel pairs the release rows of coflows 0 and 1
+    # with f_0 and the pair column of (0, 1), which no release row holds:
+    # the kernel [[1, 0], [0, 0]] is singular, so the BSSI crash is used,
+    # bit for bit as without the warm start, and phase 1 never runs
+    inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="dense", seed=5))
+    kk = inst.num_coflows
+    release_row = len(_port_row_keys(inst.time_loads)[0])
+    warm = WarmStart(inst, lpcore.Basis([release_row, release_row + 1], [0, kk]), np.arange(kk))
+    assert list(_mapped_basis(warm, inst, _ordering_crash_basis(inst, _build_reduced_ordering_lp(inst)))[0]) \
+        == [release_row, release_row + 1]
+    got, plain = solve_ordering_lp(inst, warm), solve_ordering_lp(inst)
+    assert got.solution.stats.start_use == "fallback"
+    assert not got.solution.stats.phase1
+    assert got.f_tilde.tobytes() == plain.f_tilde.tobytes()
+    assert got.ordering == plain.ordering
+    assert got.solution.stats.pivots == plain.solution.stats.pivots
+
+
 def test_bssi_crash_is_accepted_and_optimal_on_online_residuals(monkeypatch):
-    for instance in _online_residual_instances(monkeypatch):
-        _assert_crash_start_is_accepted_and_optimal(instance)
+    uses = collections.Counter()
+    for instance, warm in _online_residual_instances(monkeypatch):
+        uses[_assert_crash_start_is_accepted_and_optimal(instance, warm)[-1].stats.start_use] += 1
+    # the mapped starts take each path, and seldom give way to the crash
+    assert uses["primal"] and uses["dual-flips"] and uses["dual-artificial"]
+    assert uses["fallback"] <= 0.2 * sum(uses.values())

@@ -95,6 +95,35 @@ def test_pair_heads_serve_released_heads_and_stop_when_full():
     assert heads.head(0, 1) is None
 
 
+@pytest.mark.parametrize("pending", [False, True], ids=["all-released", "pending-releases"])
+def test_pair_heads_filled_at_construction_match_insort_admission(pending):
+    # lp-ov-ls-online rebuilds its queue with every queued flow released,
+    # taken in at construction by appends; it must reach the state that
+    # admit's insort path reaches from an empty queue, and serve alike after
+    rng = np.random.default_rng(7 if pending else 3)
+    for _ in range(40):
+        inst = generate(SyntheticConfig(n_ports=int(rng.integers(2, 6)), n_coflows=int(rng.integers(1, 9)),
+                                        kind="dense", seed=int(rng.integers(1 << 30))))
+        queue = [int(i) for i in rng.permutation(len(inst.flow_keys)) if rng.random() < 0.8]
+        release = rng.choice([0.0, 2.0, 4.0], size=inst.num_coflows).tolist() if pending else [0.0] * inst.num_coflows
+        now = 2.0
+        slow = _PairHeads(inst, queue, release)
+        slow.admit(now)
+        fast = _PairHeads(inst, queue, release, now)
+        fast.admit(now)  # nothing more to take in
+        for later in (now, 4.0):
+            slow.admit(later)
+            fast.admit(later)
+            assert fast.heads == slow.heads
+            assert fast._lines == slow._lines
+            assert fast._arrivals == slow._arrivals
+            assert fast._ports == slow._ports
+            served = slow.matching()
+            assert fast.matching() == served
+            slow.finish(served)
+            fast.finish(served)
+
+
 # -- online variant ---------------------------------------------------------
 
 def test_online_equals_offline_when_everything_released():
