@@ -9,7 +9,12 @@ one line "error: <command>: <type>: <message>"; 2 bad input.  In run, a
 scheduler that raises anything but bad input gets a report row with
 ``valid`` false and the exception in ``error`` while the others finish;
 the run then exits 1 with one line "error: run: <scheduler>: <type>:
-<message>" naming the first that raised.
+<message>" naming the first that raised.  An offline ordering LP that
+raises anything but bad input or a failed certificate leaves the LP-bound
+columns NaN; every scheduler still runs (lp-ov-ls and lp-ov-gb, which need
+that LP, fail in their rows), nothing of that rep is dumped, and the run
+exits 1 with one line "error: run: ordering LP: <type>: <message>" for the
+first rep whose LP raised.
 """
 
 from __future__ import annotations
@@ -86,10 +91,17 @@ def _instance_for_rep(args: argparse.Namespace, rep: int) -> CoflowInstance:
     return workload.assign_weights(instance, WEIGHT_MODES[args.weights], seed=seed)
 
 
-def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
+def _run_one_rep(args: argparse.Namespace, rep: int) -> tuple[list, str | None]:
+    """The rep's report rows, and "<type>: <message>" of its ordering LP
+    when that raised."""
     instance = _instance_for_rep(args, rep)
-    ordering_result = solve_ordering_lp(instance)
-    lp_bound = lp_lower_bound(instance, ordering_result)
+    try:
+        ordering_result, lp_error = solve_ordering_lp(instance), None
+    except (ValueError, CertificateError):
+        raise  # bad input, or an invariant violation that ends the run
+    except Exception as exc:
+        ordering_result, lp_error = None, f"{type(exc).__name__}: {exc}"
+    lp_bound = math.nan if ordering_result is None else lp_lower_bound(instance, ordering_result)
     rows = []
     dumped = None  # the lp-ov-ls schedule, the only one kept after its row
     for name in args.schedulers:
@@ -112,7 +124,7 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
                 scheduler=name,
                 total_weighted_completion=total,
                 lp_lower_bound=lp_bound,
-                ratio_to_lb=total / lp_bound if lp_bound > 0 else math.inf,
+                ratio_to_lb=math.inf if lp_bound <= 0 else total / lp_bound,  # NaN without a bound
                 ratio_to_lpovls=None,
                 wall_ms=wall_ms,
                 valid=valid,
@@ -123,23 +135,24 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> list:
     for row in rows:
         if base:
             row.ratio_to_lpovls = row.total_weighted_completion / base
-    if args.dump_schedules:  # per-rep instance and lp-ov-ls schedule JSON
+    if args.dump_schedules and ordering_result is not None:  # per-rep instance and lp-ov-ls schedule JSON
         schedule = dumped or schedulers.lp_ov_ls(instance, ordering_result)
         os.makedirs(args.dump_schedules, exist_ok=True)
         save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
         with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
             json.dump(schedule.to_dict(), fh)
-    return rows
+    return rows, lp_error
 
 
-def run_experiment(args: argparse.Namespace) -> list:
-    """All per-(instance, scheduler) reports, ordered by (rep, scheduler)."""
+def run_experiment(args: argparse.Namespace) -> tuple[list, str | None]:
+    """All per-(instance, scheduler) reports, ordered by (rep, scheduler),
+    and the error of the first rep whose ordering LP raised, if any."""
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunks = list(pool.map(_run_one_rep, [args] * args.reps, range(args.reps)))
     else:
         chunks = [_run_one_rep(args, rep) for rep in range(args.reps)]
-    return [row for chunk in chunks for row in chunk]
+    return [row for rows, _ in chunks for row in rows], next((error for _, error in chunks if error), None)
 
 
 def summarize(rows: list) -> dict:
@@ -267,10 +280,13 @@ def _cmd_run(args) -> int:
     for name in args.schedulers:
         if name not in SCHEDULER_NAMES:
             raise ValueError(f"unknown scheduler {name!r}")
-    rows = run_experiment(args)
+    rows, lp_error = run_experiment(args)
     text = report_emit(rows, args.format, args.out)
     if not args.out:
         print(text, end="")
+    if lp_error:
+        print(f"error: run: ordering LP: {lp_error}", file=sys.stderr)
+        return 1
     failed = next((row for row in rows if row.error), None)
     if failed:
         print(f"error: run: {failed.scheduler}: {failed.error}", file=sys.stderr)

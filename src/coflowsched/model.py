@@ -113,6 +113,20 @@ class CoflowInstance:
         return tuple(self.coflows[k].demands[(i, j)] for i, j, k in self.flow_keys)
 
     @cached_property
+    def flow_sources(self) -> np.ndarray:
+        """Every flow's source port, in ``flow_keys`` order (``flow_dests``
+        and ``flow_coflows`` alike); built once per instance and read-only."""
+        return _read_only(np.array([key.source for key in self.flow_keys], dtype=np.int64))
+
+    @cached_property
+    def flow_dests(self) -> np.ndarray:
+        return _read_only(np.array([key.dest for key in self.flow_keys], dtype=np.int64))
+
+    @cached_property
+    def flow_coflows(self) -> np.ndarray:
+        return _read_only(np.array([key.coflow for key in self.flow_keys], dtype=np.int64))
+
+    @cached_property
     def flow_offsets(self) -> tuple:
         """Coflow k's flow ids are ``flow_offsets[k]`` to ``flow_offsets[k + 1] - 1``."""
         return (0, *accumulate(len(cf.demands) for cf in self.coflows))
@@ -192,37 +206,35 @@ def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.
 class OrderingInputs(NamedTuple):
     """All that the ordering LP reads of an instance (``CoflowInstance``
     has the same four fields): the coflow count, the (2N, K) load matrix
-    in time units, and each coflow's release and weight."""
+    in time units, and each coflow's release and weight; and the ids in
+    the instance of the residual's coflows, ascending (``residual``)."""
 
     num_coflows: int
     time_loads: np.ndarray
     releases: np.ndarray
     weights: np.ndarray
+    ids: np.ndarray
 
 
-def residual(instance: CoflowInstance, source: np.ndarray, dest: np.ndarray, coflow: np.ndarray,
-             remaining: np.ndarray, now: float) -> tuple[OrderingInputs, np.ndarray]:
+def residual(instance: CoflowInstance, remaining: np.ndarray, now: float) -> OrderingInputs:
     """The ordering LP's inputs for what is left at time ``now``: the flows
     with more than _RESIDUAL_MIN_SIZE of ``remaining`` (each flow's demand
-    left, by flow id; ``source``, ``dest`` and ``coflow`` give each flow's
-    ports and coflow), their coflows numbered in id order, and releases
+    left, by flow id), their coflows numbered in id order, and releases
     shifted to be relative to ``now``.
 
-    Returns the inputs and the array mapping their coflow ids back to the
-    instance's.  Each load cell adds its flows in id order, as
-    ``port_loads`` over a coflow's demands does, so the loads have the bits
-    of an instance built of the remaining demands.
+    Each load cell adds its flows in id order, as ``port_loads`` over a
+    coflow's demands does, so the loads have the bits of an instance built
+    of the remaining demands.
     """
     keep = np.flatnonzero(remaining > _RESIDUAL_MIN_SIZE)
-    ids, of = np.unique(coflow[keep], return_inverse=True)
+    ids, of = np.unique(instance.flow_coflows[keep], return_inverse=True)
     n, kk = instance.n_ports, len(ids)
     left = remaining[keep]
-    cells = np.concatenate((source[keep] * kk + of, (n + dest[keep]) * kk + of))
+    cells = np.concatenate((instance.flow_sources[keep] * kk + of, (n + instance.flow_dests[keep]) * kk + of))
     loads = np.bincount(cells, np.concatenate((left, left)), minlength=2 * n * kk).reshape(2 * n, kk)
-    inputs = OrderingInputs(kk, _read_only(loads / instance.capacity),
-                            _read_only(np.maximum(instance.releases[ids] - now, 0.0)),
-                            _read_only(instance.weights[ids]))
-    return inputs, ids
+    return OrderingInputs(kk, _read_only(loads / instance.capacity),
+                          _read_only(np.maximum(instance.releases[ids] - now, 0.0)),
+                          _read_only(instance.weights[ids]), _read_only(ids))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

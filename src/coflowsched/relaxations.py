@@ -8,8 +8,7 @@ coflow; sorting by it yields the scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +22,7 @@ class OrderingLpResult:
 
     ``delta[a, b]`` is the fractional indicator that coflow a finishes all
     of its flows before coflow b does; complementary pairs sum to one.
+    ``inputs`` is what was solved: the instance, or a residual's inputs.
     """
 
     f_tilde: np.ndarray
@@ -30,6 +30,7 @@ class OrderingLpResult:
     ordering: list
     objective: float
     solution: lpcore.LpSolution         # of the reduced LP: duals, certificate and solver counters
+    inputs: OrderingInputs
 
 
 @dataclass
@@ -41,16 +42,6 @@ class IntervalLpResult:
     relaxed_completions: np.ndarray
     ordering: list
     solution: lpcore.LpSolution
-
-
-class WarmStart(NamedTuple):
-    """An earlier ordering LP to start the next one from: its inputs, its
-    final basis, and for each of its coflows the index of the same coflow
-    in the next LP (-1 when it is gone), increasing on those that stay."""
-
-    inputs: OrderingInputs
-    basis: lpcore.Basis
-    moved: np.ndarray
 
 
 def delta_index(num_coflows: int, k, kp):
@@ -244,15 +235,23 @@ def _ordering_crash_basis(instance: OrderingInputs, prob: lpcore.LpProblem) -> l
     return lpcore.Basis(best, row_k[best], at_upper)
 
 
-def _mapped_basis(warm: WarmStart, instance: OrderingInputs, crash: lpcore.Basis) -> lpcore.Basis:
-    """``warm``'s basis on this instance's reduced LP.  Rows and columns of
-    coflows that are gone drop out.  The kernel's rows and columns are
-    paired only by position, so a kernel row whose column went takes a
-    column whose row went, completion columns first, and what is left over
-    of either leaves the kernel.  Each coflow new to this LP takes its pair
-    columns' bounds and its completion column's row from ``crash``, the
-    BSSI start."""
-    old, basis, moved = warm
+def _coflow_map(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """For each of the ascending coflow ids ``old``, its index in the
+    ascending ids ``new`` (not empty), or -1 when it is not there."""
+    at = np.minimum(np.searchsorted(new, old), len(new) - 1)
+    return np.where(new[at] == old, at, -1)
+
+
+def _mapped_basis(last: OrderingLpResult, instance: OrderingInputs, crash: lpcore.Basis) -> lpcore.Basis:
+    """``last``'s final basis on this residual's reduced LP, coflows matched
+    by id.  Rows and columns of coflows that are gone drop out.  The
+    kernel's rows and columns are paired only by position, so a kernel row
+    whose column went takes a column whose row went, completion columns
+    first, and what is left over of either leaves the kernel.  Each coflow
+    new to this LP takes its pair columns' bounds and its completion
+    column's row from ``crash``, the BSSI start."""
+    old, basis = last.inputs, last.solution.basis
+    moved = _coflow_map(old.ids, instance.ids)
     kk = instance.num_coflows
     s_old, k_old = _port_row_keys(old.time_loads)
     s_new, k_new = _port_row_keys(instance.time_loads)
@@ -281,20 +280,22 @@ def _mapped_basis(warm: WarmStart, instance: OrderingInputs, crash: lpcore.Basis
                         np.concatenate((upper[upper >= 0], crash_upper[new[a[pair]] | new[b[pair]]])))
 
 
-def solve_ordering_lp(instance: OrderingInputs, warm: WarmStart | None = None) -> OrderingLpResult:
+def solve_ordering_lp(instance: OrderingInputs, warm: OrderingLpResult | None = None) -> OrderingLpResult:
     """Solve the precedence LP and extract the coflow ordering.
 
     The ordering sorts relaxed completion times ascending; ties go to the
     lower coflow id so repeated runs are reproducible.  Of ``instance`` the
     LP reads only the four ``OrderingInputs`` fields, so a CoflowInstance
     and lp-ov-ls-online's residual inputs are solved alike.  The solve
-    starts from the BSSI crash (``_ordering_crash_basis``), or with ``warm``
-    from an earlier LP's final basis mapped onto this one
-    (``_mapped_basis``), the crash taking over when its kernel is singular.
+    starts from the BSSI crash (``_ordering_crash_basis``), or with
+    ``warm``, an earlier residual's answer, from its final basis mapped by
+    coflow id onto this residual (``_mapped_basis``; only residuals carry
+    ids), the crash taking over when the mapped kernel is singular.
     Where the warm answer could differ from the crash's in its ordering, it
     is solved again from the crash: when its basis does not prove the
     optimum unique (``SolveStats.ties``), or when two completion times lie
-    within 1e-9 relative of each other, so that rounding orders them.
+    within 1e-9 relative of each other, so that rounding orders them; the
+    stats then add up both solves' work counters.
     """
     kk = instance.num_coflows
     prob = _build_reduced_ordering_lp(instance)
@@ -304,8 +305,9 @@ def solve_ordering_lp(instance: OrderingInputs, warm: WarmStart | None = None) -
         f = np.sort(sol.values[:kk])
         if sol.stats.ties or (np.diff(f) <= 1e-9 * np.abs(f[1:])).any():
             first, sol = sol.stats, lpcore.solve(prob, crash)
-            for name in ("pivots", "bound_flips", "reinversions", "dual_pivots", "start_flips", "artificial_bounds"):
-                setattr(sol.stats, name, getattr(sol.stats, name) + getattr(first, name))
+            for name in (f.name for f in fields(first)):
+                if type(getattr(first, name)) is int and name not in ("start_index", "dropped_columns"):
+                    setattr(sol.stats, name, getattr(sol.stats, name) + getattr(first, name))
             sol.stats.tie_retry = True
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
@@ -325,6 +327,7 @@ def solve_ordering_lp(instance: OrderingInputs, warm: WarmStart | None = None) -
         ordering=ordering,
         objective=float(instance.weights @ f_tilde),
         solution=sol,
+        inputs=instance,
     )
 
 

@@ -36,7 +36,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .model import CoflowInstance, prefix_bottlenecks, residual
-from .relaxations import WarmStart, slot_length, solve_interval_lp, solve_ordering_lp
+from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid
 
 
@@ -180,13 +180,12 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
 
     An arrival is the clock reaching the next release time recorded at the
     last solve, so the events between arrivals only serve the queue.  Each
-    residual LP starts from the last one's final basis, mapped by coflow id
-    (``relaxations.WarmStart``).
+    residual LP is handed the last one's answer, to start from its final
+    basis (``solve_ordering_lp``'s ``warm``).
     """
     heads = _PairHeads(instance, [], [])
     due = -math.inf  # the next release time after the last solve
-    last = None  # the last residual LP's inputs, coflow ids and result
-    index = np.full(instance.num_coflows, -1)  # of each coflow in the residual, -1 when absent
+    last = None  # the last residual LP's answer
 
     def policy(run: FluidRun) -> dict:
         nonlocal heads, due, last
@@ -198,18 +197,13 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             left = run.remaining
             if upcoming is not None:  # leave out the flows not released yet
                 left = np.where(run.flow_release <= now + EVENT_EPS, left, 0.0)
-            inputs, ids = residual(instance, run.source, run.dest, run.coflow, left, now)
+            inputs = residual(instance, left, now)
             residual_order = []
-            if ids.size:
-                warm = None
-                if last is not None:
-                    index[:] = -1
-                    index[ids] = np.arange(ids.size)
-                    warm = WarmStart(last[0], last[2].solution.basis, index[last[1]])
+            if inputs.num_coflows:
                 # called by this module's name, which perfbench's tracer wraps
-                last = inputs, ids, solve_ordering_lp(inputs, warm)
-                residual_order = last[2].ordering
-            rank = dict(zip(ids[residual_order].tolist(), range(len(residual_order))))
+                last = solve_ordering_lp(inputs, last)
+                residual_order = last.ordering
+            rank = dict(zip(inputs.ids[residual_order].tolist(), range(len(residual_order))))
             order = sorted(run.active_coflows(), key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
             unfinished = run.remaining.tolist()
             # every queued flow is released: the queue is filled in one pass

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -222,7 +222,9 @@ class FluidRun:
     ``instance.flow_offsets[k + 1] - 1``, by (source, dest).  ``remaining``
     holds each flow's demand left, by id, and is 0.0 exactly when the flow
     is finished; ``source``, ``dest`` and ``coflow`` give each id's ports
-    and coflow, and ``live`` counts each coflow's unfinished flows.
+    and coflow (the instance's read-only ``flow_sources``, ``flow_dests``
+    and ``flow_coflows``, shared by every run of it), and ``live`` counts
+    each coflow's unfinished flows.
 
     The policies add a coflow's flows in id order, so every sum they take
     follows the instance's flows and not the labels of its ports; a sum
@@ -247,26 +249,15 @@ class FluidRun:
         self.release = [cf.release for cf in instance.coflows]  # by coflow id
         self._release_times = sorted({cf.release for cf in instance.coflows if cf.release > 0.0})
 
-    # -- per-flow arrays, built when a policy first reads them -----------
+    # -- per-flow arrays, the instance's, built when a policy first reads them
 
-    @cached_property
-    def source(self) -> np.ndarray:
-        return self._field(0)
-
-    @cached_property
-    def dest(self) -> np.ndarray:
-        return self._field(1)
-
-    @cached_property
-    def coflow(self) -> np.ndarray:
-        return self._field(2)
+    source = property(attrgetter("instance.flow_sources"))
+    dest = property(attrgetter("instance.flow_dests"))
+    coflow = property(attrgetter("instance.flow_coflows"))
 
     @cached_property
     def flow_release(self) -> np.ndarray:  # each flow's coflow release, by id
-        return np.array(self.release, dtype=float)[self.coflow]
-
-    def _field(self, index: int) -> np.ndarray:
-        return np.fromiter(map(itemgetter(index), self.flows), dtype=np.int64, count=len(self.flows))
+        return self.instance.releases[self.coflow]
 
     # -- views ------------------------------------------------------------
 

@@ -221,6 +221,30 @@ def test_one_tiny_flow_reports_every_scheduler(tmp_path, capsys, fmt):
             assert float(row["total_weighted_completion"]) == 1e-300
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_ordering_lp_that_raises_keeps_every_row(tmp_path, capsys, fmt):
+    # flows of 1e-300 and 3, 300 decades apart: the offline ordering LP
+    # raises in phase 1, so the LP-bound columns read NaN, the two
+    # schedulers that need that LP fail in their rows, the others report
+    path = tmp_path / "apart.json"
+    save_instance(CoflowInstance(2, [Coflow({(0, 1): 1e-300}), Coflow({(1, 0): 3.0}, release=1.0)]), path)
+    out = tmp_path / f"out.{fmt}"
+    names = ["lp-ov-ls", "lp-ov-ls-online", "varys", "lp-ov-gb"]
+    argv = ["run", "--instance", str(path), "--reps", "1", "--format", fmt, "--out", str(out),
+            "--schedulers", ",".join(names)]
+    assert cli.main(argv) == 1
+    message = "RuntimeError: phase-1 objective cannot be unbounded"
+    assert capsys.readouterr().err.splitlines() == [f"error: run: ordering LP: {message}"]
+    rows = _rows_of(fmt, out)
+    assert [row["scheduler"] for row in rows] == names
+    for row in rows:
+        failed = row["scheduler"] in ("lp-ov-ls", "lp-ov-gb")
+        assert row["valid"] in ((False, "false") if failed else (True, "true"))
+        assert (row["error"] or None) == (message if failed else None)
+        assert math.isnan(float(row["total_weighted_completion"])) == failed
+        assert math.isnan(float(row["lp_lower_bound"])) and math.isnan(float(row["ratio_to_lb"]))
+
+
 def test_lp_that_fails_its_certificate_exits_one_naming_the_rows(tmp_path):
     # sizes 100 and 1e-4 on one port: the ordering LP's answer violates rows
     # (tests/test_relaxations.py::test_coflows_of_mixed_sizes_on_one_port);

@@ -150,20 +150,36 @@ def _residual_cases():
 def test_residual_matches_the_instance_of_the_remaining_demands():
     seen_empty = seen_floor = seen_kept = 0
     for inst, left, now in _residual_cases():
-        run = FluidRun(inst)
-        got, ids = residual(inst, run.source, run.dest, run.coflow, left, now)
+        got = residual(inst, left, now)
         expected, expected_ids = residual_instance(inst, dict(zip(inst.flow_keys, left.tolist())), now)
-        assert ids.tolist() == expected_ids
+        assert got.ids.tolist() == expected_ids and got.ids.dtype == np.int64
         assert got.num_coflows == expected.num_coflows == len(expected_ids)
         for name in ("time_loads", "releases", "weights"):
             want = getattr(expected, name)
             value = getattr(got, name)
             assert (value.dtype, value.shape, value.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
             assert not value.flags.writeable
+        assert not got.ids.flags.writeable
         seen_empty += not expected_ids
         seen_kept += len(expected_ids) >= 3
         seen_floor += bool(((left > 0.0) & (left <= 1e-9)).any())
     assert seen_empty >= 5 and seen_floor >= 30 and seen_kept >= 10
+
+
+def test_flow_arrays_are_the_flow_key_columns_built_once():
+    inst = generate(SyntheticConfig(n_ports=5, n_coflows=6, kind="combined", interarrival_range=(1, 30), seed=3))
+    names = ("flow_sources", "flow_dests", "flow_coflows")
+    for name, column in zip(names, zip(*inst.flow_keys)):
+        array = getattr(inst, name)
+        assert array.dtype == np.int64 and array.tolist() == list(column)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # every run of the instance, and the instance itself, read the same arrays
+    first, second = FluidRun(inst), FluidRun(inst)
+    for run in (second, first):
+        assert run.source is inst.flow_sources and run.dest is inst.flow_dests and run.coflow is inst.flow_coflows
+    assert first.flow_release.tolist() == [inst.coflows[k].release for k in inst.flow_coflows.tolist()]
 
 
 def test_cumulative_load_prefix_one_is_effective_size():

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ import pytest
 from conftest import GOLDEN_INSTANCES, golden_instance
 
 from coflowsched import lpcore, schedulers
-from coflowsched.model import Coflow, CoflowInstance, prefix_bottlenecks
+from coflowsched.model import Coflow, CoflowInstance, OrderingInputs, prefix_bottlenecks
 from coflowsched.relaxations import (
-    WarmStart,
     _bssi_order,
     _build_reduced_ordering_lp,
+    _coflow_map,
     _mapped_basis,
     _ordering_crash_basis,
     _port_row_keys,
@@ -455,8 +456,8 @@ def _random_scaled_instances(count):
 
 def _online_residual_instances(monkeypatch):
     """Every residual that lp-ov-ls-online hands to the ordering LP, as
-    ``model.OrderingInputs``, with the ``WarmStart`` it passes (None for
-    the first), on two instances shaped like the online benchmark
+    ``model.OrderingInputs``, with the earlier answer it passes as ``warm``
+    (None for the first), on two instances shaped like the online benchmark
     workload."""
     seen = []
     solve = schedulers.solve_ordering_lp
@@ -585,18 +586,27 @@ def test_bssi_crash_is_accepted_and_optimal_on_random_instances():
         _assert_crash_start_is_accepted_and_optimal(instance)
 
 
+def _as_residual(inst):
+    # the instance's ordering LP inputs, as a residual of all its coflows
+    return OrderingInputs(inst.num_coflows, inst.time_loads, inst.releases, inst.weights,
+                          np.arange(inst.num_coflows))
+
+
 def test_singular_mapped_start_falls_back_to_the_crash():
-    # a warm start whose kernel pairs the release rows of coflows 0 and 1
-    # with f_0 and the pair column of (0, 1), which no release row holds:
-    # the kernel [[1, 0], [0, 0]] is singular, so the BSSI crash is used,
-    # bit for bit as without the warm start, and phase 1 never runs
+    # an earlier answer on the same coflows whose final basis pairs the
+    # release rows of coflows 0 and 1 with f_0 and the pair column of (0, 1),
+    # which no release row holds: the kernel [[1, 0], [0, 0]] is singular,
+    # so the BSSI crash is used, bit for bit as without the warm start, and
+    # phase 1 never runs
     inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="dense", seed=5))
     kk = inst.num_coflows
+    inputs = _as_residual(inst)
     release_row = len(_port_row_keys(inst.time_loads)[0])
-    warm = WarmStart(inst, lpcore.Basis([release_row, release_row + 1], [0, kk]), np.arange(kk))
-    assert list(_mapped_basis(warm, inst, _ordering_crash_basis(inst, _build_reduced_ordering_lp(inst)))[0]) \
+    earlier = solve_ordering_lp(inputs)
+    earlier.solution.basis = lpcore.Basis([release_row, release_row + 1], [0, kk])
+    assert list(_mapped_basis(earlier, inputs, _ordering_crash_basis(inputs, _build_reduced_ordering_lp(inputs)))[0]) \
         == [release_row, release_row + 1]
-    got, plain = solve_ordering_lp(inst, warm), solve_ordering_lp(inst)
+    got, plain = solve_ordering_lp(inputs, earlier), solve_ordering_lp(inst)
     assert got.solution.stats.start_use == "fallback"
     assert not got.solution.stats.phase1
     assert got.f_tilde.tobytes() == plain.f_tilde.tobytes()
@@ -611,3 +621,72 @@ def test_bssi_crash_is_accepted_and_optimal_on_online_residuals(monkeypatch):
     # the mapped starts take each path, and seldom give way to the crash
     assert uses["primal"] and uses["dual-flips"] and uses["dual-artificial"]
     assert uses["fallback"] <= 0.2 * sum(uses.values())
+
+
+def test_each_residual_lp_is_handed_the_last_answer(monkeypatch):
+    calls = []
+    solve = schedulers.solve_ordering_lp
+
+    def recording(instance, warm=None):
+        calls.append((warm, solve(instance, warm)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(schedulers, "solve_ordering_lp", recording)
+    schedulers.lp_ov_ls_online(generate(
+        SyntheticConfig(n_ports=8, n_coflows=20, kind="dense", interarrival_range=(1, 100), seed=10_000)
+    ))
+    assert len(calls) >= 15
+    assert calls[0][0] is None
+    for (_, before), (warm, _) in zip(calls, calls[1:]):
+        assert warm is before
+
+
+def test_coflow_map_from_ids():
+    rng = np.random.default_rng(11)
+    cases = [([0, 1, 2], [3, 4]), ([2, 5, 7], [2, 5, 7]), ([0], [0]), ([], [4]), ([1, 4], [0, 1, 2, 3])]
+    for _ in range(40):  # coflows that leave, stay and arrive
+        ids = np.flatnonzero(rng.random(30) < 0.5)
+        cases.append((ids, np.union1d(ids[rng.random(len(ids)) < 0.7], rng.choice(30, 4))))
+    seen = collections.Counter()
+    for old, new in cases:
+        old, new = np.asarray(old, dtype=np.int64), np.asarray(new, dtype=np.int64)
+        at = {k: i for i, k in enumerate(new.tolist())}
+        got = _coflow_map(old, new)
+        assert got.tolist() == [at.get(k, -1) for k in old.tolist()]
+        seen["left"] += bool((got < 0).any())
+        seen["stayed"] += bool((got >= 0).any())
+        seen["arrived"] += len(new) > (got >= 0).sum()
+    assert min(seen.values()) >= 10
+
+
+def test_tie_retry_adds_up_every_counter_of_both_solves(monkeypatch):
+    # the warm solve is stubbed to report a tie with every counter nonzero,
+    # so the answer is solved again from the crash; the stats returned add
+    # up both solves' counters, all but which start passed and how many
+    # columns the last attempt dropped
+    inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="dense", interarrival_range=(1, 30), seed=5))
+    inputs = _as_residual(inst)
+    earlier = solve_ordering_lp(inputs)
+    counters = [f.name for f in dataclasses.fields(lpcore.SolveStats) if f.type in ("int", int)]
+    assert "bland_switches" in counters and "pivots" in counters
+    stub = lpcore.SolveStats(**{name: 10 + i for i, name in enumerate(counters)}, crash_accepted=True, ties=True)
+    stub.start_index = 0
+    retried = []
+    solve = lpcore.solve
+
+    def stubbed(problem, start=None):
+        sol = solve(problem, start)
+        if type(start) is tuple:  # the warm solve: the mapped start, then the crash
+            sol.stats = dataclasses.replace(stub)
+        else:
+            retried.append(dataclasses.replace(sol.stats))
+        return sol
+
+    monkeypatch.setattr(lpcore, "solve", stubbed)
+    stats = solve_ordering_lp(inputs, earlier).solution.stats
+    assert len(retried) == 1 and stats.tie_retry
+    for name in counters:
+        if name in ("start_index", "dropped_columns"):
+            assert getattr(stats, name) == getattr(retried[0], name), name
+        else:
+            assert getattr(stats, name) == getattr(stub, name) + getattr(retried[0], name), name
