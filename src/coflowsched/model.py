@@ -132,10 +132,16 @@ class CoflowInstance:
         return (0, *accumulate(len(cf.demands) for cf in self.coflows))
 
     @cached_property
+    def node_loads(self) -> np.ndarray:
+        """``_load_matrix`` of every flow, in data units: the same bits however
+        each coflow's demands were listed.  Built once and read-only."""
+        return _read_only(_load_matrix(self, slice(None), np.array(self.flow_sizes))[1])
+
+    @cached_property
     def time_loads(self) -> np.ndarray:
-        """``node_load_matrix`` in time units (data over the link capacity);
-        built once per instance and read-only."""
-        return _read_only(node_load_matrix(self) / self.capacity)
+        """``node_loads`` in time units (data over the link capacity); built
+        once per instance and read-only."""
+        return _read_only(self.node_loads / self.capacity)
 
     @cached_property
     def releases(self) -> np.ndarray:
@@ -149,7 +155,7 @@ class CoflowInstance:
 
     @property
     def total_demand(self) -> float:
-        return sum(cf.total_demand for cf in self.coflows)
+        return sum(self.flow_sizes)
 
 
 def port_loads(flows: Mapping[tuple, float], n_ports: int) -> tuple[list, list]:
@@ -175,20 +181,18 @@ def effective_size(coflow: Coflow, n_ports: int) -> float:
 def horizon(instance: CoflowInstance) -> float:
     """Upper bound on the time needed to finish everything: latest release
     plus the time to push the total demand through a single link."""
-    if not instance.coflows:
-        return 0.0
-    latest = max(cf.release for cf in instance.coflows)
-    return latest + instance.total_demand / instance.capacity
+    return float(instance.releases.max(initial=0.0)) + instance.total_demand / instance.capacity
 
 
-def node_load_matrix(instance: CoflowInstance) -> np.ndarray:
-    """(2N, K) matrix of per-node loads: rows 0..N-1 are source ports,
-    rows N..2N-1 are destination ports."""
-    n, kk = instance.n_ports, instance.num_coflows
-    loads = np.zeros((2 * n, kk))
-    for k, cf in enumerate(instance.coflows):
-        loads[:n, k], loads[n:, k] = port_loads(cf.demands, n)
-    return loads
+def _load_matrix(instance: CoflowInstance, keep, amounts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coflow ids of the flows ``keep`` (ascending ids, or a slice), ascending,
+    and their (2N, K) per-node loads, source ports then destinations: each
+    cell adds its flows' ``amounts`` in id order (``np.bincount``), as
+    ``port_loads`` over a coflow's demands listed by (source, dest) does."""
+    ids, of = np.unique(instance.flow_coflows[keep], return_inverse=True)
+    n, kk = instance.n_ports, len(ids)
+    cells = np.concatenate((instance.flow_sources[keep] * kk + of, (n + instance.flow_dests[keep]) * kk + of))
+    return ids, np.bincount(cells, np.concatenate((amounts, amounts)), minlength=2 * n * kk).reshape(2 * n, kk)
 
 
 def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.ndarray:
@@ -200,7 +204,7 @@ def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.
     ordering = list(ordering)
     if sorted(ordering) != list(range(instance.num_coflows)):
         raise ValueError("ordering must be a permutation of all coflow ids")
-    return np.cumsum(node_load_matrix(instance)[:, ordering], axis=1).max(axis=0)
+    return np.cumsum(instance.node_loads[:, ordering], axis=1).max(axis=0)
 
 
 class OrderingInputs(NamedTuple):
@@ -222,17 +226,12 @@ def residual(instance: CoflowInstance, remaining: np.ndarray, now: float) -> Ord
     left, by flow id), their coflows numbered in id order, and releases
     shifted to be relative to ``now``.
 
-    Each load cell adds its flows in id order, as ``port_loads`` over a
-    coflow's demands does, so the loads have the bits of an instance built
-    of the remaining demands.
+    The loads are ``_load_matrix``'s, as the instance's are: at time 0 with
+    nothing served they are ``instance.time_loads`` to the bit.
     """
     keep = np.flatnonzero(remaining > _RESIDUAL_MIN_SIZE)
-    ids, of = np.unique(instance.flow_coflows[keep], return_inverse=True)
-    n, kk = instance.n_ports, len(ids)
-    left = remaining[keep]
-    cells = np.concatenate((instance.flow_sources[keep] * kk + of, (n + instance.flow_dests[keep]) * kk + of))
-    loads = np.bincount(cells, np.concatenate((left, left)), minlength=2 * n * kk).reshape(2 * n, kk)
-    return OrderingInputs(kk, _read_only(loads / instance.capacity),
+    ids, loads = _load_matrix(instance, keep, remaining[keep])
+    return OrderingInputs(len(ids), _read_only(loads / instance.capacity),
                           _read_only(np.maximum(instance.releases[ids] - now, 0.0)),
                           _read_only(instance.weights[ids]), _read_only(ids))
 

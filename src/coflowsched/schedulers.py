@@ -543,23 +543,30 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     power of two in which every flow takes whole slots; each slot executes
     one switch matching.  The released remaining demand of the active group
     (the first with an incomplete coflow) is decomposed into permutations
-    (Birkhoff-von Neumann), and each permutation serves each of its pairs
-    with the earliest-ordered released flow that has units left there: an
-    active-group member, else a later-ordered coflow as backfill.  While the
-    whole active group is unreleased, slots take the greedy port-disjoint
-    matching in that same priority order.
+    (Birkhoff-von Neumann) over the ports that the instance uses, so an
+    unused port changes nothing, and each permutation serves each of its
+    pairs with the earliest-ordered released flow that has units left
+    there: an active-group member, else a later-ordered coflow as backfill.
+    While the whole active group is unreleased, slots take the greedy
+    port-disjoint matching in that same priority order.
     """
     cap = instance.capacity
     u = slot_length(instance)
-    keys, offsets, n = instance.flow_keys, instance.flow_offsets, instance.n_ports
+    keys, offsets = instance.flow_keys, instance.flow_offsets
     remaining = [int(round(size / (cap * u))) for size in instance.flow_sizes]  # slots, by flow id
+    # the BvN matrix's rows are the used sources and its columns the used
+    # dests, each ascending, with the padding after both, so an unused port
+    # moves no permutation; each flow's row and column among them
+    sources, row_of = (a.tolist() for a in np.unique(instance.flow_sources, return_inverse=True))
+    dests, col_of = (a.tolist() for a in np.unique(instance.flow_dests, return_inverse=True))
+    width = max(len(sources), len(dests))
     ordering = solve_interval_lp(instance).ordering
     groups = group_coflows(instance, ordering)
-    release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
+    release_slot = [math.ceil(release / u - 1e-9) for release in instance.releases.tolist()]
     release_slots = sorted(set(release_slot))
     # the LP-priority queue, each pair's head the flow that serves it
     heads = _PairHeads(instance, _queue(instance, ordering), release_slot)
-    flows_left = [len(cf.demands) for cf in instance.coflows]
+    flows_left = np.diff(offsets).tolist()
     record = Recorder(instance)
     slot = min(release_slot)
     gi = 0
@@ -595,16 +602,17 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
             else:
                 slot = next_release
             continue
-        matrix = np.zeros((n, n), dtype=np.int64)
+        matrix = np.zeros((width, width), dtype=np.int64)
         for k in ready:
             for i in range(offsets[k], offsets[k + 1]):
-                matrix[keys[i].source, keys[i].dest] += remaining[i]
+                matrix[row_of[i], col_of[i]] += remaining[i]
         # no release falls inside the decomposition, so the served set of
         # coflows, and each pair's head but for completions, stays fixed
         # until slot reaches next_release
         for count, perm in _integer_bvn(matrix):
             while count > 0 and slot < next_release:
-                serving = [i for i in map(heads.head, range(n), perm) if i is not None]
+                serving = [i for source, c in zip(sources, perm)
+                           if c < len(dests) and (i := heads.head(source, dests[c])) is not None]
                 length = min(count, next_release - slot, *(remaining[i] for i in serving))
                 if serving:
                     emit(serving, length)

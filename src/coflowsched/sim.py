@@ -223,8 +223,8 @@ class FluidRun:
     holds each flow's demand left, by id, and is 0.0 exactly when the flow
     is finished; ``source``, ``dest`` and ``coflow`` give each id's ports
     and coflow (the instance's read-only ``flow_sources``, ``flow_dests``
-    and ``flow_coflows``, shared by every run of it), and ``live`` counts
-    each coflow's unfinished flows.
+    and ``flow_coflows``, shared by every run of it); ``live``, each coflow's
+    unfinished flow count, and ``release`` come from its arrays too, by id.
 
     The policies add a coflow's flows in id order, so every sum they take
     follows the instance's flows and not the labels of its ports; a sum
@@ -241,13 +241,13 @@ class FluidRun:
         # the same buffer, read and written as Python floats: the executor's
         # per-rate loop indexes it one flow at a time
         self._left = memoryview(self.remaining)
-        self.live = [len(cf.demands) for cf in instance.coflows]  # by coflow id
+        self.live = np.diff(instance.flow_offsets).tolist()  # by coflow id
         self.record = Recorder(instance)
         self.finished: list[int] = []  # the ids the last step finished
         # the rates taken until the next event, and the time to the first completion under them
         self._ids, self._rates, self._first = [], [], math.inf
-        self.release = [cf.release for cf in instance.coflows]  # by coflow id
-        self._release_times = sorted({cf.release for cf in instance.coflows if cf.release > 0.0})
+        self.release = instance.releases.tolist()  # by coflow id
+        self._release_times = sorted({release for release in self.release if release > 0.0})
 
     # -- per-flow arrays, the instance's, built when a policy first reads them
 
@@ -527,4 +527,4 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
 
 def total_weighted_completion(schedule, instance: CoflowInstance) -> float:
     """Objective value of a schedule: sum of weight x completion time."""
-    return float(sum(cf.weight * schedule.completions[k] for k, cf in enumerate(instance.coflows)))
+    return float(sum(w * c for w, c in zip(instance.weights.tolist(), schedule.completions)))

@@ -48,9 +48,9 @@ def _require_small_integer_instance(
     for key, size in instance.flows():
         if abs(size - round(size)) > 1e-9:
             raise OracleLimitError(f"flow {tuple(key)} has non-integer size {size}")
-    for cf in instance.coflows:
-        if abs(cf.release - round(cf.release)) > 1e-9:
-            raise OracleLimitError(f"release {cf.release} is not an integer")
+    for release in instance.releases.tolist():
+        if abs(release - round(release)) > 1e-9:
+            raise OracleLimitError(f"release {release} is not an integer")
 
 
 def _maximal_matchings(flows: list) -> list:
@@ -92,7 +92,7 @@ class _SlotSearch:
         _require_small_integer_instance(instance, max_ports, max_total_demand)
         self.keys = instance.flow_keys
         self.initial = tuple(int(round(size)) for size in instance.flow_sizes)
-        self.releases = [int(round(cf.release)) for cf in instance.coflows]
+        self.releases = [int(round(release)) for release in instance.releases.tolist()]
         self.offsets = instance.flow_offsets
 
     def left(self, state: tuple, k: int) -> int:
@@ -131,7 +131,7 @@ def oracle_opt(
     """
     search = _SlotSearch(instance, max_ports, max_total_demand)
     keys = search.keys
-    weights = [cf.weight for cf in instance.coflows]
+    weights = instance.weights.tolist()
     memo: dict[tuple, tuple] = {}
 
     def solve(state: tuple, t: int) -> tuple:
@@ -242,7 +242,7 @@ def check_approximation_bounds(
     completion within release + twice the cumulative bottleneck load of
     its prefix of the LP ordering ``ordering``."""
     total = total_weighted_completion(schedule, instance)
-    zero_release = all(cf.release == 0 for cf in instance.coflows)
+    zero_release = not instance.releases.any()
     limit = 4.0 if zero_release else 5.0
     ratio = total / lp_bound if lp_bound > 0 else math.inf
     total_ok = total <= limit * lp_bound + 1e-6
@@ -250,7 +250,7 @@ def check_approximation_bounds(
     worst = math.inf
     peaks = prefix_bottlenecks(instance, ordering) / instance.capacity
     for k, w_prefix in zip(ordering, peaks):
-        bound_k = instance.coflows[k].release + 2.0 * w_prefix
+        bound_k = instance.releases[k] + 2.0 * w_prefix
         worst = min(worst, bound_k - schedule.completions[k])
     return BoundReport(
         ratio=ratio,

@@ -93,6 +93,11 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
     groups = group_coflows(instance, ordering)
     n = instance.n_ports
     release_slot = [math.ceil(cf.release / u - 1e-9) for cf in instance.coflows]
+    # the matrix's rows are the used sources, its columns the used dests,
+    # each ascending, and its padding rows and columns come after them
+    sources = sorted({key.source for key in instance.flow_keys})
+    dests = sorted({key.dest for key in instance.flow_keys})
+    width = max(len(sources), len(dests))
     queue = _reference_queue(instance, ordering)
     by_pair: dict[tuple[int, int], list[FlowKey]] = {}
     for f in queue:
@@ -134,15 +139,15 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
             else:
                 slot = next_release
             continue
-        matrix = np.zeros((n, n), dtype=np.int64)
+        matrix = np.zeros((width, width), dtype=np.int64)
         for k in ready:
             for (i, j) in instance.coflows[k].demands:
-                matrix[i, j] += remaining[FlowKey(i, j, k)]
+                matrix[sources.index(i), dests.index(j)] += remaining[FlowKey(i, j, k)]
         for count, perm in _integer_bvn(matrix):
             while count > 0 and slot < next_release:
                 served = (
-                    next(filter(servable, by_pair.get(pair, ())), None)
-                    for pair in enumerate(perm)
+                    next(filter(servable, by_pair.get((sources[row], dests[col]), ())), None)
+                    for row, col in enumerate(perm) if row < len(sources) and col < len(dests)
                 )
                 serving = [f for f in served if f is not None]
                 length = min(count, next_release - slot, *(remaining[f] for f in serving))

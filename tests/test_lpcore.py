@@ -9,7 +9,7 @@ import pytest
 
 from coflowsched import lpcore
 from coflowsched.lpcore import Basis, LpProblem, check_feasible, solve
-from coflowsched.model import effective_size, node_load_matrix
+from coflowsched.model import effective_size
 from coflowsched.relaxations import build_interval_lp, build_ordering_lp, delta_index
 from coflowsched.verify import equal_bottleneck_fixture, staggered_release_fixture
 
@@ -35,7 +35,7 @@ def test_symmetric_cone():
 
 def _integral_ordering_value(instance, perm):
     # completion times forced by an integral precedence order
-    loads = node_load_matrix(instance)
+    loads = instance.node_loads
     value = 0.0
     for pos, k in enumerate(perm):
         best = instance.coflows[k].release + effective_size(

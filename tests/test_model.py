@@ -11,7 +11,6 @@ from coflowsched.model import (
     horizon,
     instance_from_dict,
     instance_to_dict,
-    node_load_matrix,
     port_loads,
     prefix_bottlenecks,
     residual,
@@ -86,7 +85,7 @@ def test_effective_size_examples():
 def test_cumulative_load_blocking_fixture():
     inst = blocking_pair_fixture()
     assert prefix_bottlenecks(inst, [0, 1, 2])[2] == 5.0
-    assert node_load_matrix(inst)[: inst.n_ports].sum(axis=1).tolist() == [5.0, 5.0]
+    assert inst.node_loads[: inst.n_ports].sum(axis=1).tolist() == [5.0, 5.0]
 
 
 def test_time_loads_is_the_load_matrix_over_capacity_built_once_read_only():
@@ -98,11 +97,16 @@ def test_time_loads_is_the_load_matrix_over_capacity_built_once_read_only():
             for _ in range(int(rng.integers(1, 6)))
         ]
         inst = CoflowInstance(n, coflows, capacity=float(rng.uniform(0.1, 3.0)))
+        # each coflow's port loads over its demands listed by (source, dest)
+        by_flow_id = np.array([np.concatenate(port_loads({pair: cf.demands[pair] for pair in sorted(cf.demands)}, n))
+                               for cf in coflows]).T
+        assert inst.node_loads.tobytes() == by_flow_id.tobytes()
         loads = inst.time_loads
         assert loads is inst.time_loads
-        assert loads.tobytes() == (node_load_matrix(inst) / inst.capacity).tobytes()
-        with pytest.raises(ValueError):
-            loads[0, 0] = 1.0
+        assert loads.tobytes() == (inst.node_loads / inst.capacity).tobytes()
+        for array in (loads, inst.node_loads):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 
@@ -242,7 +246,7 @@ def test_cumulative_load_full_prefix_is_ordering_invariant():
 def test_cumulative_load_monotone_and_balanced():
     inst = blocking_pair_fixture()
     n = inst.n_ports
-    prefix_loads = np.cumsum(node_load_matrix(inst)[:, [2, 0, 1]], axis=1)
+    prefix_loads = np.cumsum(inst.node_loads[:, [2, 0, 1]], axis=1)
     prev = 0.0
     for k, peak in enumerate(prefix_bottlenecks(inst, [2, 0, 1])):
         assert peak >= prev

@@ -4,11 +4,11 @@ Renaming the ports in an order-preserving way keeps every flow id, since
 flows are numbered by (coflow, source, dest); so a schedule of the renamed
 instance must hold the same arrays, bit for bit, and the ordering LP must
 give the same answer.  The schedulers keep state only for the port pairs
-that occur, so a switch of 10^5 ports with two flows costs little.
+that occur, and lp-ii-gb decomposes over the ports the instance uses, so a
+switch of 10^5 ports with two flows costs little.
 
-lp-ii-gb decomposes an n x n matrix, so it is checked only on ports added
-before and after the used ones, on at most 64 ports; an unused port
-between used ones still changes its schedule (the strict xfail below).
+lp-ii-gb needs whole power-of-two slots, so it is checked on dyadic sizes
+and on at most 64 ports.
 """
 
 import time
@@ -81,8 +81,8 @@ def test_order_preserving_relabelling_changes_no_bit(instance, data):
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(instance=instances(DYADIC, (1.0, 2.0)), data=st.data())
 def test_lp_ii_gb_is_unchanged_by_ports_added_before_and_after(instance, data):
-    # padding gives each unused port outside the used range its own
-    # diagonal entry, so the used ports' permutations stay as they are
+    # lp-ii-gb decomposes over the used ports alone, so the ports around
+    # them change no permutation
     n = instance.n_ports
     before = data.draw(st.integers(0, 64 - n), label="before")
     after = data.draw(st.integers(0, 64 - n - before), label="after")
@@ -90,8 +90,15 @@ def test_lp_ii_gb_is_unchanged_by_ports_added_before_and_after(instance, data):
     assert _bits(lp_ii_gb(moved)) == _bits(lp_ii_gb(instance))
 
 
-@pytest.mark.xfail(strict=True, reason="lp-ii-gb pads the line sums of an unused port between used "
-                                       "ones, so its permutations follow where that port sits")
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(instance=instances(DYADIC, (1.0, 2.0)), data=st.data())
+def test_lp_ii_gb_is_unchanged_by_an_order_preserving_relabelling(instance, data):
+    n = instance.n_ports
+    width = data.draw(st.sampled_from((n + 1, 2 * n, 64, LABELS)), label="ports")
+    labels = sorted(data.draw(st.sets(st.integers(0, width - 1), min_size=n, max_size=n), label="labels"))
+    assert _bits(lp_ii_gb(relabelled(instance, labels, width))) == _bits(lp_ii_gb(instance))
+
+
 def test_lp_ii_gb_is_unchanged_by_an_unused_port_between_used_ones():
     wide = CoflowInstance(3, [Coflow({(0, 0): 1.0, (0, 2): 1.0, (2, 0): 2.0})])
     narrow = CoflowInstance(2, [Coflow({(0, 0): 1.0, (0, 1): 1.0, (1, 0): 2.0})])
@@ -112,7 +119,6 @@ def _measured(work):
 
 
 def test_two_flows_on_a_hundred_thousand_ports_cost_little():
-    # lp-ii-gb is left out: its n x n int64 matrix would take 80 GB
     n = LABELS
     inst = CoflowInstance(n, [Coflow({(3, n - 2): 1.0}),
                               Coflow({(n - 1, 3): 2.0}, release=0.5, weight=2.0)])
@@ -126,3 +132,8 @@ def test_two_flows_on_a_hundred_thousand_ports_cost_little():
         assert report.ok, name
         assert seconds < 1.0 and peak < 50.0, ("validate", name, seconds, peak)
         assert schedule.completions.tolist() == [1.0, 2.5], name
+    # lp-ii-gb starts coflow 1 at the first whole slot after its release
+    schedule, seconds, peak = _measured(lambda: lp_ii_gb(inst))
+    assert seconds < 1.0 and peak < 50.0, ("lp-ii-gb", seconds, peak)
+    assert validate(schedule, inst).ok
+    assert schedule.completions.tolist() == [1.0, 3.0]
