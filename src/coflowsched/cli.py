@@ -5,7 +5,8 @@ Verbs: gen, run, oracle, validate, lp-bound.  Exit codes: 0 success,
 1 an invariant violation: a schedule failed validation (run, validate) or
 the duals of an LP the command solved (ordering, interval or residual) did
 not certify its answer (run, lp-bound), or any other exception, printed as
-one line "error: <command>: <type>: <message>"; 2 bad input.  In run, a
+one line "error: <command>: <type>: <message>"; 2 bad input, an OSError
+that names a path among it.  In run, a
 scheduler that raises anything but bad input gets a report row with
 ``valid`` false and the exception in ``error`` while the others finish;
 the run then exits 1 with one line "error: run: <scheduler>: <type>:
@@ -192,12 +193,19 @@ def reports_to_csv(rows: list) -> str:
     return buf.getvalue()
 
 
+def _finite(record: dict) -> dict:
+    """``record`` with each number that is not finite (a failed row's NaN, an
+    infinite ratio) as None, since standard JSON has no such token."""
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in record.items()}
+
+
 def reports_to_json(rows: list) -> str:
     payload = {
-        "reports": [asdict(row) for row in rows],
-        "summary": summarize(rows),
+        "reports": [_finite(asdict(row)) for row in rows],
+        "summary": {name: _finite(stats) for name, stats in summarize(rows).items()},
     }
-    return json.dumps(payload, indent=1)
+    return json.dumps(payload, indent=1, allow_nan=False)
 
 
 def report_emit(rows: list, fmt: str, path: str | None) -> str:
@@ -349,10 +357,11 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
+        # bad input, a path that cannot be read or written among it
+        if isinstance(exc, ValueError) or isinstance(exc, OSError) and exc.filename is not None:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import inf
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -71,7 +71,10 @@ class Coflow:
 class CoflowInstance:
     """A scheduling problem: switch width, coflows, per-link capacity.
 
-    Coflow ids are the dense 0-based positions in ``coflows``.
+    Coflow ids are the dense 0-based positions in ``coflows``.  Its flow
+    table numbers the flows by (coflow, source, dest) and the *ports in use*,
+    the sources that flows use, ascending, then the dests: every per-port
+    array indexes them by row, and ``ports`` holds their labels.
     """
 
     n_ports: int
@@ -84,11 +87,25 @@ class CoflowInstance:
         if not 0.0 < self.capacity < inf:
             raise ValueError(f"capacity {self.capacity} is not finite and positive")
         object.__setattr__(self, "coflows", tuple(self.coflows))
+        sizes, labels = [], []
         for k, cf in enumerate(self.coflows):
             if cf.max_port >= self.n_ports:
                 raise ValueError(
                     f"coflow {k} uses port {cf.max_port} outside switch of width {self.n_ports}"
                 )
+            pairs = sorted(cf.demands)
+            sizes += map(cf.demands.__getitem__, pairs)
+            labels += chain.from_iterable(pairs)
+        (sources, source_rows), (dests, dest_rows) = (
+            np.unique(side, return_inverse=True) for side in np.array(labels, dtype=np.int64).reshape(-1, 2).T)
+        self.__dict__.update({  # frozen: set as cached_property sets its values
+            "flow_sizes": tuple(sizes),
+            "flow_coflows": _read_only(np.repeat(np.arange(self.num_coflows), np.diff(self.flow_offsets))),
+            "ports": _read_only(np.concatenate((sources, dests))),
+            "num_source_ports": len(sources),
+            "flow_source_rows": _read_only(source_rows),
+            "flow_dest_rows": _read_only(dest_rows + len(sources)),
+        })
 
     @property
     def num_coflows(self) -> int:
@@ -100,31 +117,9 @@ class CoflowInstance:
 
     @cached_property
     def flow_keys(self) -> tuple[FlowKey, ...]:
-        """Every flow's FlowKey, in (coflow, source, dest) order; built once
-        per instance."""
-        return tuple(
-            FlowKey(i, j, k) for k, cf in enumerate(self.coflows) for (i, j) in sorted(cf.demands)
-        )
-
-    @cached_property
-    def flow_sizes(self) -> tuple:
-        """Every flow's size, in ``flow_keys`` order; built once per
-        instance."""
-        return tuple(self.coflows[k].demands[(i, j)] for i, j, k in self.flow_keys)
-
-    @cached_property
-    def flow_sources(self) -> np.ndarray:
-        """Every flow's source port, in ``flow_keys`` order (``flow_dests``
-        and ``flow_coflows`` alike); built once per instance and read-only."""
-        return _read_only(np.array([key.source for key in self.flow_keys], dtype=np.int64))
-
-    @cached_property
-    def flow_dests(self) -> np.ndarray:
-        return _read_only(np.array([key.dest for key in self.flow_keys], dtype=np.int64))
-
-    @cached_property
-    def flow_coflows(self) -> np.ndarray:
-        return _read_only(np.array([key.coflow for key in self.flow_keys], dtype=np.int64))
+        """Every flow's FlowKey, by flow id, made when first read (no run or LP reads it)."""
+        columns = (self.ports[self.flow_source_rows], self.ports[self.flow_dest_rows], self.flow_coflows)
+        return tuple(map(FlowKey, *(column.tolist() for column in columns)))
 
     @cached_property
     def flow_offsets(self) -> tuple:
@@ -133,8 +128,8 @@ class CoflowInstance:
 
     @cached_property
     def node_loads(self) -> np.ndarray:
-        """``_load_matrix`` of every flow, in data units: the same bits however
-        each coflow's demands were listed.  Built once and read-only."""
+        """``_load_matrix`` of every flow in data units, a row per port in use:
+        the same bits however each coflow's demands were listed.  Read-only."""
         return _read_only(_load_matrix(self, slice(None), np.array(self.flow_sizes))[1])
 
     @cached_property
@@ -186,13 +181,13 @@ def horizon(instance: CoflowInstance) -> float:
 
 def _load_matrix(instance: CoflowInstance, keep, amounts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coflow ids of the flows ``keep`` (ascending ids, or a slice), ascending,
-    and their (2N, K) per-node loads, source ports then destinations: each
+    and their loads, a row per port in use and a column per coflow: each
     cell adds its flows' ``amounts`` in id order (``np.bincount``), as
     ``port_loads`` over a coflow's demands listed by (source, dest) does."""
     ids, of = np.unique(instance.flow_coflows[keep], return_inverse=True)
-    n, kk = instance.n_ports, len(ids)
-    cells = np.concatenate((instance.flow_sources[keep] * kk + of, (n + instance.flow_dests[keep]) * kk + of))
-    return ids, np.bincount(cells, np.concatenate((amounts, amounts)), minlength=2 * n * kk).reshape(2 * n, kk)
+    rows, kk = len(instance.ports), len(ids)
+    cells = np.concatenate((instance.flow_source_rows[keep] * kk + of, instance.flow_dest_rows[keep] * kk + of))
+    return ids, np.bincount(cells, np.concatenate((amounts, amounts)), minlength=rows * kk).reshape(rows, kk)
 
 
 def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.ndarray:
@@ -209,9 +204,10 @@ def prefix_bottlenecks(instance: CoflowInstance, ordering: Sequence[int]) -> np.
 
 class OrderingInputs(NamedTuple):
     """All that the ordering LP reads of an instance (``CoflowInstance``
-    has the same four fields): the coflow count, the (2N, K) load matrix
-    in time units, and each coflow's release and weight; and the ids in
-    the instance of the residual's coflows, ascending (``residual``)."""
+    has the same four fields): the coflow count, the load matrix in time
+    units (a row per port in use), and each coflow's release and weight;
+    and the ids in the instance of the residual's coflows, ascending
+    (``residual``)."""
 
     num_coflows: int
     time_loads: np.ndarray

@@ -113,7 +113,7 @@ def _ordering_problem(instance: OrderingInputs, num_vars: int, loads: np.ndarray
 
 def build_ordering_lp(instance: OrderingInputs) -> lpcore.LpProblem:
     """The full precedence LP: K completion variables, K*(K-1) ordering
-    variables in [0,1], and 2NK + K + C(K,2) constraints.
+    variables in [0,1], and PK + K + C(K,2) constraints (P ports in use).
 
     Port loads are expressed in time units (data / capacity) so the row
     "traffic through a port by a completion time fits in that time" is

@@ -12,9 +12,9 @@
 
 The fluid schedulers are rate policies that sim.run_fluid drives over a
 sim.FluidRun's flow state, returning rates by flow id (a flow's position
-in ``instance.flow_keys``): list scheduling as a dict of at most one rate
-per port; varys and lp_ov_gb, which hand out capacity with numpy over the
-run's per-flow arrays, as an id array and a rate array.  lp_ii_gb steps
+in the instance's flow table): list scheduling as a dict of at most one
+rate per port; varys and lp_ov_gb, which hand out capacity with numpy over
+the table's per-flow arrays, as an id array and a rate array.  lp_ii_gb steps
 its own slots.  All return a sim.Schedule that passes the validator.
 
 A priority queue of flow ids kept per port pair, _PairHeads, serves every
@@ -56,7 +56,7 @@ class _PairHeads:
     keeps the keys of its released, unfinished flows in ascending order; the
     first is the pair's *head*, and ``heads`` holds the heads' keys,
     ascending.  A coflow is released by ``now`` when ``release[coflow] <=
-    now``.  Lines exist only for the pairs that occur in the queue.
+    now``.  Lines exist only for the pairs of port rows that occur in the queue.
 
     Head lemma: the greedy matching over the whole queue, which takes a
     released unfinished flow when both of its ports are still free, takes
@@ -75,20 +75,22 @@ class _PairHeads:
     """
 
     def __init__(self, instance: CoflowInstance, queue: list, release: list, now: float = -math.inf):
-        n = self.n = instance.n_ports
+        rows = self._rows = len(instance.ports)
         self.queue = queue
-        flows = self._flows = instance.flow_keys
         self._release = release
-        lines: dict[int, list[int]] = {}  # by source * n + dest
-        # each queued flow's ports as bits of one int: source s is bit s, dest d bit n + d
-        self._ports = [(1 << flows[i].source) | (1 << (n + flows[i].dest)) for i in queue]
+        # each queued flow's pair, source * rows + dest, by id, and its port bits, row r bit r, by key
+        at = np.array(queue, dtype=np.int64)
+        pairs = (instance.flow_source_rows[at] * rows + instance.flow_dest_rows[at]).tolist()
+        self._pair = dict(zip(queue, pairs))
+        self._ports = [(1 << pair // rows) | (1 << pair % rows) for pair in pairs]
+        self._most = min(instance.num_source_ports, rows - instance.num_source_ports)  # see matching
+        lines: dict[int, list[int]] = {}  # by pair
         keys_of: dict[int, list[int]] = {}
-        for key, i in enumerate(queue):
-            f = flows[i]
-            if release[f.coflow] <= now:
-                lines.setdefault(f.source * n + f.dest, []).append(key)
+        for key, (pair, k) in enumerate(zip(pairs, instance.flow_coflows[at].tolist())):
+            if release[k] <= now:
+                lines.setdefault(pair, []).append(key)
             else:
-                keys_of.setdefault(f.coflow, []).append(key)
+                keys_of.setdefault(k, []).append(key)
         self._lines = lines
         self.heads: list[int] = [line[0] for line in lines.values()]
         # latest release first, so the next coflow to release is popped off the end
@@ -96,11 +98,10 @@ class _PairHeads:
 
     def admit(self, now: float) -> None:
         """Take in the flows of the coflows released by ``now``."""
-        arrivals, heads, n = self._arrivals, self.heads, self.n
+        arrivals, heads = self._arrivals, self.heads
         while arrivals and self._release[arrivals[-1][0]] <= now:
             for key in arrivals.pop()[1]:
-                f = self._flows[self.queue[key]]
-                line = self._lines.setdefault(f.source * n + f.dest, [])
+                line = self._lines.setdefault(self._pair[self.queue[key]], [])
                 if not line or key < line[0]:
                     if line:
                         del heads[bisect_left(heads, line[0])]
@@ -110,25 +111,24 @@ class _PairHeads:
     def finish(self, flows) -> None:
         """Advance the pairs of ``flows``, the ids of this queue's heads
         that have just finished, to their next released unfinished flow."""
-        heads, n = self.heads, self.n
+        heads = self.heads
         for i in flows:
-            f = self._flows[i]
-            line = self._lines[f.source * n + f.dest]
+            line = self._lines[self._pair[i]]
             del heads[bisect_left(heads, line.pop(0))]
             if line:
                 insort(heads, line[0])
 
     def head(self, source: int, dest: int) -> int | None:
-        """The first released unfinished flow id on the pair, if any."""
-        line = self._lines.get(source * self.n + dest)
+        """The first released unfinished flow id on the pair of rows, if any."""
+        line = self._lines.get(source * self._rows + dest)
         return self.queue[line[0]] if line else None
 
     def matching(self) -> list[int]:
         """The flow ids that list scheduling serves now: the heads in
         order, each taken when both of its ports are still free.  Each
-        taken flow holds a source and a destination of its own, so after n
-        flows every port is taken and the scan stops."""
-        queue, ports, n = self.queue, self._ports, self.n
+        taken flow holds a source and a destination of its own, so once
+        the smaller side's ports in use are all taken the scan stops."""
+        queue, ports, most = self.queue, self._ports, self._most
         used = 0
         served = []
         for key in self.heads:
@@ -136,7 +136,7 @@ class _PairHeads:
                 continue
             used |= ports[key]
             served.append(queue[key])
-            if len(served) == n:
+            if len(served) == most:
                 break
         return served
 
@@ -226,14 +226,14 @@ def varys(instance: CoflowInstance) -> Schedule:
     capacity frees up (its share would otherwise be unbounded).
     """
     cap = instance.capacity
-    n = instance.n_ports
     run = FluidRun(instance)
-    kk, nf, offsets = instance.num_coflows, len(run.flows), instance.flow_offsets
-    # every coflow's port loads, sources then destinations, in one bincount
-    # over (coflow, port) cells that adds each cell in flow id order
-    owner_cell = 2 * n * run.coflow
-    cells = np.concatenate((owner_cell + run.source, owner_cell + n + run.dest))
-    pair = run.source * n + run.dest
+    kk, nf, offsets = instance.num_coflows, len(instance.flow_sizes), instance.flow_offsets
+    # every coflow's loads on the ports in use, by row, in one bincount over
+    # (coflow, row) cells that adds each cell in flow id order
+    rows, source, dest = len(instance.ports), instance.flow_source_rows, instance.flow_dest_rows
+    owner_cell = rows * instance.flow_coflows
+    cells = np.concatenate((owner_cell + source, owner_cell + dest))
+    pair = source * rows + dest
     outside = kk * nf  # the key of a flow that the leftover pass does not take
 
     def pair_runs(by_pair: np.ndarray) -> tuple:
@@ -244,7 +244,7 @@ def varys(instance: CoflowInstance) -> Schedule:
         them are."""
         starts = np.flatnonzero(np.diff(pair[by_pair], prepend=-1))
         at = pair[by_pair[starts]]
-        return by_pair, starts, at // n, n + at % n, run.coflow[by_pair]
+        return by_pair, starts, at // rows, at % rows, instance.flow_coflows[by_pair]
 
     table = pair_runs(np.argsort(pair, kind="stable"))
 
@@ -254,11 +254,11 @@ def varys(instance: CoflowInstance) -> Schedule:
         if not active:
             return {}
         rem = run.remaining
-        loads = np.bincount(cells, np.concatenate((rem, rem)), minlength=kk * 2 * n).reshape(kk, 2 * n)
+        loads = np.bincount(cells, np.concatenate((rem, rem)), minlength=kk * rows).reshape(kk, rows)
         peak = loads.max(axis=1).tolist()
         order = sorted(active, key=lambda k: (peak[k], k))
         needs = loads[order] > 0.0
-        spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
+        spare = np.full(rows, float(cap))  # capacity left, by row
         flows, rates = [], []  # id and rate arrays: each paced coflow's, then the leftover pass's
         skipped: list[int] = []
         at = 0
@@ -281,8 +281,8 @@ def varys(instance: CoflowInstance) -> Schedule:
             # each port's rates subtracted in flow order; the rates are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each subtraction
-            np.subtract.at(spare, run.source[ids], paced)
-            np.subtract.at(spare, n + run.dest[ids], paced)
+            np.subtract.at(spare, source[ids], paced)
+            np.subtract.at(spare, dest[ids], paced)
             np.maximum(spare, 0.0, out=spare)
             at = nxt + 1
         # leftover pass over the skipped coflows: each open pair's unfinished
@@ -302,7 +302,7 @@ def varys(instance: CoflowInstance) -> Schedule:
             ok = spare > CAPACITY_TOL
             take = (least < outside) & ok[pair_src] & ok[pair_dst]
             first = np.sort(pair_src[take] * outside + least[take]) % nf
-            raised, extra = _fill(run, first, spare)
+            raised, extra = _fill(instance, first, spare)
             flows.append(first[raised])
             rates.append(extra)
         return np.concatenate(flows), np.concatenate(rates)
@@ -310,20 +310,18 @@ def varys(instance: CoflowInstance) -> Schedule:
     return run_fluid(run, policy)
 
 
-def _fill(run: FluidRun, ids: np.ndarray, spare: np.ndarray) -> tuple:
+def _fill(instance: CoflowInstance, ids: np.ndarray, spare: np.ndarray) -> tuple:
     """Raise each flow id of ``ids``, in order, by all that is left on both
     of its ports, the less of the two, when both have more than
     CAPACITY_TOL left; return the positions in ``ids`` raised (int64) and
-    the raises.  ``spare`` holds what is left, source ports then
-    destinations.
+    the raises.  ``spare`` holds what is left on each port in use, by row.
 
     Each raise leaves one of its two ports with nothing, so a port pair is
     raised at most once.
     """
-    n = run.instance.n_ports
     left = spare.tolist()
     raised, extra = [], []
-    for at, (i, j) in enumerate(zip(run.source[ids].tolist(), (n + run.dest[ids]).tolist())):
+    for at, (i, j) in enumerate(zip(instance.flow_source_rows[ids].tolist(), instance.flow_dest_rows[ids].tolist())):
         if left[i] > CAPACITY_TOL and left[j] > CAPACITY_TOL:
             x = min(left[i], left[j])
             raised.append(at)
@@ -371,12 +369,12 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     ordering = (ordering_result or solve_ordering_lp(instance)).ordering
     groups = group_coflows(instance, ordering)
     cap = instance.capacity
-    n = instance.n_ports
+    rows = len(instance.ports)
     run = FluidRun(instance)
     # each flow's port pair, numbered among the pairs that occur, in
-    # (source, dest) order; pair_src and pair_dst give each pair's ports
-    pair_key, pair = np.unique(run.source * n + run.dest, return_inverse=True)
-    pair_src, pair_dst = pair_key // n, pair_key % n
+    # (source, dest) order; pair_src and pair_dst give each pair's rows
+    pair_key, pair = np.unique(instance.flow_source_rows * rows + instance.flow_dest_rows, return_inverse=True)
+    pair_src, pair_dst = pair_key // rows, pair_key % rows
     queue = _queue(instance, ordering)
     # each queue position's flow id, pair and release
     q_flow = np.array(queue, dtype=np.int64)
@@ -409,26 +407,26 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         by_seen = q_pair[served]  # the pairs in the order their servers appear
         by_pair = np.argsort(by_seen)
         pairs, servers = by_seen[by_pair], q_flow[served[by_pair]]
-        spare = np.full(2 * n, float(cap))  # capacity left, source ports then destinations
+        spare = np.full(rows, float(cap))  # capacity left, by row
         amount = np.zeros(0)  # the servers' rates
         if served.size:
             # the port loads add the pairs in the order of their servers
-            loads = np.concatenate((np.bincount(pair_src[by_seen], demand[by_seen], minlength=n),
-                                    np.bincount(pair_dst[by_seen], demand[by_seen], minlength=n)))
+            loads = np.bincount(np.concatenate((pair_src[by_seen], pair_dst[by_seen])),
+                                np.tile(demand[by_seen], 2), minlength=rows)
             finish = loads.max() / cap
             amount = demand[pairs] / finish
             # each port's grants subtracted in pair order; the grants are
             # positive, so one clamp at the end gives the bits of a clamp
             # after each grant
             np.subtract.at(spare, pair_src[pairs], amount)
-            np.subtract.at(spare, n + pair_dst[pairs], amount)
+            np.subtract.at(spare, pair_dst[pairs], amount)
             np.maximum(spare, 0.0, out=spare)
         # raise the group's own pair rates until a port saturates, then
         # backfill pairs without group demand from later-ordered released
         # coflows, in queue order (LP rank, then source, then dest); spare
         # capacity only shrinks, so only each pair's head can be served
         candidates = np.concatenate((servers, q_flow[keys[cut:]]))
-        raised, extra = _fill(run, candidates, spare)
+        raised, extra = _fill(instance, candidates, spare)
         own = int(np.searchsorted(raised, servers.size))
         amount[raised[:own]] += extra[:own]
         return np.concatenate((servers, candidates[raised[own:]])), np.concatenate((amount, extra[own:]))
@@ -543,7 +541,7 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     power of two in which every flow takes whole slots; each slot executes
     one switch matching.  The released remaining demand of the active group
     (the first with an incomplete coflow) is decomposed into permutations
-    (Birkhoff-von Neumann) over the ports that the instance uses, so an
+    (Birkhoff-von Neumann) over the instance's ports in use, so an
     unused port changes nothing, and each permutation serves each of its
     pairs with the earliest-ordered released flow that has units left
     there: an active-group member, else a later-ordered coflow as backfill.
@@ -552,14 +550,13 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     """
     cap = instance.capacity
     u = slot_length(instance)
-    keys, offsets = instance.flow_keys, instance.flow_offsets
+    offsets, coflow_of = instance.flow_offsets, instance.flow_coflows.tolist()
     remaining = [int(round(size / (cap * u))) for size in instance.flow_sizes]  # slots, by flow id
-    # the BvN matrix's rows are the used sources and its columns the used
-    # dests, each ascending, with the padding after both, so an unused port
-    # moves no permutation; each flow's row and column among them
-    sources, row_of = (a.tolist() for a in np.unique(instance.flow_sources, return_inverse=True))
-    dests, col_of = (a.tolist() for a in np.unique(instance.flow_dests, return_inverse=True))
-    width = max(len(sources), len(dests))
+    # each flow's BvN row and column: its source's row, and its dest's row
+    # less the count of sources; the padding comes after both
+    sources, dests = instance.num_source_ports, len(instance.ports) - instance.num_source_ports
+    row_of, col_of = instance.flow_source_rows.tolist(), (instance.flow_dest_rows - sources).tolist()
+    width = max(sources, dests)
     ordering = solve_interval_lp(instance).ordering
     groups = group_coflows(instance, ordering)
     release_slot = [math.ceil(release / u - 1e-9) for release in instance.releases.tolist()]
@@ -579,7 +576,7 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
         for i in serving:
             remaining[i] -= length
             if remaining[i] == 0:
-                flows_left[keys[i].coflow] -= 1
+                flows_left[coflow_of[i]] -= 1
                 finished.append(i)
         record.complete(finished, end)
         heads.finish(finished)
@@ -611,8 +608,8 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
         # until slot reaches next_release
         for count, perm in _integer_bvn(matrix):
             while count > 0 and slot < next_release:
-                serving = [i for source, c in zip(sources, perm)
-                           if c < len(dests) and (i := heads.head(source, dests[c])) is not None]
+                serving = [i for row, c in enumerate(perm[:sources])
+                           if c < dests and (i := heads.head(row, sources + c)) is not None]
                 length = min(count, next_release - slot, *(remaining[i] for i in serving))
                 if serving:
                     emit(serving, length)

@@ -28,7 +28,6 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -177,7 +176,7 @@ class Recorder:
         coflow ends with its last flow (every coflow has one)."""
         *arrays, finished, at = map(np.asarray, (self.start, self.end, self.offsets, self.flow,
                                                  self.rate, self.finished, self.finished_at))
-        finish = np.zeros(len(self.instance.flow_keys))  # by flow id
+        finish = np.zeros(len(self.instance.flow_sizes))  # by flow id
         finish[finished] = at
         completions = np.maximum.reduceat(finish, self.instance.flow_offsets[:-1])
         return Schedule(*arrays, finished, at, self.instance.flow_keys, completions)
@@ -217,14 +216,12 @@ class FluidRun:
     ``record``, and keeps those ids as ``finished``.  Both forms take the
     same float operations per rate, so they step alike to the bit.
 
-    Flows have ids 0..F-1 in ``instance.flow_keys`` order, so coflow k's
-    flows are the ids ``instance.flow_offsets[k]`` to
-    ``instance.flow_offsets[k + 1] - 1``, by (source, dest).  ``remaining``
-    holds each flow's demand left, by id, and is 0.0 exactly when the flow
-    is finished; ``source``, ``dest`` and ``coflow`` give each id's ports
-    and coflow (the instance's read-only ``flow_sources``, ``flow_dests``
-    and ``flow_coflows``, shared by every run of it); ``live``, each coflow's
-    unfinished flow count, and ``release`` come from its arrays too, by id.
+    Flows have the instance's flow ids, so coflow k's flows are the ids
+    ``instance.flow_offsets[k]`` to ``instance.flow_offsets[k + 1] - 1``, by
+    (source, dest).  ``remaining`` holds each flow's demand left, by id, and
+    is 0.0 exactly when the flow is finished; ``live``, each coflow's
+    unfinished flow count, and ``release`` come from the instance's arrays.
+    A run reads no FlowKey: policies read the instance's flow table.
 
     The policies add a coflow's flows in id order, so every sum they take
     follows the instance's flows and not the labels of its ports; a sum
@@ -236,7 +233,6 @@ class FluidRun:
     def __init__(self, instance: CoflowInstance):
         self.instance = instance
         self.time = 0.0
-        self.flows = list(instance.flow_keys)  # by id
         self.remaining = np.array(instance.flow_sizes, dtype=float)
         # the same buffer, read and written as Python floats: the executor's
         # per-rate loop indexes it one flow at a time
@@ -247,22 +243,17 @@ class FluidRun:
         # the rates taken until the next event, and the time to the first completion under them
         self._ids, self._rates, self._first = [], [], math.inf
         self.release = instance.releases.tolist()  # by coflow id
+        self._coflow = instance.flow_coflows.tolist()  # by flow id
         self._release_times = sorted({release for release in self.release if release > 0.0})
-
-    # -- per-flow arrays, the instance's, built when a policy first reads them
-
-    source = property(attrgetter("instance.flow_sources"))
-    dest = property(attrgetter("instance.flow_dests"))
-    coflow = property(attrgetter("instance.flow_coflows"))
 
     @cached_property
     def flow_release(self) -> np.ndarray:  # each flow's coflow release, by id
-        return self.instance.releases[self.coflow]
+        return self.instance.releases[self.instance.flow_coflows]
 
     # -- views ------------------------------------------------------------
 
     def done(self) -> bool:
-        return len(self.record.finished) == len(self.flows)
+        return len(self.record.finished) == len(self.remaining)
 
     def is_complete(self, k: int) -> bool:
         return not self.live[k]
@@ -288,7 +279,7 @@ class FluidRun:
         if type(rates) is tuple:
             return self._set_arrays(*rates)
         ids, kept, first = [], [], math.inf
-        left, flows, release, nf = self._left, self.flows, self.release, len(self.flows)
+        left, coflow, release, nf = self._left, self._coflow, self.release, len(self._coflow)
         horizon = self.time + EVENT_EPS
         for i, rate in rates.items():
             if not (isinstance(i, int) and 0 <= i < nf):
@@ -299,7 +290,7 @@ class FluidRun:
                 continue
             if not left[i]:
                 raise ValueError(f"rate assigned to finished flow {i}")
-            if release[flows[i].coflow] > horizon:
+            if release[coflow[i]] > horizon:
                 raise ValueError(f"rate assigned to unreleased flow {i}")
             rate = float(rate)
             ids.append(i)
@@ -312,7 +303,7 @@ class FluidRun:
     def _set_arrays(self, ids: np.ndarray, rates: np.ndarray) -> None:
         """``set_rates`` of an id array and a rate array: the same checks
         and the same earliest completion, a few array operations each."""
-        nf = len(self.flows)
+        nf = len(self.remaining)
         if not (isinstance(ids, np.ndarray) and isinstance(rates, np.ndarray) and ids.ndim == 1
                 and (ids.dtype, rates.dtype, rates.shape) == (np.int64, np.float64, ids.shape)):
             raise ValueError("rate arrays must be int64 flow ids and float64 rates of one length")
@@ -357,7 +348,7 @@ class FluidRun:
         now = self.time + dt
         ids, rates = self._ids, self._rates
         moved = now > self.time  # a dt below half an ulp of the clock leaves no segment
-        left, flows, live = self._left, self.flows, self.live
+        left, coflow, live = self._left, self._coflow, self.live
         finished = self.finished = []
         if type(ids) is list:
             if moved and ids:
@@ -367,7 +358,7 @@ class FluidRun:
                 if rest <= rate * EVENT_EPS:
                     left[i] = 0.0
                     finished.append(i)
-                    live[flows[i].coflow] -= 1
+                    live[coflow[i]] -= 1
                 else:
                     left[i] = rest
         else:
@@ -380,7 +371,7 @@ class FluidRun:
             self.remaining[ids] = rest
             finished += ids[done].tolist()
             for i in finished:
-                live[flows[i].coflow] -= 1
+                live[coflow[i]] -= 1
         self.record.complete(finished, now)
         self.time = now
         self._ids, self._rates, self._first = [], [], math.inf
@@ -419,9 +410,10 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
 
     Each of the schedule's keys is looked up once; its entries are read as
     recorded, and each sum adds them in entry order, the float additions
-    of a loop over the segments.  Violations are listed per segment
-    (releases, then ports ascending, source before destination), then
-    unknown flows, demands and coflow completions.
+    of a loop over the segments, over the ports the schedule names alone.
+    Violations are listed per segment (releases, then ports ascending,
+    source before destination), then unknown flows, demands and coflow
+    completions.
     """
     cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
     keys, sizes, nf = instance.flow_keys, instance.flow_sizes, len(instance.flow_keys)
@@ -451,8 +443,15 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
             raise ValueError(f"segment {first_bad} has non-positive length")
         raise ValueError(f"segment {first_bad} overlaps its predecessor")
     fi = own[flow]
-    # (source, dest, coflow) of every flow a rate names
-    ids = np.array(keys + tuple(unknown), dtype=np.int64).reshape(-1, 3)
+    # the coflow of every flow a rate names, and on each side the labels of
+    # the ports the schedule names there, ascending, and each flow's row among them
+    extra = np.array(tuple(unknown), dtype=np.int64).reshape(-1, 3)
+    coflow = np.concatenate((instance.flow_coflows, extra[:, 2]))
+    split, sides = instance.num_source_ports, []
+    for kind, rows, ports in (("capacity_src", instance.flow_source_rows, instance.ports[:split]),
+                              ("capacity_dst", instance.flow_dest_rows - split, instance.ports[split:])):
+        labels, row = np.unique(np.concatenate((ports, extra[:, len(sides)])), return_inverse=True)
+        sides.append((kind, np.concatenate((row[rows], row[len(ports):])), labels))
     # each completion's flow; one the instance lacks and no rate names takes
     # the next id
     at = own[schedule.finished]
@@ -479,22 +478,23 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     found = []  # (segment, rank within the segment, violation)
     live = ~(rate <= 0.0)
     release = instance.releases
-    late = np.flatnonzero((starts[seg_of] < (release[ids[:, 2]] - EVENT_EPS)[fi]) & live)
+    late = np.flatnonzero((starts[seg_of] < (release[coflow] - EVENT_EPS)[fi]) & live)
     for e in late.tolist():
         s = int(seg_of[e])
-        gap = float(release[ids[fi[e], 2]] - starts[s])
+        gap = float(release[coflow[fi[e]]] - starts[s])
         found.append((s, e, Violation("release", f"segment {s} flow {tuple(named[flow[e]])}", gap)))
     weight = np.where(live, rate, 0.0)
-    # each entry's (segment, port) cell, segment * n + port, in one buffer for
-    # both sides; seg_of holds segment * n from here on
-    seg_of *= n
+    # each entry's (segment, row) cell, segment * width + row, in one buffer
+    # for both sides; seg_of holds segment * width from here on
+    width = max(len(ports) for _, _, ports in sides)
+    seg_of *= width
     cells = np.empty_like(seg_of)
-    for side, kind in enumerate(("capacity_src", "capacity_dst")):
-        np.take(ids[:, side], fi, out=cells, mode="clip")  # "raise" would buffer a copy
+    for side, (kind, rows, ports) in enumerate(sides):
+        np.take(rows, fi, out=cells, mode="clip")  # "raise" would buffer a copy
         cells += seg_of
-        sums = np.bincount(cells, weight, minlength=segments * n)
+        sums = np.bincount(cells, weight, minlength=segments * width)
         for cell in np.flatnonzero(sums > cap + CAPACITY_TOL).tolist():
-            s, p = divmod(cell, n)
+            s, p = cell // width, int(ports[cell % width])
             found.append((s, entries + 2 * p + side,
                           Violation(kind, f"segment {s} port {p}", float(sums[cell]) - cap)))
     found.sort(key=lambda item: item[:2])

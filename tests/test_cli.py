@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -167,10 +168,23 @@ def test_unexpected_exception_exits_one_in_one_line(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _rows_of(fmt, path):
     if fmt == "csv":
         return _read_rows(path)
-    return json.loads(path.read_text())["reports"]
+    return _strict_json(path.read_text())["reports"]
+
+
+def _missing(fmt, value) -> bool:
+    """A number the run could not give: NaN in the CSV report, null in the JSON one."""
+    return math.isnan(float(value)) if fmt == "csv" else value is None
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -195,7 +209,7 @@ def test_a_scheduler_that_raises_keeps_the_other_rows(tmp_path, capsys, monkeypa
         failed = row["scheduler"] == "lp-ov-gb"
         assert row["valid"] in ((False, "false") if failed else (True, "true"))
         assert (row["error"] or None) == ("KeyError: 'no such pair'" if failed else None)
-        assert math.isnan(float(row["total_weighted_completion"])) == failed
+        assert _missing(fmt, row["total_weighted_completion"]) == failed
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -241,8 +255,13 @@ def test_an_ordering_lp_that_raises_keeps_every_row(tmp_path, capsys, fmt):
         failed = row["scheduler"] in ("lp-ov-ls", "lp-ov-gb")
         assert row["valid"] in ((False, "false") if failed else (True, "true"))
         assert (row["error"] or None) == (message if failed else None)
-        assert math.isnan(float(row["total_weighted_completion"])) == failed
-        assert math.isnan(float(row["lp_lower_bound"])) and math.isnan(float(row["ratio_to_lb"]))
+        assert _missing(fmt, row["total_weighted_completion"]) == failed
+        assert _missing(fmt, row["lp_lower_bound"]) and _missing(fmt, row["ratio_to_lb"])
+    if fmt == "json":  # the summary means of NaN rows are null too
+        summary = _strict_json(out.read_text())["summary"]
+        assert [stats["mean_ratio_to_lb"] for stats in summary.values()] == [None] * 4
+        assert [stats["mean_total"] is None for stats in summary.values()] == [name in ("lp-ov-gb", "lp-ov-ls")
+                                                                               for name in summary]
 
 
 def test_lp_that_fails_its_certificate_exits_one_naming_the_rows(tmp_path):
@@ -490,6 +509,34 @@ def test_run_imports_no_test_only_or_masked_array_modules(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[-2] == "0 []"
+
+
+@pytest.mark.parametrize("verb", ["lp-bound --instance", "run --instance", "run --trace", "run --out",
+                                  "validate --schedule"])
+def test_a_path_that_cannot_be_read_exits_two(tmp_path, capsys, verb):
+    inst = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst)
+    argv = {"validate --schedule": ["validate", "--instance", str(inst)],
+            "run --out": ["run", "--instance", str(inst), "--reps", "1"]}.get(verb, verb.split()[:1])
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert cli.main([*argv, verb.split()[1], str(folder)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(folder) in err[0], err
+
+
+def test_an_os_error_that_names_no_path_is_not_bad_input(tmp_path, capsys, monkeypatch):
+    # such as a worker process that cannot start: exit 1, as any other exception
+    inst = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst)
+
+    def exhausted(instance):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(cli, "lp_lower_bound", exhausted)
+    assert cli.main(["lp-bound", "--instance", str(inst)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: lp-bound: OSError: [Errno {errno.EMFILE}] Too many open files"]
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):

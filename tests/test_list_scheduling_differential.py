@@ -52,11 +52,11 @@ def _reference_greedy_matching(queue: list, finished, release: list, now: float,
 
 def _reference_rates(run: FluidRun, queue: list) -> dict:
     instance = run.instance
-    finished = {f for f, left in zip(run.flows, run.remaining.tolist()) if not left}
+    finished = {f for f, left in zip(instance.flow_keys, run.remaining.tolist()) if not left}
     served = _reference_greedy_matching(
         queue, finished, run.release, run.time + EVENT_EPS, instance.n_ports
     )
-    return dict.fromkeys(map(run.flows.index, served), instance.capacity)
+    return dict.fromkeys(map(instance.flow_keys.index, served), instance.capacity)
 
 
 def _reference_lp_ov_ls(instance: CoflowInstance, ordering_result) -> Schedule:
@@ -73,7 +73,7 @@ def _reference_lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
         if not seen.issuperset(active):
             seen.update(active)
             left, offsets = run.remaining.tolist(), instance.flow_offsets
-            remaining = {run.flows[i]: left[i] for k in active
+            remaining = {instance.flow_keys[i]: left[i] for k in active
                          for i in range(offsets[k], offsets[k + 1]) if left[i] > 0.0}
             residual, ids = residual_instance(instance, remaining, run.time)
             residual_order = solve_ordering_lp(residual).ordering if ids else []

@@ -100,7 +100,11 @@ def test_time_loads_is_the_load_matrix_over_capacity_built_once_read_only():
         # each coflow's port loads over its demands listed by (source, dest)
         by_flow_id = np.array([np.concatenate(port_loads({pair: cf.demands[pair] for pair in sorted(cf.demands)}, n))
                                for cf in coflows]).T
-        assert inst.node_loads.tobytes() == by_flow_id.tobytes()
+        # node_loads keeps the rows of the ports in use, sources then dests; the others are zero
+        split = inst.num_source_ports
+        in_use = np.concatenate((inst.ports[:split], n + inst.ports[split:]))
+        assert inst.node_loads.tobytes() == by_flow_id[in_use].tobytes()
+        assert not np.delete(by_flow_id, in_use, axis=0).any()
         loads = inst.time_loads
         assert loads is inst.time_loads
         assert loads.tobytes() == (inst.node_loads / inst.capacity).tobytes()
@@ -151,6 +155,13 @@ def _residual_cases():
             yield inst, np.zeros(len(sizes)), now  # nothing left
 
 
+def _rows_among(inst, other) -> np.ndarray:
+    """The rows of ``other``'s ports in use among those of ``inst``."""
+    split, other_split = inst.num_source_ports, other.num_source_ports
+    return np.concatenate((np.searchsorted(inst.ports[:split], other.ports[:other_split]),
+                           split + np.searchsorted(inst.ports[split:], other.ports[other_split:])))
+
+
 def test_residual_matches_the_instance_of_the_remaining_demands():
     seen_empty = seen_floor = seen_kept = 0
     for inst, left, now in _residual_cases():
@@ -161,8 +172,14 @@ def test_residual_matches_the_instance_of_the_remaining_demands():
         for name in ("time_loads", "releases", "weights"):
             want = getattr(expected, name)
             value = getattr(got, name)
-            assert (value.dtype, value.shape, value.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
             assert not value.flags.writeable
+            if name == "time_loads":
+                # the residual keeps the instance's rows; the reference uses
+                # fewer ports, whose rows sit at theirs in the instance
+                rows = _rows_among(inst, expected)
+                assert not np.delete(value, rows, axis=0).any()
+                value = value[rows]
+            assert (value.dtype, value.shape, value.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
         assert not got.ids.flags.writeable
         seen_empty += not expected_ids
         seen_kept += len(expected_ids) >= 3
@@ -172,17 +189,20 @@ def test_residual_matches_the_instance_of_the_remaining_demands():
 
 def test_flow_arrays_are_the_flow_key_columns_built_once():
     inst = generate(SyntheticConfig(n_ports=5, n_coflows=6, kind="combined", interarrival_range=(1, 30), seed=3))
-    names = ("flow_sources", "flow_dests", "flow_coflows")
+    names = ("flow_source_rows", "flow_dest_rows", "flow_coflows")
     for name, column in zip(names, zip(*inst.flow_keys)):
         array = getattr(inst, name)
-        assert array.dtype == np.int64 and array.tolist() == list(column)
+        labels = array if name == "flow_coflows" else inst.ports[array]  # a port's row names its label
+        assert array.dtype == np.int64 and labels.tolist() == list(column)
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    # every run of the instance, and the instance itself, read the same arrays
+    assert not inst.ports.flags.writeable
+    # a run keeps no ports or FlowKeys of its own, only a Python copy of the flows' coflows
     first, second = FluidRun(inst), FluidRun(inst)
     for run in (second, first):
-        assert run.source is inst.flow_sources and run.dest is inst.flow_dests and run.coflow is inst.flow_coflows
+        assert not any(hasattr(run, name) for name in ("flows", "source", "dest", "coflow"))
+        assert run._coflow == inst.flow_coflows.tolist()
     assert first.flow_release.tolist() == [inst.coflows[k].release for k in inst.flow_coflows.tolist()]
 
 

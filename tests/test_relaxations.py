@@ -48,8 +48,10 @@ def test_structural_counts():
         ]
         inst = CoflowInstance(n, coflows)
         prob = build_ordering_lp(inst)
+        # one port row per (port in use, coflow): the sources that flows use, then the dests
+        in_use = len({i for cf in coflows for i, _ in cf.demands}) + len({j for cf in coflows for _, j in cf.demands})
         assert prob.num_vars == k + k * (k - 1)
-        assert len(prob.constraints) == 2 * n * k + k + k * (k - 1) // 2
+        assert len(prob.constraints) == in_use * k + k + k * (k - 1) // 2
 
 
 def test_equal_bottleneck_ordering_prefers_singles():
@@ -273,11 +275,10 @@ _TOL = 1e-12
 
 def _reference_ordering_lp(instance):
     kk, loads = instance.num_coflows, instance.time_loads
-    n = loads.shape[0] // 2
     num_vars = kk + kk * (kk - 1)
     bounds = [(0.0, math.inf)] * kk + [(0.0, 1.0)] * (num_vars - kk)
     rows = []
-    for s in range(2 * n):
+    for s in range(len(loads)):  # every port in use
         for k in range(kk):
             coeffs = {k: 1.0}
             for kp in range(kk):
@@ -298,11 +299,10 @@ def _reference_pair_index(kk, a, b):
 
 def _reference_reduced_lp(instance):
     kk, loads = instance.num_coflows, instance.time_loads
-    n = loads.shape[0] // 2
     num_vars = kk + kk * (kk - 1) // 2
     bounds = [(0.0, math.inf)] * kk + [(0.0, 1.0)] * (num_vars - kk)
     rows = []
-    for s in range(2 * n):
+    for s in range(len(loads)):  # every port in use
         users = np.flatnonzero(loads[s] > _TOL)
         if users.size == 0:
             continue
@@ -332,7 +332,6 @@ def _reference_problem(instance, num_vars, bounds, rows):
 
 def _reference_interval_lp(instance):
     kk, loads = instance.num_coflows, instance.time_loads
-    n = loads.shape[0] // 2
     grid = interval_grid(instance)
     nl = len(grid) - 1
     objective = np.zeros(kk * nl)
@@ -344,7 +343,7 @@ def _reference_interval_lp(instance):
             objective[k * nl + l] = instance.weights[k] * grid[l]
             bounds[k * nl + l] = (0.0, 0.0 if grid[l + 1] < earliest - 1e-9 else 1.0)
         rows.append(({k * nl + l: 1.0 for l in range(nl)}, "==", 1.0))
-    for s in range(2 * n):
+    for s in range(len(loads)):  # every port in use
         if loads[s].sum() <= _TOL:
             continue
         for l in range(nl):

@@ -84,7 +84,8 @@ def test_pair_heads_serve_released_heads_and_stop_when_full():
     # clash and rest become their pairs' heads; clash lost its source port
     # to first, and both ports of each side are taken at second, so the
     # scan stops there
-    assert heads.head(0, 0) == clash and heads.head(1, 1) == rest
+    # head() takes rows of the ports in use: sources 0 and 1, dests 0 and 1 at rows 2 and 3
+    assert heads.head(0, 2) == clash and heads.head(1, 3) == rest
     assert heads.matching() == [first, second]
     heads.finish([first, second])
     heads.admit(5.0)
@@ -92,7 +93,7 @@ def test_pair_heads_serve_released_heads_and_stop_when_full():
     # rest's source too
     assert [queue[key] for key in heads.heads] == [late, clash, rest]
     assert heads.matching() == [late]
-    assert heads.head(0, 1) is None
+    assert heads.head(0, 3) is None
 
 
 @pytest.mark.parametrize("pending", [False, True], ids=["all-released", "pending-releases"])

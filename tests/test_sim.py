@@ -149,13 +149,13 @@ def test_flow_ids_number_the_instance_flows():
         3, [Coflow({(2, 0): 1.0, (0, 1): 2.0}), Coflow({(1, 1): 4.0}, release=1.0)]
     )
     run = FluidRun(inst)
-    assert run.flows == [FlowKey(0, 1, 0), FlowKey(2, 0, 0), FlowKey(1, 1, 1)]
-    assert run.flows == list(inst.flow_keys)
+    assert "flow_keys" not in inst.__dict__  # a run makes no FlowKey
+    assert list(inst.flow_keys) == [FlowKey(0, 1, 0), FlowKey(2, 0, 0), FlowKey(1, 1, 1)]
     # coflow k's ids are flow_offsets[k] to flow_offsets[k + 1] - 1
     assert inst.flow_offsets == (0, 2, 3)
-    assert run.source.tolist() == [0, 2, 1]
-    assert run.dest.tolist() == [1, 0, 1]
-    assert run.coflow.tolist() == [0, 0, 1]
+    assert inst.ports[inst.flow_source_rows].tolist() == [0, 2, 1]
+    assert inst.ports[inst.flow_dest_rows].tolist() == [1, 0, 1]
+    assert inst.flow_coflows.tolist() == [0, 0, 1]
     assert run.remaining.tolist() == [2.0, 1.0, 4.0]
     assert run.live == [2, 1]
     run.set_rates({1: 1.0, 0: 1.0})

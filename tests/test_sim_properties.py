@@ -33,8 +33,8 @@ def instances(draw):
 
 def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
     horizon = run.time + EVENT_EPS
-    assert run.flows == [key for key, _ in instance.flows()]
-    incomplete = [f for f, left in zip(run.flows, run.remaining.tolist()) if left > 0.0]
+    assert list(instance.flow_keys) == [key for key, _ in instance.flows()]
+    incomplete = [f for f, left in zip(instance.flow_keys, run.remaining.tolist()) if left > 0.0]
     active = sorted(
         {f.coflow for f in incomplete if instance.coflows[f.coflow].release <= horizon}
     )
@@ -42,13 +42,13 @@ def _assert_views_match(run: FluidRun, instance: CoflowInstance) -> None:
     offsets = instance.flow_offsets
     for k in range(instance.num_coflows):
         ids = list(range(offsets[k], offsets[k + 1]))
-        assert [i for i, f in enumerate(run.flows) if f.coflow == k] == ids
+        assert [i for i, f in enumerate(instance.flow_keys) if f.coflow == k] == ids
         assert run.live[k] == sum(f.coflow == k for f in incomplete)
     # a finished flow's remaining demand is exactly 0.0, and nothing else's;
     # the Recorder holds each finished flow once
     finished = list(run.record.finished)
     assert len(set(finished)) == len(finished)
-    assert set(run.flows) - set(incomplete) == {run.flows[i] for i in finished}
+    assert set(instance.flow_keys) - set(incomplete) == {instance.flow_keys[i] for i in finished}
     assert run.done() == (not incomplete)
 
 
