@@ -15,13 +15,17 @@ raises anything but bad input or a failed certificate leaves the LP-bound
 columns NaN; every scheduler still runs (lp-ov-ls and lp-ov-gb, which need
 that LP, fail in their rows), nothing of that rep is dumped, and the run
 exits 1 with one line "error: run: ordering LP: <type>: <message>" for the
-first rep whose LP raised.
+first rep whose LP raised.  A rep whose lp-ov-ls row raised dumps its
+instance and no schedule.  run opens ``--out`` before its first rep, so a
+path that cannot be written exits 2 at once, and a run that later fails on
+bad input leaves that file empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -137,11 +141,13 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> tuple[list, str | None]:
         if base:
             row.ratio_to_lpovls = row.total_weighted_completion / base
     if args.dump_schedules and ordering_result is not None:  # per-rep instance and lp-ov-ls schedule JSON
-        schedule = dumped or schedulers.lp_ov_ls(instance, ordering_result)
+        if "lp-ov-ls" not in args.schedulers:
+            dumped = schedulers.lp_ov_ls(instance, ordering_result)
         os.makedirs(args.dump_schedules, exist_ok=True)
         save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
-        with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
-            json.dump(schedule.to_dict(), fh)
+        if dumped is not None:  # None when the rep's lp-ov-ls row raised
+            with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
+                json.dump(dumped.to_dict(), fh)
     return rows, lp_error
 
 
@@ -208,13 +214,9 @@ def reports_to_json(rows: list) -> str:
     return json.dumps(payload, indent=1, allow_nan=False)
 
 
-def report_emit(rows: list, fmt: str, path: str | None) -> str:
-    """Render reports to csv/json and write them to ``path`` when given."""
-    text = reports_to_csv(rows) if fmt == "csv" else reports_to_json(rows)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+def report_emit(rows: list, fmt: str, out) -> None:
+    """Render reports to csv/json and write them to the open file ``out``."""
+    out.write(reports_to_csv(rows) if fmt == "csv" else reports_to_json(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +290,10 @@ def _cmd_run(args) -> int:
     for name in args.schedulers:
         if name not in SCHEDULER_NAMES:
             raise ValueError(f"unknown scheduler {name!r}")
-    rows, lp_error = run_experiment(args)
-    text = report_emit(rows, args.format, args.out)
-    if not args.out:
-        print(text, end="")
+    # opened before the first rep, so a path that cannot be written fails at once
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        rows, lp_error = run_experiment(args)
+        report_emit(rows, args.format, out)
     if lp_error:
         print(f"error: run: ordering LP: {lp_error}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from math import inf
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,13 +111,10 @@ class CoflowInstance:
     def num_coflows(self) -> int:
         return len(self.coflows)
 
-    def flows(self) -> Iterator[tuple[FlowKey, float]]:
-        """All (FlowKey, size) pairs, in (coflow, source, dest) order."""
-        return zip(self.flow_keys, self.flow_sizes)
-
     @cached_property
     def flow_keys(self) -> tuple[FlowKey, ...]:
-        """Every flow's FlowKey, by flow id, made when first read (no run or LP reads it)."""
+        """Every flow's FlowKey, by flow id, made when first read: a schedule's
+        ``keys`` start with them, while no run, LP or oracle search reads them."""
         columns = (self.ports[self.flow_source_rows], self.ports[self.flow_dest_rows], self.flow_coflows)
         return tuple(map(FlowKey, *(column.tolist() for column in columns)))
 

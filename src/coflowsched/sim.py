@@ -55,11 +55,11 @@ class Schedule:
 
     Segment s runs over [``start[s]``, ``end[s]``) with the entries
     ``offsets[s]`` to ``offsets[s + 1] - 1``, in recorded order: entry e
-    runs flow ``keys[flow[e]]`` at ``rate[e]``.  Flow ``keys[finished[c]]``
-    completes at ``finished_at[c]``, in completion order.  A recorded
-    schedule's keys are ``instance.flow_keys``; one built ``of_segments``
-    numbers its FlowKeys in order of first appearance, rates first.
-    ``segments`` reads the arrays as Segments, made on access.
+    runs flow ``flow[e]`` at ``rate[e]``.  Flow ``finished[c]`` completes at
+    ``finished_at[c]``, in completion order.  Flows have one numbering, their
+    instance's flow ids: ``keys`` starts with ``instance.flow_keys``, and any
+    flow the instance lacks (only ``of_segments`` names one) follows from
+    id ``nf`` on.  ``segments`` reads the arrays as Segments, made on access.
     """
 
     start: np.ndarray
@@ -73,10 +73,13 @@ class Schedule:
     completions: np.ndarray
 
     @classmethod
-    def of_segments(cls, segments: list, completions, flow_completions: dict) -> "Schedule":
-        """The schedule of ``segments`` and ``flow_completions``, which name
-        flows by FlowKey."""
-        ids: dict = {}
+    def of_segments(cls, instance: CoflowInstance, segments: list, completions,
+                    flow_completions: dict) -> "Schedule":
+        """A schedule of ``instance`` from ``segments`` and ``flow_completions``,
+        which name flows by FlowKey: each of the instance's flows has its flow
+        id, and the flows it lacks take the ids from nf on, in order of first
+        appearance, rates first."""
+        ids = {key: i for i, key in enumerate(instance.flow_keys)}
         flow = [ids.setdefault(key, len(ids)) for seg in segments for key in seg.rates]
         rate = [r for seg in segments for r in seg.rates.values()]
         finished = [ids.setdefault(key, len(ids)) for key in flow_completions]
@@ -144,7 +147,7 @@ class Schedule:
         for e, entry in enumerate(_field(data, "flow_completions", "a list", "schedule")):
             where = f"flow completion {e}"
             flow_completions[flow(entry, where, flow_completions)] = _number(entry, "time", where)
-        return cls.of_segments(segments, completions, flow_completions)
+        return cls.of_segments(instance, segments, completions, flow_completions)
 
 
 class Recorder:
@@ -406,9 +409,12 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     sums, release dates, rates and completions only on the instance's flows,
     transmitted volume per flow at its recorded completion, and the coflow
     completion definition.  A malformed segment, or a rate on a port or
-    coflow outside the instance, raises ValueError naming the segment.
+    coflow outside the instance, raises ValueError naming the segment, and
+    so does a schedule whose flow ids are not the instance's (its ``keys``
+    do not start with ``instance.flow_keys``).
 
-    Each of the schedule's keys is looked up once; its entries are read as
+    The schedule's flow ids are the instance's, so nothing is looked up: an
+    id from nf on is a flow the instance lacks.  Its entries are read as
     recorded, and each sum adds them in entry order, the float additions
     of a loop over the segments, over the ports the schedule names alone.
     Violations are listed per segment (releases, then ports ascending,
@@ -417,51 +423,44 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     """
     cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
     keys, sizes, nf = instance.flow_keys, instance.flow_sizes, len(instance.flow_keys)
-    index = {key: i for i, key in enumerate(keys)}
-    starts, ends, flow, rate = schedule.start, schedule.end, schedule.flow, schedule.rate
-    named, segments, entries = schedule.keys, len(starts), len(rate)
+    named = schedule.keys
+    if named[:nf] != keys:
+        raise ValueError(f"the schedule's flow ids are not the instance's: its first {nf} flows differ")
+    starts, ends, fi, rate = schedule.start, schedule.end, schedule.flow, schedule.rate
+    segments, entries, total = len(starts), len(rate), len(named)
     seg_of = np.repeat(np.arange(segments), np.diff(schedule.offsets))
 
     previous = np.concatenate(([-math.inf], ends[:-1]))
     bad = np.flatnonzero((ends <= starts) | (starts < previous - EVENT_EPS))
     first_bad = int(bad[0]) if bad.size else segments
-    # each named flow's instance id; the flows the instance lacks take the
-    # ids from nf on, in order of first appearance
-    own = np.fromiter(map(index.get, named, repeat(-1)), dtype=np.int64, count=len(named))
-    strange = np.flatnonzero(own[flow] < 0)
-    unknown: dict = {}
-    for e in strange[np.sort(np.unique(flow[strange], return_index=True)[1])].tolist():
-        s, key = int(seg_of[e]), named[flow[e]]
+    # the flows the instance lacks that rates name are the ids from nf on, in
+    # order of first appearance; each is checked where it first appears
+    strange = np.flatnonzero(fi >= nf)
+    first_seen = strange[np.unique(fi[strange], return_index=True)[1]]
+    for e in first_seen.tolist():
+        s, key = int(seg_of[e]), named[fi[e]]
         if s >= first_bad:
             break
         if not all(isinstance(v, _PORT_TYPES) and 0 <= v < top for v, top in zip(key, (n, n, num))):
             raise ValueError(f"segment {s} flow {tuple(key)} is outside the instance "
                              f"({n} ports, {num} coflows)")
-        own[flow[e]] = unknown.setdefault(key, nf + len(unknown))
     if first_bad < segments:
         if ends[first_bad] <= starts[first_bad]:
             raise ValueError(f"segment {first_bad} has non-positive length")
         raise ValueError(f"segment {first_bad} overlaps its predecessor")
-    fi = own[flow]
     # the coflow of every flow a rate names, and on each side the labels of
     # the ports the schedule names there, ascending, and each flow's row among them
-    extra = np.array(tuple(unknown), dtype=np.int64).reshape(-1, 3)
+    extra = np.array(named[nf:nf + len(first_seen)], dtype=np.int64).reshape(-1, 3)
     coflow = np.concatenate((instance.flow_coflows, extra[:, 2]))
     split, sides = instance.num_source_ports, []
     for kind, rows, ports in (("capacity_src", instance.flow_source_rows, instance.ports[:split]),
                               ("capacity_dst", instance.flow_dest_rows - split, instance.ports[split:])):
         labels, row = np.unique(np.concatenate((ports, extra[:, len(sides)])), return_inverse=True)
         sides.append((kind, np.concatenate((row[rows], row[len(ports):])), labels))
-    # each completion's flow; one the instance lacks and no rate names takes
-    # the next id
-    at = own[schedule.finished]
-    for c in np.flatnonzero(at < 0).tolist():
-        at[c] = unknown.setdefault(named[schedule.finished[c]], nf + len(unknown))
-    total = nf + len(unknown)
     done = np.zeros(total, dtype=bool)  # has a recorded completion
     finish = np.zeros(total)
-    done[at] = True
-    finish[at] = schedule.finished_at
+    done[schedule.finished] = True
+    finish[schedule.finished] = schedule.finished_at
     # each entry sends rate x max(min(end, completion) - start, 0), or the whole
     # segment without a completion, in Python's min and max order (NaN stays)
     sent, got = ends[seg_of], finish[fi]
@@ -482,7 +481,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     for e in late.tolist():
         s = int(seg_of[e])
         gap = float(release[coflow[fi[e]]] - starts[s])
-        found.append((s, e, Violation("release", f"segment {s} flow {tuple(named[flow[e]])}", gap)))
+        found.append((s, e, Violation("release", f"segment {s} flow {tuple(named[fi[e]])}", gap)))
     weight = np.where(live, rate, 0.0)
     # each entry's (segment, row) cell, segment * width + row, in one buffer
     # for both sides; seg_of holds segment * width from here on
@@ -500,8 +499,8 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     found.sort(key=lambda item: item[:2])
     violations = [v for _, _, v in found]
 
-    for key in sorted(unknown):
-        violations.append(Violation("unknown_flow", f"flow {tuple(key)}", float(sent[unknown[key]])))
+    for i in sorted(range(nf, total), key=named.__getitem__):
+        violations.append(Violation("unknown_flow", f"flow {tuple(named[i])}", float(sent[i])))
 
     off = ~done[:nf] | (np.abs(sent[:nf] - np.fromiter(sizes, dtype=float, count=nf)) > DEMAND_TOL)
     for i in np.flatnonzero(off).tolist():

@@ -45,9 +45,9 @@ def _require_small_integer_instance(
         raise OracleLimitError(
             f"oracle limited to total demand {max_total_demand}, instance has {total}"
         )
-    for key, size in instance.flows():
+    for i, size in enumerate(instance.flow_sizes):
         if abs(size - round(size)) > 1e-9:
-            raise OracleLimitError(f"flow {tuple(key)} has non-integer size {size}")
+            raise OracleLimitError(f"flow {tuple(instance.flow_keys[i])} has non-integer size {size}")
     for release in instance.releases.tolist():
         if abs(release - round(release)) > 1e-9:
             raise OracleLimitError(f"release {release} is not an integer")
@@ -56,7 +56,7 @@ def _require_small_integer_instance(
 def _maximal_matchings(flows: list) -> list:
     """All maximal sets of port-disjoint flows, each set produced once.
 
-    ``flows`` holds (src, dst, index) triples; returns tuples of indices.
+    ``flows`` holds (source row, dest row, index) triples; returns tuples of indices.
     """
     out = []
     total = len(flows)
@@ -82,15 +82,18 @@ def _maximal_matchings(flows: list) -> list:
 class _SlotSearch:
     """Unit-slot schedules of a small integer instance, as a search space.
 
-    A state is the tuple of remaining units per flow, in ``instance.flows()``
-    order.  From slot start ``t`` a state either idles until the next
-    release, when none of its remaining flows is released yet, or serves
-    one maximal matching of its released flows for the slot (t, t + 1].
+    A state is the tuple of remaining units per flow, by flow id.  From slot
+    start ``t`` a state either idles until the next release, when none of
+    its remaining flows is released yet, or serves one maximal matching of
+    its released flows for the slot (t, t + 1].  Flows are read from the
+    instance's flow table: each flow's coflow and its source and dest rows,
+    which two flows share exactly when they share the port.
     """
 
     def __init__(self, instance: CoflowInstance, max_ports: int, max_total_demand: float):
         _require_small_integer_instance(instance, max_ports, max_total_demand)
-        self.keys = instance.flow_keys
+        self.sources, self.dests, self.coflow = (
+            rows.tolist() for rows in (instance.flow_source_rows, instance.flow_dest_rows, instance.flow_coflows))
         self.initial = tuple(int(round(size)) for size in instance.flow_sizes)
         self.releases = [int(round(release)) for release in instance.releases.tolist()]
         self.offsets = instance.flow_offsets
@@ -104,12 +107,12 @@ class _SlotSearch:
         idles until the next release."""
         pending = [fi for fi, units in enumerate(state) if units > 0]
         ready = [
-            (self.keys[fi].source, self.keys[fi].dest, fi)
+            (self.sources[fi], self.dests[fi], fi)
             for fi in pending
-            if self.releases[self.keys[fi].coflow] <= t
+            if self.releases[self.coflow[fi]] <= t
         ]
         if not ready:
-            yield None, state, min(self.releases[self.keys[fi].coflow] for fi in pending)
+            yield None, state, min(self.releases[self.coflow[fi]] for fi in pending)
             return
         for matching in _maximal_matchings(ready):
             nxt = list(state)
@@ -130,7 +133,7 @@ def oracle_opt(
     memoized on (remaining demands, time).
     """
     search = _SlotSearch(instance, max_ports, max_total_demand)
-    keys = search.keys
+    coflow = search.coflow
     weights = instance.weights.tolist()
     memo: dict[tuple, tuple] = {}
 
@@ -150,9 +153,7 @@ def oracle_opt(
             raise OracleLimitError("oracle state limit exceeded")
         best = (math.inf, None, t)
         for matching, nxt, t_next in search.successors(state, t):
-            finished = {
-                keys[fi].coflow for fi in matching or () if not search.left(nxt, keys[fi].coflow)
-            }
+            finished = {coflow[fi] for fi in matching or () if not search.left(nxt, coflow[fi])}
             cost = sum(weights[k] * t_next for k in finished) + solve(nxt, t_next)[0]
             if cost < best[0] - 1e-12:
                 best = (cost, matching, t_next)

@@ -362,6 +362,46 @@ def test_dump_schedules_same_with_workers_and_without_lp_ov_ls(tmp_path):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dump_schedules_keeps_every_row_when_lp_ov_ls_raises(tmp_path, capsys, monkeypatch, fmt):
+    from coflowsched import schedulers
+
+    inst_path = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst_path)
+
+    def broken(instance, lp):
+        raise KeyError("no such pair")
+
+    monkeypatch.setattr(schedulers, "lp_ov_ls", broken)
+    out, dumps = tmp_path / f"out.{fmt}", tmp_path / "dumps"
+    argv = ["run", "--instance", str(inst_path), "--reps", "2", "--format", fmt, "--out", str(out),
+            "--schedulers", "lp-ov-ls,varys", "--dump-schedules", str(dumps)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: run: lp-ov-ls: KeyError: 'no such pair'"]
+    rows = _rows_of(fmt, out)
+    assert [(row["scheduler"], row["error"] or None) for row in rows] == [
+        ("lp-ov-ls", "KeyError: 'no such pair'"), ("varys", None)] * 2
+    # the dump reuses the row's schedule: each rep has its instance and no schedule
+    assert sorted(p.name for p in dumps.iterdir()) == ["rep000_instance.json", "rep001_instance.json"]
+
+
+def test_run_out_that_cannot_be_written_fails_before_the_first_rep(tmp_path, capsys, monkeypatch):
+    reps, run_one_rep = [], cli._run_one_rep
+
+    def counted(args, rep):
+        reps.append(rep)
+        return run_one_rep(args, rep)
+
+    monkeypatch.setattr(cli, "_run_one_rep", counted)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = ["run", "--ports", "3", "--coflows", "4", "--reps", "3", "--out", str(folder)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(folder) in err[0], err
+    assert reps == []
+
 def test_trace_run(tmp_path):
     # the default schedulers; lp-ii-gb runs the megabyte flows in 1/128 s slots
     out = tmp_path / "trace.csv"

@@ -2,8 +2,8 @@
 schedules must equal, byte for byte, those of the per-coflow dict loops
 they replaced, kept here as ``_reference_varys`` and
 ``_reference_lp_ov_gb``.  The references keep each coflow's unfinished
-flows in a dict built in ``instance.flows()`` order, that is, in flow id
-order, and add them in that order, as the policies add each coflow's id
+flows in a dict built in flow id order (``instance.flow_keys``), and add
+them in that order, as the policies add each coflow's id
 range and lp_ov_gb its slices of the LP queue.
 """
 
@@ -25,13 +25,13 @@ st = pytest.importorskip("hypothesis.strategies")
 
 class _Incomplete:
     """Each coflow's unfinished flows as an insertion-ordered dict of
-    FlowKeys: built in ``instance.flows()`` order, a flow dropped once it
+    FlowKeys: built in flow id order, a flow dropped once it
     has finished."""
 
     def __init__(self, instance: CoflowInstance):
         self.flows: dict[int, dict] = {}
         self.ids = {key: i for i, key in enumerate(instance.flow_keys)}
-        for key, _ in instance.flows():
+        for key in instance.flow_keys:
             self.flows.setdefault(key.coflow, {})[key] = None
 
     def remaining_of(self, run: FluidRun, k: int) -> dict:

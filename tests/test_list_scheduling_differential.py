@@ -88,7 +88,7 @@ def _reference_lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
 def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
     cap = instance.capacity
     u = slot_length(instance)
-    remaining = {key: int(round(size / (cap * u))) for key, size in instance.flows()}
+    remaining = {key: int(round(size / (cap * u))) for key, size in zip(instance.flow_keys, instance.flow_sizes)}
     ordering = solve_interval_lp(instance).ordering
     groups = group_coflows(instance, ordering)
     n = instance.n_ports

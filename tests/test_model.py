@@ -334,7 +334,7 @@ def test_instance_file_with_a_repeated_pair_is_rejected():
 
 def test_flows_are_built_once_in_coflow_source_dest_order():
     inst = CoflowInstance(3, [Coflow({(2, 0): 1.0, (0, 1): 2}), Coflow({(1, 1): 0.5, (0, 2): 3.0})])
-    assert list(inst.flows()) == [
+    assert list(zip(inst.flow_keys, inst.flow_sizes)) == [
         (FlowKey(0, 1, 0), 2), (FlowKey(2, 0, 0), 1.0),
         (FlowKey(0, 2, 1), 3.0), (FlowKey(1, 1, 1), 0.5),
     ]

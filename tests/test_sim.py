@@ -32,6 +32,7 @@ def test_list_scheduler_output_validates():
 def test_pre_release_transmission_flagged():
     inst = staggered_release_fixture()
     sched = Schedule.of_segments(
+        inst,
         segments=[Segment(0.0, 1.0, {FlowKey(1, 1, 3): 1.0})],
         completions=np.array([0.0, 0.0, 0.0, 0.0]),
         flow_completions={FlowKey(1, 1, 3): 1.0},
@@ -44,6 +45,7 @@ def test_pre_release_transmission_flagged():
 def test_capacity_violation_magnitude():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}), Coflow({(0, 1): 1.0})])
     sched = Schedule.of_segments(
+        inst,
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0})],
         completions=np.array([1.0, 1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0},
@@ -57,6 +59,7 @@ def test_capacity_violation_magnitude():
 def test_demand_shortfall_flagged():
     inst = CoflowInstance(2, [Coflow({(0, 0): 2.0})])
     sched = Schedule.of_segments(
+        inst,
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
@@ -68,6 +71,7 @@ def test_demand_shortfall_flagged():
 def test_completion_definition_checked():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
     sched = Schedule.of_segments(
+        inst,
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([2.5]),  # recorded later than the last flow
         flow_completions={FlowKey(0, 0, 0): 1.0},
@@ -79,6 +83,7 @@ def test_completion_definition_checked():
 def test_malformed_segments_raise():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
     bad_len = Schedule.of_segments(
+        inst,
         segments=[Segment(1.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
@@ -86,6 +91,7 @@ def test_malformed_segments_raise():
     with pytest.raises(ValueError):
         validate(bad_len, inst)
     overlapping = Schedule.of_segments(
+        inst,
         segments=[
             Segment(0.0, 2.0, {FlowKey(0, 0, 0): 0.25}),
             Segment(1.0, 3.0, {FlowKey(0, 0, 0): 0.25}),
@@ -96,6 +102,36 @@ def test_malformed_segments_raise():
     with pytest.raises(ValueError):
         validate(overlapping, inst)
 
+
+
+def test_of_segments_numbers_flows_by_instance_flow_id():
+    # the instance's flows keep their ids; a flow it lacks in a rate takes
+    # nf, and one only in a completion the next id
+    inst = CoflowInstance(2, [Coflow({(1, 1): 1.0, (0, 0): 2.0}), Coflow({(0, 1): 1.0})])
+    nf = len(inst.flow_keys)
+    sched = Schedule.of_segments(
+        inst,
+        segments=[Segment(0.0, 1.0, {FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 1): 0.5, FlowKey(1, 1, 0): 1.0}),
+                  Segment(1.0, 2.0, {FlowKey(0, 0, 0): 1.0})],
+        completions=np.array([2.0, 1.0]),
+        flow_completions={FlowKey(0, 1, 1): 1.0, FlowKey(1, 1, 0): 1.0, FlowKey(1, 1, 1): 4.0,
+                          FlowKey(0, 0, 0): 2.0},
+    )
+    assert sched.keys[:nf] == inst.flow_keys
+    assert sched.keys[nf:] == (FlowKey(1, 0, 1), FlowKey(1, 1, 1))
+    assert sched.flow.tolist() == [2, nf, 1, 0]
+    assert sched.finished.tolist() == [2, 1, nf + 1, 0]
+
+
+def test_validate_refuses_a_schedule_of_another_flow_table():
+    inst = staggered_release_fixture()
+    sched = lp_ov_ls(inst)
+    # the same coflow count and ports, but coflow 3 has a second flow
+    other = CoflowInstance(2, [*inst.coflows[:3], Coflow({(0, 0): 1.0, (1, 1): 2.0}, release=1.0)])
+    with pytest.raises(ValueError, match="the schedule's flow ids are not the instance's"):
+        validate(sched, other)
+    # an equal flow table read back from JSON is the same numbering
+    assert validate(Schedule.from_dict(sched.to_dict(), inst), CoflowInstance(2, list(inst.coflows))).ok
 
 def test_total_weighted_completion_examples():
     inst = blocking_pair_fixture()

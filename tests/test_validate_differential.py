@@ -37,7 +37,7 @@ def _reference_validate(schedule, instance: CoflowInstance) -> ValidationReport:
     """The validator as one loop over the segments and their rates."""
     cap = instance.capacity
     n = instance.n_ports
-    sizes = dict(instance.flows())
+    sizes = dict(zip(instance.flow_keys, instance.flow_sizes))
     completed = _completions_of(schedule)
     violations: list[Violation] = []
     transmitted: dict[FlowKey, float] = {}
@@ -181,7 +181,7 @@ def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
         elif edit == "recorded" and num:
             k = draw(st.integers(0, num - 1))
             completions[k] += draw(st.sampled_from((1e-10, 1e-6, -0.5, 3.0)))
-    return Schedule.of_segments(segments, completions, flow_completions)
+    return Schedule.of_segments(instance, segments, completions, flow_completions)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -201,6 +201,7 @@ def test_validate_matches_the_reference_loop(instance, data):
 def test_validate_matches_the_reference_on_hand_made_faults():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0, (1, 1): 2.0}, release=1.0), Coflow({(0, 1): 1.0})])
     sched = Schedule.of_segments(
+        inst,
         segments=[
             Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 1): 0.5}),
             Segment(1.0, 2.0, {FlowKey(1, 1, 0): 1.5, FlowKey(0, 1, 1): -1.0, FlowKey(1, 1, 1): 1.0}),
@@ -220,6 +221,7 @@ def test_validate_matches_the_reference_on_hand_made_faults():
 def test_rates_outside_the_instance_raise(key):
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
     sched = Schedule.of_segments(
+        inst,
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0}), Segment(1.0, 2.0, {key: 0.5})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
