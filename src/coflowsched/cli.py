@@ -97,15 +97,16 @@ def _instance_for_rep(args: argparse.Namespace, rep: int) -> CoflowInstance:
 
 
 def _run_one_rep(args: argparse.Namespace, rep: int) -> tuple[list, str | None]:
-    """The rep's report rows, and "<type>: <message>" of its ordering LP
-    when that raised."""
+    """The rep's report rows, and "ordering LP: <type>: <message>" when its
+    ordering LP raised, or "lp-ov-ls for --dump-schedules: ..." when the
+    dump ran lp-ov-ls itself and that raised."""
     instance = _instance_for_rep(args, rep)
     try:
-        ordering_result, lp_error = solve_ordering_lp(instance), None
+        ordering_result, rep_error = solve_ordering_lp(instance), None
     except (ValueError, CertificateError):
         raise  # bad input, or an invariant violation that ends the run
     except Exception as exc:
-        ordering_result, lp_error = None, f"{type(exc).__name__}: {exc}"
+        ordering_result, rep_error = None, f"ordering LP: {type(exc).__name__}: {exc}"
     lp_bound = math.nan if ordering_result is None else lp_lower_bound(instance, ordering_result)
     rows = []
     dumped = None  # the lp-ov-ls schedule, the only one kept after its row
@@ -142,18 +143,23 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> tuple[list, str | None]:
             row.ratio_to_lpovls = row.total_weighted_completion / base
     if args.dump_schedules and ordering_result is not None:  # per-rep instance and lp-ov-ls schedule JSON
         if "lp-ov-ls" not in args.schedulers:
-            dumped = schedulers.lp_ov_ls(instance, ordering_result)
+            try:
+                dumped = schedulers.lp_ov_ls(instance, ordering_result)
+            except ValueError:
+                raise  # bad input, as in a row
+            except Exception as exc:
+                rep_error = f"lp-ov-ls for --dump-schedules: {type(exc).__name__}: {exc}"
         os.makedirs(args.dump_schedules, exist_ok=True)
         save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
-        if dumped is not None:  # None when the rep's lp-ov-ls row raised
+        if dumped is not None:  # None when lp-ov-ls raised
             with open(f"{args.dump_schedules}/rep{rep:03d}_lp_ov_ls.json", "w") as fh:
                 json.dump(dumped.to_dict(), fh)
-    return rows, lp_error
+    return rows, rep_error
 
 
 def run_experiment(args: argparse.Namespace) -> tuple[list, str | None]:
     """All per-(instance, scheduler) reports, ordered by (rep, scheduler),
-    and the error of the first rep whose ordering LP raised, if any."""
+    and the error of the first rep that has one (``_run_one_rep``), if any."""
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             chunks = list(pool.map(_run_one_rep, [args] * args.reps, range(args.reps)))
@@ -292,10 +298,10 @@ def _cmd_run(args) -> int:
             raise ValueError(f"unknown scheduler {name!r}")
     # opened before the first rep, so a path that cannot be written fails at once
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        rows, lp_error = run_experiment(args)
+        rows, error = run_experiment(args)
         report_emit(rows, args.format, out)
-    if lp_error:
-        print(f"error: run: ordering LP: {lp_error}", file=sys.stderr)
+    if error:
+        print(f"error: run: {error}", file=sys.stderr)
         return 1
     failed = next((row for row in rows if row.error), None)
     if failed:

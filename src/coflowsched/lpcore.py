@@ -75,7 +75,8 @@ _PHASE1_TOL = 1e-7
 _FEASIBILITY_CAP = 1e-6  # no primal tolerance exceeds this share of max(1, max |b|)
 _STALL_LIMIT = 64
 _REINVERT = 100         # kernel re-inverted, primal values and reduced costs refreshed, this often
-_BLOCK = 1 << 20        # entries of a dense column block when computing edge weights
+_BLOCK = 1 << 14        # entries of a dense column block when computing edge weights (cache sized)
+_MIN_WIDTH = 16         # columns of such a block at the least, so large LPs take few blocks
 _ARTIFICIAL_BOUND = 1e3  # temporary upper bound of a dual-infeasible unbounded column (scaled units)
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
@@ -139,7 +140,7 @@ class LpProblem:
         nnz, m = len(self.row_of), len(self.rhs)
         if len(self.col_of) != nnz or len(self.val) != nnz or len(self.rel) != m:
             raise ValueError("row arrays differ in length")
-        if nnz and (self.row_of[0] < 0 or self.row_of[-1] >= m or (np.diff(self.row_of) < 0).any()):
+        if nnz and (self.row_of[0] < 0 or self.row_of[-1] >= m or (self.row_of[1:] < self.row_of[:-1]).any()):
             raise ValueError("row ids must be in row order and name existing rows")
         if nnz and (self.col_of.min() < 0 or self.col_of.max() >= n):
             raise ValueError("variable index out of range")
@@ -405,30 +406,41 @@ def _pow2(v: float) -> float:
     return 2.0 ** math.floor(math.log2(v) + 0.5) if v > 0 and math.isfinite(v) else 1.0
 
 
-def _pow2_scaling(row_of, col_of, val, m: int, n: int):
+def _run_starts(idx: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``idx`` begins."""
+    new = np.empty(len(idx), dtype=bool)
+    new[:1] = True
+    np.not_equal(idx[1:], idx[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _pow2_scaling(row_of, col_of, val, m: int, n: int, by_col: np.ndarray):
     """Row and column factors, powers of two, that bring each row's and
     each column's largest and smallest magnitude to straddle one
     (geometric-mean scaling, four passes, rounded in the log domain).  The
-    entries are in row order; each pass takes the extremes of the entries
-    grouped by column, then by row, with one ``reduceat`` each.  Every
-    entry is finite (``LpProblem`` refuses the rest) and nonzero (the
-    caller drops zeros), so every line's extremes are finite."""
-    log_a = np.log2(np.abs(val))
+    entries are in row order, and ``by_col`` is their stable argsort by
+    column; each pass takes the extremes of the entries grouped by column,
+    then by row, with one ``reduceat`` each.  Every entry is finite
+    (``LpProblem`` refuses the rest) and nonzero (the caller drops zeros),
+    so every line's extremes are finite."""
     log_r = np.zeros(m)
     log_c = np.zeros(n)
     if not len(val):
         return np.exp2(log_r), np.exp2(log_c)
-    # per line kind: its factors, the entries in line order (the rows'
-    # are in order already), where each line with entries starts, and which
-    # lines those are
+    log_a = np.log2(np.abs(val))
+    # per line kind: its factors, the entries' log magnitudes, rows and
+    # columns in line order (the rows' are in order already), where each
+    # line with entries starts, and which lines those are (all of them as
+    # a slice)
     lines = []
-    by_col = np.argsort(col_of, kind="stable")
-    for log_s, order, idx in ((log_c, by_col, col_of[by_col]), (log_r, slice(None), row_of)):
-        first = np.flatnonzero(np.diff(idx, prepend=-1))
-        lines.append((log_s, order, first, idx[first]))
+    cols = col_of[by_col]
+    for log_s, entries, idx in ((log_c, (log_a[by_col], row_of[by_col], cols), cols),
+                                (log_r, (log_a, row_of, col_of), row_of)):
+        first = _run_starts(idx)
+        lines.append((log_s, *entries, first, slice(None) if len(first) == len(log_s) else idx[first]))
     for _ in range(4):
-        for log_s, order, first, used in lines:
-            lv = (log_a + log_r[row_of] + log_c[col_of])[order]
+        for log_s, la, rows, cols, first, used in lines:
+            lv = la + log_r[rows] + log_c[cols]
             hi = np.maximum.reduceat(lv, first)
             lo = np.minimum.reduceat(lv, first)
             log_s[used] -= np.floor((hi + lo) / 2 + 0.5)
@@ -439,13 +451,16 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
     n = problem.num_vars
     m = len(problem.rhs)
     upper, rel = problem.upper, problem.rel
-    nz = problem.val != 0.0
-    row_of, col_of, val = problem.row_of[nz], problem.col_of[nz], problem.val[nz]
+    row_of, col_of, val = problem.row_of, problem.col_of, problem.val
+    nz = val != 0.0
+    if not nz.all():
+        row_of, col_of, val = row_of[nz], col_of[nz], val[nz]
+    by_col = np.argsort(col_of, kind="stable")
 
     # negate >= rows into <= rows, then scale: x = C y^, row i multiplied
     # by R_i, objective divided by gamma
     sign = np.where(rel == GE, -1.0, 1.0)
-    row_scale, col_scale = _pow2_scaling(row_of, col_of, val, m, n)
+    row_scale, col_scale = _pow2_scaling(row_of, col_of, val, m, n, by_col)
     b_s = problem.rhs * sign * row_scale
     ub_s = upper / col_scale
     finite_ub = ub_s[np.isfinite(ub_s)]
@@ -464,13 +479,16 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
     # its own reduced cost and weight are never read: the simplex runs
     # without it, takes the same path and gives the same bits.
     keep = ub_s != 0.0
-    for start in starts:
-        named = np.concatenate((np.asarray(start.columns, dtype=np.int64), np.asarray(start.at_upper, dtype=np.int64)))
-        keep[named[(named >= 0) & (named < n)]] = True
+    if not keep.all():
+        for start in starts:
+            named = np.concatenate((np.asarray(start.columns, dtype=np.int64),
+                                    np.asarray(start.at_upper, dtype=np.int64)))
+            keep[named[(named >= 0) & (named < n)]] = True
     kept = np.flatnonzero(keep)
     nk = len(kept)
     stats.dropped_columns = n - nk
     if nk < n:
+        by_col = None  # the simplex sorts the entries it keeps
         new_id = np.cumsum(keep) - 1
         entries = keep[col_of]
         row_of, col_of, val_s = row_of[entries], new_id[col_of[entries]], val_s[entries]
@@ -484,7 +502,7 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
 
     simplex = None
     for index, start in enumerate(starts):
-        simplex = _crash(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, start, stats)
+        simplex = _crash(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, start, stats, by_col)
         if simplex is not None:
             stats.start_index = index
             if not simplex.feasible():
@@ -512,9 +530,14 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
     if bounded.any():
         tie_cost = np.zeros_like(cost)
         tie_cost[:nk][bounded] = 1.0 / width[bounded]
+        moves, pi, d = (stats.pivots, stats.bound_flips, stats.reinversions), simplex.pi, simplex.d
         simplex.run(tie_cost, face=face)
         face &= np.abs(simplex.d) <= REDUCED_COST_TOL
-        simplex.run(cost)
+        if simplex.fresh and moves == (stats.pivots, stats.bound_flips, stats.reinversions):
+            # nothing moved: the cost's duals and reduced costs stand as they were
+            simplex.pi, simplex.d = pi, d
+        else:
+            simplex.run(cost)
     stats.ties = bool((face & simplex.enterable & (simplex.status != _BASIC)).any())
 
     # round-off within tolerance of a bound is snapped onto it, and the
@@ -531,11 +554,11 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats, basis=basis)
 
 
-def _crash(row_of, col_of, val, m, n, b, ub, rel, start, stats):
+def _crash(row_of, col_of, val, m, n, b, ub, rel, start, stats, by_col):
     """The caller's starting basis, installed, or None when it is unusable:
     an index out of range, an == row left to its slack (it has none to fall
     back on), a variable at an infinite upper bound, or a singular
-    kernel."""
+    kernel.  ``by_col`` is handed to ``_Simplex``."""
     rows = np.asarray(start.rows, dtype=np.int64)
     cols = np.asarray(start.columns, dtype=np.int64)
     upper = np.asarray(start.at_upper, dtype=np.int64)
@@ -547,7 +570,7 @@ def _crash(row_of, col_of, val, m, n, b, ub, rel, start, stats):
     slack_basic[rows] = False
     if (rel[slack_basic] == EQ).any():
         return None
-    simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats)
+    simplex = _Simplex(row_of, col_of, val, m, n, b, ub, rel, stats, by_col)
     simplex.x[upper] = ub[upper]
     simplex.status[upper] = _AT_UPPER
     return simplex if simplex.install(cols, rows, check=True) else None
@@ -657,19 +680,23 @@ class _Simplex:
     products over it add the same terms in the same order.
     """
 
-    def __init__(self, row_of, col_of, val, m, nx, b, ub_struct, rel, stats):
+    def __init__(self, row_of, col_of, val, m, nx, b, ub_struct, rel, stats, by_col=None):
         self.m, self.nx = m, nx
         # the entries sorted by row, stably, serve as the CSR view and for
         # the whole-matrix products: each row keeps its entries in the
         # given order, and so does each column.  An LpProblem's entries are
         # in row order already; only phase 1's artificials come after them.
+        # ``by_col``, the caller's stable argsort of col_of, holds only for
+        # entries in row order
         if (row_of[1:] < row_of[:-1]).any():
             by_row = np.argsort(row_of, kind="stable")
             row_of, col_of, val = row_of[by_row], col_of[by_row], val[by_row]
+            by_col = None
         self.row_of, self.col_of, self.val = row_of, col_of, val
         self.row_len = np.bincount(row_of, minlength=m)
         self.csr_ptr = np.concatenate(([0], np.cumsum(self.row_len)))
-        by_col = np.argsort(self.col_of, kind="stable")
+        if by_col is None:
+            by_col = np.argsort(col_of, kind="stable")
         self.csc_rows, self.csc_cols, self.csc_vals = self.row_of[by_col], self.col_of[by_col], self.val[by_col]
         self.csc_ptr = np.concatenate(([0], np.cumsum(np.bincount(col_of, minlength=nx))))
         self.b = b
@@ -739,8 +766,12 @@ class _Simplex:
             inverse = np.linalg.inv(kernel)
         except np.linalg.LinAlgError:
             return False
-        if check and k and not np.allclose(kernel @ inverse, np.eye(k), rtol=0.0, atol=1e-9):
-            return False
+        if check and k:
+            # |K G - I| <= 1e-9 everywhere, which a NaN fails
+            residue = kernel @ inverse
+            residue.flat[::k + 1] -= 1.0
+            if not np.abs(residue).max() <= 1e-9:
+                return False
         # G lives in the top-left corner of a larger buffer, so that the
         # kernel can grow and shrink in place
         if self._buffer.shape[0] < k:
@@ -1002,7 +1033,7 @@ class _Simplex:
         k_rows = self.row_of[in_kernel]
         k_pos = self.colpos[self.col_of[in_kernel]]
         k_vals = self.val[in_kernel]
-        starts = np.flatnonzero(np.diff(k_rows, prepend=-1))
+        starts = _run_starts(k_rows)
 
         def edge_sq(block: np.ndarray) -> np.ndarray:
             # block holds columns a_j densely; B^-1 a_j is G a_j[krows] on
@@ -1013,7 +1044,7 @@ class _Simplex:
             return 1.0 + (on_kernel * on_kernel).sum(axis=0) + (block[self.slack_rows] ** 2).sum(axis=0)
 
         weights = np.ones(nx + m)
-        width = max(1, _BLOCK // max(m, len(k_rows), 1))
+        width = max(_MIN_WIDTH, _BLOCK // max(m, len(k_rows), 1))
         for j0 in range(0, nx, width):
             j1 = min(nx, j0 + width)
             lo, hi = self.csc_ptr[j0], self.csc_ptr[j1]

@@ -9,6 +9,7 @@ coflow; sorting by it yields the scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +57,25 @@ def delta_index(num_coflows: int, k, kp):
     return num_coflows + k * (num_coflows - 1) + kp - np.greater(kp, k)
 
 
-def _pair_index(num_coflows: int, a, b):
-    # triangular layout of pairs a < b after the K completion variables
-    return num_coflows + a * num_coflows - a * (a + 1) // 2 + (b - a - 1)
+@lru_cache(maxsize=16)
+def _pair_tables(num_coflows: int) -> tuple:
+    """Read-only tables of the reduced LP for K coflows: the pairs a < b in
+    the order of their columns (``np.triu_indices(K, 1)``); the column and
+    sign tables of its port rows (``_port_rows``): per row coflow k, the
+    completion column k with sign 1, then per coflow kp the column of the
+    pair of k and kp, with sign +1 ("kp before k") when kp < k, else -1;
+    and ``lower[k, kp]``, 1.0 when kp < k, else 0.0."""
+    kk = num_coflows
+    a, b = np.triu_indices(kk, 1)
+    k, kp = np.indices((kk, kk))
+    lower = (kp < k).astype(float)
+    # triangular layout of the pairs lo < hi after the K completion variables
+    lo, hi = np.minimum(k, kp), np.maximum(k, kp)
+    col_table = np.column_stack((np.arange(kk), kk + lo * kk - lo * (lo + 1) // 2 + (hi - lo - 1)))
+    sign_table = np.column_stack((np.ones(kk), np.where(kp < k, 1.0, -1.0)))
+    for table in (a, b, col_table, sign_table, lower):
+        table.flags.writeable = False
+    return a, b, col_table, sign_table, lower
 
 
 def _port_row_keys(loads: np.ndarray) -> tuple:
@@ -68,21 +85,23 @@ def _port_row_keys(loads: np.ndarray) -> tuple:
     return np.nonzero(loads.sum(axis=1)[:, None] - loads > 0.0)
 
 
-def _port_rows(loads: np.ndarray, s_of: np.ndarray, k_of: np.ndarray,
+def _port_rows(port_loads: np.ndarray, k_of: np.ndarray,
                col_table: np.ndarray, sign_table: np.ndarray, rhs: np.ndarray) -> tuple:
-    """The port rows (s_of[r], k_of[r]) of an ordering LP, in row order, as
-    (row_of, col_of, val, rhs, rel).  Row r holds first the completion
-    variable f_k with coefficient 1, then, for each other coflow kp that
-    loads port s, kp ascending, column col_table[k, kp] with coefficient
-    sign_table[k, kp] * loads[s, kp]."""
-    count = len(s_of)
-    mask = np.ones((count, loads.shape[1] + 1), dtype=bool)
-    mask[:, 1:] = loads[s_of] > 0.0
-    mask[np.arange(count), 1 + k_of] = False
-    cols = np.concatenate([k_of[:, None], col_table[k_of]], axis=1)
-    vals = np.concatenate([np.ones((count, 1)), sign_table[k_of] * loads[s_of]], axis=1)
-    row_of = np.repeat(np.arange(count), mask.sum(axis=1))
-    return row_of, cols[mask], vals[mask], rhs, np.full(count, lpcore.GE)
+    """The port rows of an ordering LP, in row order, as (row_of, col_of,
+    val, rhs, rel): row r is coflow k = k_of[r]'s on a port whose loads
+    are port_loads[r].  It holds first the completion variable f_k with
+    coefficient 1 (col_table[k, 0] and sign_table[k, 0]), then, for each
+    other coflow kp that loads the port, kp ascending, column
+    col_table[k, 1 + kp] with coefficient sign_table[k, 1 + kp] *
+    port_loads[r, kp]."""
+    count = len(k_of)
+    load = np.ones((count, port_loads.shape[1] + 1))
+    load[:, 1:] = port_loads
+    used = load > 0.0
+    used[np.arange(count), 1 + k_of] = False
+    row_of, at = np.nonzero(used)
+    k = k_of[row_of]
+    return row_of, col_table[k, at], sign_table[k, at] * load[row_of, at], rhs, np.full(count, lpcore.GE)
 
 
 def _ordering_problem(instance: OrderingInputs, num_vars: int, loads: np.ndarray,
@@ -128,11 +147,14 @@ def build_ordering_lp(instance: OrderingInputs) -> lpcore.LpProblem:
     s_of, k_of = np.divmod(np.arange(loads.size), kk)
     k, kp = np.indices((kk, kk))
     off_diagonal = k != kp
-    col_table = np.zeros((kk, kk), dtype=np.int64)
-    col_table[off_diagonal] = delta_index(kk, kp[off_diagonal], k[off_diagonal])
-    port_rows = _port_rows(loads, s_of, k_of, col_table, np.full((kk, kk), -1.0), loads[s_of, k_of])
+    col_table = np.zeros((kk, kk + 1), dtype=np.int64)
+    col_table[:, 0] = np.arange(kk)
+    col_table[:, 1:][off_diagonal] = delta_index(kk, kp[off_diagonal], k[off_diagonal])
+    sign_table = np.full((kk, kk + 1), -1.0)
+    sign_table[:, 0] = 1.0
+    port_rows = _port_rows(loads[s_of], k_of, col_table, sign_table, loads[s_of, k_of])
     # complementary pairs: delta[a, b] + delta[b, a] == 1
-    a, b = np.triu_indices(kk, 1)
+    a, b = _pair_tables(kk)[:2]
     pair_rows = (
         np.repeat(np.arange(len(a)), 2),
         np.stack([delta_index(kk, a, b), delta_index(kk, b, a)], axis=1).ravel(),
@@ -162,15 +184,15 @@ def _build_reduced_ordering_lp(instance: OrderingInputs) -> lpcore.LpProblem:
     # row (s, k): f_k + sum_{kp<k} loads[s, kp] p(kp, k) - sum_{kp>k} loads[s, kp] p(k, kp)
     #             >= loads[s, k] + sum_{kp<k} loads[s, kp]
     s_of, k_of = _port_row_keys(loads)
-    k, kp = np.indices((kk, kk))
-    col_table = _pair_index(kk, np.minimum(k, kp), np.maximum(k, kp))
-    sign_table = np.where(kp < k, 1.0, -1.0)
-    # the right-hand side adds the loads of the lower-id users in ascending
-    # order, as a sequential sum would (adding 0.0 is exact)
-    rhs = loads.copy()
-    for lo in range(kk - 1):
-        rhs[:, lo + 1:] += loads[:, lo:lo + 1]
-    port_rows = _port_rows(loads, s_of, k_of, col_table, sign_table, rhs[s_of, k_of])
+    col_table, sign_table, lower = _pair_tables(kk)[2:]
+    port_loads = loads[s_of]
+    # the right-hand side adds to the row's own load those of the lower-id
+    # users, one at a time in ascending order (cumsum is sequential, and
+    # adding the 0.0 of the others is exact)
+    terms = np.empty((len(k_of), kk + 1))
+    terms[:, 0] = loads[s_of, k_of]
+    np.multiply(port_loads, lower[k_of], out=terms[:, 1:])
+    port_rows = _port_rows(port_loads, k_of, col_table, sign_table, terms.cumsum(axis=1)[:, -1])
     return _ordering_problem(instance, kk + kk * (kk - 1) // 2, loads, port_rows)
 
 
@@ -186,7 +208,7 @@ def _bssi_order(instance: OrderingInputs) -> list:
     remaining = instance.time_loads.copy()  # placed coflows' columns zeroed
     weight = instance.weights.copy()
     order = []
-    for _ in range(kk):
+    for _ in range(kk - 1):
         # cumsum adds each port's loads in id order, one at a time
         port = remaining[np.argmax(np.cumsum(remaining, axis=1)[:, -1])]
         ratio = np.divide(weight, port, out=np.full(kk, np.inf), where=port > 0.0)
@@ -197,6 +219,8 @@ def _bssi_order(instance: OrderingInputs) -> list:
             last = max(set(range(kk)).difference(order))
         remaining[:, last] = 0.0
         order.append(last)
+    # the one coflow left goes first: the placed ones' ratios are all infinite
+    order.append(max(set(range(kk)).difference(order)))
     return order[::-1]
 
 
@@ -215,23 +239,21 @@ def _ordering_crash_basis(instance: OrderingInputs, prob: lpcore.LpProblem) -> l
     kk = instance.num_coflows
     rank = np.empty(kk, dtype=np.int64)
     rank[_bssi_order(instance)] = np.arange(kk)
-    a, b = np.triu_indices(kk, 1)
-    later = rank[b] < rank[a]  # pair variable holds "b finishes before a"
-    at_upper = _pair_index(kk, a[later], b[later])
+    a, b = _pair_tables(kk)[:2]
+    # the pair variable holds "b finishes before a"; pairs are numbered in column order
+    at_upper = kk + np.flatnonzero(rank[b] < rank[a])
     is_upper = np.zeros(prob.num_vars, dtype=bool)
     is_upper[at_upper] = True
     m = len(prob.rhs)
     # each row's right-hand side less its entries at their upper bound,
     # summed in entry order
     eff_rhs = prob.rhs - np.bincount(prob.row_of, np.where(is_upper[prob.col_of], prob.val, 0.0), minlength=m)
-    # every row has one completion variable f_k, with coefficient 1
-    is_f = (prob.col_of < kk) & (prob.val == 1.0)
-    row_k = np.empty(m, dtype=np.int64)
-    row_k[prob.row_of[is_f]] = prob.col_of[is_f]
+    # every row has one completion variable f_k (a column below kk)
+    row_k = prob.col_of[prob.col_of < kk]
     # per coflow, the first row with the largest effective right-hand side;
     # the kernel is factored in row order
     order = np.lexsort((-eff_rhs, row_k))
-    best = np.sort(order[np.flatnonzero(np.diff(row_k[order], prepend=-1))])
+    best = np.sort(order[np.searchsorted(row_k[order], np.arange(kk))])
     return lpcore.Basis(best, row_k[best], at_upper)
 
 
@@ -260,8 +282,9 @@ def _mapped_basis(last: OrderingLpResult, instance: OrderingInputs, crash: lpcor
     # the new index of every old row and column, -1 for one that is gone
     to = moved[k_old]
     row_to = np.concatenate((np.where(to >= 0, table[s_old, to], -1), np.where(moved >= 0, len(s_new) + moved, -1)))
-    a, b = moved[np.stack(np.triu_indices(old.num_coflows, 1))]
-    col_to = np.concatenate((moved, np.where((a >= 0) & (b >= 0), _pair_index(kk, a, b), -1)))
+    a, b = _pair_tables(old.num_coflows)[:2]
+    a, b = moved[a], moved[b]
+    col_to = np.concatenate((moved, np.where((a >= 0) & (b >= 0), _pair_tables(kk)[2][a, 1 + b], -1)))
     rows, cols = row_to[basis.rows], col_to[basis.columns]
     kept = (rows >= 0) & (cols >= 0)
     lone_rows = rows[(rows >= 0) & (cols < 0)]
@@ -271,7 +294,7 @@ def _mapped_basis(last: OrderingLpResult, instance: OrderingInputs, crash: lpcor
     upper = col_to[basis.at_upper]
     new = np.ones(kk, dtype=bool)
     new[moved[moved >= 0]] = False
-    a, b = np.triu_indices(kk, 1)
+    a, b = _pair_tables(kk)[:2]
     crash_upper = np.asarray(crash.at_upper)
     pair = crash_upper - kk
     f_new = new[crash.columns]
@@ -315,12 +338,12 @@ def solve_ordering_lp(instance: OrderingInputs, warm: OrderingLpResult | None = 
         )
     f_tilde = sol.values[:kk].copy()
     # the pair variable of (a, b), a < b, holds "b before a"
-    a, b = np.triu_indices(kk, 1)
+    a, b = _pair_tables(kk)[:2]
     before = np.minimum(np.maximum(sol.values[kk:], 0.0), 1.0)
     delta = np.zeros((kk, kk))
     delta[b, a] = before
     delta[a, b] = 1.0 - before
-    ordering = sorted(range(kk), key=lambda k: (f_tilde[k], k))
+    ordering = np.argsort(f_tilde, kind="stable").tolist()  # ties to the lower id
     return OrderingLpResult(
         f_tilde=f_tilde,
         delta=delta,

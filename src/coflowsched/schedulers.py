@@ -69,26 +69,35 @@ class _PairHeads:
     Heads change only on the pairs of coflows released since the last
     ``admit`` and on pairs whose head the caller reports finished; nothing
     rescans the queue.  The coflows released by ``now`` at construction
-    are taken in at once: their keys, met in ascending order, are appended
-    to their lines, and the lines' first keys are then the heads in
-    ascending order, the state that ``admit(now)`` would reach.
+    (or at ``reset``, which starts over with a new queue of the same
+    instance) are taken in at once: their keys, met in ascending order, are
+    appended to their lines, and the lines' first keys are then the heads
+    in ascending order, the state that ``admit(now)`` would reach.
     """
 
     def __init__(self, instance: CoflowInstance, queue: list, release: list, now: float = -math.inf):
         rows = self._rows = len(instance.ports)
-        self.queue = queue
         self._release = release
-        # each queued flow's pair, source * rows + dest, by id, and its port bits, row r bit r, by key
-        at = np.array(queue, dtype=np.int64)
-        pairs = (instance.flow_source_rows[at] * rows + instance.flow_dest_rows[at]).tolist()
-        self._pair = dict(zip(queue, pairs))
-        self._ports = [(1 << pair // rows) | (1 << pair % rows) for pair in pairs]
+        # each flow's pair, source * rows + dest, its port bits, row r bit r,
+        # and its coflow, by id
+        self._pair = (instance.flow_source_rows * rows + instance.flow_dest_rows).tolist()
+        self._bits = [(1 << pair // rows) | (1 << pair % rows) for pair in self._pair]
+        self._coflow = instance.flow_coflows.tolist()
         self._most = min(instance.num_source_ports, rows - instance.num_source_ports)  # see matching
+        self.reset(queue, now)
+
+    def reset(self, queue: list, now: float) -> None:
+        """Start over from ``queue`` and ``now`` as the constructor does,
+        keeping the per-flow tables."""
+        self.queue = queue
+        pair, coflow, release = self._pair, self._coflow, self._release
+        self._ports = [self._bits[i] for i in queue]  # by key
         lines: dict[int, list[int]] = {}  # by pair
         keys_of: dict[int, list[int]] = {}
-        for key, (pair, k) in enumerate(zip(pairs, instance.flow_coflows[at].tolist())):
+        for key, i in enumerate(queue):
+            k = coflow[i]
             if release[k] <= now:
-                lines.setdefault(pair, []).append(key)
+                lines.setdefault(pair[i], []).append(key)
             else:
                 keys_of.setdefault(k, []).append(key)
         self._lines = lines
@@ -183,12 +192,14 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
     residual LP is handed the last one's answer, to start from its final
     basis (``solve_ordering_lp``'s ``warm``).
     """
-    heads = _PairHeads(instance, [], [])
+    run = FluidRun(instance)
+    heads = _PairHeads(instance, [], run.release)
     due = -math.inf  # the next release time after the last solve
     last = None  # the last residual LP's answer
+    offsets = instance.flow_offsets
 
     def policy(run: FluidRun) -> dict:
-        nonlocal heads, due, last
+        nonlocal due, last
         heads.finish(run.finished)  # the heads that served them, before any rebuild
         now = run.time
         if due <= now + EVENT_EPS:
@@ -198,20 +209,19 @@ def lp_ov_ls_online(instance: CoflowInstance) -> Schedule:
             if upcoming is not None:  # leave out the flows not released yet
                 left = np.where(run.flow_release <= now + EVENT_EPS, left, 0.0)
             inputs = residual(instance, left, now)
-            residual_order = []
+            order = []
             if inputs.num_coflows:
                 # called by this module's name, which perfbench's tracer wraps
                 last = solve_ordering_lp(inputs, last)
-                residual_order = last.ordering
-            rank = dict(zip(inputs.ids[residual_order].tolist(), range(len(residual_order))))
-            order = sorted(run.active_coflows(), key=lambda k: (rank.get(k, len(rank)), run.release[k], k))
+                order = inputs.ids[last.ordering].tolist()
+            order += sorted(set(run.active_coflows()).difference(order), key=lambda k: (run.release[k], k))
             unfinished = run.remaining.tolist()
             # every queued flow is released: the queue is filled in one pass
-            heads = _PairHeads(instance, [i for i in _queue(instance, order) if unfinished[i]], run.release,
-                               now + EVENT_EPS)
+            heads.reset([i for k in order for i in range(offsets[k], offsets[k + 1]) if unfinished[i]],
+                        now + EVENT_EPS)
         return _list_schedule_rates(run, heads)
 
-    return run_fluid(FluidRun(instance), policy)
+    return run_fluid(run, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,11 @@ def _require_small_integer_instance(
 ) -> None:
     if instance.capacity != 1.0:
         raise OracleLimitError("oracle requires unit capacity")
-    if instance.n_ports > max_ports:
-        raise OracleLimitError(
-            f"oracle limited to {max_ports} ports, instance has {instance.n_ports}"
-        )
+    # the search reads only the ports in use, so their count on each side is the limit
+    sides = instance.num_source_ports, len(instance.ports) - instance.num_source_ports
+    if max(sides) > max_ports:
+        raise OracleLimitError(f"oracle limited to {max_ports} ports a side, instance uses "
+                               f"{sides[0]} source and {sides[1]} destination ports")
     total = instance.total_demand
     if total > max_total_demand:
         raise OracleLimitError(

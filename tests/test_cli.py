@@ -386,6 +386,37 @@ def test_dump_schedules_keeps_every_row_when_lp_ov_ls_raises(tmp_path, capsys, m
     assert sorted(p.name for p in dumps.iterdir()) == ["rep000_instance.json", "rep001_instance.json"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dump_schedules_reports_when_its_own_lp_ov_ls_raises(tmp_path, capsys, monkeypatch, fmt):
+    # lp-ov-ls is not selected, so the dump runs it outside every row: an
+    # exception there still leaves the report and the instances, exit 1
+    from coflowsched import schedulers
+
+    inst_path = tmp_path / "inst.json"
+    save_instance(staggered_release_fixture(), inst_path)
+
+    def broken(instance, lp):
+        raise KeyError("no such pair")
+
+    monkeypatch.setattr(schedulers, "lp_ov_ls", broken)
+    out, dumps = tmp_path / f"out.{fmt}", tmp_path / "dumps"
+    argv = ["run", "--instance", str(inst_path), "--reps", "2", "--format", fmt, "--out", str(out),
+            "--schedulers", "varys", "--dump-schedules", str(dumps)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run: lp-ov-ls for --dump-schedules: KeyError: 'no such pair'"]
+    rows = _rows_of(fmt, out)
+    assert [(row["scheduler"], row["error"] or None) for row in rows] == [("varys", None)] * 2
+    assert sorted(p.name for p in dumps.iterdir()) == ["rep000_instance.json", "rep001_instance.json"]
+
+    def refused(instance, lp):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(schedulers, "lp_ov_ls", refused)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: bad input"]
+
+
 def test_run_out_that_cannot_be_written_fails_before_the_first_rep(tmp_path, capsys, monkeypatch):
     reps, run_one_rep = [], cli._run_one_rep
 

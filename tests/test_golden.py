@@ -197,6 +197,21 @@ GOLDEN_8X40_LP = (
     "4989ab223c05c69f656820d6a1ebceb8b2335dc69e21559db8fe79c3c570637b",
 )
 
+# instance -> lp-ov-ls-online's residual LPs: how many, their primal pivots,
+# dual pivots and bound flips summed, and how many began each way
+# (``SolveStats.start_use``), so a change to how a residual LP is set up
+# that moves the warm path shows here even when every answer stays optimal
+GOLDEN_ONLINE_LPS = {
+    "combined-16x8-zero": (1, 6, 0, 0, {"primal": 1}),
+    "combined-releases": (12, 7, 37, 3, {"dual-artificial": 2, "dual-flips": 5, "primal": 5}),
+    "combined-zero": (1, 17, 0, 0, {"primal": 1}),
+    "dense-5x8-capacity-0.37": (8, 4, 29, 3, {"dual-artificial": 2, "dual-flips": 3, "primal": 3}),
+    "dense-8x20-releases": (20, 6, 96, 33, {"dual-artificial": 6, "dual-flips": 8, "primal": 6}),
+    "dense-releases": (10, 1, 11, 0, {"dual-flips": 4, "primal": 6}),
+    "dense-zero": (1, 19, 0, 0, {"primal": 1}),
+    "mini-trace-4": (4, 0, 2, 0, {"dual-flips": 1, "primal": 3}),
+}
+
 # instance -> simplex pivots of its interval LP from the last-interval crash
 # start; the columns fixed at zero (intervals that end before the coflow can
 # finish) never enter, so the solver may drop them without moving these
@@ -258,6 +273,25 @@ def test_8x40_ordering_lp_matches_pinned_path(tmp_path):
     assert cli.main(["gen", "--ports", "8", "--coflows", "40", "--seed", "1", "--out", str(path)]) == 0
     lp = solve_ordering_lp(load_instance(path))
     assert (lp.solution.stats, hashlib.sha256(lp.f_tilde.tobytes()).hexdigest()) == GOLDEN_8X40_LP
+
+
+@pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))
+def test_online_residual_lps_match_pinned_counters(instance_name, monkeypatch):
+    solve, stats = schedulers.solve_ordering_lp, []
+
+    def recording(inputs, warm=None):
+        result = solve(inputs, warm)
+        stats.append(result.solution.stats)
+        return result
+
+    monkeypatch.setattr(schedulers, "solve_ordering_lp", recording)
+    schedulers.lp_ov_ls_online(golden_instance(instance_name))
+    starts = {}
+    for one in stats:
+        starts[one.start_use] = starts.get(one.start_use, 0) + 1
+    got = (len(stats), sum(one.pivots for one in stats), sum(one.dual_pivots for one in stats),
+           sum(one.bound_flips for one in stats), starts)
+    assert got == GOLDEN_ONLINE_LPS[instance_name]
 
 
 @pytest.mark.parametrize("instance_name", sorted(GOLDEN_INSTANCES))

@@ -319,9 +319,41 @@ def test_pow2_scaling_takes_each_lines_extremes_exactly():
         cells = np.unique(rng.integers(0, m * n, int(rng.integers(0, m * n + 1))))
         row_of, col_of = np.divmod(cells, n)
         val = rng.choice([-1.0, 1.0], len(cells)) * 10.0 ** rng.uniform(-9, 9, len(cells))
-        got = lpcore._pow2_scaling(row_of, col_of, val, m, n)
+        got = lpcore._pow2_scaling(row_of, col_of, val, m, n, np.argsort(col_of, kind="stable"))
         want = _reference_pow2_scaling(row_of, col_of, val, m, n)
         assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+
+
+# (costs, upper bounds, rows) of small LPs with tied optima: the tie-break
+# run moves nothing in the first and pivots in the others (found by a
+# seeded search over random LPs)
+_TIED_LPS = [
+    ([1.0, 1.0], [2.0, 1.0], [({0: 1.0, 1: 1.0}, ">=", 1.0)]),
+    ([2.0, 0.0, 0.0, 1.0, 1.0, 2.0], [math.inf, 3.0, 3.0, 3.0, 1.0, math.inf],
+     [({0: 3.0}, ">=", 4.0), ({0: 2.0, 5: 3.0, 2: 3.0, 3: 1.0, 4: 2.0, 1: 1.0}, ">=", 4.0)]),
+    ([1.0, 1.0, 2.0, 2.0], [1.0, 2.0, 3.0, 2.0],
+     [({1: 2.0, 3: 3.0, 2: 3.0}, ">=", 0.0), ({2: 3.0, 1: 3.0, 3: 1.0, 0: 3.0}, "<=", 2.0),
+      ({0: 2.0, 2: 3.0, 3: 3.0, 1: 2.0}, ">=", 2.0), ({1: 3.0, 0: 1.0, 3: 3.0, 2: 3.0}, ">=", 2.0),
+      ({2: 3.0}, "<=", 1.0)]),
+    ([2.0, 1.0, 2.0, 1.0], [1.0, 3.0, 2.0, 2.0],
+     [({2: 2.0, 0: 1.0}, ">=", 3.0), ({3: 1.0, 2: 2.0, 1: 1.0, 0: 2.0}, ">=", 4.0),
+      ({1: 1.0, 2: 2.0, 0: 1.0, 3: 3.0}, ">=", 4.0)]),
+]
+
+
+def test_duals_are_those_of_the_final_basis():
+    # the solver skips its last run for the cost when the tie-break run
+    # moved nothing, and keeps that run's duals; solved again from the
+    # final basis (installed and re-inverted, with nothing left to move),
+    # each LP must give the same duals and values to the bit
+    for objective, upper, rows in _TIED_LPS:
+        problem = lpcore.LpProblem(len(objective), objective=objective, upper=upper)
+        for row in rows:
+            problem.add_constraint(*row)
+        sol = lpcore.solve(problem)
+        again = lpcore.solve(problem, sol.basis)
+        assert again.stats.pivots == 0 and again.stats.crash_accepted
+        assert (again.duals.tobytes(), again.values.tobytes()) == (sol.duals.tobytes(), sol.values.tobytes())
 
 
 def test_crash_start_matches_cold_solve():

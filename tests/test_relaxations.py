@@ -689,3 +689,22 @@ def test_tie_retry_adds_up_every_counter_of_both_solves(monkeypatch):
             assert getattr(stats, name) == getattr(retried[0], name), name
         else:
             assert getattr(stats, name) == getattr(stub, name) + getattr(retried[0], name), name
+
+
+def test_pair_tables_are_read_only_and_match_triu_indices():
+    from coflowsched.relaxations import _pair_tables
+
+    for kk in range(1, 31):
+        a, b, col_table, sign_table, lower = _pair_tables(kk)
+        want_a, want_b = np.triu_indices(kk, 1)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+        k, kp = np.indices((kk, kk))
+        assert np.array_equal(col_table[:, 0], np.arange(kk)) and (sign_table[:, 0] == 1.0).all()
+        off = k != kp
+        assert np.array_equal(col_table[:, 1:][off], _reference_pair_index(kk, np.minimum(k, kp), np.maximum(k, kp))[off])
+        assert np.array_equal(sign_table[:, 1:][off], np.where(kp < k, 1.0, -1.0)[off])
+        assert np.array_equal(lower, kp < k)
+        for table in (a, b, col_table, sign_table, lower):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1

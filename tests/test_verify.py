@@ -26,6 +26,14 @@ def test_oracle_worked_examples():
     assert oracle_opt(staggered_release_fixture()).optimal_value == pytest.approx(12.0)
 
 
+def test_oracle_limits_the_ports_in_use_not_the_labels():
+    # two one-flow coflows on one port pair: 1 + 2, whatever the labels
+    # and the switch size
+    for n_ports, pair in ((2, (0, 1)), (8, (3, 7))):
+        inst = CoflowInstance(n_ports, [Coflow({pair: 1.0}), Coflow({pair: 1.0})])
+        assert oracle_opt(inst).optimal_value == 3.0
+
+
 def test_oracle_schedule_is_consistent():
     inst = staggered_release_fixture()
     res = oracle_opt(inst)
@@ -49,8 +57,9 @@ def test_oracle_determinism():
 
 
 def test_oracle_refuses_large_instances():
-    wide = CoflowInstance(4, [Coflow({(0, 0): 1.0}), Coflow({(3, 3): 1.0})])
-    with pytest.raises(OracleLimitError):
+    # four source ports in use, over the limit of three a side
+    wide = CoflowInstance(4, [Coflow({(s, 0): 1.0}) for s in range(4)])
+    with pytest.raises(OracleLimitError, match="4 source and 1 destination"):
         oracle_opt(wide)
     heavy = CoflowInstance(2, [Coflow({(0, 0): 20.0}), Coflow({(1, 1): 1.0})])
     with pytest.raises(OracleLimitError):
