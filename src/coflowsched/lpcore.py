@@ -7,10 +7,8 @@ builders write directly and the solver reads as they are.  It is scaled by
 powers of two, rows and columns, and then as a whole so that the primal
 values and the costs are of order one; every rescaling is exact in
 floating point, so the tolerances below are relative to the problem's own
-units and a problem solved in other units gives the same answer.  Columns
-fixed at zero (upper bound 0) that the starting basis does not name never
-enter; after scaling they are left out of the solve and read 0.0 in the
-answer.
+units and a problem solved in other units gives the same answer.  A
+column fixed at zero (upper bound 0) never enters.
 
 Every row gets a slack column (>= rows are negated into <= rows; the slack
 of an == row is fixed at zero).  Of a basis only its *kernel* is factored:
@@ -217,9 +215,8 @@ class SolveStats:
     bound flips of the entering variable or of the boxed columns that the
     dual ratio test passes, switches to Bland's rule, kernel
     re-inversions, whether a caller's starting basis was accepted and which
-    of those passed (``start_index``), whether phase 1 ran, whether a warm
-    start was retried cold, and how many columns fixed at zero the last
-    attempt solved without.  ``ties`` says that the final basis does not
+    of those passed (``start_index``), whether phase 1 ran and whether a
+    warm start was retried cold.  ``ties`` says that the final basis does not
     prove the optimum unique (a column could enter at zero reduced cost
     for the cost and then for the tie-break), so another path may end at
     another optimal vertex; ``tie_retry`` is for a caller that solved such
@@ -237,7 +234,6 @@ class SolveStats:
     crash_accepted: bool = False
     phase1: bool = False
     cold_retry: bool = False
-    dropped_columns: int = 0
     start_index: int = 0
     ties: bool = False
     tie_retry: bool = False
@@ -474,35 +470,9 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
     c_s /= gamma
     val_s = val * (sign * row_scale)[row_of] * col_scale[col_of]
 
-    # A column fixed at zero that no start makes basic or puts at its bound
-    # never enters and holds 0.0, so it adds only zeros to the products and
-    # its own reduced cost and weight are never read: the simplex runs
-    # without it, takes the same path and gives the same bits.
-    keep = ub_s != 0.0
-    if not keep.all():
-        for start in starts:
-            named = np.concatenate((np.asarray(start.columns, dtype=np.int64),
-                                    np.asarray(start.at_upper, dtype=np.int64)))
-            keep[named[(named >= 0) & (named < n)]] = True
-    kept = np.flatnonzero(keep)
-    nk = len(kept)
-    stats.dropped_columns = n - nk
-    if nk < n:
-        by_col = None  # the simplex sorts the entries it keeps
-        new_id = np.cumsum(keep) - 1
-        entries = keep[col_of]
-        row_of, col_of, val_s = row_of[entries], new_id[col_of[entries]], val_s[entries]
-        ub_s, c_s = ub_s[keep], c_s[keep]
-
-        # an index out of range becomes -1, which _crash refuses as before
-        def renumber(ids):
-            ids = np.asarray(ids, dtype=np.int64)
-            return np.where((ids >= 0) & (ids < n), new_id[np.clip(ids, 0, n - 1)], -1)
-        starts = [Basis(start.rows, renumber(start.columns), renumber(start.at_upper)) for start in starts]
-
     simplex = None
     for index, start in enumerate(starts):
-        simplex = _crash(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, start, stats, by_col)
+        simplex = _crash(row_of, col_of, val_s, m, n, b_s, ub_s, rel, start, stats, by_col)
         if simplex is not None:
             stats.start_index = index
             if not simplex.feasible():
@@ -513,23 +483,23 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
     if starts:
         stats.crash_accepted = simplex is not None
     if simplex is None:
-        simplex = _phase1(row_of, col_of, val_s, m, nk, b_s, ub_s, rel, stats)
+        simplex = _phase1(row_of, col_of, val_s, m, n, b_s, ub_s, rel, stats)
         if simplex is None:
             return LpSolution(INFEASIBLE, math.nan, np.full(n, math.nan), stats=stats)
 
     cost = np.zeros(simplex.nx + m)
-    cost[:nk] = c_s
+    cost[:n] = c_s
     if simplex.run(cost) == UNBOUNDED:
         return LpSolution(UNBOUNDED, -math.inf, np.full(n, math.nan), stats=stats)
     # Ties among optimal vertices go to the corner nearest zero of the
     # bounded variables: minimise their sum, each over its bound width,
     # moving only along edges of zero reduced cost.
-    width = simplex.ub[:nk]
+    width = simplex.ub[:n]
     bounded = np.isfinite(width) & (width > 0)
     face = np.abs(simplex.d) <= REDUCED_COST_TOL
     if bounded.any():
         tie_cost = np.zeros_like(cost)
-        tie_cost[:nk][bounded] = 1.0 / width[bounded]
+        tie_cost[:n][bounded] = 1.0 / width[bounded]
         moves, pi, d = (stats.pivots, stats.bound_flips, stats.reinversions), simplex.pi, simplex.d
         simplex.run(tie_cost, face=face)
         face &= np.abs(simplex.d) <= REDUCED_COST_TOL
@@ -542,15 +512,14 @@ def _solve_once(problem: LpProblem, starts: tuple, stats: SolveStats) -> LpSolut
 
     # round-off within tolerance of a bound is snapped onto it, and the
     # clamp keeps the rest inside [0, upper]
-    y = simplex.x[:nk]
+    y = simplex.x[:n]
     y = np.where(np.abs(y) <= FEASIBILITY_TOL, 0.0, y)
     y = np.where(np.abs(y - width) <= FEASIBILITY_TOL, width, y)
-    values = np.zeros(n)
-    values[kept] = np.minimum(np.maximum(col_scale[kept] * y, 0.0), upper[kept])
+    values = np.minimum(np.maximum(col_scale * y, 0.0), upper)
     duals = gamma * sign * row_scale * simplex.pi
-    structural = simplex.kcols < nk
-    basis = Basis(simplex.krows[structural], kept[simplex.kcols[structural]],
-                  kept[np.flatnonzero(simplex.status[:nk] == _AT_UPPER)])
+    structural = simplex.kcols < n
+    basis = Basis(simplex.krows[structural], simplex.kcols[structural],
+                  np.flatnonzero(simplex.status[:n] == _AT_UPPER))
     return LpSolution(OPTIMAL, float(problem.objective @ values), values, duals, stats, basis=basis)
 
 

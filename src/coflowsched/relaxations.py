@@ -39,7 +39,7 @@ class IntervalLpResult:
     """Solution of the interval-indexed LP on the geometric grid."""
 
     interval_endpoints: np.ndarray
-    x: np.ndarray                      # (K, L) completion-interval weights
+    x: np.ndarray                      # (K, L) completion-interval weights, 0.0 where the LP has no variable
     relaxed_completions: np.ndarray
     ordering: list
     solution: lpcore.LpSolution
@@ -329,7 +329,7 @@ def solve_ordering_lp(instance: OrderingInputs, warm: OrderingLpResult | None = 
         if sol.stats.ties or (np.diff(f) <= 1e-9 * np.abs(f[1:])).any():
             first, sol = sol.stats, lpcore.solve(prob, crash)
             for name in (f.name for f in fields(first)):
-                if type(getattr(first, name)) is int and name not in ("start_index", "dropped_columns"):
+                if type(getattr(first, name)) is int and name != "start_index":
                     setattr(sol.stats, name, getattr(sol.stats, name) + getattr(first, name))
             sol.stats.tie_retry = True
     if sol.status != lpcore.OPTIMAL:
@@ -391,10 +391,17 @@ def interval_grid(instance: CoflowInstance) -> np.ndarray:
     return np.array(points)
 
 
-def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.ndarray]:
-    """Interval-indexed LP: assignment weights x[l, k] say coflow k
+def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.ndarray, np.ndarray]:
+    """Interval-indexed LP: assignment weights x[k, l] say coflow k
     completes inside grid interval l; per-port rows keep the demand
-    finished by each grid point within that point's capacity budget."""
+    finished by each grid point within that point's capacity budget.
+
+    Only the intervals a coflow can finish in get a variable: those that
+    end no earlier than its release plus bottleneck, to 1e-9.  The last
+    interval always does (the grid covers the horizon).  Variables are
+    numbered in (k, l) order, and a port row (s, l) is there only when it
+    holds one.  Returns the LP, the grid and the (K, L) table of each
+    cell's variable, -1 for an interval that ends too early."""
     kk = instance.num_coflows
     if kk == 0:
         raise ValueError("instance has no coflows")
@@ -403,42 +410,44 @@ def build_interval_lp(instance: CoflowInstance) -> tuple[lpcore.LpProblem, np.nd
     loads = instance.time_loads
     weight, release = instance.weights, instance.releases
 
-    # variable k * nl + l; intervals ending before the coflow can finish are fixed at 0
     earliest = release + loads.max(axis=0)
-    objective = (weight[:, None] * grid[None, :-1]).ravel()
-    upper = np.where(grid[None, 1:] < earliest[:, None] - 1e-9, 0.0, 1.0).ravel()
+    live = grid[None, 1:] >= earliest[:, None] - 1e-9
+    n = int(live.sum())
+    table = np.full((kk, nl), -1)
+    table[live] = np.arange(n)
     # assignment rows: sum_l x[k, l] == 1
-    cols = np.arange(kk * nl)
+    k_of = np.nonzero(live)[0]
     # port rows (s, l): sum_k loads[s, k] sum_{l' <= l} x[k, l'] <= grid[l + 1]
     ports = np.flatnonzero(loads.sum(axis=1) > 0.0)
     users = loads[ports] > 0.0
     done_by = np.tri(nl, dtype=bool)                      # [l, l']: l' <= l
-    si, l, k, lp = np.nonzero(users[:, None, :, None] & done_by[None, :, None, :])
-    n_port_rows = len(ports) * nl
+    si, l, k, lp = np.nonzero(users[:, None, :, None] & done_by[None, :, None, :] & live[None, None])
+    # the rows (s, l) that hold an entry, numbered in that order
+    held, row = np.unique(si * nl + l, return_inverse=True)
     return lpcore.LpProblem(
-        kk * nl,
-        objective=objective,
-        upper=upper,
-        row_of=np.concatenate([cols // nl, kk + si * nl + l]),
-        col_of=np.concatenate([cols, k * nl + lp]),
-        val=np.concatenate([np.ones(kk * nl), loads[ports[si], k]]),
-        rhs=np.concatenate([np.ones(kk), np.tile(grid[1:], len(ports))]),
-        rel=np.concatenate([np.full(kk, lpcore.EQ), np.full(n_port_rows, lpcore.LE)]),
-    ), grid
+        n,
+        objective=(weight[:, None] * grid[None, :-1])[live],
+        upper=np.ones(n),
+        row_of=np.concatenate([k_of, kk + row]),
+        col_of=np.concatenate([np.arange(n), table[k, lp]]),
+        val=np.concatenate([np.ones(n), loads[ports[si], k]]),
+        rhs=np.concatenate([np.ones(kk), grid[1 + held % nl]]),
+        rel=np.concatenate([np.full(kk, lpcore.EQ), np.full(len(held), lpcore.LE)]),
+    ), grid, table
 
 
 def solve_interval_lp(instance: CoflowInstance) -> IntervalLpResult:
     """Solve the interval-indexed LP and order coflows by relaxed completion."""
     kk = instance.num_coflows
-    prob, grid = build_interval_lp(instance)
-    nl = len(grid) - 1
+    prob, grid, table = build_interval_lp(instance)
     # crash basis: everything assigned to the last interval is feasible
-    sol = lpcore.solve(prob, lpcore.Basis(np.arange(kk), np.arange(kk) * nl + nl - 1))
+    sol = lpcore.solve(prob, lpcore.Basis(np.arange(kk), table[:, -1]))
     if sol.status != lpcore.OPTIMAL:
         raise RuntimeError(
             f"interval LP should always be solvable, got status {sol.status!r}"
         )
-    x = sol.values.reshape(kk, nl).copy()
+    x = np.zeros(table.shape)
+    x[table >= 0] = sol.values
     completions = x @ grid[:-1]
     ordering = sorted(range(kk), key=lambda k: (completions[k], k))
     return IntervalLpResult(

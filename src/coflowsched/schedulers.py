@@ -36,7 +36,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from .model import CoflowInstance, prefix_bottlenecks, residual
-from .relaxations import slot_length, solve_interval_lp, solve_ordering_lp
+from .relaxations import solve_interval_lp, solve_ordering_lp
 from .sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Recorder, Schedule, run_fluid
 
 
@@ -68,14 +68,14 @@ class _PairHeads:
 
     Heads change only on the pairs of coflows released since the last
     ``admit`` and on pairs whose head the caller reports finished; nothing
-    rescans the queue.  The coflows released by ``now`` at construction
-    (or at ``reset``, which starts over with a new queue of the same
-    instance) are taken in at once: their keys, met in ascending order, are
-    appended to their lines, and the lines' first keys are then the heads
-    in ascending order, the state that ``admit(now)`` would reach.
+    rescans the queue.  The constructor takes in no coflow.  ``reset``
+    starts over with a new queue of the same instance and takes in the
+    coflows released by ``now`` at once: their keys, met in ascending
+    order, are appended to their lines, and the lines' first keys are then
+    the heads in ascending order, the state that ``admit(now)`` would reach.
     """
 
-    def __init__(self, instance: CoflowInstance, queue: list, release: list, now: float = -math.inf):
+    def __init__(self, instance: CoflowInstance, queue: list, release: list):
         rows = self._rows = len(instance.ports)
         self._release = release
         # each flow's pair, source * rows + dest, its port bits, row r bit r,
@@ -84,11 +84,11 @@ class _PairHeads:
         self._bits = [(1 << pair // rows) | (1 << pair % rows) for pair in self._pair]
         self._coflow = instance.flow_coflows.tolist()
         self._most = min(instance.num_source_ports, rows - instance.num_source_ports)  # see matching
-        self.reset(queue, now)
+        self.reset(queue, -math.inf)
 
     def reset(self, queue: list, now: float) -> None:
-        """Start over from ``queue`` and ``now`` as the constructor does,
-        keeping the per-flow tables."""
+        """Start over from ``queue``, the coflows released by ``now``
+        taken in, keeping the per-flow tables."""
         self.queue = queue
         pair, coflow, release = self._pair, self._coflow, self._release
         self._ports = [self._bits[i] for i in queue]  # by key
@@ -548,7 +548,8 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     """Slotted grouped scheduling driven by the interval-indexed LP.
 
     Time advances in slots of the instance's slot_length u, the coarsest
-    power of two in which every flow takes whole slots; each slot executes
+    power of two in which every flow takes whole slots and the first step
+    of the interval LP's grid; each slot executes
     one switch matching.  The released remaining demand of the active group
     (the first with an incomplete coflow) is decomposed into permutations
     (Birkhoff-von Neumann) over the instance's ports in use, so an
@@ -559,7 +560,8 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     port-disjoint matching in that same priority order.
     """
     cap = instance.capacity
-    u = slot_length(instance)
+    lp = solve_interval_lp(instance)
+    u = float(lp.interval_endpoints[1])  # the grid is 0, u, 2u, 4u, ...
     offsets, coflow_of = instance.flow_offsets, instance.flow_coflows.tolist()
     remaining = [int(round(size / (cap * u))) for size in instance.flow_sizes]  # slots, by flow id
     # each flow's BvN row and column: its source's row, and its dest's row
@@ -567,12 +569,11 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     sources, dests = instance.num_source_ports, len(instance.ports) - instance.num_source_ports
     row_of, col_of = instance.flow_source_rows.tolist(), (instance.flow_dest_rows - sources).tolist()
     width = max(sources, dests)
-    ordering = solve_interval_lp(instance).ordering
-    groups = group_coflows(instance, ordering)
+    groups = group_coflows(instance, lp.ordering)
     release_slot = [math.ceil(release / u - 1e-9) for release in instance.releases.tolist()]
     release_slots = sorted(set(release_slot))
     # the LP-priority queue, each pair's head the flow that serves it
-    heads = _PairHeads(instance, _queue(instance, ordering), release_slot)
+    heads = _PairHeads(instance, _queue(instance, lp.ordering), release_slot)
     flows_left = np.diff(offsets).tolist()
     record = Recorder(instance)
     slot = min(release_slot)

@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import itertools
 import math
 
@@ -10,7 +9,7 @@ import pytest
 from coflowsched import lpcore
 from coflowsched.lpcore import Basis, LpProblem, check_feasible, solve
 from coflowsched.model import effective_size
-from coflowsched.relaxations import build_interval_lp, build_ordering_lp, delta_index
+from coflowsched.relaxations import build_ordering_lp, delta_index
 from coflowsched.verify import equal_bottleneck_fixture, staggered_release_fixture
 
 from conftest import golden_instance
@@ -391,46 +390,6 @@ def test_start_with_only_variables_at_upper_is_honoured():
     assert list(s.values) == [0.0, 0.0]
 
 
-def _without_columns(p, drop):
-    """``p`` with the columns that ``drop`` marks removed by hand, and each
-    kept column's new index."""
-    keep = ~drop
-    new_id = np.cumsum(keep) - 1
-    entries = keep[p.col_of]
-    return LpProblem(int(keep.sum()), objective=p.objective[keep], upper=p.upper[keep],
-                     row_of=p.row_of[entries], col_of=new_id[p.col_of[entries]], val=p.val[entries],
-                     rhs=p.rhs, rel=p.rel), new_id
-
-
-def _assert_solved_alike(full, start, small, small_start, dropped):
-    a, b = solve(full, start), solve(small, small_start)
-    assert a.status == b.status == lpcore.OPTIMAL
-    assert a.stats.dropped_columns == dropped.sum() and b.stats.dropped_columns == 0
-    assert dataclasses.replace(a.stats, dropped_columns=0) == b.stats
-    assert a.values[~dropped].tobytes() == b.values.tobytes()
-    assert not a.values[dropped].any()
-    assert a.duals.tobytes() == b.duals.tobytes()
-
-
-# instances whose interval-LP columns fixed at zero leave the power-of-two
-# scale factors as they are, so the LP without them is solved in the same units
-@pytest.mark.parametrize("name", ["dense-zero", "dense-5x8-capacity-0.37", "mini-trace-4"])
-def test_columns_fixed_at_zero_are_solved_as_if_removed(name):
-    instance = golden_instance(name)
-    p, grid = build_interval_lp(instance)
-    kk, nl = instance.num_coflows, len(grid) - 1
-    start = Basis(np.arange(kk), np.arange(kk) * nl + nl - 1)
-    fixed = p.upper == 0.0
-    dropped = fixed.copy()
-    dropped[start.columns] = False  # the start's columns stay, fixed or not
-    small, new_id = _without_columns(p, dropped)
-    assert dropped.any()
-    _assert_solved_alike(p, start, small, Basis(start.rows, new_id[start.columns]), dropped)
-    # cold, every fixed column goes
-    small, _ = _without_columns(p, fixed)
-    _assert_solved_alike(p, None, small, None, fixed)
-
-
 def test_fixed_column_named_by_the_start_is_kept():
     # min -x0 - x1 + x2 - x3: x0 + x1 <= 1, x1 + x2 + x3 <= 2, x0 - x3 >= -1; x2 and x3 fixed at 0
     p = LpProblem(4, objective=[-1.0, -1.0, 1.0, -1.0], upper=[1.0, 1.0, 0.0, 0.0])
@@ -439,15 +398,10 @@ def test_fixed_column_named_by_the_start_is_kept():
     p.add_constraint({0: 1.0, 3: -1.0}, ">=", -1.0)
     s = solve(p, Basis([], [], [3]))  # x3 starts at its upper bound, 0
     assert s.stats.crash_accepted
-    assert s.stats.dropped_columns == 1
     assert s.objective_value == -1.0
-    x2 = np.array([False, False, True, False])
-    small, new_id = _without_columns(p, x2)
-    _assert_solved_alike(p, Basis([], [], [3]), small, Basis([], [], new_id[[3]]), x2)
-    # an index out of range is refused as before, with the fixed columns gone
+    # an index out of range is refused
     bad = solve(p, Basis([0], [7]))
     assert not bad.stats.crash_accepted
-    assert bad.stats.dropped_columns == 2
 
 
 def _two_row_lp():

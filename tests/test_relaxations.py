@@ -331,18 +331,19 @@ def _reference_problem(instance, num_vars, bounds, rows):
 
 
 def _reference_interval_lp(instance):
+    """The interval LP row by row, and its (K, L) column table."""
     kk, loads = instance.num_coflows, instance.time_loads
     grid = interval_grid(instance)
     nl = len(grid) - 1
-    objective = np.zeros(kk * nl)
-    bounds = [None] * (kk * nl)
-    rows = []
+    column = {}  # (k, l) -> variable, for the intervals coflow k can finish in
+    objective = []
     for k in range(kk):
         earliest = instance.releases[k] + loads[:, k].max()
         for l in range(nl):
-            objective[k * nl + l] = instance.weights[k] * grid[l]
-            bounds[k * nl + l] = (0.0, 0.0 if grid[l + 1] < earliest - 1e-9 else 1.0)
-        rows.append(({k * nl + l: 1.0 for l in range(nl)}, "==", 1.0))
+            if grid[l + 1] >= earliest - 1e-9:
+                column[k, l] = len(objective)
+                objective.append(instance.weights[k] * grid[l])
+    rows = [({column[k, l]: 1.0 for l in range(nl) if (k, l) in column}, "==", 1.0) for k in range(kk)]
     for s in range(len(loads)):  # every port in use
         if loads[s].sum() <= _TOL:
             continue
@@ -351,9 +352,14 @@ def _reference_interval_lp(instance):
             for k in range(kk):
                 if loads[s, k] > _TOL:
                     for lp in range(l + 1):
-                        coeffs[k * nl + lp] = loads[s, k]
-            rows.append((coeffs, "<=", grid[l + 1]))
-    return objective, bounds, rows
+                        if (k, lp) in column:
+                            coeffs[column[k, lp]] = loads[s, k]
+            if coeffs:
+                rows.append((coeffs, "<=", grid[l + 1]))
+    table = np.full((kk, nl), -1)
+    for (k, l), j in column.items():
+        table[k, l] = j
+    return (np.array(objective), [(0.0, 1.0)] * len(objective), rows), table
 
 
 def _reference_bssi_order(instance):
@@ -487,7 +493,10 @@ def _assert_reduced_lp_matches(instance):
 def _assert_builders_match(instance):
     _assert_same_lp(build_ordering_lp(instance), _reference_ordering_lp(instance))
     _assert_reduced_lp_matches(instance)
-    _assert_same_lp(build_interval_lp(instance)[0], _reference_interval_lp(instance))
+    prob, _, table = build_interval_lp(instance)
+    reference, reference_table = _reference_interval_lp(instance)
+    _assert_same_lp(prob, reference)
+    assert _same_bits(table, reference_table)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
@@ -503,6 +512,87 @@ def test_array_builders_match_row_by_row_reference_on_scaled_random_instances():
 def test_reduced_lp_and_crash_basis_match_reference_on_online_residuals(monkeypatch):
     for instance, _ in _online_residual_instances(monkeypatch):
         _assert_reduced_lp_matches(instance)
+
+
+# -- the interval LP holds only the intervals a coflow can finish in ----------
+
+
+def _all_cells_interval_lp(instance):
+    """The interval LP with a variable k * L + l for every (coflow,
+    interval) cell, those of intervals that end before the coflow can
+    finish fixed at 0, and a port row (s, l) for every port in use and
+    interval, empty or not."""
+    kk, loads = instance.num_coflows, instance.time_loads
+    grid = interval_grid(instance)
+    nl = len(grid) - 1
+    earliest = instance.releases + loads.max(axis=0)
+    cols = np.arange(kk * nl)
+    ports = np.flatnonzero(loads.sum(axis=1) > 0.0)
+    done_by = np.tri(nl, dtype=bool)
+    si, l, k, lp = np.nonzero((loads[ports] > 0.0)[:, None, :, None] & done_by[None, :, None, :])
+    return lpcore.LpProblem(
+        kk * nl,
+        objective=(instance.weights[:, None] * grid[None, :-1]).ravel(),
+        upper=np.where(grid[None, 1:] < earliest[:, None] - 1e-9, 0.0, 1.0).ravel(),
+        row_of=np.concatenate([cols // nl, kk + si * nl + l]),
+        col_of=np.concatenate([cols, k * nl + lp]),
+        val=np.concatenate([np.ones(kk * nl), loads[ports[si], k]]),
+        rhs=np.concatenate([np.ones(kk), np.tile(grid[1:], len(ports))]),
+        rel=np.concatenate([np.full(kk, lpcore.EQ), np.full(len(ports) * nl, lpcore.LE)]),
+    ), grid
+
+
+def _assert_interval_lp_matches_all_cells(instance):
+    kk = instance.num_coflows
+    prob, grid = _all_cells_interval_lp(instance)
+    nl = len(grid) - 1
+    full = lpcore.solve(prob, lpcore.Basis(np.arange(kk), np.arange(kk) * nl + nl - 1))
+    assert full.status == lpcore.OPTIMAL
+    completions = full.values.reshape(kk, nl) @ grid[:-1]
+    got = solve_interval_lp(instance)
+    assert got.ordering == sorted(range(kk), key=lambda k: (completions[k], k))
+    np.testing.assert_allclose(got.relaxed_completions, completions, rtol=1e-9, atol=0.0)
+    assert got.solution.objective_value == pytest.approx(full.objective_value, rel=1e-9, abs=0.0)
+
+
+def _releases_8x24_instances(count):
+    for seed in range(count):
+        inst = generate(SyntheticConfig(n_ports=8, n_coflows=24, kind="dense" if seed % 2 else "combined",
+                                        interarrival_range=(1, 100), seed=500 + seed))
+        yield assign_weights(inst, "uniform-random", seed=500 + seed)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INSTANCES))
+def test_interval_lp_matches_all_cells_form_on_golden_instances(name):
+    _assert_interval_lp_matches_all_cells(golden_instance(name))
+
+
+def test_interval_lp_matches_all_cells_form_on_scaled_random_instances():
+    for instance in _random_scaled_instances(20):
+        _assert_interval_lp_matches_all_cells(instance)
+
+
+def test_interval_lp_matches_all_cells_form_on_8x24_instances_with_releases():
+    for instance in _releases_8x24_instances(10):
+        _assert_interval_lp_matches_all_cells(instance)
+
+
+def test_interval_lp_has_no_fixed_column_or_empty_row():
+    instances = [golden_instance(name) for name in sorted(GOLDEN_INSTANCES)]
+    for instance in [*instances, *_random_scaled_instances(20)]:
+        prob, grid, table = build_interval_lp(instance)
+        assert (prob.upper == 1.0).all()
+        assert (np.bincount(prob.row_of, minlength=len(prob.rhs)) > 0).all()
+        # the dead cells are the intervals that end before the coflow can
+        # finish; the others are numbered in (k, l) order, the last interval
+        # always among them
+        earliest = instance.releases + instance.time_loads.max(axis=0)
+        dead = table < 0
+        assert (dead == (grid[None, 1:] < earliest[:, None] - 1e-9)).all()
+        assert dead.any() and not dead[:, -1].any()
+        assert table[~dead].tolist() == list(range(prob.num_vars))
+        x = solve_interval_lp(instance).x
+        assert x.shape == table.shape and (x[dead] == 0.0).all()
 
 
 # -- the BSSI crash start ------------------------------------------------------
@@ -661,8 +751,7 @@ def test_coflow_map_from_ids():
 def test_tie_retry_adds_up_every_counter_of_both_solves(monkeypatch):
     # the warm solve is stubbed to report a tie with every counter nonzero,
     # so the answer is solved again from the crash; the stats returned add
-    # up both solves' counters, all but which start passed and how many
-    # columns the last attempt dropped
+    # up both solves' counters, all but which start passed
     inst = generate(SyntheticConfig(n_ports=4, n_coflows=6, kind="dense", interarrival_range=(1, 30), seed=5))
     inputs = _as_residual(inst)
     earlier = solve_ordering_lp(inputs)
@@ -685,7 +774,7 @@ def test_tie_retry_adds_up_every_counter_of_both_solves(monkeypatch):
     stats = solve_ordering_lp(inputs, earlier).solution.stats
     assert len(retried) == 1 and stats.tie_retry
     for name in counters:
-        if name in ("start_index", "dropped_columns"):
+        if name == "start_index":
             assert getattr(stats, name) == getattr(retried[0], name), name
         else:
             assert getattr(stats, name) == getattr(stub, name) + getattr(retried[0], name), name

@@ -99,7 +99,7 @@ def test_pair_heads_serve_released_heads_and_stop_when_full():
 @pytest.mark.parametrize("pending", [False, True], ids=["all-released", "pending-releases"])
 def test_pair_heads_filled_at_construction_match_insort_admission(pending):
     # lp-ov-ls-online rebuilds its queue with every queued flow released,
-    # taken in at construction by appends; it must reach the state that
+    # taken in by reset's appends; it must reach the state that
     # admit's insort path reaches from an empty queue, and serve alike after
     rng = np.random.default_rng(7 if pending else 3)
     for _ in range(40):
@@ -110,7 +110,8 @@ def test_pair_heads_filled_at_construction_match_insort_admission(pending):
         now = 2.0
         slow = _PairHeads(inst, queue, release)
         slow.admit(now)
-        fast = _PairHeads(inst, queue, release, now)
+        fast = _PairHeads(inst, queue, release)
+        fast.reset(queue, now)
         fast.admit(now)  # nothing more to take in
         for later in (now, 4.0):
             slow.admit(later)
