@@ -35,7 +35,6 @@ from .verify import (
     check_approximation_bounds,
     counterexample_fixture,
     equal_bottleneck_fixture,
-    min_completion_under_deadline,
     oracle_opt,
     staggered_release_fixture,
 )

@@ -96,33 +96,36 @@ def _instance_for_rep(args: argparse.Namespace, rep: int) -> CoflowInstance:
     return workload.assign_weights(instance, WEIGHT_MODES[args.weights], seed=seed)
 
 
+def _attempt(call, *args, bad_input=(ValueError,)):
+    """``call(*args)`` and None, or None and "<type>: <message>" when it
+    raises anything but ``bad_input``, which goes on up and ends the run."""
+    try:
+        return call(*args), None
+    except bad_input:
+        raise
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _run_one_rep(args: argparse.Namespace, rep: int) -> tuple[list, str | None]:
     """The rep's report rows, and "ordering LP: <type>: <message>" when its
     ordering LP raised, or "lp-ov-ls for --dump-schedules: ..." when the
     dump ran lp-ov-ls itself and that raised."""
     instance = _instance_for_rep(args, rep)
-    try:
-        ordering_result, rep_error = solve_ordering_lp(instance), None
-    except (ValueError, CertificateError):
-        raise  # bad input, or an invariant violation that ends the run
-    except Exception as exc:
-        ordering_result, rep_error = None, f"ordering LP: {type(exc).__name__}: {exc}"
+    # a failed certificate is an invariant violation that ends the run too
+    ordering_result, rep_error = _attempt(solve_ordering_lp, instance, bad_input=(ValueError, CertificateError))
+    rep_error = rep_error and f"ordering LP: {rep_error}"
     lp_bound = math.nan if ordering_result is None else lp_lower_bound(instance, ordering_result)
     rows = []
     dumped = None  # the lp-ov-ls schedule, the only one kept after its row
     for name in args.schedulers:
         t0 = time.perf_counter()
-        try:
-            schedule = schedulers.SCHEDULERS[name](instance, ordering_result)
-        except ValueError:
-            raise  # bad input, for every scheduler alike
-        except Exception as exc:
-            schedule, error = None, f"{type(exc).__name__}: {exc}"
+        schedule, error = _attempt(schedulers.SCHEDULERS[name], instance, ordering_result)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         if schedule is None:
             valid, total = False, math.nan
         else:
-            valid, total, error = validate(schedule, instance).ok, total_weighted_completion(schedule, instance), None
+            valid, total = validate(schedule, instance).ok, total_weighted_completion(schedule, instance)
         dumped = schedule if name == "lp-ov-ls" else dumped
         rows.append(
             ScheduleReport(
@@ -143,12 +146,8 @@ def _run_one_rep(args: argparse.Namespace, rep: int) -> tuple[list, str | None]:
             row.ratio_to_lpovls = row.total_weighted_completion / base
     if args.dump_schedules and ordering_result is not None:  # per-rep instance and lp-ov-ls schedule JSON
         if "lp-ov-ls" not in args.schedulers:
-            try:
-                dumped = schedulers.lp_ov_ls(instance, ordering_result)
-            except ValueError:
-                raise  # bad input, as in a row
-            except Exception as exc:
-                rep_error = f"lp-ov-ls for --dump-schedules: {type(exc).__name__}: {exc}"
+            dumped, error = _attempt(schedulers.lp_ov_ls, instance, ordering_result)
+            rep_error = error and f"lp-ov-ls for --dump-schedules: {error}"
         os.makedirs(args.dump_schedules, exist_ok=True)
         save_instance(instance, f"{args.dump_schedules}/rep{rep:03d}_instance.json")
         if dumped is not None:  # None when lp-ov-ls raised

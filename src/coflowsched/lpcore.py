@@ -108,14 +108,13 @@ class LpProblem:
 
     The rows are stored once, as coordinate arrays in row order: per entry
     ``row_of``, ``col_of`` and ``val``, per row ``rhs`` and ``rel`` (LE, GE
-    or EQ); a row holds each column at most once.  Builders pass whole
-    arrays to the constructor; ``add_constraint`` and ``set_upper`` write
-    into the same arrays for LPs written by hand.  ``constraints`` and
-    ``bounds`` are read-only views of them as ``(coeffs, relation, rhs)``
-    rows and ``(0.0, upper)`` pairs.  Default upper bounds are +inf.
-    Costs, right-hand sides and coefficients must be finite: the
-    constructor and ``add_constraint`` raise ValueError naming the first
-    NaN or infinite one.
+    or EQ); a row holds each column at most once.  The constructor is the
+    one way rows and bounds enter a problem, as whole arrays, and the one
+    place they are checked.  ``constraints`` and ``bounds`` are read-only
+    views of them as ``(coeffs, relation, rhs)`` rows and ``(0.0, upper)``
+    pairs.  Default upper bounds are +inf.  Costs, right-hand sides and
+    coefficients must be finite: the constructor raises ValueError naming
+    the first NaN or infinite one.
     """
 
     def __init__(self, num_vars: int, *, objective=None, upper=None,
@@ -147,32 +146,6 @@ class LpProblem:
         _refuse_non_finite(self.objective, lambda j: f"cost of variable {j}")
         _refuse_non_finite(self.val, lambda e: f"coefficient of variable {self.col_of[e]} in row {self.row_of[e]}")
         _refuse_non_finite(self.rhs, lambda i: f"right-hand side of row {i}")
-
-    def add_constraint(self, coeffs: dict, relation: str, rhs: float) -> None:
-        if relation == "=":
-            relation = "=="
-        if relation not in RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        for j, c in coeffs.items():
-            if not 0 <= j < self.num_vars:
-                raise ValueError(f"variable index {j} out of range")
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient of variable {j} in row {len(self.rhs)} is {c}, not finite")
-        if not math.isfinite(rhs):
-            raise ValueError(f"right-hand side of row {len(self.rhs)} is {rhs}, not finite")
-        size = len(coeffs)
-        self.row_of = np.concatenate([self.row_of, np.full(size, len(self.rhs), dtype=np.int64)])
-        self.col_of = np.concatenate([self.col_of, np.fromiter(coeffs, dtype=np.int64, count=size)])
-        self.val = np.concatenate([self.val, np.fromiter(coeffs.values(), dtype=float, count=size)])
-        self.rhs = np.append(self.rhs, float(rhs))
-        self.rel = np.append(self.rel, np.int8(RELATIONS.index(relation)))
-
-    def set_upper(self, j: int, upper: float) -> None:
-        if not 0 <= j < self.num_vars:
-            raise ValueError(f"variable index {j} out of range")
-        if not upper >= 0.0:
-            raise ValueError(f"upper bound {upper} is negative or NaN")
-        self.upper[j] = upper
 
     @property
     def constraints(self) -> Sequence:

@@ -180,8 +180,14 @@ def _load_matrix(instance: CoflowInstance, keep, amounts: np.ndarray) -> tuple[n
     """The coflow ids of the flows ``keep`` (ascending ids, or a slice), ascending,
     and their loads, a row per port in use and a column per coflow: each
     cell adds its flows' ``amounts`` in id order (``np.bincount``), as
-    ``port_loads`` over a coflow's demands listed by (source, dest) does."""
-    ids, of = np.unique(instance.flow_coflows[keep], return_inverse=True)
+    ``port_loads`` over a coflow's demands listed by (source, dest) does.
+    The kept flows' coflows ascend, so each coflow starts a run of equal
+    values, and a flow's column counts the runs started up to it."""
+    coflows = instance.flow_coflows[keep]
+    starts = np.empty(len(coflows), dtype=bool)
+    starts[:1] = True
+    np.not_equal(coflows[1:], coflows[:-1], out=starts[1:])
+    ids, of = coflows[starts], np.cumsum(starts) - 1
     rows, kk = len(instance.ports), len(ids)
     cells = np.concatenate((instance.flow_source_rows[keep] * kk + of, instance.flow_dest_rows[keep] * kk + of))
     return ids, np.bincount(cells, np.concatenate((amounts, amounts)), minlength=rows * kk).reshape(rows, kk)

@@ -339,7 +339,7 @@ def solve_ordering_lp(instance: OrderingInputs, warm: OrderingLpResult | None = 
     f_tilde = sol.values[:kk].copy()
     # the pair variable of (a, b), a < b, holds "b before a"
     a, b = _pair_tables(kk)[:2]
-    before = np.minimum(np.maximum(sol.values[kk:], 0.0), 1.0)
+    before = sol.values[kk:]  # lpcore keeps every value in [0, upper], 1 for a pair
     delta = np.zeros((kk, kk))
     delta[b, a] = before
     delta[a, b] = 1.0 - before
@@ -449,7 +449,7 @@ def solve_interval_lp(instance: CoflowInstance) -> IntervalLpResult:
     x = np.zeros(table.shape)
     x[table >= 0] = sol.values
     completions = x @ grid[:-1]
-    ordering = sorted(range(kk), key=lambda k: (completions[k], k))
+    ordering = np.argsort(completions, kind="stable").tolist()  # ties to the lower id, as the ordering LP's
     return IntervalLpResult(
         interval_endpoints=grid,
         x=x,

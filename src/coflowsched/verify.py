@@ -1,9 +1,11 @@
 """Exact brute-force oracle for tiny instances, bound checkers, and the
 hand-built fixtures used throughout the test suite.
 
-The oracle enumerates unit-slot matching schedules with memoization, so it
-is exact for integer demands at unit capacity and deliberately refuses
-anything big enough to blow up.
+The oracle answers one question: the least total weighted completion time
+over unit-slot matching schedules, and a schedule that attains it.  It
+enumerates those schedules with memoization, so it is exact for integer
+demands at unit capacity and deliberately refuses anything big enough to
+blow up.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def _require_small_integer_instance(
 
 
 def _maximal_matchings(flows: list) -> list:
-    """All maximal sets of port-disjoint flows, each set produced once.
+    """All maximal sets of port-disjoint flows, each set produced once: the
+    leaves of the include/exclude recursion are distinct sets.
 
     ``flows`` holds (source row, dest row, index) triples; returns tuples of indices.
     """
@@ -73,11 +76,9 @@ def _maximal_matchings(flows: list) -> list:
         if not (used_src >> s & 1) and not (used_dst >> d & 1):
             extend(idx + 1, used_src | 1 << s, used_dst | 1 << d, picked + (fi,))
         extend(idx + 1, used_src, used_dst, picked)
-        return
 
     extend(0, 0, 0, ())
-    # drop duplicates caused by the exclude-branch reaching the same maximal set
-    return sorted(set(out))
+    return sorted(out)
 
 
 class _SlotSearch:
@@ -187,38 +188,6 @@ def oracle_opt(
         optimal_schedule=record.schedule(),
         explored_states=len(memo),
     )
-
-
-def min_completion_under_deadline(
-    instance: CoflowInstance,
-    constrained: int,
-    deadline: float,
-    target: int,
-    max_ports: int = DEFAULT_MAX_PORTS,
-    max_total_demand: float = DEFAULT_MAX_TOTAL_DEMAND,
-) -> float:
-    """Earliest completion of ``target`` over all unit-slot matching
-    schedules that finish coflow ``constrained`` by ``deadline``.
-
-    Returns +inf when no schedule meets the deadline.
-    """
-    search = _SlotSearch(instance, max_ports, max_total_demand)
-    memo: dict[tuple, float] = {}
-
-    def solve(state: tuple, t: int) -> float:
-        if search.left(state, constrained) > 0 and t >= deadline - 1e-9:
-            return math.inf
-        if search.left(state, target) == 0:
-            return float(t)
-        key = (state, t)
-        if key not in memo:
-            # completion of target happens at the end of a served slot
-            memo[key] = min(
-                solve(nxt, t_next) for _, nxt, t_next in search.successors(state, t)
-            )
-        return memo[key]
-
-    return solve(search.initial, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,9 @@ class TraceRecord:
 
     @property
     def num_flows(self) -> int:
-        return len(self.mapper_ports) * len(self.reducer_entries)
+        """The flows ``ingest_trace`` makes of the record: one per distinct
+        (mapper rack, reducer rack) pair, repeated racks merged."""
+        return len(set(self.mapper_ports)) * len({rack for rack, _ in self.reducer_entries})
 
 
 def generate(config: SyntheticConfig) -> CoflowInstance:

@@ -44,6 +44,25 @@ def tiny_instances(count: int, zero_release: bool = False, seed0: int = 0):
     return out
 
 
+def lp_from_rows(num_vars: int, rows, **arrays):
+    """An ``LpProblem`` whose rows are written by hand as ``(coeffs,
+    relation, rhs)``, coeffs a {column: value} map listed in entry order and
+    relation one of ``lpcore.RELATIONS``; ``arrays`` (objective, upper) go
+    to the constructor as they are."""
+    from coflowsched import lpcore
+
+    rows = list(rows)
+    return lpcore.LpProblem(
+        num_vars,
+        **arrays,
+        row_of=[i for i, (coeffs, _, _) in enumerate(rows) for _ in coeffs],
+        col_of=[j for coeffs, _, _ in rows for j in coeffs],
+        val=[c for coeffs, _, _ in rows for c in coeffs.values()],
+        rhs=[rhs for _, _, rhs in rows],
+        rel=[lpcore.RELATIONS.index(relation) for _, relation, _ in rows],
+    )
+
+
 # the fixed-seed instances of the golden tests:
 # name -> (kind, ports, coflows, interarrival range or None, seed, weight mode,
 # capacity); every size is multiplied by the capacity, so the schedule's time

@@ -12,12 +12,11 @@ from coflowsched.model import effective_size
 from coflowsched.relaxations import build_ordering_lp, delta_index
 from coflowsched.verify import equal_bottleneck_fixture, staggered_release_fixture
 
-from conftest import golden_instance
+from conftest import golden_instance, lp_from_rows
 
 
 def test_single_binding_constraint():
-    p = LpProblem(1, objective=[1.0])
-    p.add_constraint({0: 1.0}, ">=", 3.0)
+    p = lp_from_rows(1, [({0: 1.0}, ">=", 3.0)], objective=[1.0])
     s = solve(p)
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(3.0)
@@ -25,8 +24,7 @@ def test_single_binding_constraint():
 
 
 def test_symmetric_cone():
-    p = LpProblem(2, objective=[1.0, 1.0])
-    p.add_constraint({0: 1.0, 1: 1.0}, ">=", 2.0)
+    p = lp_from_rows(2, [({0: 1.0, 1: 1.0}, ">=", 2.0)], objective=[1.0, 1.0])
     s = solve(p)
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(2.0)
@@ -101,40 +99,28 @@ def test_check_feasible_length_mismatch():
 
 
 def test_infeasible_and_unbounded_statuses():
-    p = LpProblem(1, objective=[1.0])
-    p.add_constraint({0: 1.0}, "<=", 1.0)
-    p.add_constraint({0: 1.0}, ">=", 2.0)
+    p = lp_from_rows(1, [({0: 1.0}, "<=", 1.0), ({0: 1.0}, ">=", 2.0)], objective=[1.0])
     assert solve(p).status == lpcore.INFEASIBLE
 
-    p = LpProblem(1, objective=[-1.0])
-    p.add_constraint({0: 1.0}, ">=", 1.0)
+    p = lp_from_rows(1, [({0: 1.0}, ">=", 1.0)], objective=[-1.0])
     assert solve(p).status == lpcore.UNBOUNDED
 
 
 def test_upper_bounds_and_equality():
-    p = LpProblem(2, objective=[-1.0, -2.0])
-    p.set_upper(0, 1.0)
-    p.set_upper(1, 1.0)
-    p.add_constraint({0: 1.0, 1: 1.0}, "<=", 1.5)
+    p = lp_from_rows(2, [({0: 1.0, 1: 1.0}, "<=", 1.5)], objective=[-1.0, -2.0], upper=[1.0, 1.0])
     s = solve(p)
     assert s.objective_value == pytest.approx(-2.5)
     assert s.values.tolist() == pytest.approx([0.5, 1.0])
 
-    p = LpProblem(2, objective=[3.0, 1.0])
-    p.set_upper(0, 1.0)
-    p.set_upper(1, 1.0)
-    p.add_constraint({0: 1.0, 1: 1.0}, "==", 1.0)
+    p = lp_from_rows(2, [({0: 1.0, 1: 1.0}, "==", 1.0)], objective=[3.0, 1.0], upper=[1.0, 1.0])
     s = solve(p)
     assert s.objective_value == pytest.approx(1.0)
 
 
 def test_bad_problem_structure():
-    p = LpProblem(1)
     with pytest.raises(ValueError):
-        p.add_constraint({3: 1.0}, "<=", 1.0)
+        lp_from_rows(1, [({3: 1.0}, "<=", 1.0)])
     for upper in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            p.set_upper(0, upper)
         with pytest.raises(ValueError):
             LpProblem(1, upper=[upper])
     with pytest.raises(ValueError):
@@ -157,14 +143,8 @@ _NON_FINITE_LPS = {
 @pytest.mark.parametrize("name", sorted(_NON_FINITE_LPS))
 def test_non_finite_data_is_refused(name):
     objective, coeffs, rhs, message = _NON_FINITE_LPS[name]
-    rows = dict(row_of=[0] * len(coeffs), col_of=list(coeffs), val=list(coeffs.values()), rhs=[rhs], rel=[lpcore.GE])
     with pytest.raises(ValueError, match=message):
-        LpProblem(len(objective), objective=objective, **rows)
-    if math.isfinite(objective[0]):
-        p = LpProblem(len(objective), objective=objective)
-        with pytest.raises(ValueError, match=message):
-            p.add_constraint(coeffs, ">=", rhs)
-        assert len(p.constraints) == 0 and len(p.val) == 0  # nothing of the row was kept
+        lp_from_rows(len(objective), [(coeffs, ">=", rhs)], objective=objective)
 
 
 def test_infinite_costs_and_right_hand_sides_are_refused():
@@ -172,21 +152,17 @@ def test_infinite_costs_and_right_hand_sides_are_refused():
         LpProblem(2, objective=[1.0, -math.inf])
     with pytest.raises(ValueError, match="right-hand side of row 1 is inf"):
         LpProblem(1, row_of=[0, 1], col_of=[0, 0], val=[1.0, 1.0], rhs=[1.0, math.inf], rel=[lpcore.GE, lpcore.LE])
-    p = LpProblem(1)
-    p.add_constraint({0: 1.0}, ">=", 1.0)
     with pytest.raises(ValueError, match="right-hand side of row 1 is -inf"):
-        p.add_constraint({0: 1.0}, "<=", -math.inf)
-    assert len(p.constraints) == 1
+        lp_from_rows(1, [({0: 1.0}, ">=", 1.0), ({0: 1.0}, "<=", -math.inf)])
 
 
 def test_determinism():
     rng = np.random.default_rng(3)
     for _ in range(5):
         m, n = 6, 4
-        p = LpProblem(n, objective=rng.uniform(0.2, 2.0, n))
-        for _ in range(m):
-            coeffs = {j: float(rng.uniform(0, 2)) for j in range(n)}
-            p.add_constraint(coeffs, ">=", float(rng.uniform(0, 5)))
+        objective = rng.uniform(0.2, 2.0, n)
+        rows = [({j: float(rng.uniform(0, 2)) for j in range(n)}, ">=", float(rng.uniform(0, 5))) for _ in range(m)]
+        p = lp_from_rows(n, rows, objective=objective)
         s1 = solve(p)
         s2 = solve(p)
         assert s1.status == s2.status
@@ -202,12 +178,8 @@ def test_strong_duality_and_complementary_slackness():
         A = rng.uniform(0.0, 2.0, (m, n))
         b = rng.uniform(0.0, 5.0, m)
         c = rng.uniform(0.1, 3.0, n)
-        primal = LpProblem(n, objective=c)
-        for i in range(m):
-            primal.add_constraint({j: A[i, j] for j in range(n)}, ">=", b[i])
-        dual = LpProblem(m, objective=-b)
-        for j in range(n):
-            dual.add_constraint({i: A[i, j] for i in range(m)}, "<=", c[j])
+        primal = lp_from_rows(n, [({j: A[i, j] for j in range(n)}, ">=", b[i]) for i in range(m)], objective=c)
+        dual = lp_from_rows(m, [({i: A[i, j] for i in range(m)}, "<=", c[j]) for j in range(n)], objective=-b)
         ps = solve(primal)
         ds = solve(dual)
         assert ps.status == lpcore.OPTIMAL and ds.status == lpcore.OPTIMAL
@@ -221,10 +193,11 @@ def test_strong_duality_and_complementary_slackness():
 
 def test_degenerate_problem_terminates():
     # classic cycling-prone fixture; must terminate and find -0.05
-    p = LpProblem(4, objective=[-0.75, 150.0, -0.02, 6.0])
-    p.add_constraint({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, "<=", 0.0)
-    p.add_constraint({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0)
-    p.add_constraint({2: 1.0}, "<=", 1.0)
+    p = lp_from_rows(4, [
+        ({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, "<=", 0.0),
+        ({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0),
+        ({2: 1.0}, "<=", 1.0),
+    ], objective=[-0.75, 150.0, -0.02, 6.0])
     s = solve(p)
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == pytest.approx(-0.05)
@@ -237,15 +210,16 @@ def _random_bounded_lp(rng):
     m, n = int(rng.integers(6, 14)), int(rng.integers(5, 12))
     upper = np.where(rng.random(n) < 0.7, rng.choice([0.5, 1.0, 3.0], n), math.inf)
     point = rng.uniform(0.0, 1.0, n) * np.where(np.isfinite(upper), upper, 2.0)
-    p = LpProblem(n, objective=rng.uniform(-2.0, 2.0, n), upper=upper)
+    objective = rng.uniform(-2.0, 2.0, n)
+    rows = []
     for _ in range(m):
         support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         coeffs = {int(j): float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)) for j in support}
         lhs = sum(a * point[j] for j, a in coeffs.items())
         relation = rng.choice(["<=", ">=", "=="], p=[0.45, 0.4, 0.15])
         slack = float(rng.uniform(0.0, 1.0))
-        p.add_constraint(coeffs, relation, lhs + slack if relation == "<=" else lhs - slack if relation == ">=" else lhs)
-    return p
+        rows.append((coeffs, relation, lhs + slack if relation == "<=" else lhs - slack if relation == ">=" else lhs))
+    return lp_from_rows(n, rows, objective=objective, upper=upper)
 
 
 def _rebuilt(simplex):
@@ -346,9 +320,7 @@ def test_duals_are_those_of_the_final_basis():
     # final basis (installed and re-inverted, with nothing left to move),
     # each LP must give the same duals and values to the bit
     for objective, upper, rows in _TIED_LPS:
-        problem = lpcore.LpProblem(len(objective), objective=objective, upper=upper)
-        for row in rows:
-            problem.add_constraint(*row)
+        problem = lp_from_rows(len(objective), rows, objective=objective, upper=upper)
         sol = lpcore.solve(problem)
         again = lpcore.solve(problem, sol.basis)
         assert again.stats.pivots == 0 and again.stats.crash_accepted
@@ -369,8 +341,7 @@ def test_bogus_start_falls_back():
     # the slack basis leaves the >= row infeasible at the corner, but it
     # installs and is dual feasible (x0 costs 1 at zero): one dual pivot
     # makes x0 basic at 3, with no phase 1
-    p = LpProblem(1, objective=[1.0])
-    p.add_constraint({0: 1.0}, ">=", 3.0)
+    p = lp_from_rows(1, [({0: 1.0}, ">=", 3.0)], objective=[1.0])
     s = solve(p, Basis([], []))
     assert s.status == lpcore.OPTIMAL
     assert s.objective_value == 3.0
@@ -382,8 +353,7 @@ def test_bogus_start_falls_back():
 
 
 def test_start_with_only_variables_at_upper_is_honoured():
-    p = LpProblem(2, objective=[1.0, 1.0], upper=[1.0, 1.0])
-    p.add_constraint({0: 1.0, 1: 1.0}, "<=", 5.0)
+    p = lp_from_rows(2, [({0: 1.0, 1: 1.0}, "<=", 5.0)], objective=[1.0, 1.0], upper=[1.0, 1.0])
     s = solve(p, Basis([], [], [0, 1]))
     assert s.stats.crash_accepted
     assert s.stats.bound_flips == 2  # both variables flip down from their upper bound
@@ -392,10 +362,11 @@ def test_start_with_only_variables_at_upper_is_honoured():
 
 def test_fixed_column_named_by_the_start_is_kept():
     # min -x0 - x1 + x2 - x3: x0 + x1 <= 1, x1 + x2 + x3 <= 2, x0 - x3 >= -1; x2 and x3 fixed at 0
-    p = LpProblem(4, objective=[-1.0, -1.0, 1.0, -1.0], upper=[1.0, 1.0, 0.0, 0.0])
-    p.add_constraint({0: 1.0, 1: 1.0}, "<=", 1.0)
-    p.add_constraint({1: 1.0, 2: 1.0, 3: 1.0}, "<=", 2.0)
-    p.add_constraint({0: 1.0, 3: -1.0}, ">=", -1.0)
+    p = lp_from_rows(4, [
+        ({0: 1.0, 1: 1.0}, "<=", 1.0),
+        ({1: 1.0, 2: 1.0, 3: 1.0}, "<=", 2.0),
+        ({0: 1.0, 3: -1.0}, ">=", -1.0),
+    ], objective=[-1.0, -1.0, 1.0, -1.0], upper=[1.0, 1.0, 0.0, 0.0])
     s = solve(p, Basis([], [], [3]))  # x3 starts at its upper bound, 0
     assert s.stats.crash_accepted
     assert s.objective_value == -1.0
@@ -406,11 +377,11 @@ def test_fixed_column_named_by_the_start_is_kept():
 
 def _two_row_lp():
     # min x0 + 2 x1: x0 + x1 >= 2, x0 - x1 == 0, x0 + 3 x1 <= 10; optimum (1, 1)
-    p = LpProblem(2, objective=[1.0, 2.0])
-    p.add_constraint({0: 1.0, 1: 1.0}, ">=", 2.0)
-    p.add_constraint({0: 1.0, 1: -1.0}, "==", 0.0)
-    p.add_constraint({0: 1.0, 1: 3.0}, "<=", 10.0)
-    return p
+    return lp_from_rows(2, [
+        ({0: 1.0, 1: 1.0}, ">=", 2.0),
+        ({0: 1.0, 1: -1.0}, "==", 0.0),
+        ({0: 1.0, 1: 3.0}, "<=", 10.0),
+    ], objective=[1.0, 2.0])
 
 
 def test_valid_start_skips_phase_one():
@@ -489,10 +460,8 @@ def test_certify_rejects_negative_reduced_cost_on_completion_column():
 def test_certificate_gap_of_a_zero_optimum_is_relative_to_the_terms():
     # c.x = 0.1 + 0.2 - 0.3 cancels to 5.55e-17 and b.y to 2.78e-17: the
     # gap is measured against the terms summed, not against their residue
-    p = LpProblem(3, objective=[1.0, 1.0, -1.0])
-    p.add_constraint({0: 1.0}, ">=", 0.1)
-    p.add_constraint({2: 1.0}, "<=", 0.3)
-    p.add_constraint({1: 1.0}, ">=", 0.2)
+    p = lp_from_rows(3, [({0: 1.0}, ">=", 0.1), ({2: 1.0}, "<=", 0.3), ({1: 1.0}, ">=", 0.2)],
+                     objective=[1.0, 1.0, -1.0])
     s = solve(p)
     assert s.values.tolist() == [0.1, 0.2, 0.3]
     cert = lpcore.certify(p, s.values, s.duals)
@@ -504,10 +473,11 @@ def test_certificate_gap_of_a_zero_optimum_is_relative_to_the_terms():
 
 def test_duals_in_caller_sign_convention():
     # min x0 + 2 x1 st x0 + x1 >= 2, x1 <= 5 (slack), x0 - x1 == 0: x = (1, 1)
-    p = LpProblem(2, objective=[1.0, 2.0])
-    p.add_constraint({0: 1.0, 1: 1.0}, ">=", 2.0)
-    p.add_constraint({1: 1.0}, "<=", 5.0)
-    p.add_constraint({0: 1.0, 1: -1.0}, "==", 0.0)
+    p = lp_from_rows(2, [
+        ({0: 1.0, 1: 1.0}, ">=", 2.0),
+        ({1: 1.0}, "<=", 5.0),
+        ({0: 1.0, 1: -1.0}, "==", 0.0),
+    ], objective=[1.0, 2.0])
     s = solve(p)
     assert s.values.tolist() == pytest.approx([1.0, 1.0])
     # c - A'y = 0 on the two basic columns: y0 + y2 = 1, y0 - y2 = 2
@@ -517,22 +487,17 @@ def test_duals_in_caller_sign_convention():
 
 
 def test_hand_built_rows_and_bounds_read_back_as_added():
-    p = LpProblem(3, objective=[1.0, 0.0, 2.0])
     rows = [
         ({2: 1.5, 0: -1.0}, "<=", 4.0),
         ({1: 1.0}, ">=", 0.25),
         ({}, "<=", 1.0),
         ({0: 1.0, 1: 1.0, 2: 1.0}, "==", 3.0),
+        ({1: -2.0}, "==", 0.0),
     ]
-    for coeffs, relation, rhs in rows:
-        p.add_constraint(coeffs, relation, rhs)
-    p.add_constraint({1: -2.0}, "=", 0.0)
-    rows.append(({1: -2.0}, "==", 0.0))
-    p.set_upper(1, 5.0)
-    p.set_upper(2, 0.5)
+    p = lp_from_rows(3, rows, objective=[1.0, 0.0, 2.0], upper=[math.inf, 5.0, 0.5])
     assert len(p.constraints) == len(rows)
     assert list(p.constraints) == rows
-    # columns come back in the order they were added
+    # columns come back in the order they were listed
     assert [list(coeffs) for coeffs, _, _ in p.constraints] == [list(c) for c, _, _ in rows]
     assert p.constraints[-1] == rows[-1]
     assert p.constraints[1:3] == rows[1:3]

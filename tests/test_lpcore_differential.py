@@ -31,6 +31,7 @@ optimize = pytest.importorskip("scipy.optimize")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 
 from coflowsched import lpcore  # noqa: E402
+from conftest import lp_from_rows  # noqa: E402
 
 REL_TOL = 1e-9
 MAGNITUDES = [10.0**e for e in range(-3, 4)]
@@ -41,23 +42,19 @@ def bounded_lps(draw, relations=("<=", ">=", "==")):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 6))
     col_mag = [draw(st.sampled_from(MAGNITUDES)) for _ in range(n)]
-    problem = lpcore.LpProblem(
-        n, objective=[draw(st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 3.0))) / col_mag[j]
-                      for j in range(n)]
-    )
-    lower = []
+    objective = [draw(st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 3.0))) / col_mag[j] for j in range(n)]
+    lower, upper = [], []
     for j in range(n):
         lower.append(draw(st.sampled_from((0.0, 0.0, -1.0, 2.0))) * col_mag[j])
         width = draw(st.sampled_from((math.inf, math.inf, 0.0, 1.0, 5.0)))
-        problem.set_upper(j, width * col_mag[j])
+        upper.append(width * col_mag[j])
     # a point inside the bounds, used to make most rows satisfiable
     point = [lower[j] + (min(hi, col_mag[j]) if math.isfinite(hi) else col_mag[j]) * 0.5
-             for j, (_, hi) in enumerate(problem.bounds)]
+             for j, hi in enumerate(upper)]
+    rows = []
     for _ in range(m):
-        if problem.constraints and draw(st.integers(0, 4)) == 0:
-            coeffs, relation, rhs = problem.constraints[draw(
-                st.integers(0, len(problem.constraints) - 1))]
-            problem.add_constraint(coeffs, relation, rhs)  # duplicate row
+        if rows and draw(st.integers(0, 4)) == 0:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])  # duplicate row
             continue
         row_mag = draw(st.sampled_from(MAGNITUDES))
         support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
@@ -78,8 +75,8 @@ def bounded_lps(draw, relations=("<=", ">=", "==")):
             value = at_point + (-row_mag if relation == "<=" else row_mag) * 0.25
         else:
             value = at_point + row_mag * 1.5
-        problem.add_constraint(coeffs, relation, value - sum(c * lower[j] for j, c in coeffs.items()))
-    return problem
+        rows.append((coeffs, relation, value - sum(c * lower[j] for j, c in coeffs.items())))
+    return lp_from_rows(n, rows, objective=objective, upper=upper)
 
 
 def _highs(problem):
@@ -153,7 +150,7 @@ def test_dual_path_with_temporary_bounds_matches_highs(problem, pick):
     # with a row violated at the slack basis the dual path must place a
     # temporary bound on it, and still agree with HiGHS
     j = pick % problem.num_vars
-    problem.set_upper(j, math.inf)
+    problem.upper[j] = math.inf
     problem.objective[j] = -abs(problem.objective[j]) or -1.0
     violated = np.where(problem.rel == lpcore.LE, problem.rhs < -1e-9 * np.abs(problem.rhs).max(),
                         problem.rhs > 1e-9 * np.abs(problem.rhs).max())

@@ -14,6 +14,7 @@ from coflowsched.model import (
     port_loads,
     prefix_bottlenecks,
     residual,
+    _load_matrix,
 )
 from coflowsched.sim import FluidRun
 from coflowsched.verify import (
@@ -185,6 +186,31 @@ def test_residual_matches_the_instance_of_the_remaining_demands():
         seen_kept += len(expected_ids) >= 3
         seen_floor += bool(((left > 0.0) & (left <= 1e-9)).any())
     assert seen_empty >= 5 and seen_floor >= 30 and seen_kept >= 10
+
+
+def _unique_load_matrix(instance, keep, amounts):
+    # the reference: the kept flows' coflows numbered by np.unique
+    ids, of = np.unique(instance.flow_coflows[keep], return_inverse=True)
+    rows, kk = len(instance.ports), len(ids)
+    cells = np.concatenate((instance.flow_source_rows[keep] * kk + of, instance.flow_dest_rows[keep] * kk + of))
+    return ids, np.bincount(cells, np.concatenate((amounts, amounts)), minlength=rows * kk).reshape(rows, kk)
+
+
+def test_load_matrix_numbers_the_kept_coflows_as_unique_does():
+    inst = generate(SyntheticConfig(n_ports=6, n_coflows=12, kind="combined", seed=4))
+    sizes = np.array(inst.flow_sizes)
+    rng = np.random.default_rng(9)
+    keeps = [
+        slice(None),                                                   # the instance's own
+        np.arange(0),                                                  # nothing kept
+        np.flatnonzero(~np.isin(inst.flow_coflows, [0, 5, 11])),       # whole coflows dropped
+        *(np.flatnonzero(rng.random(len(sizes)) < share) for share in rng.random(200)),
+    ]
+    for keep in keeps:
+        got = _load_matrix(inst, keep, sizes[keep])
+        want = _unique_load_matrix(inst, keep, sizes[keep])
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_flow_arrays_are_the_flow_key_columns_built_once():

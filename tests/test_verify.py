@@ -14,7 +14,6 @@ from coflowsched.verify import (
     check_approximation_bounds,
     counterexample_fixture,
     equal_bottleneck_fixture,
-    min_completion_under_deadline,
     oracle_opt,
     staggered_release_fixture,
 )
@@ -126,12 +125,22 @@ def test_counterexample_grouped_schedule_finishes_late():
 
 
 def test_counterexample_is_fundamental():
-    # every unit-slot schedule finishing the wide coflow by 2 ends at 4+
+    """Every unit-slot schedule that finishes the wide coflow by 2 finishes
+    the other at 4 or later, though W(1..2) = 3.
+
+    Coflow 0 puts 2 units through source port 0, so every schedule has
+    C0 >= 2.  The oracle's optimum, the least 10 C0 + C1 over all unit-slot
+    schedules, is 24 with completions [2, 4].  A schedule with C0 <= 2 thus
+    has C0 = 2 and costs 20 + C1 >= 24, so C1 >= 4, and the optimum's
+    schedule attains it.
+    """
     inst = counterexample_fixture()
-    best_green = min_completion_under_deadline(
-        inst, constrained=0, deadline=2.0 + 1e-9, target=1
-    )
-    assert best_green == pytest.approx(4.0)
+    least_c0 = inst.node_loads[:, 0].max()
+    assert least_c0 == 2.0 and inst.weights.tolist() == [10.0, 1.0]
+    res = oracle_opt(inst)
+    assert res.optimal_value == 24.0
+    assert res.optimal_schedule.completions.tolist() == [2.0, 4.0]
+    assert res.optimal_value - 10.0 * least_c0 == 4.0
 
 
 def test_oracle_sandwich_random_sweep():

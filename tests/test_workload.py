@@ -122,6 +122,15 @@ def test_ingest_filter_drops_small_coflows():
         ingest_trace([small], 4, min_flows_filter=10)
 
 
+def test_flow_count_merges_repeated_racks():
+    # mappers 1;1 and reducers 2:10;2:6 make one 16 MB flow (1, 2)
+    rec = TraceRecord("r", 0, [1, 1], [(2, 10.0), (2, 6.0)])
+    assert ingest_trace([rec], 4).coflows[0].demands == {(1, 2): 16.0}
+    assert rec.num_flows == 1
+    with pytest.raises(ValueError, match="no coflows survive"):
+        ingest_trace([rec], 4, min_flows_filter=2)
+
+
 def test_ingest_conserves_volume():
     records = parse_trace_csv(DATA / "mini_trace.csv")
     inst = ingest_trace(records, 4)
