@@ -290,6 +290,8 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     if args.reps < 1:
         raise ValueError("repetitions must be at least 1")
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     if not args.schedulers:
         raise ValueError("select at least one scheduler")
     for name in args.schedulers:

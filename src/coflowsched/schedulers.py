@@ -13,9 +13,9 @@
 The fluid schedulers are rate policies that sim.run_fluid drives over a
 sim.FluidRun's flow state, returning rates by flow id (a flow's position
 in the instance's flow table): list scheduling as a dict of at most one
-rate per port; varys and lp_ov_gb, which hand out capacity with numpy over
-the table's per-flow arrays, as an id array and a rate array.  lp_ii_gb steps
-its own slots.  All return a sim.Schedule that passes the validator.
+rate per port; varys and lp_ov_gb, with hundreds of rates per event, as an
+id array and a rate array.  lp_ii_gb steps its own slots.  All return a
+sim.Schedule that passes the validator.
 
 A priority queue of flow ids kept per port pair, _PairHeads, serves every
 policy that takes each pair's first released unfinished flow, its head:
@@ -237,36 +237,29 @@ def varys(instance: CoflowInstance) -> Schedule:
     """
     cap = instance.capacity
     run = FluidRun(instance)
-    kk, nf, offsets = instance.num_coflows, len(instance.flow_sizes), instance.flow_offsets
+    kk, offsets = instance.num_coflows, instance.flow_offsets
     # every coflow's loads on the ports in use, by row, in one bincount over
     # (coflow, row) cells that adds each cell in flow id order
     rows, source, dest = len(instance.ports), instance.flow_source_rows, instance.flow_dest_rows
     owner_cell = rows * instance.flow_coflows
     cells = np.concatenate((owner_cell + source, owner_cell + dest))
-    pair = source * rows + dest
-    outside = kk * nf  # the key of a flow that the leftover pass does not take
-
-    def pair_runs(by_pair: np.ndarray) -> tuple:
-        """``by_pair``, flow ids sorted by (pair, id), with where each pair's
-        run starts, the pairs' source and destination ports, and each flow's
-        coflow: the leftover pass takes the least key of each pair with one
-        reduceat, and rebuilds this without the finished flows once half of
-        them are."""
-        starts = np.flatnonzero(np.diff(pair[by_pair], prepend=-1))
-        at = pair[by_pair[starts]]
-        return by_pair, starts, at // rows, at % rows, instance.flow_coflows[by_pair]
-
-    table = pair_runs(np.argsort(pair, kind="stable"))
+    # a coflow's flows run by (source, dest), so its flows on a source row
+    # are one id range: coflow k's on row r are spans[r][k]
+    bounds = np.searchsorted(owner_cell + source, np.arange(kk * rows + 1)).tolist()
+    spans = [[range(bounds[k * rows + r], bounds[k * rows + r + 1]) for k in range(kk)]
+             for r in range(instance.num_source_ports)]
+    # by flow id: the dest row, and the demand left as Python floats (the
+    # run updates ``remaining`` in place)
+    dest_of, left_of = dest.tolist(), memoryview(run.remaining)
 
     def policy(run: FluidRun):
-        nonlocal table
         active = run.active_coflows()
         if not active:
             return {}
         rem = run.remaining
         loads = np.bincount(cells, np.concatenate((rem, rem)), minlength=kk * rows).reshape(kk, rows)
         peak = loads.max(axis=1).tolist()
-        order = sorted(active, key=lambda k: (peak[k], k))
+        order = sorted(active, key=peak.__getitem__)  # stable: a tie goes to the lower id
         needs = loads[order] > 0.0
         spare = np.full(rows, float(cap))  # capacity left, by row
         flows, rates = [], []  # id and rate arrays: each paced coflow's, then the leftover pass's
@@ -295,50 +288,32 @@ def varys(instance: CoflowInstance) -> Schedule:
             np.subtract.at(spare, dest[ids], paced)
             np.maximum(spare, 0.0, out=spare)
             at = nxt + 1
-        # leftover pass over the skipped coflows: each open pair's unfinished
-        # flow of the first skipped coflow (lowest id on a tie), the pairs by
-        # source port, then by that rank, then by flow id; coflows already
-        # paced to finish together keep their rates (extra speed on a
-        # non-bottleneck flow would not move their completion anyway)
-        if skipped:
-            by_pair, starts, pair_src, pair_dst, coflow_by_pair = table
-            rank = np.full(kk, kk)
-            rank[skipped] = np.arange(len(skipped))
-            alive = rem[by_pair] > 0.0
-            keys = np.where(alive, rank[coflow_by_pair] * nf + by_pair, outside)
-            least = np.minimum.reduceat(keys, starts)
-            if 2 * np.count_nonzero(alive) < alive.size:  # half of them finished: drop those
-                table = pair_runs(by_pair[alive])
-            ok = spare > CAPACITY_TOL
-            take = (least < outside) & ok[pair_src] & ok[pair_dst]
-            first = np.sort(pair_src[take] * outside + least[take]) % nf
-            raised, extra = _fill(instance, first, spare)
-            flows.append(first[raised])
-            rates.append(extra)
+        # leftover pass over the skipped coflows: source rows ascending, on
+        # each the skipped coflows by rank and their unfinished flows there
+        # by dest; a flow is raised by the smaller of its two ports' spare
+        # capacity when both exceed CAPACITY_TOL.  A raise leaves one of its
+        # ports with nothing, so the first flow met on a pair is the only
+        # one raised there, and a saturated row is left at once.
+        # Coflows already paced to finish together keep their rates (extra
+        # speed on a non-bottleneck flow would not move their completion).
+        left = spare.tolist()
+        raised, extra = [], []
+        for r, on_row in enumerate(spans):
+            for i in (i for k in skipped for i in on_row[k]):
+                if left[r] <= CAPACITY_TOL:
+                    break
+                j = dest_of[i]
+                if left[j] > CAPACITY_TOL and left_of[i] > 0.0:
+                    x = min(left[r], left[j])
+                    raised.append(i)
+                    extra.append(x)
+                    left[r] -= x
+                    left[j] -= x
+        flows.append(np.array(raised, dtype=np.int64))
+        rates.append(np.array(extra, dtype=float))
         return np.concatenate(flows), np.concatenate(rates)
 
     return run_fluid(run, policy)
-
-
-def _fill(instance: CoflowInstance, ids: np.ndarray, spare: np.ndarray) -> tuple:
-    """Raise each flow id of ``ids``, in order, by all that is left on both
-    of its ports, the less of the two, when both have more than
-    CAPACITY_TOL left; return the positions in ``ids`` raised (int64) and
-    the raises.  ``spare`` holds what is left on each port in use, by row.
-
-    Each raise leaves one of its two ports with nothing, so a port pair is
-    raised at most once.
-    """
-    left = spare.tolist()
-    raised, extra = [], []
-    for at, (i, j) in enumerate(zip(instance.flow_source_rows[ids].tolist(), instance.flow_dest_rows[ids].tolist())):
-        if left[i] > CAPACITY_TOL and left[j] > CAPACITY_TOL:
-            x = min(left[i], left[j])
-            raised.append(at)
-            extra.append(x)
-            left[i] -= x
-            left[j] -= x
-    return np.array(raised, dtype=np.int64), np.array(extra, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +355,7 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
     groups = group_coflows(instance, ordering)
     cap = instance.capacity
     rows = len(instance.ports)
+    source, dest = instance.flow_source_rows.tolist(), instance.flow_dest_rows.tolist()  # by flow id
     run = FluidRun(instance)
     # each flow's port pair, numbered among the pairs that occur, in
     # (source, dest) order; pair_src and pair_dst give each pair's rows
@@ -421,8 +397,9 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
         amount = np.zeros(0)  # the servers' rates
         if served.size:
             # the port loads add the pairs in the order of their servers
+            shares = demand[by_seen]
             loads = np.bincount(np.concatenate((pair_src[by_seen], pair_dst[by_seen])),
-                                np.tile(demand[by_seen], 2), minlength=rows)
+                                np.concatenate((shares, shares)), minlength=rows)
             finish = loads.max() / cap
             amount = demand[pairs] / finish
             # each port's grants subtracted in pair order; the grants are
@@ -431,15 +408,22 @@ def lp_ov_gb(instance: CoflowInstance, ordering_result=None) -> Schedule:
             np.subtract.at(spare, pair_src[pairs], amount)
             np.subtract.at(spare, pair_dst[pairs], amount)
             np.maximum(spare, 0.0, out=spare)
-        # raise the group's own pair rates until a port saturates, then
-        # backfill pairs without group demand from later-ordered released
-        # coflows, in queue order (LP rank, then source, then dest); spare
+        # raise the group's own pair rates, then backfill pairs without group
+        # demand from later-ordered released coflows, in queue order (LP
+        # rank, then source, then dest), each by the smaller of its two
+        # ports' spare capacity when both exceed CAPACITY_TOL; spare
         # capacity only shrinks, so only each pair's head can be served
-        candidates = np.concatenate((servers, q_flow[keys[cut:]]))
-        raised, extra = _fill(instance, candidates, spare)
-        own = int(np.searchsorted(raised, servers.size))
-        amount[raised[:own]] += extra[:own]
-        return np.concatenate((servers, candidates[raised[own:]])), np.concatenate((amount, extra[own:]))
+        ids = np.concatenate((servers, q_flow[keys[cut:]]))
+        rates = amount.tolist() + [0.0] * (ids.size - cut)  # a backfill head left at 0.0 is dropped
+        left = spare.tolist()
+        for at, i in enumerate(ids.tolist()):
+            s, d = source[i], dest[i]
+            if left[s] > CAPACITY_TOL and left[d] > CAPACITY_TOL:
+                x = min(left[s], left[d])
+                rates[at] += x
+                left[s] -= x
+                left[d] -= x
+        return ids, np.array(rates)
 
     return run_fluid(run, policy)
 
@@ -486,29 +470,31 @@ def _perfect_matching(cols_of: list, states: list | None = None, start: int = 0)
     return perm
 
 
-def _pad_to_equal_line_sums(matrix: np.ndarray) -> np.ndarray:
-    """Integer copy of ``matrix`` with nonnegative fill added so every row
-    and column sums to the max line sum."""
-    padded = matrix.astype(np.int64)
-    n = padded.shape[0]
-    target = max(padded.sum(axis=1).max(), padded.sum(axis=0).max())
-    row_deficit = target - padded.sum(axis=1)
-    col_deficit = target - padded.sum(axis=0)
-    for i in range(n):
-        for j in range(n):
+def _pad_to_equal_line_sums(matrix: list) -> list:
+    """Copy of ``matrix``, a square list of int rows, with nonnegative fill
+    added so every row and column sums to the max line sum."""
+    padded = [list(row) for row in matrix]
+    row_sums, col_sums = [sum(row) for row in padded], [sum(col) for col in zip(*padded)]
+    target = max(row_sums + col_sums)
+    row_deficit = [target - total for total in row_sums]
+    col_deficit = [target - total for total in col_sums]
+    for i, row in enumerate(padded):
+        for j in range(len(row)):
             add = min(row_deficit[i], col_deficit[j])
             if add > 0:
-                padded[i, j] += add
+                row[j] += add
                 row_deficit[i] -= add
                 col_deficit[j] -= add
     return padded
 
 
-def _integer_bvn(matrix: np.ndarray) -> list:
+def _integer_bvn(matrix: list):
     """Birkhoff-von Neumann decomposition of a nonnegative integer matrix,
-    used by the slotted scheduler: returns [(slot_count, perm)], perm[i] the
-    column of row i, whose counts sum to the max line sum and whose
-    permutations rebuild the padded matrix.
+    a square list of int rows, used by the slotted scheduler: yields
+    (slot_count, perm) pairs, perm[i] the column of row i, whose counts sum
+    to the max line sum and whose permutations rebuild the padded matrix.
+    Each is peeled when it is asked for, so a caller that stops early
+    peels no more.
 
     Each matching is the one a search from scratch on the rows' supports
     finds.  The supports are kept across peels: a column leaves a row's
@@ -521,15 +507,14 @@ def _integer_bvn(matrix: np.ndarray) -> list:
     probe it gave the from-scratch decomposition on only 97 of 300 random
     matrices, and lp-ii-gb's schedules follow these permutations.
     """
-    padded = _pad_to_equal_line_sums(matrix).tolist()
+    padded = _pad_to_equal_line_sums(matrix)
     support = [[j for j, v in enumerate(row) if v > 0] for row in padded]
     states = [None] * len(padded)
-    out = []
     start = 0
     while any(support):
         perm = _perfect_matching(support, states, start)
         count = min(padded[i][j] for i, j in enumerate(perm))
-        out.append((count, perm))
+        yield count, perm
         start = -1
         for i, j in enumerate(perm):
             padded[i][j] -= count
@@ -537,7 +522,6 @@ def _integer_bvn(matrix: np.ndarray) -> list:
                 support[i].remove(j)
                 if start < 0:
                     start = i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +540,8 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
     unused port changes nothing, and each permutation serves each of its
     pairs with the earliest-ordered released flow that has units left
     there: an active-group member, else a later-ordered coflow as backfill.
+    The permutations are peeled as they are served, up to the next release,
+    where the demand released by then is decomposed afresh.
     While the whole active group is unreleased, slots take the greedy
     port-disjoint matching in that same priority order.
     """
@@ -610,13 +596,14 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
             else:
                 slot = next_release
             continue
-        matrix = np.zeros((width, width), dtype=np.int64)
+        matrix = [[0] * width for _ in range(width)]
         for k in ready:
             for i in range(offsets[k], offsets[k + 1]):
-                matrix[row_of[i], col_of[i]] += remaining[i]
+                matrix[row_of[i]][col_of[i]] += remaining[i]
         # no release falls inside the decomposition, so the served set of
         # coflows, and each pair's head but for completions, stays fixed
-        # until slot reaches next_release
+        # until slot reaches next_release, which ends the decomposition:
+        # the next pass decomposes the demand released by then
         for count, perm in _integer_bvn(matrix):
             while count > 0 and slot < next_release:
                 serving = [i for row, c in enumerate(perm[:sources])
@@ -627,6 +614,8 @@ def lp_ii_gb(instance: CoflowInstance) -> Schedule:
                 else:
                     slot += length
                 count -= length
+            if slot == next_release:
+                break
 
     return record.schedule()
 

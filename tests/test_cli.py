@@ -668,3 +668,13 @@ def test_workers_flag_matches_sequential(tmp_path):
         {k: v for k, v in row.items() if k != "wall_ms"} for row in _read_rows(path)
     ]
     assert strip(seq) == strip(par)
+
+
+def test_workers_below_one_exit_two(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    for workers in ("0", "-2"):
+        assert cli.main(["run", "--workload", "dense", "--ports", "2", "--coflows", "2", "--reps", "1",
+                         "--schedulers", "lp-ov-ls", "--workers", workers, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: workers must be at least 1\n"
+        assert not out.exists()  # refused before the report file is opened

@@ -17,7 +17,7 @@ from coflowsched.model import Coflow, CoflowInstance, FlowKey, port_loads
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import group_coflows, lp_ov_gb, varys, _queue
 from coflowsched.sim import CAPACITY_TOL, EVENT_EPS, FluidRun, Schedule, run_fluid
-from coflowsched.workload import SyntheticConfig, generate
+from coflowsched.workload import SyntheticConfig, assign_weights, generate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -206,5 +206,19 @@ def test_fluid_policies_match_the_dict_references_on_a_wide_instance_with_releas
     lp = solve_ordering_lp(inst)
     assert len(group_coflows(inst, lp.ordering)) >= 3
     assert len({cf.release for cf in inst.coflows}) == inst.num_coflows
+    assert _recorded(varys(inst)) == _recorded(_reference_varys(inst))
+    assert _recorded(lp_ov_gb(inst, lp)) == _recorded(_reference_lp_ov_gb(inst, lp))
+
+
+@pytest.mark.parametrize("seed", [10_000, 70_000])
+def test_fluid_policies_match_the_dict_references_on_the_benchmark_traffic(seed):
+    # sched-combined-16x8's traffic: 16 ports, combined sizes, no releases
+    # and random weights, so every coflow is active from the start and
+    # varys's leftover pass walks the most skipped coflows
+    inst = assign_weights(generate(SyntheticConfig(n_ports=16, n_coflows=8, kind="combined",
+                                                   interarrival_range=None, seed=seed)),
+                          "uniform-random", seed=seed)
+    assert not any(cf.release for cf in inst.coflows)
+    lp = solve_ordering_lp(inst)
     assert _recorded(varys(inst)) == _recorded(_reference_varys(inst))
     assert _recorded(lp_ov_gb(inst, lp)) == _recorded(_reference_lp_ov_gb(inst, lp))

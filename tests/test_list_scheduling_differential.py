@@ -143,7 +143,7 @@ def _reference_lp_ii_gb(instance: CoflowInstance) -> Schedule:
         for k in ready:
             for (i, j) in instance.coflows[k].demands:
                 matrix[sources.index(i), dests.index(j)] += remaining[FlowKey(i, j, k)]
-        for count, perm in _integer_bvn(matrix):
+        for count, perm in _integer_bvn(matrix.tolist()):
             while count > 0 and slot < next_release:
                 served = (
                     next(filter(servable, by_pair.get((sources[row], dests[col]), ())), None)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from coflowsched import schedulers
 from coflowsched.model import Coflow, CoflowInstance, FlowKey
 from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import (
@@ -329,11 +330,13 @@ def test_integer_bvn_rebuilds_padded_matrix():
         if not m.any():
             m[0, 0] = 1
         target = max(m.sum(axis=1).max(), m.sum(axis=0).max())
-        padded = _pad_to_equal_line_sums(m)
+        padded = _pad_to_equal_line_sums(m.tolist())
+        assert all(type(v) is int for row in padded for v in row)
+        padded = np.array(padded)
         assert (padded >= m).all()
         assert padded.sum(axis=1).tolist() == [target] * n
         assert padded.sum(axis=0).tolist() == [target] * n
-        parts = _integer_bvn(m)
+        parts = list(_integer_bvn(m.tolist()))
         assert sum(count for count, _ in parts) == target
         rebuilt = np.zeros((n, n), dtype=np.int64)
         for count, perm in parts:
@@ -368,7 +371,7 @@ def _reference_integer_bvn(matrix: np.ndarray) -> list:
         perm[match_col] = np.arange(n)
         return perm
 
-    padded = _pad_to_equal_line_sums(matrix)
+    padded = np.array(_pad_to_equal_line_sums(matrix.tolist()))
     out = []
     while padded.any():
         perm = perfect_matching(padded > 0)
@@ -392,7 +395,24 @@ def test_integer_bvn_equals_the_from_scratch_decomposition():
             m[:, rng.integers(0, n)] += rng.integers(0, 9, size=n)  # an unbalanced column
         matrices.append(m)
     for m in matrices:
-        assert _integer_bvn(m) == _reference_integer_bvn(m), m
+        assert list(_integer_bvn(m.tolist())) == _reference_integer_bvn(m), m
+
+
+def test_integer_bvn_peels_only_the_permutations_asked_for(monkeypatch):
+    # lp-ii-gb stops at the next release, so the decomposition is peeled
+    # one permutation at a time: the first costs one matching search
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _perfect_matching(*args)
+
+    monkeypatch.setattr(schedulers, "_perfect_matching", counted)
+    m = [[2, 1, 0], [0, 2, 1], [1, 0, 2]]
+    count, perm = next(_integer_bvn(m))
+    assert len(calls) == 1
+    assert (count, perm) == _reference_integer_bvn(np.array(m))[0]
+    assert len(list(_integer_bvn(m))) > 1  # so the first call did stop early
 
 
 def test_perfect_matching_resumes_where_the_supports_changed():
