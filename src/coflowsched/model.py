@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from math import inf
+from sys import float_info
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,18 +43,19 @@ class Coflow:
     weight: float = 1.0
 
     def __post_init__(self):
+        # a number is finite when its float is: an int past float_info.max is not
         if not self.demands:
             raise ValueError("a coflow must contain at least one flow")
         for (i, j), size in self.demands.items():
             if not (isinstance(i, _PORT_TYPES) and isinstance(j, _PORT_TYPES)):
                 raise ValueError(f"flow ({i}, {j}) has a non-integer port index")
-            if i < 0 or j < 0:
-                raise ValueError(f"negative port index in flow ({i}, {j})")
-            if not 0.0 < size < inf:
+            if not (0 <= i < 2**63 and 0 <= j < 2**63):  # the flow table keeps int64 labels
+                raise ValueError(f"flow ({i}, {j}) has a port index outside 0..2^63 - 1")
+            if not 0.0 < size <= float_info.max:
                 raise ValueError(f"flow ({i}, {j}) has size {size}, not finite and positive")
-        if not 0.0 < self.weight < inf:
+        if not 0.0 < self.weight <= float_info.max:
             raise ValueError(f"coflow weight {self.weight} is not finite and positive")
-        if not 0.0 <= self.release < inf:
+        if not 0.0 <= self.release <= float_info.max:
             raise ValueError(f"release time {self.release} is not finite and nonnegative")
         object.__setattr__(self, "demands", dict(self.demands))
 
@@ -84,7 +85,7 @@ class CoflowInstance:
     def __post_init__(self):
         if self.n_ports < 1:
             raise ValueError("n_ports must be at least 1")
-        if not 0.0 < self.capacity < inf:
+        if not 0.0 < self.capacity <= float_info.max:
             raise ValueError(f"capacity {self.capacity} is not finite and positive")
         object.__setattr__(self, "coflows", tuple(self.coflows))
         sizes, labels = [], []
@@ -127,7 +128,7 @@ class CoflowInstance:
     def node_loads(self) -> np.ndarray:
         """``_load_matrix`` of every flow in data units, a row per port in use:
         the same bits however each coflow's demands were listed.  Read-only."""
-        return _read_only(_load_matrix(self, slice(None), np.array(self.flow_sizes))[1])
+        return _read_only(_load_matrix(self, slice(None), np.array(self.flow_sizes, dtype=float))[1])
 
     @cached_property
     def time_loads(self) -> np.ndarray:
@@ -267,7 +268,9 @@ _KINDS = {"an integer": int, "a number": (int, float), "a list": list}
 
 def _field(data, key: str, kind: str, where: str, default=None):
     """``data[key]`` of ``kind`` (a key of _KINDS), or ``default`` when it is
-    absent and given; otherwise ValueError names the key."""
+    absent and given; otherwise ValueError names the key.  A number must be
+    finite as a float: JSON's NaN and Infinity, and integers past the
+    largest float, are refused."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} is not a JSON object")
     value = data.get(key, default)
@@ -275,6 +278,8 @@ def _field(data, key: str, kind: str, where: str, default=None):
         raise ValueError(f"{where} has no {key!r}")
     if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
         raise ValueError(f"{where}: {key!r} must be {kind}, got {value!r}")
+    if kind == "a number" and not -float_info.max <= value <= float_info.max:
+        raise ValueError(f"{where}: {key!r} must be finite, got {value!r}")
     return value
 
 

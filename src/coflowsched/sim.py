@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lpcore import _View
-from .model import _PORT_TYPES, CoflowInstance, FlowKey, _field
+from .model import CoflowInstance, _field
 
 EVENT_EPS = 1e-9
 CAPACITY_TOL = 1e-9
@@ -57,9 +57,9 @@ class Schedule:
     ``offsets[s]`` to ``offsets[s + 1] - 1``, in recorded order: entry e
     runs flow ``flow[e]`` at ``rate[e]``.  Flow ``finished[c]`` completes at
     ``finished_at[c]``, in completion order.  Flows have one numbering, their
-    instance's flow ids: ``keys`` starts with ``instance.flow_keys``, and any
-    flow the instance lacks (only ``of_segments`` names one) follows from
-    id ``nf`` on.  ``segments`` reads the arrays as Segments, made on access.
+    instance's flow ids, and ``keys`` is ``instance.flow_keys``.  Every
+    schedule is made by a Recorder.  ``segments`` reads the arrays as
+    Segments, made on access.
     """
 
     start: np.ndarray
@@ -71,24 +71,6 @@ class Schedule:
     finished_at: np.ndarray
     keys: tuple
     completions: np.ndarray
-
-    @classmethod
-    def of_segments(cls, instance: CoflowInstance, segments: list, completions,
-                    flow_completions: dict) -> "Schedule":
-        """A schedule of ``instance`` from ``segments`` and ``flow_completions``,
-        which name flows by FlowKey: each of the instance's flows has its flow
-        id, and the flows it lacks take the ids from nf on, in order of first
-        appearance, rates first."""
-        ids = {key: i for i, key in enumerate(instance.flow_keys)}
-        flow = [ids.setdefault(key, len(ids)) for seg in segments for key in seg.rates]
-        rate = [r for seg in segments for r in seg.rates.values()]
-        finished = [ids.setdefault(key, len(ids)) for key in flow_completions]
-        offsets = np.cumsum([0, *(len(seg.rates) for seg in segments)])
-        return cls(np.array([seg.start for seg in segments], dtype=float),
-                   np.array([seg.end for seg in segments], dtype=float), offsets,
-                   np.array(flow, dtype=np.int64), np.array(rate, dtype=float),
-                   np.array(finished, dtype=np.int64), np.array([*flow_completions.values()], dtype=float),
-                   tuple(ids), np.asarray(completions, dtype=float))
 
     @property
     def segments(self) -> Sequence:
@@ -113,47 +95,57 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict, instance: CoflowInstance) -> "Schedule":
-        """A stored schedule of ``instance``, with its coflow completions as
-        recorded (the validator's completion_def check compares them with
-        the flows').  A missing or mistyped field, a number that is not
-        finite, a port or coflow id outside ``instance`` or a completions
-        list of the wrong length, or a flow listed twice in one segment or
-        among the flow completions, raises ValueError naming the entry."""
+        """A stored schedule of ``instance``, recorded as it is listed, with
+        its coflow completions as recorded (the validator's completion_def
+        check compares them with the flows').  A missing or mistyped field,
+        a number that is not finite, a port or coflow id outside
+        ``instance``, a flow the instance lacks, a completions list of the
+        wrong length, or a flow listed twice in one segment or among the flow
+        completions, raises ValueError naming the entry."""
         limits = {"src": instance.n_ports, "dst": instance.n_ports, "coflow": instance.num_coflows}
+        ids = {key: i for i, key in enumerate(instance.flow_keys)}
 
-        def flow(entry, where: str, seen: dict) -> FlowKey:
-            ids = [_field(entry, name, "an integer", where) for name in limits]
-            for (name, size), value in zip(limits.items(), ids):
+        def flow(entry, where: str, seen: set) -> int:
+            key = tuple(_field(entry, name, "an integer", where) for name in limits)
+            for (name, size), value in zip(limits.items(), key):
                 if not 0 <= value < size:
                     raise ValueError(f"{where}: {name!r} {value} is outside 0..{size - 1}")
-            if tuple(ids) in seen:
-                raise ValueError(f"{where}: flow {tuple(ids)} is listed twice")
-            return FlowKey(*ids)
+            i = ids.get(key)
+            if i is None:
+                raise ValueError(f"{where}: flow {key} is not a flow of the instance")
+            if i in seen:
+                raise ValueError(f"{where}: flow {key} is listed twice")
+            seen.add(i)
+            return i
 
-        segments = []
+        record = Recorder(instance)
         for s, seg in enumerate(_field(data, "segments", "a list", "schedule")):
-            where = f"segment {s}"
-            rates = {}
+            where, seen, flows, rates = f"segment {s}", set(), [], []
             for r, entry in enumerate(_field(seg, "rates", "a list", where)):
                 at = f"{where} rate {r}"
-                rates[flow(entry, at, rates)] = _number(entry, "rate", at)
-            segments.append(Segment(_number(seg, "start", where), _number(seg, "end", where), rates))
+                flows.append(flow(entry, at, seen))
+                rates.append(_field(entry, "rate", "a number", at))
+            record.segment(_field(seg, "start", "a number", where), _field(seg, "end", "a number", where), flows, rates)
         recorded = dict(enumerate(_field(data, "completions", "a list", "schedule")))
         if len(recorded) != instance.num_coflows:
             raise ValueError(f"schedule: 'completions' has {len(recorded)} entries, "
                              f"not one per coflow ({instance.num_coflows})")
-        completions = [_number(recorded, k, "completions") for k in recorded]
-        flow_completions = {}
+        completions = [_field(recorded, k, "a number", "completions") for k in recorded]
+        seen = set()
         for e, entry in enumerate(_field(data, "flow_completions", "a list", "schedule")):
             where = f"flow completion {e}"
-            flow_completions[flow(entry, where, flow_completions)] = _number(entry, "time", where)
-        return cls.of_segments(instance, segments, completions, flow_completions)
+            record.complete([flow(entry, where, seen)], _field(entry, "time", "a number", where))
+        schedule = record.schedule()
+        schedule.completions = np.array(completions, dtype=float)
+        return schedule
 
 
 class Recorder:
     """A schedule of ``instance`` as it is recorded: ``segment`` appends
     [start, end) with its flows' ids and rates, in the policy's order, and
-    ``complete`` the ids of the flows that finish at ``time``."""
+    ``complete`` the ids of the flows that finish at ``time``.  The
+    schedulers, the oracle and the schedule-file reader all record through
+    it, and ``schedule`` is the one place a Schedule is made."""
 
     def __init__(self, instance: CoflowInstance):
         self.instance = instance
@@ -185,17 +177,9 @@ class Recorder:
         return Schedule(*arrays, finished, at, self.instance.flow_keys, completions)
 
 
-def _number(data, key, where: str) -> float:
-    """``data[key]`` of a schedule file, which must be a finite number."""
-    value = _field(data, key, "a number", where)
-    if not math.isfinite(value):
-        raise ValueError(f"{where}: {key!r} must be finite, got {value!r}")
-    return value
-
-
 @dataclass
 class Violation:
-    kind: str          # capacity_src, capacity_dst, release, demand, completion_def, unknown_flow
+    kind: str          # capacity_src, capacity_dst, release, demand, completion_def
     location: str
     magnitude: float
 
@@ -406,59 +390,41 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     """Check a schedule against the model constraints.
 
     Inspects segment structure (ordered, non-overlapping), per-port rate
-    sums, release dates, rates and completions only on the instance's flows,
-    transmitted volume per flow at its recorded completion, and the coflow
-    completion definition.  A malformed segment, or a rate on a port or
-    coflow outside the instance, raises ValueError naming the segment, and
-    so does a schedule whose flow ids are not the instance's (its ``keys``
-    do not start with ``instance.flow_keys``).
+    sums, release dates, transmitted volume per flow at its recorded
+    completion, and the coflow completion definition.  A malformed segment
+    raises ValueError naming the segment, and so does a schedule whose flow
+    ids are not the instance's: its ``keys`` are not ``instance.flow_keys``,
+    or it names an id outside 0..nf - 1.
 
-    The schedule's flow ids are the instance's, so nothing is looked up: an
-    id from nf on is a flow the instance lacks.  Its entries are read as
-    recorded, and each sum adds them in entry order, the float additions
-    of a loop over the segments, over the ports the schedule names alone.
-    Violations are listed per segment (releases, then ports ascending,
-    source before destination), then unknown flows, demands and coflow
+    The schedule's flow ids are the instance's, so nothing is looked up.
+    Its entries are read as recorded, and each sum adds them in entry
+    order, the float additions of a loop over the segments, over the ports
+    in use.  Violations are listed per segment (releases, then ports
+    ascending, source before destination), then demands and coflow
     completions.
     """
-    cap, n, num = instance.capacity, instance.n_ports, instance.num_coflows
-    keys, sizes, nf = instance.flow_keys, instance.flow_sizes, len(instance.flow_keys)
-    named = schedule.keys
-    if named[:nf] != keys:
-        raise ValueError(f"the schedule's flow ids are not the instance's: its first {nf} flows differ")
+    cap, keys, sizes, nf = instance.capacity, instance.flow_keys, instance.flow_sizes, len(instance.flow_keys)
+    if schedule.keys != keys:
+        raise ValueError("the schedule's flow ids are not the instance's: their flow tables differ")
     starts, ends, fi, rate = schedule.start, schedule.end, schedule.flow, schedule.rate
-    segments, entries, total = len(starts), len(rate), len(named)
+    for ids in (fi, schedule.finished):  # a negative id reads as an unsigned one past the end
+        _refuse(ids.view(np.uint64) >= nf, ids, ids, f"the schedule names {{i}}, which is not a flow id in 0..{nf - 1}")
+    segments, entries = len(starts), len(rate)
     seg_of = np.repeat(np.arange(segments), np.diff(schedule.offsets))
 
     previous = np.concatenate(([-math.inf], ends[:-1]))
     bad = np.flatnonzero((ends <= starts) | (starts < previous - EVENT_EPS))
-    first_bad = int(bad[0]) if bad.size else segments
-    # the flows the instance lacks that rates name are the ids from nf on, in
-    # order of first appearance; each is checked where it first appears
-    strange = np.flatnonzero(fi >= nf)
-    first_seen = strange[np.unique(fi[strange], return_index=True)[1]]
-    for e in first_seen.tolist():
-        s, key = int(seg_of[e]), named[fi[e]]
-        if s >= first_bad:
-            break
-        if not all(isinstance(v, _PORT_TYPES) and 0 <= v < top for v, top in zip(key, (n, n, num))):
-            raise ValueError(f"segment {s} flow {tuple(key)} is outside the instance "
-                             f"({n} ports, {num} coflows)")
-    if first_bad < segments:
-        if ends[first_bad] <= starts[first_bad]:
-            raise ValueError(f"segment {first_bad} has non-positive length")
-        raise ValueError(f"segment {first_bad} overlaps its predecessor")
-    # the coflow of every flow a rate names, and on each side the labels of
-    # the ports the schedule names there, ascending, and each flow's row among them
-    extra = np.array(named[nf:nf + len(first_seen)], dtype=np.int64).reshape(-1, 3)
-    coflow = np.concatenate((instance.flow_coflows, extra[:, 2]))
-    split, sides = instance.num_source_ports, []
-    for kind, rows, ports in (("capacity_src", instance.flow_source_rows, instance.ports[:split]),
-                              ("capacity_dst", instance.flow_dest_rows - split, instance.ports[split:])):
-        labels, row = np.unique(np.concatenate((ports, extra[:, len(sides)])), return_inverse=True)
-        sides.append((kind, np.concatenate((row[rows], row[len(ports):])), labels))
-    done = np.zeros(total, dtype=bool)  # has a recorded completion
-    finish = np.zeros(total)
+    if bad.size:
+        if ends[bad[0]] <= starts[bad[0]]:
+            raise ValueError(f"segment {bad[0]} has non-positive length")
+        raise ValueError(f"segment {bad[0]} overlaps its predecessor")
+    # the coflow of every flow, and on each side the labels of the ports in
+    # use there, ascending, and each flow's row among them
+    coflow, split = instance.flow_coflows, instance.num_source_ports
+    sides = (("capacity_src", instance.flow_source_rows, instance.ports[:split]),
+             ("capacity_dst", instance.flow_dest_rows - split, instance.ports[split:]))
+    done = np.zeros(nf, dtype=bool)  # has a recorded completion
+    finish = np.zeros(nf)
     done[schedule.finished] = True
     finish[schedule.finished] = schedule.finished_at
     # each entry sends rate x max(min(end, completion) - start, 0), or the whole
@@ -469,7 +435,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     sent -= starts[seg_of]
     sent[sent < 0.0] = 0.0
     sent *= rate
-    sent = np.bincount(fi, sent, minlength=total)
+    sent = np.bincount(fi, sent, minlength=nf)
 
     # Per-(segment, port) sums and release checks, over the positive rates
     # (and NaN ones, as "not <= 0").  A zero weight in place of the others
@@ -481,7 +447,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     for e in late.tolist():
         s = int(seg_of[e])
         gap = float(release[coflow[fi[e]]] - starts[s])
-        found.append((s, e, Violation("release", f"segment {s} flow {tuple(named[fi[e]])}", gap)))
+        found.append((s, e, Violation("release", f"segment {s} flow {tuple(keys[fi[e]])}", gap)))
     weight = np.where(live, rate, 0.0)
     # each entry's (segment, row) cell, segment * width + row, in one buffer
     # for both sides; seg_of holds segment * width from here on
@@ -499,10 +465,7 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     found.sort(key=lambda item: item[:2])
     violations = [v for _, _, v in found]
 
-    for i in sorted(range(nf, total), key=named.__getitem__):
-        violations.append(Violation("unknown_flow", f"flow {tuple(named[i])}", float(sent[i])))
-
-    off = ~done[:nf] | (np.abs(sent[:nf] - np.fromiter(sizes, dtype=float, count=nf)) > DEMAND_TOL)
+    off = ~done | (np.abs(sent - np.fromiter(sizes, dtype=float, count=nf)) > DEMAND_TOL)
     for i in np.flatnonzero(off).tolist():
         key, size = keys[i], sizes[i]
         if done[i]:
@@ -513,8 +476,8 @@ def validate(schedule, instance: CoflowInstance) -> ValidationReport:
     # a coflow completes with its last flow, by Python's max: NaN only when
     # its first flow's completion is NaN
     firsts = np.array(instance.flow_offsets[:-1], dtype=np.int64)
-    all_done = np.logical_and.reduceat(done[:nf], firsts)
-    last = np.fmax.reduceat(finish[:nf], firsts)
+    all_done = np.logical_and.reduceat(done, firsts)
+    last = np.fmax.reduceat(finish, firsts)
     last[np.isnan(finish[firsts])] = math.nan
     for k in np.flatnonzero(all_done).tolist():
         recorded, expected = schedule.completions[k], float(last[k])

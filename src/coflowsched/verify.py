@@ -81,48 +81,6 @@ def _maximal_matchings(flows: list) -> list:
     return sorted(out)
 
 
-class _SlotSearch:
-    """Unit-slot schedules of a small integer instance, as a search space.
-
-    A state is the tuple of remaining units per flow, by flow id.  From slot
-    start ``t`` a state either idles until the next release, when none of
-    its remaining flows is released yet, or serves one maximal matching of
-    its released flows for the slot (t, t + 1].  Flows are read from the
-    instance's flow table: each flow's coflow and its source and dest rows,
-    which two flows share exactly when they share the port.
-    """
-
-    def __init__(self, instance: CoflowInstance, max_ports: int, max_total_demand: float):
-        _require_small_integer_instance(instance, max_ports, max_total_demand)
-        self.sources, self.dests, self.coflow = (
-            rows.tolist() for rows in (instance.flow_source_rows, instance.flow_dest_rows, instance.flow_coflows))
-        self.initial = tuple(int(round(size)) for size in instance.flow_sizes)
-        self.releases = [int(round(release)) for release in instance.releases.tolist()]
-        self.offsets = instance.flow_offsets
-
-    def left(self, state: tuple, k: int) -> int:
-        """Remaining units of coflow ``k``."""
-        return sum(state[self.offsets[k]:self.offsets[k + 1]])
-
-    def successors(self, state: tuple, t: int):
-        """Yields (matching, next state, next slot start); a matching of None
-        idles until the next release."""
-        pending = [fi for fi, units in enumerate(state) if units > 0]
-        ready = [
-            (self.sources[fi], self.dests[fi], fi)
-            for fi in pending
-            if self.releases[self.coflow[fi]] <= t
-        ]
-        if not ready:
-            yield None, state, min(self.releases[self.coflow[fi]] for fi in pending)
-            return
-        for matching in _maximal_matchings(ready):
-            nxt = list(state)
-            for fi in matching:
-                nxt[fi] -= 1
-            yield matching, tuple(nxt), t + 1
-
-
 def oracle_opt(
     instance: CoflowInstance,
     max_ports: int = DEFAULT_MAX_PORTS,
@@ -132,12 +90,36 @@ def oracle_opt(
     matching schedules, with the schedule that achieves it.
 
     Exhaustive depth-first search over maximal matchings per slot,
-    memoized on (remaining demands, time).
+    memoized on (remaining demands, time).  A state is the tuple of
+    remaining units per flow, by flow id.  From slot start ``t`` a state
+    either idles until the next release, when none of its remaining flows
+    is released yet, or serves one maximal matching of its released flows
+    for the slot (t, t + 1].  Flows are read from the instance's flow
+    table: each flow's coflow and its source and dest rows, which two flows
+    share exactly when they share the port.
     """
-    search = _SlotSearch(instance, max_ports, max_total_demand)
-    coflow = search.coflow
+    _require_small_integer_instance(instance, max_ports, max_total_demand)
+    sources, dests, coflow = (
+        rows.tolist() for rows in (instance.flow_source_rows, instance.flow_dest_rows, instance.flow_coflows))
+    initial = tuple(int(round(size)) for size in instance.flow_sizes)
+    releases = [int(round(release)) for release in instance.releases.tolist()]
+    offsets = instance.flow_offsets
     weights = instance.weights.tolist()
     memo: dict[tuple, tuple] = {}
+
+    def successors(state: tuple, t: int):
+        """Yields (matching, next state, next slot start); a matching of None
+        idles until the next release."""
+        pending = [fi for fi, units in enumerate(state) if units > 0]
+        ready = [(sources[fi], dests[fi], fi) for fi in pending if releases[coflow[fi]] <= t]
+        if not ready:
+            yield None, state, min(releases[coflow[fi]] for fi in pending)
+            return
+        for matching in _maximal_matchings(ready):
+            nxt = list(state)
+            for fi in matching:
+                nxt[fi] -= 1
+            yield matching, tuple(nxt), t + 1
 
     def solve(state: tuple, t: int) -> tuple:
         """Returns (cost-to-finish from t, matching, next slot start).
@@ -154,19 +136,20 @@ def oracle_opt(
         if len(memo) > _STATE_LIMIT:
             raise OracleLimitError("oracle state limit exceeded")
         best = (math.inf, None, t)
-        for matching, nxt, t_next in search.successors(state, t):
-            finished = {coflow[fi] for fi in matching or () if not search.left(nxt, coflow[fi])}
+        for matching, nxt, t_next in successors(state, t):
+            finished = {k for k in map(coflow.__getitem__, matching or ())
+                        if not sum(nxt[offsets[k]:offsets[k + 1]])}
             cost = sum(weights[k] * t_next for k in finished) + solve(nxt, t_next)[0]
             if cost < best[0] - 1e-12:
                 best = (cost, matching, t_next)
         memo[key] = best
         return best
 
-    value, _, _ = solve(search.initial, 0)
+    value, _, _ = solve(initial, 0)
 
     # rebuild the optimal schedule by replaying the memoized decisions
     record, last = Recorder(instance), None
-    state, t = search.initial, 0
+    state, t = initial, 0
     while any(state):
         _, matching, t_next = solve(state, t)
         if matching is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,11 @@ class TraceRecord:
     def __post_init__(self):
         if not self.mapper_ports or not self.reducer_entries:
             raise ValueError(f"coflow {self.coflow_id} needs mappers and reducers")
-        if self.arrival_ms < 0:
-            raise ValueError(f"coflow {self.coflow_id} arrives at a negative time")
-        if min([*self.mapper_ports, *(rack for rack, _ in self.reducer_entries)]) < 0:
-            raise ValueError(f"coflow {self.coflow_id} names a negative rack id")
+        if not 0 <= self.arrival_ms <= sys.float_info.max:
+            raise ValueError(f"coflow {self.coflow_id}: 'arrival_ms' is a negative time or too large for a float")
+        racks = [*self.mapper_ports, *(rack for rack, _ in self.reducer_entries)]
+        if min(racks) < 0 or max(racks) >= 2**63:  # a rack is a port label, an int64
+            raise ValueError(f"coflow {self.coflow_id} names a negative rack id or one of 2^63 or more")
         for _, mb in self.reducer_entries:
             if not 0 < mb < math.inf:
                 raise ValueError(f"coflow {self.coflow_id} has a shuffle volume that is not finite and positive")

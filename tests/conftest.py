@@ -44,6 +44,19 @@ def tiny_instances(count: int, zero_release: bool = False, seed0: int = 0):
     return out
 
 
+def schedule_document(segments, completions, flow_completions) -> dict:
+    """The schedule file that ``Schedule.from_dict`` reads, of Segments whose
+    rates map FlowKeys to rates, the coflow completions, and a map from
+    FlowKey to completion time; every list in the order given."""
+    def entries(by_key: dict, name: str) -> list:
+        return [{"src": src, "dst": dst, "coflow": k, name: value} for (src, dst, k), value in by_key.items()]
+
+    return {"segments": [{"start": seg.start, "end": seg.end, "rates": entries(seg.rates, "rate")}
+                         for seg in segments],
+            "completions": [float(c) for c in completions],
+            "flow_completions": entries(flow_completions, "time")}
+
+
 def lp_from_rows(num_vars: int, rows, **arrays):
     """An ``LpProblem`` whose rows are written by hand as ``(coeffs,
     relation, rhs)``, coeffs a {column: value} map listed in entry order and

@@ -338,10 +338,13 @@ def test_validate_verb_rejects_a_flow_the_instance_lacks(tmp_path, capsys):
     sched = tmp_path / "schedule.json"
     sched.write_text(json.dumps(data))
     capsys.readouterr()
-    assert cli.main(["validate", "--instance", str(inst), "--schedule", str(sched)]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert [v["kind"] for v in report["violations"]] == ["unknown_flow"]
-    assert report["violations"][0]["location"] == "flow (2, 2, 1)"
+    # bad input, refused where the file is read: it used to exit 1 with an
+    # "unknown_flow" report
+    assert cli.main(["validate", "--instance", str(inst), "--schedule", str(sched)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: segment 0 rate {len(data['segments'][0]['rates']) - 1}: "
+                                "flow (2, 2, 1) is not a flow of the instance"]
 
 
 def test_dump_schedules_same_with_workers_and_without_lp_ov_ls(tmp_path):
@@ -483,6 +486,33 @@ def test_malformed_instance_exits_two(tmp_path, capsys, case, verb):
     assert "Traceback" not in err
 
 
+OVERSIZED_INSTANCE = {  # case: (edit, text the error must contain)
+    "size": (_set("coflows", 0, "flows", 0, "size", value=10**400), "coflow 0 flow 0: 'size' must be finite"),
+    "release": (_set("coflows", 1, "release", value=10**400), "coflow 1: 'release' must be finite"),
+    "weight": (_set("coflows", 2, "weight", value=10**400), "coflow 2: 'weight' must be finite"),
+    "capacity": (_set("capacity", value=10**400), "instance: 'capacity' must be finite"),
+    "port-label": (lambda data: (data.update(n_ports=2**64), data["coflows"][0]["flows"][0].update(src=2**63)),
+                   "coflow 0: flow (9223372036854775808, 0) has a port index outside 0..2^63 - 1"),
+}
+
+
+@pytest.mark.parametrize("case, verb", [*((case, verb) for case in sorted(OVERSIZED_INSTANCE)
+                                          for verb in ("lp-bound", "run")),
+                                        ("port-label", "oracle"), ("release", "oracle"), ("weight", "oracle")])
+def test_an_oversized_number_in_an_instance_exits_two(tmp_path, capsys, case, verb):
+    # JSON integers have no size limit: a number no float holds, or a port
+    # label no int64 holds, used to end in a TypeError or an OverflowError
+    data = instance_to_dict(staggered_release_fixture())
+    edit, message = OVERSIZED_INSTANCE[case]
+    edit(data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    extra = ["--reps", "1", "--schedulers", "lp-ov-ls"] if verb == "run" else []
+    assert cli.main([verb, "--instance", str(path), *extra]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 def test_lp_ii_gb_slot_count_too_large_exits_two_naming_the_flow(tmp_path, capsys):
     # each 1e300 flow takes 1e300 slots of length 1, which no int64 slot
     # count holds; lp-ii-gb used to end in an OverflowError
@@ -514,6 +544,14 @@ MALFORMED_SCHEDULE = {  # case: (edit, text the error must contain)
     "rate-listed-twice": (lambda data: data["segments"][0]["rates"].append(
                               dict(data["segments"][0]["rates"][0], rate=5.0)),
                           "is listed twice"),
+    # JSON integers have no size limit; these used to end in an OverflowError
+    "rate-oversized": (_set("segments", 0, "rates", 0, "rate", value=10**400),
+                       "segment 0 rate 0: 'rate' must be finite"),
+    "start-oversized": (_set("segments", 0, "start", value=10**400), "segment 0: 'start' must be finite"),
+    "end-oversized": (_set("segments", 0, "end", value=10**400), "segment 0: 'end' must be finite"),
+    "completion-oversized": (_set("completions", 1, value=10**400), "completions: 1 must be finite"),
+    "time-oversized": (_set("flow_completions", 0, "time", value=10**400),
+                       "flow completion 0: 'time' must be finite"),
 }
 
 
@@ -549,6 +587,11 @@ MALFORMED_TRACE = {  # case: (file text, text the error must contain)
                           "trace line 3: 'reducers' entry '1-5' is not rack:megabytes"),
     "reducer-with-three-parts": (_TRACE_HEADER + "c1,5,0,1:3:4\n",
                                  "trace line 2: 'reducers' entry '1:3:4' is not rack:megabytes"),
+    # these used to end in an OverflowError
+    "arrival-oversized": (_TRACE_HEADER + _TRACE_ROW + f"c1,{10**400},0,1:4\n",
+                          "trace line 3: coflow c1: 'arrival_ms' is a negative time or too large for a float"),
+    "mapper-rack-oversized": (_TRACE_HEADER + _TRACE_ROW + f"c1,5,{10**30},1:4\n",
+                              "trace line 3: coflow c1 names a negative rack id or one of 2^63 or more"),
 }
 
 

@@ -70,6 +70,28 @@ def test_weight_and_release_validation():
         Coflow({(0, 0): 1.0}, release=-1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Coflow({(0, 0): 10**400}),
+    lambda: Coflow({(0, 0): 1.0}, release=10**400),
+    lambda: Coflow({(0, 0): 1.0}, weight=10**400),
+    lambda: Coflow({(2**63, 0): 1.0}),
+    lambda: Coflow({(0, 2**63): 1.0}),
+    lambda: CoflowInstance(1, [Coflow({(0, 0): 1.0})], capacity=10**400),
+], ids=["size", "release", "weight", "source-port", "dest-port", "capacity"])
+def test_a_number_no_float_holds_or_a_port_no_int64_holds_is_refused(make):
+    # Python integers have no size limit; these used to be accepted and end
+    # later in an OverflowError or a TypeError
+    with pytest.raises(ValueError, match="not finite|outside 0..2\\^63 - 1"):
+        make()
+
+
+def test_integer_sizes_past_int64_load_as_floats():
+    # np.array of Python ints past 2^64 would be an object array
+    inst = CoflowInstance(1, [Coflow({(0, 0): 2**64}), Coflow({(0, 0): 3})])
+    assert inst.node_loads.dtype == float
+    assert inst.node_loads.tolist() == [[2.0**64, 3.0], [2.0**64, 3.0]]
+
+
 def test_out_of_range_port_rejected():
     with pytest.raises(ValueError):
         CoflowInstance(2, [Coflow({(0, 2): 1.0})])

@@ -8,6 +8,7 @@ from coflowsched.relaxations import solve_ordering_lp
 from coflowsched.schedulers import SCHEDULERS, lp_ov_ls, varys
 from coflowsched.sim import (
     FluidRun,
+    Recorder,
     Schedule,
     Segment,
     total_weighted_completion,
@@ -20,6 +21,7 @@ from coflowsched.verify import (
     staggered_release_fixture,
 )
 from coflowsched.workload import SyntheticConfig, generate
+from conftest import schedule_document
 
 
 def test_list_scheduler_output_validates():
@@ -31,12 +33,11 @@ def test_list_scheduler_output_validates():
 
 def test_pre_release_transmission_flagged():
     inst = staggered_release_fixture()
-    sched = Schedule.of_segments(
-        inst,
+    sched = Schedule.from_dict(schedule_document(
         segments=[Segment(0.0, 1.0, {FlowKey(1, 1, 3): 1.0})],
         completions=np.array([0.0, 0.0, 0.0, 0.0]),
         flow_completions={FlowKey(1, 1, 3): 1.0},
-    )
+    ), inst)
     report = validate(sched, inst)
     assert not report.ok
     assert any(v.kind == "release" for v in report.violations)
@@ -44,12 +45,11 @@ def test_pre_release_transmission_flagged():
 
 def test_capacity_violation_magnitude():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}), Coflow({(0, 1): 1.0})])
-    sched = Schedule.of_segments(
-        inst,
+    sched = Schedule.from_dict(schedule_document(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0})],
         completions=np.array([1.0, 1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0},
-    )
+    ), inst)
     report = validate(sched, inst)
     violations = [v for v in report.violations if v.kind == "capacity_src"]
     assert len(violations) == 1
@@ -58,69 +58,45 @@ def test_capacity_violation_magnitude():
 
 def test_demand_shortfall_flagged():
     inst = CoflowInstance(2, [Coflow({(0, 0): 2.0})])
-    sched = Schedule.of_segments(
-        inst,
+    sched = Schedule.from_dict(schedule_document(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
-    )
+    ), inst)
     report = validate(sched, inst)
     assert any(v.kind == "demand" for v in report.violations)
 
 
 def test_completion_definition_checked():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
-    sched = Schedule.of_segments(
-        inst,
+    sched = Schedule.from_dict(schedule_document(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([2.5]),  # recorded later than the last flow
         flow_completions={FlowKey(0, 0, 0): 1.0},
-    )
+    ), inst)
     report = validate(sched, inst)
     assert any(v.kind == "completion_def" for v in report.violations)
 
 
 def test_malformed_segments_raise():
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
-    bad_len = Schedule.of_segments(
-        inst,
+    bad_len = Schedule.from_dict(schedule_document(
         segments=[Segment(1.0, 1.0, {FlowKey(0, 0, 0): 1.0})],
         completions=np.array([1.0]),
         flow_completions={FlowKey(0, 0, 0): 1.0},
-    )
+    ), inst)
     with pytest.raises(ValueError):
         validate(bad_len, inst)
-    overlapping = Schedule.of_segments(
-        inst,
+    overlapping = Schedule.from_dict(schedule_document(
         segments=[
             Segment(0.0, 2.0, {FlowKey(0, 0, 0): 0.25}),
             Segment(1.0, 3.0, {FlowKey(0, 0, 0): 0.25}),
         ],
         completions=np.array([3.0]),
         flow_completions={FlowKey(0, 0, 0): 3.0},
-    )
+    ), inst)
     with pytest.raises(ValueError):
         validate(overlapping, inst)
-
-
-
-def test_of_segments_numbers_flows_by_instance_flow_id():
-    # the instance's flows keep their ids; a flow it lacks in a rate takes
-    # nf, and one only in a completion the next id
-    inst = CoflowInstance(2, [Coflow({(1, 1): 1.0, (0, 0): 2.0}), Coflow({(0, 1): 1.0})])
-    nf = len(inst.flow_keys)
-    sched = Schedule.of_segments(
-        inst,
-        segments=[Segment(0.0, 1.0, {FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 1): 0.5, FlowKey(1, 1, 0): 1.0}),
-                  Segment(1.0, 2.0, {FlowKey(0, 0, 0): 1.0})],
-        completions=np.array([2.0, 1.0]),
-        flow_completions={FlowKey(0, 1, 1): 1.0, FlowKey(1, 1, 0): 1.0, FlowKey(1, 1, 1): 4.0,
-                          FlowKey(0, 0, 0): 2.0},
-    )
-    assert sched.keys[:nf] == inst.flow_keys
-    assert sched.keys[nf:] == (FlowKey(1, 0, 1), FlowKey(1, 1, 1))
-    assert sched.flow.tolist() == [2, nf, 1, 0]
-    assert sched.finished.tolist() == [2, 1, nf + 1, 0]
 
 
 def test_validate_refuses_a_schedule_of_another_flow_table():
@@ -132,6 +108,20 @@ def test_validate_refuses_a_schedule_of_another_flow_table():
         validate(sched, other)
     # an equal flow table read back from JSON is the same numbering
     assert validate(Schedule.from_dict(sched.to_dict(), inst), CoflowInstance(2, list(inst.coflows))).ok
+
+
+@pytest.mark.parametrize("rated, finished, bad", [([0, -1], [0, 1], -1), ([0, 2], [0, 1], 2), ([0, 1], [-1, 1], -1)],
+                         ids=["rate-on-minus-one", "rate-on-nf", "completion-of-minus-one"])
+def test_validate_refuses_a_recorded_flow_id_outside_the_instance(rated, finished, bad):
+    # a rate on id -1 used to end in np.bincount's ValueError, one on id nf
+    # in an IndexError, and a completion of id -1 counted as the last flow's
+    inst = CoflowInstance(2, [Coflow({(0, 0): 1.0}), Coflow({(1, 1): 1.0})])
+    record = Recorder(inst)
+    record.segment(0.0, 1.0, rated, [1.0, 1.0])
+    record.complete(finished, 1.0)
+    with pytest.raises(ValueError, match=f"^the schedule names {bad}, which is not a flow id in 0..1$"):
+        validate(record.schedule(), inst)
+
 
 def test_total_weighted_completion_examples():
     inst = blocking_pair_fixture()

@@ -23,6 +23,8 @@ from coflowsched.sim import (
     validate,
 )
 
+from conftest import schedule_document
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
@@ -57,8 +59,6 @@ def _reference_validate(schedule, instance: CoflowInstance) -> ValidationReport:
             if completion is not None:
                 span = max(min(end, completion) - start, 0.0)
                 transmitted[key] = transmitted.get(key, 0.0) + rate * span
-            elif key not in sizes:  # a flow the instance lacks: all it was sent counts
-                transmitted[key] = transmitted.get(key, 0.0) + rate * (end - start)
             if rate <= 0.0:
                 continue
             src_sum[key.source] += rate
@@ -77,9 +77,6 @@ def _reference_validate(schedule, instance: CoflowInstance) -> ValidationReport:
                 violations.append(
                     Violation("capacity_dst", f"segment {idx} port {p}", dst_sum[p] - cap)
                 )
-
-    for key in sorted((transmitted.keys() | completed.keys()) - sizes.keys()):
-        violations.append(Violation("unknown_flow", f"flow {tuple(key)}", transmitted.get(key, 0.0)))
 
     flows_of: list[list[FlowKey]] = [[] for _ in range(instance.num_coflows)]
     for key, size in sizes.items():
@@ -137,9 +134,7 @@ def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
     segments = [Segment(s.start, s.end, dict(s.rates)) for s in schedule.segments]
     flow_completions = _completions_of(schedule)
     completions = np.array(schedule.completions, dtype=float)
-    n, num = instance.n_ports, instance.num_coflows
-    absent = [FlowKey(i, j, k) for k in range(num) for i in range(n) for j in range(n)
-              if (i, j) not in instance.coflows[k].demands]
+    num = instance.num_coflows
     for _ in range(draw(st.integers(0, 5))):
         edit = draw(st.sampled_from(("scale", "shift", "split", "early", "drop", "add", "move", "recorded")))
         if edit in ("scale", "shift", "split", "early", "drop") and not segments:
@@ -169,8 +164,8 @@ def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
                 del segments[s].rates[draw(st.sampled_from(sorted(segments[s].rates)))]
             elif flow_completions:
                 del flow_completions[draw(st.sampled_from(sorted(flow_completions)))]
-        elif edit == "add" and absent:
-            key = draw(st.sampled_from(absent))
+        elif edit == "add":  # an instance flow, in a segment that may lack it or among the completions
+            key = draw(st.sampled_from(instance.flow_keys))
             if draw(st.booleans()) and segments:
                 segments[s].rates[key] = draw(st.sampled_from((1.0, 0.5, 0.0, -1.0)))
             else:
@@ -181,7 +176,7 @@ def _corrupt(draw, schedule: Schedule, instance: CoflowInstance) -> Schedule:
         elif edit == "recorded" and num:
             k = draw(st.integers(0, num - 1))
             completions[k] += draw(st.sampled_from((1e-10, 1e-6, -0.5, 3.0)))
-    return Schedule.of_segments(instance, segments, completions, flow_completions)
+    return Schedule.from_dict(schedule_document(segments, completions, flow_completions), instance)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -199,32 +194,39 @@ def test_validate_matches_the_reference_loop(instance, data):
 
 
 def test_validate_matches_the_reference_on_hand_made_faults():
-    inst = CoflowInstance(2, [Coflow({(0, 0): 1.0, (1, 1): 2.0}, release=1.0), Coflow({(0, 1): 1.0})])
-    sched = Schedule.of_segments(
-        inst,
+    inst = CoflowInstance(2, [Coflow({(0, 0): 1.0, (1, 1): 2.0}, release=1.0),
+                              Coflow({(0, 1): 1.0, (1, 0): 0.5, (1, 1): 1.0})])
+    sched = Schedule.from_dict(schedule_document(
         segments=[
             Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 1): 0.5}),
             Segment(1.0, 2.0, {FlowKey(1, 1, 0): 1.5, FlowKey(0, 1, 1): -1.0, FlowKey(1, 1, 1): 1.0}),
             Segment(2.0, 4.0, {FlowKey(1, 1, 0): 0.25}),
         ],
-        completions=np.array([3.0, 1.5]),
-        flow_completions={FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 0): 9.0},
-    )
+        # flow (1, 1, 0) completes at 3.0 with 1.75 of its 2.0 sent, and
+        # coflow 1's flows by 2.0, not at the recorded 1.5
+        completions=[3.0, 1.5],
+        flow_completions={FlowKey(0, 0, 0): 1.0, FlowKey(0, 1, 1): 1.0, FlowKey(1, 0, 1): 1.0,
+                          FlowKey(1, 1, 1): 2.0, FlowKey(1, 1, 0): 3.0},
+    ), inst)
     outcome = _outcome(validate, sched, inst)
     assert outcome == _outcome(_reference_validate, sched, inst)
     kinds = [kind for kind, _, _ in outcome[1]]
     assert kinds == ["release", "capacity_src", "capacity_dst", "capacity_src", "capacity_dst",
-                     "unknown_flow", "unknown_flow", "unknown_flow", "demand", "completion_def"]
+                     "demand", "completion_def"]
 
 
-@pytest.mark.parametrize("key", [FlowKey(2, 0, 0), FlowKey(-1, 0, 0), FlowKey(0, 0, 1)])
-def test_rates_outside_the_instance_raise(key):
+@pytest.mark.parametrize("key, message", [
+    (FlowKey(2, 0, 0), "'src' 2 is outside 0..1"),
+    (FlowKey(-1, 0, 0), "'src' -1 is outside 0..1"),
+    (FlowKey(0, 0, 1), "'coflow' 1 is outside 0..0"),
+], ids=["key0", "key1", "key2"])
+def test_rates_outside_the_instance_raise(key, message):
+    # refused where the file is read, so no schedule names such a flow
     inst = CoflowInstance(2, [Coflow({(0, 0): 1.0})])
-    sched = Schedule.of_segments(
-        inst,
+    data = schedule_document(
         segments=[Segment(0.0, 1.0, {FlowKey(0, 0, 0): 1.0}), Segment(1.0, 2.0, {key: 0.5})],
-        completions=np.array([1.0]),
+        completions=[1.0],
         flow_completions={FlowKey(0, 0, 0): 1.0},
     )
-    with pytest.raises(ValueError, match=re.escape(f"segment 1 flow {tuple(key)} is outside the instance")):
-        validate(sched, inst)
+    with pytest.raises(ValueError, match=re.escape(f"segment 1 rate 0: {message}")):
+        Schedule.from_dict(data, inst)
